@@ -300,14 +300,14 @@ func main() {
 
 // printEngineStats prints one run's scheduling counters to stderr in a
 // uniform shape for all four engine modes — the dense loop simply reports
-// jumps=0 — so scripted consumers (including the CI event-density gate)
-// parse one format everywhere. Jump-width and phase-attribution detail
+// jumps=0 and naps=0 — so scripted consumers (including the CI
+// event-density gate) parse one format everywhere. Jump-width and phase-attribution detail
 // lines appear only when the run recorded such events.
 func printEngineStats(label string, st gsi.EngineStats) {
 	fmt.Fprintf(os.Stderr,
-		"engine stats [%s]: steps=%d jumps=%d skipped=%d express=%d demotions=%d\n",
+		"engine stats [%s]: steps=%d jumps=%d skipped=%d express=%d demotions=%d naps=%d napped-sm-cycles=%d\n",
 		label, st.Steps, st.Jumps, st.SkippedCycles,
-		st.ExpressDeliveries, st.ExpressDemotions)
+		st.ExpressDeliveries, st.ExpressDemotions, st.Naps, st.NappedSMCycles)
 	if st.Jumps > 0 {
 		var sb strings.Builder
 		for b, n := range st.JumpHist {

@@ -88,12 +88,12 @@ func diffLine(a, b []byte) (string, string) {
 	return "<prefix>", "<prefix>"
 }
 
-// TestEnginesIdenticalWithTimeline pins the bulk span-crediting paths: with
+// TestEnginesIdenticalWithTimeline pins the bulk span-crediting path: with
 // the per-SM timeline enabled (the collector most sensitive to when cycles
 // are recorded), a 15-SM run whose SMs drain at different times must render
-// identically whether cycles were observed one at a time (dense), idle
-// tails were credited as one span at the end (quiescent), or whole stall
-// windows were credited per jump (skip-ahead).
+// identically whether cycles were observed one at a time (dense) or stall
+// windows and idle tails were credited as one span per SM nap (every other
+// engine), with or without global jumps on top.
 func TestEnginesIdenticalWithTimeline(t *testing.T) {
 	w := NewUTSDWith(UTSD{Seed: 0xC0FFEE, Nodes: 120, FrontierMin: 40,
 		Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
@@ -289,5 +289,40 @@ func TestSkipAheadActuallyJumps(t *testing.T) {
 	if !bytes.Equal(sj, dj) {
 		a, b := diffLine(sj, dj)
 		t.Errorf("latency-bound config diverges between skip and dense:\n skip:  %s\n dense: %s", a, b)
+	}
+}
+
+// TestNapsActuallyNap guards the point of SM local time: on the two stall-
+// bound shapes — spin-heavy UTS (synchronization) and GUPS (a full MSHR,
+// which needs the LSU's retry promotion) — at least 70% of all SM-cycles
+// must be credited by naps rather than classified one tick at a time, while
+// the global clock hardly jumps at all (the mesh is busy nearly every
+// cycle). The reports' identity with the dense loop is covered by
+// TestNextEventWorkloadPool.
+func TestNapsActuallyNap(t *testing.T) {
+	reg := Workloads()
+	for _, name := range []string{"uts", "gups"} {
+		e, _ := reg.Lookup(name)
+		w, err := e.BuildSmall(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := e.TuneSystem(true, nil, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(Options{System: cfg, Protocol: DeNovo}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := rep.EngineStats
+		smCycles := rep.Cycles * uint64(cfg.NumSMs)
+		if st.Naps == 0 || float64(st.NappedSMCycles) < 0.7*float64(smCycles) {
+			t.Errorf("%s: %d naps credited %d of %d SM-cycles (%.1f%%), want at least 70%%",
+				name, st.Naps, st.NappedSMCycles, smCycles, 100*float64(st.NappedSMCycles)/float64(smCycles))
+		}
+		if st.NappedSMCycles > smCycles {
+			t.Errorf("%s: naps credited %d SM-cycles, more than the run's %d", name, st.NappedSMCycles, smCycles)
+		}
 	}
 }

@@ -136,9 +136,9 @@ func (in *Inspector) RecordCycle(sm int, cc CycleClass) { in.RecordCycleSpan(sm,
 // RecordCycleSpan records n consecutive cycles of one classification for an
 // SM in one call — exactly the counts, deferred-attribution accruals, and
 // timeline a dense loop would accumulate by recording the same CycleClass n
-// times in a row. It is the bulk-advance path for the skip-ahead engine:
-// when the engine jumps a window in which an SM's classification provably
-// cannot change, the whole window is credited here at once.
+// times in a row. It is the bulk-advance path for SM naps: when an SM
+// sleeps through a window in which its classification provably cannot
+// change, the whole window is credited here at once when the nap ends.
 func (in *Inspector) RecordCycleSpan(sm int, cc CycleClass, n uint64) {
 	if n == 0 {
 		return
@@ -167,13 +167,6 @@ func (in *Inspector) RecordCycleSpan(sm int, cc CycleClass, n uint64) {
 	case CompStructural:
 		c.CompStruct[unitOrALU(cc.CompUnit)] += n
 	}
-}
-
-// RecordIdleSpan records n consecutive Idle cycles for an SM in one call —
-// the bulk path for a drained SM that stopped ticking, credited at the end
-// of the run.
-func (in *Inspector) RecordIdleSpan(sm int, n uint64) {
-	in.RecordCycleSpan(sm, CycleClass{Kind: Idle}, n)
 }
 
 // unitOrALU defaults an unattributed compute stall to the ALU, the generic

@@ -147,11 +147,11 @@ func TestCountsAdd(t *testing.T) {
 	}
 }
 
-// TestRecordIdleSpanMatchesPerCycle: bulk idle crediting (the quiescent
-// engine's path for sleeping SMs) must produce the same counts and the
-// same rendered timeline as observing the idle cycles one at a time, even
+// TestIdleSpanMatchesPerCycle: crediting a drained SM's idle tail as one
+// span (how its nap ends) must produce the same counts and the same
+// rendered timeline as observing the idle cycles one at a time, even
 // though the bulk path records whole spans out of interleaving order.
-func TestRecordIdleSpanMatchesPerCycle(t *testing.T) {
+func TestIdleSpanMatchesPerCycle(t *testing.T) {
 	perCycle, bulk := NewInspector(2), NewInspector(2)
 	perCycle.Timeline, bulk.Timeline = NewTimeline(2, 8), NewTimeline(2, 8)
 
@@ -166,8 +166,8 @@ func TestRecordIdleSpanMatchesPerCycle(t *testing.T) {
 	for i := 0; i < 53; i++ {
 		perCycle.Observe(1, nil)
 	}
-	bulk.RecordIdleSpan(0, 50)
-	bulk.RecordIdleSpan(1, 53)
+	bulk.RecordCycleSpan(0, CycleClass{Kind: Idle}, 50)
+	bulk.RecordCycleSpan(1, CycleClass{Kind: Idle}, 53)
 
 	for sm := 0; sm < 2; sm++ {
 		if *perCycle.SM(sm) != *bulk.SM(sm) {

@@ -19,8 +19,8 @@ type GPU struct {
 	SMs  []*SM
 
 	// EngineStats holds the scheduling counters of the most recent Run
-	// (steps executed, skip-ahead jumps, cycles skipped). It is not part
-	// of the Report: every engine mode produces identical Reports.
+	// (steps executed, skip-ahead jumps, cycles skipped, SM naps). It is
+	// not part of the Report: every engine mode produces identical Reports.
 	EngineStats sim.EngineStats
 
 	// Trace, when set before Run, observes the engine's clock jumps and
@@ -32,6 +32,10 @@ type GPU struct {
 	kernel     *Kernel
 	nextBlock  int
 	blocksDone int
+
+	// napAudit, set only by tests, is handed to every smSlot (see
+	// smSlot.audit).
+	napAudit func(sm int, cycle uint64, problem string)
 }
 
 // New builds a GPU with the given per-core coherence policies (one per
@@ -99,67 +103,179 @@ func (g *GPU) Done() bool {
 	return g.kernel != nil && g.blocksDone == g.kernel.Blocks && g.Sys.Quiesced()
 }
 
-// smSlot adapts one SM to the scheduling engine: when the SM goes idle
-// (block retired, nothing pending) the slot records the first skipped cycle
-// so the run's tail of idle cycles can be credited to the Inspector in one
-// bulk span — GSI still accounts a classification for every GPU cycle of
-// every SM, including the ones the engine never ticked.
+// smSlot adapts one SM to the scheduling engine and gives it local time.
+// After a tick in which no warp issued, the slot asks the SM's NextEvent
+// promise (bounded by its CoreMem's own timer) how long the SM stays
+// frozen; when that lies beyond the next cycle the SM naps: the slot's
+// Tick returns at once until the promised cycle, and the frozen
+// classification is credited to the Inspector in one span when the nap
+// ends — GSI still accounts a classification for every GPU cycle of every
+// SM, including the ones the SM never ticked. A nap ends at its timed bound
+// or when CoreMem pokes the slot because external input is about to land
+// (see poke). The drained tail of an SM whose last block retired is the
+// same nap with no bound, closed when the run returns.
+//
+// The dense loop never naps: it is the oracle the naps are checked
+// against.
 type smSlot struct {
 	sm *SM
-	// track enables sleep bookkeeping; the dense loop ticks the SM every
-	// cycle (observing Idle directly), so crediting again would double
-	// count.
-	track    bool
-	asleep   bool
-	idleFrom uint64
-	// wake re-arms the slot in the engine; the parallel engine's commit
-	// phase uses it when a deferred block handoff gives the SM new work
-	// in the same cycle its Tick reported idle.
+	// naps enables napping (every mode but dense).
+	naps bool
+
+	// While napping, cycles [napFrom, now) are not yet credited; napUntil
+	// is the timed bound (sim.NoEvent: only a poke ends the nap).
+	napping  bool
+	napFrom  uint64
+	napUntil uint64
+	// mshrRetry marks a nap over an LSU op whose per-cycle retry is a pure
+	// MSHR-full refusal: each napped cycle owes one MSHRFullEvents count.
+	mshrRetry bool
+
+	// Scheduling counters, summed into GPU.EngineStats after the run.
+	napCount, nappedCycles uint64
+
+	// wake re-arms the slot in the engine: a poke or a deferred block
+	// handoff (parallel engine commit phase) can reach a drained SM whose
+	// slot has left the active set.
 	wake func()
+
+	// audit, set only by tests, ticks the SM through its naps and reports
+	// every cycle in which the nap's promise did not hold.
+	audit func(sm int, cycle uint64, problem string)
 }
 
 // Tick implements sim.Component.
 func (s *smSlot) Tick(cycle uint64) bool {
+	if s.napping {
+		if cycle < s.napUntil {
+			if s.audit != nil {
+				s.auditTick(cycle)
+			}
+			return true
+		}
+		s.endNap(cycle)
+	}
 	busy := s.sm.Tick(cycle)
-	if s.track && !busy && !s.asleep {
-		s.asleep = true
-		s.idleFrom = cycle + 1
+	if s.naps && !s.sm.issuedThisTick {
+		s.planNap(cycle, busy)
 	}
 	return busy
 }
 
-// creditIdle folds the skipped [idleFrom, end) span into the Inspector as
-// Idle cycles, matching what a dense loop would have observed one cycle at
-// a time.
-func (s *smSlot) creditIdle(end uint64, insp *core.Inspector) {
-	if !s.asleep || end <= s.idleFrom {
+// planNap starts a nap after the SM's tick at now if the SM promises that
+// nothing it can observe changes before some cycle beyond now+1. The SM's
+// promise treats its CoreMem as external, so while a block is resident the
+// unit's own timer bounds the nap too: a due local atomic and a draining or
+// finished flush precede a poke, and a queued send counts because the
+// end-of-block drain (finishBlock) reads CoreMem.Quiesced, which a send
+// leaving the outbox changes without a poke. Outside that drain the outbox
+// bound is only slack, and cheap: dropping it adds under 2% to the napped
+// cycles of any registry workload. A drained SM stays idle whatever its
+// CoreMem still does, and must nap — its slot is about to leave the active
+// set.
+func (s *smSlot) planNap(now uint64, resident bool) {
+	until := s.sm.NextEvent(now)
+	if until > now+1 && resident {
+		until = min(until, s.sm.cm.NextEvent(now))
+	}
+	if until <= now+1 {
 		return
 	}
-	insp.RecordIdleSpan(s.sm.id, end-s.idleFrom)
+	s.napping, s.napFrom, s.napUntil = true, now+1, until
+	s.mshrRetry = s.sm.lsu.mshrRetrying(now)
+	s.napCount++
 }
 
-// NextEvent implements sim.NextEventer for the skip-ahead engine.
-func (s *smSlot) NextEvent(now uint64) uint64 { return s.sm.NextEvent(now) }
-
-// SkipAhead implements sim.Skipper: the engine jumped over cycles
-// [from, to), during which the SM's classification provably could not
-// change, so the classification observed at from-1 is credited once per
-// skipped cycle — exactly the counts (and timeline) a dense loop would
-// have accumulated one cycle at a time.
-func (s *smSlot) SkipAhead(from, to uint64) {
-	s.sm.gpu.Insp.RecordCycleSpan(s.sm.id, s.sm.lastClass, to-from)
+// endNap closes an open nap at cycle end: the SM observed nothing during
+// [napFrom, end), so the classification of its last tick is credited once
+// per cycle — exactly the counts, timeline and trace spans a dense loop
+// would have accumulated one cycle at a time — along with the one counter
+// a frozen SM still moves, the blocked LSU op's MSHR-full refusals.
+func (s *smSlot) endNap(end uint64) {
+	if !s.napping {
+		return
+	}
+	s.napping = false
+	if end <= s.napFrom {
+		return
+	}
+	n := end - s.napFrom
+	s.sm.gpu.Insp.RecordCycleSpan(s.sm.id, s.sm.lastClass, n)
+	if s.mshrRetry {
+		s.sm.cm.Stats.MSHRFullEvents += n
+	}
+	s.nappedCycles += n
 }
 
-// Diagnose implements sim.Diagnoser for engine deadlock dumps.
-func (s *smSlot) Diagnose() string { return s.sm.Diagnose() }
+// poke is CoreMem's notice that it is about to change state the SM can
+// observe, at cycle: the nap is credited up to cycle before the change
+// lands (so deferred MemData attribution, the timeline and trace spans
+// stay in dense order) and the SM ticks again from cycle on.
+func (s *smSlot) poke(cycle uint64) {
+	if !s.napping {
+		return
+	}
+	s.endNap(cycle)
+	s.wake()
+}
+
+// auditTick ticks a napping SM anyway and checks the nap's promise: no
+// warp issues, the block stays resident, and the classification is the one
+// the nap would credit. Cycles a global jump skipped since the last tick
+// are credited first; the tick records the cycle itself, so the nap's
+// uncredited window restarts after it and an audited run counts what an
+// unaudited one does.
+func (s *smSlot) auditTick(cycle uint64) {
+	sm := s.sm
+	s.endNap(cycle)
+	promised := sm.lastClass
+	busy := sm.Tick(cycle)
+	s.napping, s.napFrom = true, cycle+1
+	var problem string
+	switch {
+	case sm.issuedThisTick:
+		problem = "a warp issued"
+	case !busy:
+		problem = "the block retired"
+	case sm.lastClass != promised:
+		problem = fmt.Sprintf("classified %+v", sm.lastClass)
+	default:
+		return
+	}
+	s.audit(sm.id, cycle, fmt.Sprintf("%s in a nap that promised %+v: %s", problem, promised, s.Diagnose()))
+}
+
+// NextEvent implements sim.NextEventer: a napping SM is frozen until its
+// bound, and an awake one never permits a jump.
+func (s *smSlot) NextEvent(now uint64) uint64 {
+	if s.napping {
+		return s.napUntil
+	}
+	return now + 1
+}
+
+// Diagnose implements sim.Diagnoser for engine deadlock dumps. A napping
+// SM is busy to the engine, so the dump says since when it has been frozen,
+// until when, and in which classification.
+func (s *smSlot) Diagnose() string {
+	d := s.sm.Diagnose()
+	if !s.napping {
+		return d
+	}
+	until := "external"
+	if s.napUntil != sim.NoEvent {
+		until = fmt.Sprint(s.napUntil)
+	}
+	return fmt.Sprintf("napping since %d until %s class=%s; %s", s.napFrom, until, s.sm.lastClass.Kind, d)
+}
 
 // Commit implements sim.Committer for the parallel tick engine: called in
 // registration order after the concurrent group phase, it injects the DMA
 // engine's staged mesh sends (the order across SMs then matches the
 // serial loops' in-tick sends) and applies a deferred end-of-block
-// handoff. A handoff that lands a new block un-marks the sleep the
-// just-finished Tick recorded and re-arms the slot, so the SM resumes
-// next cycle exactly as it would had blockDone run mid-tick.
+// handoff. A handoff that lands a new block ends the drained nap the
+// just-finished Tick opened and re-arms the slot, so the SM resumes next
+// cycle exactly as it would had blockDone run mid-tick.
 func (s *smSlot) Commit(cycle uint64) {
 	sm := s.sm
 	sm.dma.FlushStaged(cycle)
@@ -167,7 +283,7 @@ func (s *smSlot) Commit(cycle uint64) {
 		sm.blockDonePending = false
 		sm.gpu.blockDone(sm)
 		if sm.kernel != nil {
-			s.asleep = false
+			s.endNap(cycle + 1)
 			s.wake()
 		}
 	}
@@ -208,19 +324,31 @@ func (g *GPU) RunContext(ctx context.Context) (uint64, error) {
 	for i, sm := range g.SMs {
 		sm.staged = parallel
 		sm.dma.SetStaged(parallel)
-		slots[i] = &smSlot{sm: sm, track: mode != sim.EngineDense}
+		s := &smSlot{sm: sm, naps: mode != sim.EngineDense, audit: g.napAudit}
+		slots[i] = s
 		// SM i joins tick group i alongside its CoreMem (see
 		// mem.System.Attach): the pair shares a worker, preserving their
 		// serial intra-cycle interplay, while distinct SMs tick
 		// concurrently.
-		slots[i].wake = eng.RegisterGroup(fmt.Sprintf("sm%d", i), slots[i], i).Wake
+		s.wake = eng.RegisterGroup(fmt.Sprintf("sm%d", i), s, i).Wake
+		if s.naps {
+			// Every external input to SM i arrives through CoreMem i,
+			// which pokes the slot before it lets any of it land.
+			sm.cm.SetPoker(s.poke)
+		}
 	}
 	cycles, err := eng.RunContext(ctx, g.Done, g.Cfg.MaxCycles)
+	g.EngineStats = eng.Stats()
 	for _, s := range slots {
-		s.creditIdle(eng.Cycle(), g.Insp)
+		// A nap still open here — the drained tail on a normal return, any
+		// frozen SM on an error — is credited through the final cycle, so
+		// every SM accounts for every cycle on every exit path.
+		s.endNap(eng.Cycle())
+		s.sm.cm.SetPoker(nil)
+		g.EngineStats.Naps += s.napCount
+		g.EngineStats.NappedSMCycles += s.nappedCycles
 	}
 	g.Insp.Flush()
-	g.EngineStats = eng.Stats()
 	g.EngineStats.ExpressDeliveries = g.Sys.Mesh.Stats.ExpressDeliveries
 	g.EngineStats.ExpressDemotions = g.Sys.Mesh.Stats.ExpressDemotions
 	return cycles, err

@@ -490,16 +490,16 @@ func (l *LSU) lineDone(id core.LoadID, where core.DataWhere) {
 	l.sm.gpu.Insp.LoadCompleted(l.sm.id, id, tr.lastWhere)
 }
 
-// NextEvent supports the SM's skip-ahead promise: the earliest cycle after
-// now at which the LSU's Tick does real work, or sim.NoEvent when it only
-// waits on external fills. A blocked current op whose busy window has
-// passed retries submit every cycle — and those retries bump MSHR/store
-// buffer stall statistics exactly as a dense loop would — so it forbids
-// jumping outright. The one exception is an op parked on a pending DMA:
-// its retry is a pure no-op until the bulk load finishes (an external,
-// fill-driven event).
+// NextEvent supports the SM's nap promise: the earliest cycle after now at
+// which the LSU's Tick does real work, or sim.NoEvent when it only waits on
+// external fills. A blocked current op whose busy window has passed retries
+// submit every cycle — and those retries bump store buffer stall statistics
+// and can start flushes exactly as a dense loop would — so it forbids the
+// promise outright. Two retries are exempt: an op parked on a pending DMA,
+// whose retry is a pure no-op until the bulk load finishes (an external,
+// fill-driven event), and an op refused for a full MSHR (see mshrRetrying).
 func (l *LSU) NextEvent(now uint64) uint64 {
-	if l.cur != nil && !l.cur.dmaWait && l.busyUntil <= now {
+	if l.cur != nil && !l.cur.dmaWait && l.busyUntil <= now && !l.mshrRetrying(now) {
 		return now + 1
 	}
 	next := sim.NoEvent
@@ -518,6 +518,18 @@ func (l *LSU) NextEvent(now uint64) uint64 {
 		return now + 1
 	}
 	return next
+}
+
+// mshrRetrying reports, after the tick at now, that the current op retries
+// a load line every cycle and is refused each time for a full MSHR. The
+// line is neither cached nor in flight (the refusal at now proved it) and
+// only a fill — external to the SM — frees an entry, so until then the retry
+// changes nothing but CoreMem's MSHRFullEvents count: it does not forbid
+// the nap promise, and whoever skips the SM's ticks on that promise owes one
+// MSHRFullEvents per skipped cycle (smSlot.endNap).
+func (l *LSU) mshrRetrying(now uint64) bool {
+	return l.cur != nil && !l.cur.dmaWait && l.busyUntil <= now &&
+		l.blockCause == core.StructMSHRFull && l.sm.cm.MSHRFree() == 0
 }
 
 // PendingLoads reports in-flight warp loads (quiescence checks).

@@ -46,13 +46,13 @@ type SM struct {
 	orderValid bool
 
 	// lastClass is the cycle classification recorded by the most recent
-	// issue stage; when the engine skips ahead over a window in which
-	// nothing can change, the same classification is credited for every
-	// skipped cycle (see SkipAhead on the GPU's smSlot).
+	// issue stage; while the SM naps through a window in which nothing it
+	// observes can change, the same classification is credited for every
+	// napped cycle (see the GPU's smSlot).
 	lastClass core.CycleClass
 	// issuedThisTick reports whether any warp issued during the most
 	// recent tick: SM state changed, so NextEvent makes no promise beyond
-	// the next cycle.
+	// the next cycle and the smSlot does not even ask.
 	issuedThisTick bool
 
 	// staged marks a parallel-engine run: Tick then executes concurrently
@@ -126,10 +126,11 @@ func (sm *SM) startBlock(k *Kernel, block int) {
 }
 
 // Tick advances the SM one cycle. It reports whether a block is still
-// resident: a drained SM observes one final Idle cycle and then sleeps, and
-// the GPU credits the remaining idle cycles in bulk at the end of the run
-// (an SM never re-acquires work mid-run — blocks are handed out by the SM's
-// own finishBlock — so going idle is permanent until the next launch).
+// resident: a drained SM observes one final Idle cycle and then naps with no
+// bound, and the GPU credits the remaining idle cycles in bulk at the end of
+// the run (an SM never re-acquires work mid-run — blocks are handed out by
+// the SM's own finishBlock — so going idle is permanent until the next
+// launch).
 func (sm *SM) Tick(cycle uint64) bool {
 	if sm.localKind == LocalScratchDMA {
 		sm.dma.Tick(cycle)
@@ -353,19 +354,21 @@ func (sm *SM) Diagnose() string {
 		sm.kernel.Name, sm.block, ready, barrier, atomic, finished, !sm.lsu.Idle(), sm.dma.Diagnose())
 }
 
-// NextEvent supports the engine's skip-ahead extension. Called after the
-// SM's tick at cycle now, it returns the earliest cycle at which the SM's
-// observable behavior — issue decisions and per-cycle classification —
-// could change, sim.NoEvent when every blocked warp waits on an external
-// event (an in-flight load, atomic response, or barrier peer whose own
-// progress is bounded elsewhere), or now+1 when no promise can be made
-// (something issued this cycle, the DMA engine or LSU works every cycle, a
-// warp is issuable). The promise never under-reports: jumping to the
-// returned cycle and ticking from there is indistinguishable from ticking
-// densely through the gap.
+// NextEvent is the promise an SM nap rests on (see smSlot.planNap). Called
+// after the SM's tick at cycle now, it returns the earliest cycle at which
+// the SM's observable behavior — issue decisions and per-cycle
+// classification — could change, sim.NoEvent when every blocked warp waits
+// on an external event (an in-flight load, atomic response, or barrier peer
+// whose own progress is bounded elsewhere), or now+1 when no promise can be
+// made (something issued this cycle, the DMA engine or LSU works every
+// cycle, a warp is issuable). External events all arrive through the SM's
+// CoreMem. The promise never under-reports: not ticking until the returned
+// cycle and ticking from there is indistinguishable from ticking densely
+// through the gap, with one exception the caller must make good — see
+// LSU.mshrRetrying.
 func (sm *SM) NextEvent(now uint64) uint64 {
 	if sm.kernel == nil {
-		return sim.NoEvent // drained: the engine never consults an idle SM
+		return sim.NoEvent // drained: idle until the next launch
 	}
 	if sm.issuedThisTick {
 		return now + 1

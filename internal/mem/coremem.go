@@ -132,6 +132,7 @@ type CoreMem struct {
 	bankTile func(line uint64) int
 	coreTile func(core int) int
 	wake     func()
+	poke     func(cycle uint64)
 
 	// cycle is the unit's notion of "now", refreshed at every external
 	// entry point (Tick, Load, Store, Atomic, Deliver) from the caller's
@@ -198,6 +199,22 @@ func NewCoreMem(cfg CoreMemConfig) *CoreMem {
 // tick-serviced work (flush draining, release dispatch, local atomics,
 // outbound messages) call arm so a sleeping unit resumes ticking.
 func (c *CoreMem) SetWaker(wake func()) { c.wake = wake }
+
+// SetPoker installs the core's nap-breaking callback (nil removes it). The
+// core attached to this unit may stop ticking while nothing it observes
+// can change; every input that reaches it from outside comes through this
+// unit, so the unit calls poke with the current cycle before it lets such an
+// input land — on every Deliver, and in Tick before a local atomic completes
+// or a finished flush clears — and the core settles its books for the
+// cycles before that one first.
+func (c *CoreMem) SetPoker(poke func(cycle uint64)) { c.poke = poke }
+
+// pokeCore gives the attached core notice of a change at cycle.
+func (c *CoreMem) pokeCore(cycle uint64) {
+	if c.poke != nil {
+		c.poke(cycle)
+	}
+}
 
 // SetStaged switches the unit's outbox into staged mode for the parallel
 // tick engine: mesh sends that become due during Tick — which then runs
@@ -453,6 +470,7 @@ func (c *CoreMem) Tick(cycle uint64) bool {
 		c.flushLine(line)
 	}
 	if c.flushing && len(c.flushQ) == 0 && len(c.acksWanted) == 0 {
+		c.pokeCore(cycle)
 		c.flushing = false
 		c.flushRelease = false
 	}
@@ -469,6 +487,7 @@ func (c *CoreMem) Tick(cycle uint64) bool {
 				n++
 				continue
 			}
+			c.pokeCore(cycle)
 			c.inflightAtomics--
 			if la.op.Order.IsAcquire() {
 				c.SelfInvalidate()
@@ -531,6 +550,8 @@ func (c *CoreMem) completeFlush(line uint64) {
 // opportunity — keeping response times and LRU stamps identical to a dense
 // loop that ticked the unit every cycle.
 func (c *CoreMem) Deliver(payload any, now uint64) {
+	// The delivery happens during cycle now+1, before the core's tick.
+	c.pokeCore(now + 1)
 	c.cycle = now
 	defer c.arm()
 	switch msg := payload.(type) {

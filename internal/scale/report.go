@@ -15,6 +15,9 @@ func (d *Doc) Markdown() string {
 	fmt.Fprintf(&sb, "SmallScale base until a wall; every rung asserts four-way engine\n")
 	fmt.Fprintf(&sb, "byte-identity. Machine-readable form: BENCH_scale.json.\n\n")
 	fmt.Fprintf(&sb, "Host: %s\n\n", d.Host)
+	if d.Note != "" {
+		fmt.Fprintf(&sb, "Note: %s\n\n", d.Note)
+	}
 	for _, res := range d.Results {
 		fmt.Fprintf(&sb, "## %s / %s axis\n\n", res.Workload, res.Axis)
 		fmt.Fprintf(&sb, "| rung | value | cycles | ns/cycle | jumps | skipped | rss KB | identity |\n")

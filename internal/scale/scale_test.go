@@ -319,8 +319,9 @@ func TestHarnessClimbsAndAssertsIdentity(t *testing.T) {
 	if len(lines) == 0 {
 		t.Fatal("no progress lines logged")
 	}
-	if md := doc.Markdown(); !strings.Contains(md, "implicit / ticks axis") {
-		t.Fatalf("markdown report missing series header:\n%s", md)
+	doc.Note = "provenance of the numbers"
+	if md := doc.Markdown(); !strings.Contains(md, "implicit / ticks axis") || !strings.Contains(md, "Note: "+doc.Note) {
+		t.Fatalf("markdown report missing series header or note:\n%s", md)
 	}
 }
 

@@ -462,3 +462,56 @@ func TestFlightWaiterDetach(t *testing.T) {
 		t.Fatal("flight context did not cancel after the last waiter detached")
 	}
 }
+
+// TestFlightGaugeFollowsWaiters: the running gauge drops the moment a
+// simulation's last waiter detaches — that caller's job is about to be
+// counted as failed, and /metrics must never show it as both — not when the
+// abandoned simulation reaches its next cancellation check, and it does not
+// drop a second time when it does.
+func TestFlightGaugeFollowsWaiters(t *testing.T) {
+	m := newMetrics()
+	g := flightGroup{gauge: m}
+	running := func() uint64 { return m.snapshot(cacheStats{}).Jobs.Running }
+
+	simulating := make(chan struct{})
+	unwind := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	detached := make(chan error, 1)
+	go func() {
+		_, err, _ := g.Do(ctx, "k", func(context.Context) ([]byte, error) {
+			g.simStart("k")
+			defer g.simEnd("k")
+			close(simulating)
+			<-unwind // an engine between two cancellation checks
+			return nil, context.Canceled
+		})
+		detached <- err
+	}()
+	<-simulating
+	if got := running(); got != 1 {
+		t.Fatalf("running = %d while the leader waits on its simulation, want 1", got)
+	}
+	cancel()
+	if err := <-detached; !errors.Is(err, context.Canceled) {
+		t.Fatalf("detached waiter got %v, want context.Canceled", err)
+	}
+	if got := running(); got != 0 {
+		t.Fatalf("running = %d after the last waiter detached, want 0", got)
+	}
+	close(unwind)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		g.mu.Lock()
+		n := len(g.m)
+		g.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned flight never unwound")
+		}
+	}
+	if got := running(); got != 0 {
+		t.Fatalf("running = %d after the abandoned simulation unwound, want 0", got)
+	}
+}

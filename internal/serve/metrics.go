@@ -26,7 +26,7 @@ type metrics struct {
 	mu sync.Mutex
 
 	submitted uint64 // jobs accepted across all sweeps
-	running   uint64 // simulations executing right now (pool slots held)
+	running   uint64 // simulations executing right now for a waiting job (see flightGroup.gauge)
 	done      uint64 // jobs finished successfully (any source)
 	failed    uint64 // jobs finished with an error
 
@@ -207,7 +207,9 @@ type metricsSnapshot struct {
 }
 
 // snapshot captures a consistent view; queued is derived (submitted jobs
-// neither finished nor currently simulating).
+// neither finished nor currently simulating). The difference is exact: the
+// flight group takes a simulation out of running the moment its last
+// waiter detaches, before that job is finished as canceled.
 func (m *metrics) snapshot(cs cacheStats) metricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()

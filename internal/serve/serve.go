@@ -197,6 +197,7 @@ func New(cfg Config) (*Server, error) {
 		sweeps:     map[string]*sweepRun{},
 	}
 	s.flight.root = rootCtx
+	s.flight.gauge = s.metrics
 	s.mux.HandleFunc("/sweeps", s.handleSweeps)
 	s.mux.HandleFunc("/sweeps/", s.handleSweep)
 	s.mux.HandleFunc("/results/", s.handleResult)
@@ -584,6 +585,9 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 		return
 	}
 	sw.setRunning(i)
+	// lateHit is written by the flight function, which only ever runs for
+	// this job (as leader), and read after Do returned its result.
+	lateHit := false
 	_, err, shared := s.flight.Do(sw.ctx, job.key, func(fctx context.Context) ([]byte, error) {
 		// The slot gates the simulation itself; singleflight followers
 		// wait without occupying the pool, and a flight nobody wants any
@@ -596,7 +600,10 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 		defer func() { <-s.sem }()
 		if data, ok := s.cache.get(job.key); ok {
 			// A previous leader finished between our cache check and
-			// flight entry; serve its bytes.
+			// flight entry; serve its bytes. This job simulated nothing
+			// and shared nobody's run: it is a cache hit, only a late
+			// one.
+			lateHit = true
 			return data, nil
 		}
 		var lastErr error
@@ -619,9 +626,15 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 		return nil, lastErr
 	})
 	cached := false
-	if shared && err == nil {
-		s.metrics.dedupHit()
-		cached = true
+	if err == nil {
+		switch {
+		case shared:
+			s.metrics.dedupHit()
+			cached = true
+		case lateHit:
+			s.metrics.cacheHit()
+			cached = true
+		}
 	}
 	var errMsg string
 	if err != nil {
@@ -645,8 +658,8 @@ func (s *Server) simulate(fctx context.Context, job *jobState) (data []byte, err
 		runCtx, cancel = context.WithTimeout(fctx, job.timeout)
 		defer cancel()
 	}
-	s.metrics.runStart()
-	defer s.metrics.runEnd()
+	s.flight.simStart(job.key)
+	defer s.flight.simEnd(job.key)
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.panicked()

@@ -37,7 +37,33 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	// Registered last, so it runs first: the books are checked while the
+	// server is still up.
+	t.Cleanup(func() { assertBooksBalance(t, s) })
 	return s, ts
+}
+
+// assertBooksBalance is the serve layer's accounting invariant (ROADMAP
+// item 0), checked at the end of every test that boots a server: once all
+// accepted jobs have finished, each is claimed by exactly one outcome —
+// served from the cache, shared from another job's in-flight run, simulated,
+// or failed (the failed counter includes canceled jobs, which /metrics also
+// counts on their own).
+func assertBooksBalance(t *testing.T, s *Server) {
+	t.Helper()
+	s.jobs.Wait()
+	m := s.metrics.snapshot(s.cache.stats())
+	// Queued is the raw submitted - done - failed - running (unsigned, so
+	// an over-count on either side shows up, not only an under-count).
+	if m.Jobs.Queued != 0 || m.Jobs.Running != 0 {
+		t.Errorf("all jobs returned but /metrics still shows %d queued, %d running", m.Jobs.Queued, m.Jobs.Running)
+	}
+	accepted := m.Jobs.Done + m.Jobs.Failed
+	claimed := m.Cache.Hits + m.Cache.DedupHits + m.Simulations + m.Jobs.Failed
+	if accepted != claimed || m.Canceled > m.Jobs.Failed {
+		t.Errorf("books do not balance: %d jobs accepted, but hits(%d) + dedup(%d) + simulations(%d) + failed(%d, of which %d canceled) = %d",
+			accepted, m.Cache.Hits, m.Cache.DedupHits, m.Simulations, m.Jobs.Failed, m.Canceled, claimed)
+	}
 }
 
 // submit POSTs a submission and decodes the acceptance document.

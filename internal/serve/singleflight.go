@@ -16,6 +16,9 @@ type flightCall struct {
 	err     error
 	waiters int
 	cancel  context.CancelFunc
+	// simulating: fn is between simStart and simEnd with a waiter still
+	// attached, i.e. this flight is counted in the group's running gauge.
+	simulating bool
 }
 
 // flightGroup is a context-aware singleflight: Do collapses concurrent
@@ -33,8 +36,40 @@ type flightGroup struct {
 	// shutdown) stops all in-flight simulations.
 	root context.Context
 
+	// gauge counts the simulations running on behalf of at least one
+	// waiting job (/metrics "running"); only flight functions that call
+	// simStart need it. It moves under mu, at the same instant a flight's
+	// waiter count does, so a job that detaches last is never seen both as
+	// finished and as still being simulated.
+	gauge *metrics
+
 	mu sync.Mutex
 	m  map[string]*flightCall
+}
+
+// simStart is called by key's flight function when its simulation begins;
+// simEnd when it returns. A flight everybody already left is not counted.
+func (g *flightGroup) simStart(key string) {
+	g.mu.Lock()
+	if c := g.m[key]; c != nil && c.waiters > 0 {
+		c.simulating = true
+		g.gauge.runStart()
+	}
+	g.mu.Unlock()
+}
+
+func (g *flightGroup) simEnd(key string) {
+	g.mu.Lock()
+	g.uncount(g.m[key])
+	g.mu.Unlock()
+}
+
+// uncount takes c out of the running gauge if it is in it. Caller holds mu.
+func (g *flightGroup) uncount(c *flightCall) {
+	if c != nil && c.simulating {
+		c.simulating = false
+		g.gauge.runEnd()
+	}
 }
 
 // Do runs fn once per key at a time. The first caller (the leader) starts
@@ -79,7 +114,10 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 		g.mu.Lock()
 		c.waiters--
 		if c.waiters == 0 {
-			// Nobody is listening any more: stop the simulation.
+			// Nobody is listening any more: stop the simulation, and stop
+			// counting it now — it unwinds at its next cancellation check,
+			// after this caller's job has been finished as canceled.
+			g.uncount(c)
 			c.cancel()
 		}
 		g.mu.Unlock()

@@ -17,8 +17,10 @@
 //     active set: when every active component also implements NextEventer
 //     and reports its next event strictly after the next cycle, the engine
 //     jumps the clock straight to the earliest event instead of ticking
-//     through the gap. Components implementing Skipper are told about the
-//     jumped window so they can account the skipped cycles in bulk.
+//     through the gap. A component learns of a jump only from the gap
+//     between its consecutive Tick cycles; one that must account skipped
+//     cycles keeps its own local time (the GPU's SM slots nap, see
+//     docs/ARCHITECTURE.md).
 //   - EngineParallel (see parallel.go) is the skip engine with a
 //     concurrent tick pass: components registered into tick groups run on
 //     a bounded worker pool between a serial hub phase and a
@@ -27,8 +29,8 @@
 //
 // docs/ARCHITECTURE.md is the component author's guide to these
 // contracts — the idle-tick no-op rule, Wake re-arming, the NextEvent
-// never-under-promise contract, and bulk span crediting — with each
-// invariant cross-referenced to the test that enforces it.
+// never-under-promise contract, and SM naps — with each invariant
+// cross-referenced to the test that enforces it.
 package sim
 
 import (
@@ -79,15 +81,6 @@ const NoEvent = ^uint64(0)
 // costs a wasted tick and is always safe.
 type NextEventer interface {
 	NextEvent(now uint64) uint64
-}
-
-// Skipper is the optional Component extension notified when the engine
-// jumps over a window: cycles [from, to) were skipped entirely, and the
-// component's next Tick happens at cycle to. Implementations account the
-// window in bulk (e.g. the GPU credits one stall classification per skipped
-// cycle to the Inspector); they must not create new work or wake anyone.
-type Skipper interface {
-	SkipAhead(from, to uint64)
 }
 
 // Diagnoser is an optional Component extension: Diagnose returns a short
@@ -201,6 +194,14 @@ type EngineStats struct {
 	// stats block describes the run's whole event-density picture.
 	ExpressDeliveries uint64 `json:"expressDeliveries"`
 	ExpressDemotions  uint64 `json:"expressDemotions"`
+	// Naps counts the windows SMs slept through on their own frozen
+	// state instead of being re-classified every cycle, and
+	// NappedSMCycles the SM-cycles those windows credited in bulk (the
+	// drained tail included); both are zero under the dense engine. Like
+	// the express counters they are produced by the GPU run loop, not the
+	// engine: an SM naps whether or not the global clock jumps.
+	Naps           uint64 `json:"naps"`
+	NappedSMCycles uint64 `json:"nappedSMCycles"`
 	// JumpHist is the skip-jump size histogram: bucket i counts jumps of
 	// width [2^i, 2^(i+1)) cycles, with the last bucket absorbing
 	// anything wider. The bucket sum always equals Jumps.
@@ -242,7 +243,7 @@ func jumpBucket(width uint64) int {
 // dependencies). Both callbacks run on the engine goroutine.
 type Observer interface {
 	// Jump reports a skip-ahead jump: the clock advanced from from
-	// straight to to, with the window credited in bulk.
+	// straight to to without a tick pass.
 	Jump(from, to uint64)
 	// TickPhases reports one parallel tick pass's per-phase wall times.
 	TickPhases(cycle uint64, hubNs, groupNs, commitNs int64)
@@ -260,10 +261,9 @@ type Engine struct {
 	mode        EngineMode
 
 	// nexters caches the NextEventer assertion per component (nil when
-	// not implemented), and skippers the Skipper assertion, so planning
-	// a jump costs no interface type switches.
-	nexters  []NextEventer
-	skippers []Skipper
+	// not implemented), so planning a jump costs no interface type
+	// switches.
+	nexters []NextEventer
 
 	// skipLimit bounds jumps so the watchdog in Run fires at exactly the
 	// same cycle it would under the dense loop.
@@ -286,7 +286,7 @@ type Engine struct {
 	// holds the ungrouped components of the serial phase; compGroup maps
 	// a component to its tick group (-1 for hub) and memberIdx to its
 	// slot within the group. committers caches the Committer assertion
-	// per component like nexters/skippers.
+	// per component like nexters.
 	workers      int
 	hubLen       int
 	compGroup    []int
@@ -497,10 +497,9 @@ func (e *Engine) Step() {
 // trySkip implements the skip-ahead jump after a completed tick pass. The
 // clock currently sits at the next cycle to execute; if every active
 // component implements NextEventer and the minimum reported event lies
-// strictly beyond it, the window up to that event is credited to Skippers
-// in bulk and the clock jumps. Any Wake observed while planning aborts the
-// jump (an arrival needs the very next cycle), and jumps never cross the
-// watchdog limit installed by Run.
+// strictly beyond it, the clock jumps there. Any Wake observed while
+// planning aborts the jump (an arrival needs the very next cycle), and jumps
+// never cross the watchdog limit installed by Run.
 func (e *Engine) trySkip() (jumped bool) {
 	now := e.cycle - 1 // the cycle the tick pass just executed
 	e.planning, e.wokeDuringPlan = true, false
@@ -563,14 +562,6 @@ func (e *Engine) trySkip() (jumped bool) {
 	}
 	if target <= e.cycle {
 		return false
-	}
-	for i := range e.comps {
-		if !e.active[i] {
-			continue
-		}
-		if s := e.skippers[i]; s != nil {
-			s.SkipAhead(e.cycle, target)
-		}
 	}
 	width := target - e.cycle
 	e.stats.Jumps++

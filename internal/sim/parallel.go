@@ -88,8 +88,6 @@ func (e *Engine) register(name string, c Component, group int) Handle {
 	e.activeCount++
 	ne, _ := c.(NextEventer)
 	e.nexters = append(e.nexters, ne)
-	sk, _ := c.(Skipper)
-	e.skippers = append(e.skippers, sk)
 	cm, _ := c.(Committer)
 	e.committers = append(e.committers, cm)
 	e.compGroup = append(e.compGroup, group)

@@ -29,8 +29,13 @@ type timedComp struct {
 	// expressAt is the pending express-style event (0 = none): scheduled
 	// far out, possibly demoted to a near event by the peer.
 	expressAt uint64
-	// skips records SkipAhead windows for assertions.
-	skips []string
+	// skips records the windows the engine skipped, for assertions: the
+	// engine does not announce a jump, so a component derives it from the
+	// gap between its consecutive Tick cycles (ticked tracks whether any
+	// Tick happened yet, lastTick the most recent one).
+	skips    []string
+	ticked   bool
+	lastTick uint64
 }
 
 func (c *timedComp) schedule(at uint64) {
@@ -57,6 +62,10 @@ func (c *timedComp) unschedule(at uint64) {
 }
 
 func (c *timedComp) Tick(cycle uint64) bool {
+	if c.ticked && cycle > c.lastTick+1 {
+		c.skips = append(c.skips, fmt.Sprintf("[%d,%d)", c.lastTick+1, cycle))
+	}
+	c.ticked, c.lastTick = true, cycle
 	for len(c.events) > 0 && c.events[0] <= cycle {
 		at := c.events[0]
 		c.events = c.events[1:]
@@ -105,10 +114,6 @@ func (c *timedComp) NextEvent(now uint64) uint64 {
 		return NoEvent
 	}
 	return c.events[0]
-}
-
-func (c *timedComp) SkipAhead(from, to uint64) {
-	c.skips = append(c.skips, fmt.Sprintf("[%d,%d)", from, to))
 }
 
 // runTimed builds a deterministic two-component event exchange from seed
@@ -163,9 +168,9 @@ func TestSkipAheadNeverUnderPromises(t *testing.T) {
 }
 
 // TestSkipJumpAndWindows pins the basic jump mechanics: components whose
-// next events are far out get the gap jumped in one step, Skippers are
-// told the exact window, and the engine's cycle lands on the earliest
-// event.
+// next events are far out get the gap jumped in one step, every active
+// component sees the exact window as the gap before its next Tick, and the
+// engine's cycle lands on the earliest event.
 func TestSkipJumpAndWindows(t *testing.T) {
 	var log []string
 	a := &timedComp{name: "a", log: &log}
@@ -182,13 +187,13 @@ func TestSkipJumpAndWindows(t *testing.T) {
 	if eng.Cycle() != 100 {
 		t.Fatalf("Cycle after first step = %d, want 100", eng.Cycle())
 	}
+	eng.Step() // fires a@100, then jumps toward b's event
 	if len(a.skips) != 1 || a.skips[0] != "[1,100)" {
 		t.Fatalf("a.skips = %v, want [[1,100)]", a.skips)
 	}
 	if len(b.skips) != 1 || b.skips[0] != "[1,100)" {
 		t.Fatalf("b.skips = %v, want [[1,100)]", b.skips)
 	}
-	eng.Step() // fires a@100, then jumps toward b's event
 	if len(log) != 1 || log[0] != "a@100:ok" {
 		t.Fatalf("log = %v", log)
 	}
