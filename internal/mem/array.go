@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Way is one way of a set-associative array.
 type Way struct {
@@ -16,8 +19,12 @@ type Way struct {
 type Array struct {
 	lineSize uint64
 	sets     [][]Way
-	valid    int // valid lines across all sets (keeps Count and the
-	// empty-array fast path of InvalidateWhere O(1))
+	// occupied has one bit per set, set when a line is installed there and
+	// cleared when an InvalidateWhere sweep leaves the set empty.
+	// Invalidate(line) may leave a bit stale, which costs that sweep one
+	// empty-set visit and nothing else.
+	occupied []uint64
+	valid    int // valid lines across all sets (keeps Count O(1))
 }
 
 // NewArray builds an array of the given total size in bytes.
@@ -31,7 +38,7 @@ func NewArray(size, assoc, lineSize int) *Array {
 	for i := range sets {
 		sets[i], ways = ways[:assoc:assoc], ways[assoc:]
 	}
-	return &Array{lineSize: uint64(lineSize), sets: sets}
+	return &Array{lineSize: uint64(lineSize), sets: sets, occupied: make([]uint64, (nsets+63)/64)}
 }
 
 // setIndex maps a line address to its set.
@@ -67,7 +74,8 @@ func (a *Array) Peek(line uint64) *Way {
 // the victim's pre-eviction copy. If every way is pinned, Install returns
 // (nil, Way{}, false) and the caller must retry later.
 func (a *Array) Install(line uint64, cycle uint64) (w *Way, victim Way, evicted bool) {
-	set := a.sets[a.setIndex(line)]
+	s := a.setIndex(line)
+	set := a.sets[s]
 	var free *Way
 	var lru *Way
 	for i := range set {
@@ -100,28 +108,36 @@ func (a *Array) Install(line uint64, cycle uint64) (w *Way, victim Way, evicted 
 		target = lru
 	} else {
 		a.valid++
+		a.occupied[s>>6] |= 1 << uint(s&63)
 	}
 	*target = Way{Line: line, State: LineValid, lastUse: cycle}
 	return target, victim, evicted
 }
 
-// InvalidateWhere clears every way for which keep returns false. An empty
-// array returns immediately — acquire self-invalidations on a cold or
-// fully-invalidated L1 (the common case under GPU coherence, which keeps
-// nothing across acquires) cost nothing.
+// InvalidateWhere clears every way for which keep returns false. Only sets
+// marked occupied are visited, so an acquire self-invalidation costs O(sets
+// holding lines), not O(capacity): nothing on a cold or fully-invalidated
+// L1 (the common case under GPU coherence, which keeps nothing across
+// acquires) and a few sets when a handful of owned lines survive.
 func (a *Array) InvalidateWhere(keep func(w *Way) bool) {
-	if a.valid == 0 {
-		return
-	}
-	for s := range a.sets {
-		set := a.sets[s]
-		for i := range set {
-			if set[i].State == LineInvalid {
-				continue
+	for wi, word := range a.occupied {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			set := a.sets[wi<<6|b]
+			kept := false
+			for i := range set {
+				if set[i].State == LineInvalid {
+					continue
+				}
+				if keep(&set[i]) {
+					kept = true
+				} else {
+					set[i] = Way{}
+					a.valid--
+				}
 			}
-			if !keep(&set[i]) {
-				set[i] = Way{}
-				a.valid--
+			if !kept {
+				a.occupied[wi] &^= 1 << uint(b)
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+	"unsafe"
+)
 
 // tiny array: 2 sets x 2 ways x 64-byte lines = 256 bytes.
 func tinyArray() *Array { return NewArray(256, 2, 64) }
@@ -79,6 +83,93 @@ func TestArrayInvalidateWhere(t *testing.T) {
 	}
 	if a.Peek(0) == nil {
 		t.Fatal("owned line invalidated")
+	}
+}
+
+// TestArrayInvalidateWhereMatchesFullWalk: under random installs, line
+// invalidations and way mutations, the occupancy-driven sweep must drop
+// exactly the ways a brute-force walk over every set would drop, leave the
+// kept ways untouched, and keep Count in step. 130 sets span three bitmap
+// words, the last one partial.
+func TestArrayInvalidateWhereMatchesFullWalk(t *testing.T) {
+	if got := unsafe.Sizeof(Way{}); got != 24 {
+		t.Fatalf("Way is %d bytes, want 24 (the L2 holds 65,536 of them per simulation)", got)
+	}
+	keeps := []func(w *Way) bool{
+		func(w *Way) bool { return w.Pinned || w.State == LineOwned },
+		func(w *Way) bool { return w.Dirty },
+		func(w *Way) bool { return w.Line%192 == 0 },
+		func(w *Way) bool { return false },
+		func(w *Way) bool { return true },
+	}
+	rng := rand.New(rand.NewSource(1))
+	const nsets, assoc, lineSize = 130, 2, 64
+	a := NewArray(nsets*assoc*lineSize, assoc, lineSize)
+	line := func() uint64 { return uint64(rng.Intn(4*nsets)) * lineSize }
+	for round := 0; round < 400; round++ {
+		// Early rounds touch a few sets, later ones fill the array.
+		for n := rng.Intn(1 + round); n > 0; n-- {
+			switch rng.Intn(6) {
+			case 0:
+				a.Invalidate(line())
+			case 1:
+				if w := a.Peek(line()); w != nil {
+					w.Dirty = !w.Dirty
+				}
+			case 2:
+				if w := a.Peek(line()); w != nil {
+					w.Pinned = !w.Pinned
+				}
+			case 3:
+				if w := a.Peek(line()); w != nil {
+					w.State = LineValid + LineState(rng.Intn(2))
+				}
+			default:
+				a.Install(line(), uint64(round))
+			}
+		}
+		keep := keeps[rng.Intn(len(keeps))]
+		want := make([][]Way, len(a.sets))
+		valid := 0
+		for s, set := range a.sets {
+			want[s] = make([]Way, len(set))
+			for i := range set {
+				if set[i].State != LineInvalid && keep(&set[i]) {
+					want[s][i] = set[i]
+					valid++
+				}
+			}
+		}
+		a.InvalidateWhere(keep)
+		for s, set := range a.sets {
+			for i := range set {
+				if set[i] != want[s][i] {
+					t.Fatalf("round %d set %d way %d = %+v, full walk leaves %+v", round, s, i, set[i], want[s][i])
+				}
+			}
+		}
+		if a.Count() != valid {
+			t.Fatalf("round %d: Count = %d, full walk counts %d", round, a.Count(), valid)
+		}
+	}
+}
+
+// BenchmarkSelfInvalidateFewOwned is the lock-acquire shape: a 32 KB 8-way
+// L1 (512 ways) in which four owned lines survive every acquire.
+func BenchmarkSelfInvalidateFewOwned(b *testing.B) {
+	a := NewArray(32<<10, 8, 64)
+	for i := uint64(0); i < 4; i++ {
+		w, _, _ := a.Install(i*64*17, 0)
+		w.State = LineOwned
+	}
+	keep := func(w *Way) bool { return w.Pinned || w.State == LineOwned }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.InvalidateWhere(keep)
+	}
+	if a.Count() != 4 {
+		b.Fatalf("count = %d, want the 4 owned lines", a.Count())
 	}
 }
 

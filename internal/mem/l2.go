@@ -227,7 +227,10 @@ func (b *L2Bank) atomic(msg AtomicReq, cycle uint64) {
 		b.finishAtomic(msg, cycle)
 		return
 	}
-	b.miss(line, l2Waiter{core: msg.Requestor, atomic: &msg})
+	// Copy here so only a miss heap-allocates the request: taking &msg
+	// would make the parameter escape on every call, hits included.
+	m := msg
+	b.miss(line, l2Waiter{core: m.Requestor, atomic: &m})
 }
 
 // finishAtomic performs the read-modify-write and responds.

@@ -6,9 +6,9 @@ package noc
 //
 //	inject + routerLat + hops*(linkLat+routerLat)
 //
-// instead of moving the flit hop by hop. The due tracker carries that
-// delivery time, so Mesh.NextEvent lets the skip-ahead engine jump the
-// whole traversal in one step; this is what breaks the event-density
+// instead of moving the flit hop by hop. Mesh.NextEvent's scan includes
+// that delivery time, so the skip-ahead engine can jump the whole
+// traversal in one step; this is what breaks the event-density
 // ceiling on mesh-bound workloads (UTS spin traffic used to bound every
 // jump to the 1-2 cycles between per-hop events).
 //
@@ -166,9 +166,9 @@ func (m *Mesh) executed(f *exFlit, k, tile, dir int) bool {
 // already virtually passed are pruned rather than counted as conflicts).
 // Grants are denied during the mesh's own tick — a mid-tick injection's
 // per-hop timing depends on router processing order, which the per-hop
-// pipeline already models exactly. On success the delivery time enters the
-// due tracker (one event for the whole traversal) and every path edge is
-// indexed for demotion triggering.
+// pipeline already models exactly. On success the flit takes its
+// destination's delivery slot (one event for the whole traversal) and every
+// path edge is indexed for demotion triggering.
 func (m *Mesh) tryExpress(cycle uint64, src, dst int, port Port, payload any) bool {
 	if !m.express || m.inTick || m.routerLat == 0 {
 		return false
@@ -191,7 +191,7 @@ func (m *Mesh) tryExpress(cycle uint64, src, dst int, port Port, payload any) bo
 	}
 	free := true
 	m.walkPath(src, dst, func(k, tile, dir int) bool {
-		if len(m.routers[tile].out[dir].q) > 0 {
+		if m.routers[tile].out[dir].n > 0 {
 			free = false
 			return false
 		}
@@ -217,7 +217,6 @@ func (m *Mesh) tryExpress(cycle uint64, src, dst int, port Port, payload any) bo
 	})
 	m.exLocal[dst] = f
 	m.exCount++
-	m.due.add(f.deliverAt)
 	return true
 }
 
@@ -261,7 +260,6 @@ func (m *Mesh) demote(f *exFlit) {
 	})
 	m.exLocal[f.dst] = nil
 	m.exCount--
-	m.due.remove(f.deliverAt)
 	m.Stats.ExpressDemotions++
 	if m.obs != nil && mk >= 0 {
 		m.obs.ExpressDemotion(m.popAt(f, mk), f.inject, f.src, f.dst, mk)
@@ -273,12 +271,10 @@ func (m *Mesh) demote(f *exFlit) {
 		// defensive path: deliver immediately at the ejection queue.
 		mtile, mdir, mk = f.dst, dirLocal, f.hops
 	}
-	mg := &msg{dst: f.dst, port: f.port, payload: f.payload,
-		readyAt: m.popAt(f, mk), hops: mk}
-	m.routers[mtile].out[mdir].push(mg)
+	m.routers[mtile].out[mdir].push(msg{dst: f.dst, port: f.port, payload: f.payload,
+		readyAt: m.popAt(f, mk), hops: mk})
 	m.routers[mtile].queued++
 	m.regionAdd(mtile)
-	m.due.add(mg.readyAt)
 }
 
 // deliverExpress ejects a due express flit at its destination tile during
@@ -296,7 +292,6 @@ func (m *Mesh) deliverExpress(f *exFlit, cycle uint64, tile int) {
 	})
 	m.exLocal[tile] = nil
 	m.exCount--
-	m.due.remove(f.deliverAt)
 	m.Stats.Messages++
 	m.Stats.Hops += uint64(f.hops)
 	m.Stats.InFlight--

@@ -244,9 +244,9 @@ func TestExpressGrantRequiresCleanPath(t *testing.T) {
 	}
 }
 
-// TestExpressNextEventReportsDelivery: the due tracker carries the express
-// delivery time, so NextEvent lets the skip engine jump the whole
-// traversal rather than the 1-2 cycles between per-hop events.
+// TestExpressNextEventReportsDelivery: NextEvent's scan includes the
+// express delivery time, so the skip engine can jump the whole traversal
+// rather than the 1-2 cycles between per-hop events.
 func TestExpressNextEventReportsDelivery(t *testing.T) {
 	var got []delivery
 	m := New(4, 4, 1, 1, func(cycle uint64, tile int, port Port, payload any) {
@@ -267,50 +267,5 @@ func TestExpressNextEventReportsDelivery(t *testing.T) {
 	}
 	if m.Stats.ExpressDeliveries != 1 || m.Stats.Hops != uint64(m.Distance(0, 15)) {
 		t.Fatalf("stats = %+v", m.Stats)
-	}
-}
-
-// scanDueMinExpress extends the brute-force due scan with express
-// delivery times, the reference for the tracker when express is enabled.
-func scanDueMinExpress(m *Mesh) (uint64, bool) {
-	min, ok := scanDueMin(m)
-	for _, f := range m.exLocal {
-		if f != nil && (!ok || f.deliverAt < min) {
-			min, ok = f.deliverAt, true
-		}
-	}
-	return min, ok
-}
-
-// TestExpressDueTrackerMatchesScan: with express enabled, the tracker's
-// minimum must still equal a brute-force scan over buffered messages plus
-// pending express deliveries, at every cycle of an arbitrary pattern.
-func TestExpressDueTrackerMatchesScan(t *testing.T) {
-	for seed := 1; seed <= 20; seed++ {
-		rng := xorshift(uint64(seed) * 0x6C62272E07BB0142)
-		var got []delivery
-		m := New(4, 4, 1, 1, func(cycle uint64, tile int, port Port, payload any) {
-			got = append(got, delivery{tile, port, payload, cycle})
-		})
-		m.SetExpress(true)
-		for c := uint64(0); c < 250; c++ {
-			wantMin, wantOK := scanDueMinExpress(m)
-			gotMin, gotOK := m.due.min()
-			if wantOK != gotOK || (wantOK && wantMin != gotMin) {
-				t.Fatalf("seed %d cycle %d: tracker min = (%d,%v), scan = (%d,%v)",
-					seed, c, gotMin, gotOK, wantMin, wantOK)
-			}
-			if m.Stats.InFlight > 0 {
-				if next := m.NextEvent(c); next <= c {
-					t.Fatalf("seed %d cycle %d: NextEvent = %d not in the future", seed, c, next)
-				}
-			} else if m.NextEvent(c) != noEvent {
-				t.Fatalf("seed %d cycle %d: quiesced mesh promised an event", seed, c)
-			}
-			m.Tick(c)
-			if rng.next(3) == 0 {
-				m.Send(c, int(rng.next(16)), int(rng.next(16)), PortL2, c)
-			}
-		}
 	}
 }

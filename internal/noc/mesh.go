@@ -6,11 +6,11 @@
 // 197-261) from single base parameters.
 //
 // The mesh participates in event-driven skip-ahead through two mechanisms.
-// NextEvent reports the earliest cycle any buffered message can move,
-// maintained incrementally by a due-time tracker. Express routing (see
-// express.go, enabled via SetExpress) goes further: a message whose whole
-// route is uncontended is modeled as one timed delivery event instead of
-// per-hop queue movements, and is demoted back into the per-hop pipeline —
+// NextEvent reports the earliest cycle any buffered message can move, found
+// by scanning the queue heads when the engine plans a jump. Express routing
+// (see express.go, enabled via SetExpress) goes further: a message whose
+// whole route is uncontended is modeled as one timed delivery event instead
+// of per-hop queue movements, and is demoted back into the per-hop pipeline —
 // materialized at its current interpolated hop — the moment potentially
 // contending traffic enters its path. Both preserve the per-hop latency
 // model exactly; they only change how many simulation events it takes to
@@ -53,104 +53,50 @@ const (
 	numDirs
 )
 
+// outQueue is one output port's FIFO: a power-of-two ring of msg values,
+// allocated on first use and grown by doubling, so a hop copies a msg into
+// a slot and steady-state traffic allocates nothing.
 type outQueue struct {
-	q []*msg
+	buf  []msg // len is zero or a power of two
+	head int   // slot of the oldest message
+	n    int   // messages buffered
 }
 
-func (q *outQueue) push(m *msg) { q.q = append(q.q, m) }
-
-func (q *outQueue) popReady(cycle uint64) *msg {
-	if len(q.q) == 0 || q.q[0].readyAt > cycle {
-		return nil
+func (q *outQueue) push(m msg) {
+	if q.n == len(q.buf) {
+		q.grow()
 	}
-	m := q.q[0]
-	q.q[0] = nil
-	q.q = q.q[1:]
-	return m
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = m
+	q.n++
 }
 
-// dueTracker maintains the minimum readyAt across every buffered message
-// incrementally, so NextEvent costs O(log k) instead of a scan over all
-// routers and queues. It is a lazy min-heap of due times with a reference
-// count per time: add/remove adjust the count, and min discards heap
-// entries whose count has dropped to zero. Tracking all messages rather
-// than only queue heads can only report a time at or before the true next
-// head event, which the NextEvent contract allows (an early report costs a
-// wasted tick; a late one would lose simulated work).
-type dueTracker struct {
-	count map[uint64]int
-	heap  []uint64
-}
-
-func newDueTracker() dueTracker {
-	return dueTracker{count: make(map[uint64]int)}
-}
-
-// add records one buffered message becoming due at t.
-func (d *dueTracker) add(t uint64) {
-	d.count[t]++
-	if d.count[t] == 1 {
-		d.heap = append(d.heap, t)
-		i := len(d.heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if d.heap[p] <= d.heap[i] {
-				break
-			}
-			d.heap[p], d.heap[i] = d.heap[i], d.heap[p]
-			i = p
-		}
+// grow doubles the ring, unwrapping the buffered messages to its start.
+func (q *outQueue) grow() {
+	size := 2 * len(q.buf)
+	if size == 0 {
+		size = 4
 	}
+	buf := make([]msg, size)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
-// remove forgets one message that was due at t (it moved or delivered),
-// then prunes stale heap tops. Pruning here — not just in min — keeps the
-// heap bounded even when NextEvent is never called (the dense and
-// quiescent engines): due times grow with the clock, so dead times sink
-// to the top and are popped as traffic drains.
-func (d *dueTracker) remove(t uint64) {
-	if d.count[t]--; d.count[t] <= 0 {
-		delete(d.count, t)
+// popReady removes and returns the head message if it is due by cycle. The
+// vacated slot drops its payload so the ring does not keep it reachable.
+func (q *outQueue) popReady(cycle uint64) (msg, bool) {
+	if q.n == 0 {
+		return msg{}, false
 	}
-	for len(d.heap) > 0 && d.count[d.heap[0]] <= 0 {
-		d.popTop()
+	slot := &q.buf[q.head]
+	if slot.readyAt > cycle {
+		return msg{}, false
 	}
-}
-
-// min returns the earliest live due time; ok is false when nothing is
-// buffered. Stale heap entries (times whose count reached zero) are popped
-// lazily here.
-func (d *dueTracker) min() (uint64, bool) {
-	for len(d.heap) > 0 {
-		if top := d.heap[0]; d.count[top] > 0 {
-			return top, true
-		}
-		d.popTop()
-	}
-	return 0, false
-}
-
-// popTop removes the heap's root and restores the heap property.
-func (d *dueTracker) popTop() {
-	last := len(d.heap) - 1
-	d.heap[0] = d.heap[last]
-	d.heap = d.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(d.heap) && d.heap[l] < d.heap[smallest] {
-			smallest = l
-		}
-		if r < len(d.heap) && d.heap[r] < d.heap[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		d.heap[i], d.heap[smallest] = d.heap[smallest], d.heap[i]
-		i = smallest
-	}
+	m := *slot
+	slot.payload = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return m, true
 }
 
 type router struct {
@@ -167,7 +113,6 @@ type Mesh struct {
 	handler   Handler
 	wake      func()
 	obs       Observer
-	due       dueTracker
 
 	// Express-routing state (see express.go): exEdges indexes every
 	// pending (router, direction) queue of every in-flight express flit
@@ -228,7 +173,6 @@ func New(w, h, linkLat, routerLat int, handler Handler) *Mesh {
 		routerLat: uint64(routerLat),
 		routers:   make([]router, w*h),
 		handler:   handler,
-		due:       newDueTracker(),
 		exEdges:   make([]exEdge, w*h*numDirs),
 		exLocal:   make([]*exFlit, w*h),
 		pathMasks: make([]uint64, w*h*w*h),
@@ -336,7 +280,7 @@ func (m *Mesh) Send(cycle uint64, src, dst int, port Port, payload any) {
 		}
 		return
 	}
-	m.route(src, &msg{dst: dst, port: port, payload: payload, readyAt: cycle + m.routerLat})
+	m.route(src, msg{dst: dst, port: port, payload: payload, readyAt: cycle + m.routerLat})
 	if m.wake != nil {
 		m.wake()
 	}
@@ -348,7 +292,7 @@ func (m *Mesh) Send(cycle uint64, src, dst int, port Port, payload any) {
 // first (materialized into the per-hop pipeline), so the pushed message
 // lands behind it in FIFO order exactly as the per-hop world would have
 // it.
-func (m *Mesh) route(tile int, mg *msg) {
+func (m *Mesh) route(tile int, mg msg) {
 	dir := m.dirToward(tile, mg.dst)
 	if m.exCount > 0 {
 		m.contend(tile, dir)
@@ -356,7 +300,6 @@ func (m *Mesh) route(tile int, mg *msg) {
 	m.routers[tile].out[dir].push(mg)
 	m.routers[tile].queued++
 	m.regionAdd(tile)
-	m.due.add(mg.readyAt)
 }
 
 // neighbor returns the tile index one hop in dir from tile.
@@ -395,13 +338,12 @@ func (m *Mesh) Tick(cycle uint64) bool {
 		}
 		for dir := 0; dir < dirLocal; dir++ {
 			m.tickPos = posOf(i, dir)
-			mg := r.out[dir].popReady(cycle)
-			if mg == nil {
+			mg, ok := r.out[dir].popReady(cycle)
+			if !ok {
 				continue
 			}
 			r.queued--
 			m.regionSub(i)
-			m.due.remove(mg.readyAt)
 			mg.hops++
 			mg.readyAt = cycle + m.linkLat + m.routerLat
 			m.route(m.neighbor(i, dir), mg)
@@ -411,10 +353,9 @@ func (m *Mesh) Tick(cycle uint64) bool {
 		// pops above may have materialized the flit into a real queue.
 		if f := m.exLocal[i]; f != nil && f.deliverAt <= cycle {
 			m.deliverExpress(f, cycle, i)
-		} else if mg := r.out[dirLocal].popReady(cycle); mg != nil {
+		} else if mg, ok := r.out[dirLocal].popReady(cycle); ok {
 			r.queued--
 			m.regionSub(i)
-			m.due.remove(mg.readyAt)
 			m.Stats.Messages++
 			m.Stats.Hops += uint64(mg.hops)
 			m.Stats.InFlight--
@@ -435,23 +376,27 @@ func (m *Mesh) Quiesced() bool { return m.Stats.InFlight == 0 }
 const noEvent = ^uint64(0)
 
 // NextEvent implements the engine's skip-ahead extension: the earliest
-// cycle after now at which any router can move a message. The due tracker
-// maintains the minimum readyAt across all buffered messages incrementally
-// (updated on every push and pop), so planning a jump costs O(log k)
-// instead of the all-router scan it replaces. The tracked minimum is over
-// all messages rather than only queue heads, so it can come out earlier
-// than the true next head event when FIFO order inverts due times — an
-// early report is always safe under the NextEvent contract (it costs at
-// most a wasted tick), while a late one would lose simulated work.
+// cycle after now at which any router can move a message. Nothing is
+// maintained for it on the push/pop path; planning a jump scans, on demand,
+// the head of every non-empty output queue (a message behind the head
+// cannot move before it) plus each tile's pending express delivery — the
+// same O(routers) walk one Tick does.
 func (m *Mesh) NextEvent(now uint64) uint64 {
 	if m.Stats.InFlight == 0 {
 		return noEvent
 	}
-	next, ok := m.due.min()
-	if !ok {
-		// Unreachable while messages are in flight; fall back to the
-		// defensive "tick me next cycle" promise.
-		return now + 1
+	next := noEvent
+	for i := range m.routers {
+		if r := &m.routers[i]; r.queued > 0 {
+			for dir := range r.out {
+				if q := &r.out[dir]; q.n > 0 && q.buf[q.head].readyAt < next {
+					next = q.buf[q.head].readyAt
+				}
+			}
+		}
+		if f := m.exLocal[i]; f != nil && f.deliverAt < next {
+			next = f.deliverAt
+		}
 	}
 	if next <= now {
 		return now + 1

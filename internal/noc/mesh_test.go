@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -135,78 +136,223 @@ func TestMeshSendValidation(t *testing.T) {
 	m.Send(0, 0, 9, PortL2, nil)
 }
 
-// scanDueMin recomputes the minimum readyAt over every buffered message by
-// brute force — the reference for the incrementally maintained tracker.
-func scanDueMin(m *Mesh) (uint64, bool) {
-	min, ok := ^uint64(0), false
-	for i := range m.routers {
-		for dir := 0; dir < numDirs; dir++ {
-			for _, mg := range m.routers[i].out[dir].q {
-				if mg != nil && mg.readyAt < min {
-					min, ok = mg.readyAt, true
-				}
-			}
-		}
-	}
-	return min, ok
+// sendEv is one scheduled injection of the NextEvent replay tests; its
+// payload is its index in the schedule.
+type sendEv struct {
+	cycle    uint64
+	src, dst int
+	port     Port
 }
 
-// TestMeshNextEventMatchesScan: the incrementally maintained due minimum
-// must equal a brute-force scan over every buffered message, at every cycle
-// of an arbitrary traffic pattern (including mid-flight hops, contention,
-// and drain).
-func TestMeshNextEventMatchesScan(t *testing.T) {
-	prop := func(pairs []uint8) bool {
-		m, _ := testMesh(4, 4)
-		for i, p := range pairs {
-			if i >= 48 {
-				break
-			}
-			m.Send(uint64(i%3), int(p)%16, int(p>>4)%16, PortL2, i)
+// replay drives a fresh 4x4 mesh through sched (sorted by cycle). Every Send
+// lands after its own cycle's Tick — the engine's order, the mesh being
+// registered first. With every set the mesh ticks each cycle; otherwise it
+// ticks only at the cycles its own NextEvent named and at injection cycles,
+// as under the skip engine. It returns the delivery log, the final stats
+// and the number of ticks taken.
+func replay(t *testing.T, linkLat, routerLat int, express bool, sched []sendEv, every bool) ([]delivery, Stats, int) {
+	t.Helper()
+	var got []delivery
+	m := New(4, 4, linkLat, routerLat, func(cycle uint64, tile int, port Port, payload any) {
+		got = append(got, delivery{tile, port, payload, cycle})
+	})
+	m.SetExpress(express)
+	ticks, i := 0, 0
+	for c := uint64(0); ; {
+		m.Tick(c)
+		ticks++
+		for ; i < len(sched) && sched[i].cycle == c; i++ {
+			m.Send(c, sched[i].src, sched[i].dst, sched[i].port, i)
 		}
-		for c := uint64(0); c < 400; c++ {
-			wantMin, wantOK := scanDueMin(m)
-			gotMin, gotOK := m.due.min()
-			if wantOK != gotOK || (wantOK && wantMin != gotMin) {
-				t.Logf("cycle %d: tracker min = (%d,%v), scan = (%d,%v)",
-					c, gotMin, gotOK, wantMin, wantOK)
-				return false
-			}
-			if m.Stats.InFlight > 0 {
-				if next := m.NextEvent(c); next <= c {
-					t.Logf("cycle %d: NextEvent = %d, not strictly in the future", c, next)
-					return false
-				}
-			} else if m.NextEvent(c) != noEvent {
-				t.Logf("cycle %d: quiesced mesh promised an event", c)
-				return false
-			}
-			m.Tick(c)
+		next := m.NextEvent(c)
+		if m.Quiesced() != (next == noEvent) {
+			t.Fatalf("cycle %d: NextEvent = %d with %d in flight", c, next, m.Stats.InFlight)
 		}
-		return m.Quiesced()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+		if next <= c {
+			t.Fatalf("cycle %d: NextEvent = %d, not strictly in the future", c, next)
+		}
+		if every {
+			next = c + 1
+		}
+		if i < len(sched) && sched[i].cycle < next {
+			next = sched[i].cycle
+		}
+		if i == len(sched) && m.Quiesced() {
+			return got, m.Stats, ticks
+		}
+		if c = next; c > 1_000_000 {
+			t.Fatalf("mesh did not quiesce: %+v", m.Stats)
+		}
 	}
 }
 
-// TestMeshDueTrackerBounded: the due tracker must not grow without bound
-// when NextEvent is never consulted (the dense and quiescent engines):
-// remove prunes stale heap tops, so a long run's heap stays proportional
-// to the live buffered traffic, not to the distinct due times ever seen.
-func TestMeshDueTrackerBounded(t *testing.T) {
-	m, _ := testMesh(4, 4)
-	for c := uint64(0); c < 20_000; c++ {
-		if c%3 == 0 {
-			m.Send(c, int(c)%16, int(c/3)%16, PortL2, nil)
+// checkNeverLate replays sched on a mesh ticked every cycle and on one
+// ticked only when its NextEvent says so: a NextEvent that ever named a
+// cycle later than the mesh's true next movement would delay or reorder a
+// delivery in the second. It returns both tick counts.
+func checkNeverLate(t *testing.T, label string, linkLat, routerLat int, express bool, sched []sendEv) (dense, sparse int) {
+	t.Helper()
+	wantLog, wantStats, dense := replay(t, linkLat, routerLat, express, sched, true)
+	gotLog, gotStats, sparse := replay(t, linkLat, routerLat, express, sched, false)
+	if len(gotLog) != len(sched) || len(wantLog) != len(sched) {
+		t.Fatalf("%s: delivered %d (event-driven) and %d (every cycle) of %d",
+			label, len(gotLog), len(wantLog), len(sched))
+	}
+	for i := range wantLog {
+		if gotLog[i] != wantLog[i] {
+			t.Fatalf("%s: delivery %d diverges: event-driven %+v, every-cycle %+v",
+				label, i, gotLog[i], wantLog[i])
 		}
-		m.Tick(c) // NextEvent deliberately never called
 	}
-	if n := len(m.due.heap); n > 64 {
-		t.Fatalf("due heap grew to %d entries without NextEvent pruning", n)
+	if gotStats != wantStats {
+		t.Fatalf("%s: stats diverge: event-driven %+v, every-cycle %+v", label, gotStats, wantStats)
 	}
-	if n := len(m.due.count); n > 64 {
-		t.Fatalf("due count map grew to %d entries", n)
+	return dense, sparse
+}
+
+// TestMeshNextEventNeverLate is the NextEvent contract itself: ticking a
+// mesh only at the cycles it names must change nothing observable — the
+// (cycle, tile, port, payload) delivery sequence and the traffic stats —
+// for randomized schedules of bursts and quiet gaps, with express routing
+// on and off.
+func TestMeshNextEventNeverLate(t *testing.T) {
+	for _, express := range []bool{false, true} {
+		var dense, sparse int
+		for seed := 1; seed <= 40; seed++ {
+			rng := xorshift(uint64(seed) * 0x9E3779B97F4A7C15)
+			lat := [][2]int{{1, 1}, {2, 1}, {3, 2}}[seed%3]
+			var sched []sendEv
+			for c := uint64(0); len(sched) < 150; c += 1 + rng.next(25) {
+				for n := rng.next(6); n > 0; n-- {
+					sched = append(sched, sendEv{c, int(rng.next(16)), int(rng.next(16)), Port(rng.next(2))})
+				}
+			}
+			label := fmt.Sprintf("express %v seed %d", express, seed)
+			d, s := checkNeverLate(t, label, lat[0], lat[1], express, sched)
+			dense, sparse = dense+d, sparse+s
+		}
+		// Vacuous unless the event-driven mesh actually slept.
+		if sparse >= dense {
+			t.Fatalf("express %v: event-driven meshes ticked %d times, every-cycle ones %d", express, sparse, dense)
+		}
+	}
+}
+
+// TestMeshNextEventFIFOInversion: a message injected behind one that just
+// hopped in is due earlier than the queue's head but cannot move before
+// it. NextEvent names the head's cycle, and sleeping until then loses
+// nothing.
+func TestMeshNextEventFIFOInversion(t *testing.T) {
+	m, _ := testMesh(4, 1)
+	m.Send(0, 0, 3, PortL2, "hopped")
+	m.Tick(0)
+	m.Tick(1)                           // pops (0,E) into (1,E), due at 1+link+router = 3
+	m.Send(1, 1, 3, PortL2, "injected") // queued behind it, due at 1+router = 2
+	q := &m.routers[1].out[dirEast]
+	if q.n != 2 || q.buf[q.head].readyAt != 3 || q.buf[(q.head+1)&(len(q.buf)-1)].readyAt != 2 {
+		t.Fatalf("queue (1,E) does not hold the inversion: %+v", q)
+	}
+	if next := m.NextEvent(1); next != 3 {
+		t.Fatalf("NextEvent = %d, want the head's due cycle 3", next)
+	}
+	sched := []sendEv{{0, 0, 3, PortL2}, {1, 1, 3, PortL2}}
+	for _, express := range []bool{false, true} {
+		checkNeverLate(t, fmt.Sprintf("inversion, express %v", express), 1, 1, express, sched)
+	}
+}
+
+// TestOutQueueRing: the ring preserves FIFO order across wrap-arounds and
+// growths, and a vacated slot holds no payload.
+func TestOutQueueRing(t *testing.T) {
+	var q outQueue
+	pushed, popped := 0, 0
+	push := func(n int) {
+		for ; n > 0; n-- {
+			q.push(msg{payload: pushed, hops: pushed})
+			pushed++
+		}
+	}
+	pop := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			m, ok := q.popReady(0)
+			if !ok || m.payload != popped || m.hops != popped {
+				t.Fatalf("pop %d = %+v, %v", popped, m, ok)
+			}
+			popped++
+		}
+	}
+	check := func(wantCap int) {
+		t.Helper()
+		if len(q.buf) != wantCap || q.n != pushed-popped {
+			t.Fatalf("cap %d n %d, want cap %d n %d", len(q.buf), q.n, wantCap, pushed-popped)
+		}
+		for i := range q.buf {
+			live := (i-q.head)&(len(q.buf)-1) < q.n
+			if !live && q.buf[i].payload != nil {
+				t.Fatalf("vacated slot %d still holds payload %v", i, q.buf[i].payload)
+			}
+		}
+	}
+	for lap := 0; lap < 5; lap++ { // wraps a 4-slot ring several times
+		push(3)
+		pop(3)
+		check(4)
+	}
+	push(3)
+	pop(1)
+	push(4) // 6 buffered, head mid-ring: first growth unwraps
+	check(8)
+	pop(5)
+	for lap := 0; lap < 5; lap++ {
+		push(6)
+		pop(6)
+		check(8)
+	}
+	push(12) // 13 buffered across the wrap: second growth
+	check(16)
+	pop(13)
+	check(16)
+	if _, ok := q.popReady(0); ok {
+		t.Fatal("pop from an empty ring")
+	}
+	q.push(msg{readyAt: 5})
+	if _, ok := q.popReady(4); ok {
+		t.Fatal("popped a message before its readyAt")
+	}
+}
+
+// saturatedMesh returns a warmed 4x4 per-hop mesh and the step that keeps
+// it at about 30 messages of steady random traffic in flight: one step is
+// one cycle, injection then Tick. The payload is boxed once, here, so any
+// allocation a step makes is the mesh's own.
+func saturatedMesh() (*Mesh, func()) {
+	m := New(4, 4, 1, 1, func(uint64, int, Port, any) {})
+	var payload any = "boxed"
+	rng := xorshift(1)
+	c := uint64(0)
+	step := func() {
+		for m.Stats.InFlight < 30 {
+			m.Send(c, int(rng.next(16)), int(rng.next(16)), PortL2, payload)
+		}
+		m.Tick(c)
+		c++
+	}
+	for i := 0; i < 2000; i++ {
+		step()
+	}
+	return m, step
+}
+
+// TestMeshSteadyStateAllocatesNothing: once the rings have grown to the
+// traffic's depth, injecting and moving a message allocates nothing.
+func TestMeshSteadyStateAllocatesNothing(t *testing.T) {
+	m, step := saturatedMesh()
+	if m.Stats.Hops == 0 {
+		t.Fatalf("warm-up moved no traffic: %+v", m.Stats)
+	}
+	if avg := testing.AllocsPerRun(500, step); avg != 0 {
+		t.Fatalf("steady-state Send+Tick allocates %.2f objects per cycle", avg)
 	}
 }
 
@@ -241,5 +387,20 @@ func TestMeshAllDelivered(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkMeshSaturated: one op is one cycle of saturatedMesh, and ns/hop
+// the cost of one link traversal.
+func BenchmarkMeshSaturated(b *testing.B) {
+	m, step := saturatedMesh()
+	hops := m.Stats.Hops
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	if moved := m.Stats.Hops - hops; moved > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/hop")
 	}
 }
