@@ -377,6 +377,25 @@ func BenchmarkBFSThroughputDense(b *testing.B) {
 	benchThroughput(b, DefaultConfig(), EngineDense, benchBFS())
 }
 
+func benchStencil() Workload {
+	return NewStencilWith(Stencil{Seed: 0x57E9, Width: 64, Rows: 4, Steps: 20,
+		Blocks: 15, WarpsPerBlock: 2, Work: 2})
+}
+
+// BenchmarkStencilThroughput measures throughput on the issue-bound
+// workload: about half of stencil's SM cycles issue an instruction and the
+// mesh and memory system are mostly idle, so this is the row that moves with
+// the per-instruction cost of the SM issue path.
+func BenchmarkStencilThroughput(b *testing.B) {
+	benchThroughput(b, DefaultConfig(), EngineSkip, benchStencil())
+}
+
+// BenchmarkStencilThroughputDense is the dense-loop reference for
+// BenchmarkStencilThroughput; it runs the same issue path every cycle.
+func BenchmarkStencilThroughputDense(b *testing.B) {
+	benchThroughput(b, DefaultConfig(), EngineDense, benchStencil())
+}
+
 func benchSpMV() Workload {
 	return NewSpMVWith(SpMV{Seed: 0x59A7, Rows: 1024, NnzPerRow: 8, Blocks: 15, WarpsPerBlock: 8})
 }

@@ -91,13 +91,29 @@ type CycleClass struct {
 	CompUnit    CompUnit    // set when Kind is a compute stall
 }
 
-// cycle priority implements the "weak" order of Algorithm 2: after the
-// no-stall check, the cycle takes the classification of the instruction
-// that was closest to issuing, with memory and synchronization stalls
-// prioritized over compute stalls because GSI targets memory-system
-// analysis.
-var cyclePriority = []StallKind{
-	MemStructural, MemData, Sync, CompStructural, CompData, Control, Idle,
+// cyclePriority is the "weak" order of Algorithm 2: after the no-stall
+// check, the cycle takes the classification of the instruction that was
+// closest to issuing, with memory and synchronization stalls prioritized
+// over compute stalls because GSI targets memory-system analysis.
+var cyclePriority = rankTable(
+	MemStructural, MemData, Sync, CompStructural, CompData, Control, Idle)
+
+// strongPriority is Algorithm 1's order applied at cycle level (the
+// section 4.2 ablation).
+var strongPriority = rankTable(
+	Control, Sync, MemData, MemStructural, CompData, CompStructural, Idle)
+
+// rankTable turns a priority order into a rank per kind (lower wins). Kinds
+// the order leaves out — NoStall, which the classifier handles first — rank
+// below every kind it names.
+func rankTable(order ...StallKind) (rank [NumStallKinds]uint8) {
+	for k := range rank {
+		rank[k] = uint8(len(order))
+	}
+	for i, k := range order {
+		rank[k] = uint8(i)
+	}
+	return rank
 }
 
 // ClassifyCycle implements Algorithm 2: it classifies an SM issue cycle
@@ -108,29 +124,7 @@ var cyclePriority = []StallKind{
 // load, which structural cause) goes to the first such warp in scheduler
 // priority order, i.e. the warp that would have issued first.
 func ClassifyCycle(warps []WarpObs) CycleClass {
-	if len(warps) == 0 {
-		return CycleClass{Kind: Idle}
-	}
-	for _, w := range warps {
-		if w.Kind == NoStall {
-			return CycleClass{Kind: NoStall}
-		}
-	}
-	for _, kind := range cyclePriority {
-		for _, w := range warps {
-			if w.Kind != kind {
-				continue
-			}
-			return CycleClass{
-				Kind:        kind,
-				PendingLoad: w.PendingLoad,
-				StructCause: w.StructCause,
-				CompUnit:    w.CompUnit,
-			}
-		}
-	}
-	// Unreachable: every observation has one of the kinds above.
-	return CycleClass{Kind: Idle}
+	return classifyCycle(warps, &cyclePriority)
 }
 
 // ClassifyCycleStrong is the ablation variant discussed in section 4.2: it
@@ -138,29 +132,25 @@ func ClassifyCycle(warps []WarpObs) CycleClass {
 // weak one. It exists so the ablation benchmark can quantify how the choice
 // of cycle-level priority shifts the breakdown.
 func ClassifyCycleStrong(warps []WarpObs) CycleClass {
+	return classifyCycle(warps, &strongPriority)
+}
+
+// classifyCycle is the one pass both orders share: any issued warp makes
+// the cycle NoStall; otherwise the best-ranked kind wins, and the strict
+// comparison leaves ties with the first warp in scheduler order.
+func classifyCycle(warps []WarpObs, rank *[NumStallKinds]uint8) CycleClass {
 	if len(warps) == 0 {
 		return CycleClass{Kind: Idle}
 	}
-	for _, w := range warps {
-		if w.Kind == NoStall {
+	best, bestRank := 0, uint8(len(rank))
+	for i := range warps {
+		k := warps[i].Kind
+		if k == NoStall {
 			return CycleClass{Kind: NoStall}
 		}
-	}
-	strong := []StallKind{
-		Control, Sync, MemData, MemStructural, CompData, CompStructural, Idle,
-	}
-	for _, kind := range strong {
-		for _, w := range warps {
-			if w.Kind != kind {
-				continue
-			}
-			return CycleClass{
-				Kind:        kind,
-				PendingLoad: w.PendingLoad,
-				StructCause: w.StructCause,
-				CompUnit:    w.CompUnit,
-			}
+		if r := rank[k]; r < bestRank {
+			best, bestRank = i, r
 		}
 	}
-	return CycleClass{Kind: Idle}
+	return CycleClass(warps[best])
 }

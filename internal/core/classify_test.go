@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +191,87 @@ func TestClassifyCyclePermutationInvariance(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// classifyNested is Algorithm 2 as the paper writes it — for each kind in
+// priority order, the first warp of that kind — kept as the oracle for the
+// one-pass rank-table classifier.
+func classifyNested(warps []WarpObs, order []StallKind) CycleClass {
+	if len(warps) == 0 {
+		return CycleClass{Kind: Idle}
+	}
+	for _, w := range warps {
+		if w.Kind == NoStall {
+			return CycleClass{Kind: NoStall}
+		}
+	}
+	for _, kind := range order {
+		for _, w := range warps {
+			if w.Kind == kind {
+				return CycleClass(w)
+			}
+		}
+	}
+	return CycleClass{Kind: Idle}
+}
+
+var (
+	weakOrder   = []StallKind{MemStructural, MemData, Sync, CompStructural, CompData, Control, Idle}
+	strongOrder = []StallKind{Control, Sync, MemData, MemStructural, CompData, CompStructural, Idle}
+)
+
+// TestClassifyCycleMatchesNestedLoops: the rank-table pass picks the same
+// kind and the same warp's payload as the nested-loop definition, under
+// both orders, on every kind vector of up to four warps and on random
+// 32-warp vectors. Payloads are distinct per warp, so a tie that went to
+// any but the first warp in scheduler order shows.
+func TestClassifyCycleMatchesNestedLoops(t *testing.T) {
+	obsFor := func(kinds []StallKind) []WarpObs {
+		obs := make([]WarpObs, len(kinds))
+		for i, k := range kinds {
+			obs[i] = WarpObs{
+				Kind:        k,
+				PendingLoad: LoadID(100 + i),
+				StructCause: StructCause(1 + i%(NumStructCauses-1)),
+				CompUnit:    CompUnit(1 + i%(NumCompUnits-1)),
+			}
+		}
+		return obs
+	}
+	check := func(kinds []StallKind) {
+		t.Helper()
+		obs := obsFor(kinds)
+		if got, want := ClassifyCycle(obs), classifyNested(obs, weakOrder); got != want {
+			t.Fatalf("weak %v: got %+v, want %+v", kinds, got, want)
+		}
+		if got, want := ClassifyCycleStrong(obs), classifyNested(obs, strongOrder); got != want {
+			t.Fatalf("strong %v: got %+v, want %+v", kinds, got, want)
+		}
+	}
+	for k := 0; k <= 4; k++ {
+		kinds := make([]StallKind, k)
+		total := 1
+		for i := 0; i < k; i++ {
+			total *= NumStallKinds
+		}
+		for n := 0; n < total; n++ {
+			for i, v := 0, n; i < k; i, v = i+1, v/NumStallKinds {
+				kinds[i] = StallKind(v % NumStallKinds)
+			}
+			check(kinds)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	kinds := make([]StallKind, 32)
+	for n := 0; n < 10_000; n++ {
+		// Mostly stalled warps: an issued one short-circuits the order.
+		for i := range kinds {
+			kinds[i] = StallKind(1 + rng.Intn(NumStallKinds-1))
+		}
+		if n%8 == 0 {
+			kinds[rng.Intn(len(kinds))] = NoStall
+		}
+		check(kinds)
 	}
 }

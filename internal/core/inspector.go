@@ -63,7 +63,7 @@ type Inspector struct {
 	// completion for a load comes from the same SM. The sharding makes the
 	// Inspector safe under the parallel tick engine, where distinct SMs
 	// record concurrently, without any locking on the hot path.
-	pending []map[LoadID]*pendingLoad
+	pending []*LoadTable[pendingLoad]
 
 	// StrongCycle selects the ablation classifier (strong priority at
 	// cycle level); see ClassifyCycleStrong.
@@ -96,11 +96,12 @@ type TraceSink interface {
 	LoadResolved(sm int, id LoadID, where DataWhere)
 }
 
+// pendingLoad is the deferred-attribution record of one load that blocked a
+// warp: live in its SM's table while the load is in flight, retired (where
+// set) once it completes.
 type pendingLoad struct {
-	sm      int
 	accrued uint64
-	where   DataWhere // WhereUnknown until completion
-	done    bool
+	where   DataWhere // meaningful once retired
 }
 
 // NewInspector returns an Inspector profiling numSMs streaming
@@ -108,10 +109,10 @@ type pendingLoad struct {
 func NewInspector(numSMs int) *Inspector {
 	in := &Inspector{
 		perSM:   make([]Counts, numSMs),
-		pending: make([]map[LoadID]*pendingLoad, numSMs),
+		pending: make([]*LoadTable[pendingLoad], numSMs),
 	}
 	for i := range in.pending {
-		in.pending[i] = make(map[LoadID]*pendingLoad)
+		in.pending[i] = NewLoadTable[pendingLoad](numSMs)
 	}
 	return in
 }
@@ -193,12 +194,10 @@ func (in *Inspector) recordMemData(sm int, id LoadID, n uint64) {
 		c.MemData[WhereL1] += n
 		return
 	}
-	p := in.pending[sm][id]
+	p, live := in.pending[sm].Find(id)
 	if p == nil {
-		p = &pendingLoad{sm: sm, where: WhereUnknown}
-		in.pending[sm][id] = p
-	}
-	if p.done {
+		p = in.pending[sm].Insert(id)
+	} else if !live {
 		c.MemData[p.where] += n
 		return
 	}
@@ -208,8 +207,8 @@ func (in *Inspector) recordMemData(sm int, id LoadID, n uint64) {
 // LoadCompleted tells the Inspector where a load was serviced; sm is the SM
 // that issued the load (the one whose LSU observes the completion). Accrued
 // stall cycles for that load are folded into the matching bucket. The entry
-// is retained (marked done) so stalls charged to the load in the completion
-// cycle itself still resolve correctly; Flush drops retained entries.
+// is retired, not removed, so stalls charged to the load in the completion
+// cycle itself still resolve correctly; a later load reclaims its slot.
 func (in *Inspector) LoadCompleted(sm int, id LoadID, where DataWhere) {
 	if in.Trace != nil && id != 0 {
 		in.Trace.LoadResolved(sm, id, where)
@@ -217,31 +216,27 @@ func (in *Inspector) LoadCompleted(sm int, id LoadID, where DataWhere) {
 	if in.EagerAttribution || id == 0 {
 		return
 	}
-	p := in.pending[sm][id]
-	if p == nil {
+	p, live := in.pending[sm].Find(id)
+	if !live {
 		// Load completed without ever blocking anyone: nothing to
 		// attribute, and nothing to remember.
 		return
 	}
+	in.pending[sm].Retire(id)
 	p.where = where
-	p.done = true
-	if p.accrued > 0 {
-		in.perSM[p.sm].MemData[where] += p.accrued
-		p.accrued = 0
-	}
+	in.perSM[sm].MemData[where] += p.accrued
+	p.accrued = 0
 }
 
 // Flush resolves bookkeeping at end of simulation: loads still in flight
 // have their accrued stalls charged to main memory (the conservative
 // choice), and completed-load records are dropped.
 func (in *Inspector) Flush() {
-	for _, shard := range in.pending {
-		for id, p := range shard {
-			if !p.done && p.accrued > 0 {
-				in.perSM[p.sm].MemData[WhereMemory] += p.accrued
-			}
-			delete(shard, id)
-		}
+	for sm, shard := range in.pending {
+		c := &in.perSM[sm]
+		shard.Drain(func(p *pendingLoad) {
+			c.MemData[WhereMemory] += p.accrued
+		})
 	}
 }
 
@@ -267,11 +262,7 @@ func (in *Inspector) Aggregate() Counts {
 func (in *Inspector) PendingLoads() int {
 	n := 0
 	for _, shard := range in.pending {
-		for _, p := range shard {
-			if !p.done {
-				n++
-			}
-		}
+		n += shard.Live()
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,138 @@ func TestIdleSpanMatchesPerCycle(t *testing.T) {
 	}
 	if p, b := perCycle.Timeline.Render(), bulk.Timeline.Render(); p != b {
 		t.Errorf("timelines diverge:\n--- per-cycle ---\n%s\n--- bulk ---\n%s", p, b)
+	}
+}
+
+// refInspector is the deferred-attribution bookkeeping written the obvious
+// way — a map that never forgets a load — kept here as the oracle for the
+// Inspector's table.
+type refInspector struct {
+	counts  Counts
+	pending map[LoadID]*refPending
+}
+
+type refPending struct {
+	accrued uint64
+	where   DataWhere
+	done    bool
+}
+
+func (r *refInspector) stall(id LoadID) {
+	r.counts.Cycles[MemData]++
+	p := r.pending[id]
+	if p == nil {
+		p = &refPending{}
+		r.pending[id] = p
+	}
+	if p.done {
+		r.counts.MemData[p.where]++
+		return
+	}
+	p.accrued++
+}
+
+func (r *refInspector) complete(id LoadID, where DataWhere) {
+	if p := r.pending[id]; p != nil {
+		p.where, p.done = where, true
+		r.counts.MemData[where] += p.accrued
+		p.accrued = 0
+	}
+}
+
+func (r *refInspector) flush() {
+	for _, p := range r.pending {
+		if !p.done {
+			r.counts.MemData[WhereMemory] += p.accrued
+		}
+	}
+}
+
+// TestInspectorMatchesMapModel: a random interleaving of loads issued,
+// stalls accrued, completions out of order and stalls charged in the
+// completion cycle, wide enough to grow the table more than twice, leaves
+// the same Counts after Flush as the map that never forgets.
+func TestInspectorMatchesMapModel(t *testing.T) {
+	const numSMs, sm = 4, 2
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := NewInspector(numSMs)
+		ref := &refInspector{pending: map[LoadID]*refPending{}}
+		var inflight []LoadID
+		seq := 0
+		for step := 0; step < 20000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3 && len(inflight) < 6*loadTableInitial:
+				inflight = append(inflight, LoadID(seq*numSMs+sm+1))
+				seq++
+			case op < 8 && len(inflight) > 0:
+				id := inflight[rng.Intn(len(inflight))]
+				in.Observe(sm, []WarpObs{{Kind: MemData, PendingLoad: id}})
+				ref.stall(id)
+			case len(inflight) > 0:
+				i := rng.Intn(len(inflight))
+				id := inflight[i]
+				inflight = append(inflight[:i], inflight[i+1:]...)
+				where := DataWheres()[rng.Intn(len(DataWheres()))]
+				in.LoadCompleted(sm, id, where)
+				ref.complete(id, where)
+				if rng.Intn(3) == 0 {
+					// The completion cycle's own stall.
+					in.Observe(sm, []WarpObs{{Kind: MemData, PendingLoad: id}})
+					ref.stall(id)
+				}
+			}
+		}
+		if in.pending[sm].Cap() < 4*loadTableInitial {
+			t.Fatalf("seed %d: capacity %d: the run did not cross two growths", seed, in.pending[sm].Cap())
+		}
+		in.Flush()
+		ref.flush()
+		if *in.SM(sm) != ref.counts {
+			t.Errorf("seed %d: counts diverge from the map model:\n%+v\nvs\n%+v", seed, *in.SM(sm), ref.counts)
+		}
+		if in.PendingLoads() != 0 {
+			t.Errorf("seed %d: PendingLoads = %d after Flush", seed, in.PendingLoads())
+		}
+	}
+}
+
+// TestInspectorForgetsCompletedLoads: the Inspector used to keep one record
+// per load that ever blocked a warp until Flush. With at most 8 loads in
+// flight its table must stay small however long the run, and a stall
+// charged to a load in its completion cycle must still land in that load's
+// bucket.
+func TestInspectorForgetsCompletedLoads(t *testing.T) {
+	const numSMs, sm, window, rounds = 15, 7, 8, 100_000
+	in := NewInspector(numSMs)
+	id := func(seq int) LoadID { return LoadID(seq*numSMs + sm + 1) }
+	stall := func(id LoadID) { in.Observe(sm, []WarpObs{{Kind: MemData, PendingLoad: id}}) }
+	for seq := 0; seq < rounds+window; seq++ {
+		if seq < rounds {
+			stall(id(seq))
+		}
+		if done := seq - window + 1; done >= 0 && done < rounds {
+			// Alternate the service point so a stale record would show.
+			where := WhereL2
+			if done%2 == 1 {
+				where = WhereRemoteL1
+			}
+			before := in.SM(sm).MemData[where]
+			in.LoadCompleted(sm, id(done), where)
+			stall(id(done))
+			if got := in.SM(sm).MemData[where] - before; got != 2 {
+				t.Fatalf("load %d: completion credited %d cycles to %v, want its accrued stall plus the completion cycle's", done, got, where)
+			}
+		}
+	}
+	if got := in.PendingLoads(); got != 0 {
+		t.Errorf("PendingLoads = %d with every load completed", got)
+	}
+	if got := in.pending[sm].Cap(); got > 64 {
+		t.Errorf("table holds %d slots after %d loads with %d in flight, want at most 64", got, rounds, window)
+	}
+	c := in.SM(sm)
+	if c.MemData[WhereL2] != rounds || c.MemData[WhereRemoteL1] != rounds || c.Cycles[MemData] != 2*rounds {
+		t.Errorf("buckets L2=%d remote=%d of %d MemData cycles, want %d each", c.MemData[WhereL2], c.MemData[WhereRemoteL1], c.Cycles[MemData], rounds)
 	}
 }

@@ -78,7 +78,7 @@ func interpret(p *isa.Program, base uint64, warpSize int) map[uint64]uint64 {
 	written := map[uint64]uint64{}
 	load := func(addr uint64) uint64 { return written[addr&^7] }
 	for pc := 0; pc < p.Len(); pc++ {
-		in := p.At(pc)
+		in := p.Instrs[pc]
 		switch in.Op.Class() {
 		case isa.ClassALU, isa.ClassSFU:
 			regs[in.Rd] = isa.EvalALU(in.Op, regs[in.Ra], regs[in.Rb], regs[in.Rd], in.Imm)

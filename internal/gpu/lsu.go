@@ -18,11 +18,15 @@ import (
 type LSU struct {
 	sm *SM
 
-	cur        *memOp
+	// cur is the one op the LSU can hold, valid while held is set. It lives
+	// here by value: CanAccept refuses a second op, so accepting never
+	// allocates, and a parked DMA op replays from this same storage.
+	cur        memOp
+	held       bool
 	blockCause core.StructCause
 	busyUntil  uint64
 
-	tracks map[core.LoadID]*loadTrack
+	tracks *core.LoadTable[loadTrack]
 	comps  []compEvent
 
 	// Reusable per-access buffers: lane address expansion, line
@@ -38,9 +42,12 @@ type LSU struct {
 
 // memOp is the instruction currently occupying the LSU.
 type memOp struct {
-	warp    *Warp
-	in      isa.Instr
+	warp *Warp
+	in   *isa.Instr // into the program's decoded table (read-only)
+	// lines is consumed by submit from index next; its storage passes
+	// from each op to the one accepted after it.
 	lines   []lineReq
+	next    int
 	curLoad core.LoadID // load id when the op is a load
 	// dmaWait: the op touches a DMA-mapped region still loading; it
 	// blocks the whole LSU until the engine reports ready (core
@@ -63,7 +70,6 @@ type lineReq struct {
 type loadTrack struct {
 	warp      *Warp
 	rd        isa.Reg
-	id        core.LoadID
 	remaining int
 	lastWhere core.DataWhere
 	value     uint64
@@ -79,7 +85,7 @@ type compEvent struct {
 }
 
 func newLSU(sm *SM) *LSU {
-	return &LSU{sm: sm, tracks: make(map[core.LoadID]*loadTrack)}
+	return &LSU{sm: sm, tracks: core.NewLoadTable[loadTrack](sm.gpu.Cfg.NumSMs)}
 }
 
 // hitLatency is the extra load-to-use delay of a local hit beyond issue
@@ -94,7 +100,7 @@ func (l *LSU) CanAccept(cycle uint64) (ok bool, cause core.StructCause) {
 	if cm.ReleaseInProgress() && !cm.SFIFO {
 		return false, core.StructPendingRelease
 	}
-	if l.cur != nil {
+	if l.held {
 		if l.cur.dmaWait {
 			// The paper attributes a blocked access during a bulk
 			// DMA to "a full MSHR or a pending DMA": while the DMA
@@ -122,9 +128,9 @@ func (l *LSU) CanAccept(cycle uint64) (ok bool, cause core.StructCause) {
 // Accept takes one memory-class instruction from a warp. The caller must
 // have checked CanAccept this cycle. Atomics hand off to the core memory
 // unit immediately (the warp blocks on synchronization, not on the LSU).
-func (l *LSU) Accept(w *Warp, in isa.Instr, cycle uint64) {
+func (l *LSU) Accept(w *Warp, in *isa.Decoded, cycle uint64) {
 	l.Accepted++
-	if in.Op.Class() == isa.ClassAtomic {
+	if in.Class == isa.ClassAtomic {
 		l.sm.cm.Atomic(mem.AtomicOp{
 			Warp: w.idx, Rd: in.Rd, Addr: w.regs[in.Ra], AOp: in.Op,
 			B: w.regs[in.Rb], C: w.regs[in.Rc], Order: in.Order,
@@ -137,7 +143,8 @@ func (l *LSU) Accept(w *Warp, in isa.Instr, cycle uint64) {
 		}
 		return
 	}
-	op := &memOp{warp: w, in: in}
+	l.cur = memOp{warp: w, in: &in.Instr, lines: l.cur.lines[:0]}
+	op := &l.cur
 	if in.Op.IsLocal() {
 		l.acceptLocal(op, cycle)
 	} else {
@@ -148,7 +155,7 @@ func (l *LSU) Accept(w *Warp, in isa.Instr, cycle uint64) {
 // laneAddrs expands an instruction into per-lane addresses. The returned
 // slice aliases a reusable buffer: it is valid until the next laneAddrs
 // call on this LSU.
-func (l *LSU) laneAddrs(w *Warp, in isa.Instr) []uint64 {
+func (l *LSU) laneAddrs(w *Warp, in *isa.Instr) []uint64 {
 	addrs := l.addrBuf[:0]
 	if !in.Op.IsVector() {
 		addrs = append(addrs, w.regs[in.Ra]+uint64(in.Imm))
@@ -244,8 +251,8 @@ func (l *LSU) acceptGlobal(op *memOp, cycle uint64) {
 	} else {
 		id := l.sm.nextLoadID()
 		w.setPendingLoad(in.Rd, id)
-		l.tracks[id] = &loadTrack{
-			warp: w, rd: in.Rd, id: id,
+		*l.tracks.Insert(id) = loadTrack{
+			warp: w, rd: in.Rd,
 			remaining: len(lines),
 			value:     l.sm.gpu.Sys.Backing.Load64(addrs[0]),
 		}
@@ -254,15 +261,12 @@ func (l *LSU) acceptGlobal(op *memOp, cycle uint64) {
 		}
 		op.curLoad = id
 	}
-	l.cur = op
+	l.held = true
 	l.submit(cycle)
 }
 
 func (l *LSU) acceptLocal(op *memOp, cycle uint64) {
-	in := op.in
-	w := op.warp
-	addrs := l.laneAddrs(w, in)
-	_ = w
+	addrs := l.laneAddrs(op.warp, op.in)
 	switch l.sm.localKind {
 	case LocalScratch, LocalScratchDMA:
 		l.acceptScratch(op, addrs, cycle)
@@ -284,7 +288,7 @@ func (l *LSU) acceptScratch(op *memOp, addrs []uint64, cycle uint64) {
 		// captured on replay (after the DMA has filled the pad).
 		id := l.sm.nextLoadID()
 		w.setPendingLoad(in.Rd, id)
-		l.tracks[id] = &loadTrack{warp: w, rd: in.Rd, id: id, remaining: 1}
+		*l.tracks.Insert(id) = loadTrack{warp: w, rd: in.Rd, remaining: 1}
 		op.curLoad = id
 	}
 	if l.sm.localKind == LocalScratchDMA && l.sm.dma.Blocking(addrs[0]) {
@@ -292,7 +296,7 @@ func (l *LSU) acceptScratch(op *memOp, addrs []uint64, cycle uint64) {
 		// LSU, stalling the whole SM's memory issue, until the bulk
 		// load completes; stores write the scratchpad only on replay.
 		op.dmaWait = true
-		l.cur = op
+		l.held = true
 		l.blockCause = core.StructPendingDMA
 		return
 	}
@@ -307,7 +311,8 @@ func (l *LSU) acceptScratch(op *memOp, addrs []uint64, cycle uint64) {
 		}
 		return // purely local: no line requests
 	}
-	l.tracks[op.curLoad].value = l.sm.pad.Load64(addrs[0])
+	tr, _ := l.tracks.Find(op.curLoad)
+	tr.value = l.sm.pad.Load64(addrs[0])
 	l.comps = append(l.comps, compEvent{
 		at: cycle + uint64(occ-1) + hitLatency, id: op.curLoad, where: core.WhereL1,
 	})
@@ -336,18 +341,17 @@ func (l *LSU) acceptStash(op *memOp, addrs []uint64, cycle uint64) {
 				noL1: true, stash: true,
 			})
 		}
-		l.cur = op
+		l.held = true
 		l.submit(cycle)
 		return
 	}
 	id := l.sm.nextLoadID()
 	w.setPendingLoad(in.Rd, id)
-	tr := &loadTrack{
-		warp: w, rd: in.Rd, id: id,
+	*l.tracks.Insert(id) = loadTrack{
+		warp: w, rd: in.Rd,
 		remaining: len(lines),
 		value:     l.sm.gpu.Sys.Backing.Load64(st.GlobalFor(addrs[0])),
 	}
-	l.tracks[id] = tr
 	for _, ln := range lines {
 		switch st.LoadAccess(ln) {
 		case scratchpad.StashHit:
@@ -370,7 +374,7 @@ func (l *LSU) acceptStash(op *memOp, addrs []uint64, cycle uint64) {
 		if n := uint64(len(op.lines)); cycle+n-1 > l.busyUntil {
 			l.busyUntil = cycle + n - 1
 		}
-		l.cur = op
+		l.held = true
 		l.submit(cycle)
 	}
 }
@@ -378,10 +382,10 @@ func (l *LSU) acceptStash(op *memOp, addrs []uint64, cycle uint64) {
 // submit pushes the current op's outstanding line requests into the core
 // memory unit, stopping (and recording the cause) at the first refusal.
 func (l *LSU) submit(cycle uint64) {
-	op := l.cur
-	if op == nil {
+	if !l.held {
 		return
 	}
+	op := &l.cur
 	if op.dmaWait {
 		if l.sm.dma.State() == scratchpad.DMALoading {
 			return
@@ -390,14 +394,14 @@ func (l *LSU) submit(cycle uint64) {
 		// the load id allocated at park time so the scoreboard entry
 		// and GSI attribution stay attached to the same load.
 		op.dmaWait = false
-		l.cur = nil
+		l.held = false
 		l.blockCause = core.StructNone
 		l.acceptScratch(op, l.laneAddrs(op.warp, op.in), cycle)
 		return
 	}
 	cm := l.sm.cm
-	for len(op.lines) > 0 {
-		req := op.lines[0]
+	for op.next < len(op.lines) {
+		req := op.lines[op.next]
 		if req.isStore {
 			var out mem.StoreOutcome
 			if req.noL1 {
@@ -433,9 +437,9 @@ func (l *LSU) submit(cycle uint64) {
 				return
 			}
 		}
-		op.lines = op.lines[1:]
+		op.next++
 	}
-	l.cur = nil
+	l.held = false
 	l.blockCause = core.StructNone
 }
 
@@ -446,7 +450,9 @@ func (l *LSU) Tick(cycle uint64) bool {
 		n := 0
 		for _, e := range l.comps {
 			if e.at <= cycle {
-				l.lineDone(e.id, e.where)
+				if tr, live := l.tracks.Find(e.id); live {
+					l.lineDone(e.id, tr, e.where)
+				}
 			} else {
 				l.comps[n] = e
 				n++
@@ -454,7 +460,7 @@ func (l *LSU) Tick(cycle uint64) bool {
 		}
 		l.comps = l.comps[:n]
 	}
-	if l.cur != nil && l.busyUntil <= cycle {
+	if l.held && l.busyUntil <= cycle {
 		l.submit(cycle)
 	}
 	return !l.Idle()
@@ -463,29 +469,27 @@ func (l *LSU) Tick(cycle uint64) bool {
 // LoadFillDone routes a completed global fill for a warp load (called from
 // the SM's OnLoadDone dispatcher).
 func (l *LSU) LoadFillDone(t mem.Target, where core.DataWhere) {
-	if tr, ok := l.tracks[t.Load]; ok && tr != nil {
-		// Stash fills mark the stash line present for later hits.
-		if t.NoL1 && l.sm.stash != nil {
-			l.sm.stash.FillDone(t.Aux)
-		}
-	}
-	l.lineDone(t.Load, where)
-}
-
-// lineDone accounts one completed line for a load track; the last line
-// finishes the load: scoreboard release, architectural value write, and
-// GSI's deferred attribution resolution.
-func (l *LSU) lineDone(id core.LoadID, where core.DataWhere) {
-	tr, ok := l.tracks[id]
-	if !ok {
+	tr, live := l.tracks.Find(t.Load)
+	if !live {
 		return
 	}
+	// Stash fills mark the stash line present for later hits.
+	if t.NoL1 && l.sm.stash != nil {
+		l.sm.stash.FillDone(t.Aux)
+	}
+	l.lineDone(t.Load, tr, where)
+}
+
+// lineDone accounts one completed line for load id's live track; the last
+// line finishes the load: scoreboard release, architectural value write, and
+// GSI's deferred attribution resolution.
+func (l *LSU) lineDone(id core.LoadID, tr *loadTrack, where core.DataWhere) {
 	tr.remaining--
 	tr.lastWhere = where
 	if tr.remaining > 0 {
 		return
 	}
-	delete(l.tracks, id)
+	l.tracks.Retire(id)
 	tr.warp.loadArrived(tr.rd, id, tr.value)
 	l.sm.gpu.Insp.LoadCompleted(l.sm.id, id, tr.lastWhere)
 }
@@ -499,7 +503,7 @@ func (l *LSU) lineDone(id core.LoadID, where core.DataWhere) {
 // whose retry is a pure no-op until the bulk load finishes (an external,
 // fill-driven event), and an op refused for a full MSHR (see mshrRetrying).
 func (l *LSU) NextEvent(now uint64) uint64 {
-	if l.cur != nil && !l.cur.dmaWait && l.busyUntil <= now && !l.mshrRetrying(now) {
+	if l.held && !l.cur.dmaWait && l.busyUntil <= now && !l.mshrRetrying(now) {
 		return now + 1
 	}
 	next := sim.NoEvent
@@ -528,12 +532,12 @@ func (l *LSU) NextEvent(now uint64) uint64 {
 // the nap promise, and whoever skips the SM's ticks on that promise owes one
 // MSHRFullEvents per skipped cycle (smSlot.endNap).
 func (l *LSU) mshrRetrying(now uint64) bool {
-	return l.cur != nil && !l.cur.dmaWait && l.busyUntil <= now &&
+	return l.held && !l.cur.dmaWait && l.busyUntil <= now &&
 		l.blockCause == core.StructMSHRFull && l.sm.cm.MSHRFree() == 0
 }
 
 // PendingLoads reports in-flight warp loads (quiescence checks).
-func (l *LSU) PendingLoads() int { return len(l.tracks) }
+func (l *LSU) PendingLoads() int { return l.tracks.Live() }
 
 // Idle reports whether the LSU holds no op and no pending completions.
-func (l *LSU) Idle() bool { return l.cur == nil && len(l.comps) == 0 }
+func (l *LSU) Idle() bool { return !l.held && len(l.comps) == 0 }

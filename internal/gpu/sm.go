@@ -215,7 +215,7 @@ func (sm *SM) considerWarp(w *Warp, cycle uint64) {
 		cond.PendingLoad = blocking
 		cond.CompDataHazard = compHaz
 		cond.CompDataUnit = compUnit
-		switch in.Op.Class() {
+		switch in.Class {
 		case isa.ClassMem, isa.ClassAtomic:
 			if ok, cause := sm.lsu.CanAccept(cycle); !ok {
 				cond.MemStructHazard = true
@@ -243,10 +243,10 @@ func (sm *SM) considerWarp(w *Warp, cycle uint64) {
 }
 
 // execute performs one issued instruction.
-func (sm *SM) execute(w *Warp, in isa.Instr, cycle uint64) {
+func (sm *SM) execute(w *Warp, in *isa.Decoded, cycle uint64) {
 	sm.InstrsIssued++
 	cfg := &sm.gpu.Cfg
-	switch in.Op.Class() {
+	switch in.Class {
 	case isa.ClassNop:
 		w.pc++
 	case isa.ClassALU:
@@ -426,7 +426,7 @@ func (sm *SM) NextEvent(now uint64) uint64 {
 			continue
 		}
 		// No data hazard: the warp is structurally gated or issuable.
-		switch in.Op.Class() {
+		switch in.Class {
 		case isa.ClassMem, isa.ClassAtomic:
 			if ok, _ := sm.lsu.CanAccept(now); ok {
 				return now + 1 // issuable: no promise

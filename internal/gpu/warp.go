@@ -93,8 +93,8 @@ func (w *Warp) reset(prog *isa.Program) {
 	w.haz = hazSummary{}
 }
 
-// next returns the instruction at the warp's pc.
-func (w *Warp) next() isa.Instr { return w.prog.At(w.pc) }
+// next returns the decoded instruction at the warp's pc.
+func (w *Warp) next() *isa.Decoded { return w.prog.Fetch(w.pc) }
 
 // clearReady lazily retires compute scoreboard entries whose results have
 // arrived.
@@ -109,18 +109,13 @@ func (w *Warp) clearReady(r isa.Reg, cycle uint64) {
 // with the blocking load, or a compute-data hazard. The scan result is
 // cached in w.haz so a stalled warp whose scoreboard has not changed does
 // not re-scan its registers every cycle.
-func (w *Warp) hazards(in isa.Instr, cycle uint64) (memHaz bool, blocking core.LoadID, compHaz bool, compUnit core.CompUnit) {
+func (w *Warp) hazards(in *isa.Decoded, cycle uint64) (memHaz bool, blocking core.LoadID, compHaz bool, compUnit core.CompUnit) {
 	s := &w.haz
 	if s.valid && s.pc == w.pc && (s.expiresAt == 0 || cycle < s.expiresAt) {
 		return s.memHaz, s.blocking, s.compHaz, s.compUnit
 	}
-	var buf [4]isa.Reg
-	regs := in.ReadRegs(buf[:0])
-	if rd, ok := in.WritesReg(); ok {
-		regs = append(regs, rd)
-	}
 	*s = hazSummary{valid: true, pc: w.pc}
-	for _, r := range regs {
+	for _, r := range in.ScanRegs() {
 		w.clearReady(r, cycle)
 		switch w.board[r].kind {
 		case pendLoad:
@@ -169,13 +164,8 @@ func (w *Warp) loadArrived(rd isa.Reg, id core.LoadID, value uint64) {
 // by an in-flight load (external — no internal bound), and the earliest
 // compute retirement among the operands (0 = none). Unlike hazards it never
 // mutates the scoreboard.
-func (w *Warp) nextBoardEvent(in isa.Instr, now uint64) (external bool, nextReady uint64, hazard bool) {
-	var buf [4]isa.Reg
-	regs := in.ReadRegs(buf[:0])
-	if rd, ok := in.WritesReg(); ok {
-		regs = append(regs, rd)
-	}
-	for _, r := range regs {
+func (w *Warp) nextBoardEvent(in *isa.Decoded, now uint64) (external bool, nextReady uint64, hazard bool) {
+	for _, r := range in.ScanRegs() {
 		switch w.board[r].kind {
 		case pendLoad:
 			external = true

@@ -223,9 +223,24 @@ func (b *Builder) BGE(ra, rb Reg, l Label) *Builder { return b.emitBranch(OpBGE,
 // Exit appends warp termination.
 func (b *Builder) Exit() *Builder { return b.emit(Instr{Op: OpExit}) }
 
-// Build patches labels, validates the program, and returns it. It returns
-// an error for unbound labels, out-of-range registers, or a program with no
-// exit.
+// FallthroughError is Build's error for a program whose last instruction is
+// neither an exit nor an unconditional branch: a warp reaching it would run
+// off the end of the program.
+type FallthroughError struct {
+	Program string // program name
+	PC      int    // index of the last instruction
+	Last    Op     // its opcode
+}
+
+func (e *FallthroughError) Error() string {
+	return fmt.Sprintf("isa: program %q: last instruction %d (%s) can fall off the end; end with exit or br",
+		e.Program, e.PC, e.Last)
+}
+
+// Build patches labels, validates the program, decodes it, and returns it.
+// It returns an error for unbound labels, out-of-range registers or branch
+// targets, a program with no exit, and (a *FallthroughError) a program whose
+// last instruction can fall through.
 func (b *Builder) Build() (*Program, error) {
 	instrs := append([]Instr(nil), b.instrs...)
 	for l, sites := range b.uses {
@@ -238,6 +253,7 @@ func (b *Builder) Build() (*Program, error) {
 		}
 	}
 	hasExit := false
+	decoded := make([]Decoded, len(instrs))
 	for idx, in := range instrs {
 		if in.Op == OpExit {
 			hasExit = true
@@ -250,11 +266,19 @@ func (b *Builder) Build() (*Program, error) {
 				return nil, fmt.Errorf("isa: program %q: instr %d uses register %d >= %d", b.name, idx, r, NumRegs)
 			}
 		}
+		d, err := decode(in)
+		if err != nil {
+			return nil, fmt.Errorf("isa: program %q: instr %d: %v", b.name, idx, err)
+		}
+		decoded[idx] = d
 	}
 	if !hasExit {
 		return nil, fmt.Errorf("isa: program %q has no exit instruction", b.name)
 	}
-	return &Program{Name: b.name, Instrs: instrs}, nil
+	if last := instrs[len(instrs)-1].Op; last != OpExit && last != OpBr {
+		return nil, &FallthroughError{Program: b.name, PC: len(instrs) - 1, Last: last}
+	}
+	return &Program{Name: b.name, Instrs: instrs, decoded: decoded}, nil
 }
 
 // MustBuild is Build for statically known-good programs; it panics on error.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -19,8 +20,8 @@ func TestBuilderBackwardBranch(t *testing.T) {
 	if p.Len() != 4 {
 		t.Fatalf("len = %d, want 4", p.Len())
 	}
-	if p.At(2).Target != 1 {
-		t.Fatalf("branch target = %d, want 1", p.At(2).Target)
+	if p.Instrs[2].Target != 1 {
+		t.Fatalf("branch target = %d, want 1", p.Instrs[2].Target)
 	}
 }
 
@@ -35,8 +36,8 @@ func TestBuilderForwardBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.At(0).Target != 2 {
-		t.Fatalf("forward target = %d, want 2", p.At(0).Target)
+	if p.Instrs[0].Target != 2 {
+		t.Fatalf("forward target = %d, want 2", p.Instrs[0].Target)
 	}
 }
 
@@ -51,8 +52,8 @@ func TestBuilderSharedLabelMultipleUses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.At(0).Target != 2 || p.At(1).Target != 2 {
-		t.Fatalf("targets = %d, %d, want 2, 2", p.At(0).Target, p.At(1).Target)
+	if p.Instrs[0].Target != 2 || p.Instrs[1].Target != 2 {
+		t.Fatalf("targets = %d, %d, want 2, 2", p.Instrs[0].Target, p.Instrs[1].Target)
 	}
 }
 
@@ -103,14 +104,40 @@ func TestMustBuildPanics(t *testing.T) {
 	NewBuilder("empty").MustBuild()
 }
 
-func TestProgramAtOutOfRange(t *testing.T) {
-	p := NewBuilder("p").Exit().MustBuild()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestBuildRejectsFallthrough: a program whose last instruction can fall
+// through would walk a warp off the decoded table mid-run; Build refuses it
+// with a typed error instead.
+func TestBuildRejectsFallthrough(t *testing.T) {
+	cases := map[string]func(b *Builder){
+		"alu":          func(b *Builder) { b.Exit().MovI(1, 1) },
+		"cond branch":  func(b *Builder) { top := b.Here(); b.Exit().BNE(1, 2, top) },
+		"store":        func(b *Builder) { b.Exit().St(1, 0, 2) },
+		"barrier":      func(b *Builder) { b.Exit().Bar() },
+		"noret atomic": func(b *Builder) { b.Exit().AtomAddNR(1, 2, Relaxed) },
+	}
+	for name, emit := range cases {
+		b := NewBuilder(name)
+		emit(b)
+		_, err := b.Build()
+		var ft *FallthroughError
+		if !errors.As(err, &ft) {
+			t.Errorf("%s: err = %v, want *FallthroughError", name, err)
+			continue
 		}
-	}()
-	p.At(5)
+		if ft.Program != name || ft.PC != 1 || ft.Last != b.instrs[1].Op {
+			t.Errorf("%s: error fields = %+v", name, *ft)
+		}
+	}
+	// The two terminators that cannot fall through are accepted.
+	loop := NewBuilder("loop")
+	top := loop.Here()
+	loop.Exit().Br(top)
+	if _, err := loop.Build(); err != nil {
+		t.Errorf("program ending in br rejected: %v", err)
+	}
+	if _, err := NewBuilder("exit").Nop().Exit().Build(); err != nil {
+		t.Errorf("program ending in exit rejected: %v", err)
+	}
 }
 
 func TestBuilderEmitsExpectedOps(t *testing.T) {
@@ -140,11 +167,11 @@ func TestBuilderEmitsExpectedOps(t *testing.T) {
 		t.Fatalf("len = %d, want %d", p.Len(), len(wantOps))
 	}
 	for i, op := range wantOps {
-		if p.At(i).Op != op {
-			t.Errorf("instr %d = %s, want %s", i, p.At(i).Op, op)
+		if p.Instrs[i].Op != op {
+			t.Errorf("instr %d = %s, want %s", i, p.Instrs[i].Op, op)
 		}
 	}
-	if !p.At(28).NoRet {
+	if !p.Instrs[28].NoRet {
 		t.Errorf("AtomAddNR lost NoRet flag")
 	}
 }

@@ -258,20 +258,52 @@ func (i Instr) String() string {
 	}
 }
 
-// Program is a validated, immutable instruction sequence.
+// Program is a validated, immutable instruction sequence. Builder.Build is
+// its only constructor: it decodes every instruction once, and the decoded
+// table is read-only afterwards, so SMs ticking in parallel share it freely.
 type Program struct {
-	Name   string
-	Instrs []Instr
+	Name    string
+	Instrs  []Instr
+	decoded []Decoded
 }
 
-// At returns the instruction at pc. It panics if pc is out of range, which
-// indicates a control-flow bug in the core model (a warp must exit via
-// OpExit).
-func (p *Program) At(pc int) Instr {
-	if pc < 0 || pc >= len(p.Instrs) {
-		panic(fmt.Sprintf("isa: program %q pc %d out of range [0,%d)", p.Name, pc, len(p.Instrs)))
+// Decoded is an instruction plus what the issue stage asks of it every
+// cycle, worked out once at Build from the definitions in Op.Class,
+// Instr.ReadRegs and Instr.WritesReg.
+type Decoded struct {
+	Instr
+	// Class is Op.Class().
+	Class Class
+	nscan uint8
+	scan  [MaxScanRegs]Reg
+}
+
+// MaxScanRegs is the most registers one instruction puts on its scoreboard
+// scan list (FMA and a returning CAS: three reads plus the destination).
+const MaxScanRegs = 4
+
+// ScanRegs returns the registers the scoreboard checks before issue: the
+// registers read, then the destination (a write-after-write hazard). The
+// slice aliases the table; callers must not modify it.
+func (d *Decoded) ScanRegs() []Reg { return d.scan[:d.nscan] }
+
+// Fetch returns the decoded instruction at pc. Build guarantees a warp that
+// starts at 0 never leaves the program: every branch target is in range and
+// the last instruction cannot fall through.
+func (p *Program) Fetch(pc int) *Decoded { return &p.decoded[pc] }
+
+// decode builds the Decoded entry for one instruction.
+func decode(in Instr) (Decoded, error) {
+	d := Decoded{Instr: in, Class: in.Op.Class()}
+	regs := in.ReadRegs(nil)
+	if rd, ok := in.WritesReg(); ok {
+		regs = append(regs, rd)
 	}
-	return p.Instrs[pc]
+	if len(regs) > MaxScanRegs {
+		return d, fmt.Errorf("%s scans %d registers, the decoded table holds %d", in.Op, len(regs), MaxScanRegs)
+	}
+	d.nscan = uint8(copy(d.scan[:], regs))
+	return d, nil
 }
 
 // Len returns the instruction count.

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -215,6 +216,36 @@ func TestRegistrySchemaMatchesConstructors(t *testing.T) {
 		}
 		if _, err := e.BuildSmall(nil); err != nil {
 			t.Errorf("%s: Small overrides do not construct: %v", name, err)
+		}
+	}
+}
+
+// TestRegistryProgramsAreDecoded: every registry workload's kernel carries
+// the decoded table the issue stage reads, one entry per instruction, equal
+// to what the ISA's definitions give for that instruction.
+func TestRegistryProgramsAreDecoded(t *testing.T) {
+	reg := Builtins()
+	for _, name := range reg.Names() {
+		e, _ := reg.Lookup(name)
+		inst, err := e.BuildSmall(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		k, _, err := inst.Build(cpu.NewHost(mem.NewBacking()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p := k.Program
+		for pc, in := range p.Instrs {
+			d := p.Fetch(pc)
+			want := in.ReadRegs(nil)
+			if rd, ok := in.WritesReg(); ok {
+				want = append(want, rd)
+			}
+			if d.Instr != in || d.Class != in.Op.Class() || !slices.Equal(d.ScanRegs(), want) {
+				t.Errorf("%s pc %d (%s): decoded class %d scan %v, want class %d scan %v",
+					name, pc, in, d.Class, d.ScanRegs(), in.Op.Class(), want)
+			}
 		}
 	}
 }
