@@ -305,8 +305,8 @@ func main() {
 // lines appear only when the run recorded such events.
 func printEngineStats(label string, st gsi.EngineStats) {
 	fmt.Fprintf(os.Stderr,
-		"engine stats [%s]: steps=%d jumps=%d skipped=%d express=%d demotions=%d naps=%d napped-sm-cycles=%d\n",
-		label, st.Steps, st.Jumps, st.SkippedCycles,
+		"engine stats [%s]: steps=%d visits=%d jumps=%d skipped=%d express=%d demotions=%d naps=%d napped-sm-cycles=%d\n",
+		label, st.Steps, st.Visits, st.Jumps, st.SkippedCycles,
 		st.ExpressDeliveries, st.ExpressDemotions, st.Naps, st.NappedSMCycles)
 	if st.Jumps > 0 {
 		var sb strings.Builder

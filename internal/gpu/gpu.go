@@ -106,14 +106,15 @@ func (g *GPU) Done() bool {
 // smSlot adapts one SM to the scheduling engine and gives it local time.
 // After a tick in which no warp issued, the slot asks the SM's NextEvent
 // promise (bounded by its CoreMem's own timer) how long the SM stays
-// frozen; when that lies beyond the next cycle the SM naps: the slot's
-// Tick returns at once until the promised cycle, and the frozen
-// classification is credited to the Inspector in one span when the nap
-// ends — GSI still accounts a classification for every GPU cycle of every
-// SM, including the ones the SM never ticked. A nap ends at its timed bound
-// or when CoreMem pokes the slot because external input is about to land
-// (see poke). The drained tail of an SM whose last block retired is the
-// same nap with no bound, closed when the run returns.
+// frozen; when that lies beyond the next cycle the SM naps: the slot parks
+// in the engine (sim.Handle.Park) and is not visited until the promised
+// cycle, and the frozen classification is credited to the Inspector in one
+// span when the nap ends — GSI still accounts a classification for every GPU
+// cycle of every SM, including the ones the SM never ticked. A nap ends at
+// its timed bound or when CoreMem pokes the slot because external input is
+// about to land (see poke). The drained tail of an SM whose last block
+// retired is the same nap with no bound and no park — the slot just goes
+// idle — closed when the run returns.
 //
 // The dense loop never naps: it is the oracle the naps are checked
 // against.
@@ -122,8 +123,9 @@ type smSlot struct {
 	// naps enables napping (every mode but dense).
 	naps bool
 
-	// While napping, cycles [napFrom, now) are not yet credited; napUntil
-	// is the timed bound (sim.NoEvent: only a poke ends the nap).
+	// While napping, cycles [napFrom, now) are not yet credited. napUntil
+	// is the timed bound (sim.NoEvent: only a poke ends the nap) of a nap
+	// the engine still visits — see Tick.
 	napping  bool
 	napFrom  uint64
 	napUntil uint64
@@ -134,17 +136,22 @@ type smSlot struct {
 	// Scheduling counters, summed into GPU.EngineStats after the run.
 	napCount, nappedCycles uint64
 
-	// wake re-arms the slot in the engine: a poke or a deferred block
-	// handoff (parallel engine commit phase) can reach a drained SM whose
-	// slot has left the active set.
+	// wake and park are the slot's engine handle. wake re-arms it: a poke
+	// or a deferred block handoff (parallel engine commit phase) can reach
+	// a parked SM, or a drained one whose slot has left the active set.
 	wake func()
+	park func(until uint64) bool
 
 	// audit, set only by tests, ticks the SM through its naps and reports
 	// every cycle in which the nap's promise did not hold.
 	audit func(sm int, cycle uint64, problem string)
 }
 
-// Tick implements sim.Component.
+// Tick implements sim.Component. A parked nap is not visited at all; the
+// engine still enters a napping slot, which stays busy and does nothing until
+// its bound, only where parking is not on offer: under the test audit, for a
+// nap of a single visit (parking costs more than the visit it would save),
+// and when the engine declined the park (the parallel engine does).
 func (s *smSlot) Tick(cycle uint64) bool {
 	if s.napping {
 		if cycle < s.napUntil {
@@ -172,7 +179,8 @@ func (s *smSlot) Tick(cycle uint64) bool {
 // bound is only slack, and cheap: dropping it adds under 2% to the napped
 // cycles of any registry workload. A drained SM stays idle whatever its
 // CoreMem still does, and must nap — its slot is about to leave the active
-// set.
+// set. A resident SM parks instead: it is still pending work, so the engine
+// keeps counting it against a stall and bounds its jumps by the nap's end.
 func (s *smSlot) planNap(now uint64, resident bool) {
 	until := s.sm.NextEvent(now)
 	if until > now+1 && resident {
@@ -184,6 +192,9 @@ func (s *smSlot) planNap(now uint64, resident bool) {
 	s.napping, s.napFrom, s.napUntil = true, now+1, until
 	s.mshrRetry = s.sm.lsu.mshrRetrying(now)
 	s.napCount++
+	if resident && until > now+2 && s.audit == nil {
+		s.park(until)
+	}
 }
 
 // endNap closes an open nap at cycle end: the SM observed nothing during
@@ -245,8 +256,9 @@ func (s *smSlot) auditTick(cycle uint64) {
 	s.audit(sm.id, cycle, fmt.Sprintf("%s in a nap that promised %+v: %s", problem, promised, s.Diagnose()))
 }
 
-// NextEvent implements sim.NextEventer: a napping SM is frozen until its
-// bound, and an awake one never permits a jump.
+// NextEvent implements sim.NextEventer for a slot the engine is visiting: a
+// napping SM is frozen until its bound (a parked one is not asked — the
+// engine holds the same bound), and an awake one never permits a jump.
 func (s *smSlot) NextEvent(now uint64) uint64 {
 	if s.napping {
 		return s.napUntil
@@ -255,8 +267,8 @@ func (s *smSlot) NextEvent(now uint64) uint64 {
 }
 
 // Diagnose implements sim.Diagnoser for engine deadlock dumps. A napping
-// SM is busy to the engine, so the dump says since when it has been frozen,
-// until when, and in which classification.
+// SM is pending work to the engine, so the dump says since when it has been
+// frozen, until when, and in which classification.
 func (s *smSlot) Diagnose() string {
 	d := s.sm.Diagnose()
 	if !s.napping {
@@ -330,7 +342,8 @@ func (g *GPU) RunContext(ctx context.Context) (uint64, error) {
 		// mem.System.Attach): the pair shares a worker, preserving their
 		// serial intra-cycle interplay, while distinct SMs tick
 		// concurrently.
-		s.wake = eng.RegisterGroup(fmt.Sprintf("sm%d", i), s, i).Wake
+		h := eng.RegisterGroup(fmt.Sprintf("sm%d", i), s, i)
+		s.wake, s.park = h.Wake, h.Park
 		if s.naps {
 			// Every external input to SM i arrives through CoreMem i,
 			// which pokes the slot before it lets any of it land.

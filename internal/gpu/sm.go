@@ -41,8 +41,8 @@ type SM struct {
 	// orderValid caches order across cycles: the consideration order is a
 	// pure function of greedy, the warps' finished states, and lastIssue
 	// cycles, all of which change only when a warp issues (or a block
-	// starts) — so stall-heavy cycles reuse the previous order instead of
-	// re-sorting.
+	// starts) — so stall-heavy cycles reuse the previous order, and an
+	// issue only repairs it (see schedOrder).
 	orderValid bool
 
 	// lastClass is the cycle classification recorded by the most recent
@@ -113,6 +113,10 @@ func (sm *SM) startBlock(k *Kernel, block int) {
 	sm.barrierArrived = 0
 	sm.finished = 0
 	sm.flushStarted = false
+	sm.order = sm.order[:0]
+	for i := range sm.warps {
+		sm.order = append(sm.order, i)
+	}
 	sm.orderValid = false
 	sm.cm.SelfInvalidate() // kernel launch has acquire semantics
 
@@ -162,28 +166,37 @@ func (sm *SM) issueStage(cycle uint64) {
 	sm.lastClass = sm.gpu.Insp.Observe(sm.id, sm.obsBuf)
 }
 
-// schedOrder builds the warp consideration order: greedy warp first, the
+// schedOrder returns the warp consideration order: greedy warp first, the
 // rest sorted by last issue cycle (oldest first), then index. The order is
-// cached until an issue (or block start) changes one of its inputs.
+// cached until an issue (or block start) changes one of its inputs, and then
+// repaired rather than rebuilt: finished warps drop out, the greedy warp
+// moves to the front, and one insertion-sort pass over the rest — already
+// sorted but for the previous greedy warp and this cycle's other issuers —
+// puts those back in place. The key (lastIssue, idx) is total, so the result
+// is the permutation a sort from scratch produces.
 func (sm *SM) schedOrder() []int {
 	if sm.orderValid {
 		return sm.order
 	}
 	sm.orderValid = true
-	sm.order = sm.order[:0]
-	if g := sm.greedy; g < len(sm.warps) && sm.warps[g].state != warpFinished {
-		sm.order = append(sm.order, g)
-	}
-	start := len(sm.order)
-	for i, w := range sm.warps {
-		if i == sm.greedy || w.state == warpFinished {
-			continue
+	g := sm.greedy
+	lead := g < len(sm.warps) && sm.warps[g].state != warpFinished
+	rest := sm.order[:0]
+	for _, i := range sm.order {
+		if i != g && sm.warps[i].state != warpFinished {
+			rest = append(rest, i)
 		}
-		sm.order = append(sm.order, i)
 	}
-	rest := sm.order[start:]
-	// Insertion sort: warp counts are small and the slice is nearly
-	// sorted from cycle to cycle.
+	if lead {
+		// The greedy warp was in the previous order, so there is room.
+		rest = rest[:len(rest)+1]
+		copy(rest[1:], rest)
+		rest[0] = g
+	}
+	sm.order = rest
+	if lead {
+		rest = rest[1:]
+	}
 	for i := 1; i < len(rest); i++ {
 		for j := i; j > 0; j-- {
 			a, b := sm.warps[rest[j-1]], sm.warps[rest[j]]
@@ -197,13 +210,15 @@ func (sm *SM) schedOrder() []int {
 	return sm.order
 }
 
-// considerWarp builds the warp's issue condition, issues if possible, and
-// appends the Algorithm-1 classification.
+// considerWarp issues the warp if possible and appends its Algorithm-1
+// classification. A warp blocked on an atomic or at a barrier is a sync stall
+// whatever else is true of it, so it gets its observation without a Cond.
 func (sm *SM) considerWarp(w *Warp, cycle uint64) {
 	var cond core.Cond
 	switch w.state {
 	case warpAtomic, warpBarrier:
-		cond.SyncBlocked = true
+		sm.obsBuf = append(sm.obsBuf, core.WarpObs{Kind: core.Sync})
+		return
 	case warpReady:
 		if cycle < w.ibufReadyAt {
 			cond.NextUnavailable = true
@@ -231,9 +246,13 @@ func (sm *SM) considerWarp(w *Warp, cycle uint64) {
 			if sm.slots > 0 {
 				sm.slots--
 				cond.Issued = true
-				sm.greedy = w.idx
+				if sm.greedy != w.idx {
+					// The greedy warp issuing again moves nothing: it
+					// already leads, and the rest is keyed on the others.
+					sm.greedy = w.idx
+					sm.orderValid = false
+				}
 				w.lastIssue = cycle
-				sm.orderValid = false
 				sm.issuedThisTick = true
 				sm.execute(w, in, cycle)
 			}
@@ -273,6 +292,7 @@ func (sm *SM) execute(w *Warp, in *isa.Decoded, cycle uint64) {
 	case isa.ClassExit:
 		w.state = warpFinished
 		sm.finished++
+		sm.orderValid = false
 		sm.checkBarrier() // fewer active warps may release the barrier
 	case isa.ClassMem, isa.ClassAtomic:
 		w.pc++

@@ -28,7 +28,7 @@ type L2Bank struct {
 	occupancy uint64
 	busyUntil uint64
 
-	inQ     []any
+	inQ     fifo[any]
 	out     outbox
 	pending map[uint64]*l2Miss
 	wake    func()
@@ -73,7 +73,7 @@ func (b *L2Bank) SetWaker(wake func()) { b.wake = wake }
 
 // Deliver receives a message from the mesh; processing happens in Tick.
 func (b *L2Bank) Deliver(payload any) {
-	b.inQ = append(b.inQ, payload)
+	b.inQ.push(payload)
 	if b.wake != nil {
 		b.wake()
 	}
@@ -83,15 +83,13 @@ func (b *L2Bank) Deliver(payload any) {
 // flushes due responses. It reports whether queued messages or undelivered
 // responses remain; in-flight memory fills re-arm the bank via Deliver.
 func (b *L2Bank) Tick(cycle uint64) bool {
-	if len(b.inQ) > 0 && cycle >= b.busyUntil {
-		m := b.inQ[0]
-		b.inQ[0] = nil
-		b.inQ = b.inQ[1:]
+	if b.inQ.len() > 0 && cycle >= b.busyUntil {
+		m := b.inQ.pop()
 		b.busyUntil = cycle + b.occupancy
 		b.process(m, cycle)
 	}
 	b.out.tick(cycle)
-	return len(b.inQ) > 0 || b.out.pending() > 0
+	return b.inQ.len() > 0 || b.out.pending() > 0
 }
 
 func (b *L2Bank) process(m any, cycle uint64) {
@@ -269,7 +267,7 @@ func (b *L2Bank) Owner(line uint64) (int, bool) {
 // Quiesced reports no queued work, in-flight fills, or undelivered
 // responses.
 func (b *L2Bank) Quiesced() bool {
-	return len(b.inQ) == 0 && len(b.pending) == 0 && b.out.pending() == 0
+	return b.inQ.len() == 0 && len(b.pending) == 0 && b.out.pending() == 0
 }
 
 // NextEvent implements the engine's skip-ahead extension: the earliest
@@ -278,7 +276,7 @@ func (b *L2Bank) Quiesced() bool {
 // re-arm the bank through Deliver and are therefore external.
 func (b *L2Bank) NextEvent(now uint64) uint64 {
 	next := b.out.nextDue()
-	if len(b.inQ) > 0 {
+	if b.inQ.len() > 0 {
 		t := b.busyUntil
 		if t < now+1 {
 			t = now + 1
@@ -295,5 +293,5 @@ func (b *L2Bank) NextEvent(now uint64) uint64 {
 
 // Diagnose describes pending work for engine deadlock dumps.
 func (b *L2Bank) Diagnose() string {
-	return fmt.Sprintf("inq=%d fills=%d out=%d", len(b.inQ), len(b.pending), b.out.pending())
+	return fmt.Sprintf("inq=%d fills=%d out=%d", b.inQ.len(), len(b.pending), b.out.pending())
 }

@@ -10,8 +10,8 @@ type MemCtrl struct {
 	perReq    uint64 // minimum cycles between request starts
 	nextStart uint64 // earliest cycle the next request may start service
 
-	queue    []memReq
-	inflight []memReq // served, waiting for latency to elapse
+	queue    fifo[memReq]
+	inflight fifo[memReq] // served, waiting for latency to elapse; sorted by readyAt
 	wake     func()
 
 	// Stats.
@@ -42,9 +42,9 @@ func (m *MemCtrl) SetWaker(wake func()) { m.wake = wake }
 // MemCtrl tick at least latency cycles later.
 func (m *MemCtrl) Request(line uint64, done func(line uint64)) {
 	m.Requests++
-	m.queue = append(m.queue, memReq{line: line, done: done})
-	if len(m.queue) > m.MaxQueue {
-		m.MaxQueue = len(m.queue)
+	m.queue.push(memReq{line: line, done: done})
+	if m.queue.len() > m.MaxQueue {
+		m.MaxQueue = m.queue.len()
 	}
 	if m.wake != nil {
 		m.wake()
@@ -56,30 +56,23 @@ func (m *MemCtrl) Request(line uint64, done func(line uint64)) {
 // request remains queued or in flight.
 func (m *MemCtrl) Tick(cycle uint64) bool {
 	// Complete in order; inflight is sorted by readyAt because service
-	// starts are monotonic.
-	n := 0
-	for _, r := range m.inflight {
-		if r.readyAt <= cycle {
-			r.done(r.line)
-		} else {
-			m.inflight[n] = r
-			n++
-		}
+	// starts are monotonic, so the first request not yet due ends the scan.
+	for m.inflight.len() > 0 && m.inflight.front().readyAt <= cycle {
+		r := m.inflight.pop()
+		r.done(r.line)
 	}
-	m.inflight = m.inflight[:n]
 
-	if len(m.queue) > 0 && cycle >= m.nextStart {
-		r := m.queue[0]
-		m.queue = m.queue[1:]
+	if m.queue.len() > 0 && cycle >= m.nextStart {
+		r := m.queue.pop()
 		r.readyAt = cycle + m.latency
-		m.inflight = append(m.inflight, r)
+		m.inflight.push(r)
 		m.nextStart = cycle + m.perReq
 	}
-	return len(m.queue) > 0 || len(m.inflight) > 0
+	return m.queue.len() > 0 || m.inflight.len() > 0
 }
 
 // Pending reports queued plus in-flight requests (for quiescence checks).
-func (m *MemCtrl) Pending() int { return len(m.queue) + len(m.inflight) }
+func (m *MemCtrl) Pending() int { return m.queue.len() + m.inflight.len() }
 
 // NextEvent implements the engine's skip-ahead extension: the earliest
 // cycle after now at which the controller can start a queued request or
@@ -87,10 +80,10 @@ func (m *MemCtrl) Pending() int { return len(m.queue) + len(m.inflight) }
 // are monotonic), so its head is the earliest completion.
 func (m *MemCtrl) NextEvent(now uint64) uint64 {
 	next := noEvent
-	if len(m.inflight) > 0 {
-		next = m.inflight[0].readyAt
+	if m.inflight.len() > 0 {
+		next = m.inflight.front().readyAt
 	}
-	if len(m.queue) > 0 {
+	if m.queue.len() > 0 {
 		start := m.nextStart
 		if start < now+1 {
 			start = now + 1
@@ -107,5 +100,5 @@ func (m *MemCtrl) NextEvent(now uint64) uint64 {
 
 // Diagnose describes pending requests for engine deadlock dumps.
 func (m *MemCtrl) Diagnose() string {
-	return fmt.Sprintf("queued=%d inflight=%d served=%d", len(m.queue), len(m.inflight), m.Requests)
+	return fmt.Sprintf("queued=%d inflight=%d served=%d", m.queue.len(), m.inflight.len(), m.Requests)
 }

@@ -30,11 +30,15 @@ package noc
 // gate in tryExpress) — refusing a grant is timing-neutral, and on
 // congested phases it zeroes the express bookkeeping for traversals that
 // would only be demoted, while disjoint routes on a moderately loaded mesh
-// keep expressing past the hot spot. The equivalence is enforced by
+// keep expressing past the hot spot. A pending flit holds its destination's
+// local-port live bit (see Mesh.setExLocal), so the tick that walks live
+// queues only still reaches its delivery slot, and a demotion mid-walk sets
+// the bit of the queue it materializes into. The equivalence is enforced by
 // TestExpressMatchesPerHop (randomized traffic, lockstep express-on vs
 // express-off meshes) and TestExpressMaterializationEachHop in
-// express_test.go, and end-to-end by the cross-engine diff (dense mode
-// always runs per-hop).
+// express_test.go — both also check, after every Send and Tick, that a live
+// bit is set exactly where a queue is occupied or a delivery pending — and
+// end-to-end by the cross-engine diff (dense mode always runs per-hop).
 
 // exFlit is one in-flight express message. It occupies no router queue;
 // its position at any instant is interpolated from the virtual pop
@@ -72,26 +76,32 @@ func edgeKey(tile, dir int) int { return tile*numDirs + dir }
 
 // posOf is a queue's intra-tick position: Tick processes routers in index
 // order and each router's output queues in direction order, so events of
-// the same cycle are ordered by tile*numDirs+dir. Materialization compares
-// these positions to decide whether a virtual pop scheduled for the
-// current tick cycle has conceptually already happened.
-func posOf(tile, dir int) int { return tile*numDirs + dir }
+// the same cycle are ordered by (tile, dir). Materialization compares these
+// positions to decide whether a virtual pop scheduled for the current tick
+// cycle has conceptually already happened. A tile spans 1<<posShift
+// positions (numDirs of them used) so that the live-bit walk splits a
+// position with a shift and a mask.
+func posOf(tile, dir int) int { return tile<<posShift | dir }
+
+const posShift = 3
 
 // posEnd orders after every queue of a tick (the send phase between ticks).
 const posEnd = int(^uint(0) >> 1)
 
-// pathMask returns the bitmask of regions the XY route src->dst touches,
-// computing and caching it on first use (the route set is static, so each
-// pair is walked at most once per Mesh).
+// pathMask returns the bitmask of regions the XY route src->dst touches: the
+// source's region row from the source's region column to the destination's,
+// then the destination's region column down or up to its region row — a
+// handful of steps whatever the mesh size, so nothing is cached.
 func (m *Mesh) pathMask(src, dst int) uint64 {
-	key := src*m.Tiles() + dst
-	mask := m.pathMasks[key]
-	if mask == 0 {
-		m.walkPath(src, dst, func(_, tile, _ int) bool {
-			mask |= 1 << uint(m.regionOf[tile])
-			return true
-		})
-		m.pathMasks[key] = mask
+	sh := m.regionShift
+	sx, sy := int(m.xy[src].x>>sh), int(m.xy[src].y>>sh)
+	dx, dy := int(m.xy[dst].x>>sh), int(m.xy[dst].y>>sh)
+	var mask uint64
+	for x := min(sx, dx); x <= max(sx, dx); x++ {
+		mask |= 1 << uint(sy*m.regionCols+x)
+	}
+	for y := min(sy, dy); y <= max(sy, dy); y++ {
+		mask |= 1 << uint(y*m.regionCols+dx)
 	}
 	return mask
 }
@@ -114,16 +124,15 @@ func (m *Mesh) walkPath(src, dst int, fn func(k, tile, dir int) bool) {
 // dirToward returns the XY-routing output direction at tile for a message
 // headed to dst (X first, then Y, then local ejection).
 func (m *Mesh) dirToward(tile, dst int) int {
-	tx, ty := tile%m.w, tile/m.w
-	dx, dy := dst%m.w, dst/m.w
+	t, d := m.xy[tile], m.xy[dst]
 	switch {
-	case dx > tx:
+	case d.x > t.x:
 		return dirEast
-	case dx < tx:
+	case d.x < t.x:
 		return dirWest
-	case dy > ty:
+	case d.y > t.y:
 		return dirSouth
-	case dy < ty:
+	case d.y < t.y:
 		return dirNorth
 	}
 	return dirLocal
@@ -215,7 +224,7 @@ func (m *Mesh) tryExpress(cycle uint64, src, dst int, port Port, payload any) bo
 		m.exEdges[edgeKey(tile, dir)] = exEdge{f: f, k: k}
 		return true
 	})
-	m.exLocal[dst] = f
+	m.setExLocal(dst, f)
 	m.exCount++
 	return true
 }
@@ -258,7 +267,7 @@ func (m *Mesh) demote(f *exFlit) {
 		}
 		return true
 	})
-	m.exLocal[f.dst] = nil
+	m.setExLocal(f.dst, nil)
 	m.exCount--
 	m.Stats.ExpressDemotions++
 	if m.obs != nil && mk >= 0 {
@@ -271,10 +280,9 @@ func (m *Mesh) demote(f *exFlit) {
 		// defensive path: deliver immediately at the ejection queue.
 		mtile, mdir, mk = f.dst, dirLocal, f.hops
 	}
-	m.routers[mtile].out[mdir].push(msg{dst: f.dst, port: f.port, payload: f.payload,
+	m.routers[mtile].out[mdir].push(&msg{dst: f.dst, port: f.port, payload: f.payload,
 		readyAt: m.popAt(f, mk), hops: mk})
-	m.routers[mtile].queued++
-	m.regionAdd(mtile)
+	m.pushed(mtile, mdir)
 }
 
 // deliverExpress ejects a due express flit at its destination tile during
@@ -290,7 +298,7 @@ func (m *Mesh) deliverExpress(f *exFlit, cycle uint64, tile int) {
 		}
 		return true
 	})
-	m.exLocal[tile] = nil
+	m.setExLocal(tile, nil)
 	m.exCount--
 	m.Stats.Messages++
 	m.Stats.Hops += uint64(f.hops)

@@ -16,6 +16,17 @@ type lockstep struct {
 	logOn   []delivery
 	logOff  []delivery
 	cycle   uint64
+	// liveErr is the first live-bit violation seen after any Send or Tick
+	// on either mesh (see liveBitsErr); diff reports it.
+	liveErr error
+}
+
+func (ls *lockstep) checkLive(after string) {
+	for _, m := range []*Mesh{ls.on, ls.off} {
+		if err := liveBitsErr(m); err != nil && ls.liveErr == nil {
+			ls.liveErr = fmt.Errorf("after %s at cycle %d (express %v): %w", after, ls.cycle, m.express, err)
+		}
+	}
 }
 
 func newLockstep(w, h, linkLat, routerLat int) *lockstep {
@@ -33,12 +44,14 @@ func newLockstep(w, h, linkLat, routerLat int) *lockstep {
 func (ls *lockstep) tick() {
 	ls.on.Tick(ls.cycle)
 	ls.off.Tick(ls.cycle)
+	ls.checkLive("Tick")
 	ls.cycle++
 }
 
 func (ls *lockstep) send(src, dst int, payload any) {
 	ls.on.Send(ls.cycle, src, dst, PortL2, payload)
 	ls.off.Send(ls.cycle, src, dst, PortL2, payload)
+	ls.checkLive("Send")
 }
 
 // sendPostTick injects during the most recently ticked cycle — legal only
@@ -47,12 +60,16 @@ func (ls *lockstep) send(src, dst int, payload any) {
 func (ls *lockstep) sendPostTick(src, dst int, payload any) {
 	ls.on.Send(ls.cycle-1, src, dst, PortL2, payload)
 	ls.off.Send(ls.cycle-1, src, dst, PortL2, payload)
+	ls.checkLive("post-tick Send")
 }
 
 // diff compares the two worlds: every delivery (cycle, tile, port,
 // payload, order) and the shared traffic statistics must match exactly.
 func (ls *lockstep) diff(t *testing.T, label string) {
 	t.Helper()
+	if ls.liveErr != nil {
+		t.Fatalf("%s: %v", label, ls.liveErr)
+	}
 	if len(ls.logOn) != len(ls.logOff) {
 		t.Fatalf("%s: express delivered %d messages, per-hop %d", label, len(ls.logOn), len(ls.logOff))
 	}

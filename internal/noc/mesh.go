@@ -5,9 +5,15 @@
 // reported latency ranges (L2 hit 29-61 cycles, remote L1 35-83, memory
 // 197-261) from single base parameters.
 //
+// A tick costs what the mesh carries, not what it spans: one live bit per
+// output queue (a local port's bit also covers the tile's pending express
+// delivery), kept where messages are pushed and popped, and Tick and
+// NextEvent visit set bits only, in the router-by-router, port-by-port order
+// a full walk would take.
+//
 // The mesh participates in event-driven skip-ahead through two mechanisms.
 // NextEvent reports the earliest cycle any buffered message can move, found
-// by scanning the queue heads when the engine plans a jump. Express routing
+// by scanning the live queue heads when the engine plans a jump. Express routing
 // (see express.go, enabled via SetExpress) goes further: a message whose
 // whole route is uncontended is modeled as one timed delivery event instead
 // of per-hop queue movements, and is demoted back into the per-hop pipeline —
@@ -17,7 +23,10 @@
 // realize it.
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Port selects the endpoint within a tile a message is delivered to: each
 // tile hosts one core-side endpoint (an L1 / LSU) and one L2 bank.
@@ -62,11 +71,11 @@ type outQueue struct {
 	n    int   // messages buffered
 }
 
-func (q *outQueue) push(m msg) {
+func (q *outQueue) push(m *msg) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = m
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = *m
 	q.n++
 }
 
@@ -82,37 +91,44 @@ func (q *outQueue) grow() {
 	q.buf, q.head = buf, 0
 }
 
-// popReady removes and returns the head message if it is due by cycle. The
+// ready reports whether the head message is due by cycle.
+func (q *outQueue) ready(cycle uint64) bool {
+	return q.n > 0 && q.buf[q.head].readyAt <= cycle
+}
+
+// pop removes and returns the head message; the queue must not be empty. The
 // vacated slot drops its payload so the ring does not keep it reachable.
-func (q *outQueue) popReady(cycle uint64) (msg, bool) {
-	if q.n == 0 {
-		return msg{}, false
-	}
+func (q *outQueue) pop() msg {
 	slot := &q.buf[q.head]
-	if slot.readyAt > cycle {
-		return msg{}, false
-	}
 	m := *slot
 	slot.payload = nil
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	return m, true
+	return m
 }
 
 type router struct {
-	out    [numDirs]outQueue
-	queued int // messages buffered across all output queues
+	out [numDirs]outQueue
 }
 
 // Mesh is a W x H mesh of routers with deterministic XY (X-first) routing.
 type Mesh struct {
-	w, h      int
+	w, h int
+	// xy holds each tile's mesh coordinates, so routing a hop compares
+	// four loaded values instead of dividing twice by the mesh width.
+	xy        []coord
 	linkLat   uint64
 	routerLat uint64
 	routers   []router
-	handler   Handler
-	wake      func()
-	obs       Observer
+	// live has bit posOf(tile, dir) set iff that output queue holds a
+	// message or, for dirLocal, the tile has an express delivery pending
+	// (never both, see setExLocal).
+	live []uint64
+	// queueVisits counts the live bits Tick has visited.
+	queueVisits uint64
+	handler     Handler
+	wake        func()
+	obs         Observer
 
 	// Express-routing state (see express.go): exEdges indexes every
 	// pending (router, direction) queue of every in-flight express flit
@@ -131,17 +147,16 @@ type Mesh struct {
 	ticked    uint64
 	hasTicked bool
 
-	// Per-region occupancy for the express grant pre-filter (see
-	// regionGateClear in express.go): tiles are coarsened into square
-	// blocks (at most 64 regions, so a region set fits one uint64 mask),
-	// regionQueued counts buffered per-hop messages per region, regionBusy
-	// mirrors it as a bitmask, and pathMasks lazily caches the region mask
-	// of each src->dst XY route (0 = not yet computed; a real mask always
-	// includes the source tile's region bit).
+	// Per-region occupancy for the express grant pre-filter (see the gate
+	// in tryExpress): tiles are coarsened into square blocks of side
+	// 1<<regionShift, regionCols to a row (at most 64 regions, so a region
+	// set fits one uint64 mask); regionQueued counts buffered per-hop
+	// messages per region and regionBusy mirrors it as a bitmask.
+	regionShift  uint
+	regionCols   int
 	regionOf     []int
 	regionQueued []int
 	regionBusy   uint64
-	pathMasks    []uint64
 
 	// Stats counts traffic for network reporting.
 	Stats Stats
@@ -162,6 +177,8 @@ type Stats struct {
 	ExpressDemotions  uint64
 }
 
+type coord struct{ x, y int32 }
+
 // New builds a w x h mesh. handler receives every delivered message.
 func New(w, h, linkLat, routerLat int, handler Handler) *Mesh {
 	if w <= 0 || h <= 0 {
@@ -172,10 +189,14 @@ func New(w, h, linkLat, routerLat int, handler Handler) *Mesh {
 		linkLat:   uint64(linkLat),
 		routerLat: uint64(routerLat),
 		routers:   make([]router, w*h),
+		xy:        make([]coord, w*h),
+		live:      make([]uint64, (w*h<<posShift+63)/64),
 		handler:   handler,
 		exEdges:   make([]exEdge, w*h*numDirs),
 		exLocal:   make([]*exFlit, w*h),
-		pathMasks: make([]uint64, w*h*w*h),
+	}
+	for t := range m.xy {
+		m.xy[t] = coord{int32(t % w), int32(t / w)}
 	}
 	m.buildRegions()
 	return m
@@ -185,21 +206,16 @@ func New(w, h, linkLat, routerLat int, handler Handler) *Mesh {
 // occupancy pre-filter. Blocks start at 2x2 and double in side length until
 // at most 64 regions remain, so any mesh's region set fits one uint64.
 func (m *Mesh) buildRegions() {
-	bs := 2
-	for ((m.w+bs-1)/bs)*((m.h+bs-1)/bs) > 64 {
-		bs *= 2
+	sh := uint(1)
+	for ((m.w-1)>>sh+1)*((m.h-1)>>sh+1) > 64 {
+		sh++
 	}
-	rw := (m.w + bs - 1) / bs
+	m.regionShift, m.regionCols = sh, (m.w-1)>>sh+1
 	m.regionOf = make([]int, m.w*m.h)
-	nRegions := 0
-	for t := range m.regionOf {
-		r := (t/m.w/bs)*rw + (t % m.w / bs)
-		m.regionOf[t] = r
-		if r+1 > nRegions {
-			nRegions = r + 1
-		}
+	for t, c := range m.xy {
+		m.regionOf[t] = int(c.y>>sh)*m.regionCols + int(c.x>>sh)
 	}
-	m.regionQueued = make([]int, nRegions)
+	m.regionQueued = make([]int, m.regionCols*((m.h-1)>>sh+1))
 }
 
 // regionAdd records one per-hop message buffered at tile's router.
@@ -253,12 +269,11 @@ func (m *Mesh) Tiles() int { return m.w * m.h }
 
 // Distance returns the Manhattan hop distance between two tiles.
 func (m *Mesh) Distance(a, b int) int {
-	ax, ay := a%m.w, a/m.w
-	bx, by := b%m.w, b/m.w
-	return abs(ax-bx) + abs(ay-by)
+	ca, cb := m.xy[a], m.xy[b]
+	return int(abs(ca.x-cb.x) + abs(ca.y-cb.y))
 }
 
-func abs(x int) int {
+func abs(x int32) int32 {
 	if x < 0 {
 		return -x
 	}
@@ -280,7 +295,7 @@ func (m *Mesh) Send(cycle uint64, src, dst int, port Port, payload any) {
 		}
 		return
 	}
-	m.route(src, msg{dst: dst, port: port, payload: payload, readyAt: cycle + m.routerLat})
+	m.route(src, &msg{dst: dst, port: port, payload: payload, readyAt: cycle + m.routerLat})
 	if m.wake != nil {
 		m.wake()
 	}
@@ -292,14 +307,49 @@ func (m *Mesh) Send(cycle uint64, src, dst int, port Port, payload any) {
 // first (materialized into the per-hop pipeline), so the pushed message
 // lands behind it in FIFO order exactly as the per-hop world would have
 // it.
-func (m *Mesh) route(tile int, mg msg) {
+func (m *Mesh) route(tile int, mg *msg) {
 	dir := m.dirToward(tile, mg.dst)
 	if m.exCount > 0 {
 		m.contend(tile, dir)
 	}
 	m.routers[tile].out[dir].push(mg)
-	m.routers[tile].queued++
+	m.pushed(tile, dir)
+}
+
+// pushed does the mesh's bookkeeping for a message just buffered in one of
+// tile's output queues: the queue is live and its region holds traffic.
+func (m *Mesh) pushed(tile, dir int) {
+	m.setLive(posOf(tile, dir), true)
 	m.regionAdd(tile)
+}
+
+// popped does the mesh's bookkeeping for a message just taken from the output
+// queue at pos, one of tile's. The queue's live bit is cleared before the
+// caller moves the message on, so a push the move triggers into this same
+// queue sets it again.
+func (m *Mesh) popped(q *outQueue, tile, pos int) {
+	if q.n == 0 {
+		m.setLive(pos, false)
+	}
+	m.regionSub(tile)
+}
+
+// setExLocal installs or clears tile's pending express delivery along with
+// the local port's live bit. The flit and the local queue never compete for
+// the bit: a grant needs the queue empty, and a push into it demotes the
+// flit first.
+func (m *Mesh) setExLocal(tile int, f *exFlit) {
+	m.exLocal[tile] = f
+	m.setLive(posOf(tile, dirLocal), f != nil)
+}
+
+// setLive sets or clears the live bit at pos.
+func (m *Mesh) setLive(pos int, on bool) {
+	if on {
+		m.live[pos>>6] |= 1 << (pos & 63)
+	} else {
+		m.live[pos>>6] &^= 1 << (pos & 63)
+	}
 }
 
 // neighbor returns the tile index one hop in dir from tile.
@@ -321,45 +371,44 @@ func (m *Mesh) neighbor(tile, dir int) int {
 // most one ready message (link bandwidth), and each local port delivers at
 // most one ready message to its endpoint (ejection bandwidth) — a due
 // express flit ejects from the same slot, at the same intra-cycle
-// position, the per-hop pipeline would deliver it from. It reports whether
-// any message remains buffered (the mesh sleeps otherwise).
+// position, the per-hop pipeline would deliver it from. Only live queues are
+// visited, in ascending posOf order — the order a walk over every router and
+// port would take, which demotion interpolation depends on. It reports
+// whether any message remains buffered (the mesh sleeps otherwise).
 func (m *Mesh) Tick(cycle uint64) bool {
 	m.inTick = true
 	m.tickCycle = cycle
 	m.tickPos = 0
-	for i := range m.routers {
-		r := &m.routers[i]
-		if r.queued == 0 {
-			// Idle router: no queue can pop anything; skip the scan
-			// unless an express delivery is due here this cycle.
-			if f := m.exLocal[i]; f == nil || f.deliverAt > cycle {
-				continue
+	for w := range m.live {
+		for word := m.live[w]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			pos := w<<6 | b
+			tile, dir := pos>>posShift, pos&(1<<posShift-1)
+			m.tickPos = pos
+			m.queueVisits++
+			q := &m.routers[tile].out[dir]
+			if dir != dirLocal {
+				if q.ready(cycle) {
+					mg := q.pop()
+					m.popped(q, tile, pos)
+					mg.hops++
+					mg.readyAt = cycle + m.linkLat + m.routerLat
+					m.route(m.neighbor(tile, dir), &mg)
+				}
+			} else if f := m.exLocal[tile]; f != nil && f.deliverAt <= cycle {
+				m.deliverExpress(f, cycle, tile)
+			} else if q.ready(cycle) {
+				mg := q.pop()
+				m.popped(q, tile, pos)
+				m.Stats.Messages++
+				m.Stats.Hops += uint64(mg.hops)
+				m.Stats.InFlight--
+				m.handler(cycle, tile, mg.port, mg.payload)
 			}
-		}
-		for dir := 0; dir < dirLocal; dir++ {
-			m.tickPos = posOf(i, dir)
-			mg, ok := r.out[dir].popReady(cycle)
-			if !ok {
-				continue
-			}
-			r.queued--
-			m.regionSub(i)
-			mg.hops++
-			mg.readyAt = cycle + m.linkLat + m.routerLat
-			m.route(m.neighbor(i, dir), mg)
-		}
-		m.tickPos = posOf(i, dirLocal)
-		// Re-read the delivery slot: a demotion triggered by one of the
-		// pops above may have materialized the flit into a real queue.
-		if f := m.exLocal[i]; f != nil && f.deliverAt <= cycle {
-			m.deliverExpress(f, cycle, i)
-		} else if mg, ok := r.out[dirLocal].popReady(cycle); ok {
-			r.queued--
-			m.regionSub(i)
-			m.Stats.Messages++
-			m.Stats.Hops += uint64(mg.hops)
-			m.Stats.InFlight--
-			m.handler(cycle, i, mg.port, mg.payload)
+			// Re-read the word: a queue that went live mid-walk above
+			// this position (a hop into a later router, a demotion, a
+			// handler's send) is visited this tick, as a full walk would.
+			word = m.live[w] &^ (uint64(2)<<b - 1)
 		}
 	}
 	m.inTick = false
@@ -376,26 +425,27 @@ func (m *Mesh) Quiesced() bool { return m.Stats.InFlight == 0 }
 const noEvent = ^uint64(0)
 
 // NextEvent implements the engine's skip-ahead extension: the earliest
-// cycle after now at which any router can move a message. Nothing is
-// maintained for it on the push/pop path; planning a jump scans, on demand,
-// the head of every non-empty output queue (a message behind the head
-// cannot move before it) plus each tile's pending express delivery — the
-// same O(routers) walk one Tick does.
+// cycle after now at which any router can move a message. Nothing beyond the
+// live bits is maintained for it on the push/pop path; planning a jump
+// scans, on demand, the head of every live output queue (a message behind
+// the head cannot move before it) plus each tile's pending express delivery.
 func (m *Mesh) NextEvent(now uint64) uint64 {
 	if m.Stats.InFlight == 0 {
 		return noEvent
 	}
 	next := noEvent
-	for i := range m.routers {
-		if r := &m.routers[i]; r.queued > 0 {
-			for dir := range r.out {
-				if q := &r.out[dir]; q.n > 0 && q.buf[q.head].readyAt < next {
-					next = q.buf[q.head].readyAt
+	for w, word := range m.live {
+		for ; word != 0; word &= word - 1 {
+			pos := w<<6 | bits.TrailingZeros64(word)
+			tile, dir := pos>>posShift, pos&(1<<posShift-1)
+			if q := &m.routers[tile].out[dir]; q.n > 0 && q.buf[q.head].readyAt < next {
+				next = q.buf[q.head].readyAt
+			}
+			if dir == dirLocal {
+				if f := m.exLocal[tile]; f != nil && f.deliverAt < next {
+					next = f.deliverAt
 				}
 			}
-		}
-		if f := m.exLocal[i]; f != nil && f.deliverAt < next {
-			next = f.deliverAt
 		}
 	}
 	if next <= now {

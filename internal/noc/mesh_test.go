@@ -28,6 +28,31 @@ func runCycles(m *Mesh, got *[]delivery, from, n uint64) {
 	}
 }
 
+// liveBitsErr checks the invariant Tick and NextEvent rest on: a live bit is
+// set iff its output queue holds a message or, for a local port, the tile has
+// an express delivery pending — no stale bit (a wasted visit would be
+// harmless, but then the bits are no longer the occupancy they claim to be)
+// and above all no missing one (a queue Tick never visits again).
+func liveBitsErr(m *Mesh) error {
+	for tile := range m.routers {
+		for dir := 0; dir < numDirs; dir++ {
+			pos := posOf(tile, dir)
+			live := m.live[pos>>6]>>(pos&63)&1 != 0
+			want := m.routers[tile].out[dir].n > 0 || (dir == dirLocal && m.exLocal[tile] != nil)
+			if live != want {
+				return fmt.Errorf("queue (%d,%d): live bit %v, %d buffered, express pending %v",
+					tile, dir, live, m.routers[tile].out[dir].n, dir == dirLocal && m.exLocal[tile] != nil)
+			}
+		}
+		for dir := numDirs; dir < 1<<posShift; dir++ {
+			if pos := posOf(tile, dir); m.live[pos>>6]>>(pos&63)&1 != 0 {
+				return fmt.Errorf("live bit set at unused position (%d,%d)", tile, dir)
+			}
+		}
+	}
+	return nil
+}
+
 func TestMeshDistance(t *testing.T) {
 	m, _ := testMesh(4, 4)
 	tests := []struct{ a, b, want int }{
@@ -161,8 +186,14 @@ func replay(t *testing.T, linkLat, routerLat int, express bool, sched []sendEv, 
 	for c := uint64(0); ; {
 		m.Tick(c)
 		ticks++
+		if err := liveBitsErr(m); err != nil {
+			t.Fatalf("after Tick %d: %v", c, err)
+		}
 		for ; i < len(sched) && sched[i].cycle == c; i++ {
 			m.Send(c, sched[i].src, sched[i].dst, sched[i].port, i)
+			if err := liveBitsErr(m); err != nil {
+				t.Fatalf("after Send %d at cycle %d: %v", i, c, err)
+			}
 		}
 		next := m.NextEvent(c)
 		if m.Quiesced() != (next == noEvent) {
@@ -268,16 +299,18 @@ func TestOutQueueRing(t *testing.T) {
 	pushed, popped := 0, 0
 	push := func(n int) {
 		for ; n > 0; n-- {
-			q.push(msg{payload: pushed, hops: pushed})
+			q.push(&msg{payload: pushed, hops: pushed})
 			pushed++
 		}
 	}
 	pop := func(n int) {
 		t.Helper()
 		for ; n > 0; n-- {
-			m, ok := q.popReady(0)
-			if !ok || m.payload != popped || m.hops != popped {
-				t.Fatalf("pop %d = %+v, %v", popped, m, ok)
+			if !q.ready(0) {
+				t.Fatalf("pop %d: queue not ready", popped)
+			}
+			if m := q.pop(); m.payload != popped || m.hops != popped {
+				t.Fatalf("pop %d = %+v", popped, m)
 			}
 			popped++
 		}
@@ -313,12 +346,94 @@ func TestOutQueueRing(t *testing.T) {
 	check(16)
 	pop(13)
 	check(16)
-	if _, ok := q.popReady(0); ok {
-		t.Fatal("pop from an empty ring")
+	if q.ready(0) {
+		t.Fatal("an empty ring is ready")
 	}
-	q.push(msg{readyAt: 5})
-	if _, ok := q.popReady(4); ok {
-		t.Fatal("popped a message before its readyAt")
+	q.push(&msg{readyAt: 5})
+	if q.ready(4) || !q.ready(5) {
+		t.Fatal("a message is ready from its readyAt on, not before")
+	}
+}
+
+// TestMeshTickCostIndependentOfSize: the same four messages, on the same
+// routes in the top-left corner, cost a 64x64 mesh exactly the queue visits
+// they cost a 4x4 one — Tick walks what is occupied, not what exists — and
+// arrive on the same cycles.
+func TestMeshTickCostIndependentOfSize(t *testing.T) {
+	type result struct {
+		visits uint64
+		log    []delivery
+	}
+	run := func(side int, express bool) result {
+		var r result
+		m := New(side, side, 1, 1, func(cycle uint64, tile int, port Port, payload any) {
+			r.log = append(r.log, delivery{tile, port, payload, cycle})
+		})
+		m.SetExpress(express)
+		at := func(x, y int) int { return y*side + x }
+		m.Send(0, at(0, 0), at(3, 3), PortL2, "a")
+		m.Send(0, at(3, 0), at(0, 2), PortCore, "b")
+		m.Send(0, at(1, 3), at(1, 0), PortL2, "c")
+		m.Send(0, at(2, 2), at(2, 2), PortL2, "d")
+		if m.Stats.InFlight != 4 {
+			t.Fatalf("%dx%d: %d in flight, want 4", side, side, m.Stats.InFlight)
+		}
+		for c := uint64(0); c < 40; c++ {
+			m.Tick(c)
+		}
+		if !m.Quiesced() {
+			t.Fatalf("%dx%d mesh did not quiesce", side, side)
+		}
+		r.visits = m.queueVisits
+		return r
+	}
+	for _, express := range []bool{false, true} {
+		small, large := run(4, express), run(64, express)
+		if small.visits == 0 || small.visits != large.visits {
+			t.Errorf("express %v: Tick visited %d queues on 4x4 and %d on 64x64 for the same traffic",
+				express, small.visits, large.visits)
+		}
+		// Four messages, at most 7 queues each, each queue visited on every
+		// tick its message waits there (two per hop): nowhere near the
+		// 80 x 40 positions a full walk of even the small mesh takes.
+		if small.visits > 4*7*2 {
+			t.Errorf("express %v: %d queue visits for four messages", express, small.visits)
+		}
+		if len(small.log) != 4 || len(large.log) != 4 {
+			t.Fatalf("express %v: delivered %d and %d of 4", express, len(small.log), len(large.log))
+		}
+		for i := range small.log {
+			if s, l := small.log[i], large.log[i]; s.cycle != l.cycle || s.payload != l.payload {
+				t.Errorf("express %v: delivery %d at cycle %d (%v) on 4x4, cycle %d (%v) on 64x64",
+					express, i, s.cycle, s.payload, l.cycle, l.payload)
+			}
+		}
+	}
+}
+
+// TestPathMaskMatchesWalkedRoute: the region mask computed from the two legs
+// of an XY route is the mask of the regions its tiles lie in, on meshes whose
+// regions are 2, 4 and 8 tiles wide and on ragged ones.
+func TestPathMaskMatchesWalkedRoute(t *testing.T) {
+	for _, dim := range [][2]int{{4, 4}, {5, 3}, {1, 7}, {16, 16}, {20, 7}, {32, 32}, {64, 64}} {
+		m := New(dim[0], dim[1], 1, 1, func(uint64, int, Port, any) {})
+		tiles := m.Tiles()
+		rng := xorshift(uint64(tiles) * 0x9E3779B97F4A7C15)
+		exhaustive := tiles*tiles <= 20000
+		for i := 0; i < 20000 && (!exhaustive || i < tiles*tiles); i++ {
+			src, dst := i/tiles, i%tiles
+			if !exhaustive {
+				src, dst = int(rng.next(uint64(tiles))), int(rng.next(uint64(tiles)))
+			}
+			var want uint64
+			m.walkPath(src, dst, func(_, tile, _ int) bool {
+				want |= 1 << uint(m.regionOf[tile])
+				return true
+			})
+			if got := m.pathMask(src, dst); got != want {
+				t.Fatalf("%dx%d: pathMask(%d,%d) = %#x, walked route touches %#x", dim[0], dim[1], src, dst, got, want)
+			}
+		}
 	}
 }
 
@@ -403,4 +518,31 @@ func BenchmarkMeshSaturated(b *testing.B) {
 	if moved := m.Stats.Hops - hops; moved > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/hop")
 	}
+}
+
+// BenchmarkMeshSparse: four messages in flight on a 64x64 mesh (a delivered
+// one is replaced at once), one op is one cycle. The cost is the occupied
+// queues', not the 4096 routers', and a hop allocates nothing.
+func BenchmarkMeshSparse(b *testing.B) {
+	m := New(64, 64, 1, 1, func(uint64, int, Port, any) {})
+	var payload any = "boxed"
+	rng := xorshift(1)
+	c := uint64(0)
+	step := func() {
+		for m.Stats.InFlight < 4 {
+			m.Send(c, int(rng.next(4096)), int(rng.next(4096)), PortL2, payload)
+		}
+		m.Tick(c)
+		c++
+	}
+	for i := 0; i < 20000; i++ {
+		step()
+	}
+	visits := m.queueVisits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(m.queueVisits-visits)/float64(b.N), "queues/tick")
 }

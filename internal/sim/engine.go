@@ -12,7 +12,9 @@
 //     from Tick whether it still has pending work, and an idle component
 //     leaves the active set until something re-arms it through its
 //     registration Handle. Because an idle component's Tick is required to
-//     be a pure no-op, skipping it cannot change the simulation.
+//     be a pure no-op, skipping it cannot change the simulation. A
+//     component that knows how long it stays frozen parks itself
+//     (Handle.Park) and is not visited until that cycle or a Wake.
 //   - EngineSkip (the default) adds event-driven skip-ahead on top of the
 //     active set: when every active component also implements NextEventer
 //     and reports its next event strictly after the next cycle, the engine
@@ -28,8 +30,8 @@
 //     effects land exactly where the serial loops put them.
 //
 // docs/ARCHITECTURE.md is the component author's guide to these
-// contracts — the idle-tick no-op rule, Wake re-arming, the NextEvent
-// never-under-promise contract, and SM naps — with each invariant
+// contracts — the idle-tick no-op rule, Wake re-arming, parking, the
+// NextEvent never-under-promise contract, and SM naps — with each invariant
 // cross-referenced to the test that enforces it.
 package sim
 
@@ -154,10 +156,10 @@ type Handle struct {
 	id int
 }
 
-// Wake puts the component back in the active set. A Wake that lands while
-// the engine is planning a skip-ahead jump clamps the jump: new work just
-// arrived, so the woken component must tick on the very next cycle exactly
-// as it would under a dense loop.
+// Wake puts the component back in the active set, ending its park if it has
+// one. A Wake that lands while the engine is planning a skip-ahead jump
+// clamps the jump: new work just arrived, so the woken component must tick on
+// the very next cycle exactly as it would under a dense loop.
 func (h Handle) Wake() {
 	e := h.e
 	if e.inParallel {
@@ -170,10 +172,49 @@ func (h Handle) Wake() {
 	if e.planning {
 		e.wokeDuringPlan = true
 	}
-	if !e.active[h.id] {
-		e.active[h.id] = true
+	w, mask := bitOf(h.id)
+	if e.parked[w]&mask != 0 {
+		e.parked[w] &^= mask
+		e.parkedCount--
+		if t := e.parkUntil[h.id]; t == e.parkDue && t != NoEvent {
+			e.parkDue = e.earliestParked()
+		}
+	}
+	if e.active[w]&mask == 0 {
+		e.active[w] |= mask
 		e.activeCount++
 	}
+}
+
+// Park is for a component that, inside its own Tick, knows nothing it can
+// observe changes before cycle until unless someone Wakes it: it leaves the
+// active set and the engine does not visit it again until until or the first
+// Wake, whichever comes first (until == NoEvent: only a Wake). The Tick that
+// parked returns false by convention; the engine ignores its result. A
+// parked component is still pending work, not idle: it bounds a skip-ahead
+// jump at until exactly as an active component's NextEvent would, and it
+// keeps ErrStalled from firing, so a run that can only end at the watchdog
+// ends there on the cycle the dense loop reports.
+//
+// Park reports whether the component was parked. It declines under the dense
+// engine (the oracle visits everything), under the parallel engine, and when
+// a Wake already landed during this Tick; a declined component simply
+// returns what it would have returned without Park.
+func (h Handle) Park(until uint64) bool {
+	e := h.e
+	w, mask := bitOf(h.id)
+	if e.mode == EngineDense || e.mode == EngineParallel || e.active[w]&mask != 0 {
+		return false
+	}
+	if e.parked[w]&mask == 0 {
+		e.parked[w] |= mask
+		e.parkedCount++
+	}
+	e.parkUntil[h.id] = until
+	if until < e.parkDue {
+		e.parkDue = until
+	}
+	return true
 }
 
 // EngineStats counts scheduling work for benchmarks and tests; it is not
@@ -181,6 +222,10 @@ func (h Handle) Wake() {
 type EngineStats struct {
 	// Steps is the number of cycles actually executed (tick passes).
 	Steps uint64 `json:"steps"`
+	// Visits is the number of component Tick calls the engine made: Steps
+	// times the components registered under the dense engine, and what
+	// was awake in each step under the others.
+	Visits uint64 `json:"visits"`
 	// Jumps is the number of skip-ahead jumps taken.
 	Jumps uint64 `json:"jumps"`
 	// SkippedCycles is the total width of all jumped windows: simulated
@@ -253,12 +298,23 @@ type Observer interface {
 // registered components that skips components with no pending work and, in
 // skip mode, jumps gaps where every active component is waiting on a timer.
 type Engine struct {
-	cycle       uint64
-	comps       []Component
-	names       []string
-	active      []bool
+	cycle uint64
+	comps []Component
+	names []string
+	mode  EngineMode
+
+	// active is the active set, one bit per component in registration
+	// order, so a tick pass visits set bits and costs nothing for sleepers.
+	// parked marks the components sleeping on a due cycle of their own
+	// (see Handle.Park); parkUntil holds those cycles and parkDue the
+	// earliest of them (NoEvent when there is none). No component is in
+	// both sets.
+	active      []uint64
 	activeCount int
-	mode        EngineMode
+	parked      []uint64
+	parkedCount int
+	parkUntil   []uint64
+	parkDue     uint64
 
 	// nexters caches the NextEventer assertion per component (nil when
 	// not implemented), so planning a jump costs no interface type
@@ -295,6 +351,7 @@ type Engine struct {
 	groups       [][]int
 	groupCursor  []int
 	groupDelta   []int
+	groupVisits  []uint64
 	activeGroups []int
 	inParallel   bool
 	wakeMu       sync.Mutex
@@ -309,7 +366,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at cycle 0 in the default (skip-ahead)
 // mode.
-func NewEngine() *Engine { return &Engine{skipLimit: NoEvent, lastBound: -1} }
+func NewEngine() *Engine { return &Engine{skipLimit: NoEvent, lastBound: -1, parkDue: NoEvent} }
 
 // SetMode selects the scheduling loop.
 func (e *Engine) SetMode(m EngineMode) { e.mode = m }
@@ -421,7 +478,7 @@ func (e *Engine) RunContext(ctx context.Context, done func() bool, maxCycles uin
 		if e.cycle-start >= maxCycles {
 			return e.cycle - start, fmt.Errorf("%w (%d)\n%s", ErrMaxCycles, maxCycles, e.Diagnosis())
 		}
-		if e.mode != EngineDense && e.activeCount == 0 {
+		if e.mode != EngineDense && e.activeCount+e.parkedCount == 0 {
 			return e.cycle - start, fmt.Errorf("%w (cycle %d)\n%s", ErrStalled, e.cycle, e.Diagnosis())
 		}
 		if ctxDone != nil {
@@ -451,34 +508,54 @@ func (e *Engine) contextError(ctx context.Context) error {
 }
 
 // Step executes exactly one cycle: every active component ticks in
-// registration order (every component, in dense mode). A component woken
-// during the pass ticks this cycle if its slot has not passed yet, next
-// cycle otherwise — matching when the dense loop would first have it see
-// the new work. In skip mode, a completed cycle whose active components are
-// all waiting on known future events advances the clock straight to the
-// earliest one.
+// registration order (every component, in dense mode), after the parked
+// components that fall due this cycle have rejoined the active set. A
+// component woken during the pass ticks this cycle if its slot has not passed
+// yet, next cycle otherwise — matching when the dense loop would first have
+// it see the new work. In skip mode, a completed cycle whose pending
+// components are all waiting on known future events advances the clock
+// straight to the earliest one.
 func (e *Engine) Step() {
-	if e.mode == EngineParallel {
+	if e.parkDue <= e.cycle {
+		e.rearmDue()
+	}
+	switch e.mode {
+	case EngineParallel:
 		e.stepParallel()
-	} else {
-		dense := e.mode == EngineDense
+	case EngineDense:
 		for i, c := range e.comps {
-			if !dense && !e.active[i] {
-				continue
-			}
-			if e.active[i] {
-				e.active[i] = false
+			w, mask := bitOf(i)
+			if e.active[w]&mask != 0 {
+				e.active[w] &^= mask
 				e.activeCount--
 			}
-			if c.Tick(e.cycle) && !e.active[i] {
-				e.active[i] = true
+			if c.Tick(e.cycle) && e.active[w]&mask == 0 {
+				e.active[w] |= mask
 				e.activeCount++
+			}
+		}
+		e.stats.Visits += uint64(len(e.comps))
+	default:
+		for w := range e.active {
+			for word := e.active[w]; word != 0; {
+				b := bits.TrailingZeros64(word)
+				mask := uint64(1) << b
+				e.active[w] &^= mask
+				e.activeCount--
+				e.stats.Visits++
+				if e.comps[w<<6|b].Tick(e.cycle) && (e.active[w]|e.parked[w])&mask == 0 {
+					e.active[w] |= mask
+					e.activeCount++
+				}
+				// Re-read the word: a bit set mid-pass above this slot is
+				// a component whose turn has not passed yet.
+				word = e.active[w] &^ (mask<<1 - 1)
 			}
 		}
 	}
 	e.cycle++
 	e.stats.Steps++
-	if (e.mode == EngineSkip || e.mode == EngineParallel) && e.activeCount > 0 {
+	if (e.mode == EngineSkip || e.mode == EngineParallel) && e.activeCount+e.parkedCount > 0 {
 		if e.planBackoff > 0 {
 			e.planBackoff--
 		} else if e.trySkip() {
@@ -494,14 +571,47 @@ func (e *Engine) Step() {
 	}
 }
 
+// rearmDue moves every parked component whose cycle has come back into the
+// active set and recomputes the earliest due time of the rest.
+func (e *Engine) rearmDue() {
+	for w, word := range e.parked {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			if e.parkUntil[w<<6|b] <= e.cycle {
+				mask := uint64(1) << b
+				e.parked[w] &^= mask
+				e.parkedCount--
+				e.active[w] |= mask
+				e.activeCount++
+			}
+		}
+	}
+	e.parkDue = e.earliestParked()
+}
+
+// earliestParked scans the parked set for its earliest due cycle.
+func (e *Engine) earliestParked() uint64 {
+	due := NoEvent
+	for w, word := range e.parked {
+		for ; word != 0; word &= word - 1 {
+			due = min(due, e.parkUntil[w<<6|bits.TrailingZeros64(word)])
+		}
+	}
+	return due
+}
+
 // trySkip implements the skip-ahead jump after a completed tick pass. The
 // clock currently sits at the next cycle to execute; if every active
-// component implements NextEventer and the minimum reported event lies
-// strictly beyond it, the clock jumps there. Any Wake observed while
-// planning aborts the jump (an arrival needs the very next cycle), and jumps
-// never cross the watchdog limit installed by Run.
+// component implements NextEventer and the minimum reported event — or the
+// earliest parked due time — lies strictly beyond it, the clock jumps there.
+// Any Wake observed while planning aborts the jump (an arrival needs the very
+// next cycle), and jumps never cross the watchdog limit installed by Run.
 func (e *Engine) trySkip() (jumped bool) {
 	now := e.cycle - 1 // the cycle the tick pass just executed
+	target := e.parkDue
+	if target <= e.cycle {
+		return false
+	}
 	e.planning, e.wokeDuringPlan = true, false
 	defer func() { e.planning = false }()
 	// Fast path: re-consult the component that clamped the previous failed
@@ -509,7 +619,7 @@ func (e *Engine) trySkip() (jumped bool) {
 	// event-dense phases — the plan aborts after a single call; otherwise
 	// the value is kept so the full scan below does not repeat the call.
 	fastBound, fastT := -1, uint64(0)
-	if b := e.lastBound; b >= 0 && b < len(e.comps) && e.active[b] {
+	if b := e.lastBound; b >= 0 && e.isActive(b) {
 		ne := e.nexters[b]
 		if ne == nil {
 			return false
@@ -520,39 +630,34 @@ func (e *Engine) trySkip() (jumped bool) {
 			fastBound, fastT = b, t
 		}
 	}
-	target := NoEvent
-	for i := range e.comps {
-		if !e.active[i] {
-			continue
-		}
-		ne := e.nexters[i]
-		if ne == nil {
-			e.lastBound = i
-			return false
-		}
-		t := fastT
-		if i != fastBound {
-			t = ne.NextEvent(now)
-		}
-		if t <= now {
-			// A component may not promise anything earlier than the
-			// next cycle; treat a stale report as "tick me next cycle".
-			t = e.cycle
-		}
-		if t <= e.cycle {
-			// This component clamps the plan to the next cycle: no
-			// jump is possible, stop consulting the rest.
-			e.lastBound = i
-			return false
-		}
-		if t < target {
-			target = t
+	for w, word := range e.active {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			ne := e.nexters[i]
+			if ne == nil {
+				e.lastBound = i
+				return false
+			}
+			t := fastT
+			if i != fastBound {
+				t = ne.NextEvent(now)
+			}
+			if t <= e.cycle {
+				// This component clamps the plan to the next cycle (a
+				// report of now or earlier is stale and means the same):
+				// no jump is possible, stop consulting the rest.
+				e.lastBound = i
+				return false
+			}
+			if t < target {
+				target = t
+			}
 		}
 	}
 	e.lastBound = -1
 	if e.wokeDuringPlan || target == NoEvent {
-		// Either new work arrived mid-plan, or every active component is
-		// waiting on an external event that no active component will
+		// Either new work arrived mid-plan, or every pending component is
+		// waiting on an external event that no pending component will
 		// produce — tick densely and let the stall detector in Run (or
 		// the events themselves) sort it out.
 		return false
@@ -574,45 +679,81 @@ func (e *Engine) trySkip() (jumped bool) {
 	return true
 }
 
-// ActiveCount reports how many components currently have pending work.
+// bitOf returns component i's word index and mask in the active and parked
+// bitmaps.
+func bitOf(i int) (w int, mask uint64) { return i >> 6, 1 << (i & 63) }
+
+// isActive reports whether component i is in the active set.
+func (e *Engine) isActive(i int) bool {
+	w, mask := bitOf(i)
+	return e.active[w]&mask != 0
+}
+
+// isParked reports whether component i is parked.
+func (e *Engine) isParked(i int) bool {
+	w, mask := bitOf(i)
+	return e.parked[w]&mask != 0
+}
+
+// ActiveCount reports how many components are in the active set (parked
+// components are pending but not in it).
 func (e *Engine) ActiveCount() int { return e.activeCount }
 
 // diagnosisMaxComponents bounds the Diagnosis dump. The dump is embedded in
 // ErrMaxCycles/ErrStalled/ErrDeadline error strings, which the serve layer
 // stores per job and ships over SSE — on large meshes an unbounded dump
-// grows linearly with component count. Busy components carry the signal
-// (they are what a deadlock dump exists to name), so they are listed first;
-// idle ones fill the remaining budget and the rest collapse into one
+// grows linearly with component count. Busy and parked components carry the
+// signal (they are what a deadlock dump exists to name), so they are listed
+// first; idle ones fill the remaining budget and the rest collapse into one
 // elision note.
 const diagnosisMaxComponents = 32
 
-// Diagnosis renders registered components' names, busy/idle state,
+// Diagnosis renders registered components' names, busy/parked/idle state,
 // next-event time (for NextEventers), and (for Diagnosers) pending-work
 // description — the deadlock dump attached to ErrMaxCycles, ErrStalled, and
 // ErrDeadline. The next-event column says when each busy component expected
 // to make progress; "external" marks a component waiting purely on input
-// from others. At most diagnosisMaxComponents components are listed — all
-// of them in registration order when the system fits, otherwise busy
-// components first (still in registration order) with a trailing note
-// counting what was elided.
+// from others, and a parked component shows the cycle it parked until. At
+// most diagnosisMaxComponents components are listed — all of them in
+// registration order when the system fits, otherwise busy components first,
+// then parked, then idle (each still in registration order) with a trailing
+// note counting what was elided.
 func (e *Engine) Diagnosis() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "engine diagnosis at cycle %d (%d/%d components busy):\n",
-		e.cycle, e.activeCount, len(e.comps))
+	fmt.Fprintf(&sb, "engine diagnosis at cycle %d (%d/%d components busy, %d parked):\n",
+		e.cycle, e.activeCount, len(e.comps), e.parkedCount)
 	now := e.LastTick()
+	const busy, parked, idle = 0, 1, 2
+	stateOf := func(i int) int {
+		switch {
+		case e.isActive(i):
+			return busy
+		case e.isParked(i):
+			return parked
+		}
+		return idle
+	}
 	line := func(i int) {
 		c := e.comps[i]
-		state := "idle"
-		if e.active[i] {
-			state = "busy"
-		}
-		fmt.Fprintf(&sb, "  %-10s %s", e.names[i], state)
-		if ne, ok := c.(NextEventer); ok && e.active[i] {
-			if t := ne.NextEvent(now); t == NoEvent {
-				sb.WriteString("  next-event=external")
-			} else {
-				fmt.Fprintf(&sb, "  next-event=%d", t)
+		fmt.Fprintf(&sb, "  %-10s ", e.names[i])
+		switch stateOf(i) {
+		case busy:
+			sb.WriteString("busy")
+			if ne, ok := c.(NextEventer); ok {
+				if t := ne.NextEvent(now); t == NoEvent {
+					sb.WriteString("  next-event=external")
+				} else {
+					fmt.Fprintf(&sb, "  next-event=%d", t)
+				}
 			}
+		case parked:
+			if t := e.parkUntil[i]; t == NoEvent {
+				sb.WriteString("parked until woken")
+			} else {
+				fmt.Fprintf(&sb, "parked until %d", t)
+			}
+		default:
+			sb.WriteString("idle")
 		}
 		if d, ok := c.(Diagnoser); ok {
 			fmt.Fprintf(&sb, "  %s", d.Diagnose())
@@ -626,16 +767,12 @@ func (e *Engine) Diagnosis() string {
 		return sb.String()
 	}
 	printed := 0
-	for i := range e.comps {
-		if e.active[i] && printed < diagnosisMaxComponents {
-			line(i)
-			printed++
-		}
-	}
-	for i := range e.comps {
-		if !e.active[i] && printed < diagnosisMaxComponents {
-			line(i)
-			printed++
+	for state := busy; state <= idle; state++ {
+		for i := range e.comps {
+			if stateOf(i) == state && printed < diagnosisMaxComponents {
+				line(i)
+				printed++
+			}
 		}
 	}
 	fmt.Fprintf(&sb, "  ... %d more components elided (dump capped at %d)\n",

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -84,8 +85,14 @@ func (e *Engine) register(name string, c Component, group int) Handle {
 	id := len(e.comps)
 	e.comps = append(e.comps, c)
 	e.names = append(e.names, name)
-	e.active = append(e.active, true)
+	if id&63 == 0 {
+		e.active = append(e.active, 0)
+		e.parked = append(e.parked, 0)
+	}
+	w, mask := bitOf(id)
+	e.active[w] |= mask
 	e.activeCount++
+	e.parkUntil = append(e.parkUntil, NoEvent)
 	ne, _ := c.(NextEventer)
 	e.nexters = append(e.nexters, ne)
 	cm, _ := c.(Committer)
@@ -96,6 +103,7 @@ func (e *Engine) register(name string, c Component, group int) Handle {
 			e.groups = append(e.groups, nil)
 			e.groupCursor = append(e.groupCursor, cursorIdle)
 			e.groupDelta = append(e.groupDelta, 0)
+			e.groupVisits = append(e.groupVisits, 0)
 		}
 		e.memberIdx = append(e.memberIdx, len(e.groups[group]))
 		e.groups[group] = append(e.groups[group], id)
@@ -116,13 +124,15 @@ func (e *Engine) stepParallel() {
 	t0 := time.Now()
 	// Phase 1: hub components, serial, exactly the serial engines' loop.
 	for i := 0; i < e.hubLen; i++ {
-		if !e.active[i] {
+		if !e.isActive(i) {
 			continue
 		}
-		e.active[i] = false
+		w, mask := bitOf(i)
+		e.active[w] &^= mask
 		e.activeCount--
-		if e.comps[i].Tick(cycle) && !e.active[i] {
-			e.active[i] = true
+		e.stats.Visits++
+		if e.comps[i].Tick(cycle) && e.active[w]&mask == 0 {
+			e.active[w] |= mask
 			e.activeCount++
 		}
 	}
@@ -157,7 +167,7 @@ func (e *Engine) runGroupPhase(cycle uint64) {
 	act := e.activeGroups[:0]
 	for g, members := range e.groups {
 		for _, i := range members {
-			if e.active[i] {
+			if e.isActive(i) {
 				act = append(act, g)
 				break
 			}
@@ -183,10 +193,12 @@ func (e *Engine) runGroupPhase(cycle uint64) {
 	for _, g := range act {
 		e.activeCount += e.groupDelta[g]
 		e.groupDelta[g] = 0
+		e.stats.Visits += e.groupVisits[g]
+		e.groupVisits[g] = 0
 	}
 	for _, id := range e.stagedWakes {
-		if !e.active[id] {
-			e.active[id] = true
+		if w, mask := bitOf(id); e.active[w]&mask == 0 {
+			e.active[w] |= mask
 			e.activeCount++
 		}
 	}
@@ -198,22 +210,40 @@ func (e *Engine) runGroupPhase(cycle uint64) {
 // active-count delta accumulated per group (only this worker touches it).
 // The cursor publishes the member currently ticking so same-group forward
 // wakes (a member arming a later member, or itself) take effect within
-// this pass exactly as they would mid-loop under the serial engines.
+// this pass exactly as they would mid-loop under the serial engines. Groups
+// on different workers share words of the active bitmap, so during the group
+// phase bits are tested and flipped atomically; each bit still has one
+// writer, the worker that owns its group.
 func (e *Engine) runGroup(g int, cycle uint64) {
 	members := e.groups[g]
 	for idx, i := range members {
 		e.groupCursor[g] = idx
-		if !e.active[i] {
+		if !flipBit(e.active, i, false) {
 			continue
 		}
-		e.active[i] = false
 		e.groupDelta[g]--
-		if e.comps[i].Tick(cycle) && !e.active[i] {
-			e.active[i] = true
+		e.groupVisits[g]++
+		if e.comps[i].Tick(cycle) && flipBit(e.active, i, true) {
 			e.groupDelta[g]++
 		}
 	}
 	e.groupCursor[g] = cursorIdle
+}
+
+// flipBit atomically sets bit i of the bitmap to on and reports whether that
+// changed it.
+func flipBit(bitmap []uint64, i int, on bool) (changed bool) {
+	w, mask := bitOf(i)
+	p := &bitmap[w]
+	for {
+		old := atomic.LoadUint64(p)
+		if (old&mask != 0) == on {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(p, old, old^mask) {
+			return true
+		}
+	}
 }
 
 // parallelWake is Handle.Wake's group-phase path. A forward wake within
@@ -224,8 +254,7 @@ func (e *Engine) runGroup(g int, cycle uint64) {
 // serial pass would next let the target tick anyway.
 func (e *Engine) parallelWake(id int) {
 	if g := e.compGroup[id]; g >= 0 && e.memberIdx[id] >= e.groupCursor[g] {
-		if !e.active[id] {
-			e.active[id] = true
+		if flipBit(e.active, id, true) {
 			e.groupDelta[g]++
 		}
 		return

@@ -36,6 +36,10 @@ type timedComp struct {
 	skips    []string
 	ticked   bool
 	lastTick uint64
+	// parks makes the component park until its next event instead of
+	// staying busy and promising the same cycle through NextEvent (see
+	// park_test.go).
+	parks bool
 }
 
 func (c *timedComp) schedule(at uint64) {
@@ -104,7 +108,15 @@ func (c *timedComp) Tick(cycle uint64) bool {
 				p.expressAt = 0
 				p.handle.Wake()
 			}
+		case 4:
+			// A component re-arming itself mid-tick, like a unit whose own
+			// handler queued it more work: a park later in this tick is
+			// declined.
+			c.handle.Wake()
 		}
+	}
+	if c.parks && len(c.events) > 0 && c.handle.Park(c.events[0]) {
+		return false
 	}
 	return len(c.events) > 0
 }
