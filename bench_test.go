@@ -9,7 +9,6 @@
 package gsi
 
 import (
-	"fmt"
 	"testing"
 
 	"gsi/internal/core"
@@ -435,25 +434,13 @@ func BenchmarkPipelineThroughputDense(b *testing.B) {
 	benchThroughput(b, PipelineSystem(), EngineDense, benchPipeline())
 }
 
-// BenchmarkPipelineThroughputNoExpress isolates express routing's share
-// of the pipeline win: same skip engine, per-hop mesh only. The pointer
-// chase holds one load in flight at a time, the ideal express traversal.
-func BenchmarkPipelineThroughputNoExpress(b *testing.B) {
-	sys := PipelineSystem()
-	sys.Express = false
-	benchThroughput(b, sys, EngineSkip, benchPipeline())
-}
-
-// benchSpinUTS and benchSpinUTSD are the ROADMAP's event-density-ceiling
-// shapes: single-warp SMs make lock/queue spin traffic the machine's
-// dominant activity, so per-hop mesh events used to bound every jump to
-// the 1-2 cycles between hops. Express routing models each uncontended
-// traversal as one event; these benchmarks (with their NoExpress
-// references) record how much of the ceiling that removes. blocks sets
-// how many SMs spin concurrently: at 15 the machine is saturated with
-// contending spinners (express's congestion gate keeps it near-inert), at
-// 2 each spin round trip is a long uncontended traversal — the
-// latency-bound regime express routing targets.
+// benchSpinUTS and benchSpinUTSD are the event-density-ceiling shapes:
+// single-warp SMs make lock/queue spin traffic the machine's dominant
+// activity, so per-hop mesh events bound every global jump to the 1-2
+// cycles between hops and SM naps carry the speed instead. blocks sets how
+// many SMs spin concurrently: at 15 the machine is saturated with
+// contending spinners, at 2 each spin round trip is a long uncontended
+// traversal.
 func benchSpinUTS(blocks int) Workload {
 	return NewUTSWith(UTS{Seed: 0xC0FFEE, Nodes: 1000, FrontierMin: 60,
 		Blocks: blocks, WarpsPerBlock: 1, Work: 16, FMAs: 4})
@@ -465,38 +452,21 @@ func benchSpinUTSD(blocks int) Workload {
 }
 
 // BenchmarkSpinUTSThroughput measures contended spin-dominated UTS (15
-// concurrent spinners) under the skip engine with express routing (the
-// default).
+// concurrent spinners) under the skip engine.
 func BenchmarkSpinUTSThroughput(b *testing.B) {
 	benchThroughput(b, DefaultConfig(), EngineSkip, benchSpinUTS(15))
 }
 
-// BenchmarkSpinUTSThroughputNoExpress is the per-hop reference for
-// BenchmarkSpinUTSThroughput.
-func BenchmarkSpinUTSThroughputNoExpress(b *testing.B) {
-	sys := DefaultConfig()
-	sys.Express = false
-	benchThroughput(b, sys, EngineSkip, benchSpinUTS(15))
-}
-
-// BenchmarkSpinUTSThroughputDense is the dense reference (per-hop mesh,
-// every component ticked every cycle).
+// BenchmarkSpinUTSThroughputDense is the dense reference (every component
+// ticked every cycle).
 func BenchmarkSpinUTSThroughputDense(b *testing.B) {
 	benchThroughput(b, DefaultConfig(), EngineDense, benchSpinUTS(15))
 }
 
 // BenchmarkSpinUTSDThroughput measures the contended decentralized spin
-// shape under the skip engine with express routing.
+// shape under the skip engine.
 func BenchmarkSpinUTSDThroughput(b *testing.B) {
 	benchThroughput(b, DefaultConfig(), EngineSkip, benchSpinUTSD(15))
-}
-
-// BenchmarkSpinUTSDThroughputNoExpress is the per-hop reference for
-// BenchmarkSpinUTSDThroughput.
-func BenchmarkSpinUTSDThroughputNoExpress(b *testing.B) {
-	sys := DefaultConfig()
-	sys.Express = false
-	benchThroughput(b, sys, EngineSkip, benchSpinUTSD(15))
 }
 
 // BenchmarkSpinUTSDThroughputDense is the dense reference.
@@ -506,16 +476,9 @@ func BenchmarkSpinUTSDThroughputDense(b *testing.B) {
 
 // BenchmarkSpinUTSLatencyBound and its references measure the two-spinner
 // regime: with most SMs idle, each lock round trip is a long uncontended
-// mesh traversal, so express routing turns nearly every spin wait into one
-// jumpable event (~35% of all cycles skipped; see BENCH_engine.json).
+// mesh traversal.
 func BenchmarkSpinUTSLatencyBound(b *testing.B) {
 	benchThroughput(b, DefaultConfig(), EngineSkip, benchSpinUTS(2))
-}
-
-func BenchmarkSpinUTSLatencyBoundNoExpress(b *testing.B) {
-	sys := DefaultConfig()
-	sys.Express = false
-	benchThroughput(b, sys, EngineSkip, benchSpinUTS(2))
 }
 
 func BenchmarkSpinUTSLatencyBoundQuiescent(b *testing.B) {
@@ -529,12 +492,6 @@ func BenchmarkSpinUTSLatencyBoundDense(b *testing.B) {
 // BenchmarkSpinUTSDLatencyBound is the decentralized two-spinner shape.
 func BenchmarkSpinUTSDLatencyBound(b *testing.B) {
 	benchThroughput(b, DefaultConfig(), EngineSkip, benchSpinUTSD(2))
-}
-
-func BenchmarkSpinUTSDLatencyBoundNoExpress(b *testing.B) {
-	sys := DefaultConfig()
-	sys.Express = false
-	benchThroughput(b, sys, EngineSkip, benchSpinUTSD(2))
 }
 
 func BenchmarkSpinUTSDLatencyBoundQuiescent(b *testing.B) {
@@ -561,43 +518,6 @@ func BenchmarkGUPSThroughputQuiescent(b *testing.B) {
 
 func BenchmarkGUPSThroughputDense(b *testing.B) {
 	benchThroughput(b, DefaultConfig(), EngineDense, benchGUPS())
-}
-
-// --- parallel tick engine (1/2/4/8 workers vs the serial skip rows) ---
-
-// benchThroughputParallel measures the parallel tick engine at a fixed
-// worker count; the serial skip benchmarks above are the baseline. One
-// worker runs the full partition/commit structure through the inline
-// fallback (no pool), isolating the partition overhead from the
-// concurrency win; recorded numbers only show a speedup when the host
-// grants the pool real cores (see BENCH_engine.json's host note).
-func benchThroughputParallel(b *testing.B, sys SystemConfig, w Workload) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := sys
-			s.Parallel = workers
-			benchThroughput(b, s, EngineParallel, w)
-		})
-	}
-}
-
-// BenchmarkPipelineThroughputParallel: two SMs busy at a time — little
-// group-level concurrency to mine, the parallel engine's worst shape.
-func BenchmarkPipelineThroughputParallel(b *testing.B) {
-	benchThroughputParallel(b, PipelineSystem(), benchPipeline())
-}
-
-// BenchmarkGUPSThroughputParallel: all 15 SMs issuing random updates —
-// the widest group phase, the parallel engine's target shape.
-func BenchmarkGUPSThroughputParallel(b *testing.B) {
-	benchThroughputParallel(b, DefaultConfig(), benchGUPS())
-}
-
-// BenchmarkSpinUTSThroughputParallel: 15 contending spinners; wide
-// active set but mesh-dominated, so the serial hub prefix bounds the
-// parallel win (Amdahl on the fabric).
-func BenchmarkSpinUTSThroughputParallel(b *testing.B) {
-	benchThroughputParallel(b, DefaultConfig(), benchSpinUTS(15))
 }
 
 // BenchmarkAblationOwnedAtomics quantifies the owned-atomics suggestion of

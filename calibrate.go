@@ -55,7 +55,7 @@ func Calibrate(cfg SystemConfig) (*Calibration, error) {
 	// so there is no wake wiring; drive the system densely as one
 	// component (calibration runs are tiny).
 	eng := sim.NewEngine()
-	eng.SetDense(true)
+	eng.SetMode(sim.EngineDense)
 	eng.Register("mem", sim.TickFunc(sys.Tick))
 	last := eng.LastTick
 

@@ -35,8 +35,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "simulation workers (0 = all cores, 1 = serial)")
 		quiet    = flag.Bool("quiet", false, "suppress per-job progress on stderr")
 		engine   = flag.String("engine", "skip", "scheduling engine: dense | quiescent | skip (all byte-identical)")
-		dense    = flag.Bool("dense", false, "shorthand for -engine dense")
-		express  = flag.Bool("express", true, "mesh express routing: model uncontended multi-hop traversals as one timed event (always off in dense mode; timing is byte-identical either way)")
 		traceDir = flag.String("trace-dir", "", "write one Chrome/Perfetto trace-event JSON per figure job into this directory")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -58,9 +56,6 @@ func main() {
 	mode, err := gsi.ParseEngineMode(*engine)
 	if err != nil {
 		fail("%v", err)
-	}
-	if *dense {
-		mode = gsi.EngineDense
 	}
 
 	var sc gsi.Scale
@@ -133,13 +128,7 @@ func main() {
 	for si := range specs {
 		for ji := range specs[si].Sweep.Jobs {
 			o := &specs[si].Sweep.Jobs[ji].Options
-			if o.System.NumSMs == 0 {
-				// Materialize the default system so the engine and
-				// express switches below survive Options' own defaulting.
-				o.System = gsi.DefaultConfig()
-			}
 			o.System.Engine = mode
-			o.System.Express = *express
 			if *traceDir != "" {
 				tr := gsi.NewTrace()
 				o.Trace = tr

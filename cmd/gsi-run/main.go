@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -51,11 +50,8 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit JSON reports instead of text summaries")
 		parallel = flag.Int("parallel", 0, "sweep workers (0 = all cores, 1 = serial)")
 		quiet    = flag.Bool("quiet", false, "suppress sweep progress on stderr")
-		engine   = flag.String("engine", "skip", "scheduling engine: dense | quiescent | skip | parallel (all byte-identical)")
-		dense    = flag.Bool("dense", false, "shorthand for -engine dense")
-		ticks    = flag.Int("parallel-ticks", 0, "tick workers per simulation (>= 2 selects the parallel engine; 0 = serial)")
-		express  = flag.Bool("express", true, "mesh express routing: model uncontended multi-hop traversals as one timed event (always off in dense mode; timing is byte-identical either way)")
-		stats    = flag.Bool("stats", false, "print per-run engine scheduling stats (steps, jumps, express deliveries/demotions) to stderr")
+		engine   = flag.String("engine", "skip", "scheduling engine: dense | quiescent | skip (all byte-identical)")
+		stats    = flag.Bool("stats", false, "print per-run engine scheduling stats (steps, visits, jumps, naps) to stderr")
 		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON of the run to this file (single configuration only)")
 		htmlOut  = flag.String("timeline-html", "", "write a self-contained interactive HTML timeline of the run to this file (single configuration only)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -80,9 +76,6 @@ func main() {
 	mode, err := gsi.ParseEngineMode(*engine)
 	if err != nil {
 		fail("%v", err)
-	}
-	if *dense {
-		mode = gsi.EngineDense
 	}
 
 	reg := gsi.Workloads()
@@ -193,8 +186,6 @@ func main() {
 				sys.NumSMs = *sms
 			}
 			sys.Engine = mode
-			sys.Express = *express
-			sys.Parallel = *ticks
 			return gsi.Options{System: sys, Protocol: ax.Protocol,
 				SFIFO: *sfifo, OwnedAtomics: *owned, Timeline: *timeline}
 		},
@@ -215,19 +206,6 @@ func main() {
 	}
 
 	cfg := gsi.SweepConfig{Parallel: *parallel}
-	if *ticks > 1 {
-		// Nested-parallelism budget: each simulation already spreads its
-		// tick pass over *ticks workers, so the sweep fan-out is capped at
-		// NumCPU / ticks (at least one job) to keep the product of the two
-		// levels within the machine instead of oversubscribing it.
-		maxSweep := runtime.NumCPU() / *ticks
-		if maxSweep < 1 {
-			maxSweep = 1
-		}
-		if cfg.Parallel == 0 || cfg.Parallel > maxSweep {
-			cfg.Parallel = maxSweep
-		}
-	}
 	if !*quiet && len(sweep.Jobs) > 1 {
 		cfg.Progress = gsi.ProgressPrinter(os.Stderr)
 	}
@@ -299,15 +277,14 @@ func main() {
 }
 
 // printEngineStats prints one run's scheduling counters to stderr in a
-// uniform shape for all four engine modes — the dense loop simply reports
+// uniform shape for all three engine modes — the dense loop simply reports
 // jumps=0 and naps=0 — so scripted consumers (including the CI
-// event-density gate) parse one format everywhere. Jump-width and phase-attribution detail
-// lines appear only when the run recorded such events.
+// event-density gate) parse one format everywhere. The jump-width detail
+// line appears only when the run jumped.
 func printEngineStats(label string, st gsi.EngineStats) {
 	fmt.Fprintf(os.Stderr,
-		"engine stats [%s]: steps=%d visits=%d jumps=%d skipped=%d express=%d demotions=%d naps=%d napped-sm-cycles=%d\n",
-		label, st.Steps, st.Visits, st.Jumps, st.SkippedCycles,
-		st.ExpressDeliveries, st.ExpressDemotions, st.Naps, st.NappedSMCycles)
+		"engine stats [%s]: steps=%d visits=%d jumps=%d skipped=%d naps=%d napped-sm-cycles=%d\n",
+		label, st.Steps, st.Visits, st.Jumps, st.SkippedCycles, st.Naps, st.NappedSMCycles)
 	if st.Jumps > 0 {
 		var sb strings.Builder
 		for b, n := range st.JumpHist {
@@ -320,14 +297,6 @@ func printEngineStats(label string, st gsi.EngineStats) {
 			fmt.Fprintf(&sb, "2^%d:%d", b, n)
 		}
 		fmt.Fprintf(os.Stderr, "  jump widths [%s]: %s\n", label, sb.String())
-	}
-	if total := st.PhaseNanos.Hub + st.PhaseNanos.Group + st.PhaseNanos.Commit; total > 0 {
-		pct := func(v uint64) float64 { return 100 * float64(v) / float64(total) }
-		fmt.Fprintf(os.Stderr,
-			"  tick phases [%s]: hub=%dns (%.0f%%) group=%dns (%.0f%%) commit=%dns (%.0f%%)\n",
-			label, st.PhaseNanos.Hub, pct(st.PhaseNanos.Hub),
-			st.PhaseNanos.Group, pct(st.PhaseNanos.Group),
-			st.PhaseNanos.Commit, pct(st.PhaseNanos.Commit))
 	}
 }
 

@@ -1,11 +1,11 @@
 // Command gsi-scale is the iterate-until-failure scale harness: it grows
 // one configuration axis at a time (mesh dims, warps per SM, workload
-// size, sweep-grid width, parallel-tick workers) until a wall — per-rung
-// wall-clock budget, RSS ceiling, error, or engine identity break —
-// recording per-rung ns-per-cycle, scheduling counters, RSS, and
-// allocations into BENCH_scale.json, and optionally a markdown ceiling
-// report. Every rung runs the workload through all four engine modes and
-// asserts byte-identical reports.
+// size, sweep-grid width) until a wall — per-rung wall-clock budget, RSS
+// ceiling, error, or engine identity break — recording per-rung
+// ns-per-cycle, scheduling counters, RSS, and allocations into
+// BENCH_scale.json, and optionally a markdown ceiling report. Every rung
+// times the skip engine and re-runs the workload under the dense and
+// quiescent engines, asserting byte-identical reports.
 //
 // Examples:
 //
@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		workload    = flag.String("workload", "all", "comma-separated registry names, or all")
-		axis        = flag.String("axis", "all", "comma-separated growth axes (mesh, warps, size, grid, ticks), or all")
+		axis        = flag.String("axis", "all", "comma-separated growth axes (mesh, warps, size, grid), or all")
 		rungBudget  = flag.Duration("rung-budget", 10*time.Second, "stop a series after the first rung exceeding this wall clock (0 = none)")
 		totalBudget = flag.Duration("total-budget", 0, "wall-clock bound for the whole run (0 = none)")
 		rssMB       = flag.Int("rss-mb", 0, "stop a series when process max RSS passes this many MB (0 = none)")

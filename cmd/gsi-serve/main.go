@@ -49,8 +49,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		parallel   = flag.Int("parallel", 0, "simulation pool size shared across submissions (0 = all cores)")
-		ticks      = flag.Int("parallel-ticks", 0, "tick workers per simulation (>= 2 selects the parallel engine; the pool shrinks to fit)")
-		engine     = flag.String("engine", "skip", "scheduling engine: dense | quiescent | skip | parallel (results are byte-identical; this is a wall-clock knob)")
+		engine     = flag.String("engine", "skip", "scheduling engine: dense | quiescent | skip (results are byte-identical; this is a wall-clock knob)")
 		cacheDir   = flag.String("cache-dir", "", "persist the result cache in this directory (journaled as results complete, flushed on drain)")
 		maxEnt     = flag.Int("cache-max-entries", 0, "bound the in-memory result cache to this many entries, LRU-evicted (0 = unlimited)")
 		maxBytes   = flag.Int("cache-max-bytes", 0, "bound the in-memory result cache to this many bytes of result documents, LRU-evicted (0 = unlimited)")
@@ -76,7 +75,6 @@ func main() {
 	server, err := serve.New(serve.Config{
 		Workers:         *parallel,
 		Engine:          mode,
-		Parallel:        *ticks,
 		CacheDir:        *cacheDir,
 		CacheMaxEntries: *maxEnt,
 		CacheMaxBytes:   *maxBytes,

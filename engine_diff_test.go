@@ -6,34 +6,25 @@ import (
 )
 
 // figureSpecsEngine returns every figure spec at small scale with the given
-// scheduling engine forced on each job. Jobs whose System is zero resolve
-// to DefaultConfig through withDefaults, so the switch is applied to the
-// resolved config.
+// scheduling engine forced on each job (withDefaults keeps the selection on
+// a job whose System is otherwise zero).
 func figureSpecsEngine(mode EngineMode) []FigureSpec {
 	sc := SmallScale()
 	specs := []FigureSpec{Figure61Spec(sc), Figure62Spec(sc), Figure63Spec(), WorkloadGallerySpec(sc)}
 	specs = append(specs, Figure64Specs(sc)...)
 	for si := range specs {
 		for ji := range specs[si].Sweep.Jobs {
-			o := &specs[si].Sweep.Jobs[ji].Options
-			*o = o.withDefaults()
-			o.System.Engine = mode
-			if mode == EngineParallel {
-				// Force a real worker pool even on a single-core host so
-				// the concurrent group phase and commit path are exercised,
-				// not the serial-inline fallback.
-				o.System.Parallel = 4
-			}
+			specs[si].Sweep.Jobs[ji].Options.System.Engine = mode
 		}
 	}
 	return specs
 }
 
 // TestEnginesByteIdentical is the cross-engine determinism contract: for
-// every figure spec, the dense reference loop, the quiescence-aware loop,
-// the event-driven skip-ahead engine, and the parallel tick engine (four
-// workers) must produce byte-identical reports — same cycles, same stall
-// counts, same memory statistics, same JSON.
+// every figure spec, the dense reference loop, the quiescence-aware loop
+// and the event-driven skip-ahead engine must produce byte-identical
+// reports — same cycles, same stall counts, same memory statistics, same
+// JSON.
 func TestEnginesByteIdentical(t *testing.T) {
 	type engineRun struct {
 		mode EngineMode
@@ -44,7 +35,6 @@ func TestEnginesByteIdentical(t *testing.T) {
 		{mode: EngineDense},
 		{mode: EngineQuiescent},
 		{mode: EngineSkip},
-		{mode: EngineParallel},
 	}
 	for _, r := range runs {
 		sets, err := RunFigureSpecs(figureSpecsEngine(r.mode), SweepConfig{})
@@ -92,8 +82,8 @@ func diffLine(a, b []byte) (string, string) {
 // the per-SM timeline enabled (the collector most sensitive to when cycles
 // are recorded), a 15-SM run whose SMs drain at different times must render
 // identically whether cycles were observed one at a time (dense) or stall
-// windows and idle tails were credited as one span per SM nap (every other
-// engine), with or without global jumps on top.
+// windows and idle tails were credited as one span per SM nap (the other
+// two engines), with or without global jumps on top.
 func TestEnginesIdenticalWithTimeline(t *testing.T) {
 	w := NewUTSDWith(UTSD{Seed: 0xC0FFEE, Nodes: 120, FrontierMin: 40,
 		Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
@@ -101,9 +91,6 @@ func TestEnginesIdenticalWithTimeline(t *testing.T) {
 		opt := Options{Protocol: DeNovo, Timeline: true}
 		opt.System = DefaultConfig()
 		opt.System.Engine = mode
-		if mode == EngineParallel {
-			opt.System.Parallel = 4
-		}
 		rep, err := Run(opt, w)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +98,7 @@ func TestEnginesIdenticalWithTimeline(t *testing.T) {
 		return rep
 	}
 	d := run(EngineDense)
-	for _, mode := range []EngineMode{EngineQuiescent, EngineSkip, EngineParallel} {
+	for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
 		q := run(mode)
 		if q.Timeline != d.Timeline {
 			t.Errorf("%s: timelines diverge:\n--- %s ---\n%s\n--- dense ---\n%s",
@@ -128,11 +115,10 @@ func TestEnginesIdenticalWithTimeline(t *testing.T) {
 
 // TestEnginesByteIdenticalWithTrace extends the cross-engine contract to
 // the observability layer: with a trace collector attached — every
-// Inspector classification, engine jump, parallel phase sample, and mesh
-// express event flowing into it — each of the four engine modes must
-// still produce the byte-identical JSON report an untraced dense run
-// does. Tracing is observation only; any hook that perturbs simulation
-// state diverges here.
+// Inspector classification and engine jump flowing into it — each of the
+// three engine modes must still produce the byte-identical JSON report an
+// untraced dense run does. Tracing is observation only; any hook that
+// perturbs simulation state diverges here.
 func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 	w := NewUTSDWith(UTSD{Seed: 0xC0FFEE, Nodes: 120, FrontierMin: 40,
 		Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
@@ -140,9 +126,6 @@ func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 		opt := Options{Protocol: DeNovo, Trace: tr}
 		opt.System = DefaultConfig()
 		opt.System.Engine = mode
-		if mode == EngineParallel {
-			opt.System.Parallel = 4
-		}
 		rep, err := Run(opt, w)
 		if err != nil {
 			t.Fatalf("%s engine: %v", mode, err)
@@ -153,7 +136,7 @@ func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EngineMode{EngineDense, EngineQuiescent, EngineSkip, EngineParallel} {
+	for _, mode := range []EngineMode{EngineDense, EngineQuiescent, EngineSkip} {
 		tr := NewTrace()
 		rj, err := run(mode, tr).JSON()
 		if err != nil {
@@ -176,72 +159,97 @@ func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 	}
 }
 
+// smallRegistryRun runs one registry workload at SmallScale on its tuned
+// system under DeNovo, with set applied to the system last.
+func smallRegistryRun(t *testing.T, e *WorkloadEntry, set func(*SystemConfig)) *Report {
+	t.Helper()
+	w, err := e.BuildSmall(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := e.TuneSystem(true, nil, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set(&cfg)
+	rep, err := Run(Options{System: cfg, Protocol: DeNovo}, w)
+	if err != nil {
+		t.Fatalf("%s engine: %v", cfg.Engine, err)
+	}
+	return rep
+}
+
 // TestNextEventWorkloadPool is the full-system analog of the sim package's
-// NextEvent property test: every workload in the registry — the pool now
+// NextEvent property test: every workload in the registry — the pool
 // includes BFS's global barriers, SpMV's gathers, the pipeline's bursty
 // idle phases, and GUPS's MSHR saturation — runs at SmallScale under the
-// skip-ahead engine and must produce the byte-identical JSON report the
-// dense reference loop does. Any component under-promising on any of
-// these access patterns diverges here. The skip engine runs twice, with
-// mesh express routing on and off, so an express-timing bug is isolated
-// from a skip-planning bug: express-off skip diverging blames the
-// planner, express-on alone diverging blames the express path.
+// quiescent and skip-ahead engines and must produce the byte-identical JSON
+// report the dense reference loop does. Any component under-promising on
+// any of these access patterns diverges here; quiescent diverging too
+// blames the active set or the naps, skip alone the jump planner.
 func TestNextEventWorkloadPool(t *testing.T) {
 	reg := Workloads()
 	for _, name := range reg.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			e, _ := reg.Lookup(name)
-			run := func(mode EngineMode, express bool) *Report {
-				w, err := e.BuildSmall(nil)
+			run := func(mode EngineMode) []byte {
+				doc, err := smallRegistryRun(t, e, func(c *SystemConfig) { c.Engine = mode }).JSON()
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt := Options{Protocol: DeNovo}
-				opt.System = DefaultConfig()
-				cfg, err := e.TuneSystem(true, nil, opt.System)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt.System = cfg
-				opt.System.Engine = mode
-				opt.System.Express = express
-				if mode == EngineParallel {
-					opt.System.Parallel = 4
-				}
-				rep, err := Run(opt, w)
-				if err != nil {
-					t.Fatalf("%s engine: %v", mode, err)
-				}
-				return rep
+				return doc
 			}
-			dense := run(EngineDense, false)
-			dj, err := dense.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			variants := []struct {
-				label   string
-				mode    EngineMode
-				express bool
-			}{
-				{"quiescent", EngineQuiescent, true},
-				{"skip", EngineSkip, true},
-				{"skip/no-express", EngineSkip, false},
-				{"parallel", EngineParallel, true},
-			}
-			for _, v := range variants {
-				rep := run(v.mode, v.express)
-				rj, err := rep.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(rj, dj) {
+			dj := run(EngineDense)
+			for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
+				if rj := run(mode); !bytes.Equal(rj, dj) {
 					a, b := diffLine(rj, dj)
-					t.Errorf("%s diverges from dense:\n %s: %s\n dense: %s", v.label, v.label, a, b)
+					t.Errorf("%s diverges from dense:\n %s: %s\n dense: %s", mode, mode, a, b)
 				}
 			}
 		})
+	}
+}
+
+// TestInertSchedulingFields: SystemConfig.Parallel and SystemConfig.Express
+// survive only so bench/ keeps compiling. Setting them changes nothing — not
+// the Report bytes, not the scheduling counters — and CacheKey ignores them.
+func TestInertSchedulingFields(t *testing.T) {
+	reg := Workloads()
+	for _, name := range []string{"uts", "gups"} {
+		e, _ := reg.Lookup(name)
+		want := smallRegistryRun(t, e, func(*SystemConfig) {})
+		wj, err := want.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, set := range map[string]func(*SystemConfig){
+			"Parallel=2":               func(c *SystemConfig) { c.Parallel = 2 },
+			"Express=false":            func(c *SystemConfig) { c.Express = false },
+			"Express=true":             func(c *SystemConfig) { c.Express = true },
+			"Parallel=2,Express=false": func(c *SystemConfig) { c.Parallel, c.Express = 2, false },
+		} {
+			got := smallRegistryRun(t, e, set)
+			gj, err := got.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gj, wj) {
+				a, b := diffLine(gj, wj)
+				t.Errorf("%s %s: report differs from the default run's:\n %s\n %s", name, label, a, b)
+			}
+			if got.EngineStats != want.EngineStats {
+				t.Errorf("%s %s: EngineStats %+v, default run %+v", name, label, got.EngineStats, want.EngineStats)
+			}
+			if st := got.EngineStats; st.ExpressDeliveries != 0 || st.ExpressDemotions != 0 {
+				t.Errorf("%s %s: express counters %d/%d, want always zero", name, label, st.ExpressDeliveries, st.ExpressDemotions)
+			}
+			sys := DefaultConfig()
+			set(&sys)
+			if CacheKey(Options{System: sys}, name, nil) != CacheKey(Options{}, name, nil) {
+				t.Errorf("%s %s: CacheKey changed", name, label)
+			}
+		}
 	}
 }
 
@@ -303,20 +311,9 @@ func TestNapsActuallyNap(t *testing.T) {
 	reg := Workloads()
 	for _, name := range []string{"uts", "gups"} {
 		e, _ := reg.Lookup(name)
-		w, err := e.BuildSmall(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := e.TuneSystem(true, nil, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Run(Options{System: cfg, Protocol: DeNovo}, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := smallRegistryRun(t, e, func(*SystemConfig) {})
 		st := rep.EngineStats
-		smCycles := rep.Cycles * uint64(cfg.NumSMs)
+		smCycles := rep.Cycles * uint64(len(rep.PerSM))
 		if st.Naps == 0 || float64(st.NappedSMCycles) < 0.7*float64(smCycles) {
 			t.Errorf("%s: %d naps credited %d of %d SM-cycles (%.1f%%), want at least 70%%",
 				name, st.Naps, st.NappedSMCycles, smCycles, 100*float64(st.NappedSMCycles)/float64(smCycles))

@@ -28,8 +28,8 @@ func isASCII(s string) bool {
 // invariants the serve layer's result cache is built on:
 //
 //   - the key is a stable 64-hex content address,
-//   - engine mode, parallel worker count, dense ticking, express routing,
-//     and trace presence are erased (all produce byte-identical Reports),
+//   - engine mode, trace presence and the two inert scheduling fields
+//     (Parallel, Express) are erased (none can change a Report),
 //   - cosmetic spellings — name case and surrounding whitespace — collapse,
 //   - an explicitly default-valued parameter hashes like an absent one
 //     when the workload resolves in the registry,
@@ -46,7 +46,7 @@ func FuzzCacheKey(f *testing.F) {
 	f.Add("", "", "", uint8(0), uint8(0), false, false, false, true, uint16(0))
 	f.Add("gups", "updates", "0x10", uint8(1), uint8(3), false, false, true, false, uint16(8))
 	f.Fuzz(func(t *testing.T, wl, pname, pval string, engineSel, parallel uint8, timeline, skipVerify, sfifo, express bool, mshr uint16) {
-		modes := []EngineMode{EngineSkip, EngineQuiescent, EngineDense, EngineParallel}
+		modes := []EngineMode{EngineSkip, EngineQuiescent, EngineDense}
 		sys := DefaultConfig()
 		sys.Engine = modes[int(engineSel)%len(modes)]
 		sys.Parallel = int(parallel % 8)
@@ -73,13 +73,12 @@ func FuzzCacheKey(f *testing.F) {
 			t.Fatalf("CacheKey is not deterministic: %s then %s", key, again)
 		}
 
-		// Scheduling erasure: every engine mode, worker count, dense/express
-		// setting, and trace attachment demands byte-identical Reports, so
-		// all must share one cache identity.
+		// Scheduling erasure: every engine mode and trace attachment demands
+		// byte-identical Reports, and the inert fields are read by nothing,
+		// so all must share one cache identity.
 		sched := opt
 		sched.System.Engine = modes[(int(engineSel)+1)%len(modes)]
 		sched.System.Parallel = (sys.Parallel + 3) % 8
-		sched.System.DenseTicking = !sys.DenseTicking
 		sched.System.Express = !express
 		sched.Trace = NewTrace()
 		if got := CacheKey(sched, wl, params); got != key {
@@ -180,7 +179,7 @@ func FuzzDecodeReport(f *testing.F) {
 		base.InstrsIssued = cycles / 2
 		base.EngineStats = EngineStats{
 			Steps: steps, Jumps: jumps, SkippedCycles: skipped,
-			ExpressDeliveries: steps % 13, ExpressDemotions: jumps % 5,
+			Naps: steps % 13, NappedSMCycles: jumps % 5,
 		}
 		base.EngineStats.JumpHist[int(jumps%16)] = jumps
 		if withTimeline {

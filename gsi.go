@@ -173,19 +173,17 @@ func DefaultConfig() SystemConfig { return sim.Default() }
 // differ only in wall-clock cost.
 type EngineMode = sim.EngineMode
 
-// Engine modes: skip-ahead (the default), quiescent (active set, no
-// jumps), the dense reference loop, and the parallel tick engine
-// (skip-ahead semantics with the tick pass spread over a worker pool;
-// select it with SystemConfig.Parallel >= 2).
+// Engine modes: skip-ahead (the default and the product), quiescent
+// (skip-ahead with the jump planner off), and the dense reference loop
+// (the oracle).
 const (
 	EngineSkip      = sim.EngineSkip
 	EngineQuiescent = sim.EngineQuiescent
 	EngineDense     = sim.EngineDense
-	EngineParallel  = sim.EngineParallel
 )
 
 // ParseEngineMode parses a -engine flag value ("dense", "quiescent",
-// "skip", "parallel").
+// "skip").
 func ParseEngineMode(s string) (EngineMode, error) { return sim.ParseEngineMode(s) }
 
 // EngineStats re-exports the engine's scheduling counters (tick passes,
@@ -292,12 +290,11 @@ type Options struct {
 	// fault-injection tests).
 	SkipVerify bool
 	// Trace, when non-nil, collects a structured event trace of the run
-	// (per-SM stall spans, clock jumps, parallel phase timings, express
-	// mesh events) for export via Trace.WriteChromeTrace or
-	// Trace.WriteHTML. Tracing never changes simulation results: a traced
-	// run's Report is byte-identical to an untraced one. The field is
-	// excluded from JSON encodings and from CacheKey — trace presence
-	// never changes a cache identity.
+	// (per-SM stall spans, clock jumps) for export via
+	// Trace.WriteChromeTrace or Trace.WriteHTML. Tracing never changes
+	// simulation results: a traced run's Report is byte-identical to an
+	// untraced one. The field is excluded from JSON encodings and from
+	// CacheKey — trace presence never changes a cache identity.
 	Trace *Trace `json:"-"`
 }
 
@@ -320,15 +317,13 @@ type TimelineSnapshot = core.TimelineSnapshot
 // TimelineColumn re-exports one time bucket of a TimelineSnapshot.
 type TimelineColumn = core.TimelineColumn
 
-// withDefaults fills in the zero value, preserving an engine-mode (and
-// tick-worker) selection made on an otherwise-zero System.
+// withDefaults fills in the zero value, preserving an engine-mode
+// selection made on an otherwise-zero System.
 func (o Options) withDefaults() Options {
 	if o.System.NumSMs == 0 {
-		mode := o.System.EngineMode()
-		parallel := o.System.Parallel
+		mode := o.System.Engine
 		o.System = DefaultConfig()
 		o.System.Engine = mode
-		o.System.Parallel = parallel
 	}
 	return o
 }

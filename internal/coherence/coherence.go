@@ -4,10 +4,7 @@
 // system through the mem.Policy interface.
 //
 // Policies are stateless value types: every method is a pure function of
-// its arguments. That makes one policy value safe to share across cores
-// ticking concurrently under the parallel engine (sim.EngineParallel) —
-// any future stateful policy must either stay per-core or synchronize
-// internally (see docs/ARCHITECTURE.md, "Parallel ticking").
+// its arguments, so one policy value serves every core.
 package coherence
 
 import "gsi/internal/mem"

@@ -60,9 +60,7 @@ type Inspector struct {
 	perSM []Counts
 	// pending is sharded per SM: load IDs are private to the issuing SM
 	// (gpu.SM.nextLoadID stripes the ID space), so every accrual and
-	// completion for a load comes from the same SM. The sharding makes the
-	// Inspector safe under the parallel tick engine, where distinct SMs
-	// record concurrently, without any locking on the hot path.
+	// completion for a load comes from the same SM.
 	pending []*LoadTable[pendingLoad]
 
 	// StrongCycle selects the ablation classifier (strong priority at

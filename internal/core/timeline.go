@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Timeline records how each SM's cycle classification evolves over a run
@@ -13,12 +12,6 @@ import (
 // the current resolution (streaming downsample), so memory use is constant
 // regardless of run length.
 type Timeline struct {
-	// mu serializes recording: rescale touches every SM's buckets, so
-	// per-SM sharding is not enough when the parallel tick engine records
-	// from several workers at once. Buckets are aligned to absolute per-SM
-	// cycle index, so the final timeline is independent of the order in
-	// which concurrent recorders acquire the lock.
-	mu          sync.Mutex
 	maxBuckets  int
 	bucketWidth uint64
 	sms         []timelineSM
@@ -61,8 +54,6 @@ func (tl *Timeline) RecordSpan(sm int, kind StallKind, n uint64) {
 	if n == 0 {
 		return
 	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
 	s := &tl.sms[sm]
 	last := s.pos + n - 1
 	for last/tl.bucketWidth >= uint64(tl.maxBuckets) {
@@ -128,8 +119,6 @@ type TimelineColumn struct {
 // Snapshot returns the timeline's current bucket matrix. The snapshot is a
 // deep copy; recording may continue afterwards.
 func (tl *Timeline) Snapshot() *TimelineSnapshot {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
 	s := &TimelineSnapshot{
 		BucketWidth: tl.bucketWidth,
 		SMs:         make([][]TimelineColumn, len(tl.sms)),

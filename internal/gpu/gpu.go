@@ -23,8 +23,7 @@ type GPU struct {
 	// not part of the Report: every engine mode produces identical Reports.
 	EngineStats sim.EngineStats
 
-	// Trace, when set before Run, observes the engine's clock jumps and
-	// parallel phase timings plus the mesh's express events. The
+	// Trace, when set before Run, observes the engine's clock jumps. The
 	// Inspector's classification stream is wired separately (set
 	// Insp.Trace). Tracing never changes results.
 	Trace *trace.Collector
@@ -137,8 +136,7 @@ type smSlot struct {
 	napCount, nappedCycles uint64
 
 	// wake and park are the slot's engine handle. wake re-arms it: a poke
-	// or a deferred block handoff (parallel engine commit phase) can reach
-	// a parked SM, or a drained one whose slot has left the active set.
+	// can reach a parked SM.
 	wake func()
 	park func(until uint64) bool
 
@@ -149,9 +147,10 @@ type smSlot struct {
 
 // Tick implements sim.Component. A parked nap is not visited at all; the
 // engine still enters a napping slot, which stays busy and does nothing until
-// its bound, only where parking is not on offer: under the test audit, for a
+// its bound, only where the slot did not park: under the test audit, for a
 // nap of a single visit (parking costs more than the visit it would save),
-// and when the engine declined the park (the parallel engine does).
+// and if the engine declined the park — it does under the dense loop, which
+// never naps, and after a Wake in the same tick.
 func (s *smSlot) Tick(cycle uint64) bool {
 	if s.napping {
 		if cycle < s.napUntil {
@@ -281,26 +280,6 @@ func (s *smSlot) Diagnose() string {
 	return fmt.Sprintf("napping since %d until %s class=%s; %s", s.napFrom, until, s.sm.lastClass.Kind, d)
 }
 
-// Commit implements sim.Committer for the parallel tick engine: called in
-// registration order after the concurrent group phase, it injects the DMA
-// engine's staged mesh sends (the order across SMs then matches the
-// serial loops' in-tick sends) and applies a deferred end-of-block
-// handoff. A handoff that lands a new block ends the drained nap the
-// just-finished Tick opened and re-arms the slot, so the SM resumes next
-// cycle exactly as it would had blockDone run mid-tick.
-func (s *smSlot) Commit(cycle uint64) {
-	sm := s.sm
-	sm.dma.FlushStaged(cycle)
-	if sm.blockDonePending {
-		sm.blockDonePending = false
-		sm.gpu.blockDone(sm)
-		if sm.kernel != nil {
-			s.endNap(cycle + 1)
-			s.wake()
-		}
-	}
-}
-
 // Run drives the launched kernel to completion with no external
 // cancellation: RunContext under context.Background().
 func (g *GPU) Run() (uint64, error) { return g.RunContext(context.Background()) }
@@ -308,7 +287,7 @@ func (g *GPU) Run() (uint64, error) { return g.RunContext(context.Background()) 
 // RunContext drives the launched kernel to completion and returns the
 // cycle count. Every component — mesh, memory controller, L2 banks,
 // per-core memory units, SMs — registers individually with the engine
-// selected by Cfg.EngineMode (skip-ahead by default), in the same order
+// selected by Cfg.Engine (skip-ahead by default), in the same order
 // the dense compound Tick evaluates them, so all modes produce
 // byte-identical results. It resolves GSI's deferred attribution before
 // returning and records the engine's scheduling counters in EngineStats.
@@ -320,29 +299,17 @@ func (g *GPU) RunContext(ctx context.Context) (uint64, error) {
 	if g.kernel == nil {
 		return 0, fmt.Errorf("gpu: no kernel launched")
 	}
-	mode := g.Cfg.EngineMode()
-	parallel := mode == sim.EngineParallel
 	eng := sim.NewEngine()
-	eng.SetMode(mode)
-	if parallel {
-		eng.SetParallel(g.Cfg.TickWorkers())
-	}
+	eng.SetMode(g.Cfg.Engine)
 	if g.Trace != nil {
 		eng.SetObserver(g.Trace)
-		g.Sys.Mesh.SetObserver(g.Trace)
 	}
 	g.Sys.Attach(eng)
 	slots := make([]*smSlot, len(g.SMs))
 	for i, sm := range g.SMs {
-		sm.staged = parallel
-		sm.dma.SetStaged(parallel)
-		s := &smSlot{sm: sm, naps: mode != sim.EngineDense, audit: g.napAudit}
+		s := &smSlot{sm: sm, naps: g.Cfg.Engine != sim.EngineDense, audit: g.napAudit}
 		slots[i] = s
-		// SM i joins tick group i alongside its CoreMem (see
-		// mem.System.Attach): the pair shares a worker, preserving their
-		// serial intra-cycle interplay, while distinct SMs tick
-		// concurrently.
-		h := eng.RegisterGroup(fmt.Sprintf("sm%d", i), s, i)
+		h := eng.Register(fmt.Sprintf("sm%d", i), s)
 		s.wake, s.park = h.Wake, h.Park
 		if s.naps {
 			// Every external input to SM i arrives through CoreMem i,
@@ -362,7 +329,5 @@ func (g *GPU) RunContext(ctx context.Context) (uint64, error) {
 		g.EngineStats.NappedSMCycles += s.nappedCycles
 	}
 	g.Insp.Flush()
-	g.EngineStats.ExpressDeliveries = g.Sys.Mesh.Stats.ExpressDeliveries
-	g.EngineStats.ExpressDemotions = g.Sys.Mesh.Stats.ExpressDemotions
 	return cycles, err
 }

@@ -206,13 +206,8 @@ func TestNapCreditsMSHRFullEvents(t *testing.T) {
 		if want == 0 {
 			t.Fatalf("%s: dense GUPS with mshr=4 recorded no MSHR-full events", p.Name())
 		}
-		for _, mode := range []sim.EngineMode{sim.EngineQuiescent, sim.EngineSkip, sim.EngineParallel} {
-			g := runEntry(t, e, p, mode, func(cfg *sim.Config) {
-				small(cfg)
-				if mode == sim.EngineParallel {
-					cfg.Parallel = 4
-				}
-			}, nil)
+		for _, mode := range []sim.EngineMode{sim.EngineQuiescent, sim.EngineSkip} {
+			g := runEntry(t, e, p, mode, small, nil)
 			if got := mshrFullEvents(g); got != want {
 				t.Errorf("%s %s: MSHRFullEvents = %d, dense %d", p.Name(), mode, got, want)
 			}

@@ -55,13 +55,6 @@ type SM struct {
 	// the next cycle and the smSlot does not even ask.
 	issuedThisTick bool
 
-	// staged marks a parallel-engine run: Tick then executes concurrently
-	// with other SMs, so the end-of-block handoff — which mutates the
-	// GPU's shared block cursor — is deferred to the commit phase via
-	// blockDonePending instead of running mid-tick.
-	staged           bool
-	blockDonePending bool
-
 	// loadSeq drives this SM's load-identifier sequence (see nextLoadID).
 	loadSeq uint64
 
@@ -331,15 +324,7 @@ func (sm *SM) finishBlock(cycle uint64) {
 		sm.kernel = nil
 		sm.localKind = LocalNone
 		sm.block = -1
-		if sm.staged {
-			// The handoff advances the GPU's shared block cursor; under
-			// the parallel engine it defers to the commit phase so SMs
-			// finishing in the same cycle claim their next blocks in SM
-			// order — the order the serial loops hand them out.
-			sm.blockDonePending = true
-		} else {
-			sm.gpu.blockDone(sm)
-		}
+		sm.gpu.blockDone(sm)
 		return
 	}
 	if sm.lsu.Idle() && !sm.cm.Flushing() && sm.cm.SBLen() > 0 {
@@ -475,9 +460,8 @@ func (sm *SM) NextEvent(now uint64) uint64 {
 
 // nextLoadID allocates a load identifier for GSI attribution, unique
 // across the device for the whole run. IDs are striped by SM
-// (id ≡ sm.id+1 mod NumSMs) so concurrent SM ticks under the parallel
-// engine never touch a shared counter, and a given SM draws the identical
-// sequence under every engine mode. The values never surface in Reports.
+// (id ≡ sm.id+1 mod NumSMs), so a given SM draws the identical sequence
+// whatever the other SMs do. The values never surface in Reports.
 func (sm *SM) nextLoadID() core.LoadID {
 	id := sm.loadSeq*uint64(len(sm.gpu.SMs)) + uint64(sm.id) + 1
 	sm.loadSeq++

@@ -8,19 +8,14 @@
 // functionally correct independent of timing bugs.
 package mem
 
-import (
-	"math/bits"
-	"sync"
-	"sync/atomic"
-)
+import "math/bits"
 
 // backingPageWords is the word count of one Backing page (4 KiB). Pages are
 // fixed arrays so word access is a shift and a mask, not a map probe.
 const backingPageWords = 512
 
-// backingPage holds one 4 KiB span of functional memory. words are accessed
-// atomically; present is a bitmap of words ever written (atomic OR), which
-// keeps Footprint exact without a shared counter.
+// backingPage holds one 4 KiB span of functional memory. present is a bitmap
+// of words ever written, which keeps Footprint exact without a counter.
 type backingPage struct {
 	words   [backingPageWords]uint64
 	present [backingPageWords / 64]uint64
@@ -30,122 +25,66 @@ type backingPage struct {
 // of 8-byte-aligned addresses to 64-bit words. Reads of never-written words
 // return zero.
 //
-// All word accesses are atomic, so the store is safe under the parallel
-// tick engine, where SM lanes on different workers load and store
-// concurrently. The guarantee is per-word atomicity and nothing more:
-// workloads are expected to be data-race-free at the program level
-// (cross-SM synchronization goes through the atomic ops, which the timing
-// model serializes at the L2 banks' directory), exactly as on the modeled
-// hardware. Word values therefore never depend on scheduling, and the
-// serial engines observe the identical store they always did.
+// It is not safe for concurrent use and does not need to be: one goroutine
+// owns a simulation, its Backing included, from gpu.New to the Report. The
+// read-modify-write methods are "atomic" in the simulated machine's sense —
+// the timing model serializes them at the L2 banks' directory (or the owning
+// L1) — not in the host's.
 type Backing struct {
-	pages sync.Map // page index (addr >> 12) -> *backingPage
-
-	// allocMu serializes page creation so racing first-writers agree on
-	// one page object; steady-state access is lock-free.
-	allocMu sync.Mutex
+	pages map[uint64]*backingPage // page index (addr >> 12) -> page
 }
 
 // NewBacking returns an empty functional memory.
-func NewBacking() *Backing { return &Backing{} }
+func NewBacking() *Backing { return &Backing{pages: make(map[uint64]*backingPage)} }
 
-// align8 masks addr down to an 8-byte boundary.
-func align8(addr uint64) uint64 { return addr &^ 7 }
-
-// lookup returns the page holding addr, or nil if no word on it was ever
-// written.
-func (b *Backing) lookup(addr uint64) *backingPage {
-	if p, ok := b.pages.Load(addr >> 12); ok {
-		return p.(*backingPage)
+// word returns the word holding addr (aligned down to 8 bytes) for writing,
+// creating its page if needed and recording the write in the presence bitmap.
+func (b *Backing) word(addr uint64) *uint64 {
+	p := b.pages[addr>>12]
+	if p == nil {
+		p = &backingPage{}
+		b.pages[addr>>12] = p
 	}
-	return nil
-}
-
-// page returns the page holding addr, creating it if needed.
-func (b *Backing) page(addr uint64) *backingPage {
-	if p := b.lookup(addr); p != nil {
-		return p
-	}
-	b.allocMu.Lock()
-	defer b.allocMu.Unlock()
-	if p, ok := b.pages.Load(addr >> 12); ok {
-		return p.(*backingPage)
-	}
-	p := &backingPage{}
-	b.pages.Store(addr>>12, p)
-	return p
-}
-
-// slot returns the page-local word index of addr.
-func slot(addr uint64) uint64 { return (addr >> 3) & (backingPageWords - 1) }
-
-// mark records a write to word s of p in the presence bitmap.
-func (p *backingPage) mark(s uint64) {
-	bit := uint64(1) << (s & 63)
-	word := &p.present[s>>6]
-	for {
-		old := atomic.LoadUint64(word)
-		if old&bit != 0 || atomic.CompareAndSwapUint64(word, old, old|bit) {
-			return
-		}
-	}
+	s := (addr >> 3) & (backingPageWords - 1)
+	p.present[s>>6] |= 1 << (s & 63)
+	return &p.words[s]
 }
 
 // Load64 returns the word at addr (aligned down to 8 bytes).
 func (b *Backing) Load64(addr uint64) uint64 {
-	a := align8(addr)
-	p := b.lookup(a)
+	p := b.pages[addr>>12]
 	if p == nil {
 		return 0
 	}
-	return atomic.LoadUint64(&p.words[slot(a)])
+	return p.words[(addr>>3)&(backingPageWords-1)]
 }
 
 // Store64 writes the word at addr (aligned down to 8 bytes).
-func (b *Backing) Store64(addr uint64, v uint64) {
-	a := align8(addr)
-	p := b.page(a)
-	s := slot(a)
-	atomic.StoreUint64(&p.words[s], v)
-	p.mark(s)
-}
+func (b *Backing) Store64(addr uint64, v uint64) { *b.word(addr) = v }
 
 // Add64 adds delta to the word at addr and returns the previous value.
 func (b *Backing) Add64(addr uint64, delta uint64) uint64 {
-	a := align8(addr)
-	p := b.page(a)
-	s := slot(a)
-	old := atomic.AddUint64(&p.words[s], delta) - delta
-	p.mark(s)
+	w := b.word(addr)
+	old := *w
+	*w = old + delta
 	return old
 }
 
 // CAS64 installs swap at addr if the current value equals cmp; it returns
 // the previous value either way.
 func (b *Backing) CAS64(addr uint64, cmp, swap uint64) uint64 {
-	a := align8(addr)
-	p := b.page(a)
-	s := slot(a)
-	w := &p.words[s]
-	for {
-		old := atomic.LoadUint64(w)
-		if old != cmp {
-			return old
-		}
-		if atomic.CompareAndSwapUint64(w, cmp, swap) {
-			p.mark(s)
-			return old
-		}
+	if old := b.Load64(addr); old != cmp {
+		return old
 	}
+	*b.word(addr) = swap
+	return cmp
 }
 
 // Exch64 stores v at addr and returns the previous value.
 func (b *Backing) Exch64(addr uint64, v uint64) uint64 {
-	a := align8(addr)
-	p := b.page(a)
-	s := slot(a)
-	old := atomic.SwapUint64(&p.words[s], v)
-	p.mark(s)
+	w := b.word(addr)
+	old := *w
+	*w = v
 	return old
 }
 
@@ -153,12 +92,10 @@ func (b *Backing) Exch64(addr uint64, v uint64) uint64 {
 // to sanity-check workload initialization.
 func (b *Backing) Footprint() int {
 	n := 0
-	b.pages.Range(func(_, v any) bool {
-		p := v.(*backingPage)
-		for i := range p.present {
-			n += bits.OnesCount64(atomic.LoadUint64(&p.present[i]))
+	for _, p := range b.pages {
+		for _, w := range p.present {
+			n += bits.OnesCount64(w)
 		}
-		return true
-	})
+	}
 	return n
 }

@@ -216,20 +216,6 @@ func (c *CoreMem) pokeCore(cycle uint64) {
 	}
 }
 
-// SetStaged switches the unit's outbox into staged mode for the parallel
-// tick engine: mesh sends that become due during Tick — which then runs
-// concurrently with other cores' ticks — are parked in order and injected
-// by Commit instead of touching the shared mesh mid-phase.
-func (c *CoreMem) SetStaged(on bool) { c.out.staged = on }
-
-// Commit implements sim.Committer for the parallel tick engine: it injects
-// the mesh sends staged by this cycle's Tick. The engine calls Commit in
-// registration order, which is exactly the order the serial engines'
-// in-tick sends reach the mesh, so downstream FIFO order is identical.
-func (c *CoreMem) Commit(cycle uint64) {
-	c.out.flush(cycle)
-}
-
 // tickWork reports whether Tick has anything to do. Misses waiting on fills
 // and flushes waiting on acks are completed by Deliver, not Tick, so they
 // alone do not keep the unit ticking — except that a completed flush must

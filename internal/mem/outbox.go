@@ -4,20 +4,11 @@ import "gsi/internal/noc"
 
 // outbox defers mesh sends until a component's access latency has elapsed,
 // preserving injection order among messages that become due the same cycle.
-//
-// In staged mode (the parallel tick engine) due messages are not injected
-// by tick — the mesh is cross-group shared state — but parked in order on
-// a staging slice that flush hands to the mesh during the owner's commit
-// phase. The injection cycle and order are identical; only the goroutine
-// that performs the Send changes.
 type outbox struct {
 	mesh *noc.Mesh
 	from int // tile index
 	q    []outMsg
 	next uint64 // earliest due time in q; tick is a no-op before it
-
-	staged  bool
-	staging []outMsg
 }
 
 type outMsg struct {
@@ -44,11 +35,7 @@ func (o *outbox) tick(cycle uint64) {
 	var nextDue uint64
 	for _, m := range o.q {
 		if m.at <= cycle {
-			if o.staged {
-				o.staging = append(o.staging, m)
-			} else {
-				o.mesh.Send(cycle, o.from, m.dst, m.port, m.payload)
-			}
+			o.mesh.Send(cycle, o.from, m.dst, m.port, m.payload)
 		} else {
 			if n == 0 || m.at < nextDue {
 				nextDue = m.at
@@ -59,17 +46,6 @@ func (o *outbox) tick(cycle uint64) {
 	}
 	o.q = o.q[:n]
 	o.next = nextDue
-}
-
-// flush injects the messages staged by tick into the mesh, in the order
-// tick parked them. Called from the owning component's commit phase, on
-// the engine goroutine, in registration order — the same relative order
-// the serial engines inject in.
-func (o *outbox) flush(cycle uint64) {
-	for _, m := range o.staging {
-		o.mesh.Send(cycle, o.from, m.dst, m.port, m.payload)
-	}
-	o.staging = o.staging[:0]
 }
 
 func (o *outbox) pending() int { return len(o.q) }

@@ -49,9 +49,6 @@ func NewSystem(cfg sim.Config, policies []Policy) (*System, error) {
 		s.tileCore[t] = i
 	}
 	s.Mesh = noc.New(cfg.MeshWidth, cfg.MeshHeight, cfg.LinkLat, cfg.RouterLat, s.deliver)
-	// Express routing stays off in dense mode so the reference loop always
-	// exercises the per-hop pipeline the engine diff tests compare against.
-	s.Mesh.SetExpress(cfg.Express && cfg.EngineMode() != sim.EngineDense)
 
 	s.Banks = make([]*L2Bank, cfg.L2Banks)
 	for b := range s.Banks {
@@ -113,24 +110,14 @@ func (s *System) CoreTile(core int) int { return s.coreTiles[core] }
 // the same order a dense System.Tick evaluates them (mesh, controller,
 // banks, cores), and wires each unit's wake callback to its engine handle
 // so idle units stop ticking until a message, fill, or flush re-arms them.
-//
-// The mesh, the controller, and the banks are hub components — they
-// exchange work with every core in the same cycle, so the parallel engine
-// ticks them in its serial phase. Core i's memory unit joins tick group i,
-// pairing it with SM i (gpu.Run registers the SMs into the same groups);
-// the CPU's unit gets the group after the last SM to itself. Under the
-// parallel engine the cores' outboxes run staged so mesh injection happens
-// in the commit phase.
 func (s *System) Attach(eng *sim.Engine) {
-	parallel := s.Cfg.EngineMode() == sim.EngineParallel
 	s.Mesh.SetWaker(eng.Register("mesh", s.Mesh).Wake)
 	s.Ctrl.SetWaker(eng.Register("memctrl", s.Ctrl).Wake)
 	for i, b := range s.Banks {
 		b.SetWaker(eng.Register(fmt.Sprintf("l2b%d", i), b).Wake)
 	}
 	for i, c := range s.Cores {
-		c.SetStaged(parallel)
-		c.SetWaker(eng.RegisterGroup(fmt.Sprintf("core%d", i), c, i).Wake)
+		c.SetWaker(eng.Register(fmt.Sprintf("core%d", i), c).Wake)
 	}
 }
 

@@ -47,7 +47,7 @@ func newHarness(t *testing.T, gpuPolicy mem.Policy) *harness {
 	h := &harness{t: t, sys: sys, eng: sim.NewEngine()}
 	// The tests poke CoreMems directly between steps with no wake wiring,
 	// so drive the system densely as one compound component.
-	h.eng.SetDense(true)
+	h.eng.SetMode(sim.EngineDense)
 	h.eng.Register("mem", sim.TickFunc(sys.Tick))
 	for i, cm := range sys.Cores {
 		i := i

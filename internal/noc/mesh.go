@@ -6,21 +6,13 @@
 // 197-261) from single base parameters.
 //
 // A tick costs what the mesh carries, not what it spans: one live bit per
-// output queue (a local port's bit also covers the tile's pending express
-// delivery), kept where messages are pushed and popped, and Tick and
+// output queue, kept where messages are pushed and popped, and Tick and
 // NextEvent visit set bits only, in the router-by-router, port-by-port order
 // a full walk would take.
 //
-// The mesh participates in event-driven skip-ahead through two mechanisms.
-// NextEvent reports the earliest cycle any buffered message can move, found
-// by scanning the live queue heads when the engine plans a jump. Express routing
-// (see express.go, enabled via SetExpress) goes further: a message whose
-// whole route is uncontended is modeled as one timed delivery event instead
-// of per-hop queue movements, and is demoted back into the per-hop pipeline —
-// materialized at its current interpolated hop — the moment potentially
-// contending traffic enters its path. Both preserve the per-hop latency
-// model exactly; they only change how many simulation events it takes to
-// realize it.
+// The mesh participates in event-driven skip-ahead through NextEvent, which
+// reports the earliest cycle any buffered message can move, found by
+// scanning the live queue heads when the engine plans a jump.
 package noc
 
 import (
@@ -121,42 +113,12 @@ type Mesh struct {
 	routerLat uint64
 	routers   []router
 	// live has bit posOf(tile, dir) set iff that output queue holds a
-	// message or, for dirLocal, the tile has an express delivery pending
-	// (never both, see setExLocal).
+	// message.
 	live []uint64
 	// queueVisits counts the live bits Tick has visited.
 	queueVisits uint64
 	handler     Handler
 	wake        func()
-	obs         Observer
-
-	// Express-routing state (see express.go): exEdges indexes every
-	// pending (router, direction) queue of every in-flight express flit
-	// for O(1) demotion triggering, exLocal holds at most one pending
-	// express delivery per destination tile, and exCount the flits in
-	// flight. The intra-tick fields record how far the router loop has
-	// progressed so a demotion can materialize a flit at exactly the
-	// per-hop position the reference pipeline would hold it.
-	express   bool
-	exEdges   []exEdge
-	exLocal   []*exFlit
-	exCount   int
-	inTick    bool
-	tickCycle uint64
-	tickPos   int
-	ticked    uint64
-	hasTicked bool
-
-	// Per-region occupancy for the express grant pre-filter (see the gate
-	// in tryExpress): tiles are coarsened into square blocks of side
-	// 1<<regionShift, regionCols to a row (at most 64 regions, so a region
-	// set fits one uint64 mask); regionQueued counts buffered per-hop
-	// messages per region and regionBusy mirrors it as a bitmask.
-	regionShift  uint
-	regionCols   int
-	regionOf     []int
-	regionQueued []int
-	regionBusy   uint64
 
 	// Stats counts traffic for network reporting.
 	Stats Stats
@@ -167,14 +129,7 @@ type Stats struct {
 	Messages uint64 // messages delivered
 	Hops     uint64 // total link traversals
 	Injected uint64 // messages injected
-	InFlight int    // messages currently buffered (incl. express flits)
-
-	// ExpressDeliveries counts messages whose whole traversal was
-	// modeled as one timed event; ExpressDemotions counts express flits
-	// that were materialized back into the per-hop pipeline because
-	// potentially contending traffic entered their path.
-	ExpressDeliveries uint64
-	ExpressDemotions  uint64
+	InFlight int    // messages currently buffered
 }
 
 type coord struct{ x, y int32 }
@@ -192,77 +147,17 @@ func New(w, h, linkLat, routerLat int, handler Handler) *Mesh {
 		xy:        make([]coord, w*h),
 		live:      make([]uint64, (w*h<<posShift+63)/64),
 		handler:   handler,
-		exEdges:   make([]exEdge, w*h*numDirs),
-		exLocal:   make([]*exFlit, w*h),
 	}
 	for t := range m.xy {
 		m.xy[t] = coord{int32(t % w), int32(t / w)}
 	}
-	m.buildRegions()
 	return m
 }
-
-// buildRegions partitions the mesh into square tile blocks for the express
-// occupancy pre-filter. Blocks start at 2x2 and double in side length until
-// at most 64 regions remain, so any mesh's region set fits one uint64.
-func (m *Mesh) buildRegions() {
-	sh := uint(1)
-	for ((m.w-1)>>sh+1)*((m.h-1)>>sh+1) > 64 {
-		sh++
-	}
-	m.regionShift, m.regionCols = sh, (m.w-1)>>sh+1
-	m.regionOf = make([]int, m.w*m.h)
-	for t, c := range m.xy {
-		m.regionOf[t] = int(c.y>>sh)*m.regionCols + int(c.x>>sh)
-	}
-	m.regionQueued = make([]int, m.regionCols*((m.h-1)>>sh+1))
-}
-
-// regionAdd records one per-hop message buffered at tile's router.
-func (m *Mesh) regionAdd(tile int) {
-	r := m.regionOf[tile]
-	m.regionQueued[r]++
-	if m.regionQueued[r] == 1 {
-		m.regionBusy |= 1 << uint(r)
-	}
-}
-
-// regionSub records one per-hop message leaving tile's router.
-func (m *Mesh) regionSub(tile int) {
-	r := m.regionOf[tile]
-	m.regionQueued[r]--
-	if m.regionQueued[r] == 0 {
-		m.regionBusy &^= 1 << uint(r)
-	}
-}
-
-// SetExpress enables or disables express routing (off by default; the
-// memory system enables it per sim.Config.Express, never in dense mode, so
-// the dense reference loop always exercises the per-hop pipeline the
-// engine diff compares against).
-func (m *Mesh) SetExpress(on bool) { m.express = on }
 
 // SetWaker installs the callback that re-arms the mesh in the scheduling
 // engine; Send invokes it so an idle mesh starts ticking again as soon as a
 // message is injected.
 func (m *Mesh) SetWaker(wake func()) { m.wake = wake }
-
-// Observer receives express-routing events for structured tracing
-// (implemented by trace.Collector; defined here so noc stays dependency
-// free). Both callbacks run during mesh operations on the engine
-// goroutine and must not touch mesh state.
-type Observer interface {
-	// ExpressDelivery reports a completed express traversal: injected at
-	// inject, delivered at cycle, src to dst over hops links.
-	ExpressDelivery(cycle, inject uint64, src, dst, hops int)
-	// ExpressDemotion reports an express flit materialized back into the
-	// per-hop pipeline at hop index hop, with its queue entry due at at.
-	ExpressDemotion(at, inject uint64, src, dst, hop int)
-}
-
-// SetObserver installs (or, with nil, removes) the express-event observer.
-// Observation never changes routing decisions or timing.
-func (m *Mesh) SetObserver(o Observer) { m.obs = o }
 
 // Tiles returns the number of tiles.
 func (m *Mesh) Tiles() int { return m.w * m.h }
@@ -289,59 +184,45 @@ func (m *Mesh) Send(cycle uint64, src, dst int, port Port, payload any) {
 	}
 	m.Stats.Injected++
 	m.Stats.InFlight++
-	if m.tryExpress(cycle, src, dst, port, payload) {
-		if m.wake != nil {
-			m.wake()
-		}
-		return
-	}
 	m.route(src, &msg{dst: dst, port: port, payload: payload, readyAt: cycle + m.routerLat})
 	if m.wake != nil {
 		m.wake()
 	}
 }
 
-// route places a message in the proper output queue of tile's router.
-// XY routing: correct X first, then Y, then eject locally. Any express
-// flit whose remaining path still includes the target queue is demoted
-// first (materialized into the per-hop pipeline), so the pushed message
-// lands behind it in FIFO order exactly as the per-hop world would have
-// it.
+// route places a message in the proper output queue of tile's router and
+// marks the queue live.
 func (m *Mesh) route(tile int, mg *msg) {
 	dir := m.dirToward(tile, mg.dst)
-	if m.exCount > 0 {
-		m.contend(tile, dir)
-	}
 	m.routers[tile].out[dir].push(mg)
-	m.pushed(tile, dir)
-}
-
-// pushed does the mesh's bookkeeping for a message just buffered in one of
-// tile's output queues: the queue is live and its region holds traffic.
-func (m *Mesh) pushed(tile, dir int) {
 	m.setLive(posOf(tile, dir), true)
-	m.regionAdd(tile)
 }
 
-// popped does the mesh's bookkeeping for a message just taken from the output
-// queue at pos, one of tile's. The queue's live bit is cleared before the
-// caller moves the message on, so a push the move triggers into this same
-// queue sets it again.
-func (m *Mesh) popped(q *outQueue, tile, pos int) {
-	if q.n == 0 {
-		m.setLive(pos, false)
+// dirToward returns the XY-routing output direction at tile for a message
+// headed to dst (X first, then Y, then local ejection).
+func (m *Mesh) dirToward(tile, dst int) int {
+	t, d := m.xy[tile], m.xy[dst]
+	switch {
+	case d.x > t.x:
+		return dirEast
+	case d.x < t.x:
+		return dirWest
+	case d.y > t.y:
+		return dirSouth
+	case d.y < t.y:
+		return dirNorth
 	}
-	m.regionSub(tile)
+	return dirLocal
 }
 
-// setExLocal installs or clears tile's pending express delivery along with
-// the local port's live bit. The flit and the local queue never compete for
-// the bit: a grant needs the queue empty, and a push into it demotes the
-// flit first.
-func (m *Mesh) setExLocal(tile int, f *exFlit) {
-	m.exLocal[tile] = f
-	m.setLive(posOf(tile, dirLocal), f != nil)
-}
+// posOf is a queue's position in the live bitmap and within a tick: Tick
+// processes routers in index order and each router's output queues in
+// direction order, so events of the same cycle are ordered by (tile, dir). A
+// tile spans 1<<posShift positions (numDirs of them used) so that the
+// live-bit walk splits a position with a shift and a mask.
+func posOf(tile, dir int) int { return tile<<posShift | dir }
+
+const posShift = 3
 
 // setLive sets or clears the live bit at pos.
 func (m *Mesh) setLive(pos int, on bool) {
@@ -369,51 +250,42 @@ func (m *Mesh) neighbor(tile, dir int) int {
 
 // Tick advances every router by one cycle: each output port forwards at
 // most one ready message (link bandwidth), and each local port delivers at
-// most one ready message to its endpoint (ejection bandwidth) — a due
-// express flit ejects from the same slot, at the same intra-cycle
-// position, the per-hop pipeline would deliver it from. Only live queues are
-// visited, in ascending posOf order — the order a walk over every router and
-// port would take, which demotion interpolation depends on. It reports
-// whether any message remains buffered (the mesh sleeps otherwise).
+// most one ready message to its endpoint (ejection bandwidth). Only live
+// queues are visited, in ascending posOf order — the order a walk over every
+// router and port would take. It reports whether any message remains buffered
+// (the mesh sleeps otherwise).
 func (m *Mesh) Tick(cycle uint64) bool {
-	m.inTick = true
-	m.tickCycle = cycle
-	m.tickPos = 0
 	for w := range m.live {
 		for word := m.live[w]; word != 0; {
 			b := bits.TrailingZeros64(word)
 			pos := w<<6 | b
 			tile, dir := pos>>posShift, pos&(1<<posShift-1)
-			m.tickPos = pos
 			m.queueVisits++
-			q := &m.routers[tile].out[dir]
-			if dir != dirLocal {
-				if q.ready(cycle) {
-					mg := q.pop()
-					m.popped(q, tile, pos)
+			if q := &m.routers[tile].out[dir]; q.ready(cycle) {
+				mg := q.pop()
+				// The live bit is cleared before the message moves on, so
+				// a push the move triggers into this same queue sets it
+				// again.
+				if q.n == 0 {
+					m.setLive(pos, false)
+				}
+				if dir != dirLocal {
 					mg.hops++
 					mg.readyAt = cycle + m.linkLat + m.routerLat
 					m.route(m.neighbor(tile, dir), &mg)
+				} else {
+					m.Stats.Messages++
+					m.Stats.Hops += uint64(mg.hops)
+					m.Stats.InFlight--
+					m.handler(cycle, tile, mg.port, mg.payload)
 				}
-			} else if f := m.exLocal[tile]; f != nil && f.deliverAt <= cycle {
-				m.deliverExpress(f, cycle, tile)
-			} else if q.ready(cycle) {
-				mg := q.pop()
-				m.popped(q, tile, pos)
-				m.Stats.Messages++
-				m.Stats.Hops += uint64(mg.hops)
-				m.Stats.InFlight--
-				m.handler(cycle, tile, mg.port, mg.payload)
 			}
 			// Re-read the word: a queue that went live mid-walk above
-			// this position (a hop into a later router, a demotion, a
-			// handler's send) is visited this tick, as a full walk would.
+			// this position (a hop into a later router, a handler's send)
+			// is visited this tick, as a full walk would.
 			word = m.live[w] &^ (uint64(2)<<b - 1)
 		}
 	}
-	m.inTick = false
-	m.ticked = cycle
-	m.hasTicked = true
 	return m.Stats.InFlight > 0
 }
 
@@ -428,7 +300,7 @@ const noEvent = ^uint64(0)
 // cycle after now at which any router can move a message. Nothing beyond the
 // live bits is maintained for it on the push/pop path; planning a jump
 // scans, on demand, the head of every live output queue (a message behind
-// the head cannot move before it) plus each tile's pending express delivery.
+// the head cannot move before it).
 func (m *Mesh) NextEvent(now uint64) uint64 {
 	if m.Stats.InFlight == 0 {
 		return noEvent
@@ -437,14 +309,9 @@ func (m *Mesh) NextEvent(now uint64) uint64 {
 	for w, word := range m.live {
 		for ; word != 0; word &= word - 1 {
 			pos := w<<6 | bits.TrailingZeros64(word)
-			tile, dir := pos>>posShift, pos&(1<<posShift-1)
-			if q := &m.routers[tile].out[dir]; q.n > 0 && q.buf[q.head].readyAt < next {
-				next = q.buf[q.head].readyAt
-			}
-			if dir == dirLocal {
-				if f := m.exLocal[tile]; f != nil && f.deliverAt < next {
-					next = f.deliverAt
-				}
+			q := &m.routers[pos>>posShift].out[pos&(1<<posShift-1)]
+			if t := q.buf[q.head].readyAt; t < next {
+				next = t
 			}
 		}
 	}
@@ -456,6 +323,6 @@ func (m *Mesh) NextEvent(now uint64) uint64 {
 
 // Diagnose describes pending traffic for engine deadlock dumps.
 func (m *Mesh) Diagnose() string {
-	return fmt.Sprintf("in-flight=%d (express %d) injected=%d delivered=%d",
-		m.Stats.InFlight, m.exCount, m.Stats.Injected, m.Stats.Messages)
+	return fmt.Sprintf("in-flight=%d injected=%d delivered=%d",
+		m.Stats.InFlight, m.Stats.Injected, m.Stats.Messages)
 }

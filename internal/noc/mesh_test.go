@@ -29,19 +29,16 @@ func runCycles(m *Mesh, got *[]delivery, from, n uint64) {
 }
 
 // liveBitsErr checks the invariant Tick and NextEvent rest on: a live bit is
-// set iff its output queue holds a message or, for a local port, the tile has
-// an express delivery pending — no stale bit (a wasted visit would be
-// harmless, but then the bits are no longer the occupancy they claim to be)
-// and above all no missing one (a queue Tick never visits again).
+// set iff its output queue holds a message — no stale bit (NextEvent reads the
+// head of every live queue) and no missing one (a queue Tick never visits
+// again).
 func liveBitsErr(m *Mesh) error {
 	for tile := range m.routers {
 		for dir := 0; dir < numDirs; dir++ {
 			pos := posOf(tile, dir)
 			live := m.live[pos>>6]>>(pos&63)&1 != 0
-			want := m.routers[tile].out[dir].n > 0 || (dir == dirLocal && m.exLocal[tile] != nil)
-			if live != want {
-				return fmt.Errorf("queue (%d,%d): live bit %v, %d buffered, express pending %v",
-					tile, dir, live, m.routers[tile].out[dir].n, dir == dirLocal && m.exLocal[tile] != nil)
+			if n := m.routers[tile].out[dir].n; live != (n > 0) {
+				return fmt.Errorf("queue (%d,%d): live bit %v, %d buffered", tile, dir, live, n)
 			}
 		}
 		for dir := numDirs; dir < 1<<posShift; dir++ {
@@ -175,13 +172,12 @@ type sendEv struct {
 // ticks only at the cycles its own NextEvent named and at injection cycles,
 // as under the skip engine. It returns the delivery log, the final stats
 // and the number of ticks taken.
-func replay(t *testing.T, linkLat, routerLat int, express bool, sched []sendEv, every bool) ([]delivery, Stats, int) {
+func replay(t *testing.T, linkLat, routerLat int, sched []sendEv, every bool) ([]delivery, Stats, int) {
 	t.Helper()
 	var got []delivery
 	m := New(4, 4, linkLat, routerLat, func(cycle uint64, tile int, port Port, payload any) {
 		got = append(got, delivery{tile, port, payload, cycle})
 	})
-	m.SetExpress(express)
 	ticks, i := 0, 0
 	for c := uint64(0); ; {
 		m.Tick(c)
@@ -221,10 +217,10 @@ func replay(t *testing.T, linkLat, routerLat int, express bool, sched []sendEv, 
 // ticked only when its NextEvent says so: a NextEvent that ever named a
 // cycle later than the mesh's true next movement would delay or reorder a
 // delivery in the second. It returns both tick counts.
-func checkNeverLate(t *testing.T, label string, linkLat, routerLat int, express bool, sched []sendEv) (dense, sparse int) {
+func checkNeverLate(t *testing.T, label string, linkLat, routerLat int, sched []sendEv) (dense, sparse int) {
 	t.Helper()
-	wantLog, wantStats, dense := replay(t, linkLat, routerLat, express, sched, true)
-	gotLog, gotStats, sparse := replay(t, linkLat, routerLat, express, sched, false)
+	wantLog, wantStats, dense := replay(t, linkLat, routerLat, sched, true)
+	gotLog, gotStats, sparse := replay(t, linkLat, routerLat, sched, false)
 	if len(gotLog) != len(sched) || len(wantLog) != len(sched) {
 		t.Fatalf("%s: delivered %d (event-driven) and %d (every cycle) of %d",
 			label, len(gotLog), len(wantLog), len(sched))
@@ -244,28 +240,24 @@ func checkNeverLate(t *testing.T, label string, linkLat, routerLat int, express 
 // TestMeshNextEventNeverLate is the NextEvent contract itself: ticking a
 // mesh only at the cycles it names must change nothing observable — the
 // (cycle, tile, port, payload) delivery sequence and the traffic stats —
-// for randomized schedules of bursts and quiet gaps, with express routing
-// on and off.
+// for randomized schedules of bursts and quiet gaps.
 func TestMeshNextEventNeverLate(t *testing.T) {
-	for _, express := range []bool{false, true} {
-		var dense, sparse int
-		for seed := 1; seed <= 40; seed++ {
-			rng := xorshift(uint64(seed) * 0x9E3779B97F4A7C15)
-			lat := [][2]int{{1, 1}, {2, 1}, {3, 2}}[seed%3]
-			var sched []sendEv
-			for c := uint64(0); len(sched) < 150; c += 1 + rng.next(25) {
-				for n := rng.next(6); n > 0; n-- {
-					sched = append(sched, sendEv{c, int(rng.next(16)), int(rng.next(16)), Port(rng.next(2))})
-				}
+	var dense, sparse int
+	for seed := 1; seed <= 40; seed++ {
+		rng := xorshift(uint64(seed) * 0x9E3779B97F4A7C15)
+		lat := [][2]int{{1, 1}, {2, 1}, {3, 2}}[seed%3]
+		var sched []sendEv
+		for c := uint64(0); len(sched) < 150; c += 1 + rng.next(25) {
+			for n := rng.next(6); n > 0; n-- {
+				sched = append(sched, sendEv{c, int(rng.next(16)), int(rng.next(16)), Port(rng.next(2))})
 			}
-			label := fmt.Sprintf("express %v seed %d", express, seed)
-			d, s := checkNeverLate(t, label, lat[0], lat[1], express, sched)
-			dense, sparse = dense+d, sparse+s
 		}
-		// Vacuous unless the event-driven mesh actually slept.
-		if sparse >= dense {
-			t.Fatalf("express %v: event-driven meshes ticked %d times, every-cycle ones %d", express, sparse, dense)
-		}
+		d, s := checkNeverLate(t, fmt.Sprintf("seed %d", seed), lat[0], lat[1], sched)
+		dense, sparse = dense+d, sparse+s
+	}
+	// Vacuous unless the event-driven mesh actually slept.
+	if sparse >= dense {
+		t.Fatalf("event-driven meshes ticked %d times, every-cycle ones %d", sparse, dense)
 	}
 }
 
@@ -286,10 +278,7 @@ func TestMeshNextEventFIFOInversion(t *testing.T) {
 	if next := m.NextEvent(1); next != 3 {
 		t.Fatalf("NextEvent = %d, want the head's due cycle 3", next)
 	}
-	sched := []sendEv{{0, 0, 3, PortL2}, {1, 1, 3, PortL2}}
-	for _, express := range []bool{false, true} {
-		checkNeverLate(t, fmt.Sprintf("inversion, express %v", express), 1, 1, express, sched)
-	}
+	checkNeverLate(t, "inversion", 1, 1, []sendEv{{0, 0, 3, PortL2}, {1, 1, 3, PortL2}})
 }
 
 // TestOutQueueRing: the ring preserves FIFO order across wrap-arounds and
@@ -364,12 +353,11 @@ func TestMeshTickCostIndependentOfSize(t *testing.T) {
 		visits uint64
 		log    []delivery
 	}
-	run := func(side int, express bool) result {
+	run := func(side int) result {
 		var r result
 		m := New(side, side, 1, 1, func(cycle uint64, tile int, port Port, payload any) {
 			r.log = append(r.log, delivery{tile, port, payload, cycle})
 		})
-		m.SetExpress(express)
 		at := func(x, y int) int { return y*side + x }
 		m.Send(0, at(0, 0), at(3, 3), PortL2, "a")
 		m.Send(0, at(3, 0), at(0, 2), PortCore, "b")
@@ -387,57 +375,40 @@ func TestMeshTickCostIndependentOfSize(t *testing.T) {
 		r.visits = m.queueVisits
 		return r
 	}
-	for _, express := range []bool{false, true} {
-		small, large := run(4, express), run(64, express)
-		if small.visits == 0 || small.visits != large.visits {
-			t.Errorf("express %v: Tick visited %d queues on 4x4 and %d on 64x64 for the same traffic",
-				express, small.visits, large.visits)
-		}
-		// Four messages, at most 7 queues each, each queue visited on every
-		// tick its message waits there (two per hop): nowhere near the
-		// 80 x 40 positions a full walk of even the small mesh takes.
-		if small.visits > 4*7*2 {
-			t.Errorf("express %v: %d queue visits for four messages", express, small.visits)
-		}
-		if len(small.log) != 4 || len(large.log) != 4 {
-			t.Fatalf("express %v: delivered %d and %d of 4", express, len(small.log), len(large.log))
-		}
-		for i := range small.log {
-			if s, l := small.log[i], large.log[i]; s.cycle != l.cycle || s.payload != l.payload {
-				t.Errorf("express %v: delivery %d at cycle %d (%v) on 4x4, cycle %d (%v) on 64x64",
-					express, i, s.cycle, s.payload, l.cycle, l.payload)
-			}
+	small, large := run(4), run(64)
+	if small.visits == 0 || small.visits != large.visits {
+		t.Errorf("Tick visited %d queues on 4x4 and %d on 64x64 for the same traffic", small.visits, large.visits)
+	}
+	// Four messages, at most 7 queues each, each queue visited on every
+	// tick its message waits there (two per hop): nowhere near the
+	// 80 x 40 positions a full walk of even the small mesh takes.
+	if small.visits > 4*7*2 {
+		t.Errorf("%d queue visits for four messages", small.visits)
+	}
+	if len(small.log) != 4 || len(large.log) != 4 {
+		t.Fatalf("delivered %d and %d of 4", len(small.log), len(large.log))
+	}
+	for i := range small.log {
+		if s, l := small.log[i], large.log[i]; s.cycle != l.cycle || s.payload != l.payload {
+			t.Errorf("delivery %d at cycle %d (%v) on 4x4, cycle %d (%v) on 64x64",
+				i, s.cycle, s.payload, l.cycle, l.payload)
 		}
 	}
 }
 
-// TestPathMaskMatchesWalkedRoute: the region mask computed from the two legs
-// of an XY route is the mask of the regions its tiles lie in, on meshes whose
-// regions are 2, 4 and 8 tiles wide and on ragged ones.
-func TestPathMaskMatchesWalkedRoute(t *testing.T) {
-	for _, dim := range [][2]int{{4, 4}, {5, 3}, {1, 7}, {16, 16}, {20, 7}, {32, 32}, {64, 64}} {
-		m := New(dim[0], dim[1], 1, 1, func(uint64, int, Port, any) {})
-		tiles := m.Tiles()
-		rng := xorshift(uint64(tiles) * 0x9E3779B97F4A7C15)
-		exhaustive := tiles*tiles <= 20000
-		for i := 0; i < 20000 && (!exhaustive || i < tiles*tiles); i++ {
-			src, dst := i/tiles, i%tiles
-			if !exhaustive {
-				src, dst = int(rng.next(uint64(tiles))), int(rng.next(uint64(tiles)))
-			}
-			var want uint64
-			m.walkPath(src, dst, func(_, tile, _ int) bool {
-				want |= 1 << uint(m.regionOf[tile])
-				return true
-			})
-			if got := m.pathMask(src, dst); got != want {
-				t.Fatalf("%dx%d: pathMask(%d,%d) = %#x, walked route touches %#x", dim[0], dim[1], src, dst, got, want)
-			}
-		}
-	}
+// xorshift is a tiny deterministic generator for the property tests.
+type xorshift uint64
+
+func (x *xorshift) next(bound uint64) uint64 {
+	v := uint64(*x)
+	v ^= v << 13
+	v ^= v >> 7
+	v ^= v << 17
+	*x = xorshift(v)
+	return v % bound
 }
 
-// saturatedMesh returns a warmed 4x4 per-hop mesh and the step that keeps
+// saturatedMesh returns a warmed 4x4 mesh and the step that keeps
 // it at about 30 messages of steady random traffic in flight: one step is
 // one cycle, injection then Tick. The payload is boxed once, here, so any
 // allocation a step makes is the mesh's own.

@@ -7,9 +7,7 @@ import (
 )
 
 // Doc is the machine-readable scale record written to BENCH_scale.json.
-// The envelope (name, date, host, command, note, results) is shared with
-// BENCH_engine.json so the same tooling reads both; only the result rows
-// differ — here each result is one (workload, axis) growth series.
+// Each result is one (workload, axis) growth series.
 type Doc struct {
 	Name    string   `json:"name"`
 	Date    string   `json:"date"`
@@ -47,16 +45,14 @@ type Rung struct {
 	// Cycles is the simulated cycle count summed over the rung's grid
 	// points (one point except on the grid axis).
 	Cycles uint64 `json:"cycles"`
-	// WallNS is the primary-mode wall-clock time and NsPerCycle its ratio
+	// WallNS is the skip engine's wall-clock time and NsPerCycle its ratio
 	// to Cycles — the throughput number the knee and smoke checks read.
 	WallNS     int64   `json:"wall_ns"`
 	NsPerCycle float64 `json:"ns_per_cycle"`
-	// Scheduling counters from the primary mode (see EngineStats).
-	Steps             uint64 `json:"steps"`
-	Jumps             uint64 `json:"jumps"`
-	SkippedCycles     uint64 `json:"skipped_cycles"`
-	ExpressDeliveries uint64 `json:"express_deliveries"`
-	ExpressDemotions  uint64 `json:"express_demotions"`
+	// Scheduling counters from the skip engine (see EngineStats).
+	Steps         uint64 `json:"steps"`
+	Jumps         uint64 `json:"jumps"`
+	SkippedCycles uint64 `json:"skipped_cycles"`
 	// RSSKB is the process max-RSS high-water mark after the rung (so it
 	// is monotone across rungs) and AllocBytes the heap allocated during
 	// it (runtime TotalAlloc delta, all engine modes included).
@@ -75,8 +71,7 @@ type Knee struct {
 	Ratio float64 `json:"ratio"`
 }
 
-// Encode renders the document as indented JSON, trailing newline included
-// (the committed-file convention BENCH_engine.json follows).
+// Encode renders the document as indented JSON, trailing newline included.
 func (d *Doc) Encode() ([]byte, error) {
 	b, err := json.MarshalIndent(d, "", " ")
 	if err != nil {

@@ -1,11 +1,11 @@
 // Package scale is the iterate-until-failure harness: it grows one
 // configuration axis at a time — mesh dimensions, warps per SM, workload
-// size, sweep-grid width, parallel-tick workers — until a wall stops the
-// climb (per-rung wall-clock budget, RSS ceiling, an error, or an engine
-// identity break), recording per-rung throughput (ns per simulated
-// cycle), scheduling counters, and memory footprint into a
-// BENCH_scale.json document. Every rung runs the workload through all
-// four engine modes and asserts byte-identical reports, turning the
+// size, sweep-grid width — until a wall stops the climb (per-rung
+// wall-clock budget, RSS ceiling, an error, or an engine identity break),
+// recording per-rung throughput (ns per simulated cycle), scheduling
+// counters, and memory footprint into a BENCH_scale.json document. Every
+// rung times the skip engine and re-runs the workload under the dense and
+// quiescent engines, asserting byte-identical reports, which turns the
 // repo's engine diff lattice into a scaled correctness gate; the smoke
 // comparator (Compare) then gates CI against a committed baseline.
 package scale
@@ -34,18 +34,15 @@ type Axis string
 //   - size: the workload's primary size parameter (doubling) — tree
 //     nodes, graph vertices, matrix rows, table updates, time steps
 //   - grid: sweep-grid width (doubling point count over an MSHR axis)
-//   - ticks: parallel-tick workers (2, 3, 4, ...), the parallel engine
-//     as the timed mode
 const (
 	AxisMesh  Axis = "mesh"
 	AxisWarps Axis = "warps"
 	AxisSize  Axis = "size"
 	AxisGrid  Axis = "grid"
-	AxisTicks Axis = "ticks"
 )
 
 // AllAxes returns every growth axis in canonical order.
-func AllAxes() []Axis { return []Axis{AxisMesh, AxisWarps, AxisSize, AxisGrid, AxisTicks} }
+func AllAxes() []Axis { return []Axis{AxisMesh, AxisWarps, AxisSize, AxisGrid} }
 
 // ParseAxis parses an axis name.
 func ParseAxis(s string) (Axis, error) {
@@ -54,7 +51,7 @@ func ParseAxis(s string) (Axis, error) {
 			return a, nil
 		}
 	}
-	return "", fmt.Errorf("scale: unknown axis %q (want mesh, warps, size, grid, or ticks)", s)
+	return "", fmt.Errorf("scale: unknown axis %q (want mesh, warps, size, or grid)", s)
 }
 
 // Config drives one harness run.
@@ -77,7 +74,7 @@ type Config struct {
 	// KneeFactor is the superlinearity threshold for FindKnee; values
 	// <= 1 mean the default 1.5.
 	KneeFactor float64
-	// Repeats is how many times the timed (primary-mode) run executes
+	// Repeats is how many times the timed (skip-engine) run executes
 	// per rung; the recorded wall is the minimum, which strips scheduler
 	// noise and cold-start effects from the knee and smoke comparisons.
 	// Zero means 3. Identity runs are never repeated — reports are
@@ -213,8 +210,6 @@ func planRung(e *gsi.WorkloadEntry, axis Axis, rung int) (int, []point, error) {
 		}
 	case AxisGrid:
 		value = 1 << rung
-	case AxisTicks:
-		value = 2 + rung
 	default:
 		return 0, nil, fmt.Errorf("scale: unknown axis %q", axis)
 	}
@@ -247,26 +242,6 @@ func planRung(e *gsi.WorkloadEntry, axis Axis, rung int) (int, []point, error) {
 	return value, []point{{sys: sys, overrides: overrides}}, nil
 }
 
-// engine modes of the identity lattice; the primary mode is the timed
-// one (skip everywhere except the ticks axis, where the parallel engine
-// under measurement is primary).
-var modeNames = map[gsi.EngineMode]string{
-	gsi.EngineDense:     "dense",
-	gsi.EngineQuiescent: "quiescent",
-	gsi.EngineSkip:      "skip",
-	gsi.EngineParallel:  "parallel",
-}
-
-// withMode forces one engine mode onto a system shape.
-func withMode(sys gsi.SystemConfig, mode gsi.EngineMode, workers int) gsi.SystemConfig {
-	sys.Engine = mode
-	sys.Parallel = 0
-	if mode == gsi.EngineParallel {
-		sys.Parallel = workers
-	}
-	return sys
-}
-
 // runContained runs one simulation with panics converted to errors. A
 // grown workload can violate a model capacity the constructor does not
 // check (an implicit databytes doubling can step outside the scratchpad,
@@ -287,7 +262,7 @@ func runContained(ctx context.Context, opt gsi.Options, w gsi.Workload) (rep *gs
 // rung's wall budget: geometric growth means the next rung can cost an
 // order of magnitude more than the last, so the budget must be able to
 // abort a rung mid-flight, not just veto the one after it.
-func runPoints(ctx context.Context, e *gsi.WorkloadEntry, pts []point, mode gsi.EngineMode, workers int) ([][]byte, uint64, time.Duration, gsi.EngineStats, error) {
+func runPoints(ctx context.Context, e *gsi.WorkloadEntry, pts []point, mode gsi.EngineMode) ([][]byte, uint64, time.Duration, gsi.EngineStats, error) {
 	var (
 		docs   [][]byte
 		cycles uint64
@@ -301,12 +276,13 @@ func runPoints(ctx context.Context, e *gsi.WorkloadEntry, pts []point, mode gsi.
 		if err != nil {
 			return nil, 0, 0, st, fmt.Errorf("point %d: %w", j, err)
 		}
-		opt := gsi.Options{System: withMode(p.sys, mode, workers)}
+		opt := gsi.Options{System: p.sys}
+		opt.System.Engine = mode
 		t0 := time.Now()
 		rep, err := runContained(ctx, opt, w)
 		wall += time.Since(t0)
 		if err != nil {
-			return nil, 0, 0, st, fmt.Errorf("point %d (%s engine): %w", j, modeNames[mode], err)
+			return nil, 0, 0, st, fmt.Errorf("point %d (%s engine): %w", j, mode, err)
 		}
 		b, err := rep.JSON()
 		if err != nil {
@@ -317,30 +293,23 @@ func runPoints(ctx context.Context, e *gsi.WorkloadEntry, pts []point, mode gsi.
 		st.Steps += rep.EngineStats.Steps
 		st.Jumps += rep.EngineStats.Jumps
 		st.SkippedCycles += rep.EngineStats.SkippedCycles
-		st.ExpressDeliveries += rep.EngineStats.ExpressDeliveries
-		st.ExpressDemotions += rep.EngineStats.ExpressDemotions
 	}
 	return docs, cycles, wall, st, nil
 }
 
-// runRung executes one rung: the primary (timed) mode first — repeated,
-// with the minimum wall recorded — then the remaining engine modes for
-// the byte-identity assertion.
-func runRung(ctx context.Context, e *gsi.WorkloadEntry, axis Axis, rung, value int, pts []point, repeats int) (Rung, error) {
-	primary, workers := gsi.EngineSkip, 2
-	if axis == AxisTicks {
-		primary, workers = gsi.EngineParallel, value
-	}
-
+// runRung executes one rung: the timed skip-engine run first — repeated,
+// with the minimum wall recorded — then the dense oracle and the quiescent
+// engine once each for the byte-identity assertion.
+func runRung(ctx context.Context, e *gsi.WorkloadEntry, rung, value int, pts []point, repeats int) (Rung, error) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	primDocs, cycles, wall, st, err := runPoints(ctx, e, pts, primary, workers)
+	skipDocs, cycles, wall, st, err := runPoints(ctx, e, pts, gsi.EngineSkip)
 	if err != nil {
 		return Rung{}, err
 	}
 	for r := 1; r < repeats; r++ {
-		_, _, again, _, err := runPoints(ctx, e, pts, primary, workers)
+		_, _, again, _, err := runPoints(ctx, e, pts, gsi.EngineSkip)
 		if err != nil {
 			return Rung{}, err
 		}
@@ -349,18 +318,14 @@ func runRung(ctx context.Context, e *gsi.WorkloadEntry, axis Axis, rung, value i
 		}
 	}
 	identity := "ok"
-	for _, mode := range []gsi.EngineMode{gsi.EngineDense, gsi.EngineQuiescent, gsi.EngineSkip, gsi.EngineParallel} {
-		if mode == primary {
-			continue
-		}
-		docs, _, _, _, err := runPoints(ctx, e, pts, mode, workers)
+	for _, mode := range []gsi.EngineMode{gsi.EngineDense, gsi.EngineQuiescent} {
+		docs, _, _, _, err := runPoints(ctx, e, pts, mode)
 		if err != nil {
 			return Rung{}, err
 		}
 		for j := range docs {
-			if !bytes.Equal(docs[j], primDocs[j]) {
-				identity = fmt.Sprintf("%s report differs from %s at point %d",
-					modeNames[mode], modeNames[primary], j)
+			if !bytes.Equal(docs[j], skipDocs[j]) {
+				identity = fmt.Sprintf("%s report differs from skip at point %d", mode, j)
 			}
 		}
 		if identity != "ok" {
@@ -372,18 +337,16 @@ func runRung(ctx context.Context, e *gsi.WorkloadEntry, axis Axis, rung, value i
 	runtime.ReadMemStats(&after)
 
 	r := Rung{
-		Rung:              rung,
-		Value:             value,
-		Cycles:            cycles,
-		WallNS:            wall.Nanoseconds(),
-		Steps:             st.Steps,
-		Jumps:             st.Jumps,
-		SkippedCycles:     st.SkippedCycles,
-		ExpressDeliveries: st.ExpressDeliveries,
-		ExpressDemotions:  st.ExpressDemotions,
-		RSSKB:             rssKB(),
-		AllocBytes:        after.TotalAlloc - before.TotalAlloc,
-		Identity:          identity,
+		Rung:          rung,
+		Value:         value,
+		Cycles:        cycles,
+		WallNS:        wall.Nanoseconds(),
+		Steps:         st.Steps,
+		Jumps:         st.Jumps,
+		SkippedCycles: st.SkippedCycles,
+		RSSKB:         rssKB(),
+		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
+		Identity:      identity,
 	}
 	if cycles > 0 {
 		r.NsPerCycle = float64(r.WallNS) / float64(cycles)
@@ -410,7 +373,7 @@ func Run(cfg Config) (*Doc, error) {
 		axes = AllAxes()
 	}
 	start := time.Now()
-	doc := &Doc{Name: "scale ceilings: one-axis growth to the wall, four-way engine identity per rung"}
+	doc := &Doc{Name: "scale ceilings: one-axis growth to the wall, dense/quiescent/skip engine identity per rung"}
 	for _, name := range names {
 		e, ok := reg.Lookup(name)
 		if !ok {
@@ -447,7 +410,7 @@ func growSeries(e *gsi.WorkloadEntry, axis Axis, cfg Config, start time.Time) Re
 		if cfg.RungBudget > 0 {
 			ctx, cancel = context.WithTimeout(context.Background(), cfg.RungBudget)
 		}
-		r, err := runRung(ctx, e, axis, i, value, pts, cfg.repeats())
+		r, err := runRung(ctx, e, i, value, pts, cfg.repeats())
 		cancel()
 		if err != nil {
 			if errors.Is(err, gsi.ErrDeadline) || errors.Is(err, context.DeadlineExceeded) {

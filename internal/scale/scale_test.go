@@ -84,15 +84,6 @@ func TestPlanRungGrowsOneDimension(t *testing.T) {
 	if len(seen) != 4 {
 		t.Fatalf("grid points share MSHR sizes: %v", seen)
 	}
-
-	// Ticks grow the parallel worker count starting at 2.
-	v, _, err = planRung(stencil, AxisTicks, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 5 {
-		t.Fatalf("ticks rung 3 = %d workers, want 5", v)
-	}
 }
 
 func TestAxisApplies(t *testing.T) {
@@ -106,7 +97,7 @@ func TestAxisApplies(t *testing.T) {
 		if !axisApplies(e, AxisSize) {
 			t.Fatalf("%s has no size-axis mapping", name)
 		}
-		if !axisApplies(e, AxisMesh) || !axisApplies(e, AxisTicks) || !axisApplies(e, AxisGrid) {
+		if !axisApplies(e, AxisMesh) || !axisApplies(e, AxisGrid) {
 			t.Fatalf("%s must support the system axes", name)
 		}
 	}
@@ -276,7 +267,7 @@ func TestDocRoundTrip(t *testing.T) {
 }
 
 // TestHarnessClimbsAndAssertsIdentity runs the real harness on the
-// cheapest configuration — implicit on the ticks axis, two rungs — and
+// cheapest configuration — implicit on the mesh axis, two rungs — and
 // checks the recorded rungs carry real measurements and a clean identity
 // verdict. This is the end-to-end path the CLI and the CI smoke job use.
 func TestHarnessClimbsAndAssertsIdentity(t *testing.T) {
@@ -286,7 +277,7 @@ func TestHarnessClimbsAndAssertsIdentity(t *testing.T) {
 	var lines []string
 	doc, err := Run(Config{
 		Workloads: []string{"implicit"},
-		Axes:      []Axis{AxisTicks},
+		Axes:      []Axis{AxisMesh},
 		MaxRungs:  2,
 		Log:       func(f string, a ...any) { lines = append(lines, f) },
 	})
@@ -307,20 +298,15 @@ func TestHarnessClimbsAndAssertsIdentity(t *testing.T) {
 		if r.Cycles == 0 || r.WallNS <= 0 || r.NsPerCycle <= 0 || r.Steps == 0 {
 			t.Fatalf("rung %d carries empty measurements: %+v", i, r)
 		}
-		if r.Value != 2+i {
-			t.Fatalf("rung %d ticks value = %d, want %d", i, r.Value, 2+i)
+		if r.Value != 4<<i {
+			t.Fatalf("rung %d mesh side = %d, want %d", i, r.Value, 4<<i)
 		}
-	}
-	// Both rungs simulate the same workload: deterministic cycle counts
-	// must agree across worker counts.
-	if res.Rungs[0].Cycles != res.Rungs[1].Cycles {
-		t.Fatalf("worker count changed simulated cycles: %d vs %d", res.Rungs[0].Cycles, res.Rungs[1].Cycles)
 	}
 	if len(lines) == 0 {
 		t.Fatal("no progress lines logged")
 	}
 	doc.Note = "provenance of the numbers"
-	if md := doc.Markdown(); !strings.Contains(md, "implicit / ticks axis") || !strings.Contains(md, "Note: "+doc.Note) {
+	if md := doc.Markdown(); !strings.Contains(md, "implicit / mesh axis") || !strings.Contains(md, "Note: "+doc.Note) {
 		t.Fatalf("markdown report missing series header or note:\n%s", md)
 	}
 }

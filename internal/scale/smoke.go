@@ -2,7 +2,7 @@ package scale
 
 import "fmt"
 
-// noiseFloorNS is the minimum primary-run wall time for a rung's timing
+// noiseFloorNS is the minimum timed-run wall time for a rung's timing
 // to enter the regression gate: a run measured in a couple of
 // milliseconds has scheduler jitter larger than any threshold worth
 // setting, so such rungs keep their determinism and identity checks but
@@ -33,9 +33,9 @@ func (f Finding) String() string {
 // The timing check is host-speed independent: both documents are
 // normalized to their own rung 0 before comparing, so a uniformly faster
 // or slower machine cancels out and only shape changes — one rung growing
-// disproportionately — fail the gate. The absolute-throughput guard is
-// BENCH_engine.json, not this gate. Rungs whose primary run (in either
-// document) finished under noiseFloorNS are exempt from the timing check
+// disproportionately — fail the gate. Absolute throughput is bench/'s
+// ledger, not this gate. Rungs whose timed run (in either document)
+// finished under noiseFloorNS are exempt from the timing check
 // — their measurement is jitter-dominated — as is a whole series whose
 // rung-0 anchor is that fast. Cycles, steps, and jumps are deterministic
 // for a fixed configuration and compared for equality on every rung,

@@ -66,14 +66,6 @@ type DMAEngine struct {
 	state   DMAState
 	mapping Mapping
 
-	// staged defers write-back mesh sends for the parallel tick engine:
-	// Tick runs concurrently with other SMs' ticks, so instead of
-	// injecting into the shared mesh it parks (dst, payload) pairs that
-	// FlushStaged hands over during the owning SM's commit phase — the
-	// same cycle, in the same order.
-	staged  bool
-	staging []stagedSend
-
 	nextIn     uint64 // next global line offset to request
 	pendingIn  map[uint64]struct{}
 	nextOut    uint64
@@ -82,25 +74,6 @@ type DMAEngine struct {
 	// Stats.
 	LinesIn, LinesOut uint64
 	MSHRWaits         uint64
-}
-
-// stagedSend is one deferred write-back injection.
-type stagedSend struct {
-	dst     int
-	payload any
-}
-
-// SetStaged switches the engine's mesh sends into staged mode (see the
-// staged field); gpu.Run enables it for parallel-engine runs.
-func (d *DMAEngine) SetStaged(on bool) { d.staged = on }
-
-// FlushStaged injects the sends staged by this cycle's Tick into the mesh.
-// Called from the owning SM's commit phase on the engine goroutine.
-func (d *DMAEngine) FlushStaged(cycle uint64) {
-	for _, s := range d.staging {
-		d.mesh.Send(cycle, d.tile, s.dst, noc.PortL2, s.payload)
-	}
-	d.staging = d.staging[:0]
 }
 
 // NewDMAEngine builds an engine attached to one SM's scratchpad and memory
@@ -227,11 +200,7 @@ func (d *DMAEngine) tickOut(cycle uint64) {
 	}
 	d.pendingOut[line] = struct{}{}
 	wt := mem.WriteThrough{Line: line, Requestor: d.coreID}
-	if d.staged {
-		d.staging = append(d.staging, stagedSend{dst: d.bankTile(line), payload: wt})
-	} else {
-		d.mesh.Send(cycle, d.tile, d.bankTile(line), noc.PortL2, wt)
-	}
+	d.mesh.Send(cycle, d.tile, d.bankTile(line), noc.PortL2, wt)
 	d.LinesOut++
 	d.nextOut += d.lineSize
 }

@@ -32,7 +32,7 @@ func newDMAHarness(t *testing.T) *dmaHarness {
 		sys.CoreTile(0), 0, sys.BankTile, cfg.LineSize)
 	// The harness starts transfers between steps with no wake wiring, so
 	// drive both components densely.
-	h.eng.SetDense(true)
+	h.eng.SetMode(sim.EngineDense)
 	h.eng.Register("mem", sim.TickFunc(sys.Tick))
 	h.eng.Register("dma", sim.TickFunc(h.dma.Tick))
 	return h

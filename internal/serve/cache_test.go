@@ -128,30 +128,3 @@ func TestServeMetricsPrometheus(t *testing.T) {
 		}
 	}
 }
-
-// TestServeParallelTicksByteIdentical runs the same sweep on a serial
-// server and on one configured with the parallel tick engine, and
-// requires every result document to match byte for byte — the service
-// restatement of the four-way engine identity.
-func TestServeParallelTicksByteIdentical(t *testing.T) {
-	_, serial := newTestServer(t, Config{Workers: 2})
-	_, par := newTestServer(t, Config{Workers: 2, Parallel: 2})
-	a := wait(t, serial, submit(t, serial, smallSweep("serial")).ID)
-	b := wait(t, par, submit(t, par, smallSweep("ticks")).ID)
-	if a.Failed != 0 || b.Failed != 0 {
-		t.Fatalf("failures: serial %d, parallel %d", a.Failed, b.Failed)
-	}
-	if len(a.Jobs) == 0 || len(a.Jobs) != len(b.Jobs) {
-		t.Fatalf("job counts: serial %d, parallel %d", len(a.Jobs), len(b.Jobs))
-	}
-	for i := range a.Jobs {
-		if a.Jobs[i].Key != b.Jobs[i].Key {
-			t.Fatalf("job %d keys diverge: %s vs %s", i, a.Jobs[i].Key, b.Jobs[i].Key)
-		}
-		sr := getResult(t, serial, a.Jobs[i].Key)
-		pr := getResult(t, par, b.Jobs[i].Key)
-		if !bytes.Equal(sr, pr) {
-			t.Errorf("job %d (%s): parallel-tick result differs from serial", i, a.Jobs[i].Key)
-		}
-	}
-}

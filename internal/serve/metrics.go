@@ -42,12 +42,10 @@ type metrics struct {
 
 	// Aggregates folded from every fresh simulation's Report: classified
 	// stall cycles by top-level kind (summed across SMs), and the
-	// engine/mesh event counters behind the run.
-	stallCycles  [core.NumStallKinds]uint64
-	engJumps     uint64 // skip-ahead clock jumps
-	engSkipped   uint64 // cycles the skip-ahead jumps covered
-	engExpress   uint64 // express-routed mesh deliveries
-	engDemotions uint64 // express flits demoted to hop-by-hop routing
+	// engine event counters behind the run.
+	stallCycles [core.NumStallKinds]uint64
+	engJumps    uint64 // skip-ahead clock jumps
+	engSkipped  uint64 // cycles the skip-ahead jumps covered
 
 	hist    []uint64 // ns-per-cycle histogram; last slot is overflow
 	histSum float64  // sum of observed ns-per-cycle values (Prometheus _sum)
@@ -130,8 +128,6 @@ func (m *metrics) report(rep *gsi.Report) {
 	}
 	m.engJumps += rep.EngineStats.Jumps
 	m.engSkipped += rep.EngineStats.SkippedCycles
-	m.engExpress += rep.EngineStats.ExpressDeliveries
-	m.engDemotions += rep.EngineStats.ExpressDemotions
 	m.mu.Unlock()
 }
 
@@ -193,10 +189,8 @@ type metricsSnapshot struct {
 	// (label-keyed, summed over every SM of every fresh simulation).
 	StallCycles map[string]uint64 `json:"stallCycles"`
 	Engine      struct {
-		Jumps             uint64 `json:"jumps"`
-		SkippedCycles     uint64 `json:"skippedCycles"`
-		ExpressDeliveries uint64 `json:"expressDeliveries"`
-		ExpressDemotions  uint64 `json:"expressDemotions"`
+		Jumps         uint64 `json:"jumps"`
+		SkippedCycles uint64 `json:"skippedCycles"`
 	} `json:"engine"`
 
 	histSum float64 // carried for the Prometheus rendering, not in JSON
@@ -239,8 +233,6 @@ func (m *metrics) snapshot(cs cacheStats) metricsSnapshot {
 	s.stallByKind = m.stallCycles
 	s.Engine.Jumps = m.engJumps
 	s.Engine.SkippedCycles = m.engSkipped
-	s.Engine.ExpressDeliveries = m.engExpress
-	s.Engine.ExpressDemotions = m.engDemotions
 	s.histSum = m.histSum
 	s.NsPerCycle = make([]histBucket, len(m.hist))
 	for i, n := range m.hist {
@@ -284,8 +276,6 @@ func (s metricsSnapshot) prometheus(w io.Writer) {
 	counter("gsi_sim_cycles_total", "Simulated cycles across fresh simulations.", s.SimCycles)
 	counter("gsi_engine_jumps_total", "Skip-ahead clock jumps across fresh simulations.", s.Engine.Jumps)
 	counter("gsi_engine_skipped_cycles_total", "Cycles covered by skip-ahead jumps across fresh simulations.", s.Engine.SkippedCycles)
-	counter("gsi_engine_express_deliveries_total", "Express-routed mesh deliveries across fresh simulations.", s.Engine.ExpressDeliveries)
-	counter("gsi_engine_express_demotions_total", "Express flits demoted to hop-by-hop routing across fresh simulations.", s.Engine.ExpressDemotions)
 	fmt.Fprintf(w, "# HELP gsi_stall_cycles_total Classified cycles by top-level stall kind across fresh simulations.\n# TYPE gsi_stall_cycles_total counter\n")
 	for _, k := range core.StallKinds() {
 		fmt.Fprintf(w, "gsi_stall_cycles_total{kind=%q} %d\n", k.String(), s.stallByKind[k])

@@ -43,7 +43,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -83,11 +82,6 @@ type Config struct {
 	// are byte-identical across modes, so this is a wall-clock knob; the
 	// cache key canonicalizes it away.
 	Engine gsi.EngineMode
-	// Parallel, when >= 2, runs every simulation under the parallel tick
-	// engine with that many tick workers (also a pure wall-clock knob —
-	// the cache key canonicalizes it away). The pool size then shrinks to
-	// keep Workers x Parallel within the machine; see New.
-	Parallel int
 	// CacheDir, when non-empty, persists the result cache: entries found
 	// there are loaded at startup and new entries are written back by
 	// Drain (or FlushCache).
@@ -174,17 +168,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	workers := sweep.Workers(cfg.Workers)
-	if cfg.Parallel > 1 {
-		// Nested-parallelism budget: each simulation spreads its tick
-		// pass over cfg.Parallel workers, so the concurrent-simulation
-		// pool shrinks to keep the product within the machine.
-		if max := runtime.NumCPU() / cfg.Parallel; workers > max {
-			workers = max
-		}
-		if workers < 1 {
-			workers = 1
-		}
-	}
 	rootCtx, rootCancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -285,7 +268,7 @@ type Submission struct {
 }
 
 // grid expands the submission into the equivalent gsi.Grid.
-func (sub Submission) grid(mode gsi.EngineMode, parallel int) (gsi.Grid, error) {
+func (sub Submission) grid(mode gsi.EngineMode) (gsi.Grid, error) {
 	if len(sub.Workloads) == 0 {
 		return gsi.Grid{}, fmt.Errorf("serve: submission needs at least one workload")
 	}
@@ -303,7 +286,7 @@ func (sub Submission) grid(mode gsi.EngineMode, parallel int) (gsi.Grid, error) 
 		OwnedAtomics: sub.OwnedAtomics,
 		StrongCycle:  sub.StrongCycle,
 		Params:       gsi.WorkloadValues(sub.Params),
-		System:       gsi.SystemConfig{Engine: mode, Parallel: parallel},
+		System:       gsi.SystemConfig{Engine: mode},
 	}
 	for _, p := range sub.Protocols {
 		proto, err := gsi.ParseProtocol(p)
@@ -513,7 +496,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		override = d
 	}
-	grid, err := sub.grid(s.cfg.Engine, s.cfg.Parallel)
+	grid, err := sub.grid(s.cfg.Engine)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

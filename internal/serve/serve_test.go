@@ -585,7 +585,7 @@ func TestServeStallMetrics(t *testing.T) {
 	for _, series := range []string{
 		`gsi_stall_cycles_total{kind="idle"}`,
 		"gsi_engine_jumps_total",
-		"gsi_engine_express_deliveries_total",
+		"gsi_engine_skipped_cycles_total",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("prometheus output missing %s", series)

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Config holds every architectural parameter of the simulated system. The
 // defaults (see Default) encode Table 5.1 of the paper.
@@ -102,63 +99,19 @@ type Config struct {
 	// byte-identical results.
 	Engine EngineMode
 
-	// DenseTicking is the legacy switch for the dense reference loop,
-	// kept for older callers; when set it overrides Engine. Prefer
-	// Engine = EngineDense.
-	DenseTicking bool
-
-	// Parallel is the intra-simulation tick worker count. A value >= 2
-	// selects the parallel tick engine (EngineParallel) with that many
-	// workers unless a serial mode is forced explicitly via Engine or
-	// DenseTicking; 0 and 1 run serially. Like the engine mode itself,
-	// the worker count is a pure wall-clock knob — results are
-	// byte-identical for every value.
+	// Deprecated: Parallel was the intra-simulation tick worker count of
+	// the deleted parallel tick engine. It is inert: any value is accepted,
+	// nothing reads it, and CanonicalOptions erases it so it cannot split a
+	// cache key. It survives only because bench/layers.go compiles against
+	// it (the parallel2 ladder row, which now re-runs the product engine);
+	// the benchmark PR that retires that row removes the field.
 	Parallel int
 
-	// Express enables mesh express routing (Default sets it): a message
-	// whose whole route is uncontended is modeled as one timed delivery
-	// event at now + hops*(link+router latency) instead of per-hop queue
-	// movements, and is demoted back to the per-hop model the moment
-	// potentially contending traffic enters its path. Timing is
-	// byte-identical either way; express only reduces event density so
-	// the skip-ahead engine can jump mesh traversals. The dense
-	// reference loop always runs per-hop regardless of this switch, so
-	// the cross-engine diff tests double as the express safety net.
+	// Deprecated: Express was the switch for the deleted mesh express
+	// routing; the mesh always routes per hop. It is inert in the same way
+	// as Parallel and waits on the same benchmark PR (the express_off
+	// ladder row).
 	Express bool
-}
-
-// EngineMode resolves the scheduling loop, honoring the legacy
-// DenseTicking switch and the Parallel worker count: an explicit serial
-// mode (dense or quiescent) always wins; otherwise Parallel >= 2 — or
-// Engine set to EngineParallel directly — selects the parallel tick
-// engine, and the default skip engine runs everything else.
-func (c Config) EngineMode() EngineMode {
-	if c.DenseTicking {
-		return EngineDense
-	}
-	switch c.Engine {
-	case EngineDense, EngineQuiescent:
-		return c.Engine
-	}
-	if c.Parallel >= 2 || c.Engine == EngineParallel {
-		return EngineParallel
-	}
-	return EngineSkip
-}
-
-// TickWorkers resolves the parallel engine's worker count: Parallel when
-// given, otherwise (engine forced parallel without a count) every core.
-// An explicit Parallel of 1 keeps the parallel pass structure but runs
-// the group phase inline — the partition-overhead baseline. Serial modes
-// always report 1.
-func (c Config) TickWorkers() int {
-	if c.EngineMode() != EngineParallel {
-		return 1
-	}
-	if c.Parallel >= 1 {
-		return c.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Default returns the Table 5.1 configuration: 1 CPU + 15 SMs on a 4x4 mesh
@@ -204,8 +157,6 @@ func Default() Config {
 		FetchLat:    3,
 
 		MaxCycles: 50_000_000,
-
-		Express: true,
 	}
 }
 
@@ -233,7 +184,7 @@ func (c Config) Validate() error {
 		{c.ScratchSize > 0 && c.ScratchBanks > 0, "scratchpad geometry must be positive"},
 		{c.NumSMs+1 <= tiles, "mesh must have a tile per core (SMs + 1 CPU)"},
 		{c.MaxCycles > 0, "MaxCycles must be positive"},
-		{c.Parallel >= 0, "Parallel must be >= 0"},
+		{c.Engine <= EngineDense, "Engine must be EngineSkip, EngineQuiescent or EngineDense"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {

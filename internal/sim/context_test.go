@@ -135,49 +135,3 @@ func TestDiagnosisSmallSystemUnchanged(t *testing.T) {
 		t.Errorf("small diagnosis has an elision note:\n%s", d)
 	}
 }
-
-// panicComp panics on its nth group-phase tick.
-type panicComp struct {
-	at    int
-	count int
-}
-
-func (c *panicComp) Tick(cycle uint64) bool {
-	c.count++
-	if c.count == c.at {
-		panic(fmt.Sprintf("panicComp: injected at tick %d", c.at))
-	}
-	return true
-}
-
-func (c *panicComp) Commit(cycle uint64) {}
-
-// TestParallelTickPanicSurfaces: a panic on a tick-pool worker is
-// captured, re-panicked on the engine goroutine as a *PanicError carrying
-// the worker stack, and the pool survives to serve the recover path —
-// the caller's recover (the serve layer) sees a typed value, not a dead
-// process.
-func TestParallelTickPanicSurfaces(t *testing.T) {
-	eng := NewEngine()
-	eng.SetMode(EngineParallel)
-	eng.SetParallel(2)
-	eng.Register("hub", TickFunc(func(uint64) bool { return true }))
-	eng.RegisterGroup("boom", &panicComp{at: 3}, 0)
-	eng.RegisterGroup("calm", &emitComp{name: "calm", staged: true, led: new([]string), n: 100}, 1)
-
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		eng.Run(func() bool { return false }, 1000)
-	}()
-	pe, ok := recovered.(*PanicError)
-	if !ok {
-		t.Fatalf("recovered %T (%v), want *PanicError", recovered, recovered)
-	}
-	if !strings.Contains(fmt.Sprint(pe.Value), "injected at tick 3") {
-		t.Errorf("PanicError.Value = %v, want the component's panic value", pe.Value)
-	}
-	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "panicComp") {
-		t.Errorf("PanicError.Stack missing the worker stack")
-	}
-}

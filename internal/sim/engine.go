@@ -4,10 +4,11 @@
 // or map iteration order ever influences timing, so a given configuration
 // always produces the identical result.
 //
-// The engine runs in one of four modes that all produce byte-identical
+// The engine runs in one of three modes that all produce byte-identical
 // results and differ only in per-cycle cost:
 //
-//   - EngineDense ticks every component every cycle — the reference loop.
+//   - EngineDense ticks every component every cycle — the reference loop
+//     (the oracle the other two are tested against).
 //   - EngineQuiescent keeps a deterministic active set: a component reports
 //     from Tick whether it still has pending work, and an idle component
 //     leaves the active set until something re-arms it through its
@@ -23,11 +24,10 @@
 //     between its consecutive Tick cycles; one that must account skipped
 //     cycles keeps its own local time (the GPU's SM slots nap, see
 //     docs/ARCHITECTURE.md).
-//   - EngineParallel (see parallel.go) is the skip engine with a
-//     concurrent tick pass: components registered into tick groups run on
-//     a bounded worker pool between a serial hub phase and a
-//     deterministic registration-order commit phase, so Wake/Send side
-//     effects land exactly where the serial loops put them.
+//
+// One goroutine owns an engine and everything registered with it from
+// construction to the end of the run; nothing in a simulation is shared
+// between goroutines (sweeps run whole simulations side by side instead).
 //
 // docs/ARCHITECTURE.md is the component author's guide to these
 // contracts — the idle-tick no-op rule, Wake re-arming, parking, the
@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 )
 
 // Component is one simulated unit. Tick is called at most once per cycle, in
@@ -108,12 +107,6 @@ const (
 	// EngineDense ticks every component every cycle — the reference loop
 	// for cross-engine diff tests and scheduler-bug isolation.
 	EngineDense
-	// EngineParallel is the skip engine with a concurrent tick pass:
-	// grouped components (see RegisterGroup) tick on a bounded worker
-	// pool between a serial hub phase and a deterministic commit phase
-	// (see Committer), then skip-ahead planning runs unchanged. Results
-	// are byte-identical to the serial modes for any worker count.
-	EngineParallel
 )
 
 // String names the mode as accepted by the CLIs' -engine flag.
@@ -125,8 +118,6 @@ func (m EngineMode) String() string {
 		return "quiescent"
 	case EngineDense:
 		return "dense"
-	case EngineParallel:
-		return "parallel"
 	}
 	return fmt.Sprintf("EngineMode(%d)", uint8(m))
 }
@@ -140,10 +131,8 @@ func ParseEngineMode(s string) (EngineMode, error) {
 		return EngineQuiescent, nil
 	case "dense":
 		return EngineDense, nil
-	case "parallel":
-		return EngineParallel, nil
 	}
-	return EngineSkip, fmt.Errorf("sim: unknown engine mode %q (want dense, quiescent, skip, or parallel)", s)
+	return EngineSkip, fmt.Errorf("sim: unknown engine mode %q (want dense, quiescent, or skip)", s)
 }
 
 // Handle re-arms a registered component. Waking is idempotent and may happen
@@ -162,13 +151,6 @@ type Handle struct {
 // the very next cycle exactly as it would under a dense loop.
 func (h Handle) Wake() {
 	e := h.e
-	if e.inParallel {
-		// A wake landing during the parallel group phase routes through
-		// the group-aware path: applied directly for a same-group forward
-		// wake, buffered to the post-barrier merge otherwise.
-		e.parallelWake(h.id)
-		return
-	}
 	if e.planning {
 		e.wokeDuringPlan = true
 	}
@@ -197,13 +179,13 @@ func (h Handle) Wake() {
 // ends there on the cycle the dense loop reports.
 //
 // Park reports whether the component was parked. It declines under the dense
-// engine (the oracle visits everything), under the parallel engine, and when
-// a Wake already landed during this Tick; a declined component simply
-// returns what it would have returned without Park.
+// engine (the oracle visits everything) and when a Wake already landed during
+// this Tick; a declined component simply returns what it would have returned
+// without Park.
 func (h Handle) Park(until uint64) bool {
 	e := h.e
 	w, mask := bitOf(h.id)
-	if e.mode == EngineDense || e.mode == EngineParallel || e.active[w]&mask != 0 {
+	if e.mode == EngineDense || e.active[w]&mask != 0 {
 		return false
 	}
 	if e.parked[w]&mask == 0 {
@@ -231,47 +213,35 @@ type EngineStats struct {
 	// SkippedCycles is the total width of all jumped windows: simulated
 	// cycles that were accounted without a tick pass.
 	SkippedCycles uint64 `json:"skippedCycles"`
-	// ExpressDeliveries counts mesh messages whose whole traversal was
-	// modeled as one timed event (express routing), and ExpressDemotions
-	// counts express flits materialized back into the per-hop pipeline
-	// by potentially contending traffic. The engine itself does not
-	// produce these; the GPU run loop copies them from the mesh so one
-	// stats block describes the run's whole event-density picture.
-	ExpressDeliveries uint64 `json:"expressDeliveries"`
-	ExpressDemotions  uint64 `json:"expressDemotions"`
 	// Naps counts the windows SMs slept through on their own frozen
 	// state instead of being re-classified every cycle, and
 	// NappedSMCycles the SM-cycles those windows credited in bulk (the
-	// drained tail included); both are zero under the dense engine. Like
-	// the express counters they are produced by the GPU run loop, not the
-	// engine: an SM naps whether or not the global clock jumps.
+	// drained tail included); both are zero under the dense engine. They
+	// are produced by the GPU run loop, not the engine: an SM naps whether
+	// or not the global clock jumps.
 	Naps           uint64 `json:"naps"`
 	NappedSMCycles uint64 `json:"nappedSMCycles"`
 	// JumpHist is the skip-jump size histogram: bucket i counts jumps of
 	// width [2^i, 2^(i+1)) cycles, with the last bucket absorbing
 	// anything wider. The bucket sum always equals Jumps.
 	JumpHist [JumpHistBuckets]uint64 `json:"jumpHist"`
-	// PhaseNanos attributes the parallel tick passes' wall time to the
-	// hub, group, and commit phases; zero under the serial engines. Wall
-	// time is inherently nondeterministic, which is fine here: EngineStats
-	// never enters the default Report encoding.
-	PhaseNanos PhaseNanos `json:"phaseNanos"`
+
+	// Deprecated: ExpressDeliveries counted express-routed mesh deliveries.
+	// Express routing is deleted; nothing writes or reads the field, it is
+	// always zero and is left out of the JSON encoding. It survives only
+	// because bench/layers.go compiles against it; the benchmark PR that
+	// retires the parallel2/express_off ladder rows and the
+	// noc.express_* metrics removes it.
+	ExpressDeliveries uint64 `json:"-"`
+	// Deprecated: ExpressDemotions counted express flits demoted to per-hop
+	// routing. Always zero; same status and same follow-up as
+	// ExpressDeliveries.
+	ExpressDemotions uint64 `json:"-"`
 }
 
 // JumpHistBuckets is the number of power-of-two jump-width buckets in
 // EngineStats.JumpHist.
 const JumpHistBuckets = 16
-
-// PhaseNanos is the parallel engine's per-phase wall-time attribution, in
-// nanoseconds summed over all tick passes of a run.
-type PhaseNanos struct {
-	// Hub is the serial hub-prefix phase (mesh, memory controller, L2).
-	Hub uint64 `json:"hub"`
-	// Group is the concurrent group phase ({CoreMem, SM} pairs).
-	Group uint64 `json:"group"`
-	// Commit is the registration-order commit phase.
-	Commit uint64 `json:"commit"`
-}
 
 // jumpBucket returns the JumpHist bucket for a jump of the given width
 // (width >= 1: bucket floor(log2 width), capped at the last bucket).
@@ -285,13 +255,11 @@ func jumpBucket(width uint64) int {
 
 // Observer receives engine scheduling events for structured tracing
 // (implemented by trace.Collector; defined here so sim stays free of trace
-// dependencies). Both callbacks run on the engine goroutine.
+// dependencies).
 type Observer interface {
 	// Jump reports a skip-ahead jump: the clock advanced from from
 	// straight to to without a tick pass.
 	Jump(from, to uint64)
-	// TickPhases reports one parallel tick pass's per-phase wall times.
-	TickPhases(cycle uint64, hubNs, groupNs, commitNs int64)
 }
 
 // Engine drives the simulation: a single-threaded cycle loop over the
@@ -338,29 +306,9 @@ type Engine struct {
 	// plans only mean ticked-through cycles, never different results.
 	planBackoff, planFails uint32
 
-	// Parallel mode state (see parallel.go). The hub prefix [0, hubLen)
-	// holds the ungrouped components of the serial phase; compGroup maps
-	// a component to its tick group (-1 for hub) and memberIdx to its
-	// slot within the group. committers caches the Committer assertion
-	// per component like nexters.
-	workers      int
-	hubLen       int
-	compGroup    []int
-	memberIdx    []int
-	committers   []Committer
-	groups       [][]int
-	groupCursor  []int
-	groupDelta   []int
-	groupVisits  []uint64
-	activeGroups []int
-	inParallel   bool
-	wakeMu       sync.Mutex
-	stagedWakes  []int
-	pool         *tickPool
-
 	stats EngineStats
-	// obs, when set, receives jump and phase events (see Observer); nil
-	// costs one pointer test per jump / parallel pass.
+	// obs, when set, receives jump events (see Observer); nil costs one
+	// pointer test per jump.
 	obs Observer
 }
 
@@ -374,16 +322,6 @@ func (e *Engine) SetMode(m EngineMode) { e.mode = m }
 // Mode returns the current scheduling loop.
 func (e *Engine) Mode() EngineMode { return e.mode }
 
-// SetDense is a legacy switch kept for harness code: true selects the dense
-// reference loop, false the default skip-ahead mode.
-func (e *Engine) SetDense(dense bool) {
-	if dense {
-		e.mode = EngineDense
-	} else {
-		e.mode = EngineSkip
-	}
-}
-
 // Stats returns scheduling counters accumulated since construction.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
@@ -395,11 +333,22 @@ func (e *Engine) SetObserver(o Observer) { e.obs = o }
 // handle. Registration order defines evaluation order within a cycle;
 // callers register producers before consumers (NoC before caches before
 // cores) so messages sent in cycle N are visible no earlier than N+1.
-// Components start active and are guaranteed at least one tick. A
-// component registered this way is a hub component: under the parallel
-// engine it ticks in the serial phase (see RegisterGroup).
+// Components start active and are guaranteed at least one tick.
 func (e *Engine) Register(name string, c Component) Handle {
-	return e.register(name, c, -1)
+	id := len(e.comps)
+	e.comps = append(e.comps, c)
+	e.names = append(e.names, name)
+	if id&63 == 0 {
+		e.active = append(e.active, 0)
+		e.parked = append(e.parked, 0)
+	}
+	w, mask := bitOf(id)
+	e.active[w] |= mask
+	e.activeCount++
+	e.parkUntil = append(e.parkUntil, NoEvent)
+	ne, _ := c.(NextEventer)
+	e.nexters = append(e.nexters, ne)
+	return Handle{e: e, id: id}
 }
 
 // Cycle returns the current cycle (the number of completed cycles).
@@ -463,8 +412,6 @@ func (e *Engine) Run(done func() bool, maxCycles uint64) (uint64, error) {
 // diagnosis dump); any other cancellation returns ErrCanceled.
 func (e *Engine) RunContext(ctx context.Context, done func() bool, maxCycles uint64) (uint64, error) {
 	start := e.cycle
-	e.startPool()
-	defer e.stopPool()
 	e.skipLimit = NoEvent
 	if maxCycles < NoEvent-start {
 		// Jumping past the watchdog would report a different cycle count
@@ -519,10 +466,7 @@ func (e *Engine) Step() {
 	if e.parkDue <= e.cycle {
 		e.rearmDue()
 	}
-	switch e.mode {
-	case EngineParallel:
-		e.stepParallel()
-	case EngineDense:
+	if e.mode == EngineDense {
 		for i, c := range e.comps {
 			w, mask := bitOf(i)
 			if e.active[w]&mask != 0 {
@@ -535,7 +479,7 @@ func (e *Engine) Step() {
 			}
 		}
 		e.stats.Visits += uint64(len(e.comps))
-	default:
+	} else {
 		for w := range e.active {
 			for word := e.active[w]; word != 0; {
 				b := bits.TrailingZeros64(word)
@@ -555,7 +499,7 @@ func (e *Engine) Step() {
 	}
 	e.cycle++
 	e.stats.Steps++
-	if (e.mode == EngineSkip || e.mode == EngineParallel) && e.activeCount+e.parkedCount > 0 {
+	if e.mode == EngineSkip && e.activeCount+e.parkedCount > 0 {
 		if e.planBackoff > 0 {
 			e.planBackoff--
 		} else if e.trySkip() {

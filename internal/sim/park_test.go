@@ -202,22 +202,19 @@ func TestParkUntilDueOrWake(t *testing.T) {
 	}
 }
 
-// TestParkDeclined: the dense engine visits everything anyway, the parallel
-// engine does not park, and a component a Wake already reached in this tick
-// stays awake. A declined park changes nothing: the component is visited the
-// next cycle like any busy one.
+// TestParkDeclined: the dense engine visits everything anyway, and a
+// component a Wake already reached in this tick stays awake. A declined park
+// changes nothing: the component is visited the next cycle like any busy one.
 func TestParkDeclined(t *testing.T) {
-	for _, mode := range []EngineMode{EngineDense, EngineParallel} {
-		eng := NewEngine()
-		eng.SetMode(mode)
-		p := &parker{until: func(now uint64) uint64 { return now + 100 }}
-		p.h = eng.Register("parker", p)
-		eng.Step()
-		if p.took[0] {
-			t.Errorf("%s: Park accepted", mode)
-		}
-	}
 	eng := NewEngine()
+	eng.SetMode(EngineDense)
+	p := &parker{until: func(now uint64) uint64 { return now + 100 }}
+	p.h = eng.Register("parker", p)
+	eng.Step()
+	if p.took[0] {
+		t.Error("dense: Park accepted")
+	}
+	eng = NewEngine()
 	eng.SetMode(EngineQuiescent)
 	var h Handle
 	var took bool

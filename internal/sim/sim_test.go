@@ -82,7 +82,9 @@ func TestEngineTickSeesCycleBeforeIncrement(t *testing.T) {
 func TestEngineIdleComponentSkipped(t *testing.T) {
 	for _, dense := range []bool{false, true} {
 		eng := NewEngine()
-		eng.SetDense(dense)
+		if dense {
+			eng.SetMode(EngineDense)
+		}
 		var idleTicks, busyTicks []uint64
 		eng.Register("idle", busyFor(1, &idleTicks))
 		eng.Register("busy", busyFor(100, &busyTicks))
@@ -235,11 +237,8 @@ func TestDefaultConfigValid(t *testing.T) {
 	if cfg.NumCores() != 16 || cfg.CPUCore() != 15 {
 		t.Fatalf("cores = %d, cpu = %d", cfg.NumCores(), cfg.CPUCore())
 	}
-	if cfg.DenseTicking {
-		t.Fatal("default config must not use the dense reference loop")
-	}
-	if cfg.EngineMode() != EngineSkip {
-		t.Fatalf("default engine mode = %s, want skip", cfg.EngineMode())
+	if cfg.Engine != EngineSkip {
+		t.Fatalf("default engine mode = %s, want skip", cfg.Engine)
 	}
 }
 
@@ -263,6 +262,9 @@ func TestConfigValidation(t *testing.T) {
 		{"zero scratch", func(c *Config) { c.ScratchSize = 0 }},
 		{"too many cores for mesh", func(c *Config) { c.NumSMs = 16 }},
 		{"zero max cycles", func(c *Config) { c.MaxCycles = 0 }},
+		// 3 was the deleted parallel engine's value: a stale caller gets
+		// an error, not a different engine.
+		{"unknown engine", func(c *Config) { c.Engine = EngineDense + 1 }},
 	}
 	for _, tt := range mutations {
 		t.Run(tt.name, func(t *testing.T) {
@@ -272,5 +274,24 @@ func TestConfigValidation(t *testing.T) {
 				t.Errorf("config %s passed validation", tt.name)
 			}
 		})
+	}
+}
+
+// TestParseEngineMode: every mode's name parses back to it, and a mode that
+// no longer exists is an error naming the ones that do.
+func TestParseEngineMode(t *testing.T) {
+	for _, m := range []EngineMode{EngineSkip, EngineQuiescent, EngineDense} {
+		if got, err := ParseEngineMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseEngineMode(%q) = %v, %v", m, got, err)
+		}
+	}
+	_, err := ParseEngineMode("parallel")
+	if err == nil {
+		t.Fatal(`ParseEngineMode("parallel") succeeded`)
+	}
+	for _, want := range []string{"dense", "quiescent", "skip"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name mode %q", err, want)
+		}
 	}
 }

@@ -13,12 +13,10 @@ import (
 // reports the earliest pending event, so the skip-ahead engine may jump
 // straight to it.
 //
-// One branch models an express-routed mesh traversal: a single far-future
-// event standing for a whole multi-hop delivery, which a later peer
-// exchange may "demote" — replace with a much nearer event plus a Wake,
-// exactly the pattern of contending traffic materializing an express flit
-// back into the per-hop pipeline. The engine must cope with a component's
-// NextEvent moving earlier after a wake.
+// One branch models a long promise cut short: a single far-future event
+// which a later peer exchange may replace with a much nearer one plus a
+// Wake — the pattern of an SM nap ended early by its CoreMem's poke. The
+// engine must cope with a component's NextEvent moving earlier after a wake.
 type timedComp struct {
 	name   string
 	events []uint64 // sorted pending event times
@@ -26,9 +24,9 @@ type timedComp struct {
 	handle Handle
 	rng    uint64
 	log    *[]string
-	// expressAt is the pending express-style event (0 = none): scheduled
-	// far out, possibly demoted to a near event by the peer.
-	expressAt uint64
+	// farAt is the pending long promise (0 = none): scheduled far out,
+	// possibly cut short to a near event by the peer.
+	farAt uint64
 	// skips records the windows the engine skipped, for assertions: the
 	// engine does not announce a jump, so a component derives it from the
 	// gap between its consecutive Tick cycles (ticked tracks whether any
@@ -73,8 +71,8 @@ func (c *timedComp) Tick(cycle uint64) bool {
 	for len(c.events) > 0 && c.events[0] <= cycle {
 		at := c.events[0]
 		c.events = c.events[1:]
-		if at == c.expressAt {
-			c.expressAt = 0 // the express traversal completed undisturbed
+		if at == c.farAt {
+			c.farAt = 0 // the long promise ran out undisturbed
 		}
 		// A late-fired event is exactly an under-promise: the engine
 		// jumped past it. Make the failure visible in the log.
@@ -92,20 +90,19 @@ func (c *timedComp) Tick(cycle uint64) bool {
 			c.peer.schedule(cycle + 1 + c.next(25))
 			c.peer.handle.Wake()
 		case 2:
-			// Express-route exchange: one far event stands for a whole
-			// uncontended multi-hop traversal.
-			if c.expressAt == 0 {
-				c.expressAt = cycle + 10 + c.next(160)
-				c.schedule(c.expressAt)
+			// A long promise: one far event and nothing before it.
+			if c.farAt == 0 {
+				c.farAt = cycle + 10 + c.next(160)
+				c.schedule(c.farAt)
 			}
 		case 3:
-			// Contention reaches the peer's express path: demote it —
-			// the far promise is replaced by a near per-hop event and
-			// the peer re-armed, like a materialized flit.
-			if p := c.peer; p.expressAt > cycle+1 {
-				p.unschedule(p.expressAt)
+			// Cut the peer's long promise short: the far event is
+			// replaced by a near one and the peer re-armed, like a poke
+			// ending a nap.
+			if p := c.peer; p.farAt > cycle+1 {
+				p.unschedule(p.farAt)
 				p.schedule(cycle + 1 + c.next(6))
-				p.expressAt = 0
+				p.farAt = 0
 				p.handle.Wake()
 			}
 		case 4:

@@ -20,12 +20,7 @@ import (
 //	                 complete ("X") slices named by stall kind, colored
 //	                 per kind, with the sub-cause in args.
 //	pid 2 "engine" — thread 0 "clock jumps": each skip-ahead jump as a
-//	                 slice spanning the jumped window; phase wall times
-//	                 as counter ("C") events.
-//	pid 3 "mesh"   — thread 0 "express deliveries": each express
-//	                 traversal as a slice from inject to delivery;
-//	                 thread 1 "express demotions": instant ("i") events
-//	                 at materialization time.
+//	                 slice spanning the jumped window.
 
 // chromeEvent is one trace-event entry. Fields follow the trace-event
 // format's names exactly.
@@ -38,14 +33,12 @@ type chromeEvent struct {
 	Tid   int            `json:"tid"`
 	Cat   string         `json:"cat,omitempty"`
 	Cname string         `json:"cname,omitempty"`
-	S     string         `json:"s,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
 
 const (
 	pidSMs    = 1
 	pidEngine = 2
-	pidMesh   = 3
 )
 
 // kindColors maps each stall kind to a trace-viewer reserved color name, so
@@ -67,14 +60,12 @@ var kindColors = [core.NumStallKinds]string{
 // declares itself.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	spanDrop, jumpDrop, phaseDrop, exprDrop, loadDrop := c.Dropped()
+	spanDrop, jumpDrop, loadDrop := c.Dropped()
 	meta := map[string]any{
 		"tool":              "gsi",
 		"clock":             "1 cycle = 1us",
 		"droppedSpanCycles": spanDrop,
 		"droppedJumps":      jumpDrop,
-		"droppedPhases":     phaseDrop,
-		"droppedExpress":    exprDrop,
 		"droppedLoads":      loadDrop,
 	}
 	metaDoc, err := json.Marshal(meta)
@@ -126,15 +117,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	if err := thread(pidEngine, 0, "clock jumps"); err != nil {
 		return err
 	}
-	if err := named(pidMesh, "mesh"); err != nil {
-		return err
-	}
-	if err := thread(pidMesh, 0, "express deliveries"); err != nil {
-		return err
-	}
-	if err := thread(pidMesh, 1, "express demotions"); err != nil {
-		return err
-	}
 
 	// Per-SM stall slices.
 	for sm := range c.sms {
@@ -157,42 +139,12 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 
-	// Engine track: jumps as slices over the jumped window, phase wall
-	// times as counters (one counter sample per recorded parallel pass).
+	// Engine track: jumps as slices over the jumped window.
 	for _, j := range c.jumps {
 		if err := emit(chromeEvent{
 			Name: "jump", Ph: "X", Ts: j.From, Dur: j.To - j.From,
 			Pid: pidEngine, Tid: 0, Cat: "engine", Cname: "good",
 			Args: map[string]any{"from": j.From, "to": j.To, "width": j.To - j.From},
-		}); err != nil {
-			return err
-		}
-	}
-	for _, p := range c.phases {
-		if err := emit(chromeEvent{
-			Name: "tick phase ns", Ph: "C", Ts: p.Cycle, Pid: pidEngine,
-			Args: map[string]any{"hub": p.HubNs, "group": p.GroupNs, "commit": p.CommitNs},
-		}); err != nil {
-			return err
-		}
-	}
-
-	// Mesh track: deliveries as inject-to-delivery slices, demotions as
-	// instants at materialization time.
-	for _, d := range c.deliveries {
-		if err := emit(chromeEvent{
-			Name: "express", Ph: "X", Ts: d.Inject, Dur: d.At - d.Inject,
-			Pid: pidMesh, Tid: 0, Cat: "mesh", Cname: "good",
-			Args: map[string]any{"src": d.Src, "dst": d.Dst, "hops": d.Hops},
-		}); err != nil {
-			return err
-		}
-	}
-	for _, d := range c.demotions {
-		if err := emit(chromeEvent{
-			Name: "demotion", Ph: "i", Ts: d.At, Pid: pidMesh, Tid: 1,
-			Cat: "mesh", S: "t",
-			Args: map[string]any{"src": d.Src, "dst": d.Dst, "hop": d.Hops, "inject": d.Inject},
 		}); err != nil {
 			return err
 		}

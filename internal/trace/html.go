@@ -13,9 +13,9 @@ import (
 // HTML timeline export: a single self-contained page — embedded JSON data,
 // inline styles, inline vanilla-JS canvas renderer, no external assets or
 // network references — in the spirit of Daisen's interactive component
-// timelines. One row per SM plus engine-jump and express-mesh rows;
-// wheel-zoom around the cursor, drag to pan, per-kind filter checkboxes,
-// and hover detail showing kind, sub-cause, and span extent.
+// timelines. One row per SM plus an engine-jump row; wheel-zoom around the
+// cursor, drag to pan, per-kind filter checkboxes, and hover detail showing
+// kind, sub-cause, and span extent.
 
 // kindCSSColors maps stall kinds to the page's palette (CSS colors).
 var kindCSSColors = [core.NumStallKinds]string{
@@ -36,7 +36,6 @@ type htmlData struct {
 	End     uint64      `json:"end"`
 	SMs     [][][4]any  `json:"sms"`     // per SM: [start, cycles, kindIdx, subCause]
 	Jumps   [][2]uint64 `json:"jumps"`   // [from, to]
-	Express [][2]uint64 `json:"express"` // [inject, deliverAt]
 	Dropped uint64      `json:"dropped"` // total dropped events across buffers
 }
 
@@ -65,12 +64,8 @@ func (c *Collector) WriteHTML(w io.Writer) error {
 	for _, j := range c.jumps {
 		data.Jumps = append(data.Jumps, [2]uint64{j.From, j.To})
 	}
-	data.Express = make([][2]uint64, 0, len(c.deliveries))
-	for _, d := range c.deliveries {
-		data.Express = append(data.Express, [2]uint64{d.Inject, d.At})
-	}
-	sd, jd, pd, ed, ld := c.Dropped()
-	data.Dropped = sd + jd + pd + ed + ld
+	sd, jd, ld := c.Dropped()
+	data.Dropped = sd + jd + ld
 
 	doc, err := json.Marshal(data)
 	if err != nil {
@@ -117,7 +112,6 @@ var D = JSON.parse(document.getElementById("trace-data").textContent);
 var rows = [];
 for (var i = 0; i < D.sms.length; i++) rows.push({label: "SM" + i, spans: D.sms[i]});
 rows.push({label: "jumps", jumps: D.jumps});
-rows.push({label: "express", express: D.express});
 var show = D.kinds.map(function(){ return true; });
 var v0 = 0, v1 = Math.max(D.end, 1);
 var ROW = 18, LEFT = 64, TOP = 8;
@@ -169,8 +163,8 @@ function draw() {
         cx.fillRect(x0, y + 2, Math.max(x1 - x0, 0.5), ROW - 5);
       }
     } else {
-      var evs = r.jumps || r.express;
-      cx.fillStyle = r.jumps ? "#00acc1" : "#7cb342";
+      var evs = r.jumps;
+      cx.fillStyle = "#00acc1";
       for (var j = 0; j < evs.length; j++) {
         var e = evs[j];
         if (e[1] < v0 || e[0] > v1) continue;
@@ -217,7 +211,7 @@ cv.addEventListener("mousemove", function(ev) {
         }
       }
     } else {
-      var evs = r.jumps || r.express;
+      var evs = r.jumps;
       for (var j = 0; j < evs.length; j++) {
         if (t >= evs[j][0] && t <= evs[j][1]) {
           txt = r.label + ": " + evs[j][0] + " to " + evs[j][1] +

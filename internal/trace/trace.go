@@ -1,16 +1,14 @@
 // Package trace records structured events during a simulation run for
 // post-hoc visualization: per-SM stall spans straight from the Inspector's
-// classification stream, skip-engine clock jumps, express mesh deliveries
-// and demotions, and the parallel engine's per-phase wall times. The
-// Collector is nil-by-default in every instrumented path — the engine, the
-// mesh, and the Inspector each test a single pointer before forwarding —
-// so a run without tracing pays nothing, and a run with tracing produces
-// the byte-identical Report (the collector only observes; it never touches
-// simulation state).
+// classification stream and skip-engine clock jumps. The Collector is
+// nil-by-default in every instrumented path — the engine and the Inspector
+// each test a single pointer before forwarding — so a run without tracing
+// pays nothing, and a run with tracing produces the byte-identical Report
+// (the collector only observes; it never touches simulation state).
 //
 // Two exporters sit on top of the collected events: WriteChromeTrace emits
-// Chrome trace-event JSON loadable in Perfetto (one track per SM plus
-// engine and mesh tracks), and WriteHTML emits a single self-contained
+// Chrome trace-event JSON loadable in Perfetto (one track per SM plus an
+// engine track), and WriteHTML emits a single self-contained
 // interactive timeline page with zoom, per-kind filtering, and hover
 // detail.
 //
@@ -21,14 +19,11 @@ package trace
 
 import "gsi/internal/core"
 
-// Buffer bounds. Spans dominate memory, so they get the largest budget;
-// phase samples are per-parallel-tick and capped hardest.
+// Buffer bounds. Spans dominate memory, so they get the largest budget.
 const (
 	maxSpansPerSM = 1 << 20
 	maxLoadsPerSM = 1 << 20
 	maxJumps      = 1 << 16
-	maxPhases     = 1 << 13
-	maxExpress    = 1 << 16
 )
 
 // Span is one run of consecutive cycles with a single classification on one
@@ -51,43 +46,12 @@ type JumpEvent struct {
 	From, To uint64
 }
 
-// PhaseSample attributes one parallel tick pass's wall time to its three
-// phases (serial hub prefix, concurrent group phase, registration-order
-// commit).
-type PhaseSample struct {
-	// Cycle is the simulated cycle the pass executed.
-	Cycle uint64
-	// HubNs, GroupNs, and CommitNs are the phases' wall times.
-	HubNs, GroupNs, CommitNs int64
-}
-
-// ExpressEvent is one express-routing event on the mesh. For a delivery,
-// At is the delivery cycle and Hops the full route length; for a demotion,
-// At is the materialization cycle and Hops the hop index at which the flit
-// re-entered the per-hop pipeline.
-type ExpressEvent struct {
-	// Inject is the cycle the message entered the mesh.
-	Inject uint64
-	// At is the delivery or materialization cycle.
-	At uint64
-	// Src and Dst are the route's endpoint tiles.
-	Src, Dst int
-	// Hops is the route length (delivery) or materialization hop (demotion).
-	Hops int
-}
-
-// smTrack is one SM's event shard. Stall spans for one SM always arrive
-// from one goroutine at a time (the engine serializes an SM's ticks even
-// in parallel mode, with pool barriers providing the happens-before
-// edges), so the shard needs no locking — the same argument that keeps the
-// Inspector's per-SM pending maps race-free. The trailing pad keeps shards
-// on distinct cache lines under the parallel engine.
+// smTrack is one SM's event shard.
 type smTrack struct {
 	pos     uint64 // cycles recorded so far; the next span's Start
 	spans   []Span
 	dropped uint64 // cycles dropped after the span cap
 	loads   map[core.LoadID]core.DataWhere
-	_       [16]byte
 }
 
 // Collector accumulates one run's events. The zero value is not usable:
@@ -97,33 +61,24 @@ type smTrack struct {
 type Collector struct {
 	sms []smTrack
 
-	// Engine- and mesh-side buffers. All of these are appended from the
-	// engine goroutine only (jumps and phase samples by the engine itself,
-	// express events by the mesh, which ticks in the serial hub phase), so
-	// they need no locking either.
-	jumps         []JumpEvent
-	jumpsDropped  uint64
-	phases        []PhaseSample
-	phasesDropped uint64
-	deliveries    []ExpressEvent
-	demotions     []ExpressEvent
-	exprDropped   uint64
-	loadsDropped  uint64
+	jumps        []JumpEvent
+	jumpsDropped uint64
+	loadsDropped uint64
 }
 
 // New returns an empty collector. Call Begin (or let gsi.Run call it)
 // before recording.
 func New() *Collector { return &Collector{} }
 
-// Begin resets the collector for a run over numSMs SMs. It must be called
-// single-threaded, before the run starts ticking.
+// Begin resets the collector for a run over numSMs SMs, before the run
+// starts ticking.
 func (c *Collector) Begin(numSMs int) {
 	c.sms = make([]smTrack, numSMs)
 	for i := range c.sms {
 		c.sms[i].loads = make(map[core.LoadID]core.DataWhere)
 	}
-	c.jumps, c.phases, c.deliveries, c.demotions = nil, nil, nil, nil
-	c.jumpsDropped, c.phasesDropped, c.exprDropped, c.loadsDropped = 0, 0, 0, 0
+	c.jumps = nil
+	c.jumpsDropped, c.loadsDropped = 0, 0
 }
 
 // StallSpan implements core.TraceSink: the Inspector forwards every
@@ -175,38 +130,6 @@ func (c *Collector) Jump(from, to uint64) {
 	c.jumps = append(c.jumps, JumpEvent{From: from, To: to})
 }
 
-// TickPhases implements sim.Observer: one parallel tick pass's phase wall
-// times. Only the first maxPhases passes are kept (the dropped counter
-// records the rest); the early passes are where phase-imbalance questions
-// usually live.
-func (c *Collector) TickPhases(cycle uint64, hubNs, groupNs, commitNs int64) {
-	if len(c.phases) >= maxPhases {
-		c.phasesDropped++
-		return
-	}
-	c.phases = append(c.phases, PhaseSample{Cycle: cycle, HubNs: hubNs, GroupNs: groupNs, CommitNs: commitNs})
-}
-
-// ExpressDelivery implements noc.Observer: a message's whole traversal was
-// modeled as one timed event and delivered at cycle.
-func (c *Collector) ExpressDelivery(cycle, inject uint64, src, dst, hops int) {
-	if len(c.deliveries) >= maxExpress {
-		c.exprDropped++
-		return
-	}
-	c.deliveries = append(c.deliveries, ExpressEvent{Inject: inject, At: cycle, Src: src, Dst: dst, Hops: hops})
-}
-
-// ExpressDemotion implements noc.Observer: an express flit materialized
-// back into the per-hop pipeline at hop, with queue-entry time at.
-func (c *Collector) ExpressDemotion(at, inject uint64, src, dst, hop int) {
-	if len(c.demotions) >= maxExpress {
-		c.exprDropped++
-		return
-	}
-	c.demotions = append(c.demotions, ExpressEvent{Inject: inject, At: at, Src: src, Dst: dst, Hops: hop})
-}
-
 // NumSMs returns the number of per-SM tracks (0 before Begin).
 func (c *Collector) NumSMs() int { return len(c.sms) }
 
@@ -216,15 +139,6 @@ func (c *Collector) Spans(sm int) []Span { return c.sms[sm].spans }
 
 // Jumps returns the recorded clock jumps (aliased, read-only).
 func (c *Collector) Jumps() []JumpEvent { return c.jumps }
-
-// Phases returns the recorded parallel-phase samples (aliased, read-only).
-func (c *Collector) Phases() []PhaseSample { return c.phases }
-
-// Deliveries returns the recorded express deliveries (aliased, read-only).
-func (c *Collector) Deliveries() []ExpressEvent { return c.deliveries }
-
-// Demotions returns the recorded express demotions (aliased, read-only).
-func (c *Collector) Demotions() []ExpressEvent { return c.demotions }
 
 // EndCycle returns the last recorded per-SM cycle position — the span
 // timeline's right edge.
@@ -239,14 +153,14 @@ func (c *Collector) EndCycle() uint64 {
 }
 
 // Dropped reports how many events each bounded buffer rejected: stall-span
-// cycles (summed across SMs), jumps, phase samples, express events, and
-// load resolutions. Both exporters embed these in their metadata so a
-// truncated trace reads as truncated, never as complete.
-func (c *Collector) Dropped() (spanCycles, jumps, phases, express, loads uint64) {
+// cycles (summed across SMs), jumps, and load resolutions. Both exporters
+// embed these in their metadata so a truncated trace reads as truncated,
+// never as complete.
+func (c *Collector) Dropped() (spanCycles, jumps, loads uint64) {
 	for i := range c.sms {
 		spanCycles += c.sms[i].dropped
 	}
-	return spanCycles, c.jumpsDropped, c.phasesDropped, c.exprDropped, c.loadsDropped
+	return spanCycles, c.jumpsDropped, c.loadsDropped
 }
 
 // WhereOf resolves the service location of a MemData span's pending load:

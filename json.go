@@ -24,11 +24,13 @@ import (
 //
 //   - defaults are materialized (a zero System hashes like an explicit
 //     DefaultConfig),
-//   - the scheduling knobs — Engine, DenseTicking, Express, Parallel —
-//     are reset to their defaults, because every engine mode produces
+//   - Engine is reset to its default, because every engine mode produces
 //     byte-identical results (the cross-engine contract enforced by
-//     engine_diff_test.go, which includes the parallel tick engine at any
-//     worker count); they change wall-clock cost, never the Report,
+//     engine_diff_test.go); it changes wall-clock cost, never the Report,
+//   - the two inert scheduling fields, Parallel and Express, are zeroed:
+//     nothing reads them (see their Deprecated notes on SystemConfig), but
+//     the hash document serializes the whole SystemConfig, so a caller
+//     that still sets one must not split a cache key,
 //   - Trace is cleared: tracing observes a run without perturbing it, so
 //     a traced and an untraced run share one cache identity. (The field
 //     is also tagged out of JSON, so it never reaches the hash document
@@ -41,9 +43,8 @@ import (
 func CanonicalOptions(opt Options) Options {
 	opt = opt.withDefaults()
 	opt.System.Engine = EngineSkip
-	opt.System.DenseTicking = false
-	opt.System.Express = true
 	opt.System.Parallel = 0
+	opt.System.Express = false
 	opt.Trace = nil
 	return opt
 }

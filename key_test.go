@@ -4,9 +4,9 @@ import "testing"
 
 // TestCacheKeyEquivalentConfigsHashEqual: CacheKey must collapse every
 // spelling of the same simulation onto one content address — defaulted vs
-// explicit configuration, engine-mode and express selections (results are
-// byte-identical by contract), default-valued vs absent parameters, and
-// cosmetic name/value spellings.
+// explicit configuration, engine-mode selections (results are
+// byte-identical by contract), the two inert scheduling fields,
+// default-valued vs absent parameters, and cosmetic name/value spellings.
 func TestCacheKeyEquivalentConfigsHashEqual(t *testing.T) {
 	base := CacheKey(Options{Protocol: DeNovo}, "uts", nil)
 	equivalent := map[string]string{
@@ -17,11 +17,11 @@ func TestCacheKeyEquivalentConfigsHashEqual(t *testing.T) {
 		"engine quiescent": CacheKey(Options{
 			System:   func() SystemConfig { c := DefaultConfig(); c.Engine = EngineQuiescent; return c }(),
 			Protocol: DeNovo}, "uts", nil),
-		"legacy dense ticking": CacheKey(Options{
-			System:   func() SystemConfig { c := DefaultConfig(); c.DenseTicking = true; return c }(),
+		"inert express": CacheKey(Options{
+			System:   func() SystemConfig { c := DefaultConfig(); c.Express = true; return c }(),
 			Protocol: DeNovo}, "uts", nil),
-		"express off": CacheKey(Options{
-			System:   func() SystemConfig { c := DefaultConfig(); c.Express = false; return c }(),
+		"inert parallel": CacheKey(Options{
+			System:   func() SystemConfig { c := DefaultConfig(); c.Parallel = 4; return c }(),
 			Protocol: DeNovo}, "uts", nil),
 		"default-valued param": CacheKey(Options{Protocol: DeNovo}, "uts",
 			WorkloadValues{"nodes": "6000"}), // the schema default

@@ -48,8 +48,8 @@ type Report struct {
 	TimelineJSON *core.TimelineSnapshot `json:"timelineData,omitempty"`
 
 	// EngineStats counts the scheduling work of the run (tick passes,
-	// skip-ahead jumps, skipped cycles, express-routed mesh deliveries
-	// and demotions). Excluded from JSON by default: every engine mode
+	// component visits, skip-ahead jumps, skipped cycles, SM naps).
+	// Excluded from JSON by default: every engine mode
 	// produces identical simulation results, but their scheduling cost
 	// necessarily differs, and the serialized report is the
 	// byte-identity contract between them. Opt in explicitly with
