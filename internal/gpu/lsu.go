@@ -132,7 +132,7 @@ func (l *LSU) Accept(w *Warp, in *isa.Decoded, cycle uint64) {
 	l.Accepted++
 	if in.Class == isa.ClassAtomic {
 		l.sm.cm.Atomic(mem.AtomicOp{
-			Warp: w.idx, Rd: in.Rd, Addr: w.regs[in.Ra], AOp: in.Op,
+			Warp: int32(w.idx), Rd: in.Rd, Addr: w.regs[in.Ra], AOp: in.Op,
 			B: w.regs[in.Rb], C: w.regs[in.Rc], Order: in.Order,
 			NoRet: in.NoRet,
 		}, cycle)

@@ -173,6 +173,51 @@ func BenchmarkSelfInvalidateFewOwned(b *testing.B) {
 	}
 }
 
+// TestArrayAllocatesSetsOnFirstInstall: a set costs nothing until a line is
+// installed in it, reads as empty until then, and is allocated once — a
+// second line in the same set, a refresh, an eviction, and a reinstall
+// after the set was emptied allocate nothing more.
+func TestArrayAllocatesSetsOnFirstInstall(t *testing.T) {
+	const nsets, assoc, lineSize = 256, 16, 64
+	a := NewArray(nsets*assoc*lineSize, assoc, lineSize)
+	allocated := func() (n int) {
+		for _, set := range a.sets {
+			if set != nil {
+				n++
+			}
+		}
+		return n
+	}
+	line := func(set, tag int) uint64 { return uint64(tag*nsets+set) * lineSize }
+	if a.Lookup(line(3, 0), 0) != nil || a.Peek(line(3, 0)) != nil {
+		t.Fatal("empty array hit")
+	}
+	if _, ok := a.Invalidate(line(3, 0)); ok {
+		t.Fatal("empty array invalidated a line")
+	}
+	a.InvalidateWhere(func(*Way) bool { return false })
+	if n := allocated(); n != 0 {
+		t.Fatalf("%d sets allocated before any install", n)
+	}
+	for tag := 0; tag <= assoc; tag++ { // one past full: the last install evicts
+		if w, _, _ := a.Install(line(3, tag), uint64(tag)); w == nil || len(a.sets[3]) != assoc {
+			t.Fatalf("install %d: way %v in a set of %d ways, want %d", tag, w, len(a.sets[3]), assoc)
+		}
+	}
+	a.Install(line(200, 0), 0)
+	if n := allocated(); n != 2 {
+		t.Fatalf("%d sets allocated, want the 2 installed into", n)
+	}
+	a.InvalidateWhere(func(*Way) bool { return false })
+	if got := testing.AllocsPerRun(10, func() {
+		a.Install(line(3, 1), 1)
+		a.Install(line(200, 5), 1)
+		a.InvalidateWhere(func(*Way) bool { return false })
+	}); got != 0 {
+		t.Fatalf("reinstalling into emptied sets allocates %.0f times", got)
+	}
+}
+
 func TestArrayInvalidateLine(t *testing.T) {
 	a := tinyArray()
 	a.Install(0, 1)

@@ -6,6 +6,14 @@
 // *when* a value is available and *where* it was serviced, while values are
 // always read from and written to the backing store, which keeps workloads
 // functionally correct independent of timing bugs.
+//
+// Everything the units say to each other is one pointer-free value, Msg,
+// copied from the sender's outbox through the mesh's rings into the receiver;
+// whoever is handed a *Msg may use it during that call and copies it to keep
+// it. Per-line bookkeeping on the same path (MSHRs, store-buffer membership,
+// acks wanted, fills in flight) lives in LineTables, in place. A warmed memory
+// system allocates nothing per transaction: docs/ARCHITECTURE.md, "The message
+// path", has the invariants and the tests that hold them.
 package mem
 
 import "math/bits"
@@ -31,7 +39,9 @@ type backingPage struct {
 // the timing model serializes them at the L2 banks' directory (or the owning
 // L1) — not in the host's.
 type Backing struct {
-	pages map[uint64]*backingPage // page index (addr >> 12) -> page
+	// pages maps a page index (addr >> 12) to its page. It stays a map: its
+	// keys are every page a workload ever wrote, unbounded and sparse.
+	pages map[uint64]*backingPage
 }
 
 // NewBacking returns an empty functional memory.

@@ -62,13 +62,15 @@ const (
 	StoreBlockedRelease
 )
 
-// AtomicOp is a warp atomic handed to CoreMem for protocol sequencing.
+// AtomicOp is a warp atomic handed to CoreMem for protocol sequencing. It
+// travels inside Msg, so its fields are ordered widest first and Warp is an
+// int32: 32 bytes, no padding, no pointer.
 type AtomicOp struct {
-	Warp  int
-	Rd    isa.Reg // destination for the old value (unused when NoRet)
 	Addr  uint64
-	AOp   isa.Op
-	B, C  uint64
+	B, C  uint64 // operands
+	Warp  int32
+	Rd    isa.Reg // destination for the old value (unused when NoRet)
+	AOp   isa.Op  // OpAtomCAS, OpAtomExch, OpAtomAdd
 	Order isa.Order
 	// NoRet marks a fire-and-forget atomic: the issuing warp did not
 	// block, so completion only decrements the in-flight count.
@@ -102,19 +104,22 @@ type CoreMem struct {
 	array    *Array
 	backing  *Backing
 
-	mshr    map[uint64]*mshrEntry
+	mshr    LineTable[mshrEntry]
 	mshrCap int
+	// filling holds the merged targets of the entry fill is completing,
+	// taken out of the table before any completion callback runs.
+	filling []Target
 
 	sb    []uint64            // FIFO of dirty lines awaiting flush
-	sbSet map[uint64]struct{} // membership for write combining
+	sbSet LineTable[struct{}] // membership for write combining
 	sbCap int
 
 	flushing     bool
 	flushRelease bool
-	flushQ       []uint64
-	acksWanted   map[uint64]struct{}
+	flushQ       fifo[uint64]
+	acksWanted   LineTable[struct{}]
 
-	releaseQ        []AtomicOp // atomics waiting for a release flush
+	releaseQ        fifo[AtomicOp] // atomics waiting for a release flush
 	inflightAtomics int
 
 	// SFIFO enables the QuickRelease-style ablation (paper section
@@ -170,7 +175,7 @@ type CoreMemConfig struct {
 	SBCap    int
 	Policy   Policy
 	Backing  *Backing
-	Mesh     *noc.Mesh
+	Mesh     *noc.Mesh[Msg]
 	BankTile func(line uint64) int
 	CoreTile func(core int) int
 }
@@ -178,20 +183,17 @@ type CoreMemConfig struct {
 // NewCoreMem builds the unit.
 func NewCoreMem(cfg CoreMemConfig) *CoreMem {
 	return &CoreMem{
-		coreID:     cfg.CoreID,
-		tile:       cfg.Tile,
-		lineSize:   uint64(cfg.LineSize),
-		policy:     cfg.Policy,
-		array:      NewArray(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
-		backing:    cfg.Backing,
-		mshr:       make(map[uint64]*mshrEntry),
-		mshrCap:    cfg.MSHRCap,
-		sbSet:      make(map[uint64]struct{}),
-		sbCap:      cfg.SBCap,
-		acksWanted: make(map[uint64]struct{}),
-		out:        outbox{mesh: cfg.Mesh, from: cfg.Tile},
-		bankTile:   cfg.BankTile,
-		coreTile:   cfg.CoreTile,
+		coreID:   cfg.CoreID,
+		tile:     cfg.Tile,
+		lineSize: uint64(cfg.LineSize),
+		policy:   cfg.Policy,
+		array:    NewArray(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
+		backing:  cfg.Backing,
+		mshrCap:  cfg.MSHRCap,
+		sbCap:    cfg.SBCap,
+		out:      outbox{mesh: cfg.Mesh, from: cfg.Tile},
+		bankTile: cfg.BankTile,
+		coreTile: cfg.CoreTile,
 	}
 }
 
@@ -221,7 +223,7 @@ func (c *CoreMem) pokeCore(cycle uint64) {
 // alone do not keep the unit ticking — except that a completed flush must
 // be noticed by Tick, so flushing counts as tick work throughout.
 func (c *CoreMem) tickWork() bool {
-	return c.flushing || len(c.flushQ) > 0 || len(c.releaseQ) > 0 ||
+	return c.flushing || c.flushQ.len() > 0 || c.releaseQ.len() > 0 ||
 		len(c.localAtomics) > 0 || c.out.pending() > 0
 }
 
@@ -240,7 +242,7 @@ func (c *CoreMem) Policy() Policy { return c.policy }
 
 // MSHRFree reports the number of free MSHR entries (the DMA engine
 // throttles on this).
-func (c *CoreMem) MSHRFree() int { return c.mshrCap - len(c.mshr) }
+func (c *CoreMem) MSHRFree() int { return c.mshrCap - c.mshr.Len() }
 
 // ReleaseInProgress reports whether a release flush is draining; the LSU
 // blocks memory issue with cause pending-release while true (unless SFIFO).
@@ -258,19 +260,19 @@ func (c *CoreMem) Load(addr uint64, t Target, now uint64) LoadOutcome {
 		c.Stats.Hits++
 		return LoadHit
 	}
-	if e, ok := c.mshr[line]; ok {
+	if e := c.mshr.Find(line); e != nil {
 		c.Stats.Merges++
 		e.secondaries = append(e.secondaries, t)
 		return LoadMerged
 	}
-	if len(c.mshr) >= c.mshrCap {
+	if c.mshr.Len() >= c.mshrCap {
 		c.Stats.MSHRFullEvents++
 		return LoadMSHRFull
 	}
 	c.Stats.Misses++
-	c.mshr[line] = &mshrEntry{primary: t}
-	c.out.send(c.cycle+1, c.bankTile(line), noc.PortL2,
-		ReadReq{Line: line, Requestor: c.coreID})
+	e := c.mshr.Insert(line)
+	e.primary, e.secondaries = t, e.secondaries[:0]
+	c.toBank(Msg{Kind: ReadReq, Addr: line})
 	c.arm()
 	return LoadMiss
 }
@@ -302,13 +304,12 @@ func (c *CoreMem) store(addr uint64, installL1 bool, now uint64) StoreOutcome {
 		}
 		// SFIFO: stores may enter fresh entries during a flush, but
 		// lines with an in-flight flush cannot merge.
-		line := c.Line(addr)
-		if _, inflight := c.acksWanted[line]; inflight {
+		if c.acksWanted.Find(c.Line(addr)) != nil {
 			return StoreSBFull
 		}
 	}
 	line := c.Line(addr)
-	if _, ok := c.sbSet[line]; ok {
+	if c.sbSet.Find(line) != nil {
 		// Write combining: the pending entry absorbs the store.
 		if installL1 {
 			c.markDirty(line)
@@ -328,7 +329,7 @@ func (c *CoreMem) store(addr uint64, installL1 bool, now uint64) StoreOutcome {
 		return StoreSBFull
 	}
 	c.sb = append(c.sb, line)
-	c.sbSet[line] = struct{}{}
+	c.sbSet.Insert(line)
 	return StoreOK
 }
 
@@ -358,9 +359,15 @@ func (c *CoreMem) evict(victim Way) {
 	c.Stats.Evictions++
 	if victim.State == LineOwned {
 		c.Stats.OwnedEvicts++
-		c.out.send(c.cycle+1, c.bankTile(victim.Line), noc.PortL2,
-			WbOwned{Line: victim.Line, Requestor: c.coreID})
+		c.toBank(Msg{Kind: WbOwned, Addr: victim.Line})
 	}
+}
+
+// toBank sends m, stamped with this core as the requestor, to the home bank
+// of the line m.Addr lies in; it is injected next cycle.
+func (c *CoreMem) toBank(m Msg) {
+	m.Core = int32(c.coreID)
+	c.out.send(c.cycle+1, c.bankTile(c.Line(m.Addr)), noc.PortL2, &m)
 }
 
 // Atomic sequences a warp atomic during cycle now: release-ordered atomics
@@ -371,7 +378,7 @@ func (c *CoreMem) Atomic(op AtomicOp, now uint64) {
 	c.cycle = now
 	c.Stats.Atomics++
 	if op.Order.IsRelease() {
-		c.releaseQ = append(c.releaseQ, op)
+		c.releaseQ.push(op)
 		c.startFlush(true)
 		c.arm()
 		return
@@ -407,10 +414,7 @@ func (c *CoreMem) sendAtomic(op AtomicOp) {
 			return
 		}
 	}
-	c.out.send(c.cycle+1, c.bankTile(c.Line(op.Addr)), noc.PortL2, AtomicReq{
-		Addr: op.Addr, AOp: op.AOp, B: op.B, C: op.C,
-		Requestor: c.coreID, Op: op, TakeOwnership: ownedMode,
-	})
+	c.toBank(Msg{Kind: AtomicReq, Addr: op.Addr, Op: op, Own: ownedMode})
 }
 
 // SelfInvalidate applies acquire semantics: every line the policy does not
@@ -441,7 +445,10 @@ func (c *CoreMem) startFlush(release bool) {
 	}
 	c.flushing = true
 	c.flushRelease = release
-	c.flushQ = append(c.flushQ[:0], c.sb...)
+	// No flush was draining, so flushQ is empty.
+	for _, line := range c.sb {
+		c.flushQ.push(line)
+	}
 }
 
 // Tick drains one flush line per cycle, dispatches release atomics once
@@ -450,20 +457,16 @@ func (c *CoreMem) startFlush(release bool) {
 // responses sleeps and is re-armed by Deliver.
 func (c *CoreMem) Tick(cycle uint64) bool {
 	c.cycle = cycle
-	if c.flushing && len(c.flushQ) > 0 {
-		line := c.flushQ[0]
-		c.flushQ = c.flushQ[1:]
-		c.flushLine(line)
+	if c.flushing && c.flushQ.len() > 0 {
+		c.flushLine(c.flushQ.pop())
 	}
-	if c.flushing && len(c.flushQ) == 0 && len(c.acksWanted) == 0 {
+	if c.flushing && c.flushQ.len() == 0 && c.acksWanted.Len() == 0 {
 		c.pokeCore(cycle)
 		c.flushing = false
 		c.flushRelease = false
 	}
-	if !c.flushing && len(c.releaseQ) > 0 {
-		op := c.releaseQ[0]
-		c.releaseQ = c.releaseQ[1:]
-		c.sendAtomic(op)
+	if !c.flushing && c.releaseQ.len() > 0 {
+		c.sendAtomic(c.releaseQ.pop())
 	}
 	if len(c.localAtomics) > 0 {
 		n := 0
@@ -501,22 +504,19 @@ func (c *CoreMem) flushLine(line uint64) {
 		c.completeFlush(line)
 	case FlushWriteThrough:
 		c.Stats.WriteThroughs++
-		c.acksWanted[line] = struct{}{}
-		c.out.send(c.cycle+1, c.bankTile(line), noc.PortL2,
-			WriteThrough{Line: line, Requestor: c.coreID})
+		c.acksWanted.Insert(line)
+		c.toBank(Msg{Kind: WriteThrough, Addr: line})
 	case FlushOwnReq:
 		c.Stats.OwnReqs++
-		c.acksWanted[line] = struct{}{}
-		c.out.send(c.cycle+1, c.bankTile(line), noc.PortL2,
-			OwnReq{Line: line, Requestor: c.coreID})
+		c.acksWanted.Insert(line)
+		c.toBank(Msg{Kind: OwnReq, Addr: line})
 	}
 }
 
 // completeFlush retires one store buffer entry.
 func (c *CoreMem) completeFlush(line uint64) {
-	delete(c.acksWanted, line)
-	if _, ok := c.sbSet[line]; ok {
-		delete(c.sbSet, line)
+	c.acksWanted.Remove(line)
+	if c.sbSet.Remove(line) {
 		for i, l := range c.sb {
 			if l == line {
 				c.sb = append(c.sb[:i], c.sb[i+1:]...)
@@ -535,82 +535,93 @@ func (c *CoreMem) completeFlush(line uint64) {
 // the System passes the previous cycle — the unit's most recent tick
 // opportunity — keeping response times and LRU stamps identical to a dense
 // loop that ticked the unit every cycle.
-func (c *CoreMem) Deliver(payload any, now uint64) {
+//
+// m is the mesh's own copy of the message in flight, valid for this call
+// only; every kind is consumed here and nothing keeps the pointer.
+func (c *CoreMem) Deliver(m *Msg, now uint64) {
 	// The delivery happens during cycle now+1, before the core's tick.
 	c.pokeCore(now + 1)
 	c.cycle = now
 	defer c.arm()
-	switch msg := payload.(type) {
+	switch m.Kind {
 	case ReadResp:
-		c.fill(msg.Line, msg.Where)
+		c.fill(m.Addr, m.Where)
 	case WriteAck:
-		c.completeFlush(msg.Line)
+		c.completeFlush(m.Addr)
 		if c.OnWriteAck != nil {
-			c.OnWriteAck(msg.Line)
+			c.OnWriteAck(m.Addr)
 		}
 	case OwnAck:
-		if w := c.array.Peek(msg.Line); w != nil {
+		if w := c.array.Peek(m.Addr); w != nil {
 			w.State = LineOwned
 		}
-		c.completeFlush(msg.Line)
+		c.completeFlush(m.Addr)
 	case FwdRead:
 		// Serve a remote reader from this L1 (DeNovo): respond
 		// directly to the requestor. Answer even if the line has been
 		// evicted in the meantime (the WbOwned is racing to the L2;
 		// data is functionally in the backing store).
 		c.Stats.RemoteServed++
-		c.out.send(c.cycle+2, c.coreTile(msg.Requestor), noc.PortCore,
-			ReadResp{Line: msg.Line, Where: core.WhereRemoteL1})
+		c.out.send(c.cycle+2, c.coreTile(int(m.Core)), noc.PortCore,
+			&Msg{Kind: ReadResp, Addr: m.Addr, Where: core.WhereRemoteL1})
 	case OwnTransfer:
 		// Lost ownership to another core (the directory already acked
 		// the new owner). Drop the line; if it had an unflushed entry
 		// (a data race under DRF, but stay robust) retire the entry so
 		// the flush cannot deadlock.
-		if w := c.array.Peek(msg.Line); w != nil {
-			c.array.Invalidate(msg.Line)
+		if w := c.array.Peek(m.Addr); w != nil {
+			c.array.Invalidate(m.Addr)
 		}
-		c.completeFlush(msg.Line)
+		c.completeFlush(m.Addr)
 	case AtomicResp:
 		c.inflightAtomics--
-		if msg.Granted {
+		if m.Own {
 			// Owned atomics: the bank registered us; install the
 			// line owned so the next atomic runs locally. If no way
 			// can be claimed, give the registration straight back
 			// rather than leaving a dangling directory entry.
-			if w, victim, evicted := c.array.Install(c.Line(msg.Addr), c.cycle); w != nil {
+			line := c.Line(m.Addr)
+			if w, victim, evicted := c.array.Install(line, c.cycle); w != nil {
 				if evicted {
 					c.evict(victim)
 				}
 				w.State = LineOwned
 			} else {
-				c.out.send(c.cycle+1, c.bankTile(c.Line(msg.Addr)), noc.PortL2,
-					WbOwned{Line: c.Line(msg.Addr), Requestor: c.coreID})
+				c.toBank(Msg{Kind: WbOwned, Addr: line})
 			}
 		}
-		if msg.Op.Order.IsAcquire() {
+		if m.Op.Order.IsAcquire() {
 			c.SelfInvalidate()
 		}
 		if c.OnAtomicDone != nil {
-			c.OnAtomicDone(msg.Op, msg.Old)
+			c.OnAtomicDone(m.Op, m.Old)
 		}
 	default:
-		panic(fmt.Sprintf("mem: core %d: unexpected message %T", c.coreID, payload))
+		panic(fmt.Sprintf("mem: core %d: unexpected message %s", c.coreID, m.Kind))
 	}
 }
 
 // fill completes an MSHR entry: install the line and finish every target.
 // The primary target is charged where the response was serviced; merged
 // secondaries are charged L1-coalescing per the paper's definition.
+//
+// A completion callback may start a miss, which can claim or shift the very
+// slot being completed: the entry's targets leave the table (the merged ones
+// by exchanging slice storage with c.filling) and the slot is freed before
+// the first callback runs.
 func (c *CoreMem) fill(line uint64, where core.DataWhere) {
-	e, ok := c.mshr[line]
-	if !ok {
+	e := c.mshr.Find(line)
+	if e == nil {
 		// A fill for a line we no longer track (e.g. a FwdRead answer
 		// arriving after invalidation): nothing to complete.
 		return
 	}
-	delete(c.mshr, line)
-	install := !e.primary.NoL1
-	for _, t := range e.secondaries {
+	primary := e.primary
+	merged := e.secondaries
+	e.secondaries, c.filling = c.filling[:0], nil
+	c.mshr.Remove(line)
+	install := !primary.NoL1
+	for _, t := range merged {
 		if !t.NoL1 {
 			install = true
 		}
@@ -621,11 +632,12 @@ func (c *CoreMem) fill(line uint64, where core.DataWhere) {
 		}
 	}
 	if c.OnLoadDone != nil {
-		c.OnLoadDone(e.primary, where)
-		for _, t := range e.secondaries {
+		c.OnLoadDone(primary, where)
+		for _, t := range merged {
 			c.OnLoadDone(t, core.WhereL1Coalescing)
 		}
 	}
+	c.filling = merged
 }
 
 // NextEvent implements the engine's skip-ahead extension: the earliest
@@ -635,14 +647,14 @@ func (c *CoreMem) fill(line uint64, where core.DataWhere) {
 // acks is external (the acks arrive through Deliver, which is bounded by
 // the mesh's own next event).
 func (c *CoreMem) NextEvent(now uint64) uint64 {
-	if c.flushing && (len(c.flushQ) > 0 || len(c.acksWanted) == 0) {
+	if c.flushing && (c.flushQ.len() > 0 || c.acksWanted.Len() == 0) {
 		// Either a line drains next cycle, or the flush is already
 		// complete (an empty-buffer flush started after this unit's
 		// tick) and the next tick must clear it — and possibly
 		// dispatch a waiting release atomic.
 		return now + 1
 	}
-	if !c.flushing && len(c.releaseQ) > 0 {
+	if !c.flushing && c.releaseQ.len() > 0 {
 		return now + 1
 	}
 	next := c.out.nextDue()
@@ -660,15 +672,15 @@ func (c *CoreMem) NextEvent(now uint64) uint64 {
 // Quiesced reports that no miss, flush, atomic, or outbound message is in
 // flight.
 func (c *CoreMem) Quiesced() bool {
-	return len(c.mshr) == 0 && !c.flushing && len(c.sb) == 0 &&
-		len(c.releaseQ) == 0 && c.inflightAtomics == 0 && c.out.pending() == 0
+	return c.mshr.Len() == 0 && !c.flushing && len(c.sb) == 0 &&
+		c.releaseQ.len() == 0 && c.inflightAtomics == 0 && c.out.pending() == 0
 }
 
 // Diagnose describes pending work for engine deadlock dumps.
 func (c *CoreMem) Diagnose() string {
 	return fmt.Sprintf("mshr=%d sb=%d flushQ=%d acks=%d relQ=%d atomics=%d out=%d",
-		len(c.mshr), len(c.sb), len(c.flushQ), len(c.acksWanted),
-		len(c.releaseQ), c.inflightAtomics, c.out.pending())
+		c.mshr.Len(), len(c.sb), c.flushQ.len(), c.acksWanted.Len(),
+		c.releaseQ.len(), c.inflightAtomics, c.out.pending())
 }
 
 // SBLen reports current store buffer occupancy (tests).

@@ -53,26 +53,32 @@ func TestFifoRing(t *testing.T) {
 	}
 }
 
-// TestMemCtrlCompletesInOrderAtLatency: a burst of requests completes one per
-// perReq cycles, in request order, each exactly latency cycles after its
-// service started, and the controller reports idle the cycle the last one
-// completes.
+// TestMemCtrlCompletesInOrderAtLatency: a burst of requests from two banks
+// completes one per perReq cycles, in request order, each exactly latency
+// cycles after its service started and in the input queue of the bank that
+// asked, and the controller reports idle the cycle the last one completes.
 func TestMemCtrlCompletesInOrderAtLatency(t *testing.T) {
 	const latency, perReq, n = 20, 3, 12
 	mc := NewMemCtrl(latency, perReq)
 	var got []uint64
 	var at []uint64
-	var now uint64
+	var banks [2]L2Bank
 	for i := 0; i < n; i++ {
-		mc.Request(uint64(i), func(line uint64) {
-			got = append(got, line)
-			at = append(at, now)
-		})
+		mc.Request(uint64(i), &banks[i%2])
 	}
-	for now = 0; now < 200; now++ {
+	for now := uint64(0); now < 200; now++ {
 		busy := mc.Tick(now)
 		if busy != (mc.Pending() > 0) {
 			t.Fatalf("cycle %d: Tick busy=%v with %d pending", now, busy, mc.Pending())
+		}
+		for b := range banks {
+			for _, line := range fills(t, &banks[b]) {
+				if int(line)%2 != b {
+					t.Fatalf("line %d filled bank %d, asked for by bank %d", line, b, line%2)
+				}
+				got = append(got, line)
+				at = append(at, now)
+			}
 		}
 	}
 	if len(got) != n {

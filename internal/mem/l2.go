@@ -18,9 +18,11 @@ import (
 // network distance + queueing + access latency — the 29-61 cycle range of
 // Table 5.1.
 type L2Bank struct {
-	id        int // bank id == tile index
-	array     *Array
-	owner     map[uint64]int // line -> owning core (DeNovo registration)
+	id    int // bank id == tile index
+	array *Array
+	// owner is the DeNovo directory, line -> owning core. It stays a map:
+	// its keys are every line ever registered, not the few in flight.
+	owner     map[uint64]int
 	backing   *Backing
 	ctrl      *MemCtrl
 	coreTile  func(core int) int
@@ -28,30 +30,24 @@ type L2Bank struct {
 	occupancy uint64
 	busyUntil uint64
 
-	inQ     fifo[any]
-	out     outbox
-	pending map[uint64]*l2Miss
+	// inQ is the bank's one input queue: mesh deliveries and the memory
+	// controller's fills share it, in arrival order.
+	inQ fifo[Msg]
+	out outbox
+	// pending holds, per line with a memory fill in flight, the ReadReqs
+	// and AtomicReqs waiting on it as they arrived; filling is the list
+	// fill is answering, already out of the table.
+	pending LineTable[[]Msg]
+	filling []Msg
 	wake    func()
 
 	// Stats.
 	Hits, Misses, Forwards, Atomics, OwnershipChanges uint64
 }
 
-// l2Miss tracks requestors waiting on one in-flight memory fill.
-type l2Miss struct {
-	waiters []l2Waiter
-}
-
-// l2Waiter is one blocked request: a plain read (atomic == nil) or an
-// atomic continuation executed on fill.
-type l2Waiter struct {
-	core   int
-	atomic *AtomicReq
-}
-
 // NewL2Bank builds bank id with sizePerBank bytes of capacity.
 func NewL2Bank(id, sizePerBank, assoc, lineSize int, accessLat int, backing *Backing,
-	ctrl *MemCtrl, mesh *noc.Mesh, coreTile func(int) int) *L2Bank {
+	ctrl *MemCtrl, mesh *noc.Mesh[Msg], coreTile func(int) int) *L2Bank {
 	return &L2Bank{
 		id:        id,
 		array:     NewArray(sizePerBank, assoc, lineSize),
@@ -62,7 +58,6 @@ func NewL2Bank(id, sizePerBank, assoc, lineSize int, accessLat int, backing *Bac
 		accessLat: uint64(accessLat),
 		occupancy: 2,
 		out:       outbox{mesh: mesh, from: id},
-		pending:   make(map[uint64]*l2Miss),
 	}
 }
 
@@ -71,9 +66,11 @@ func NewL2Bank(id, sizePerBank, assoc, lineSize int, accessLat int, backing *Bac
 // a message.
 func (b *L2Bank) SetWaker(wake func()) { b.wake = wake }
 
-// Deliver receives a message from the mesh; processing happens in Tick.
-func (b *L2Bank) Deliver(payload any) {
-	b.inQ.push(payload)
+// Deliver receives a message from the mesh or a fill from the memory
+// controller; processing happens in Tick. m is valid for this call only, so
+// the queue takes a copy.
+func (b *L2Bank) Deliver(m *Msg) {
+	b.inQ.push(*m)
 	if b.wake != nil {
 		b.wake()
 	}
@@ -86,131 +83,132 @@ func (b *L2Bank) Tick(cycle uint64) bool {
 	if b.inQ.len() > 0 && cycle >= b.busyUntil {
 		m := b.inQ.pop()
 		b.busyUntil = cycle + b.occupancy
-		b.process(m, cycle)
+		b.process(&m, cycle)
 	}
 	b.out.tick(cycle)
 	return b.inQ.len() > 0 || b.out.pending() > 0
 }
 
-func (b *L2Bank) process(m any, cycle uint64) {
-	switch msg := m.(type) {
+func (b *L2Bank) process(m *Msg, cycle uint64) {
+	switch m.Kind {
 	case ReadReq:
-		b.read(msg, cycle)
+		b.read(m, cycle)
 	case WriteThrough:
-		b.writeThrough(msg, cycle)
+		b.writeThrough(m, cycle)
 	case OwnReq:
-		b.ownReq(msg, cycle)
+		b.ownReq(m, cycle)
 	case WbOwned:
 		// Owned line returned on eviction: clear registration and
 		// install the data locally.
-		if b.owner[msg.Line] == msg.Requestor {
-			delete(b.owner, msg.Line)
+		if b.owner[m.Addr] == int(m.Core) {
+			delete(b.owner, m.Addr)
 		}
-		b.array.Install(msg.Line, cycle)
+		b.array.Install(m.Addr, cycle)
 	case AtomicReq:
-		b.atomic(msg, cycle)
+		b.atomic(m, cycle)
 	case memFill:
-		b.fill(msg.line, cycle)
+		b.fill(m.Addr, cycle)
 	default:
-		panic(fmt.Sprintf("mem: L2 bank %d: unexpected message %T", b.id, m))
+		panic(fmt.Sprintf("mem: L2 bank %d: unexpected message %s", b.id, m.Kind))
 	}
 }
 
-// memFill is the internal event the memory controller posts back to the
-// bank when a fill completes.
-type memFill struct{ line uint64 }
-
-func (b *L2Bank) read(msg ReadReq, cycle uint64) {
-	if owner, ok := b.owner[msg.Line]; ok && owner != msg.Requestor {
+func (b *L2Bank) read(m *Msg, cycle uint64) {
+	if owner, ok := b.owner[m.Addr]; ok && owner != int(m.Core) {
 		// DeNovo: the up-to-date copy is registered in a remote L1;
 		// forward after the full tag+directory access, the owner
 		// responds directly to the requestor (the extra hop that makes
 		// remote L1 hits slower than L2 hits).
 		b.Forwards++
 		b.out.send(cycle+b.accessLat, b.coreTile(owner), noc.PortCore,
-			FwdRead{Line: msg.Line, Requestor: msg.Requestor})
+			&Msg{Kind: FwdRead, Addr: m.Addr, Core: m.Core})
 		return
 	}
-	if b.array.Lookup(msg.Line, cycle) != nil {
+	if b.array.Lookup(m.Addr, cycle) != nil {
 		b.Hits++
-		b.respond(cycle, msg.Requestor, ReadResp{Line: msg.Line, Where: core.WhereL2})
+		b.respond(cycle, m.Core, &Msg{Kind: ReadResp, Addr: m.Addr, Where: core.WhereL2})
 		return
 	}
 	b.Misses++
-	b.miss(msg.Line, l2Waiter{core: msg.Requestor})
+	b.miss(m.Addr, m)
 }
 
-// miss coalesces waiters on an in-flight fill, issuing the fetch for the
-// first one.
-func (b *L2Bank) miss(line uint64, w l2Waiter) {
-	if p, ok := b.pending[line]; ok {
-		p.waiters = append(p.waiters, w)
-		return
+// miss parks the request w on line's in-flight fill, issuing the fetch for
+// the first one.
+func (b *L2Bank) miss(line uint64, w *Msg) {
+	waiters := b.pending.Find(line)
+	if waiters == nil {
+		waiters = b.pending.Insert(line)
+		*waiters = (*waiters)[:0]
+		b.ctrl.Request(line, b)
 	}
-	b.pending[line] = &l2Miss{waiters: []l2Waiter{w}}
-	b.ctrl.Request(line, func(l uint64) { b.Deliver(memFill{line: l}) })
+	*waiters = append(*waiters, *w)
 }
 
 // fill completes an in-flight memory fetch: install the line and satisfy
-// every waiter in arrival order.
+// every waiter in arrival order. Like CoreMem.fill, it takes the waiters out
+// of the table and frees the slot before answering the first.
 func (b *L2Bank) fill(line uint64, cycle uint64) {
 	b.array.Install(line, cycle)
-	p := b.pending[line]
+	p := b.pending.Find(line)
 	if p == nil {
 		return
 	}
-	delete(b.pending, line)
-	for _, w := range p.waiters {
-		if w.atomic != nil {
-			b.finishAtomic(*w.atomic, cycle)
-			continue
+	waiters := *p
+	*p, b.filling = b.filling[:0], nil
+	b.pending.Remove(line)
+	for i := range waiters {
+		if w := &waiters[i]; w.Kind == AtomicReq {
+			b.finishAtomic(w, cycle)
+		} else {
+			b.respond(cycle, w.Core, &Msg{Kind: ReadResp, Addr: line, Where: core.WhereMemory})
 		}
-		b.respond(cycle, w.core, ReadResp{Line: line, Where: core.WhereMemory})
 	}
+	b.filling = waiters
 }
 
-func (b *L2Bank) writeThrough(msg WriteThrough, cycle uint64) {
+func (b *L2Bank) writeThrough(m *Msg, cycle uint64) {
 	// Write-through data supersedes any stale registration (should not
 	// occur for data-race-free programs, but stay robust).
-	if owner, ok := b.owner[msg.Line]; ok && owner == msg.Requestor {
-		delete(b.owner, msg.Line)
+	if owner, ok := b.owner[m.Addr]; ok && owner == int(m.Core) {
+		delete(b.owner, m.Addr)
 	}
-	b.array.Install(msg.Line, cycle)
-	b.respond(cycle, msg.Requestor, WriteAck{Line: msg.Line})
+	b.array.Install(m.Addr, cycle)
+	b.respond(cycle, m.Core, &Msg{Kind: WriteAck, Addr: m.Addr})
 }
 
-func (b *L2Bank) ownReq(msg OwnReq, cycle uint64) {
-	prev, wasOwned := b.owner[msg.Line]
-	b.owner[msg.Line] = msg.Requestor
+func (b *L2Bank) ownReq(m *Msg, cycle uint64) {
+	prev, wasOwned := b.owner[m.Addr]
+	b.owner[m.Addr] = int(m.Core)
 	b.OwnershipChanges++
-	if wasOwned && prev != msg.Requestor {
+	if wasOwned && prev != int(m.Core) {
 		// The directory is the serialization point: ack the new owner
 		// immediately and invalidate the previous owner in parallel
 		// (the old copy's data is already superseded by the new
 		// owner's dirty words).
 		b.out.send(cycle+b.accessLat/2, b.coreTile(prev), noc.PortCore,
-			OwnTransfer{Line: msg.Line, NewOwner: msg.Requestor})
+			&Msg{Kind: OwnTransfer, Addr: m.Addr, Core: m.Core})
 	}
 	// The L2 copy is stale once a core owns the line.
-	b.array.Invalidate(msg.Line)
-	b.respond(cycle, msg.Requestor, OwnAck{Line: msg.Line})
+	b.array.Invalidate(m.Addr)
+	b.respond(cycle, m.Core, &Msg{Kind: OwnAck, Addr: m.Addr})
 }
 
-func (b *L2Bank) atomic(msg AtomicReq, cycle uint64) {
+func (b *L2Bank) atomic(m *Msg, cycle uint64) {
 	b.Atomics++
-	line := msg.Addr &^ (b.array.lineSize - 1)
-	if msg.TakeOwnership {
+	line := m.Addr &^ (b.array.lineSize - 1)
+	if m.Own {
 		// Owned atomics: execute here, then register the requestor so
 		// its next atomic to this line runs locally at its L1. A
 		// previous owner is invalidated in parallel.
-		if prev, ok := b.owner[line]; ok && prev != msg.Requestor {
+		if prev, ok := b.owner[line]; ok && prev != int(m.Core) {
 			b.out.send(cycle+b.accessLat/2, b.coreTile(prev), noc.PortCore,
-				OwnTransfer{Line: line, NewOwner: msg.Requestor})
+				&Msg{Kind: OwnTransfer, Addr: line, Core: m.Core})
 		}
-		b.owner[line] = msg.Requestor
+		b.owner[line] = int(m.Core)
 		b.OwnershipChanges++
 		b.array.Invalidate(line)
-		b.finishAtomic(msg, cycle)
+		b.finishAtomic(m, cycle)
 		return
 	}
 	if _, ok := b.owner[line]; ok {
@@ -218,25 +216,21 @@ func (b *L2Bank) atomic(msg AtomicReq, cycle uint64) {
 		// methodology: atomics are not owned). Values live in the
 		// backing store, which the owner also updates, so executing
 		// here stays functionally correct; we charge only the L2 path.
-		b.finishAtomic(msg, cycle)
+		b.finishAtomic(m, cycle)
 		return
 	}
 	if b.array.Lookup(line, cycle) != nil {
-		b.finishAtomic(msg, cycle)
+		b.finishAtomic(m, cycle)
 		return
 	}
-	// Copy here so only a miss heap-allocates the request: taking &msg
-	// would make the parameter escape on every call, hits included.
-	m := msg
-	b.miss(line, l2Waiter{core: m.Requestor, atomic: &m})
+	b.miss(line, m)
 }
 
 // finishAtomic performs the read-modify-write and responds.
-func (b *L2Bank) finishAtomic(msg AtomicReq, cycle uint64) {
-	old := ExecRMW(b.backing, msg.AOp, msg.Addr, msg.B, msg.C)
-	b.respond(cycle, msg.Requestor, AtomicResp{
-		Addr: msg.Addr, Old: old, Op: msg.Op, Granted: msg.TakeOwnership,
-	})
+func (b *L2Bank) finishAtomic(m *Msg, cycle uint64) {
+	op := &m.Op
+	old := ExecRMW(b.backing, op.AOp, op.Addr, op.B, op.C)
+	b.respond(cycle, m.Core, &Msg{Kind: AtomicResp, Addr: m.Addr, Old: old, Op: *op, Own: m.Own})
 }
 
 // ExecRMW executes one atomic read-modify-write against the functional
@@ -254,8 +248,9 @@ func ExecRMW(backing *Backing, op isa.Op, addr, b2, c uint64) uint64 {
 	panic(fmt.Sprintf("mem: bad atomic op %s", op))
 }
 
-func (b *L2Bank) respond(cycle uint64, coreID int, payload any) {
-	b.out.send(cycle+b.accessLat, b.coreTile(coreID), noc.PortCore, payload)
+// respond sends m to a core once the bank's access latency has elapsed.
+func (b *L2Bank) respond(cycle uint64, coreID int32, m *Msg) {
+	b.out.send(cycle+b.accessLat, b.coreTile(int(coreID)), noc.PortCore, m)
 }
 
 // Owner exposes the directory for tests.
@@ -267,7 +262,7 @@ func (b *L2Bank) Owner(line uint64) (int, bool) {
 // Quiesced reports no queued work, in-flight fills, or undelivered
 // responses.
 func (b *L2Bank) Quiesced() bool {
-	return b.inQ.len() == 0 && len(b.pending) == 0 && b.out.pending() == 0
+	return b.inQ.len() == 0 && b.pending.Len() == 0 && b.out.pending() == 0
 }
 
 // NextEvent implements the engine's skip-ahead extension: the earliest
@@ -293,5 +288,5 @@ func (b *L2Bank) NextEvent(now uint64) uint64 {
 
 // Diagnose describes pending work for engine deadlock dumps.
 func (b *L2Bank) Diagnose() string {
-	return fmt.Sprintf("inq=%d fills=%d out=%d", b.inQ.len(), len(b.pending), b.out.pending())
+	return fmt.Sprintf("inq=%d fills=%d out=%d", b.inQ.len(), b.pending.Len(), b.out.pending())
 }

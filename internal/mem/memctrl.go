@@ -4,7 +4,7 @@ import "fmt"
 
 // MemCtrl models main memory: a single controller with fixed access latency
 // and a cycles-per-request bandwidth limit. L2 banks enqueue fill requests
-// and receive a callback when the data is available.
+// and receive a memFill in their input queue when the data is available.
 type MemCtrl struct {
 	latency   uint64
 	perReq    uint64 // minimum cycles between request starts
@@ -22,7 +22,7 @@ type MemCtrl struct {
 type memReq struct {
 	line    uint64
 	readyAt uint64
-	done    func(line uint64)
+	bank    *L2Bank
 }
 
 // NewMemCtrl builds a controller with the given access latency and
@@ -38,11 +38,11 @@ func NewMemCtrl(latency, perReq int) *MemCtrl {
 // idle controller resumes ticking when an L2 bank enqueues a fill.
 func (m *MemCtrl) SetWaker(wake func()) { m.wake = wake }
 
-// Request enqueues a line fill; done fires when the line arrives, during a
-// MemCtrl tick at least latency cycles later.
-func (m *MemCtrl) Request(line uint64, done func(line uint64)) {
+// Request enqueues a line fill for bank, which is delivered a memFill when the
+// line arrives, during a MemCtrl tick at least latency cycles later.
+func (m *MemCtrl) Request(line uint64, bank *L2Bank) {
 	m.Requests++
-	m.queue.push(memReq{line: line, done: done})
+	m.queue.push(memReq{line: line, bank: bank})
 	if m.queue.len() > m.MaxQueue {
 		m.MaxQueue = m.queue.len()
 	}
@@ -59,7 +59,7 @@ func (m *MemCtrl) Tick(cycle uint64) bool {
 	// starts are monotonic, so the first request not yet due ends the scan.
 	for m.inflight.len() > 0 && m.inflight.front().readyAt <= cycle {
 		r := m.inflight.pop()
-		r.done(r.line)
+		r.bank.Deliver(&Msg{Kind: memFill, Addr: r.line})
 	}
 
 	if m.queue.len() > 0 && cycle >= m.nextStart {

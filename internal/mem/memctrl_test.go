@@ -2,14 +2,32 @@ package mem
 
 import "testing"
 
+// fills pops the memFills the controller has posted to bank's input queue and
+// returns their lines in arrival order.
+func fills(t *testing.T, bank *L2Bank) []uint64 {
+	t.Helper()
+	var lines []uint64
+	for bank.inQ.len() > 0 {
+		m := bank.inQ.pop()
+		if m.Kind != memFill {
+			t.Fatalf("memory controller posted a %s", m.Kind)
+		}
+		lines = append(lines, m.Addr)
+	}
+	return lines
+}
+
 func TestMemCtrlLatency(t *testing.T) {
 	mc := NewMemCtrl(10, 1)
 	var doneAt uint64 = 0
 	var fired bool
-	mc.Request(0x40, func(line uint64) { fired = true })
+	var bank L2Bank
+	mc.Request(0x40, &bank)
 	for c := uint64(0); c < 20 && !fired; c++ {
 		mc.Tick(c)
 		doneAt = c
+		got := fills(t, &bank)
+		fired = len(got) == 1 && got[0] == 0x40
 	}
 	if !fired {
 		t.Fatal("request never completed")
@@ -27,8 +45,9 @@ func TestMemCtrlBandwidth(t *testing.T) {
 	// completions of back-to-back requests are too.
 	mc := NewMemCtrl(10, 4)
 	var times []uint64
+	var bank L2Bank
 	for i := 0; i < 4; i++ {
-		mc.Request(uint64(i*64), func(line uint64) {})
+		mc.Request(uint64(i*64), &bank)
 	}
 	for c := uint64(0); c < 100 && mc.Pending() > 0; c++ {
 		before := mc.Pending()
@@ -52,12 +71,12 @@ func TestMemCtrlBandwidth(t *testing.T) {
 
 func TestMemCtrlZeroBandwidthClamped(t *testing.T) {
 	mc := NewMemCtrl(1, 0)
-	fired := false
-	mc.Request(0, func(uint64) { fired = true })
+	var bank L2Bank
+	mc.Request(0, &bank)
 	for c := uint64(0); c < 10; c++ {
 		mc.Tick(c)
 	}
-	if !fired {
+	if len(fills(t, &bank)) != 1 {
 		t.Fatal("clamped controller never completed")
 	}
 }

@@ -5,24 +5,25 @@ import "gsi/internal/noc"
 // outbox defers mesh sends until a component's access latency has elapsed,
 // preserving injection order among messages that become due the same cycle.
 type outbox struct {
-	mesh *noc.Mesh
+	mesh *noc.Mesh[Msg]
 	from int // tile index
 	q    []outMsg
 	next uint64 // earliest due time in q; tick is a no-op before it
 }
 
 type outMsg struct {
-	at      uint64
-	dst     int
-	port    noc.Port
-	payload any
+	at   uint64
+	dst  int32
+	port noc.Port
+	m    Msg
 }
 
-func (o *outbox) send(at uint64, dst int, port noc.Port, payload any) {
+// send queues a copy of m for injection at cycle at.
+func (o *outbox) send(at uint64, dst int, port noc.Port, m *Msg) {
 	if len(o.q) == 0 || at < o.next {
 		o.next = at
 	}
-	o.q = append(o.q, outMsg{at: at, dst: dst, port: port, payload: payload})
+	o.q = append(o.q, outMsg{at: at, dst: int32(dst), port: port, m: *m})
 }
 
 // tick injects every due message into the mesh. Nothing can be due before
@@ -33,16 +34,19 @@ func (o *outbox) tick(cycle uint64) {
 	}
 	n := 0
 	var nextDue uint64
-	for _, m := range o.q {
+	for i := range o.q {
+		m := &o.q[i]
 		if m.at <= cycle {
-			o.mesh.Send(cycle, o.from, m.dst, m.port, m.payload)
-		} else {
-			if n == 0 || m.at < nextDue {
-				nextDue = m.at
-			}
-			o.q[n] = m
-			n++
+			o.mesh.Send(cycle, o.from, int(m.dst), m.port, m.m)
+			continue
 		}
+		if n == 0 || m.at < nextDue {
+			nextDue = m.at
+		}
+		if n != i {
+			o.q[n] = *m
+		}
+		n++
 	}
 	o.q = o.q[:n]
 	o.next = nextDue

@@ -13,7 +13,7 @@ import (
 type System struct {
 	Cfg     sim.Config
 	Backing *Backing
-	Mesh    *noc.Mesh
+	Mesh    *noc.Mesh[Msg]
 	Ctrl    *MemCtrl
 	Cores   []*CoreMem
 	Banks   []*L2Bank
@@ -75,15 +75,15 @@ func NewSystem(cfg sim.Config, policies []Policy) (*System, error) {
 	return s, nil
 }
 
-// deliver is the mesh ejection handler.
-func (s *System) deliver(cycle uint64, tile int, port noc.Port, payload any) {
+// deliver is the mesh ejection handler; m is the mesh's, for this call only.
+func (s *System) deliver(cycle uint64, tile int, port noc.Port, m *Msg) {
 	if port == noc.PortL2 {
-		s.Banks[tile%len(s.Banks)].Deliver(payload)
+		s.Banks[tile%len(s.Banks)].Deliver(m)
 		return
 	}
 	c := s.tileCore[tile]
 	if c < 0 {
-		panic(fmt.Sprintf("mem: message for core port of coreless tile %d", tile))
+		panic(fmt.Sprintf("mem: %s for core port of coreless tile %d", m.Kind, tile))
 	}
 	// The mesh ticks before the cores within a cycle, so a delivered
 	// message finds the core as its previous tick left it; passing
@@ -95,7 +95,7 @@ func (s *System) deliver(cycle uint64, tile int, port noc.Port, payload any) {
 	if now > 0 {
 		now--
 	}
-	s.Cores[c].Deliver(payload, now)
+	s.Cores[c].Deliver(m, now)
 }
 
 // BankTile maps a line address to its home bank's tile (line interleaved).

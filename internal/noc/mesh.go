@@ -13,6 +13,12 @@
 // The mesh participates in event-driven skip-ahead through NextEvent, which
 // reports the earliest cycle any buffered message can move, found by
 // scanning the live queue heads when the engine plans a jump.
+//
+// The mesh is generic over what it carries: Mesh[P] copies a P by value into
+// each ring slot a message passes through and knows nothing else about it, so
+// the package imports nothing from the simulator, the message type lives with
+// the protocol (mem.Msg), and with a pointer-free P the rings hold nothing for
+// the collector to scan. A Handler is lent the delivered payload for the call.
 package noc
 
 import (
@@ -35,14 +41,18 @@ const (
 // Handler receives delivered message payloads. Delivery happens during the
 // mesh tick of the given cycle, before cores and caches tick in the same
 // cycle (the mesh is registered first).
-type Handler func(cycle uint64, tile int, port Port, payload any)
+//
+// payload points at the mesh's one copy of the message being delivered: it is
+// valid until the handler returns and overwritten by the next delivery, so a
+// handler that queues the message copies *payload. The handler may Send.
+type Handler[P any] func(cycle uint64, tile int, port Port, payload *P)
 
-type msg struct {
-	dst     int
-	port    Port
-	payload any
+type msg[P any] struct {
 	readyAt uint64
-	hops    int
+	dst     int32
+	hops    int32
+	port    Port
+	payload P
 }
 
 const (
@@ -57,13 +67,13 @@ const (
 // outQueue is one output port's FIFO: a power-of-two ring of msg values,
 // allocated on first use and grown by doubling, so a hop copies a msg into
 // a slot and steady-state traffic allocates nothing.
-type outQueue struct {
-	buf  []msg // len is zero or a power of two
-	head int   // slot of the oldest message
-	n    int   // messages buffered
+type outQueue[P any] struct {
+	buf  []msg[P] // len is zero or a power of two
+	head int      // slot of the oldest message
+	n    int      // messages buffered
 }
 
-func (q *outQueue) push(m *msg) {
+func (q *outQueue[P]) push(m *msg[P]) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
@@ -72,53 +82,56 @@ func (q *outQueue) push(m *msg) {
 }
 
 // grow doubles the ring, unwrapping the buffered messages to its start.
-func (q *outQueue) grow() {
+func (q *outQueue[P]) grow() {
 	size := 2 * len(q.buf)
 	if size == 0 {
 		size = 4
 	}
-	buf := make([]msg, size)
+	buf := make([]msg[P], size)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
 }
 
 // ready reports whether the head message is due by cycle.
-func (q *outQueue) ready(cycle uint64) bool {
+func (q *outQueue[P]) ready(cycle uint64) bool {
 	return q.n > 0 && q.buf[q.head].readyAt <= cycle
 }
 
-// pop removes and returns the head message; the queue must not be empty. The
-// vacated slot drops its payload so the ring does not keep it reachable.
-func (q *outQueue) pop() msg {
-	slot := &q.buf[q.head]
-	m := *slot
-	slot.payload = nil
+// pop removes the head message and returns it where it lies: the vacated slot
+// is intact until the next push into this queue. The queue must not be empty.
+func (q *outQueue[P]) pop() *msg[P] {
+	m := &q.buf[q.head]
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return m
 }
 
-type router struct {
-	out [numDirs]outQueue
+type router[P any] struct {
+	out [numDirs]outQueue[P]
 }
 
-// Mesh is a W x H mesh of routers with deterministic XY (X-first) routing.
-type Mesh struct {
+// Mesh is a W x H mesh of routers with deterministic XY (X-first) routing,
+// carrying payloads of type P by value.
+type Mesh[P any] struct {
 	w, h int
 	// xy holds each tile's mesh coordinates, so routing a hop compares
 	// four loaded values instead of dividing twice by the mesh width.
 	xy        []coord
 	linkLat   uint64
 	routerLat uint64
-	routers   []router
+	routers   []router[P]
 	// live has bit posOf(tile, dir) set iff that output queue holds a
 	// message.
 	live []uint64
 	// queueVisits counts the live bits Tick has visited.
 	queueVisits uint64
-	handler     Handler
-	wake        func()
+	handler     Handler[P]
+	// arrived is the payload a Handler is lent. It lives here, not in a
+	// local of Tick: the handler is a func value, so a local whose address
+	// it is passed would move to the heap on every delivery.
+	arrived P
+	wake    func()
 
 	// Stats counts traffic for network reporting.
 	Stats Stats
@@ -135,15 +148,15 @@ type Stats struct {
 type coord struct{ x, y int32 }
 
 // New builds a w x h mesh. handler receives every delivered message.
-func New(w, h, linkLat, routerLat int, handler Handler) *Mesh {
+func New[P any](w, h, linkLat, routerLat int, handler Handler[P]) *Mesh[P] {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("noc: invalid mesh %dx%d", w, h))
 	}
-	m := &Mesh{
+	m := &Mesh[P]{
 		w: w, h: h,
 		linkLat:   uint64(linkLat),
 		routerLat: uint64(routerLat),
-		routers:   make([]router, w*h),
+		routers:   make([]router[P], w*h),
 		xy:        make([]coord, w*h),
 		live:      make([]uint64, (w*h<<posShift+63)/64),
 		handler:   handler,
@@ -157,13 +170,13 @@ func New(w, h, linkLat, routerLat int, handler Handler) *Mesh {
 // SetWaker installs the callback that re-arms the mesh in the scheduling
 // engine; Send invokes it so an idle mesh starts ticking again as soon as a
 // message is injected.
-func (m *Mesh) SetWaker(wake func()) { m.wake = wake }
+func (m *Mesh[P]) SetWaker(wake func()) { m.wake = wake }
 
 // Tiles returns the number of tiles.
-func (m *Mesh) Tiles() int { return m.w * m.h }
+func (m *Mesh[P]) Tiles() int { return m.w * m.h }
 
 // Distance returns the Manhattan hop distance between two tiles.
-func (m *Mesh) Distance(a, b int) int {
+func (m *Mesh[P]) Distance(a, b int) int {
 	ca, cb := m.xy[a], m.xy[b]
 	return int(abs(ca.x-cb.x) + abs(ca.y-cb.y))
 }
@@ -178,13 +191,13 @@ func abs(x int32) int32 {
 // Send injects a message at tile src destined for (dst, port) during the
 // given cycle. It may be called at any point within the cycle; the message
 // becomes eligible to move on the next mesh tick.
-func (m *Mesh) Send(cycle uint64, src, dst int, port Port, payload any) {
+func (m *Mesh[P]) Send(cycle uint64, src, dst int, port Port, payload P) {
 	if src < 0 || src >= m.Tiles() || dst < 0 || dst >= m.Tiles() {
 		panic(fmt.Sprintf("noc: send %d->%d outside %d-tile mesh", src, dst, m.Tiles()))
 	}
 	m.Stats.Injected++
 	m.Stats.InFlight++
-	m.route(src, &msg{dst: dst, port: port, payload: payload, readyAt: cycle + m.routerLat})
+	m.route(src, &msg[P]{dst: int32(dst), port: port, payload: payload, readyAt: cycle + m.routerLat})
 	if m.wake != nil {
 		m.wake()
 	}
@@ -192,15 +205,15 @@ func (m *Mesh) Send(cycle uint64, src, dst int, port Port, payload any) {
 
 // route places a message in the proper output queue of tile's router and
 // marks the queue live.
-func (m *Mesh) route(tile int, mg *msg) {
-	dir := m.dirToward(tile, mg.dst)
+func (m *Mesh[P]) route(tile int, mg *msg[P]) {
+	dir := m.dirToward(tile, int(mg.dst))
 	m.routers[tile].out[dir].push(mg)
 	m.setLive(posOf(tile, dir), true)
 }
 
 // dirToward returns the XY-routing output direction at tile for a message
 // headed to dst (X first, then Y, then local ejection).
-func (m *Mesh) dirToward(tile, dst int) int {
+func (m *Mesh[P]) dirToward(tile, dst int) int {
 	t, d := m.xy[tile], m.xy[dst]
 	switch {
 	case d.x > t.x:
@@ -225,7 +238,7 @@ func posOf(tile, dir int) int { return tile<<posShift | dir }
 const posShift = 3
 
 // setLive sets or clears the live bit at pos.
-func (m *Mesh) setLive(pos int, on bool) {
+func (m *Mesh[P]) setLive(pos int, on bool) {
 	if on {
 		m.live[pos>>6] |= 1 << (pos & 63)
 	} else {
@@ -234,7 +247,7 @@ func (m *Mesh) setLive(pos int, on bool) {
 }
 
 // neighbor returns the tile index one hop in dir from tile.
-func (m *Mesh) neighbor(tile, dir int) int {
+func (m *Mesh[P]) neighbor(tile, dir int) int {
 	switch dir {
 	case dirNorth:
 		return tile - m.w
@@ -254,7 +267,7 @@ func (m *Mesh) neighbor(tile, dir int) int {
 // queues are visited, in ascending posOf order — the order a walk over every
 // router and port would take. It reports whether any message remains buffered
 // (the mesh sleeps otherwise).
-func (m *Mesh) Tick(cycle uint64) bool {
+func (m *Mesh[P]) Tick(cycle uint64) bool {
 	for w := range m.live {
 		for word := m.live[w]; word != 0; {
 			b := bits.TrailingZeros64(word)
@@ -270,14 +283,19 @@ func (m *Mesh) Tick(cycle uint64) bool {
 					m.setLive(pos, false)
 				}
 				if dir != dirLocal {
+					// Copied from the slot it just left into a neighbour's
+					// queue, never this one.
 					mg.hops++
 					mg.readyAt = cycle + m.linkLat + m.routerLat
-					m.route(m.neighbor(tile, dir), &mg)
+					m.route(m.neighbor(tile, dir), mg)
 				} else {
 					m.Stats.Messages++
 					m.Stats.Hops += uint64(mg.hops)
 					m.Stats.InFlight--
-					m.handler(cycle, tile, mg.port, mg.payload)
+					// The handler may send into this queue and reuse
+					// the slot, so it is lent a copy.
+					m.arrived = mg.payload
+					m.handler(cycle, tile, mg.port, &m.arrived)
 				}
 			}
 			// Re-read the word: a queue that went live mid-walk above
@@ -290,7 +308,7 @@ func (m *Mesh) Tick(cycle uint64) bool {
 }
 
 // Quiesced reports whether no messages are buffered anywhere in the mesh.
-func (m *Mesh) Quiesced() bool { return m.Stats.InFlight == 0 }
+func (m *Mesh[P]) Quiesced() bool { return m.Stats.InFlight == 0 }
 
 // noEvent mirrors sim.NoEvent (the package is deliberately free of
 // simulator dependencies).
@@ -301,7 +319,7 @@ const noEvent = ^uint64(0)
 // live bits is maintained for it on the push/pop path; planning a jump
 // scans, on demand, the head of every live output queue (a message behind
 // the head cannot move before it).
-func (m *Mesh) NextEvent(now uint64) uint64 {
+func (m *Mesh[P]) NextEvent(now uint64) uint64 {
 	if m.Stats.InFlight == 0 {
 		return noEvent
 	}
@@ -322,7 +340,7 @@ func (m *Mesh) NextEvent(now uint64) uint64 {
 }
 
 // Diagnose describes pending traffic for engine deadlock dumps.
-func (m *Mesh) Diagnose() string {
+func (m *Mesh[P]) Diagnose() string {
 	return fmt.Sprintf("in-flight=%d injected=%d delivered=%d",
 		m.Stats.InFlight, m.Stats.Injected, m.Stats.Messages)
 }

@@ -6,23 +6,25 @@ import (
 	"testing/quick"
 )
 
-// collect builds a mesh whose deliveries append to a slice.
-type delivery struct {
+// delivery is one logged ejection; the payload is copied out of the pointer
+// the handler is lent.
+type delivery[P comparable] struct {
 	tile    int
 	port    Port
-	payload any
+	payload P
 	cycle   uint64
 }
 
-func testMesh(w, h int) (*Mesh, *[]delivery) {
-	var got []delivery
-	m := New(w, h, 1, 1, func(cycle uint64, tile int, port Port, payload any) {
-		got = append(got, delivery{tile, port, payload, cycle})
+// testMesh builds a mesh whose deliveries append to a slice.
+func testMesh[P comparable](w, h int) (*Mesh[P], *[]delivery[P]) {
+	var got []delivery[P]
+	m := New(w, h, 1, 1, func(cycle uint64, tile int, port Port, payload *P) {
+		got = append(got, delivery[P]{tile, port, *payload, cycle})
 	})
 	return m, &got
 }
 
-func runCycles(m *Mesh, got *[]delivery, from, n uint64) {
+func runCycles[P any](m *Mesh[P], from, n uint64) {
 	for c := from; c < from+n; c++ {
 		m.Tick(c)
 	}
@@ -32,7 +34,7 @@ func runCycles(m *Mesh, got *[]delivery, from, n uint64) {
 // set iff its output queue holds a message — no stale bit (NextEvent reads the
 // head of every live queue) and no missing one (a queue Tick never visits
 // again).
-func liveBitsErr(m *Mesh) error {
+func liveBitsErr[P any](m *Mesh[P]) error {
 	for tile := range m.routers {
 		for dir := 0; dir < numDirs; dir++ {
 			pos := posOf(tile, dir)
@@ -51,7 +53,7 @@ func liveBitsErr(m *Mesh) error {
 }
 
 func TestMeshDistance(t *testing.T) {
-	m, _ := testMesh(4, 4)
+	m, _ := testMesh[int](4, 4)
 	tests := []struct{ a, b, want int }{
 		{0, 0, 0}, {0, 1, 1}, {0, 4, 1}, {0, 5, 2}, {0, 15, 6}, {3, 12, 6},
 	}
@@ -63,9 +65,9 @@ func TestMeshDistance(t *testing.T) {
 }
 
 func TestMeshDeliveryAndLatency(t *testing.T) {
-	m, got := testMesh(4, 4)
+	m, got := testMesh[string](4, 4)
 	m.Send(0, 0, 0, PortL2, "local")
-	runCycles(m, got, 0, 5)
+	runCycles(m, 0, 5)
 	if len(*got) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(*got))
 	}
@@ -78,7 +80,7 @@ func TestMeshDeliveryAndLatency(t *testing.T) {
 	// A remote message takes longer, by roughly 2 cycles per hop.
 	*got = (*got)[:0]
 	m.Send(5, 0, 15, PortCore, "far")
-	runCycles(m, got, 5, 40)
+	runCycles(m, 5, 40)
 	if len(*got) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(*got))
 	}
@@ -94,10 +96,10 @@ func TestMeshDeliveryAndLatency(t *testing.T) {
 
 func TestMeshXYOrderingPreserved(t *testing.T) {
 	// Two messages on the same path arrive in send order (link FIFOs).
-	m, got := testMesh(4, 4)
+	m, got := testMesh[int](4, 4)
 	m.Send(0, 0, 3, PortL2, 1)
 	m.Send(0, 0, 3, PortL2, 2)
-	runCycles(m, got, 0, 30)
+	runCycles(m, 0, 30)
 	if len(*got) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(*got))
 	}
@@ -112,12 +114,12 @@ func TestMeshXYOrderingPreserved(t *testing.T) {
 func TestMeshContentionSerializes(t *testing.T) {
 	// Ejection bandwidth is one message per tile per cycle: n messages to
 	// the same tile take at least n cycles to deliver.
-	m, got := testMesh(4, 4)
+	m, got := testMesh[int](4, 4)
 	const n = 8
 	for i := 0; i < n; i++ {
 		m.Send(0, i%4, 5, PortL2, i)
 	}
-	runCycles(m, got, 0, 60)
+	runCycles(m, 0, 60)
 	if len(*got) != n {
 		t.Fatalf("deliveries = %d, want %d", len(*got), n)
 	}
@@ -128,7 +130,7 @@ func TestMeshContentionSerializes(t *testing.T) {
 }
 
 func TestMeshStatsAndQuiesce(t *testing.T) {
-	m, got := testMesh(2, 2)
+	m, _ := testMesh[string](2, 2)
 	if !m.Quiesced() {
 		t.Fatal("fresh mesh not quiesced")
 	}
@@ -136,7 +138,7 @@ func TestMeshStatsAndQuiesce(t *testing.T) {
 	if m.Quiesced() {
 		t.Fatal("mesh quiesced with message in flight")
 	}
-	runCycles(m, got, 0, 20)
+	runCycles(m, 0, 20)
 	if !m.Quiesced() {
 		t.Fatal("mesh not quiesced after delivery")
 	}
@@ -149,13 +151,13 @@ func TestMeshStatsAndQuiesce(t *testing.T) {
 }
 
 func TestMeshSendValidation(t *testing.T) {
-	m, _ := testMesh(2, 2)
+	m, _ := testMesh[int](2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for out-of-range tile")
 		}
 	}()
-	m.Send(0, 0, 9, PortL2, nil)
+	m.Send(0, 0, 9, PortL2, 0)
 }
 
 // sendEv is one scheduled injection of the NextEvent replay tests; its
@@ -172,11 +174,11 @@ type sendEv struct {
 // ticks only at the cycles its own NextEvent named and at injection cycles,
 // as under the skip engine. It returns the delivery log, the final stats
 // and the number of ticks taken.
-func replay(t *testing.T, linkLat, routerLat int, sched []sendEv, every bool) ([]delivery, Stats, int) {
+func replay(t *testing.T, linkLat, routerLat int, sched []sendEv, every bool) ([]delivery[int], Stats, int) {
 	t.Helper()
-	var got []delivery
-	m := New(4, 4, linkLat, routerLat, func(cycle uint64, tile int, port Port, payload any) {
-		got = append(got, delivery{tile, port, payload, cycle})
+	var got []delivery[int]
+	m := New(4, 4, linkLat, routerLat, func(cycle uint64, tile int, port Port, payload *int) {
+		got = append(got, delivery[int]{tile, port, *payload, cycle})
 	})
 	ticks, i := 0, 0
 	for c := uint64(0); ; {
@@ -266,7 +268,7 @@ func TestMeshNextEventNeverLate(t *testing.T) {
 // it. NextEvent names the head's cycle, and sleeping until then loses
 // nothing.
 func TestMeshNextEventFIFOInversion(t *testing.T) {
-	m, _ := testMesh(4, 1)
+	m, _ := testMesh[string](4, 1)
 	m.Send(0, 0, 3, PortL2, "hopped")
 	m.Tick(0)
 	m.Tick(1)                           // pops (0,E) into (1,E), due at 1+link+router = 3
@@ -281,14 +283,43 @@ func TestMeshNextEventFIFOInversion(t *testing.T) {
 	checkNeverLate(t, "inversion", 1, 1, []sendEv{{0, 0, 3, PortL2}, {1, 1, 3, PortL2}})
 }
 
+// TestMeshHandlerMaySendIntoVacatedSlot: what a handler is lent stays intact
+// while it sends, even when the send lands in the ring slot the delivered
+// message has just left — a full local queue whose handler answers to its own
+// tile.
+func TestMeshHandlerMaySendIntoVacatedSlot(t *testing.T) {
+	var m *Mesh[int]
+	var seen []int
+	m = New(1, 1, 1, 1, func(cycle uint64, tile int, port Port, payload *int) {
+		if *payload < 100 {
+			m.Send(cycle, 0, 0, port, *payload+100)
+		}
+		seen = append(seen, *payload)
+	})
+	for v := 1; v <= 4; v++ { // fills the 4-slot ring exactly
+		m.Send(0, 0, 0, PortL2, v)
+	}
+	if q := &m.routers[0].out[dirLocal]; q.n != len(q.buf) {
+		t.Fatalf("local queue holds %d of %d slots, want it full", q.n, len(q.buf))
+	}
+	runCycles(m, 0, 20)
+	want := []int{1, 2, 3, 4, 101, 102, 103, 104}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("handler saw %v, want %v", seen, want)
+	}
+	if q := &m.routers[0].out[dirLocal]; len(q.buf) != 4 {
+		t.Fatalf("ring grew to %d slots: the answers did not reuse vacated ones", len(q.buf))
+	}
+}
+
 // TestOutQueueRing: the ring preserves FIFO order across wrap-arounds and
-// growths, and a vacated slot holds no payload.
+// growths.
 func TestOutQueueRing(t *testing.T) {
-	var q outQueue
+	var q outQueue[int]
 	pushed, popped := 0, 0
 	push := func(n int) {
 		for ; n > 0; n-- {
-			q.push(&msg{payload: pushed, hops: pushed})
+			q.push(&msg[int]{payload: pushed, hops: int32(pushed)})
 			pushed++
 		}
 	}
@@ -298,8 +329,8 @@ func TestOutQueueRing(t *testing.T) {
 			if !q.ready(0) {
 				t.Fatalf("pop %d: queue not ready", popped)
 			}
-			if m := q.pop(); m.payload != popped || m.hops != popped {
-				t.Fatalf("pop %d = %+v", popped, m)
+			if m := q.pop(); m.payload != popped || m.hops != int32(popped) {
+				t.Fatalf("pop %d = %+v", popped, *m)
 			}
 			popped++
 		}
@@ -308,12 +339,6 @@ func TestOutQueueRing(t *testing.T) {
 		t.Helper()
 		if len(q.buf) != wantCap || q.n != pushed-popped {
 			t.Fatalf("cap %d n %d, want cap %d n %d", len(q.buf), q.n, wantCap, pushed-popped)
-		}
-		for i := range q.buf {
-			live := (i-q.head)&(len(q.buf)-1) < q.n
-			if !live && q.buf[i].payload != nil {
-				t.Fatalf("vacated slot %d still holds payload %v", i, q.buf[i].payload)
-			}
 		}
 	}
 	for lap := 0; lap < 5; lap++ { // wraps a 4-slot ring several times
@@ -338,7 +363,7 @@ func TestOutQueueRing(t *testing.T) {
 	if q.ready(0) {
 		t.Fatal("an empty ring is ready")
 	}
-	q.push(&msg{readyAt: 5})
+	q.push(&msg[int]{readyAt: 5})
 	if q.ready(4) || !q.ready(5) {
 		t.Fatal("a message is ready from its readyAt on, not before")
 	}
@@ -351,12 +376,12 @@ func TestOutQueueRing(t *testing.T) {
 func TestMeshTickCostIndependentOfSize(t *testing.T) {
 	type result struct {
 		visits uint64
-		log    []delivery
+		log    []delivery[string]
 	}
 	run := func(side int) result {
 		var r result
-		m := New(side, side, 1, 1, func(cycle uint64, tile int, port Port, payload any) {
-			r.log = append(r.log, delivery{tile, port, payload, cycle})
+		m := New(side, side, 1, 1, func(cycle uint64, tile int, port Port, payload *string) {
+			r.log = append(r.log, delivery[string]{tile, port, *payload, cycle})
 		})
 		at := func(x, y int) int { return y*side + x }
 		m.Send(0, at(0, 0), at(3, 3), PortL2, "a")
@@ -408,18 +433,25 @@ func (x *xorshift) next(bound uint64) uint64 {
 	return v % bound
 }
 
-// saturatedMesh returns a warmed 4x4 mesh and the step that keeps
-// it at about 30 messages of steady random traffic in flight: one step is
-// one cycle, injection then Tick. The payload is boxed once, here, so any
-// allocation a step makes is the mesh's own.
-func saturatedMesh() (*Mesh, func()) {
-	m := New(4, 4, 1, 1, func(uint64, int, Port, any) {})
-	var payload any = "boxed"
+// wide is a payload the size of the simulator's message, so the mesh
+// benchmarks copy what the simulator copies.
+type wide [7]uint64
+
+// saturatedMesh returns a warmed 4x4 mesh and the step that keeps it at 30
+// messages of steady random traffic in flight: one step is one cycle, and
+// every delivery is answered from inside the handler — a send to a random
+// tile carrying the payload the handler was lent — as a bank answers a core.
+func saturatedMesh() (*Mesh[wide], func()) {
 	rng := xorshift(1)
+	var m *Mesh[wide]
+	m = New(4, 4, 1, 1, func(cycle uint64, tile int, _ Port, payload *wide) {
+		payload[0]++
+		m.Send(cycle, tile, int(rng.next(16)), PortL2, *payload)
+	})
 	c := uint64(0)
 	step := func() {
 		for m.Stats.InFlight < 30 {
-			m.Send(c, int(rng.next(16)), int(rng.next(16)), PortL2, payload)
+			m.Send(c, int(rng.next(16)), int(rng.next(16)), PortL2, wide{})
 		}
 		m.Tick(c)
 		c++
@@ -431,7 +463,9 @@ func saturatedMesh() (*Mesh, func()) {
 }
 
 // TestMeshSteadyStateAllocatesNothing: once the rings have grown to the
-// traffic's depth, injecting and moving a message allocates nothing.
+// traffic's depth, moving a message, delivering it and sending from the
+// handler allocate nothing — in particular the payload a handler is lent does
+// not move to the heap.
 func TestMeshSteadyStateAllocatesNothing(t *testing.T) {
 	m, step := saturatedMesh()
 	if m.Stats.Hops == 0 {
@@ -449,14 +483,14 @@ func TestMeshAllDelivered(t *testing.T) {
 		if len(pairs) > 64 {
 			pairs = pairs[:64]
 		}
-		m, got := testMesh(4, 4)
+		m, got := testMesh[int](4, 4)
 		want := map[int]int{} // dst -> count
 		for i, p := range pairs {
 			src, dst := int(p)%16, int(p>>4)%16
 			m.Send(0, src, dst, PortL2, i)
 			want[dst]++
 		}
-		runCycles(m, got, 0, 600)
+		runCycles(m, 0, 600)
 		if !m.Quiesced() || len(*got) != len(pairs) {
 			return false
 		}
@@ -495,13 +529,12 @@ func BenchmarkMeshSaturated(b *testing.B) {
 // one is replaced at once), one op is one cycle. The cost is the occupied
 // queues', not the 4096 routers', and a hop allocates nothing.
 func BenchmarkMeshSparse(b *testing.B) {
-	m := New(64, 64, 1, 1, func(uint64, int, Port, any) {})
-	var payload any = "boxed"
+	m := New(64, 64, 1, 1, func(uint64, int, Port, *wide) {})
 	rng := xorshift(1)
 	c := uint64(0)
 	step := func() {
 		for m.Stats.InFlight < 4 {
-			m.Send(c, int(rng.next(4096)), int(rng.next(4096)), PortL2, payload)
+			m.Send(c, int(rng.next(4096)), int(rng.next(4096)), PortL2, wide{})
 		}
 		m.Tick(c)
 		c++

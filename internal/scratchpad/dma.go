@@ -57,7 +57,7 @@ type DMAEngine struct {
 	pad      *Scratchpad
 	cm       *mem.CoreMem
 	backing  *mem.Backing
-	mesh     *noc.Mesh
+	mesh     *noc.Mesh[mem.Msg]
 	tile     int
 	coreID   int
 	bankTile func(line uint64) int
@@ -66,10 +66,12 @@ type DMAEngine struct {
 	state   DMAState
 	mapping Mapping
 
+	// The lines of one transfer are distinct, so each outstanding set
+	// holds a line at most once.
 	nextIn     uint64 // next global line offset to request
-	pendingIn  map[uint64]struct{}
+	pendingIn  mem.LineTable[struct{}]
 	nextOut    uint64
-	pendingOut map[uint64]struct{}
+	pendingOut mem.LineTable[struct{}]
 
 	// Stats.
 	LinesIn, LinesOut uint64
@@ -79,13 +81,11 @@ type DMAEngine struct {
 // NewDMAEngine builds an engine attached to one SM's scratchpad and memory
 // unit.
 func NewDMAEngine(pad *Scratchpad, cm *mem.CoreMem, backing *mem.Backing,
-	mesh *noc.Mesh, tile, coreID int, bankTile func(uint64) int, lineSize int) *DMAEngine {
+	mesh *noc.Mesh[mem.Msg], tile, coreID int, bankTile func(uint64) int, lineSize int) *DMAEngine {
 	return &DMAEngine{
 		pad: pad, cm: cm, backing: backing, mesh: mesh,
 		tile: tile, coreID: coreID, bankTile: bankTile,
-		lineSize:   uint64(lineSize),
-		pendingIn:  make(map[uint64]struct{}),
-		pendingOut: make(map[uint64]struct{}),
+		lineSize: uint64(lineSize),
 	}
 }
 
@@ -135,7 +135,7 @@ func (d *DMAEngine) Tick(cycle uint64) bool {
 
 func (d *DMAEngine) tickIn(cycle uint64) {
 	if d.nextIn >= d.mapping.Bytes {
-		if len(d.pendingIn) == 0 {
+		if d.pendingIn.Len() == 0 {
 			d.state = DMAReady
 		}
 		return
@@ -149,7 +149,7 @@ func (d *DMAEngine) tickIn(cycle uint64) {
 	case mem.LoadHit:
 		d.copyIn(line)
 	case mem.LoadMiss, mem.LoadMerged:
-		d.pendingIn[line] = struct{}{}
+		d.pendingIn.Insert(line)
 	}
 	d.LinesIn++
 	d.nextIn += d.lineSize
@@ -158,12 +158,11 @@ func (d *DMAEngine) tickIn(cycle uint64) {
 // FillDone completes one inbound line; the SM routes TargetDMAFill
 // completions here.
 func (d *DMAEngine) FillDone(line uint64) {
-	if _, ok := d.pendingIn[line]; !ok {
+	if !d.pendingIn.Remove(line) {
 		return
 	}
-	delete(d.pendingIn, line)
 	d.copyIn(line)
-	if d.state == DMALoading && d.nextIn >= d.mapping.Bytes && len(d.pendingIn) == 0 {
+	if d.state == DMALoading && d.nextIn >= d.mapping.Bytes && d.pendingIn.Len() == 0 {
 		d.state = DMAReady
 	}
 }
@@ -182,7 +181,7 @@ func (d *DMAEngine) copyIn(line uint64) {
 
 func (d *DMAEngine) tickOut(cycle uint64) {
 	if d.nextOut >= d.mapping.Bytes {
-		if len(d.pendingOut) == 0 {
+		if d.pendingOut.Len() == 0 {
 			d.state = DMADone
 		}
 		return
@@ -198,9 +197,9 @@ func (d *DMAEngine) tickOut(cycle uint64) {
 		}
 		d.backing.Store64(g, d.pad.Load64(d.mapping.LocalFor(g)))
 	}
-	d.pendingOut[line] = struct{}{}
-	wt := mem.WriteThrough{Line: line, Requestor: d.coreID}
-	d.mesh.Send(cycle, d.tile, d.bankTile(line), noc.PortL2, wt)
+	d.pendingOut.Insert(line)
+	d.mesh.Send(cycle, d.tile, d.bankTile(line), noc.PortL2,
+		mem.Msg{Kind: mem.WriteThrough, Addr: line, Core: int32(d.coreID)})
 	d.LinesOut++
 	d.nextOut += d.lineSize
 }
@@ -208,11 +207,10 @@ func (d *DMAEngine) tickOut(cycle uint64) {
 // WriteAcked consumes write-back acknowledgements (the SM forwards every
 // WriteAck; lines not in the outstanding set are someone else's).
 func (d *DMAEngine) WriteAcked(line uint64) {
-	if _, ok := d.pendingOut[line]; !ok {
+	if !d.pendingOut.Remove(line) {
 		return
 	}
-	delete(d.pendingOut, line)
-	if d.state == DMAWritingBack && d.nextOut >= d.mapping.Bytes && len(d.pendingOut) == 0 {
+	if d.state == DMAWritingBack && d.nextOut >= d.mapping.Bytes && d.pendingOut.Len() == 0 {
 		d.state = DMADone
 	}
 }
@@ -235,11 +233,11 @@ const noEvent = ^uint64(0)
 func (d *DMAEngine) NextEvent(now uint64) uint64 {
 	switch d.state {
 	case DMALoading:
-		if d.nextIn < d.mapping.Bytes || len(d.pendingIn) == 0 {
+		if d.nextIn < d.mapping.Bytes || d.pendingIn.Len() == 0 {
 			return now + 1
 		}
 	case DMAWritingBack:
-		if d.nextOut < d.mapping.Bytes || len(d.pendingOut) == 0 {
+		if d.nextOut < d.mapping.Bytes || d.pendingOut.Len() == 0 {
 			return now + 1
 		}
 	}
@@ -249,5 +247,5 @@ func (d *DMAEngine) NextEvent(now uint64) uint64 {
 // Diagnose describes the transfer state for engine deadlock dumps.
 func (d *DMAEngine) Diagnose() string {
 	return fmt.Sprintf("dma state=%d pending-in=%d pending-out=%d",
-		d.state, len(d.pendingIn), len(d.pendingOut))
+		d.state, d.pendingIn.Len(), d.pendingOut.Len())
 }
