@@ -11,7 +11,7 @@
 //
 //	gsi-scale -axis mesh -workload stencil
 //	gsi-scale -workload all -axis all -rung-budget 5s -report docs/SCALE_CEILINGS.md
-//	gsi-scale -smoke -baseline BENCH_scale.json -threshold 0.15 -max-rungs 3
+//	gsi-scale -smoke -baseline BENCH_scale.json -max-rungs 3
 package main
 
 import (
@@ -39,9 +39,8 @@ func main() {
 		reportPath  = flag.String("report", "", "also write the markdown ceiling report to this path")
 		note        = flag.String("note", "", "free-form note recorded in the document")
 		quiet       = flag.Bool("quiet", false, "suppress per-rung progress on stderr")
-		smoke       = flag.Bool("smoke", false, "smoke mode: replay the baseline's series and gate on regressions instead of writing a document")
+		smoke       = flag.Bool("smoke", false, "smoke mode: replay the baseline's series and gate on identity and counter drift instead of writing a document")
 		baseline    = flag.String("baseline", "", "committed BENCH_scale.json to gate against (smoke mode)")
-		threshold   = flag.Float64("threshold", 0.15, "allowed fractional ns-per-cycle regression per rung, rung-0 normalized (smoke mode)")
 	)
 	flag.Parse()
 
@@ -77,7 +76,7 @@ func main() {
 	}
 
 	if *smoke {
-		runSmoke(cfg, *baseline, *threshold, *maxRungs)
+		runSmoke(cfg, *baseline, *maxRungs)
 		return
 	}
 
@@ -106,10 +105,11 @@ func main() {
 }
 
 // runSmoke replays exactly the series the baseline recorded — each
-// (workload, axis) pair up to maxRungs rungs — and gates on the
+// (workload, axis) pair up to maxRungs rungs — prints the rung-0-normalized
+// timing beside the baseline's without a verdict, and gates on the
 // comparator's findings. The -workload and -axis flags narrow the replay
 // when set; the wall budgets still apply.
-func runSmoke(cfg scale.Config, baselinePath string, threshold float64, maxRungs int) {
+func runSmoke(cfg scale.Config, baselinePath string, maxRungs int) {
 	if baselinePath == "" {
 		fail("-smoke needs -baseline")
 	}
@@ -154,15 +154,19 @@ func runSmoke(cfg scale.Config, baselinePath string, threshold float64, maxRungs
 	if len(replayed.Results) == 0 {
 		fail("baseline has no series matching the -workload/-axis selection")
 	}
-	findings := scale.Compare(replayed, cur, threshold, maxRungs)
+	fmt.Println("timing (advisory, not gated):")
+	for _, line := range scale.Timing(replayed, cur) {
+		fmt.Println("  " + line)
+	}
+	findings := scale.Compare(replayed, cur, maxRungs)
 	if len(findings) > 0 {
 		for _, f := range findings {
 			fmt.Fprintf(os.Stderr, "FAIL %s\n", f)
 		}
 		fail("%d scale-smoke violation(s) against %s", len(findings), baselinePath)
 	}
-	fmt.Printf("scale smoke OK: %d series replayed against %s (threshold %.0f%%)\n",
-		len(replayed.Results), baselinePath, threshold*100)
+	fmt.Printf("scale smoke OK: %d series replayed against %s (identity, cycles, steps and jumps exact)\n",
+		len(replayed.Results), baselinePath)
 }
 
 // hostString describes the machine well enough to interpret wall-clock

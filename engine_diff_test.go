@@ -2,6 +2,10 @@ package gsi
 
 import (
 	"bytes"
+	"errors"
+	"math/bits"
+	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -186,7 +190,7 @@ func smallRegistryRun(t *testing.T, e *WorkloadEntry, set func(*SystemConfig)) *
 // quiescent and skip-ahead engines and must produce the byte-identical JSON
 // report the dense reference loop does. Any component under-promising on
 // any of these access patterns diverges here; quiescent diverging too
-// blames the active set or the naps, skip alone the jump planner.
+// blames the active set, parking or the naps, skip alone the jump.
 func TestNextEventWorkloadPool(t *testing.T) {
 	reg := Workloads()
 	for _, name := range reg.Names() {
@@ -322,4 +326,139 @@ func TestNapsActuallyNap(t *testing.T) {
 			t.Errorf("%s: naps credited %d SM-cycles, more than the run's %d", name, st.NappedSMCycles, smCycles)
 		}
 	}
+}
+
+// configDraw is one configuration of TestEnginesAgreeOnDrawnConfigs; it
+// prints as the draw that failed.
+type configDraw struct {
+	Workload                 string
+	Params                   WorkloadValues
+	Protocol                 Protocol
+	MSHR                     int
+	SFIFO, OwnedAtomics      bool
+	StrongCycle, EagerAttrib bool
+}
+
+// drawnSizeParam names each workload's primary size parameter, the one a
+// draw halves or doubles.
+var drawnSizeParam = map[string]string{
+	"uts": "nodes", "utsd": "nodes", "implicit": "databytes", "bfs": "vertices",
+	"spmv": "rows", "pipeline": "rounds", "gups": "updates", "stencil": "steps", "steal": "tasks",
+}
+
+// TestEnginesAgreeOnDrawnConfigs holds the engines to the dense oracle on
+// configurations nobody wrote by hand: seeded draws over every registry
+// workload at SmallScale, each with its size parameter halved, kept or
+// doubled, either protocol, MSHR = store buffer in {4, 8, 32, 512}, a warp
+// count halved, kept or doubled, and each ablation switch on or off. Dense,
+// quiescent and skip must produce byte-identical JSON, and every SM's profile
+// must account every cycle. A draw the model rejects before it runs (a
+// doubled array past the scratchpad, a warp count that does not divide the
+// work) is skipped, and the draws a workload keeps are counted.
+//
+// Owned atomics stay off for uts, utsd and steal: their spin locks livelock
+// under them at modest sizes on the dense loop too (ROADMAP 6(d)).
+func TestEnginesAgreeOnDrawnConfigs(t *testing.T) {
+	const drawsPerWorkload = 4
+	rng := rand.New(rand.NewSource(0x6751))
+	reg := Workloads()
+	for _, name := range reg.Names() {
+		e, _ := reg.Lookup(name)
+		kept := 0
+		for i := 0; i < drawsPerWorkload; i++ {
+			d := configDraw{Workload: name, Params: WorkloadValues{}, Protocol: GPUCoherence,
+				MSHR: []int{4, 8, 32, 512}[rng.Intn(4)]}
+			if rng.Intn(2) == 1 {
+				d.Protocol = DeNovo
+			}
+			// Halve, keep or double an integer SmallScale parameter.
+			redraw := func(param string) (int, bool) {
+				n, err := strconv.Atoi(smallParam(e, param))
+				if err != nil {
+					return 0, false
+				}
+				n = max(1, n<<rng.Intn(3)/2)
+				d.Params[param] = strconv.Itoa(n)
+				return n, true
+			}
+			if n, ok := redraw(drawnSizeParam[name]); ok && name == "steal" {
+				// The deque ring must hold every task.
+				d.Params["cap"] = strconv.Itoa(max(128, 1<<bits.Len(uint(n-1))))
+			}
+			redraw("warps")
+			d.SFIFO, d.StrongCycle, d.EagerAttrib = rng.Intn(2) == 1, rng.Intn(2) == 1, rng.Intn(2) == 1
+			if owned := rng.Intn(2) == 1; owned && name != "uts" && name != "utsd" && name != "steal" {
+				d.OwnedAtomics = true
+			}
+			if drawAgrees(t, e, d) {
+				kept++
+			}
+		}
+		t.Logf("%s: %d of %d draws accepted", name, kept, drawsPerWorkload)
+		if kept == 0 {
+			t.Errorf("%s: every draw was rejected; the workload was not checked", name)
+		}
+	}
+}
+
+// smallParam returns a parameter's SmallScale value ("" if the schema lacks
+// it).
+func smallParam(e *WorkloadEntry, name string) string {
+	if v, ok := e.Small[name]; ok {
+		return v
+	}
+	for _, p := range e.Params {
+		if p.Name == name {
+			return p.Default
+		}
+	}
+	return ""
+}
+
+// drawAgrees runs one draw under the three engines and reports whether the
+// model accepted it.
+func drawAgrees(t *testing.T, e *WorkloadEntry, d configDraw) bool {
+	t.Helper()
+	cfg, err := e.TuneSystem(true, d.Params, DefaultConfig())
+	if err != nil {
+		return false
+	}
+	if n, err := strconv.Atoi(d.Params["warps"]); err == nil && cfg.WarpsPerSM < n {
+		cfg.WarpsPerSM = n
+	}
+	cfg.MSHREntries, cfg.StoreBufEntries = d.MSHR, d.MSHR
+	var ref []byte
+	for _, mode := range []EngineMode{EngineDense, EngineQuiescent, EngineSkip} {
+		w, err := e.BuildSmall(d.Params)
+		if err != nil {
+			return false
+		}
+		opt := Options{System: cfg, Protocol: d.Protocol, SFIFO: d.SFIFO, OwnedAtomics: d.OwnedAtomics,
+			StrongCycle: d.StrongCycle, EagerAttribution: d.EagerAttrib}
+		opt.System.Engine = mode
+		rep, err := Run(opt, w)
+		if err != nil {
+			if mode == EngineDense && !errors.Is(err, ErrMaxCycles) && !errors.Is(err, ErrStalled) {
+				return false // rejected before it ran
+			}
+			t.Errorf("%+v: %s: %v", d, mode, err)
+			return true
+		}
+		for sm, c := range rep.PerSM {
+			if c.Total() != rep.Cycles {
+				t.Errorf("%+v: %s: sm%d classified %d of %d cycles", d, mode, sm, c.Total(), rep.Cycles)
+			}
+		}
+		doc, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = doc
+		} else if !bytes.Equal(doc, ref) {
+			a, b := diffLine(doc, ref)
+			t.Errorf("%+v: %s diverges from dense:\n %s: %s\n dense: %s", d, mode, mode, a, b)
+		}
+	}
+	return true
 }

@@ -339,6 +339,27 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsLocalWindowOutsideScratchpad: an implicit array twice the
+// 16 KB scratchpad is a configuration error returned by Run, under every
+// local-memory organization, not a panic on the first access past the end.
+func TestRunRejectsLocalWindowOutsideScratchpad(t *testing.T) {
+	p := DefaultImplicit()
+	p.DataBytes = 32 << 10
+	for _, kind := range []LocalMem{Scratchpad, ScratchpadDMA, Stash} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: Run panicked: %v", kind, r)
+				}
+			}()
+			_, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, NewImplicitWith(p, kind))
+			if err == nil || !strings.Contains(err.Error(), "outside the 16384-byte scratchpad") {
+				t.Errorf("%s: err = %v, want the local window rejected at launch", kind, err)
+			}
+		}()
+	}
+}
+
 func TestReportBreakdownConsistency(t *testing.T) {
 	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, NewImplicit(Stash))
 	if err != nil {

@@ -174,8 +174,8 @@ func DefaultConfig() SystemConfig { return sim.Default() }
 type EngineMode = sim.EngineMode
 
 // Engine modes: skip-ahead (the default and the product), quiescent
-// (skip-ahead with the jump planner off), and the dense reference loop
-// (the oracle).
+// (the same loop without the jump), and the dense reference loop (the
+// oracle).
 const (
 	EngineSkip      = sim.EngineSkip
 	EngineQuiescent = sim.EngineQuiescent

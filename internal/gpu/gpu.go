@@ -73,6 +73,15 @@ func (g *GPU) Launch(k *Kernel) error {
 		return fmt.Errorf("gpu: kernel %q synchronizes across blocks but launches %d on %d SMs",
 			k.Name, k.Blocks, g.Cfg.NumSMs)
 	}
+	if k.LocalMap != nil {
+		size := uint64(g.Cfg.ScratchSize)
+		for b := 0; b < k.Blocks; b++ {
+			if m := k.LocalMap(b); m.Bytes > size || m.LocalBase > size-m.Bytes {
+				return fmt.Errorf("gpu: kernel %q maps block %d's local window [%#x, %#x) outside the %d-byte scratchpad",
+					k.Name, b, m.LocalBase, m.LocalBase+m.Bytes, size)
+			}
+		}
+	}
 	g.kernel = k
 	g.nextBlock = 0
 	g.blocksDone = 0
@@ -105,15 +114,15 @@ func (g *GPU) Done() bool {
 // smSlot adapts one SM to the scheduling engine and gives it local time.
 // After a tick in which no warp issued, the slot asks the SM's NextEvent
 // promise (bounded by its CoreMem's own timer) how long the SM stays
-// frozen; when that lies beyond the next cycle the SM naps: the slot parks
-// in the engine (sim.Handle.Park) and is not visited until the promised
-// cycle, and the frozen classification is credited to the Inspector in one
-// span when the nap ends — GSI still accounts a classification for every GPU
-// cycle of every SM, including the ones the SM never ticked. A nap ends at
-// its timed bound or when CoreMem pokes the slot because external input is
-// about to land (see poke). The drained tail of an SM whose last block
-// retired is the same nap with no bound and no park — the slot just goes
-// idle — closed when the run returns.
+// frozen; when that lies beyond the next cycle the SM naps: the slot reports
+// the nap's end through its own NextEvent, so the engine parks it and does
+// not visit it until the promised cycle, and the frozen classification is
+// credited to the Inspector in one span when the nap ends — GSI still
+// accounts a classification for every GPU cycle of every SM, including the
+// ones the SM never ticked. A nap ends at its timed bound or when CoreMem
+// pokes the slot because external input is about to land (see poke). The
+// drained tail of an SM whose last block retired is the same nap with no
+// bound and no park — the slot just goes idle — closed when the run returns.
 //
 // The dense loop never naps: it is the oracle the naps are checked
 // against.
@@ -123,8 +132,7 @@ type smSlot struct {
 	naps bool
 
 	// While napping, cycles [napFrom, now) are not yet credited. napUntil
-	// is the timed bound (sim.NoEvent: only a poke ends the nap) of a nap
-	// the engine still visits — see Tick.
+	// is the timed bound (sim.NoEvent: only a poke ends the nap).
 	napping  bool
 	napFrom  uint64
 	napUntil uint64
@@ -135,28 +143,22 @@ type smSlot struct {
 	// Scheduling counters, summed into GPU.EngineStats after the run.
 	napCount, nappedCycles uint64
 
-	// wake and park are the slot's engine handle. wake re-arms it: a poke
-	// can reach a parked SM.
+	// wake is the slot's engine handle: a poke ends the park of a napping
+	// SM.
 	wake func()
-	park func(until uint64) bool
 
 	// audit, set only by tests, ticks the SM through its naps and reports
 	// every cycle in which the nap's promise did not hold.
 	audit func(sm int, cycle uint64, problem string)
 }
 
-// Tick implements sim.Component. A parked nap is not visited at all; the
-// engine still enters a napping slot, which stays busy and does nothing until
-// its bound, only where the slot did not park: under the test audit, for a
-// nap of a single visit (parking costs more than the visit it would save),
-// and if the engine declined the park — it does under the dense loop, which
-// never naps, and after a Wake in the same tick.
+// Tick implements sim.Component. The engine does not visit a napping slot
+// before its bound except under the test audit, which ticks it anyway; any
+// other visit ends the nap and ticks the SM, which is always safe.
 func (s *smSlot) Tick(cycle uint64) bool {
 	if s.napping {
-		if cycle < s.napUntil {
-			if s.audit != nil {
-				s.auditTick(cycle)
-			}
+		if s.audit != nil && cycle < s.napUntil {
+			s.auditTick(cycle)
 			return true
 		}
 		s.endNap(cycle)
@@ -178,8 +180,9 @@ func (s *smSlot) Tick(cycle uint64) bool {
 // bound is only slack, and cheap: dropping it adds under 2% to the napped
 // cycles of any registry workload. A drained SM stays idle whatever its
 // CoreMem still does, and must nap — its slot is about to leave the active
-// set. A resident SM parks instead: it is still pending work, so the engine
-// keeps counting it against a stall and bounds its jumps by the nap's end.
+// set. A resident SM's slot stays busy, so the engine parks it on NextEvent:
+// it is still pending work, counted against a stall, and its bound limits a
+// jump.
 func (s *smSlot) planNap(now uint64, resident bool) {
 	until := s.sm.NextEvent(now)
 	if until > now+1 && resident {
@@ -191,9 +194,6 @@ func (s *smSlot) planNap(now uint64, resident bool) {
 	s.napping, s.napFrom, s.napUntil = true, now+1, until
 	s.mshrRetry = s.sm.lsu.mshrRetrying(now)
 	s.napCount++
-	if resident && until > now+2 && s.audit == nil {
-		s.park(until)
-	}
 }
 
 // endNap closes an open nap at cycle end: the SM observed nothing during
@@ -255,11 +255,12 @@ func (s *smSlot) auditTick(cycle uint64) {
 	s.audit(sm.id, cycle, fmt.Sprintf("%s in a nap that promised %+v: %s", problem, promised, s.Diagnose()))
 }
 
-// NextEvent implements sim.NextEventer for a slot the engine is visiting: a
-// napping SM is frozen until its bound (a parked one is not asked — the
-// engine holds the same bound), and an awake one never permits a jump.
+// NextEvent implements sim.NextEventer: a napping SM is frozen until its
+// bound, where the engine parks it, and an awake one never permits a park.
+// Under the test audit a nap reports the next cycle, so the engine keeps
+// visiting the slot and the audit can tick the SM through it.
 func (s *smSlot) NextEvent(now uint64) uint64 {
-	if s.napping {
+	if s.napping && s.audit == nil {
 		return s.napUntil
 	}
 	return now + 1
@@ -309,8 +310,7 @@ func (g *GPU) RunContext(ctx context.Context) (uint64, error) {
 	for i, sm := range g.SMs {
 		s := &smSlot{sm: sm, naps: g.Cfg.Engine != sim.EngineDense, audit: g.napAudit}
 		slots[i] = s
-		h := eng.Register(fmt.Sprintf("sm%d", i), s)
-		s.wake, s.park = h.Wake, h.Park
+		s.wake = eng.Register(fmt.Sprintf("sm%d", i), s).Wake
 		if s.naps {
 			// Every external input to SM i arrives through CoreMem i,
 			// which pokes the slot before it lets any of it land.

@@ -291,6 +291,47 @@ func TestLaunchValidation(t *testing.T) {
 	}
 }
 
+// TestLaunchRejectsLocalWindowOutsideScratchpad: a block whose local window
+// does not fit in the scratchpad is a Launch error, for every local-memory
+// kind and for the last block as well as the first, instead of a panic on
+// the first access past the end mid-run. A window that fills the scratchpad
+// exactly is accepted.
+func TestLaunchRejectsLocalWindowOutsideScratchpad(t *testing.T) {
+	b := isa.NewBuilder("v")
+	b.Exit()
+	prog := b.MustBuild()
+	size := uint64(sim.Default().ScratchSize)
+	for _, kind := range []gpu.LocalKind{gpu.LocalScratch, gpu.LocalScratchDMA, gpu.LocalStash} {
+		for _, tc := range []struct {
+			base, bytes uint64
+			lastOnly    bool
+			ok          bool
+		}{
+			{0, size, false, true},
+			{0, size + 8, false, false},
+			{size / 2, size/2 + 8, false, false},
+			{8, size, true, false},
+			{size + 8, 0, false, false},
+		} {
+			g := newGPU(t, 2, coherence.DeNovo{})
+			k := &gpu.Kernel{Name: "v", Program: prog, Blocks: 2, WarpsPerBlock: 1, Local: kind,
+				LocalMap: func(block int) scratchpad.Mapping {
+					if tc.lastOnly && block == 0 {
+						return scratchpad.Mapping{Bytes: size}
+					}
+					return scratchpad.Mapping{LocalBase: tc.base, Bytes: tc.bytes}
+				}}
+			err := g.Launch(k)
+			if tc.ok != (err == nil) {
+				t.Errorf("%s window [%d, %d) last-only=%v: Launch err = %v", kind, tc.base, tc.base+tc.bytes, tc.lastOnly, err)
+			}
+			if err != nil && !strings.Contains(err.Error(), "outside the 16384-byte scratchpad") {
+				t.Errorf("%s: error %q does not name the scratchpad size", kind, err)
+			}
+		}
+	}
+}
+
 func TestScratchpadKernelBankConflicts(t *testing.T) {
 	// 32 lanes striding 32 words alias a single scratchpad bank:
 	// the access serializes and bank-conflict stalls appear.

@@ -63,7 +63,9 @@ type Kernel struct {
 	Local LocalKind
 	// LocalMap supplies the block's scratchpad/stash window onto global
 	// memory. Required for LocalScratchDMA and LocalStash; optional for
-	// LocalScratch (the baseline moves data with explicit instructions).
+	// LocalScratch (the baseline moves data with explicit instructions and
+	// reads no mapping). Launch rejects any block whose window does not fit
+	// in the scratchpad.
 	LocalMap func(block int) scratchpad.Mapping
 	// Coresident declares that the kernel synchronizes across blocks (a
 	// software global barrier), so every block must be resident at once:

@@ -6,13 +6,14 @@
 // 197-261) from single base parameters.
 //
 // A tick costs what the mesh carries, not what it spans: one live bit per
-// output queue, kept where messages are pushed and popped, and Tick and
-// NextEvent visit set bits only, in the router-by-router, port-by-port order
-// a full walk would take.
+// output queue, kept where messages are pushed and popped, and Tick visits
+// set bits only, in the router-by-router, port-by-port order a full walk
+// would take.
 //
-// The mesh participates in event-driven skip-ahead through NextEvent, which
-// reports the earliest cycle any buffered message can move, found by
-// scanning the live queue heads when the engine plans a jump.
+// The mesh tells the engine when it next needs a tick through NextEvent: the
+// earliest cycle any buffered message can move, which is the earliest due
+// cycle among the queue heads. Tick and Send keep that minimum as they go,
+// so answering costs a compare.
 //
 // The mesh is generic over what it carries: Mesh[P] copies a P by value into
 // each ring slot a message passes through and knows nothing else about it, so
@@ -124,6 +125,10 @@ type Mesh[P any] struct {
 	// live has bit posOf(tile, dir) set iff that output queue holds a
 	// message.
 	live []uint64
+	// due is the earliest readyAt among the queue heads (noEvent when the
+	// mesh is empty): Tick recomputes it over the heads it visits, and a
+	// push that makes a new head folds that head in.
+	due uint64
 	// queueVisits counts the live bits Tick has visited.
 	queueVisits uint64
 	handler     Handler[P]
@@ -159,6 +164,7 @@ func New[P any](w, h, linkLat, routerLat int, handler Handler[P]) *Mesh[P] {
 		routers:   make([]router[P], w*h),
 		xy:        make([]coord, w*h),
 		live:      make([]uint64, (w*h<<posShift+63)/64),
+		due:       noEvent,
 		handler:   handler,
 	}
 	for t := range m.xy {
@@ -204,10 +210,15 @@ func (m *Mesh[P]) Send(cycle uint64, src, dst int, port Port, payload P) {
 }
 
 // route places a message in the proper output queue of tile's router and
-// marks the queue live.
+// marks the queue live. A message that lands in an empty queue is its new
+// head.
 func (m *Mesh[P]) route(tile int, mg *msg[P]) {
 	dir := m.dirToward(tile, int(mg.dst))
-	m.routers[tile].out[dir].push(mg)
+	q := &m.routers[tile].out[dir]
+	if q.n == 0 {
+		m.due = min(m.due, mg.readyAt)
+	}
+	q.push(mg)
 	m.setLive(posOf(tile, dir), true)
 }
 
@@ -265,16 +276,19 @@ func (m *Mesh[P]) neighbor(tile, dir int) int {
 // most one ready message (link bandwidth), and each local port delivers at
 // most one ready message to its endpoint (ejection bandwidth). Only live
 // queues are visited, in ascending posOf order — the order a walk over every
-// router and port would take. It reports whether any message remains buffered
-// (the mesh sleeps otherwise).
+// router and port would take — and the head each one is left with is folded
+// into due. It reports whether any message remains buffered (the mesh sleeps
+// otherwise).
 func (m *Mesh[P]) Tick(cycle uint64) bool {
+	m.due = noEvent
 	for w := range m.live {
 		for word := m.live[w]; word != 0; {
 			b := bits.TrailingZeros64(word)
 			pos := w<<6 | b
 			tile, dir := pos>>posShift, pos&(1<<posShift-1)
 			m.queueVisits++
-			if q := &m.routers[tile].out[dir]; q.ready(cycle) {
+			q := &m.routers[tile].out[dir]
+			if q.ready(cycle) {
 				mg := q.pop()
 				// The live bit is cleared before the message moves on, so
 				// a push the move triggers into this same queue sets it
@@ -298,6 +312,9 @@ func (m *Mesh[P]) Tick(cycle uint64) bool {
 					m.handler(cycle, tile, mg.port, &m.arrived)
 				}
 			}
+			if q.n > 0 {
+				m.due = min(m.due, q.buf[q.head].readyAt)
+			}
 			// Re-read the word: a queue that went live mid-walk above
 			// this position (a hop into a later router, a handler's send)
 			// is visited this tick, as a full walk would.
@@ -314,29 +331,14 @@ func (m *Mesh[P]) Quiesced() bool { return m.Stats.InFlight == 0 }
 // simulator dependencies).
 const noEvent = ^uint64(0)
 
-// NextEvent implements the engine's skip-ahead extension: the earliest
-// cycle after now at which any router can move a message. Nothing beyond the
-// live bits is maintained for it on the push/pop path; planning a jump
-// scans, on demand, the head of every live output queue (a message behind
-// the head cannot move before it).
+// NextEvent implements the engine's NextEventer: the earliest cycle after now
+// at which any router can move a message — the earliest queue head (a message
+// behind a head cannot move before it), kept in due.
 func (m *Mesh[P]) NextEvent(now uint64) uint64 {
-	if m.Stats.InFlight == 0 {
-		return noEvent
-	}
-	next := noEvent
-	for w, word := range m.live {
-		for ; word != 0; word &= word - 1 {
-			pos := w<<6 | bits.TrailingZeros64(word)
-			q := &m.routers[pos>>posShift].out[pos&(1<<posShift-1)]
-			if t := q.buf[q.head].readyAt; t < next {
-				next = t
-			}
-		}
-	}
-	if next <= now {
+	if m.due <= now {
 		return now + 1
 	}
-	return next
+	return m.due
 }
 
 // Diagnose describes pending traffic for engine deadlock dumps.

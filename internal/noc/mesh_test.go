@@ -30,17 +30,22 @@ func runCycles[P any](m *Mesh[P], from, n uint64) {
 	}
 }
 
-// liveBitsErr checks the invariant Tick and NextEvent rest on: a live bit is
-// set iff its output queue holds a message — no stale bit (NextEvent reads the
-// head of every live queue) and no missing one (a queue Tick never visits
-// again).
+// liveBitsErr checks the invariants Tick and NextEvent rest on: a live bit is
+// set iff its output queue holds a message — no stale bit and no missing one
+// (a queue Tick never visits again) — and due is exactly the earliest head's
+// readyAt, so NextEvent is neither late nor needlessly early.
 func liveBitsErr[P any](m *Mesh[P]) error {
+	due := noEvent
 	for tile := range m.routers {
 		for dir := 0; dir < numDirs; dir++ {
 			pos := posOf(tile, dir)
 			live := m.live[pos>>6]>>(pos&63)&1 != 0
-			if n := m.routers[tile].out[dir].n; live != (n > 0) {
-				return fmt.Errorf("queue (%d,%d): live bit %v, %d buffered", tile, dir, live, n)
+			q := &m.routers[tile].out[dir]
+			if live != (q.n > 0) {
+				return fmt.Errorf("queue (%d,%d): live bit %v, %d buffered", tile, dir, live, q.n)
+			}
+			if q.n > 0 {
+				due = min(due, q.buf[q.head].readyAt)
 			}
 		}
 		for dir := numDirs; dir < 1<<posShift; dir++ {
@@ -48,6 +53,9 @@ func liveBitsErr[P any](m *Mesh[P]) error {
 				return fmt.Errorf("live bit set at unused position (%d,%d)", tile, dir)
 			}
 		}
+	}
+	if m.due != due {
+		return fmt.Errorf("due = %d, earliest head %d", m.due, due)
 	}
 	return nil
 }

@@ -243,10 +243,9 @@ func planRung(e *gsi.WorkloadEntry, axis Axis, rung int) (int, []point, error) {
 }
 
 // runContained runs one simulation with panics converted to errors. A
-// grown workload can violate a model capacity the constructor does not
-// check (an implicit databytes doubling can step outside the scratchpad,
-// which panics in the gpu model); to the harness that is just another
-// wall, so it must survive as a recorded error, not kill the process.
+// grown workload can reach a model limit nothing checks before the run; to
+// the harness that is just another wall, so it must survive as a recorded
+// error, not kill the process.
 func runContained(ctx context.Context, opt gsi.Options, w gsi.Workload) (rep *gsi.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {

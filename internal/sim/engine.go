@@ -4,34 +4,37 @@
 // or map iteration order ever influences timing, so a given configuration
 // always produces the identical result.
 //
+// A component tells the engine when it next needs a visit in two words:
+// Tick's busy bool (pending work of its own, or none — then it sleeps until a
+// Wake) and, optionally, NextEvent (the earliest cycle at which that work can
+// change anything). The engine asks NextEvent once, right after a busy tick,
+// and parks the component until the cycle it names or the first Wake.
+//
 // The engine runs in one of three modes that all produce byte-identical
 // results and differ only in per-cycle cost:
 //
 //   - EngineDense ticks every component every cycle — the reference loop
 //     (the oracle the other two are tested against).
-//   - EngineQuiescent keeps a deterministic active set: a component reports
-//     from Tick whether it still has pending work, and an idle component
-//     leaves the active set until something re-arms it through its
-//     registration Handle. Because an idle component's Tick is required to
-//     be a pure no-op, skipping it cannot change the simulation. A
-//     component that knows how long it stays frozen parks itself
-//     (Handle.Park) and is not visited until that cycle or a Wake.
-//   - EngineSkip (the default) adds event-driven skip-ahead on top of the
-//     active set: when every active component also implements NextEventer
-//     and reports its next event strictly after the next cycle, the engine
-//     jumps the clock straight to the earliest event instead of ticking
-//     through the gap. A component learns of a jump only from the gap
-//     between its consecutive Tick cycles; one that must account skipped
-//     cycles keeps its own local time (the GPU's SM slots nap, see
-//     docs/ARCHITECTURE.md).
+//   - EngineQuiescent keeps a deterministic active set: an idle component
+//     leaves it until something re-arms it through its registration Handle,
+//     and a busy one whose next event lies beyond the next cycle is parked
+//     until then. Because an idle component's Tick is required to be a pure
+//     no-op, and a parked one's until its NextEvent, skipping them cannot
+//     change the simulation.
+//   - EngineSkip (the default) is the same loop with one more condition:
+//     when a pass leaves nothing active, the clock jumps straight to the
+//     earliest park instead of ticking through the gap. A component learns
+//     of a jump only from the gap between its consecutive Tick cycles; one
+//     that must account skipped cycles keeps its own local time (the GPU's
+//     SM slots nap, see docs/ARCHITECTURE.md).
 //
 // One goroutine owns an engine and everything registered with it from
 // construction to the end of the run; nothing in a simulation is shared
 // between goroutines (sweeps run whole simulations side by side instead).
 //
 // docs/ARCHITECTURE.md is the component author's guide to these
-// contracts — the idle-tick no-op rule, Wake re-arming, parking, the
-// NextEvent never-under-promise contract, and SM naps — with each invariant
+// contracts — the idle-tick no-op rule, Wake re-arming, parking on
+// NextEvent, the never-under-promise contract, and SM naps — with each invariant
 // cross-referenced to the test that enforces it.
 package sim
 
@@ -62,20 +65,24 @@ func (f TickFunc) Tick(cycle uint64) bool { return f(cycle) }
 
 // NoEvent is the NextEvent return value of a component whose remaining work
 // waits purely on external input (a message in flight toward it, a wake from
-// another component): it has no internal timer of its own, so it places no
-// bound on a skip-ahead jump.
+// another component): it has no internal timer of its own, so the engine
+// parks it until a Wake, and the park bounds no skip-ahead jump.
 const NoEvent = ^uint64(0)
 
-// NextEventer is the optional Component extension that enables event-driven
-// skip-ahead. NextEvent is called after the component's Tick at cycle now
+// NextEventer is the optional Component extension that lets the engine park
+// a busy component. NextEvent is called once, right after the component's own
+// busy Tick at cycle now (and only if no Wake reached it during that tick),
 // and returns the earliest cycle strictly after now at which ticking the
 // component could change any state or produce any output — including
 // per-cycle side effects a dense loop would accumulate (retry counters,
 // one-entry-per-cycle drains). A component that cannot make that promise
 // must return now+1; a component waiting only on external events returns
 // NoEvent. NextEvent must be read-only: it must not mutate simulation state
-// or wake other components (a Wake during the engine's planning pass clamps
-// the jump defensively, see Handle.Wake).
+// or wake other components.
+//
+// Because the question is asked mid-pass, a component registered later that
+// changes this one's pending work in the same cycle must Wake it, exactly as
+// it must wake an idle one.
 //
 // The contract is "never under-promise": reporting an event later than it
 // really is loses simulated work; reporting it earlier than necessary only
@@ -97,8 +104,8 @@ type EngineMode uint8
 
 const (
 	// EngineSkip is the quiescence-aware loop plus event-driven
-	// skip-ahead over windows where every active component is a pure
-	// timer-waiter.
+	// skip-ahead over windows in which every pending component is parked on
+	// a timer.
 	EngineSkip EngineMode = iota
 	// EngineQuiescent is the quiescence-aware loop without skip-ahead:
 	// idle components cost nothing, but the clock still advances one
@@ -146,57 +153,21 @@ type Handle struct {
 }
 
 // Wake puts the component back in the active set, ending its park if it has
-// one. A Wake that lands while the engine is planning a skip-ahead jump
-// clamps the jump: new work just arrived, so the woken component must tick on
-// the very next cycle exactly as it would under a dense loop.
+// one.
 func (h Handle) Wake() {
 	e := h.e
-	if e.planning {
-		e.wokeDuringPlan = true
-	}
 	w, mask := bitOf(h.id)
 	if e.parked[w]&mask != 0 {
 		e.parked[w] &^= mask
 		e.parkedCount--
 		if t := e.parkUntil[h.id]; t == e.parkDue && t != NoEvent {
-			e.parkDue = e.earliestParked()
+			e.rearmDue()
 		}
 	}
 	if e.active[w]&mask == 0 {
 		e.active[w] |= mask
 		e.activeCount++
 	}
-}
-
-// Park is for a component that, inside its own Tick, knows nothing it can
-// observe changes before cycle until unless someone Wakes it: it leaves the
-// active set and the engine does not visit it again until until or the first
-// Wake, whichever comes first (until == NoEvent: only a Wake). The Tick that
-// parked returns false by convention; the engine ignores its result. A
-// parked component is still pending work, not idle: it bounds a skip-ahead
-// jump at until exactly as an active component's NextEvent would, and it
-// keeps ErrStalled from firing, so a run that can only end at the watchdog
-// ends there on the cycle the dense loop reports.
-//
-// Park reports whether the component was parked. It declines under the dense
-// engine (the oracle visits everything) and when a Wake already landed during
-// this Tick; a declined component simply returns what it would have returned
-// without Park.
-func (h Handle) Park(until uint64) bool {
-	e := h.e
-	w, mask := bitOf(h.id)
-	if e.mode == EngineDense || e.active[w]&mask != 0 {
-		return false
-	}
-	if e.parked[w]&mask == 0 {
-		e.parked[w] |= mask
-		e.parkedCount++
-	}
-	e.parkUntil[h.id] = until
-	if until < e.parkDue {
-		e.parkDue = until
-	}
-	return true
 }
 
 // EngineStats counts scheduling work for benchmarks and tests; it is not
@@ -263,8 +234,9 @@ type Observer interface {
 }
 
 // Engine drives the simulation: a single-threaded cycle loop over the
-// registered components that skips components with no pending work and, in
-// skip mode, jumps gaps where every active component is waiting on a timer.
+// registered components that skips components with no pending work, parks
+// the ones whose next event lies beyond the next cycle, and, in skip mode,
+// jumps the clock when every pending component is parked.
 type Engine struct {
 	cycle uint64
 	comps []Component
@@ -273,10 +245,9 @@ type Engine struct {
 
 	// active is the active set, one bit per component in registration
 	// order, so a tick pass visits set bits and costs nothing for sleepers.
-	// parked marks the components sleeping on a due cycle of their own
-	// (see Handle.Park); parkUntil holds those cycles and parkDue the
-	// earliest of them (NoEvent when there is none). No component is in
-	// both sets.
+	// parked marks the components sleeping until a cycle their NextEvent
+	// named; parkUntil holds those cycles and parkDue the earliest of them
+	// (NoEvent when there is none). No component is in both sets.
 	active      []uint64
 	activeCount int
 	parked      []uint64
@@ -285,26 +256,13 @@ type Engine struct {
 	parkDue     uint64
 
 	// nexters caches the NextEventer assertion per component (nil when
-	// not implemented), so planning a jump costs no interface type
-	// switches.
+	// not implemented), so asking a due cycle costs no interface type
+	// switch.
 	nexters []NextEventer
 
 	// skipLimit bounds jumps so the watchdog in Run fires at exactly the
 	// same cycle it would under the dense loop.
-	skipLimit      uint64
-	planning       bool
-	wokeDuringPlan bool
-	// lastBound is the component that clamped the previous failed plan
-	// to the very next cycle; consulting it first lets the common
-	// no-jump case abort after a single NextEvent call. The heuristic is
-	// a pure function of simulation state, so determinism is unaffected.
-	lastBound int
-	// planBackoff delays the next planning attempt after consecutive
-	// failures (capped exponential): event-dense phases stop paying for
-	// plans that cannot jump, at the cost of entering a jumpable window
-	// up to a few cycles late. Purely a wall-clock heuristic — skipped
-	// plans only mean ticked-through cycles, never different results.
-	planBackoff, planFails uint32
+	skipLimit uint64
 
 	stats EngineStats
 	// obs, when set, receives jump events (see Observer); nil costs one
@@ -314,7 +272,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at cycle 0 in the default (skip-ahead)
 // mode.
-func NewEngine() *Engine { return &Engine{skipLimit: NoEvent, lastBound: -1, parkDue: NoEvent} }
+func NewEngine() *Engine { return &Engine{skipLimit: NoEvent, parkDue: NoEvent} }
 
 // SetMode selects the scheduling loop.
 func (e *Engine) SetMode(m EngineMode) { e.mode = m }
@@ -459,9 +417,12 @@ func (e *Engine) contextError(ctx context.Context) error {
 // components that fall due this cycle have rejoined the active set. A
 // component woken during the pass ticks this cycle if its slot has not passed
 // yet, next cycle otherwise — matching when the dense loop would first have
-// it see the new work. In skip mode, a completed cycle whose pending
-// components are all waiting on known future events advances the clock
-// straight to the earliest one.
+// it see the new work.
+//
+// Outside dense mode a component whose Tick returns busy, and which no Wake
+// reached during that tick, is asked its NextEvent once; an answer beyond the
+// next cycle parks it until then. In skip mode, a completed cycle that leaves
+// nothing active advances the clock straight to the earliest park.
 func (e *Engine) Step() {
 	if e.parkDue <= e.cycle {
 		e.rearmDue()
@@ -480,16 +441,29 @@ func (e *Engine) Step() {
 		}
 		e.stats.Visits += uint64(len(e.comps))
 	} else {
+		next := e.cycle + 1
 		for w := range e.active {
 			for word := e.active[w]; word != 0; {
 				b := bits.TrailingZeros64(word)
 				mask := uint64(1) << b
+				i := w<<6 | b
 				e.active[w] &^= mask
 				e.activeCount--
 				e.stats.Visits++
-				if e.comps[w<<6|b].Tick(e.cycle) && (e.active[w]|e.parked[w])&mask == 0 {
-					e.active[w] |= mask
-					e.activeCount++
+				if e.comps[i].Tick(e.cycle) && e.active[w]&mask == 0 {
+					due := next
+					if ne := e.nexters[i]; ne != nil {
+						due = ne.NextEvent(e.cycle)
+					}
+					if due > next {
+						e.parked[w] |= mask
+						e.parkedCount++
+						e.parkUntil[i] = due
+						e.parkDue = min(e.parkDue, due)
+					} else {
+						e.active[w] |= mask
+						e.activeCount++
+					}
 				}
 				// Re-read the word: a bit set mid-pass above this slot is
 				// a component whose turn has not passed yet.
@@ -499,128 +473,43 @@ func (e *Engine) Step() {
 	}
 	e.cycle++
 	e.stats.Steps++
-	if e.mode == EngineSkip && e.activeCount+e.parkedCount > 0 {
-		if e.planBackoff > 0 {
-			e.planBackoff--
-		} else if e.trySkip() {
-			e.planFails = 0
-		} else {
-			// Capped exponential backoff: 0, 1, 3, 7, then 15 cycles
-			// between attempts while plans keep failing.
-			if e.planFails < 5 {
-				e.planFails++
+	// A park until NoEvent waits for a Wake that only an active component
+	// could send: it never licenses a jump, so a run that can end only at
+	// the watchdog or the stall detector ends there on the dense loop's cycle.
+	if e.mode == EngineSkip && e.activeCount == 0 && e.parkDue != NoEvent {
+		if target := min(e.parkDue, e.skipLimit); target > e.cycle {
+			width := target - e.cycle
+			e.stats.Jumps++
+			e.stats.SkippedCycles += width
+			e.stats.JumpHist[jumpBucket(width)]++
+			if e.obs != nil {
+				e.obs.Jump(e.cycle, target)
 			}
-			e.planBackoff = 1<<e.planFails>>1 - 1
+			e.cycle = target
 		}
 	}
 }
 
 // rearmDue moves every parked component whose cycle has come back into the
-// active set and recomputes the earliest due time of the rest.
+// active set and sets parkDue to the earliest due cycle of the rest, in one
+// pass over the parked words.
 func (e *Engine) rearmDue() {
-	for w, word := range e.parked {
-		for ; word != 0; word &= word - 1 {
-			b := bits.TrailingZeros64(word)
-			if e.parkUntil[w<<6|b] <= e.cycle {
-				mask := uint64(1) << b
-				e.parked[w] &^= mask
-				e.parkedCount--
-				e.active[w] |= mask
-				e.activeCount++
-			}
-		}
-	}
-	e.parkDue = e.earliestParked()
-}
-
-// earliestParked scans the parked set for its earliest due cycle.
-func (e *Engine) earliestParked() uint64 {
 	due := NoEvent
 	for w, word := range e.parked {
 		for ; word != 0; word &= word - 1 {
-			due = min(due, e.parkUntil[w<<6|bits.TrailingZeros64(word)])
+			b := bits.TrailingZeros64(word)
+			if t := e.parkUntil[w<<6|b]; t > e.cycle {
+				due = min(due, t)
+				continue
+			}
+			mask := uint64(1) << b
+			e.parked[w] &^= mask
+			e.parkedCount--
+			e.active[w] |= mask
+			e.activeCount++
 		}
 	}
-	return due
-}
-
-// trySkip implements the skip-ahead jump after a completed tick pass. The
-// clock currently sits at the next cycle to execute; if every active
-// component implements NextEventer and the minimum reported event — or the
-// earliest parked due time — lies strictly beyond it, the clock jumps there.
-// Any Wake observed while planning aborts the jump (an arrival needs the very
-// next cycle), and jumps never cross the watchdog limit installed by Run.
-func (e *Engine) trySkip() (jumped bool) {
-	now := e.cycle - 1 // the cycle the tick pass just executed
-	target := e.parkDue
-	if target <= e.cycle {
-		return false
-	}
-	e.planning, e.wokeDuringPlan = true, false
-	defer func() { e.planning = false }()
-	// Fast path: re-consult the component that clamped the previous failed
-	// plan. If it still demands the very next cycle — the common case in
-	// event-dense phases — the plan aborts after a single call; otherwise
-	// the value is kept so the full scan below does not repeat the call.
-	fastBound, fastT := -1, uint64(0)
-	if b := e.lastBound; b >= 0 && e.isActive(b) {
-		ne := e.nexters[b]
-		if ne == nil {
-			return false
-		}
-		if t := ne.NextEvent(now); t <= e.cycle {
-			return false
-		} else {
-			fastBound, fastT = b, t
-		}
-	}
-	for w, word := range e.active {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 | bits.TrailingZeros64(word)
-			ne := e.nexters[i]
-			if ne == nil {
-				e.lastBound = i
-				return false
-			}
-			t := fastT
-			if i != fastBound {
-				t = ne.NextEvent(now)
-			}
-			if t <= e.cycle {
-				// This component clamps the plan to the next cycle (a
-				// report of now or earlier is stale and means the same):
-				// no jump is possible, stop consulting the rest.
-				e.lastBound = i
-				return false
-			}
-			if t < target {
-				target = t
-			}
-		}
-	}
-	e.lastBound = -1
-	if e.wokeDuringPlan || target == NoEvent {
-		// Either new work arrived mid-plan, or every pending component is
-		// waiting on an external event that no pending component will
-		// produce — tick densely and let the stall detector in Run (or
-		// the events themselves) sort it out.
-		return false
-	}
-	if target > e.skipLimit {
-		target = e.skipLimit
-	}
-	if target <= e.cycle {
-		return false
-	}
-	width := target - e.cycle
-	e.stats.Jumps++
-	e.stats.SkippedCycles += width
-	e.stats.JumpHist[jumpBucket(width)]++
-	if e.obs != nil {
-		e.obs.Jump(e.cycle, target)
-	}
-	e.cycle = target
-	return true
+	e.parkDue = due
 }
 
 // bitOf returns component i's word index and mask in the active and parked

@@ -20,11 +20,11 @@ type timedOutcome struct {
 // runTimedNet runs n timedComps in a ring — each sends to the next, so the
 // last one wakes an earlier-registered component and every other one a later
 // one — until every event has fired (finish) or the engine gives up.
-func runTimedNet(seed uint64, mode EngineMode, n int, parks, finish bool, maxCycles uint64) timedOutcome {
+func runTimedNet(seed uint64, mode EngineMode, n int, finish bool, maxCycles uint64) timedOutcome {
 	var log []string
 	comps := make([]*timedComp, n)
 	for i := range comps {
-		comps[i] = &timedComp{name: fmt.Sprintf("c%d", i), rng: seed + uint64(i)*0x9E3779B97F4A7C15, log: &log, parks: parks}
+		comps[i] = &timedComp{name: fmt.Sprintf("c%d", i), rng: seed + uint64(i)*0x9E3779B97F4A7C15, log: &log}
 		comps[i].schedule(2 + (seed+uint64(i)*5)%11)
 	}
 	comps[0].schedule(60 + seed%23)
@@ -49,74 +49,85 @@ func runTimedNet(seed uint64, mode EngineMode, n int, parks, finish bool, maxCyc
 	return timedOutcome{log: log, cycles: cycles, err: err, stats: eng.Stats()}
 }
 
-// TestParkIndistinguishableFromTickingThrough is the property behind
-// Handle.Park: a component that parks until its next event (or a Wake) fires
-// every event on the cycle it fires when the component instead stays in the
-// active set and is visited every cycle, the engine takes the same steps and
-// the same jumps — a parked due time bounds a jump exactly as the
-// component's NextEvent did — and a run that cannot finish stops on the same
-// cycle with the same error, whether that is the watchdog or the stall
-// detector. The networks wake parked components from earlier and from later
-// registration slots and re-arm themselves in the tick that parks; only the
-// visit count may differ, and must fall.
+// TestParkIndistinguishableFromTickingThrough is the property behind parking
+// on NextEvent: on randomized timedComp ring networks, the quiescent and skip
+// engines — which park every busy component until the cycle its NextEvent
+// names or the first Wake — fire every event on the cycle the dense loop,
+// which ticks everything through, fires it; and a run that cannot finish
+// stops on the same cycle with the same error, whether that is the watchdog
+// or the stall detector. The rings wake parked components from earlier and
+// from later registration slots, cut long promises short, and re-arm
+// themselves in their own tick. Quiescent takes exactly the dense loop's
+// steps; only skip may take fewer, and both must visit less.
 func TestParkIndistinguishableFromTickingThrough(t *testing.T) {
-	for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
-		var visitsAwake, visitsParked uint64
-		for seed := uint64(0); seed < 150; seed++ {
-			n := 2 + int(seed%3)
-			for _, tc := range []struct {
-				name      string
-				finish    bool
-				maxCycles uint64
-			}{
-				{"to completion", true, 1_000_000},
-				{"to the stall", false, 20_000},
-				{"to the watchdog", false, 40 + seed%60},
-			} {
+	var visitsDense, visitsQuiescent, jumps uint64
+	for seed := uint64(0); seed < 150; seed++ {
+		n := 2 + int(seed%3)
+		for _, tc := range []struct {
+			name      string
+			finish    bool
+			maxCycles uint64
+		}{
+			{"to completion", true, 1_000_000},
+			{"to the stall", false, 20_000},
+			{"to the watchdog", false, 40 + seed%60},
+		} {
+			dense := runTimedNet(seed, EngineDense, n, tc.finish, tc.maxCycles)
+			if tc.finish && dense.err != nil {
+				t.Fatalf("seed %d n %d %s: dense: %v", seed, n, tc.name, dense.err)
+			}
+			var quiescent timedOutcome
+			for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
 				label := fmt.Sprintf("%s seed %d n %d %s", mode, seed, n, tc.name)
-				dense := runTimedNet(seed, EngineDense, n, false, tc.finish, tc.maxCycles)
-				awake := runTimedNet(seed, mode, n, false, tc.finish, tc.maxCycles)
-				parked := runTimedNet(seed, mode, n, true, tc.finish, tc.maxCycles)
-				if fmt.Sprint(parked.log) != fmt.Sprint(dense.log) {
-					t.Fatalf("%s: parked log diverges from dense:\n%v\nvs\n%v", label, parked.log, dense.log)
+				got := runTimedNet(seed, mode, n, tc.finish, tc.maxCycles)
+				if fmt.Sprint(got.log) != fmt.Sprint(dense.log) {
+					t.Fatalf("%s: log diverges from dense:\n%v\nvs\n%v", label, got.log, dense.log)
 				}
-				for _, e := range parked.log {
+				for _, e := range got.log {
 					if !strings.HasSuffix(e, ":ok") {
 						t.Fatalf("%s: late event %q", label, e)
 					}
 				}
-				if parked.cycles != awake.cycles || !sameErrorKind(parked.err, awake.err) {
-					t.Fatalf("%s: parked run stopped after %d cycles with %v, awake run after %d with %v",
-						label, parked.cycles, errKind(parked.err), awake.cycles, errKind(awake.err))
+				// The dense loop has no stall detector: where the other two
+				// stop at the stall it runs on to the watchdog, and skip must
+				// stop where quiescent did. Everywhere else all three agree.
+				stalled := errors.Is(got.err, ErrStalled)
+				if tc.name == "to the stall" && !stalled {
+					t.Fatalf("%s: %v, want ErrStalled once every event has fired", label, errKind(got.err))
 				}
-				if tc.finish && parked.err != nil {
-					t.Fatalf("%s: %v", label, parked.err)
+				want := dense
+				if stalled {
+					want = quiescent
 				}
-				if tc.name == "to the stall" && !errors.Is(parked.err, ErrStalled) {
-					t.Fatalf("%s: %v, want ErrStalled once every event has fired", label, errKind(parked.err))
+				if mode == EngineQuiescent {
+					quiescent = got
 				}
-				if errors.Is(parked.err, ErrMaxCycles) && parked.cycles != dense.cycles {
-					t.Fatalf("%s: watchdog after %d cycles, dense after %d", label, parked.cycles, dense.cycles)
+				if (mode == EngineSkip || !stalled) && (got.cycles != want.cycles || !sameErrorKind(got.err, want.err)) {
+					t.Fatalf("%s: stopped after %d cycles with %v, want %d with %v",
+						label, got.cycles, errKind(got.err), want.cycles, errKind(want.err))
 				}
-				p, a := parked.stats, awake.stats
-				if p.Steps != a.Steps || p.Jumps != a.Jumps || p.SkippedCycles != a.SkippedCycles {
-					t.Fatalf("%s: parked run took steps=%d jumps=%d skipped=%d, awake run %d/%d/%d",
-						label, p.Steps, p.Jumps, p.SkippedCycles, a.Steps, a.Jumps, a.SkippedCycles)
+				g, d := got.stats, dense.stats
+				if !stalled && (g.Steps+g.SkippedCycles != d.Steps || (mode == EngineQuiescent && g.Jumps != 0)) {
+					t.Fatalf("%s: %d steps + %d skipped cycles (%d jumps), dense took %d steps",
+						label, g.Steps, g.SkippedCycles, g.Jumps, d.Steps)
 				}
-				if p.Visits > a.Visits {
-					t.Fatalf("%s: parking cost visits: %d parked, %d awake", label, p.Visits, a.Visits)
+				if g.Visits > d.Visits {
+					t.Fatalf("%s: parking cost visits: %d, dense %d", label, g.Visits, d.Visits)
 				}
-				visitsAwake, visitsParked = visitsAwake+a.Visits, visitsParked+p.Visits
+				if mode == EngineQuiescent {
+					visitsDense, visitsQuiescent = visitsDense+d.Visits, visitsQuiescent+g.Visits
+				} else {
+					jumps += g.Jumps
+				}
 			}
 		}
-		// Under skip the jumps already remove most idle visits; what parking
-		// saves there is the visits between jumps.
-		if visitsParked >= visitsAwake {
-			t.Errorf("%s: parking saved no visits (%d parked, %d awake)", mode, visitsParked, visitsAwake)
-		}
-		if mode == EngineQuiescent && visitsParked*2 > visitsAwake {
-			t.Errorf("quiescent: parked networks still made %d of %d visits", visitsParked, visitsAwake)
-		}
+	}
+	// Vacuous unless the engines actually parked and jumped.
+	if visitsQuiescent*2 > visitsDense {
+		t.Errorf("quiescent: parked networks still made %d of the dense loop's %d visits", visitsQuiescent, visitsDense)
+	}
+	if jumps == 0 {
+		t.Error("skip: no network ever jumped")
 	}
 }
 
@@ -131,46 +142,48 @@ func errKind(err error) error {
 
 func sameErrorKind(a, b error) bool { return errKind(a) == errKind(b) }
 
-// parker parks until the given cycle on every tick and records its ticks.
-// busy is what its Tick returns, which the engine ignores once it has parked.
+// parker is always busy and names its next event through until; it records
+// the cycles it ticked and how often the engine asked it.
 type parker struct {
 	h     Handle
 	until func(now uint64) uint64
-	busy  bool
 	ticks []uint64
-	took  []bool
+	asked int
 }
 
 func (p *parker) Tick(cycle uint64) bool {
 	p.ticks = append(p.ticks, cycle)
-	p.took = append(p.took, p.h.Park(p.until(cycle)))
-	return p.busy
+	return true
 }
 
-// TestParkUntilDueOrWake pins the mechanics one by one: a parked component is
-// not visited before its due cycle and is visited on it, the skip engine
-// jumps to that cycle and no further, and a Wake ends the park early — in the
-// same cycle from an earlier slot, in the next from a later one.
+func (p *parker) NextEvent(now uint64) uint64 {
+	p.asked++
+	return p.until(now)
+}
+
+// TestParkUntilDueOrWake pins the mechanics one by one: the engine asks a
+// busy component its NextEvent once per tick, a parked component is not
+// visited before its due cycle and is visited on it, the skip engine jumps to
+// that cycle and no further, and a Wake ends the park early — in the same
+// cycle from an earlier slot, in the next from a later one.
 func TestParkUntilDueOrWake(t *testing.T) {
 	for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
-		for _, busy := range []bool{false, true} {
-			eng := NewEngine()
-			eng.SetMode(mode)
-			p := &parker{until: func(now uint64) uint64 { return now + 10 }, busy: busy}
-			p.h = eng.Register("parker", p)
+		eng := NewEngine()
+		eng.SetMode(mode)
+		p := &parker{until: func(now uint64) uint64 { return now + 10 }}
+		p.h = eng.Register("parker", p)
+		eng.Step()
+		if mode == EngineSkip {
+			if st := eng.Stats(); eng.Cycle() != 10 || st.Jumps != 1 || st.SkippedCycles != 9 {
+				t.Fatalf("skip: at cycle %d after %+v, want one jump of 9 cycles to the parked due time", eng.Cycle(), st)
+			}
+		}
+		for eng.Cycle() <= 10 {
 			eng.Step()
-			if mode == EngineSkip {
-				if st := eng.Stats(); eng.Cycle() != 10 || st.Jumps != 1 || st.SkippedCycles != 9 {
-					t.Fatalf("skip: at cycle %d after %+v, want one jump of 9 cycles to the parked due time", eng.Cycle(), st)
-				}
-			}
-			for eng.Cycle() <= 10 {
-				eng.Step()
-			}
-			if fmt.Sprint(p.ticks) != "[0 10]" || eng.ActiveCount() != 0 {
-				t.Fatalf("%s, Tick returning %v: parker ticked at %v with %d active, want [0 10] and parked",
-					mode, busy, p.ticks, eng.ActiveCount())
-			}
+		}
+		if fmt.Sprint(p.ticks) != "[0 10]" || p.asked != 2 || eng.ActiveCount() != 0 {
+			t.Fatalf("%s: parker ticked at %v, asked %d times, %d active; want [0 10], 2 and parked",
+				mode, p.ticks, p.asked, eng.ActiveCount())
 		}
 
 		for _, wakerFirst := range []bool{true, false} {
@@ -202,36 +215,39 @@ func TestParkUntilDueOrWake(t *testing.T) {
 	}
 }
 
-// TestParkDeclined: the dense engine visits everything anyway, and a
-// component a Wake already reached in this tick stays awake. A declined park
-// changes nothing: the component is visited the next cycle like any busy one.
+// TestParkDeclined: the dense engine visits everything and never asks; and a
+// component a Wake already reached in its own tick is not asked either — it
+// stays active and is visited the next cycle like any woken one.
 func TestParkDeclined(t *testing.T) {
 	eng := NewEngine()
 	eng.SetMode(EngineDense)
 	p := &parker{until: func(now uint64) uint64 { return now + 100 }}
 	p.h = eng.Register("parker", p)
 	eng.Step()
-	if p.took[0] {
-		t.Error("dense: Park accepted")
+	eng.Step()
+	if fmt.Sprint(p.ticks) != "[0 1]" || p.asked != 0 {
+		t.Errorf("dense: parker ticked at %v and was asked %d times; want [0 1] and never", p.ticks, p.asked)
 	}
-	eng = NewEngine()
-	eng.SetMode(EngineQuiescent)
-	var h Handle
-	var took bool
-	var ticks []uint64
-	h = eng.Register("self", TickFunc(func(c uint64) bool {
-		ticks = append(ticks, c)
-		if c == 0 {
-			h.Wake()
-			took = h.Park(50)
+	for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
+		eng = NewEngine()
+		eng.SetMode(mode)
+		p := &parker{until: func(now uint64) uint64 { return now + 100 }}
+		self := &nextEventFunc{next: p.NextEvent}
+		var h Handle
+		self.tick = func(c uint64) bool {
+			p.ticks = append(p.ticks, c)
+			if c == 0 {
+				h.Wake()
+			}
+			return true
 		}
-		return false
-	}))
-	eng.Step()
-	eng.Step()
-	eng.Step()
-	if took || fmt.Sprint(ticks) != "[0 1]" {
-		t.Errorf("self-woken component: Park accepted=%v, ticked at %v; want declined and [0 1]", took, ticks)
+		h = eng.Register("self", self)
+		eng.Step()
+		eng.Step()
+		if fmt.Sprint(p.ticks) != "[0 1]" || p.asked != 1 {
+			t.Errorf("%s: self-woken component ticked at %v and was asked %d times; want [0 1] and once, after the second tick",
+				mode, p.ticks, p.asked)
+		}
 	}
 }
 
@@ -269,9 +285,16 @@ func TestParkNoEventIsPendingNotIdle(t *testing.T) {
 			t.Errorf("%s: Wake did not re-arm the component parked without a due cycle", mode)
 		}
 	}
-	// With nothing else pending, only the parked component stands between
-	// the run and ErrStalled.
+	// With only a parked-until-woken component pending, the skip engine
+	// still steps one cycle at a time to the watchdog: no jump, no stall.
 	eng := NewEngine()
+	eng.SetMode(EngineSkip)
+	eng.Register("forever", &parker{until: func(uint64) uint64 { return NoEvent }})
+	if n, err := eng.Run(func() bool { return false }, 300); !errors.Is(err, ErrMaxCycles) || n != 300 || eng.Stats().Steps != 300 {
+		t.Fatalf("ran %d cycles in %d steps, err %v; want 300 steps to the watchdog", n, eng.Stats().Steps, err)
+	}
+	// With nothing pending at all, the run is stalled.
+	eng = NewEngine()
 	eng.SetMode(EngineSkip)
 	eng.Register("drained", TickFunc(func(uint64) bool { return false }))
 	if _, err := eng.Run(func() bool { return false }, 300); !errors.Is(err, ErrStalled) {

@@ -34,10 +34,6 @@ type timedComp struct {
 	skips    []string
 	ticked   bool
 	lastTick uint64
-	// parks makes the component park until its next event instead of
-	// staying busy and promising the same cycle through NextEvent (see
-	// park_test.go).
-	parks bool
 }
 
 func (c *timedComp) schedule(at uint64) {
@@ -107,13 +103,10 @@ func (c *timedComp) Tick(cycle uint64) bool {
 			}
 		case 4:
 			// A component re-arming itself mid-tick, like a unit whose own
-			// handler queued it more work: a park later in this tick is
-			// declined.
+			// handler queued it more work: the engine does not park it
+			// after this tick.
 			c.handle.Wake()
 		}
-	}
-	if c.parks && len(c.events) > 0 && c.handle.Park(c.events[0]) {
-		return false
 	}
 	return len(c.events) > 0
 }
@@ -177,38 +170,46 @@ func TestSkipAheadNeverUnderPromises(t *testing.T) {
 }
 
 // TestSkipJumpAndWindows pins the basic jump mechanics: components whose
-// next events are far out get the gap jumped in one step, every active
-// component sees the exact window as the gap before its next Tick, and the
-// engine's cycle lands on the earliest event.
+// next events are far out are parked after their tick and the gap is jumped
+// in one step, the engine's cycle lands on the earliest park, and each
+// component sees the exact window it slept through as the gap before its next
+// Tick.
 func TestSkipJumpAndWindows(t *testing.T) {
 	var log []string
 	a := &timedComp{name: "a", log: &log}
 	b := &timedComp{name: "b", log: &log}
 	a.peer, b.peer = b, a
-	a.rng, b.rng = 2, 2 // next(4) sequence avoids rescheduling branches
+	a.rng, b.rng = 0, 0 // the first draw takes no branch: nothing is rescheduled
 	a.schedule(100)
 	b.schedule(150)
 	eng := NewEngine()
 	a.handle = eng.Register("a", a)
 	b.handle = eng.Register("b", b)
 
-	eng.Step() // tick pass at 0, then jump to the earliest event
+	eng.Step() // tick pass at 0, both park, then jump to the earliest park
 	if eng.Cycle() != 100 {
 		t.Fatalf("Cycle after first step = %d, want 100", eng.Cycle())
 	}
-	eng.Step() // fires a@100, then jumps toward b's event
+	eng.Step() // fires a@100 (b stays parked), then jumps to b's park
+	if eng.Cycle() != 150 {
+		t.Fatalf("Cycle after second step = %d, want 150", eng.Cycle())
+	}
 	if len(a.skips) != 1 || a.skips[0] != "[1,100)" {
 		t.Fatalf("a.skips = %v, want [[1,100)]", a.skips)
 	}
-	if len(b.skips) != 1 || b.skips[0] != "[1,100)" {
-		t.Fatalf("b.skips = %v, want [[1,100)]", b.skips)
+	if len(b.skips) != 0 {
+		t.Fatalf("b.skips = %v, want none: b was parked through cycle 100", b.skips)
 	}
-	if len(log) != 1 || log[0] != "a@100:ok" {
+	eng.Step() // fires b@150
+	if len(b.skips) != 1 || b.skips[0] != "[1,150)" {
+		t.Fatalf("b.skips = %v, want [[1,150)]", b.skips)
+	}
+	if fmt.Sprint(log) != "[a@100:ok b@150:ok]" {
 		t.Fatalf("log = %v", log)
 	}
 	st := eng.Stats()
-	if st.Jumps < 2 || st.SkippedCycles == 0 {
-		t.Fatalf("stats = %+v, want at least 2 jumps", st)
+	if st.Jumps != 2 || st.SkippedCycles != 148 || st.Visits != 4 {
+		t.Fatalf("stats = %+v, want 2 jumps over 148 cycles and 4 visits", st)
 	}
 }
 
@@ -221,45 +222,45 @@ type nextEventFunc struct {
 func (c *nextEventFunc) Tick(cycle uint64) bool      { return c.tick(cycle) }
 func (c *nextEventFunc) NextEvent(now uint64) uint64 { return c.next(now) }
 
-// TestSkipJumpClampedByWake: a Wake that lands while the engine is
-// planning a jump must clamp (abort) the jump, so the woken component
-// ticks on the very next cycle exactly as it would under a dense loop.
-// The waker here wakes its sleeping peer from inside NextEvent, modeling
-// an arrival racing the plan.
+// TestSkipJumpClampedByWake: a Wake that lands during the pass leaves the
+// woken component active, so no jump follows that pass and the component
+// ticks on the very next cycle exactly as it would under a dense loop. The
+// waker here is registered after the sleeper and parks itself far out in the
+// same cycle it wakes the sleeper.
 func TestSkipJumpClampedByWake(t *testing.T) {
 	eng := NewEngine()
 	var sleeperTicks []uint64
 	var sleeper Handle
-	woke := false
-	waker := &nextEventFunc{
-		tick: func(cycle uint64) bool { return cycle < 10 },
-		next: func(now uint64) uint64 {
-			if !woke {
-				woke = true
-				sleeper.Wake() // arrival lands mid-plan
-			}
-			return now + 50
-		},
-	}
-	eng.Register("waker", waker)
 	sleeper = eng.Register("sleeper", TickFunc(func(c uint64) bool {
 		sleeperTicks = append(sleeperTicks, c)
 		return false
 	}))
+	eng.Register("waker", &nextEventFunc{
+		tick: func(cycle uint64) bool {
+			if cycle == 0 {
+				sleeper.Wake() // the sleeper's slot has passed: next cycle
+			}
+			return true
+		},
+		next: func(now uint64) uint64 { return now + 50 },
+	})
 
-	eng.Step() // sleeper ticks at 0, quiesces; plan wakes it and must clamp
+	eng.Step() // sleeper ticks at 0 and quiesces; the waker re-arms it, then parks
 	if eng.Cycle() != 1 {
-		t.Fatalf("Cycle = %d, want 1 (jump clamped by mid-plan wake)", eng.Cycle())
+		t.Fatalf("Cycle = %d, want 1 (jump clamped by the mid-pass wake)", eng.Cycle())
 	}
-	eng.Step()
-	if len(sleeperTicks) != 2 || sleeperTicks[1] != 1 {
+	eng.Step() // sleeper ticks at 1; nothing is active after it, so the clock jumps
+	if fmt.Sprint(sleeperTicks) != "[0 1]" {
 		t.Fatalf("sleeper ticks = %v, want [0 1]", sleeperTicks)
+	}
+	if eng.Cycle() != 50 {
+		t.Fatalf("Cycle = %d, want 50 (the waker's park)", eng.Cycle())
 	}
 }
 
-// TestSkipRequiresAllNextEventers: one active component without NextEvent
-// disables jumping entirely — the engine can promise nothing on its
-// behalf.
+// TestSkipRequiresAllNextEventers: a busy component without NextEvent is
+// never parked, so it stays active and disables jumping entirely — the engine
+// can promise nothing on its behalf.
 func TestSkipRequiresAllNextEventers(t *testing.T) {
 	eng := NewEngine()
 	timer := &nextEventFunc{
@@ -276,9 +277,10 @@ func TestSkipRequiresAllNextEventers(t *testing.T) {
 	}
 }
 
-// TestSkipExternalOnlyWaitersDoNotJump: when every active component
-// reports NoEvent (waiting on input none of them will produce), the engine
-// must not jump — it ticks densely so the stall is observable.
+// TestSkipExternalOnlyWaitersDoNotJump: a busy component that reports
+// NoEvent (waiting on input none of them will produce) is parked until a Wake,
+// and a park with no due cycle never licenses a jump: the clock advances one
+// cycle per step, as the dense loop's does.
 func TestSkipExternalOnlyWaitersDoNotJump(t *testing.T) {
 	eng := NewEngine()
 	ext := &nextEventFunc{
@@ -316,9 +318,13 @@ func TestSkipRespectsWatchdogLimit(t *testing.T) {
 }
 
 // TestSkipDiagnosisIncludesNextEvents: the deadlock dump names when each
-// busy component expected progress, and marks external-only waiters.
+// busy component expected progress, and marks external-only waiters. Under
+// the dense loop busy components stay in the active set whatever they
+// promise, so the dump asks them; elsewhere they are parked and the dump
+// prints the park (TestParkNoEventIsPendingNotIdle).
 func TestSkipDiagnosisIncludesNextEvents(t *testing.T) {
 	eng := NewEngine()
+	eng.SetMode(EngineDense)
 	timer := &nextEventFunc{
 		tick: func(cycle uint64) bool { return true },
 		next: func(now uint64) uint64 { return 777 },

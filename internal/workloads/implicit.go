@@ -201,12 +201,11 @@ func (im Implicit) Build(kind gpu.LocalKind, h *cpu.Host) (*gpu.Kernel, error) {
 			regs[riRounds] = uint64(im.Rounds)
 		},
 	}
-	if kind == gpu.LocalScratchDMA || kind == gpu.LocalStash {
-		k.LocalMap = func(block int) scratchpad.Mapping {
-			return scratchpad.Mapping{
-				GlobalBase: addrData, LocalBase: 0, Bytes: uint64(im.DataBytes),
-			}
-		}
+	// Every kind stages the whole array in local memory, so every kind
+	// declares the window (the plain scratchpad only for Launch's bounds
+	// check: it moves the data with explicit instructions).
+	k.LocalMap = func(block int) scratchpad.Mapping {
+		return scratchpad.Mapping{GlobalBase: addrData, LocalBase: 0, Bytes: uint64(im.DataBytes)}
 	}
 	return k, nil
 }
