@@ -32,8 +32,7 @@ type GPU struct {
 	nextBlock  int
 	blocksDone int
 
-	// napAudit, set only by tests, is handed to every smSlot (see
-	// smSlot.audit).
+	// napAudit, set only by tests, registers every SM behind a napAudit.
 	napAudit func(sm int, cycle uint64, problem string)
 }
 
@@ -111,175 +110,51 @@ func (g *GPU) Done() bool {
 	return g.kernel != nil && g.blocksDone == g.kernel.Blocks && g.Sys.Quiesced()
 }
 
-// smSlot adapts one SM to the scheduling engine and gives it local time.
-// After a tick in which no warp issued, the slot asks the SM's NextEvent
-// promise (bounded by its CoreMem's own timer) how long the SM stays
-// frozen; when that lies beyond the next cycle the SM naps: the slot reports
-// the nap's end through its own NextEvent, so the engine parks it and does
-// not visit it until the promised cycle, and the frozen classification is
-// credited to the Inspector in one span when the nap ends — GSI still
-// accounts a classification for every GPU cycle of every SM, including the
-// ones the SM never ticked. A nap ends at its timed bound or when CoreMem
-// pokes the slot because external input is about to land (see poke). The
-// drained tail of an SM whose last block retired is the same nap with no
-// bound and no park — the slot just goes idle — closed when the run returns.
-//
-// The dense loop never naps: it is the oracle the naps are checked
-// against.
-type smSlot struct {
-	sm *SM
-	// naps enables napping (every mode but dense).
-	naps bool
-
-	// While napping, cycles [napFrom, now) are not yet credited. napUntil
-	// is the timed bound (sim.NoEvent: only a poke ends the nap).
-	napping  bool
-	napFrom  uint64
-	napUntil uint64
-	// mshrRetry marks a nap over an LSU op whose per-cycle retry is a pure
-	// MSHR-full refusal: each napped cycle owes one MSHRFullEvents count.
-	mshrRetry bool
-
-	// Scheduling counters, summed into GPU.EngineStats after the run.
-	napCount, nappedCycles uint64
-
-	// wake is the slot's engine handle: a poke ends the park of a napping
-	// SM.
-	wake func()
-
-	// audit, set only by tests, ticks the SM through its naps and reports
-	// every cycle in which the nap's promise did not hold.
-	audit func(sm int, cycle uint64, problem string)
+// napAudit is registered in place of an SM when a test turns the audit on
+// (SetNapAudit). It reports now+1, so the engine never parks the SM, and
+// checks every tick inside a window the SM's NextEvent promised was frozen:
+// no warp issues, the block stays resident, and the classification is the
+// one a nap would credit. A poke ends the window, as it ends a park. Each
+// promise counts as a nap, so an audited run still shows what was checked.
+type napAudit struct {
+	sm     *SM
+	report func(sm int, cycle uint64, problem string)
+	// until is the end of the open window (0: none), promised its class.
+	until    uint64
+	promised core.CycleClass
 }
 
-// Tick implements sim.Component. The engine does not visit a napping slot
-// before its bound except under the test audit, which ticks it anyway; any
-// other visit ends the nap and ticks the SM, which is always safe.
-func (s *smSlot) Tick(cycle uint64) bool {
-	if s.napping {
-		if s.audit != nil && cycle < s.napUntil {
-			s.auditTick(cycle)
-			return true
+// Tick implements sim.Component.
+func (a *napAudit) Tick(cycle uint64) bool {
+	sm := a.sm
+	busy := sm.Tick(cycle)
+	if cycle < a.until {
+		var problem string
+		switch {
+		case sm.issuedThisTick:
+			problem = "a warp issued"
+		case !busy:
+			problem = "the block retired"
+		case sm.lastClass != a.promised:
+			problem = fmt.Sprintf("classified %+v", sm.lastClass)
+		default:
+			return busy
 		}
-		s.endNap(cycle)
+		a.report(sm.id, cycle, fmt.Sprintf("%s in a nap that promised %+v until %d: %s", problem, a.promised, a.until, sm.Diagnose()))
+		return busy
 	}
-	busy := s.sm.Tick(cycle)
-	if s.naps && !s.sm.issuedThisTick {
-		s.planNap(cycle, busy)
+	if next := sm.NextEvent(cycle); busy && next > cycle+1 {
+		a.until, a.promised = next, sm.lastClass
+		sm.naps++
 	}
 	return busy
 }
 
-// planNap starts a nap after the SM's tick at now if the SM promises that
-// nothing it can observe changes before some cycle beyond now+1. The SM's
-// promise treats its CoreMem as external, so while a block is resident the
-// unit's own timer bounds the nap too: a due local atomic and a draining or
-// finished flush precede a poke, and a queued send counts because the
-// end-of-block drain (finishBlock) reads CoreMem.Quiesced, which a send
-// leaving the outbox changes without a poke. Outside that drain the outbox
-// bound is only slack, and cheap: dropping it adds under 2% to the napped
-// cycles of any registry workload. A drained SM stays idle whatever its
-// CoreMem still does, and must nap — its slot is about to leave the active
-// set. A resident SM's slot stays busy, so the engine parks it on NextEvent:
-// it is still pending work, counted against a stall, and its bound limits a
-// jump.
-func (s *smSlot) planNap(now uint64, resident bool) {
-	until := s.sm.NextEvent(now)
-	if until > now+1 && resident {
-		until = min(until, s.sm.cm.NextEvent(now))
-	}
-	if until <= now+1 {
-		return
-	}
-	s.napping, s.napFrom, s.napUntil = true, now+1, until
-	s.mshrRetry = s.sm.lsu.mshrRetrying(now)
-	s.napCount++
-}
+// NextEvent implements sim.NextEventer: the audited SM ticks every cycle.
+func (a *napAudit) NextEvent(now uint64) uint64 { return now + 1 }
 
-// endNap closes an open nap at cycle end: the SM observed nothing during
-// [napFrom, end), so the classification of its last tick is credited once
-// per cycle — exactly the counts, timeline and trace spans a dense loop
-// would have accumulated one cycle at a time — along with the one counter
-// a frozen SM still moves, the blocked LSU op's MSHR-full refusals.
-func (s *smSlot) endNap(end uint64) {
-	if !s.napping {
-		return
-	}
-	s.napping = false
-	if end <= s.napFrom {
-		return
-	}
-	n := end - s.napFrom
-	s.sm.gpu.Insp.RecordCycleSpan(s.sm.id, s.sm.lastClass, n)
-	if s.mshrRetry {
-		s.sm.cm.Stats.MSHRFullEvents += n
-	}
-	s.nappedCycles += n
-}
-
-// poke is CoreMem's notice that it is about to change state the SM can
-// observe, at cycle: the nap is credited up to cycle before the change
-// lands (so deferred MemData attribution, the timeline and trace spans
-// stay in dense order) and the SM ticks again from cycle on.
-func (s *smSlot) poke(cycle uint64) {
-	if !s.napping {
-		return
-	}
-	s.endNap(cycle)
-	s.wake()
-}
-
-// auditTick ticks a napping SM anyway and checks the nap's promise: no
-// warp issues, the block stays resident, and the classification is the one
-// the nap would credit. Cycles a global jump skipped since the last tick
-// are credited first; the tick records the cycle itself, so the nap's
-// uncredited window restarts after it and an audited run counts what an
-// unaudited one does.
-func (s *smSlot) auditTick(cycle uint64) {
-	sm := s.sm
-	s.endNap(cycle)
-	promised := sm.lastClass
-	busy := sm.Tick(cycle)
-	s.napping, s.napFrom = true, cycle+1
-	var problem string
-	switch {
-	case sm.issuedThisTick:
-		problem = "a warp issued"
-	case !busy:
-		problem = "the block retired"
-	case sm.lastClass != promised:
-		problem = fmt.Sprintf("classified %+v", sm.lastClass)
-	default:
-		return
-	}
-	s.audit(sm.id, cycle, fmt.Sprintf("%s in a nap that promised %+v: %s", problem, promised, s.Diagnose()))
-}
-
-// NextEvent implements sim.NextEventer: a napping SM is frozen until its
-// bound, where the engine parks it, and an awake one never permits a park.
-// Under the test audit a nap reports the next cycle, so the engine keeps
-// visiting the slot and the audit can tick the SM through it.
-func (s *smSlot) NextEvent(now uint64) uint64 {
-	if s.napping && s.audit == nil {
-		return s.napUntil
-	}
-	return now + 1
-}
-
-// Diagnose implements sim.Diagnoser for engine deadlock dumps. A napping
-// SM is pending work to the engine, so the dump says since when it has been
-// frozen, until when, and in which classification.
-func (s *smSlot) Diagnose() string {
-	d := s.sm.Diagnose()
-	if !s.napping {
-		return d
-	}
-	until := "external"
-	if s.napUntil != sim.NoEvent {
-		until = fmt.Sprint(s.napUntil)
-	}
-	return fmt.Sprintf("napping since %d until %s class=%s; %s", s.napFrom, until, s.sm.lastClass.Kind, d)
-}
+// Diagnose implements sim.Diagnoser.
+func (a *napAudit) Diagnose() string { return a.sm.Diagnose() }
 
 // Run drives the launched kernel to completion with no external
 // cancellation: RunContext under context.Background().
@@ -306,27 +181,33 @@ func (g *GPU) RunContext(ctx context.Context) (uint64, error) {
 		eng.SetObserver(g.Trace)
 	}
 	g.Sys.Attach(eng)
-	slots := make([]*smSlot, len(g.SMs))
 	for i, sm := range g.SMs {
-		s := &smSlot{sm: sm, naps: g.Cfg.Engine != sim.EngineDense, audit: g.napAudit}
-		slots[i] = s
-		s.wake = eng.Register(fmt.Sprintf("sm%d", i), s).Wake
-		if s.naps {
-			// Every external input to SM i arrives through CoreMem i,
-			// which pokes the slot before it lets any of it land.
-			sm.cm.SetPoker(s.poke)
+		var c sim.Component = sm
+		var audit *napAudit
+		if g.napAudit != nil {
+			audit = &napAudit{sm: sm, report: g.napAudit}
+			c = audit
 		}
+		h := eng.Register(fmt.Sprintf("sm%d", i), c)
+		sm.wake = h.Wake
+		if audit != nil {
+			sm.wake = func() { audit.until = 0; h.Wake() }
+		}
+		sm.credited, sm.naps, sm.nappedCycles = eng.Cycle(), 0, 0
+		// Every external input to SM i arrives through CoreMem i, which
+		// pokes the SM before it lets any of it land.
+		sm.cm.SetPoker(sm.poke)
 	}
 	cycles, err := eng.RunContext(ctx, g.Done, g.Cfg.MaxCycles)
 	g.EngineStats = eng.Stats()
-	for _, s := range slots {
-		// A nap still open here — the drained tail on a normal return, any
-		// frozen SM on an error — is credited through the final cycle, so
+	for _, sm := range g.SMs {
+		// Cycles still owed here — the drained tail on a normal return, any
+		// parked SM on an error — are credited through the final cycle, so
 		// every SM accounts for every cycle on every exit path.
-		s.endNap(eng.Cycle())
-		s.sm.cm.SetPoker(nil)
-		g.EngineStats.Naps += s.napCount
-		g.EngineStats.NappedSMCycles += s.nappedCycles
+		sm.creditNap(eng.Cycle())
+		sm.cm.SetPoker(nil)
+		g.EngineStats.Naps += sm.naps
+		g.EngineStats.NappedSMCycles += sm.nappedCycles
 	}
 	g.Insp.Flush()
 	return cycles, err

@@ -529,8 +529,8 @@ func (l *LSU) NextEvent(now uint64) uint64 {
 // line is neither cached nor in flight (the refusal at now proved it) and
 // only a fill — external to the SM — frees an entry, so until then the retry
 // changes nothing but CoreMem's MSHRFullEvents count: it does not forbid
-// the nap promise, and whoever skips the SM's ticks on that promise owes one
-// MSHRFullEvents per skipped cycle (smSlot.endNap).
+// the nap promise, and the SM owes one MSHRFullEvents per cycle it was not
+// ticked on that promise (SM.creditNap).
 func (l *LSU) mshrRetrying(now uint64) bool {
 	return l.held && !l.cur.dmaWait && l.busyUntil <= now &&
 		l.blockCause == core.StructMSHRFull && l.sm.cm.MSHRFree() == 0

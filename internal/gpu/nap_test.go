@@ -218,11 +218,12 @@ func TestNapCreditsMSHRFullEvents(t *testing.T) {
 	}
 }
 
-// TestNapDiagnosisAndConservationOnWatchdog: a napping SM is busy to the
-// engine, so the watchdog dump must say it is napping, since when, until
-// when and in which classification; and the nap still open when the run
-// fails is credited through the final cycle, so every SM cycle is
-// classified exactly once on the error path too.
+// TestNapDiagnosisAndConservationOnWatchdog: a napping SM is parked in the
+// engine, so the watchdog dump must say on its line until when it is parked
+// (the engine) and what it owes, credited through which cycle in which
+// classification (the SM); and the cycles still owed when the run fails are
+// credited through the final cycle, so every SM cycle is classified exactly
+// once on the error path too.
 func TestNapDiagnosisAndConservationOnWatchdog(t *testing.T) {
 	const data = uint64(0x2_0000)
 	b := isa.NewBuilder("loaduse")
@@ -245,9 +246,15 @@ func TestNapDiagnosisAndConservationOnWatchdog(t *testing.T) {
 		if !errors.Is(err, sim.ErrMaxCycles) {
 			t.Fatalf("%s: err = %v, want ErrMaxCycles", mode, err)
 		}
-		for _, want := range []string{"napping since ", "until external", "class=memory data", "kernel=loaduse"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: diagnosis missing %q:\n%v", mode, want, err)
+		var line string
+		for _, l := range strings.Split(err.Error(), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(l), "sm0 ") {
+				line = l
+			}
+		}
+		for _, want := range []string{"parked until woken", "credited through ", "class=memory data", "kernel=loaduse"} {
+			if !strings.Contains(line, want) {
+				t.Errorf("%s: sm0's diagnosis line %q missing %q:\n%v", mode, line, want, err)
 			}
 		}
 		if got := g.Insp.Aggregate().Total(); got != cycles*2 {

@@ -8,45 +8,64 @@ import (
 	"gsi/internal/sim"
 )
 
+// parkedSM returns SM 0 of a fresh GPU as the engine leaves it parked after
+// a Sync-stalled tick at credited-1, with a wake handle that counts calls.
+func parkedSM(t *testing.T, credited uint64) (*GPU, *SM, *int) {
+	t.Helper()
+	g, err := New(sim.Default(), coherence.PoliciesFor(sim.Default().NumSMs, coherence.DeNovo{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := g.SMs[0]
+	woken := new(int)
+	sm.wake = func() { *woken++ }
+	sm.lastClass = core.CycleClass{Kind: core.Sync}
+	sm.credited = credited
+	return g, sm, woken
+}
+
 // TestNapPokeAtTimedBoundCreditsOnce: a nap can end two ways in the same
-// cycle — CoreMem pokes it (the mesh delivers before SMs tick) and its
-// timed bound falls due in the slot's own Tick. Each napped cycle must be
-// credited exactly once, and the tick at the bound itself exactly once.
+// cycle — CoreMem pokes the SM (the mesh delivers before SMs tick) and the
+// engine's park falls due and ticks it. Each napped cycle must be credited
+// exactly once, and the tick at the bound itself exactly once.
 func TestNapPokeAtTimedBoundCreditsOnce(t *testing.T) {
 	for _, poked := range []bool{false, true} {
-		g, err := New(sim.Default(), coherence.PoliciesFor(sim.Default().NumSMs, coherence.DeNovo{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sm := g.SMs[0]
-		woken := 0
-		s := &smSlot{sm: sm, naps: true, wake: func() { woken++ }}
-		sm.lastClass = core.CycleClass{Kind: core.Sync}
-		s.napping, s.napFrom, s.napUntil = true, 10, 20
-		if got := s.NextEvent(12); got != 20 {
-			t.Fatalf("NextEvent while napping = %d, want the bound 20 for the engine to park on", got)
-		}
-		if n := g.Insp.SM(0).Total(); n != 0 {
-			t.Fatalf("%d cycles credited mid-nap, want none until the nap ends", n)
-		}
+		g, sm, woken := parkedSM(t, 10)
 		if poked {
-			s.poke(20)
-			if woken != 1 {
-				t.Fatalf("poke re-armed the slot %d times, want 1", woken)
+			sm.poke(20)
+			sm.poke(20) // a second delivery in the same cycle owes nothing more
+			if *woken != 2 {
+				t.Fatalf("two pokes called Wake %d times, want 2", *woken)
 			}
-			s.poke(20) // a second delivery in the same cycle finds no nap
 		}
-		s.Tick(20) // no block resident: the tick itself observes one Idle cycle
+		sm.Tick(20) // no block resident: the tick itself observes one Idle cycle
 		c := g.Insp.SM(0)
 		if c.Cycles[core.Sync] != 10 || c.Cycles[core.Idle] != 1 || c.Total() != 11 {
 			t.Errorf("poked=%v: credited sync=%d idle=%d total=%d, want 10/1/11",
 				poked, c.Cycles[core.Sync], c.Cycles[core.Idle], c.Total())
 		}
-		if s.nappedCycles != 10 {
-			t.Errorf("poked=%v: nappedCycles = %d, want 10", poked, s.nappedCycles)
+		if sm.naps != 1 || sm.nappedCycles != 10 {
+			t.Errorf("poked=%v: naps=%d nappedCycles=%d, want 1/10", poked, sm.naps, sm.nappedCycles)
 		}
-		if got := s.NextEvent(20); !s.napping || got != sim.NoEvent {
-			t.Errorf("poked=%v: drained SM should nap with no bound after its tick (napping=%v next=%d)", poked, s.napping, got)
+		if sm.credited != 21 {
+			t.Errorf("poked=%v: credited = %d after the tick at 20, want 21", poked, sm.credited)
 		}
+		if got := sm.NextEvent(20); got != sim.NoEvent {
+			t.Errorf("poked=%v: drained SM's NextEvent = %d, want NoEvent", poked, got)
+		}
+	}
+}
+
+// TestNapPokeWithNothingOwedStillWakes: an SM parked after its tick at
+// cycle-1 owes nothing when a delivery lands at cycle, yet the poke must
+// still end the park so the SM ticks in the cycle the delivery lands.
+func TestNapPokeWithNothingOwedStillWakes(t *testing.T) {
+	g, sm, woken := parkedSM(t, 20)
+	sm.poke(20)
+	if *woken != 1 {
+		t.Errorf("poke with nothing owed called Wake %d times, want 1", *woken)
+	}
+	if n := g.Insp.SM(0).Total(); n != 0 || sm.naps != 0 || sm.credited != 20 {
+		t.Errorf("poke with nothing owed credited %d cycles (naps=%d credited=%d), want 0/0/20", n, sm.naps, sm.credited)
 	}
 }

@@ -48,12 +48,26 @@ type SM struct {
 	// lastClass is the cycle classification recorded by the most recent
 	// issue stage; while the SM naps through a window in which nothing it
 	// observes can change, the same classification is credited for every
-	// napped cycle (see the GPU's smSlot).
+	// napped cycle (see creditNap).
 	lastClass core.CycleClass
 	// issuedThisTick reports whether any warp issued during the most
 	// recent tick: SM state changed, so NextEvent makes no promise beyond
-	// the next cycle and the smSlot does not even ask.
+	// the next cycle.
 	issuedThisTick bool
+
+	// credited is the SM's local time: every cycle before it has been
+	// classified. The engine parks a stalled SM on its NextEvent and a
+	// drained one until woken; the cycles it did not tick are owed until the
+	// next Tick, poke or end of run credits them (creditNap). mshrRetry
+	// marks a last tick whose LSU op is a pure MSHR-full refusal
+	// (LSU.mshrRetrying): each owed cycle also owes one MSHRFullEvents.
+	credited  uint64
+	mshrRetry bool
+	// wake is the SM's engine handle, called by every poke.
+	wake func()
+	// naps and nappedCycles count the credited windows and their cycles,
+	// summed into GPU.EngineStats after the run.
+	naps, nappedCycles uint64
 
 	// loadSeq drives this SM's load-identifier sequence (see nextLoadID).
 	loadSeq uint64
@@ -122,13 +136,15 @@ func (sm *SM) startBlock(k *Kernel, block int) {
 	}
 }
 
-// Tick advances the SM one cycle. It reports whether a block is still
-// resident: a drained SM observes one final Idle cycle and then naps with no
-// bound, and the GPU credits the remaining idle cycles in bulk at the end of
-// the run (an SM never re-acquires work mid-run — blocks are handed out by
-// the SM's own finishBlock — so going idle is permanent until the next
-// launch).
+// Tick implements sim.Component: it credits the cycles the engine did not
+// tick the SM since its last tick, then advances the SM one cycle. It
+// reports whether a block is still resident: a drained SM observes one final
+// Idle cycle and then leaves the active set, and the GPU credits the
+// remaining idle cycles in bulk at the end of the run (an SM never
+// re-acquires work mid-run — blocks are handed out by the SM's own
+// finishBlock — so going idle is permanent until the next launch).
 func (sm *SM) Tick(cycle uint64) bool {
+	sm.creditNap(cycle)
 	if sm.localKind == LocalScratchDMA {
 		sm.dma.Tick(cycle)
 	}
@@ -137,7 +153,39 @@ func (sm *SM) Tick(cycle uint64) bool {
 	if sm.kernel != nil && sm.finished == len(sm.warps) {
 		sm.finishBlock(cycle)
 	}
+	sm.credited = cycle + 1
+	sm.mshrRetry = !sm.issuedThisTick && sm.lsu.mshrRetrying(cycle)
 	return sm.kernel != nil
+}
+
+// creditNap credits the owed cycles [credited, end): the SM observed nothing
+// during them, so the classification of its last tick is recorded once per
+// cycle — exactly the counts, timeline and trace spans a dense loop would
+// have accumulated one cycle at a time — along with the one counter a frozen
+// SM still moves, the blocked LSU op's MSHR-full refusals.
+func (sm *SM) creditNap(end uint64) {
+	if end <= sm.credited {
+		return
+	}
+	n := end - sm.credited
+	sm.credited = end
+	sm.gpu.Insp.RecordCycleSpan(sm.id, sm.lastClass, n)
+	if sm.mshrRetry {
+		sm.cm.Stats.MSHRFullEvents += n
+	}
+	sm.naps++
+	sm.nappedCycles += n
+}
+
+// poke is CoreMem's notice that it is about to change state the SM can
+// observe, at cycle: the owed cycles are credited up to cycle before the
+// change lands (so deferred MemData attribution, the timeline and trace spans
+// stay in dense order), and the engine wakes the SM so it ticks from cycle
+// on. The wake is unconditional: an SM parked after its tick at cycle-1 owes
+// nothing yet and must still tick at cycle.
+func (sm *SM) poke(cycle uint64) {
+	sm.creditNap(cycle)
+	sm.wake()
 }
 
 // issueStage classifies every active warp (issuing up to IssueWidth of
@@ -337,8 +385,20 @@ func (sm *SM) finishBlock(cycle uint64) {
 	}
 }
 
-// Diagnose summarizes warp scheduling state for engine deadlock dumps.
+// Diagnose implements sim.Diagnoser for engine deadlock dumps: what the SM
+// owes — the last credited cycle and the classification the cycles after it
+// are credited with, next to the engine's "parked until T|woken" — and its
+// warp scheduling state.
 func (sm *SM) Diagnose() string {
+	d := sm.warpState()
+	if sm.credited == 0 {
+		return d
+	}
+	return fmt.Sprintf("credited through %d class=%s; %s", sm.credited-1, sm.lastClass.Kind, d)
+}
+
+// warpState summarizes the resident block's warp scheduling state.
+func (sm *SM) warpState() string {
 	if sm.kernel == nil {
 		return "no block resident"
 	}
@@ -359,18 +419,26 @@ func (sm *SM) Diagnose() string {
 		sm.kernel.Name, sm.block, ready, barrier, atomic, finished, !sm.lsu.Idle(), sm.dma.Diagnose())
 }
 
-// NextEvent is the promise an SM nap rests on (see smSlot.planNap). Called
-// after the SM's tick at cycle now, it returns the earliest cycle at which
-// the SM's observable behavior — issue decisions and per-cycle
+// NextEvent implements sim.NextEventer; it is the promise an SM nap rests
+// on. Called after the SM's tick at cycle now, it returns the earliest cycle
+// at which the SM's observable behavior — issue decisions and per-cycle
 // classification — could change, sim.NoEvent when every blocked warp waits
 // on an external event (an in-flight load, atomic response, or barrier peer
 // whose own progress is bounded elsewhere), or now+1 when no promise can be
 // made (something issued this cycle, the DMA engine or LSU works every
 // cycle, a warp is issuable). External events all arrive through the SM's
-// CoreMem. The promise never under-reports: not ticking until the returned
-// cycle and ticking from there is indistinguishable from ticking densely
-// through the gap, with one exception the caller must make good — see
-// LSU.mshrRetrying.
+// CoreMem, which pokes the SM first. The promise never under-reports: not
+// ticking until the returned cycle and ticking from there is
+// indistinguishable from ticking densely through the gap, with one exception
+// the SM makes good itself — see LSU.mshrRetrying.
+//
+// A promise beyond the next cycle is bounded by the CoreMem's own timer
+// while a block is resident: a due local atomic and a draining or finished
+// flush precede a poke, and a queued send counts because the end-of-block
+// drain (finishBlock) reads CoreMem.Quiesced, which a send leaving the outbox
+// changes without a poke. Outside that drain the outbox bound is only slack,
+// and cheap: dropping it adds under 2% to the napped cycles of any registry
+// workload.
 func (sm *SM) NextEvent(now uint64) uint64 {
 	if sm.kernel == nil {
 		return sim.NoEvent // drained: idle until the next launch
@@ -452,10 +520,10 @@ func (sm *SM) NextEvent(now uint64) uint64 {
 			return now + 1
 		}
 	}
-	if next <= now {
+	if next <= now+1 {
 		return now + 1
 	}
-	return next
+	return min(next, sm.cm.NextEvent(now))
 }
 
 // nextLoadID allocates a load identifier for GSI attribution, unique

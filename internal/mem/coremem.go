@@ -208,7 +208,8 @@ func (c *CoreMem) SetWaker(wake func()) { c.wake = wake }
 // unit, so the unit calls poke with the current cycle before it lets such an
 // input land — on every Deliver, and in Tick before a local atomic completes
 // or a finished flush clears — and the core settles its books for the
-// cycles before that one first.
+// cycles before that one first, then resumes ticking. The GPU installs it
+// for each SM for the duration of a run; a unit ticked by hand has none.
 func (c *CoreMem) SetPoker(poke func(cycle uint64)) { c.poke = poke }
 
 // pokeCore gives the attached core notice of a change at cycle.

@@ -26,7 +26,8 @@
 //     earliest park instead of ticking through the gap. A component learns
 //     of a jump only from the gap between its consecutive Tick cycles; one
 //     that must account skipped cycles keeps its own local time (the GPU's
-//     SM slots nap, see docs/ARCHITECTURE.md).
+//     SMs credit the cycles they were parked through, see
+//     docs/ARCHITECTURE.md).
 //
 // One goroutine owns an engine and everything registered with it from
 // construction to the end of the run; nothing in a simulation is shared
@@ -184,12 +185,12 @@ type EngineStats struct {
 	// SkippedCycles is the total width of all jumped windows: simulated
 	// cycles that were accounted without a tick pass.
 	SkippedCycles uint64 `json:"skippedCycles"`
-	// Naps counts the windows SMs slept through on their own frozen
-	// state instead of being re-classified every cycle, and
-	// NappedSMCycles the SM-cycles those windows credited in bulk (the
-	// drained tail included); both are zero under the dense engine. They
-	// are produced by the GPU run loop, not the engine: an SM naps whether
-	// or not the global clock jumps.
+	// Naps counts the windows of at least one cycle in which an SM did not
+	// tick and its frozen classification was credited in bulk instead, and
+	// NappedSMCycles the SM-cycles those windows credited (the drained tail
+	// included); both are zero under the dense engine, which ticks every SM
+	// every cycle. They are produced by the GPU's SMs, not the engine: an
+	// SM naps whether or not the global clock jumps.
 	Naps           uint64 `json:"naps"`
 	NappedSMCycles uint64 `json:"nappedSMCycles"`
 	// JumpHist is the skip-jump size histogram: bucket i counts jumps of
