@@ -221,24 +221,73 @@ var (
 	strongOrder = []StallKind{Control, Sync, MemData, MemStructural, CompData, CompStructural, Idle}
 )
 
+// obsFor gives each warp a distinct payload, so a tie attributed to any but
+// the first warp in scheduler order shows.
+func obsFor(kinds []StallKind) []WarpObs {
+	obs := make([]WarpObs, len(kinds))
+	for i, k := range kinds {
+		obs[i] = WarpObs{
+			Kind:        k,
+			PendingLoad: LoadID(100 + i),
+			StructCause: StructCause(1 + i%(NumStructCauses-1)),
+			CompUnit:    CompUnit(1 + i%(NumCompUnits-1)),
+		}
+	}
+	return obs
+}
+
+// TestCycleFoldMatchesNested: the Inspector's running fold, under both
+// cycle-level orders, classifies random observation slices — empty ones, and
+// NoStall at any position — as the nested-loop definition does. Each slice is
+// also folded in random pieces with Class read between them, as the SM reads
+// nothing until its walk ends: every prefix classifies as the nested
+// definition of that prefix, so the fold keeps the first best warp in
+// scheduler order however the walk is cut.
+func TestCycleFoldMatchesNested(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, strong := range []bool{false, true} {
+		in := NewInspector(1)
+		in.StrongCycle = strong
+		order := weakOrder
+		if strong {
+			order = strongOrder
+		}
+		for n := 0; n < 20_000; n++ {
+			kinds := make([]StallKind, rng.Intn(10))
+			for i := range kinds {
+				kinds[i] = StallKind(1 + rng.Intn(NumStallKinds-1))
+				if rng.Intn(12) == 0 {
+					kinds[i] = NoStall
+				}
+			}
+			obs := obsFor(kinds)
+			f := in.Fold()
+			for _, o := range obs {
+				f.Add(o)
+			}
+			if got, want := f.Class(), classifyNested(obs, order); got != want {
+				t.Fatalf("strong=%v %v: fold %+v, nested %+v", strong, kinds, got, want)
+			}
+			f = in.Fold()
+			for i := 0; i < len(obs); {
+				end := i + 1 + rng.Intn(len(obs)-i)
+				for _, o := range obs[i:end] {
+					f.Add(o)
+				}
+				i = end
+				if got, want := f.Class(), classifyNested(obs[:i], order); got != want {
+					t.Fatalf("strong=%v %v cut at %d: fold %+v, nested %+v", strong, kinds, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestClassifyCycleMatchesNestedLoops: the rank-table pass picks the same
 // kind and the same warp's payload as the nested-loop definition, under
 // both orders, on every kind vector of up to four warps and on random
-// 32-warp vectors. Payloads are distinct per warp, so a tie that went to
-// any but the first warp in scheduler order shows.
+// 32-warp vectors.
 func TestClassifyCycleMatchesNestedLoops(t *testing.T) {
-	obsFor := func(kinds []StallKind) []WarpObs {
-		obs := make([]WarpObs, len(kinds))
-		for i, k := range kinds {
-			obs[i] = WarpObs{
-				Kind:        k,
-				PendingLoad: LoadID(100 + i),
-				StructCause: StructCause(1 + i%(NumStructCauses-1)),
-				CompUnit:    CompUnit(1 + i%(NumCompUnits-1)),
-			}
-		}
-		return obs
-	}
 	check := func(kinds []StallKind) {
 		t.Helper()
 		obs := obsFor(kinds)

@@ -115,16 +115,21 @@ func NewInspector(numSMs int) *Inspector {
 	return in
 }
 
-// Observe classifies one SM issue cycle from the per-warp observations and
-// records it. It is the single entry point the GPU core model calls each
-// cycle. The returned CycleClass is what was recorded (useful for tracing).
-func (in *Inspector) Observe(sm int, warps []WarpObs) CycleClass {
-	var cc CycleClass
+// Fold returns an empty Algorithm 2 fold under the cycle-level order this
+// Inspector classifies with (the strong one when StrongCycle is set). The GPU
+// core model folds each warp's observation as its issue stage decides it and
+// records the fold's Class with RecordCycle.
+func (in *Inspector) Fold() CycleFold {
 	if in.StrongCycle {
-		cc = ClassifyCycleStrong(warps)
-	} else {
-		cc = ClassifyCycle(warps)
+		return newFold(&strongPriority)
 	}
+	return newFold(&cyclePriority)
+}
+
+// Observe classifies one SM issue cycle from a slice of per-warp
+// observations and records it. The returned CycleClass is what was recorded.
+func (in *Inspector) Observe(sm int, warps []WarpObs) CycleClass {
+	cc := classifyCycle(in.Fold(), warps)
 	in.RecordCycle(sm, cc)
 	return cc
 }

@@ -5,7 +5,12 @@
 //
 // The package is deliberately independent of the simulator: the GPU core
 // model reports what its issue stage observed each cycle (one WarpObs per
-// active warp) and the Inspector folds those observations into breakdowns.
+// active warp, folded into a CycleFold) and the Inspector records the
+// cycle's class into breakdowns.
+//
+// Cond and ClassifyInstruction are Algorithm 1's specification: the GPU core
+// model decides the same observation by early returns, without a Cond, and
+// its tests hold it to ClassifyInstruction on every combination of conditions.
 // Memory data stalls are attributed lazily: stall cycles accrue against the
 // pending load that blocks the instruction, and are charged to a service
 // location (L1, L1 coalescing, L2, remote L1, main memory) only when the

@@ -117,40 +117,118 @@ func TestSchedOrderRepairMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestConsiderWarpMatchesClassifyInstruction: in every warp state the issue
-// stage appends the observation Algorithm 1 derives from the warp's issue
-// condition — the sync stall that blocked warps get without building one
-// included — and only an issuable warp with a free slot moves.
-func TestConsiderWarpMatchesClassifyInstruction(t *testing.T) {
-	const cycle = 100
-	for _, tc := range []struct {
-		name        string
-		state       warpState
-		ibufReadyAt uint64
-		slots       int
-		cond        core.Cond
+// TestConsiderWarpLattice holds the issue stage's early returns to Algorithm
+// 1's specification on the whole situation lattice: warp state × instruction
+// buffer ready or refilling × head operand free, behind a load or behind a
+// compute result × instruction class × LSU accepting or refusing (three
+// causes) × SFU busy or free × issue slot free or taken. In every situation
+// considerWarp's observation is core.ClassifyInstruction of the equivalent
+// Cond, and only the issuing situations move the pc, the slots and
+// issuedThisTick.
+func TestConsiderWarpLattice(t *testing.T) {
+	const (
+		cycle = 100
+		load  = core.LoadID(77)
+	)
+	type pend int
+	const (
+		pendFree pend = iota
+		pendOnLoad
+		pendOnCompute
+	)
+	classes := []struct {
+		name  string
+		prog  *isa.Program
+		class isa.Class
 	}{
-		{"atomic", warpAtomic, 0, 2, core.Cond{SyncBlocked: true}},
-		{"barrier", warpBarrier, 0, 2, core.Cond{SyncBlocked: true}},
-		{"atomic behind a refilling buffer", warpAtomic, cycle + 5, 2, core.Cond{SyncBlocked: true}},
-		{"finished", warpFinished, 0, 2, core.Cond{}},
-		{"ready, buffer refilling", warpReady, cycle + 1, 2, core.Cond{NextUnavailable: true}},
-		{"ready, issues", warpReady, 0, 2, core.Cond{Issued: true}},
-		{"ready, no slot left", warpReady, 0, 0, core.Cond{}},
-	} {
-		sm := schedSM(t)
-		prog := isa.NewBuilder("nops").Nop().Nop().Exit().MustBuild()
-		sm.startBlock(&Kernel{Name: "nops", Program: prog, Blocks: 1, WarpsPerBlock: 2}, 0)
-		w := sm.warps[1]
-		w.state, w.ibufReadyAt = tc.state, tc.ibufReadyAt
-		sm.slots = tc.slots
-		sm.considerWarp(w, cycle)
-		if len(sm.obsBuf) != 1 || sm.obsBuf[0] != core.ClassifyInstruction(tc.cond) {
-			t.Errorf("%s: observed %+v, Algorithm 1 says %+v", tc.name, sm.obsBuf, core.ClassifyInstruction(tc.cond))
+		{"alu", isa.NewBuilder("alu").AddI(2, 1, 1).Exit().MustBuild(), isa.ClassALU},
+		{"sfu", isa.NewBuilder("sfu").SFU(2, 1).Exit().MustBuild(), isa.ClassSFU},
+		{"mem", isa.NewBuilder("mem").Ld(2, 1, 0).Exit().MustBuild(), isa.ClassMem},
+		{"atomic", isa.NewBuilder("atomic").AtomAdd(2, 1, 3, isa.Relaxed).Exit().MustBuild(), isa.ClassAtomic},
+	}
+	lsuCauses := []core.StructCause{core.StructNone, core.StructBankConflict, core.StructMSHRFull, core.StructStoreBufferFull}
+	var cases, issues int
+	for _, state := range []warpState{warpReady, warpBarrier, warpAtomic, warpFinished} {
+		for _, ibufReady := range []bool{true, false} {
+			for _, p := range []pend{pendFree, pendOnLoad, pendOnCompute} {
+				for _, cl := range classes {
+					if got := cl.prog.Fetch(0).Class; got != cl.class {
+						t.Fatalf("%s program decodes as class %v", cl.name, got)
+					}
+					for _, cause := range lsuCauses {
+						for _, sfuBusy := range []bool{false, true} {
+							for _, slots := range []int{0, 1} {
+								sm := schedSM(t)
+								sm.startBlock(&Kernel{Name: cl.name, Program: cl.prog, Blocks: 1, WarpsPerBlock: 2}, 0)
+								w := sm.warps[1]
+								w.state = state
+								w.regs[1] = 0x1000
+								if !ibufReady {
+									w.ibufReadyAt = cycle + 1
+								}
+								switch p {
+								case pendOnLoad:
+									w.setPendingLoad(1, load)
+								case pendOnCompute:
+									w.setPendingCompute(1, cycle+3, core.UnitSFU)
+								}
+								switch cause {
+								case core.StructNone:
+								case core.StructBankConflict:
+									sm.lsu.busyUntil = cycle + 1
+								default:
+									sm.lsu.held, sm.lsu.blockCause = true, cause
+								}
+								if sfuBusy {
+									sm.sfuBusyUntil = cycle + 1
+								}
+								sm.slots = slots
+
+								var cond core.Cond
+								switch {
+								case state == warpBarrier || state == warpAtomic:
+									cond.SyncBlocked = true
+								case state == warpFinished:
+								case !ibufReady:
+									cond.NextUnavailable = true
+								default:
+									cond.MemDataHazard, cond.PendingLoad = p == pendOnLoad, load
+									cond.CompDataHazard, cond.CompDataUnit = p == pendOnCompute, core.UnitSFU
+									mem := cl.class == isa.ClassMem || cl.class == isa.ClassAtomic
+									cond.MemStructHazard, cond.StructCause = mem && cause != core.StructNone, cause
+									cond.CompStructHazard, cond.CompStructUnit = cl.class == isa.ClassSFU && sfuBusy, core.UnitSFU
+									cond.Issued = slots > 0 && !cond.MemDataHazard && !cond.CompDataHazard &&
+										!cond.MemStructHazard && !cond.CompStructHazard
+								}
+
+								name := fmt.Sprintf("state %d ibuf-ready %v pend %d %s lsu %v sfu-busy %v slots %d",
+									state, ibufReady, p, cl.name, cause, sfuBusy, slots)
+								want := core.ClassifyInstruction(cond)
+								if got := sm.considerWarp(w, cycle); got != want {
+									t.Errorf("%s: observed %+v, Algorithm 1 says %+v", name, got, want)
+								}
+								wantSlots := slots
+								if cond.Issued {
+									wantSlots--
+									issues++
+								}
+								if moved := w.pc == 1; moved != cond.Issued || sm.issuedThisTick != cond.Issued || sm.slots != wantSlots {
+									t.Errorf("%s: pc %d, issuedThisTick %v, slots %d; want issued = %v", name, w.pc, sm.issuedThisTick, sm.slots, cond.Issued)
+								}
+								cases++
+							}
+						}
+					}
+				}
+			}
 		}
-		if issued := w.pc == 1; issued != tc.cond.Issued || sm.issuedThisTick != tc.cond.Issued {
-			t.Errorf("%s: pc %d, issuedThisTick %v; want issued = %v", tc.name, w.pc, sm.issuedThisTick, tc.cond.Issued)
-		}
+	}
+	// Vacuous unless every class issued where it can: with the warp ready, its
+	// buffer full, its operand free and a slot open, ALU issues under all 8
+	// LSU × SFU settings, SFU under the 4 with it free, memory and atomics
+	// under the 2 with the LSU accepting.
+	if cases != 4*2*3*4*4*2*2 || issues != 8+4+2+2 {
+		t.Fatalf("%d situations, %d issuing", cases, issues)
 	}
 }
 
@@ -166,6 +244,31 @@ func BenchmarkIssueStageSpin(b *testing.B) {
 	for _, w := range sm.warps[1:] {
 		w.state = warpAtomic
 	}
+	cycle := uint64(0)
+	for ; cycle < 1000; cycle++ {
+		sm.issueStage(cycle)
+	}
+	issued := sm.InstrsIssued
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sm.issueStage(cycle)
+		cycle++
+	}
+	b.ReportMetric(float64(sm.InstrsIssued-issued)/float64(b.N), "instrs/op")
+}
+
+// BenchmarkIssueStageCompute is the stencil shape: two warps, each on a
+// dependent ALU chain with a 4-cycle ALU latency, so most cycles every warp
+// is a compute-data stall and the rest issue. One op is one issue stage; it
+// allocates nothing.
+func BenchmarkIssueStageCompute(b *testing.B) {
+	sm := schedSM(b)
+	sm.gpu.Cfg.ALULat = 4
+	p := isa.NewBuilder("chain")
+	top := p.Here()
+	p.AddI(1, 1, 1).Add(2, 2, 1).Mul(3, 3, 2).Add(1, 1, 3).Br(top).Exit()
+	sm.startBlock(&Kernel{Name: "chain", Program: p.MustBuild(), Blocks: 1, WarpsPerBlock: 2}, 0)
 	cycle := uint64(0)
 	for ; cycle < 1000; cycle++ {
 		sm.issueStage(cycle)

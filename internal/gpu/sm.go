@@ -11,9 +11,9 @@ import (
 )
 
 // SM is one streaming multiprocessor. Its Tick runs the local-memory
-// engines, the LSU, and then the issue stage, where every active warp is
-// classified (Algorithm 1) and the cycle recorded (Algorithm 2) through the
-// GPU's Inspector.
+// engines, the LSU, and then the issue stage, where the active warps are
+// classified (Algorithm 1) and folded into the cycle's class (Algorithm 2),
+// recorded through the GPU's Inspector.
 type SM struct {
 	id  int
 	gpu *GPU
@@ -36,8 +36,7 @@ type SM struct {
 	flushStarted   bool
 	sfuBusyUntil   uint64
 
-	obsBuf []core.WarpObs
-	order  []int
+	order []int
 	// orderValid caches order across cycles: the consideration order is a
 	// pure function of greedy, the warps' finished states, and lastIssue
 	// cycles, all of which change only when a warp issues (or a block
@@ -188,11 +187,12 @@ func (sm *SM) poke(cycle uint64) {
 	sm.wake()
 }
 
-// issueStage classifies every active warp (issuing up to IssueWidth of
-// them) and records the cycle with the Inspector.
+// issueStage classifies the active warps (Algorithm 1), issuing up to
+// IssueWidth of them, folds each observation into the cycle's class
+// (Algorithm 2) as it goes, and records the cycle with the Inspector.
 func (sm *SM) issueStage(cycle uint64) {
-	sm.obsBuf = sm.obsBuf[:0]
 	sm.issuedThisTick = false
+	fold := sm.gpu.Insp.Fold()
 	if sm.kernel != nil {
 		sm.slots = sm.gpu.Cfg.IssueWidth
 		// Greedy-then-oldest: the warp that issued last keeps priority
@@ -201,10 +201,15 @@ func (sm *SM) issueStage(cycle uint64) {
 		// what keeps a lock holder making progress while cheap local
 		// atomics let spinners saturate the issue ports.
 		for _, idx := range sm.schedOrder() {
-			sm.considerWarp(sm.warps[idx], cycle)
+			fold.Add(sm.considerWarp(sm.warps[idx], cycle))
+			if sm.slots == 0 {
+				// The cycle is NoStall; the rest would only run pure checks.
+				break
+			}
 		}
 	}
-	sm.lastClass = sm.gpu.Insp.Observe(sm.id, sm.obsBuf)
+	sm.lastClass = fold.Class()
+	sm.gpu.Insp.RecordCycle(sm.id, sm.lastClass)
 }
 
 // schedOrder returns the warp consideration order: greedy warp first, the
@@ -251,55 +256,51 @@ func (sm *SM) schedOrder() []int {
 	return sm.order
 }
 
-// considerWarp issues the warp if possible and appends its Algorithm-1
-// classification. A warp blocked on an atomic or at a barrier is a sync stall
-// whatever else is true of it, so it gets its observation without a Cond.
-func (sm *SM) considerWarp(w *Warp, cycle uint64) {
-	var cond core.Cond
+// considerWarp returns the warp's Algorithm-1 observation, issuing it if it
+// can: it tests core.ClassifyInstruction's conditions in priority order and
+// returns at the first that holds. A finished warp, which schedOrder never
+// offers, observes as an empty Cond does.
+func (sm *SM) considerWarp(w *Warp, cycle uint64) core.WarpObs {
 	switch w.state {
 	case warpAtomic, warpBarrier:
-		sm.obsBuf = append(sm.obsBuf, core.WarpObs{Kind: core.Sync})
-		return
-	case warpReady:
-		if cycle < w.ibufReadyAt {
-			cond.NextUnavailable = true
-			break
-		}
-		in := w.next()
-		memHaz, blocking, compHaz, compUnit := w.hazards(in, cycle)
-		cond.MemDataHazard = memHaz
-		cond.PendingLoad = blocking
-		cond.CompDataHazard = compHaz
-		cond.CompDataUnit = compUnit
-		switch in.Class {
-		case isa.ClassMem, isa.ClassAtomic:
-			if ok, cause := sm.lsu.CanAccept(cycle); !ok {
-				cond.MemStructHazard = true
-				cond.StructCause = cause
-			}
-		case isa.ClassSFU:
-			if sm.sfuBusyUntil > cycle {
-				cond.CompStructHazard = true
-				cond.CompStructUnit = core.UnitSFU
-			}
-		}
-		if !memHaz && !compHaz && !cond.MemStructHazard && !cond.CompStructHazard {
-			if sm.slots > 0 {
-				sm.slots--
-				cond.Issued = true
-				if sm.greedy != w.idx {
-					// The greedy warp issuing again moves nothing: it
-					// already leads, and the rest is keyed on the others.
-					sm.greedy = w.idx
-					sm.orderValid = false
-				}
-				w.lastIssue = cycle
-				sm.issuedThisTick = true
-				sm.execute(w, in, cycle)
-			}
+		return core.WarpObs{Kind: core.Sync}
+	case warpFinished:
+		return core.WarpObs{Kind: core.CompStructural, CompUnit: core.UnitIssue}
+	}
+	if cycle < w.ibufReadyAt {
+		return core.WarpObs{Kind: core.Control}
+	}
+	in := w.next()
+	memHaz, blocking, compHaz, compUnit := w.hazards(in, cycle)
+	if memHaz {
+		return core.WarpObs{Kind: core.MemData, PendingLoad: blocking}
+	}
+	if in.Class == isa.ClassMem || in.Class == isa.ClassAtomic {
+		if ok, cause := sm.lsu.CanAccept(cycle); !ok {
+			return core.WarpObs{Kind: core.MemStructural, StructCause: cause}
 		}
 	}
-	sm.obsBuf = append(sm.obsBuf, core.ClassifyInstruction(cond))
+	if compHaz {
+		return core.WarpObs{Kind: core.CompData, CompUnit: compUnit}
+	}
+	if in.Class == isa.ClassSFU && sm.sfuBusyUntil > cycle {
+		return core.WarpObs{Kind: core.CompStructural, CompUnit: core.UnitSFU}
+	}
+	if sm.slots == 0 {
+		// Issuable, but the ports went to other warps this cycle.
+		return core.WarpObs{Kind: core.CompStructural, CompUnit: core.UnitIssue}
+	}
+	sm.slots--
+	if sm.greedy != w.idx {
+		// The greedy warp issuing again moves nothing: it already leads,
+		// and the rest is keyed on the others.
+		sm.greedy = w.idx
+		sm.orderValid = false
+	}
+	w.lastIssue = cycle
+	sm.issuedThisTick = true
+	sm.execute(w, in, cycle)
+	return core.WarpObs{Kind: core.NoStall}
 }
 
 // execute performs one issued instruction.

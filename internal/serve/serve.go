@@ -306,19 +306,31 @@ func (sub Submission) grid(mode gsi.EngineMode) (gsi.Grid, error) {
 }
 
 // jobState is one grid point of a submitted sweep. Immutable fields are
-// set at submission; status/errMsg are guarded by the sweepRun mutex.
+// set at submission; status/errMsg/run are guarded by the sweepRun mutex.
 type jobState struct {
-	index   int
+	index int
+	label string
+	key   string
+	// run is what simulating the point takes. complete drops it, so a
+	// finished sweep keeps only what its status document shows, not the
+	// options and workload thunk (and the parameter maps it captures).
+	run *simJob
+
+	status string // "queued", "running", "done", "failed"
+	errMsg string
+	cached bool
+}
+
+// simJob is what one simulation of a grid point needs. runJob hands the
+// flight this pointer rather than the job: a detached leader's flight can
+// outlive its job, so the flight never reads the job's state.
+type simJob struct {
 	label   string
 	key     string
 	options gsi.Options
 	thunk   func() gsi.Workload
 	timeout time.Duration // effective wall-clock deadline; 0 = none
 	trace   bool          // record + store a trace artifact on a fresh run
-
-	status string // "queued", "running", "done", "failed"
-	errMsg string
-	cached bool
 }
 
 // progressEvent is one job-completion event, the serve counterpart of
@@ -337,7 +349,7 @@ type progressEvent struct {
 // job's work; cancel (DELETE /sweeps/{id}) detaches the sweep's jobs
 // from their simulations — a simulation shared with another sweep keeps
 // running for that sweep, an unshared one stops at its next cooperative
-// check.
+// check. Both are dropped (under mu) when the last job completes.
 type sweepRun struct {
 	id     string
 	name   string
@@ -390,6 +402,7 @@ func (sw *sweepRun) complete(i int, errMsg string, cached bool) {
 	job := &sw.jobs[i]
 	job.errMsg = errMsg
 	job.cached = cached
+	job.run = nil
 	job.status = "done"
 	if errMsg != "" {
 		job.status = "failed"
@@ -407,8 +420,10 @@ func (sw *sweepRun) complete(i int, errMsg string, cached bool) {
 		}
 	}
 	if last {
-		sw.subs = map[chan progressEvent]bool{}
+		sw.subs = nil
 		close(sw.finished)
+		// Every job has read ctx; the submit goroutine cancels it.
+		sw.ctx, sw.cancel = nil, nil
 	}
 	sw.mu.Unlock()
 }
@@ -513,15 +528,14 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.cfg.jobTimeout(override)
 	for i, job := range batch.Jobs {
+		key := gsi.CacheKey(job.Options, job.Axes.Workload, grid.PointParams(job.Axes))
 		sw.jobs[i] = jobState{
-			index:   i,
-			label:   job.Label,
-			key:     gsi.CacheKey(job.Options, job.Axes.Workload, grid.PointParams(job.Axes)),
-			options: job.Options,
-			thunk:   job.Workload,
-			timeout: timeout,
-			trace:   sub.Trace,
-			status:  "queued",
+			index: i,
+			label: job.Label,
+			key:   key,
+			run: &simJob{label: job.Label, key: key, options: job.Options,
+				thunk: job.Workload, timeout: timeout, trace: sub.Trace},
+			status: "queued",
 		}
 	}
 
@@ -568,10 +582,13 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 		return
 	}
 	sw.setRunning(i)
+	// The flight gets its own pointer to what it simulates: complete drops
+	// job.run, and a detached leader's flight can still be running then.
+	run := job.run
 	// lateHit is written by the flight function, which only ever runs for
 	// this job (as leader), and read after Do returned its result.
 	lateHit := false
-	_, err, shared := s.flight.Do(sw.ctx, job.key, func(fctx context.Context) ([]byte, error) {
+	_, err, shared := s.flight.Do(sw.ctx, run.key, func(fctx context.Context) ([]byte, error) {
 		// The slot gates the simulation itself; singleflight followers
 		// wait without occupying the pool, and a flight nobody wants any
 		// more gives up the wait.
@@ -581,7 +598,7 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 			return nil, fctx.Err()
 		}
 		defer func() { <-s.sem }()
-		if data, ok := s.cache.get(job.key); ok {
+		if data, ok := s.cache.get(run.key); ok {
 			// A previous leader finished between our cache check and
 			// flight entry; serve its bytes. This job simulated nothing
 			// and shared nobody's run: it is a cache hit, only a late
@@ -597,7 +614,7 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 					return nil, fctx.Err()
 				}
 			}
-			data, err := s.simulate(fctx, job)
+			data, err := s.simulate(fctx, run)
 			if err == nil {
 				return data, nil
 			}
@@ -634,7 +651,7 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 // wall-clock deadline, containing any panic (a component bug, an injected
 // fault) as a typed error: the pool worker survives, the sweep's other
 // points are untouched, and nothing is cached.
-func (s *Server) simulate(fctx context.Context, job *jobState) (data []byte, err error) {
+func (s *Server) simulate(fctx context.Context, job *simJob) (data []byte, err error) {
 	runCtx := fctx
 	if job.timeout > 0 {
 		var cancel context.CancelFunc
@@ -741,12 +758,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodDelete && sub == "" {
 		sw.mu.Lock()
 		sw.canceled = true
+		cancel := sw.cancel
 		sw.mu.Unlock()
 		// Unfinished jobs observe the cancellation at their next
 		// cooperative check and complete with a canceled error; the
 		// sweep still reaches finished, so waiters and SSE streams end
-		// normally.
-		sw.cancel()
+		// normally. A finished sweep has nothing left to cancel.
+		if cancel != nil {
+			cancel()
+		}
 		writeJSON(w, http.StatusOK, sw.doc(false))
 		return
 	}

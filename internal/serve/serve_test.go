@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -196,6 +197,48 @@ func TestServeCachedSweepByteIdentical(t *testing.T) {
 	}
 	if m.Jobs.Done != 8 || m.Jobs.Queued != 0 || m.Jobs.Running != 0 {
 		t.Errorf("job gauges off: %+v", m.Jobs)
+	}
+}
+
+// TestServeFinishedSweepsRetainLittle: gsi-serve keeps every sweep it was
+// sent, so what one finished sweep retains is what a long-running server
+// grows by. After a run of cache-hit resubmissions of an 8-point grid and a
+// GC, each finished sweep holds under 3 KB — its status document's fields,
+// not its jobs' options or workload thunks — and its status document still
+// names every point.
+func TestServeFinishedSweepsRetainLittle(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	grid := func(name string) Submission {
+		sub := smallSweep(name)
+		sub.Protocols = []string{"gpu", "denovo"}
+		return sub
+	}
+	fill := wait(t, ts, submit(t, ts, grid("fill")).ID)
+	if fill.Total != 8 || fill.Failed != 0 {
+		t.Fatalf("fill sweep: %d points, %d failed", fill.Total, fill.Failed)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const sweeps = 500
+	before := heap()
+	var last sweepDoc
+	for i := 0; i < sweeps; i++ {
+		last = wait(t, ts, submit(t, ts, grid(fmt.Sprintf("hit-%d", i))).ID)
+	}
+	per := (int64(heap()) - int64(before)) / sweeps
+	t.Logf("%d B of heap retained per finished sweep", per)
+	if per > 3<<10 {
+		t.Errorf("each finished sweep retains %d B of heap, want under 3 KB", per)
+	}
+	for i, job := range last.Jobs {
+		if want := fill.Jobs[i]; job.Label != want.Label || job.Key != want.Key || job.Status != "done" || !job.Cached {
+			t.Errorf("finished job %d: %+v, want %+v served from the cache", i, job, want)
+		}
 	}
 }
 
