@@ -21,12 +21,16 @@
 //
 // Failures stay inside their grid point: a panicking or deadline-blown
 // job fails individually (surfaced on /sweeps/{id} and the SSE stream)
-// while its siblings complete, completed results are journaled to
-// -cache-dir as they finish (a kill -9 loses at most in-flight work),
-// and on SIGINT/SIGTERM the server drains gracefully: new submissions
-// are refused with 503 (and /readyz flips), running jobs get
-// -drain-grace to finish before being canceled cooperatively, the cache
-// is flushed, and only then does the listener shut down.
+// while its siblings complete. Nothing is retried, because a simulation is
+// deterministic and a rerun fails the same way. Each completed result is
+// written durably to -cache-dir as <key>.json before its job completes
+// (a kill -9 loses at most in-flight work; the next boot loads the files
+// and reports the count on /readyz). On SIGINT/SIGTERM the server drains
+// gracefully: new submissions are refused with 503 (and /readyz flips),
+// running jobs get -drain-grace to finish before being canceled
+// cooperatively, and only then does the listener shut down. Jobs run the
+// default scheduling engine: every engine gives the same bytes, and the
+// cache key erases the choice.
 package main
 
 import (
@@ -40,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"gsi"
 	"gsi/internal/faultinject"
 	"gsi/internal/serve"
 )
@@ -49,24 +52,19 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		parallel   = flag.Int("parallel", 0, "simulation pool size shared across submissions (0 = all cores)")
-		engine     = flag.String("engine", "skip", "scheduling engine: dense | quiescent | skip (results are byte-identical; this is a wall-clock knob)")
-		cacheDir   = flag.String("cache-dir", "", "persist the result cache in this directory (journaled as results complete, flushed on drain)")
+		cacheDir   = flag.String("cache-dir", "", "persist the result cache in this directory (each result written durably as it completes)")
 		maxEnt     = flag.Int("cache-max-entries", 0, "bound the in-memory result cache to this many entries, LRU-evicted (0 = unlimited)")
 		maxBytes   = flag.Int("cache-max-bytes", 0, "bound the in-memory result cache to this many bytes of result documents, LRU-evicted (0 = unlimited)")
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "default wall-clock deadline per job; a slower simulation fails with a deadline error carrying the engine diagnosis (0 = none)")
 		jobTimeMax = flag.Duration("job-timeout-max", 30*time.Minute, "cap on the per-job deadline, including per-submission overrides (0 = no cap)")
-		retries    = flag.Int("retries", 0, "retry budget per job for transient failures — contained panics and I/O errors (0 = default of 2, negative = disabled)")
 		drainGrace = flag.Duration("drain-grace", 2*time.Minute, "how long a drain lets running jobs finish before canceling them cooperatively (0 = wait forever)")
 		timeout    = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for the HTTP listener to close after jobs drain")
 		chaos      = flag.String("chaos", "", "fault-injection spec for testing, e.g. 'seed=1,panic=0.1' or 'uts:stall' (do not use in production)")
 	)
 	flag.Parse()
-	mode, err := gsi.ParseEngineMode(*engine)
-	if err != nil {
-		fail("%v", err)
-	}
 	var injector *faultinject.Injector
 	if *chaos != "" {
+		var err error
 		if injector, err = faultinject.Parse(*chaos); err != nil {
 			fail("%v", err)
 		}
@@ -74,13 +72,11 @@ func main() {
 	}
 	server, err := serve.New(serve.Config{
 		Workers:         *parallel,
-		Engine:          mode,
 		CacheDir:        *cacheDir,
 		CacheMaxEntries: *maxEnt,
 		CacheMaxBytes:   *maxBytes,
 		JobTimeout:      *jobTimeout,
 		MaxJobTimeout:   *jobTimeMax,
-		Retries:         *retries,
 		Chaos:           injector,
 	})
 	if err != nil {
@@ -102,7 +98,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("gsi-serve: listening on %s (pool=%d, engine=%s)", *addr, *parallel, *engine)
+	log.Printf("gsi-serve: listening on %s (pool=%d)", *addr, *parallel)
 
 	select {
 	case err := <-errc:
@@ -118,7 +114,7 @@ func main() {
 		defer cancel()
 	}
 	if err := server.DrainContext(graceCtx); err != nil {
-		log.Printf("gsi-serve: cache flush: %v", err)
+		log.Printf("gsi-serve: cache dir: %v", err)
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bufio"
 	"container/list"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,24 +14,20 @@ import (
 // run. Entries are immutable once written — determinism means a key has
 // exactly one correct value — so hits can hand out the stored slice
 // without copying. The cache lives in memory; when a directory is
-// configured, entries already on disk are loaded at construction and new
-// entries are written out by flush (the drain path).
+// configured, every entry is also a <key>.json file there.
 //
-// Persistence is crash-safe through a write-behind journal: every put
-// appends the entry to <dir>/journal.jsonl and fsyncs before returning,
-// so a kill -9 loses at most the simulations that were still in flight.
-// At construction the journal is replayed (a torn final record — the
-// crash interrupted the append — is tolerated and dropped) and compacted
-// into the per-key *.json files; flush does the same compaction on the
-// drain path.
+// Persistence is one durable write per result: put writes <key>.json
+// through a temp file in the same directory, fsyncs it and renames it into
+// place before returning, so a kill -9 loses at most the simulations that
+// were still in flight and never leaves a torn result. At construction the
+// *.json files are loaded and any *.tmp a crash left mid-write is removed.
 //
 // The in-memory set is bounded: maxEntries and maxBytes (0 = unlimited)
 // cap it with LRU eviction — get and put refresh an entry's recency, and
 // put evicts from the cold end until both limits hold. Evicting is always
 // sound (a future request for the key re-simulates and recomputes the
-// identical bytes); an evicted entry that was never flushed to a
-// configured cache directory is written out on eviction, best effort, so
-// bounding memory does not silently discard persistence.
+// identical bytes), and with a cache directory it loses nothing: the
+// evicted entry's file is already on disk.
 type resultCache struct {
 	dir        string
 	maxEntries int
@@ -43,7 +37,6 @@ type resultCache struct {
 	entries map[string]*list.Element
 	lru     list.List // front = most recent; values are *cacheEntry
 	bytes   int
-	dirty   map[string]bool
 	evicted uint64
 
 	// traces holds per-key trace artifacts (Chrome trace-event JSON) for
@@ -53,19 +46,13 @@ type resultCache struct {
 	// and the in-memory copy is dropped when the key's result is evicted;
 	// getTrace falls back to disk, so bounding memory never loses an
 	// artifact that reached a configured directory. Unlike results they
-	// are not journaled: a trace is an observability extra, and a crash
-	// losing one loses nothing a re-run with tracing cannot recreate.
+	// are written best effort: a trace is an observability extra, and a
+	// crash losing one loses nothing a re-run with tracing cannot recreate.
 	traces map[string][]byte
 
-	journal     *os.File // open append handle; nil without a cache dir
-	replayed    int      // entries recovered from the journal at boot
-	journalErrs uint64   // failed journal appends (entry stays dirty)
-}
-
-// journalRecord is one line of journal.jsonl.
-type journalRecord struct {
-	Key  string          `json:"key"`
-	Data json.RawMessage `json:"data"`
+	loaded      int    // entries read from the cache directory at boot
+	persistErrs uint64 // failed result writes (the entry still serves from memory)
+	persistErr  error  // the first of them, reported by Drain
 }
 
 // cacheEntry is one LRU node's payload.
@@ -79,8 +66,8 @@ type cacheStats struct {
 	entries     int
 	bytes       int
 	evictions   uint64
-	replayed    int
-	journalErrs uint64
+	loaded      int
+	persistErrs uint64
 }
 
 // newResultCache builds the cache, loading any persisted entries from
@@ -94,7 +81,6 @@ func newResultCache(dir string, maxEntries, maxBytes int) (*resultCache, error) 
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		entries:    map[string]*list.Element{},
-		dirty:      map[string]bool{},
 		traces:     map[string][]byte{},
 	}
 	if dir == "" {
@@ -102,6 +88,15 @@ func newResultCache(dir string, maxEntries, maxBytes int) (*resultCache, error) 
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: cache dir: %w", err)
+	}
+	temps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		return nil, fmt.Errorf("serve: cache dir: %w", err)
+	}
+	for _, name := range temps {
+		if err := os.Remove(name); err != nil {
+			return nil, fmt.Errorf("serve: removing interrupted cache write: %w", err)
+		}
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -112,65 +107,11 @@ func newResultCache(dir string, maxEntries, maxBytes int) (*resultCache, error) 
 		if err != nil {
 			return nil, fmt.Errorf("serve: loading cache entry: %w", err)
 		}
-		key := strings.TrimSuffix(filepath.Base(name), ".json")
-		c.insert(key, data)
+		c.insert(strings.TrimSuffix(filepath.Base(name), ".json"), data)
+		c.loaded++
 		c.evict()
 	}
-	if err := c.replayJournal(); err != nil {
-		return nil, err
-	}
-	journal, err := os.OpenFile(c.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening cache journal: %w", err)
-	}
-	c.journal = journal
 	return c, nil
-}
-
-func (c *resultCache) journalPath() string {
-	return filepath.Join(c.dir, "journal.jsonl")
-}
-
-// replayJournal recovers entries a crashed process journaled but never
-// compacted, then compacts: recovered entries go to their per-key files
-// and the journal is removed. Replay stops at the first undecodable line
-// — appends are sequential, so only the final record can be torn, and a
-// torn record is an in-flight put the crash legitimately lost.
-func (c *resultCache) replayJournal() error {
-	f, err := os.Open(c.journalPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("serve: opening cache journal: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
-			break // torn final record from the crash; drop it
-		}
-		if _, ok := c.entries[rec.Key]; ok {
-			continue // the per-key file already provided it
-		}
-		c.insert(rec.Key, []byte(rec.Data))
-		c.dirty[rec.Key] = true
-		c.replayed++
-		c.evict()
-	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		return fmt.Errorf("serve: reading cache journal: %w", err)
-	}
-	if err := c.flushLocked(); err != nil {
-		return err
-	}
-	return os.Remove(c.journalPath())
 }
 
 // get returns the stored bytes for key, refreshing its recency.
@@ -187,38 +128,54 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 
 // put stores the bytes for key; a pre-existing entry wins (it is
 // necessarily identical, and keeping it makes put idempotent under the
-// rare leader/raced-completion overlap). The entry is journaled to disk
-// (appended and fsynced) before put returns, so a crash after put cannot
-// lose it; a failed append leaves the entry dirty for the flush path and
-// bumps the journal-error counter. Over-limit cold entries are evicted
+// rare leader/raced-completion overlap). With a cache directory the entry
+// is durably on disk before put returns; a failed write is counted and
+// the entry still serves from memory. Over-limit cold entries are evicted
 // afterwards.
 func (c *resultCache) put(key string, data []byte) {
+	var err error
+	if c.dir != "" {
+		err = writeDurable(filepath.Join(c.dir, key+".json"), data)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err != nil {
+		c.persistErrs++
+		if c.persistErr == nil {
+			c.persistErr = fmt.Errorf("serve: persisting cache entry: %w", err)
+		}
+	}
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		return
 	}
 	c.insert(key, data)
-	c.dirty[key] = true
-	if c.journal != nil {
-		if err := c.appendJournal(key, data); err != nil {
-			c.journalErrs++
-		}
-	}
 	c.evict()
 }
 
-// appendJournal writes one durable journal record. Caller holds mu.
-func (c *resultCache) appendJournal(key string, data []byte) error {
-	line, err := json.Marshal(journalRecord{Key: key, Data: data})
+// writeDurable replaces path with data so that a crash at any point
+// leaves either the old state or the whole new file: the bytes go to a
+// temp file in the same directory, are fsynced, and are renamed into
+// place. A leftover *.tmp is removed at the next boot.
+func writeDurable(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if _, err := c.journal.Write(append(line, '\n')); err != nil {
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	return c.journal.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // insert adds a fresh entry at the hot end. Caller holds mu (or owns the
@@ -228,10 +185,8 @@ func (c *resultCache) insert(key string, data []byte) {
 	c.bytes += len(data)
 }
 
-// evict drops cold entries until both bounds hold. A dirty entry (never
-// flushed to a configured cache directory) is written out first, best
-// effort — failing that it is dropped anyway, since the bound is the
-// contract. Caller holds mu (or owns the cache exclusively).
+// evict drops cold entries until both bounds hold. Caller holds mu (or
+// owns the cache exclusively).
 func (c *resultCache) evict() {
 	over := func() bool {
 		if c.maxEntries > 0 && len(c.entries) > c.maxEntries {
@@ -245,11 +200,6 @@ func (c *resultCache) evict() {
 			return
 		}
 		e := el.Value.(*cacheEntry)
-		if c.dirty[e.key] && c.dir != "" {
-			path := filepath.Join(c.dir, e.key+".json")
-			_ = os.WriteFile(path, e.data, 0o644)
-		}
-		delete(c.dirty, e.key)
 		delete(c.entries, e.key)
 		delete(c.traces, e.key) // the write-through file, if any, remains
 		c.lru.Remove(el)
@@ -295,50 +245,18 @@ func (c *resultCache) getTrace(key string) ([]byte, bool) {
 	return data, true
 }
 
-// size returns the number of cached results.
-func (c *resultCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// stats snapshots the cache's entry count, byte footprint, and lifetime
-// eviction count for /metrics.
+// stats snapshots the cache's entry count, byte footprint, lifetime
+// eviction count, boot load count and persistence failures for /metrics.
 func (c *resultCache) stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return cacheStats{entries: len(c.entries), bytes: c.bytes,
-		evictions: c.evicted, replayed: c.replayed, journalErrs: c.journalErrs}
+		evictions: c.evicted, loaded: c.loaded, persistErrs: c.persistErrs}
 }
 
-// flush writes entries not yet persisted to the cache directory and
-// compacts the journal (every journaled entry now lives in its per-key
-// file, so the journal restarts empty); without a directory it is a
-// no-op. Used by the drain path so a restarted server starts warm.
-func (c *resultCache) flush() error {
+// err returns the first failed result write, if any.
+func (c *resultCache) err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.flushLocked()
-}
-
-// flushLocked is flush under an already-held mu (or exclusive ownership
-// during construction).
-func (c *resultCache) flushLocked() error {
-	if c.dir == "" {
-		c.dirty = map[string]bool{}
-		return nil
-	}
-	for key := range c.dirty {
-		path := filepath.Join(c.dir, key+".json")
-		if err := os.WriteFile(path, c.entries[key].Value.(*cacheEntry).data, 0o644); err != nil {
-			return fmt.Errorf("serve: flushing cache entry: %w", err)
-		}
-		delete(c.dirty, key)
-	}
-	if c.journal != nil {
-		if err := c.journal.Truncate(0); err != nil {
-			return fmt.Errorf("serve: compacting cache journal: %w", err)
-		}
-	}
-	return nil
+	return c.persistErr
 }

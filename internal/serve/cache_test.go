@@ -68,9 +68,9 @@ func TestCacheLRUByteBound(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionPersistsDirty: evicting a never-flushed entry writes
-// it to the cache directory first, so the memory bound does not lose
-// persistence — a fresh cache over the same directory serves the entry.
+// TestCacheEvictionPersistsDirty: the memory bound does not lose
+// persistence — an evicted entry's file is already in the cache
+// directory, and a fresh cache over that directory serves the entry.
 func TestCacheEvictionPersistsDirty(t *testing.T) {
 	dir := t.TempDir()
 	c, err := newResultCache(dir, 1, 0)
@@ -78,9 +78,9 @@ func TestCacheEvictionPersistsDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.put("aaaa", []byte("first"))
-	c.put("bbbb", []byte("second")) // evicts dirty aaaa -> disk
+	c.put("bbbb", []byte("second")) // evicts aaaa from memory
 	if _, err := os.Stat(filepath.Join(dir, "aaaa.json")); err != nil {
-		t.Fatalf("evicted dirty entry not written to disk: %v", err)
+		t.Fatalf("evicted entry not on disk: %v", err)
 	}
 	reloaded, err := newResultCache(dir, 0, 0)
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,10 +33,11 @@ func mustInjector(t *testing.T, spec string) *faultinject.Injector {
 // injected into the stash half of a sweep, those points fail individually
 // with the contained-panic error, the scratchpad siblings complete and
 // cache normally, the panic counter moves, and the process (trivially)
-// survives.
+// survives. Each poisoned point is simulated exactly once: the injector
+// decides from (seed, label) alone, so a rerun would only panic again.
 func TestServeChaosPanicIsolated(t *testing.T) {
 	inj := mustInjector(t, "stash:panic")
-	_, ts := newTestServer(t, Config{Workers: 2, Chaos: inj, Retries: -1})
+	_, ts := newTestServer(t, Config{Workers: 2, Chaos: inj})
 	doc := submit(t, ts, smallSweep("chaos"))
 	final := wait(t, ts, doc.ID)
 
@@ -70,34 +73,11 @@ func TestServeChaosPanicIsolated(t *testing.T) {
 	if m.Panics != uint64(failed) {
 		t.Errorf("panic counter = %d, want %d", m.Panics, failed)
 	}
+	if got := inj.Injected(faultinject.FaultPanic); got != uint64(failed) {
+		t.Errorf("injector recorded %d panics, want %d (one simulation per poisoned point)", got, failed)
+	}
 	if m.Jobs.Failed != uint64(failed) || m.Jobs.Done != uint64(done) {
 		t.Errorf("job counters failed=%d done=%d, want %d/%d", m.Jobs.Failed, m.Jobs.Done, failed, done)
-	}
-}
-
-// TestServeChaosRetriesTransient: a panic-class failure is retried with
-// backoff up to the budget; every attempt panics here, so the job still
-// fails — but the retry and panic counters record the attempts.
-func TestServeChaosRetriesTransient(t *testing.T) {
-	inj := mustInjector(t, "implicit:panic")
-	_, ts := newTestServer(t, Config{Workers: 1, Chaos: inj, Retries: 1})
-	sub := smallSweep("retry")
-	sub.LocalMems = []string{"scratchpad"}
-	sub.MSHRSizes = []int{16}
-	doc := submit(t, ts, sub)
-	final := wait(t, ts, doc.ID)
-	if final.Failed != 1 || final.Total != 1 {
-		t.Fatalf("failed=%d total=%d, want 1/1", final.Failed, final.Total)
-	}
-	m := getMetrics(t, ts)
-	if m.Retries != 1 {
-		t.Errorf("retries = %d, want 1", m.Retries)
-	}
-	if m.Panics != 2 {
-		t.Errorf("panics = %d, want 2 (initial attempt + retry)", m.Panics)
-	}
-	if got := inj.Injected(faultinject.FaultPanic); got != 2 {
-		t.Errorf("injector recorded %d panics, want 2", got)
 	}
 }
 
@@ -106,7 +86,7 @@ func TestServeChaosRetriesTransient(t *testing.T) {
 // siblings complete.
 func TestServeJobDeadline(t *testing.T) {
 	inj := mustInjector(t, "stash:stall")
-	_, ts := newTestServer(t, Config{Workers: 2, Chaos: inj, Retries: -1,
+	_, ts := newTestServer(t, Config{Workers: 2, Chaos: inj,
 		JobTimeout: 300 * time.Millisecond})
 	doc := submit(t, ts, smallSweep("deadline"))
 	final := wait(t, ts, doc.ID)
@@ -142,7 +122,7 @@ func TestServeJobDeadline(t *testing.T) {
 // the sweep reaches finished with per-job canceled errors.
 func TestServeDeleteCancelsInFlight(t *testing.T) {
 	inj := mustInjector(t, "implicit:stall")
-	_, ts := newTestServer(t, Config{Workers: 4, Chaos: inj, Retries: -1})
+	_, ts := newTestServer(t, Config{Workers: 4, Chaos: inj})
 	doc := submit(t, ts, smallSweep("doomed"))
 
 	// Wait until at least one simulation holds a pool slot.
@@ -189,45 +169,40 @@ func TestServeDeleteCancelsInFlight(t *testing.T) {
 	}
 }
 
-// TestServeJournalCrashRecovery is the kill -9 contract: results are
-// journaled as they complete, so a server that dies without draining
-// loses nothing already finished — a fresh server over the same directory
-// replays the journal (visible on /readyz and /metrics) and re-serves the
-// sweep with zero new simulations.
-func TestServeJournalCrashRecovery(t *testing.T) {
+// TestServeCrashRecovery is the kill -9 contract: each result is durably
+// on disk as <key>.json before its job completes, so a server that dies
+// without draining loses nothing already finished — a fresh server over
+// the same directory loads every result (visible on /readyz and /metrics)
+// and re-serves the sweep with zero new simulations. A *.tmp left by a
+// write the crash interrupted is neither loaded nor left behind.
+func TestServeCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	_, ts1 := newTestServer(t, Config{Workers: 2, CacheDir: dir})
-	doc := submit(t, ts1, smallSweep("pre-crash"))
-	final := wait(t, ts1, doc.ID)
+	final := wait(t, ts1, submit(t, ts1, smallSweep("pre-crash")).ID)
 	if final.Failed != 0 {
 		t.Fatalf("seed sweep failed: %+v", final)
 	}
-	// No Drain, no FlushCache: the process "dies" here. The journal must
-	// already hold every completed result; per-key files must not exist.
-	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatalf("no journal after completed jobs: %v", err)
+	// No Drain: the process "dies" here. Every completed result must
+	// already be its own file.
+	for _, j := range final.Jobs {
+		data, err := os.ReadFile(filepath.Join(dir, j.Key+".json"))
+		if err != nil {
+			t.Fatalf("job %q completed without its result on disk: %v", j.Label, err)
+		}
+		if !bytes.Equal(data, getResult(t, ts1, j.Key)) {
+			t.Errorf("job %q: file differs from the served result", j.Label)
+		}
 	}
-	if n := bytes.Count(journal, []byte("\n")); n != final.Total {
-		t.Fatalf("journal holds %d records, want %d", n, final.Total)
-	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 0 {
-		t.Fatalf("per-key files written before any flush: %v", files)
-	}
-	// Simulate the crash tearing a final, in-flight append.
-	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
+	// Simulate the crash interrupting a write before its rename.
+	stray := filepath.Join(dir, "feedface.json.123.tmp")
+	if err := os.WriteFile(stray, []byte(`{"torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"key":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	_, ts2 := newTestServer(t, Config{Workers: 2, CacheDir: dir})
 	var ready struct {
-		Ready           bool `json:"ready"`
-		JournalReplayed int  `json:"journalReplayed"`
+		Ready  bool `json:"ready"`
+		Loaded int  `json:"loaded"`
 	}
 	resp, err := http.Get(ts2.URL + "/readyz")
 	if err != nil {
@@ -237,22 +212,14 @@ func TestServeJournalCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !ready.Ready || ready.JournalReplayed != final.Total {
-		t.Fatalf("readyz = %+v, want ready with %d replayed", ready, final.Total)
+	if !ready.Ready || ready.Loaded != final.Total {
+		t.Fatalf("readyz = %+v, want ready with %d loaded", ready, final.Total)
 	}
-	// Replay compacts: every entry now has its per-key file and the
-	// journal is gone until the next fresh result.
-	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != final.Total {
-		t.Errorf("compaction wrote %d per-key files, want %d", len(files), final.Total)
-	}
-	// Boot compaction removes the replayed journal and reopens a fresh
-	// (empty) one for subsequent results.
-	if st, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err == nil && st.Size() != 0 {
-		t.Errorf("journal still holds %d bytes after boot compaction", st.Size())
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Errorf("interrupted write %s survived the boot (stat: %v)", filepath.Base(stray), err)
 	}
 
-	doc2 := submit(t, ts2, smallSweep("post-crash"))
-	final2 := wait(t, ts2, doc2.ID)
+	final2 := wait(t, ts2, submit(t, ts2, smallSweep("post-crash")).ID)
 	for _, j := range final2.Jobs {
 		if j.Status != "done" || !j.Cached {
 			t.Errorf("post-crash job %q: status %q cached %v, want cached done", j.Label, j.Status, j.Cached)
@@ -260,10 +227,68 @@ func TestServeJournalCrashRecovery(t *testing.T) {
 	}
 	m := getMetrics(t, ts2)
 	if m.Simulations != 0 {
-		t.Errorf("restart re-simulated %d points; journal replay should serve all", m.Simulations)
+		t.Errorf("restart re-simulated %d points; the loaded results should serve all", m.Simulations)
 	}
-	if m.Cache.JournalReplayed != uint64(final.Total) {
-		t.Errorf("journalReplayed metric = %d, want %d", m.Cache.JournalReplayed, final.Total)
+	if m.Cache.Loaded != uint64(final.Total) || m.Cache.Entries != uint64(final.Total) {
+		t.Errorf("cache metrics loaded=%d entries=%d, want %d each", m.Cache.Loaded, m.Cache.Entries, final.Total)
+	}
+}
+
+// TestServeLeaderDetachBooksBalance: sweep A leads a slow simulation,
+// sweep B joins its flight, then A is deleted. A fails as canceled, the
+// flight runs on for B, and B — the one job handed the result — claims
+// the simulation. Nothing counts B as a dedup hit as well, so the books
+// balance at two claims for two jobs.
+func TestServeLeaderDetachBooksBalance(t *testing.T) {
+	inj := mustInjector(t, "implicit:slow, slowms=1000")
+	s, ts := newTestServer(t, Config{Workers: 2, Chaos: inj})
+	point := smallSweep("leader")
+	point.LocalMems, point.MSHRSizes = []string{"scratchpad"}, []int{16}
+	a := submit(t, ts, point)
+	key := a.Jobs[0].Key
+	waiters := func() int {
+		s.flight.mu.Lock()
+		defer s.flight.mu.Unlock()
+		if c := s.flight.m[key]; c != nil {
+			return c.waiters
+		}
+		return 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for getMetrics(t, ts).Jobs.Running == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("A's simulation did not start within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	point.Name = "follower"
+	b := submit(t, ts, point)
+	for waiters() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("B did not join A's flight within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/sweeps/"+a.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	if fa := wait(t, ts, a.ID); fa.Failed != 1 || !strings.Contains(fa.Jobs[0].Err, "cancel") {
+		t.Fatalf("deleted leader: %+v, want one canceled job", fa.Jobs)
+	}
+	if fb := wait(t, ts, b.ID); fb.Failed != 0 || fb.Jobs[0].Cached {
+		t.Fatalf("follower: %+v, want done from the simulation it claimed", fb.Jobs)
+	}
+	m := getMetrics(t, ts)
+	if m.Jobs.Done != 1 || m.Jobs.Failed != 1 || m.Simulations != 1 || m.Cache.DedupHits != 0 || m.Cache.Hits != 0 {
+		t.Errorf("done=%d failed=%d simulations=%d dedup=%d hits=%d, want 1/1/1/0/0",
+			m.Jobs.Done, m.Jobs.Failed, m.Simulations, m.Cache.DedupHits, m.Cache.Hits)
 	}
 }
 
@@ -273,7 +298,7 @@ func TestServeJournalCrashRecovery(t *testing.T) {
 // and leaks no goroutines.
 func TestServeDrainUnderLoad(t *testing.T) {
 	inj := mustInjector(t, "implicit:stall")
-	s, ts := newTestServer(t, Config{Workers: 4, CacheDir: t.TempDir(), Chaos: inj, Retries: -1})
+	s, ts := newTestServer(t, Config{Workers: 4, CacheDir: t.TempDir(), Chaos: inj})
 	baseline := runtime.NumGoroutine()
 
 	doc := submit(t, ts, smallSweep("drain-load"))
@@ -344,6 +369,96 @@ func TestServeDrainUnderLoad(t *testing.T) {
 	}
 }
 
+// TestServeSubmissionJobCap: a submission whose axes multiply past
+// maxJobsPerSubmission is refused with a 400 that names the count, before
+// any job is expanded or registered. A few hundred bytes of JSON would
+// otherwise become thousands of jobs.
+func TestServeSubmissionJobCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	sub := Submission{Name: "oversized", Workloads: []string{"implicit"}}
+	for i := 1; i <= 65; i++ {
+		sub.Protocols = append(sub.Protocols, "gpu")
+		sub.MSHRSizes = append(sub.MSHRSizes, i)
+	}
+	body, err := json.Marshal(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "4225") {
+		t.Errorf("65x65 grid: status %d body %q, want a 400 naming 4225 jobs", resp.StatusCode, msg)
+	}
+	resp, err = http.Get(ts.URL + "/sweeps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sweeps []sweepDoc
+	if err := json.NewDecoder(resp.Body).Decode(&sweeps); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if m := getMetrics(t, ts); len(sweeps) != 0 || m.Jobs.Queued != 0 {
+		t.Errorf("refused submission registered %d sweeps, %d queued jobs", len(sweeps), m.Jobs.Queued)
+	}
+}
+
+// FuzzSubmission drives raw bodies through POST /sweeps on a server that is
+// already draining, so nothing simulates. Whatever the body, the handler
+// does not panic and answers 400, 413 or 503, and a 503 (refused only for
+// draining) comes only for a body that decodes to a submission grid
+// accepts — known names, within the job cap.
+func FuzzSubmission(f *testing.F) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.BeginDrain()
+	f.Cleanup(func() { assertBooksBalance(f, s) })
+	seed := func(sub Submission) {
+		body, err := json.Marshal(sub)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	seed(smallSweep("valid"))
+	oversized := smallSweep("oversized")
+	for i := 1; i <= 65; i++ {
+		oversized.Protocols = append(oversized.Protocols, "gpu")
+		oversized.MSHRSizes = append(oversized.MSHRSizes, i)
+	}
+	seed(oversized)
+	badTimeout := smallSweep("bad-timeout")
+	badTimeout.Timeout = "soon"
+	seed(badTimeout)
+	seed(Submission{Workloads: []string{"nosuch"}})
+	seed(Submission{Workloads: []string{"implicit"}, Protocols: []string{"mesi"}})
+	f.Add([]byte(fmt.Sprintf(`{"name":%q,"workloads":["implicit"]}`, strings.Repeat("x", maxSubmissionBytes))))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweeps", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		case http.StatusServiceUnavailable:
+			var sub Submission
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&sub); err != nil {
+				t.Fatalf("503 for a body that does not decode: %v", err)
+			}
+			if _, err := sub.grid(); err != nil {
+				t.Fatalf("503 for a submission grid rejects: %v", err)
+			}
+		default:
+			t.Fatalf("status %d, want 400, 413 or 503", rec.Code)
+		}
+	})
+}
+
 // TestServeSubmissionBodyLimit: an oversized POST /sweeps body is refused
 // with 413 instead of being buffered.
 func TestServeSubmissionBodyLimit(t *testing.T) {
@@ -396,12 +511,12 @@ func TestServeTimeoutOverride(t *testing.T) {
 func TestFlightWaiterDetach(t *testing.T) {
 	var g flightGroup
 	started := make(chan context.Context, 1)
-	release := make(chan []byte, 1)
-	fn := func(fctx context.Context) ([]byte, error) {
+	release := make(chan *freshRun, 1)
+	fn := func(fctx context.Context) (*freshRun, error) {
 		started <- fctx
 		select {
-		case data := <-release:
-			return data, nil
+		case run := <-release:
+			return run, nil
 		case <-fctx.Done():
 			return nil, fctx.Err()
 		}
@@ -410,19 +525,20 @@ func TestFlightWaiterDetach(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	type result struct {
-		val []byte
-		err error
+		val   *freshRun
+		err   error
+		claim bool
 	}
 	aDone := make(chan result, 1)
 	bDone := make(chan result, 1)
 	go func() {
-		val, err, _ := g.Do(ctxA, "k", fn)
-		aDone <- result{val, err}
+		val, err, claim := g.Do(ctxA, "k", fn)
+		aDone <- result{val, err, claim}
 	}()
 	fctx := <-started // the leader's fn is running
 	go func() {
-		val, err, _ := g.Do(context.Background(), "k", fn)
-		bDone <- result{val, err}
+		val, err, claim := g.Do(context.Background(), "k", fn)
+		bDone <- result{val, err, claim}
 	}()
 
 	// Give B a moment to join the flight, then cancel A: A detaches with
@@ -439,10 +555,16 @@ func TestFlightWaiterDetach(t *testing.T) {
 	default:
 	}
 
-	release <- []byte("result")
+	want := &freshRun{nanos: 1}
+	release <- want
 	b := <-bDone
-	if b.err != nil || string(b.val) != "result" {
-		t.Fatalf("surviving waiter got (%q, %v), want the result", b.val, b.err)
+	if b.err != nil || b.val != want {
+		t.Fatalf("surviving waiter got (%v, %v), want the result", b.val, b.err)
+	}
+	// The detached leader claimed nothing, so the follower — the only job
+	// handed the outcome — is its claimant.
+	if !b.claim {
+		t.Error("surviving follower was not handed the claim on the flight it kept alive")
 	}
 
 	// Second flight: when the last waiter detaches, the flight context
@@ -450,8 +572,8 @@ func TestFlightWaiterDetach(t *testing.T) {
 	ctxC, cancelC := context.WithCancel(context.Background())
 	cDone := make(chan result, 1)
 	go func() {
-		val, err, _ := g.Do(ctxC, "k2", fn)
-		cDone <- result{val, err}
+		val, err, claim := g.Do(ctxC, "k2", fn)
+		cDone <- result{val, err, claim}
 	}()
 	fctx2 := <-started
 	cancelC()
@@ -479,7 +601,7 @@ func TestFlightGaugeFollowsWaiters(t *testing.T) {
 	defer cancel()
 	detached := make(chan error, 1)
 	go func() {
-		_, err, _ := g.Do(ctx, "k", func(context.Context) ([]byte, error) {
+		_, err, _ := g.Do(ctx, "k", func(context.Context) (*freshRun, error) {
 			g.simStart("k")
 			defer g.simEnd("k")
 			close(simulating)

@@ -32,15 +32,14 @@ type metrics struct {
 
 	cacheHits   uint64 // jobs served from the result cache
 	dedupHits   uint64 // jobs that shared another job's in-flight run
-	simulations uint64 // fresh simulations completed
-	panics      uint64 // simulation attempts that panicked (contained)
-	retries     uint64 // simulation attempts retried after a transient failure
+	simulations uint64 // fresh simulations completed, one per claiming job
+	panics      uint64 // simulations that panicked (contained)
 	canceled    uint64 // jobs that ended on cancellation or deadline
 
 	simNanos  uint64 // total wall-clock nanoseconds across simulations
 	simCycles uint64 // total simulated cycles across simulations
 
-	// Aggregates folded from every fresh simulation's Report: classified
+	// Aggregates folded from every claimed fresh simulation's Report: classified
 	// stall cycles by top-level kind (summed across SMs), and the
 	// engine event counters behind the run.
 	stallCycles [core.NumStallKinds]uint64
@@ -95,18 +94,11 @@ func (m *metrics) dedupHit() {
 	m.mu.Unlock()
 }
 
-// panicked counts one contained simulation panic: the attempt became a
-// per-job error instead of taking the process down.
+// panicked counts one contained simulation panic: the simulation became
+// a per-job error instead of taking the process down.
 func (m *metrics) panicked() {
 	m.mu.Lock()
 	m.panics++
-	m.mu.Unlock()
-}
-
-// retried counts one transient-failure retry of a simulation attempt.
-func (m *metrics) retried() {
-	m.mu.Lock()
-	m.retries++
 	m.mu.Unlock()
 }
 
@@ -117,28 +109,21 @@ func (m *metrics) cancel() {
 	m.mu.Unlock()
 }
 
-// report folds one fresh simulation's Report into the aggregate stall
-// and engine counters. Cached and deduplicated jobs are deliberately not
-// folded: the aggregates count simulation work performed by this
-// process, and double-counting a shared run would skew the per-kind mix.
-func (m *metrics) report(rep *gsi.Report) {
+// simulation records one fresh run, for the job that claimed it: its
+// wall-clock cost and the simulated cycles it covered, bucketed as ns per
+// cycle, and its Report folded into the aggregate stall and engine
+// counters. Cached and deduplicated jobs are deliberately not folded: the
+// aggregates count simulation work performed by this process, and
+// double-counting a shared run would skew the per-kind mix.
+func (m *metrics) simulation(rep *gsi.Report, nanos uint64) {
+	cycles := max(rep.Cycles, 1)
+	perCycle := float64(nanos) / float64(cycles)
 	m.mu.Lock()
 	for k, n := range rep.Counts.Cycles {
 		m.stallCycles[k] += n
 	}
 	m.engJumps += rep.EngineStats.Jumps
 	m.engSkipped += rep.EngineStats.SkippedCycles
-	m.mu.Unlock()
-}
-
-// simulation records one completed fresh run: its wall-clock cost and the
-// simulated cycles it covered, bucketed as ns per cycle.
-func (m *metrics) simulation(nanos uint64, cycles uint64) {
-	if cycles == 0 {
-		cycles = 1
-	}
-	perCycle := float64(nanos) / float64(cycles)
-	m.mu.Lock()
 	m.simulations++
 	m.simNanos += nanos
 	m.simCycles += cycles
@@ -170,17 +155,16 @@ type metricsSnapshot struct {
 		Failed  uint64 `json:"failed"`
 	} `json:"jobs"`
 	Cache struct {
-		Hits            uint64 `json:"hits"`
-		DedupHits       uint64 `json:"dedupHits"`
-		Entries         uint64 `json:"entries"`
-		Bytes           uint64 `json:"bytes"`
-		Evictions       uint64 `json:"evictions"`
-		JournalReplayed uint64 `json:"journalReplayed"`
-		JournalErrors   uint64 `json:"journalErrors"`
+		Hits          uint64 `json:"hits"`
+		DedupHits     uint64 `json:"dedupHits"`
+		Entries       uint64 `json:"entries"`
+		Bytes         uint64 `json:"bytes"`
+		Evictions     uint64 `json:"evictions"`
+		Loaded        uint64 `json:"loaded"`
+		PersistErrors uint64 `json:"persistErrors"`
 	} `json:"cache"`
 	Simulations uint64       `json:"simulations"`
 	Panics      uint64       `json:"panics"`
-	Retries     uint64       `json:"retries"`
 	Canceled    uint64       `json:"canceled"`
 	SimNanos    uint64       `json:"simNanos"`
 	SimCycles   uint64       `json:"simCycles"`
@@ -218,11 +202,10 @@ func (m *metrics) snapshot(cs cacheStats) metricsSnapshot {
 	s.Cache.Entries = uint64(cs.entries)
 	s.Cache.Bytes = uint64(cs.bytes)
 	s.Cache.Evictions = cs.evictions
-	s.Cache.JournalReplayed = uint64(cs.replayed)
-	s.Cache.JournalErrors = cs.journalErrs
+	s.Cache.Loaded = uint64(cs.loaded)
+	s.Cache.PersistErrors = cs.persistErrs
 	s.Simulations = m.simulations
 	s.Panics = m.panics
-	s.Retries = m.retries
 	s.Canceled = m.canceled
 	s.SimNanos = m.simNanos
 	s.SimCycles = m.simCycles
@@ -266,11 +249,10 @@ func (s metricsSnapshot) prometheus(w io.Writer) {
 	gauge("gsi_cache_entries", "Results currently cached in memory.", s.Cache.Entries)
 	gauge("gsi_cache_bytes", "Bytes of cached result documents in memory.", s.Cache.Bytes)
 	counter("gsi_cache_evictions_total", "Cache entries evicted by the LRU bounds.", s.Cache.Evictions)
-	counter("gsi_cache_journal_replayed_total", "Results recovered from the write-behind journal at boot.", s.Cache.JournalReplayed)
-	counter("gsi_cache_journal_errors_total", "Failed journal appends (entry deferred to the flush path).", s.Cache.JournalErrors)
+	gauge("gsi_cache_loaded", "Results loaded from the cache directory at boot.", s.Cache.Loaded)
+	counter("gsi_cache_persist_errors_total", "Results that failed to reach the cache directory (still served from memory).", s.Cache.PersistErrors)
 	counter("gsi_simulations_total", "Fresh simulations completed.", s.Simulations)
-	counter("gsi_sim_panics_total", "Simulation attempts that panicked and were contained.", s.Panics)
-	counter("gsi_sim_retries_total", "Simulation attempts retried after a transient failure.", s.Retries)
+	counter("gsi_sim_panics_total", "Simulations that panicked and were contained.", s.Panics)
 	counter("gsi_jobs_canceled_total", "Jobs ended by cancellation or deadline.", s.Canceled)
 	counter("gsi_sim_nanoseconds_total", "Wall-clock nanoseconds across fresh simulations.", s.SimNanos)
 	counter("gsi_sim_cycles_total", "Simulated cycles across fresh simulations.", s.SimCycles)

@@ -14,8 +14,9 @@
 //
 // Failure is isolated per grid point: a panicking or deadline-blown job
 // becomes a typed per-job error (streamed like any other completion) and
-// never poisons its siblings, the cache, or the process. See
-// docs/ARCHITECTURE.md, "Failure domains and recovery".
+// never poisons its siblings, the cache, or the process. It is not
+// retried: a simulation is deterministic, so a rerun fails the same way.
+// See docs/ARCHITECTURE.md, "Failure domains and recovery".
 //
 // Endpoints:
 //
@@ -30,7 +31,7 @@
 //	                          engine counters, ns-per-cycle histogram
 //	                          (?format=prometheus for the text exposition format)
 //	GET    /healthz           liveness (reports draining state)
-//	GET    /readyz            readiness: 503 while draining; reports journal replay
+//	GET    /readyz            readiness: 503 while draining; reports results loaded at boot
 //	GET    /debug/pprof/      live profiles (internal/prof)
 package serve
 
@@ -40,9 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"os"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -59,17 +58,13 @@ import (
 // abuse, not a bigger sweep.
 const maxSubmissionBytes = 1 << 20
 
-// Transient-failure retry policy: a failed attempt whose error is
-// retryable (a contained panic or an I/O error — see retryable) is
-// re-run up to the configured attempt budget with exponential backoff,
-// jittered to keep a burst of failures from retrying in lockstep.
-const (
-	defaultRetries   = 2
-	retryBackoffBase = 25 * time.Millisecond
-)
+// maxJobsPerSubmission bounds the grid points one submission may expand
+// to. The body limit alone does not: a few kilobytes of repeated axis
+// values multiply into millions of jobs.
+const maxJobsPerSubmission = 4096
 
-// errSimPanic classifies a simulation attempt that panicked and was
-// contained; the wrapped error carries the panic value and stack.
+// errSimPanic classifies a simulation that panicked and was contained;
+// the wrapped error carries the panic value and stack.
 var errSimPanic = errors.New("serve: simulation panicked")
 
 // Config parameterizes a Server.
@@ -78,18 +73,14 @@ type Config struct {
 	// simulations run at once across all submissions (anything below 1
 	// selects GOMAXPROCS, as in SweepConfig.Parallel).
 	Workers int
-	// Engine selects the scheduling loop every job runs under. Results
-	// are byte-identical across modes, so this is a wall-clock knob; the
-	// cache key canonicalizes it away.
-	Engine gsi.EngineMode
 	// CacheDir, when non-empty, persists the result cache: entries found
-	// there are loaded at startup and new entries are written back by
-	// Drain (or FlushCache).
+	// there are loaded at startup, and each new result is written there
+	// durably before its job completes.
 	CacheDir string
 	// CacheMaxEntries and CacheMaxBytes bound the in-memory result cache
 	// with LRU eviction (0 = unlimited). Eviction is sound — a future
-	// request re-simulates to the identical bytes — and evicted entries
-	// not yet flushed to CacheDir are written out on the way.
+	// request re-simulates to the identical bytes — and loses nothing
+	// already written to CacheDir.
 	CacheMaxEntries int
 	CacheMaxBytes   int
 	// JobTimeout is the default per-job wall-clock deadline: a simulation
@@ -101,25 +92,11 @@ type Config struct {
 	// MaxJobTimeout caps the effective per-job deadline, including
 	// per-submission overrides (0 = no cap).
 	MaxJobTimeout time.Duration
-	// Retries is the transient-failure retry budget per job: 0 selects
-	// the default (2), negative disables retries.
-	Retries int
 	// Chaos, when non-nil, wraps every fresh simulation's workload with
 	// the fault injector — test wiring for the chaos gate, never for
 	// production serving. Injected failures are contained exactly like
 	// real ones; faulted results are never cached.
 	Chaos *faultinject.Injector
-}
-
-// retryBudget resolves Config.Retries.
-func (c Config) retryBudget() int {
-	switch {
-	case c.Retries < 0:
-		return 0
-	case c.Retries == 0:
-		return defaultRetries
-	}
-	return c.Retries
 }
 
 // jobTimeout resolves the effective deadline for one submission:
@@ -205,13 +182,10 @@ func (s *Server) BeginDrain() {
 // WaitJobs blocks until every submitted job has finished.
 func (s *Server) WaitJobs() { s.jobs.Wait() }
 
-// FlushCache persists cache entries not yet on disk (no-op without a
-// cache directory).
-func (s *Server) FlushCache() error { return s.cache.flush() }
-
-// Drain is the graceful-shutdown sequence: stop accepting, let running
-// jobs finish, flush the cache. The caller then shuts the http.Server
-// down so streaming responses complete.
+// Drain is the graceful-shutdown sequence: stop accepting and let running
+// jobs finish. The caller then shuts the http.Server down so streaming
+// responses complete. The error is the first result that failed to reach
+// the cache directory, if any.
 func (s *Server) Drain() error {
 	return s.DrainContext(context.Background())
 }
@@ -220,8 +194,8 @@ func (s *Server) Drain() error {
 // in-flight jobs finish on their own, every running simulation is
 // canceled cooperatively (it unwinds at its next context check with
 // gsi.ErrCanceled) and the drain completes once they do. Completed
-// results are journaled as they finish, so even a forced drain loses
-// only work that was still in flight.
+// results are on disk as they finish, so even a forced drain loses only
+// work that was still in flight.
 func (s *Server) DrainContext(ctx context.Context) error {
 	s.BeginDrain()
 	done := make(chan struct{})
@@ -235,7 +209,7 @@ func (s *Server) DrainContext(ctx context.Context) error {
 		s.rootCancel()
 		<-done
 	}
-	return s.FlushCache()
+	return s.cache.err()
 }
 
 // Submission is the POST /sweeps request body: a cartesian grid in the
@@ -267,10 +241,19 @@ type Submission struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// grid expands the submission into the equivalent gsi.Grid.
-func (sub Submission) grid(mode gsi.EngineMode) (gsi.Grid, error) {
+// grid expands the submission into the equivalent gsi.Grid. The job count
+// is bounded from the axis lengths alone, before anything is expanded.
+func (sub Submission) grid() (gsi.Grid, error) {
 	if len(sub.Workloads) == 0 {
 		return gsi.Grid{}, fmt.Errorf("serve: submission needs at least one workload")
+	}
+	jobs := 1
+	for _, n := range []int{len(sub.Workloads), len(sub.Protocols), len(sub.MSHRSizes),
+		len(sub.LocalMems), len(sub.SFIFO), len(sub.OwnedAtomics), len(sub.StrongCycle)} {
+		jobs *= max(n, 1)
+		if jobs > maxJobsPerSubmission {
+			return gsi.Grid{}, fmt.Errorf("serve: submission expands to at least %d jobs; the limit is %d", jobs, maxJobsPerSubmission)
+		}
 	}
 	reg := gsi.Workloads()
 	for _, name := range sub.Workloads {
@@ -286,7 +269,6 @@ func (sub Submission) grid(mode gsi.EngineMode) (gsi.Grid, error) {
 		OwnedAtomics: sub.OwnedAtomics,
 		StrongCycle:  sub.StrongCycle,
 		Params:       gsi.WorkloadValues(sub.Params),
-		System:       gsi.SystemConfig{Engine: mode},
 	}
 	for _, p := range sub.Protocols {
 		proto, err := gsi.ParseProtocol(p)
@@ -511,7 +493,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		override = d
 	}
-	grid, err := sub.grid(s.cfg.Engine)
+	grid, err := sub.grid()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -568,6 +550,15 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, sw.doc(true))
 }
 
+// freshRun is what a flight that simulated hands the job claiming it: the
+// run's Report and wall-clock cost, which /metrics folds in once per
+// claimed simulation. A flight that found its key already cached hands
+// out nil.
+type freshRun struct {
+	rep   *gsi.Report
+	nanos uint64
+}
+
 // runJob resolves one job: cache hit, shared in-flight run, or a fresh
 // simulation on the bounded pool. Any failure — panic, deadline,
 // cancellation, simulation error — lands in this job's error slot and
@@ -585,10 +576,7 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 	// The flight gets its own pointer to what it simulates: complete drops
 	// job.run, and a detached leader's flight can still be running then.
 	run := job.run
-	// lateHit is written by the flight function, which only ever runs for
-	// this job (as leader), and read after Do returned its result.
-	lateHit := false
-	_, err, shared := s.flight.Do(sw.ctx, run.key, func(fctx context.Context) ([]byte, error) {
+	fresh, err, claim := s.flight.Do(sw.ctx, run.key, func(fctx context.Context) (*freshRun, error) {
 		// The slot gates the simulation itself; singleflight followers
 		// wait without occupying the pool, and a flight nobody wants any
 		// more gives up the wait.
@@ -598,60 +586,39 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 			return nil, fctx.Err()
 		}
 		defer func() { <-s.sem }()
-		if data, ok := s.cache.get(run.key); ok {
-			// A previous leader finished between our cache check and
-			// flight entry; serve its bytes. This job simulated nothing
-			// and shared nobody's run: it is a cache hit, only a late
-			// one.
-			lateHit = true
-			return data, nil
+		if _, ok := s.cache.get(run.key); ok {
+			// A previous flight finished between our cache check and
+			// flight entry: this one simulates nothing, and the job that
+			// claims it is a cache hit, only a late one.
+			return nil, nil
 		}
-		var lastErr error
-		for attempt := 0; attempt <= s.cfg.retryBudget(); attempt++ {
-			if attempt > 0 {
-				s.metrics.retried()
-				if !sleepCtx(fctx, backoff(attempt)) {
-					return nil, fctx.Err()
-				}
-			}
-			data, err := s.simulate(fctx, run)
-			if err == nil {
-				return data, nil
-			}
-			lastErr = err
-			if !retryable(err) || fctx.Err() != nil {
-				break
-			}
-		}
-		return nil, lastErr
+		return s.simulate(fctx, run)
 	})
-	cached := false
-	if err == nil {
-		switch {
-		case shared:
-			s.metrics.dedupHit()
-			cached = true
-		case lateHit:
-			s.metrics.cacheHit()
-			cached = true
-		}
-	}
 	var errMsg string
-	if err != nil {
-		errMsg = err.Error()
+	cached := true
+	switch {
+	case err != nil:
+		errMsg, cached = err.Error(), false
 		if isCancelClass(err) {
 			s.metrics.cancel()
 		}
+	case !claim:
+		s.metrics.dedupHit()
+	case fresh != nil:
+		s.metrics.simulation(fresh.rep, fresh.nanos)
+		cached = false
+	default:
+		s.metrics.cacheHit()
 	}
 	s.metrics.jobDone(err != nil)
 	sw.complete(i, errMsg, cached)
 }
 
-// simulate runs one attempt at a job's simulation under the job's
-// wall-clock deadline, containing any panic (a component bug, an injected
-// fault) as a typed error: the pool worker survives, the sweep's other
-// points are untouched, and nothing is cached.
-func (s *Server) simulate(fctx context.Context, job *simJob) (data []byte, err error) {
+// simulate runs a job's simulation once under the job's wall-clock
+// deadline, containing any panic (a component bug, an injected fault) as
+// a typed error: the pool worker survives, the sweep's other points are
+// untouched, and nothing is cached.
+func (s *Server) simulate(fctx context.Context, job *simJob) (fresh *freshRun, err error) {
 	runCtx := fctx
 	if job.timeout > 0 {
 		var cancel context.CancelFunc
@@ -670,10 +637,9 @@ func (s *Server) simulate(fctx context.Context, job *simJob) (data []byte, err e
 	if s.cfg.Chaos != nil {
 		wl = s.cfg.Chaos.Wrap(job.label, wl).(gsi.Workload)
 	}
-	// Tracing rides on a copy of the job's options: the collector is
-	// attempt-local (a retried attempt restarts it), and the stored
-	// options stay trace-free so the cache key derivation they fed
-	// remains visibly untouched.
+	// Tracing rides on a copy of the job's options, so the stored options
+	// stay trace-free and the cache key derivation they fed remains
+	// visibly untouched.
 	opts := job.options
 	var tr *gsi.Trace
 	if job.trace {
@@ -696,23 +662,7 @@ func (s *Server) simulate(fctx context.Context, job *simJob) (data []byte, err e
 			s.cache.putTrace(job.key, buf.Bytes())
 		}
 	}
-	s.metrics.report(rep)
-	s.metrics.simulation(uint64(time.Since(start).Nanoseconds()), rep.Cycles)
-	return doc, nil
-}
-
-// retryable classifies a failed attempt: contained panics and I/O errors
-// are worth a bounded retry; everything else — deterministic simulation
-// failures (ErrMaxCycles, ErrStalled, verification), deadlines,
-// cancellation — fails the same way every time or was asked for, so
-// retrying only burns pool time.
-func retryable(err error) bool {
-	if errors.Is(err, errSimPanic) {
-		return true
-	}
-	var pathErr *os.PathError
-	var sysErr *os.SyscallError
-	return errors.As(err, &pathErr) || errors.As(err, &sysErr)
+	return &freshRun{rep: rep, nanos: uint64(time.Since(start).Nanoseconds())}, nil
 }
 
 // isCancelClass reports whether a job error came from cancellation or a
@@ -720,26 +670,6 @@ func retryable(err error) bool {
 func isCancelClass(err error) bool {
 	return errors.Is(err, gsi.ErrCanceled) || errors.Is(err, gsi.ErrDeadline) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// backoff returns the jittered exponential delay before retry attempt n
-// (n >= 1): base*2^(n-1), plus up to 100% jitter so a burst of transient
-// failures does not retry in lockstep.
-func backoff(n int) time.Duration {
-	d := retryBackoffBase << (n - 1)
-	return d + time.Duration(rand.Int63n(int64(d)))
-}
-
-// sleepCtx sleeps for d, reporting false if ctx fires first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // handleSweep serves GET /sweeps/{id} (status, ?wait=1 blocks until the
@@ -904,7 +834,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // handleReady serves GET /readyz: readiness as distinct from liveness.
 // A draining server is alive (healthz stays 200) but not ready — load
 // balancers should stop routing to it. The body also reports how many
-// results the boot-time journal replay recovered, so an operator
+// results were loaded from the cache directory at boot, so an operator
 // restarting after a crash can see the recovery happened.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
@@ -915,9 +845,9 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, map[string]any{
-		"ready":           !draining,
-		"draining":        draining,
-		"journalReplayed": s.cache.stats().replayed,
+		"ready":    !draining,
+		"draining": draining,
+		"loaded":   s.cache.stats().loaded,
 	})
 }
 

@@ -50,7 +50,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // served from the cache, shared from another job's in-flight run, simulated,
 // or failed (the failed counter includes canceled jobs, which /metrics also
 // counts on their own).
-func assertBooksBalance(t *testing.T, s *Server) {
+func assertBooksBalance(t testing.TB, s *Server) {
 	t.Helper()
 	s.jobs.Wait()
 	m := s.metrics.snapshot(s.cache.stats())
@@ -439,9 +439,9 @@ func TestServeSubmissionValidation(t *testing.T) {
 	}
 }
 
-// TestServeCachePersistence: a drained server flushes its cache to the
-// configured directory, and a fresh server over the same directory serves
-// the old results without re-simulating.
+// TestServeCachePersistence: a server writes its results to the configured
+// directory, and a fresh server over the same directory serves the old
+// results without re-simulating.
 func TestServeCachePersistence(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{Workers: 2, CacheDir: dir})

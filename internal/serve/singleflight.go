@@ -12,9 +12,10 @@ import (
 // wants.
 type flightCall struct {
 	done    chan struct{}
-	val     []byte
+	val     *freshRun
 	err     error
 	waiters int
+	claimed bool // a waiter has been handed the outcome as its claimant
 	cancel  context.CancelFunc
 	// simulating: fn is between simStart and simEnd with a waiter still
 	// attached, i.e. this flight is counted in the group's running gauge.
@@ -74,11 +75,14 @@ func (g *flightGroup) uncount(c *flightCall) {
 
 // Do runs fn once per key at a time. The first caller (the leader) starts
 // fn on its own goroutine; every caller — leader included — waits for
-// either the result (shared reports whether another caller led the run)
-// or its own ctx, whichever comes first. A caller whose ctx fires gets
-// ctx.Err() and detaches; the flight keeps running for the remaining
-// waiters.
-func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) (val []byte, err error, shared bool) {
+// either the outcome or its own ctx, whichever comes first. A caller whose
+// ctx fires gets ctx.Err() and detaches; the flight keeps running for the
+// remaining waiters. Of the callers handed the outcome, exactly one — the
+// first, whether or not it led — gets claim true: its job accounts for
+// what the flight did, and every other one shared it. Claiming at hand-off
+// rather than at the start keeps a detached leader from being counted
+// twice, once as failed and once for the run it started.
+func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Context) (*freshRun, error)) (val *freshRun, err error, claim bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flightCall)
@@ -108,8 +112,10 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 	case <-c.done:
 		g.mu.Lock()
 		c.waiters--
+		claim = !c.claimed
+		c.claimed = true
 		g.mu.Unlock()
-		return c.val, c.err, found
+		return c.val, c.err, claim
 	case <-ctx.Done():
 		g.mu.Lock()
 		c.waiters--
