@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"gsi/internal/core"
+	"gsi/internal/cpu"
+	"gsi/internal/gpu"
 )
 
 // testScale keeps experiment tests fast while preserving the contention
@@ -355,6 +357,43 @@ func TestRunRejectsLocalWindowOutsideScratchpad(t *testing.T) {
 			_, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, NewImplicitWith(p, kind))
 			if err == nil || !strings.Contains(err.Error(), "outside the 16384-byte scratchpad") {
 				t.Errorf("%s: err = %v, want the local window rejected at launch", kind, err)
+			}
+		}()
+	}
+}
+
+// unbuilt wraps a workload and records whether Run got as far as building it.
+type unbuilt struct {
+	Workload
+	built bool
+}
+
+func (u *unbuilt) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
+	u.built = true
+	return u.Workload.Build(h)
+}
+
+// TestRunRejectsMeshLatencies: a negative link latency or a router latency
+// under one is a validation error from Run, before the mesh is built (noc.New
+// would panic) and before the workload is. A negative value used to wrap to
+// 2^64-1 and run UTS on a silently zero-latency mesh.
+func TestRunRejectsMeshLatencies(t *testing.T) {
+	for _, l := range []struct{ link, router int }{{-1, 1}, {1, -1}, {1, 0}} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("link %d, router %d: Run panicked: %v", l.link, l.router, r)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.LinkLat, cfg.RouterLat = l.link, l.router
+			w := &unbuilt{Workload: NewUTS(100)}
+			rep, err := Run(Options{System: cfg}, w)
+			if err == nil || !strings.Contains(err.Error(), "sim: invalid config") || rep != nil {
+				t.Errorf("link %d, router %d: Run = %v, %v; want a config error and no report", l.link, l.router, rep, err)
+			}
+			if w.built {
+				t.Errorf("link %d, router %d: the workload was built before the config was rejected", l.link, l.router)
 			}
 		}()
 	}

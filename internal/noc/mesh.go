@@ -5,15 +5,16 @@
 // reported latency ranges (L2 hit 29-61 cycles, remote L1 35-83, memory
 // 197-261) from single base parameters.
 //
-// A tick costs what the mesh carries, not what it spans: one live bit per
-// output queue, kept where messages are pushed and popped, and Tick visits
-// set bits only, in the router-by-router, port-by-port order a full walk
-// would take.
+// A tick costs what the mesh moves, not what it spans or holds: each occupied
+// output queue is marked in a due wheel at the exact cycle its head moves,
+// kept where messages are pushed and popped, and Tick visits only the queues
+// marked for its cycle, in the router-by-router, port-by-port order a full
+// walk would take. Every queue it visits moves a message.
 //
 // The mesh tells the engine when it next needs a tick through NextEvent: the
-// earliest cycle any buffered message can move, which is the earliest due
-// cycle among the queue heads. Tick and Send keep that minimum as they go,
-// so answering costs a compare.
+// earliest cycle any buffered message can move, which is the wheel's earliest
+// marked cycle. Tick and Send keep it as they go, so answering costs a
+// compare.
 //
 // The mesh is generic over what it carries: Mesh[P] copies a P by value into
 // each ring slot a message passes through and knows nothing else about it, so
@@ -94,11 +95,6 @@ func (q *outQueue[P]) grow() {
 	q.buf, q.head = buf, 0
 }
 
-// ready reports whether the head message is due by cycle.
-func (q *outQueue[P]) ready(cycle uint64) bool {
-	return q.n > 0 && q.buf[q.head].readyAt <= cycle
-}
-
 // pop removes the head message and returns it where it lies: the vacated slot
 // is intact until the next push into this queue. The queue must not be empty.
 func (q *outQueue[P]) pop() *msg[P] {
@@ -122,14 +118,18 @@ type Mesh[P any] struct {
 	linkLat   uint64
 	routerLat uint64
 	routers   []router[P]
-	// live has bit posOf(tile, dir) set iff that output queue holds a
-	// message.
-	live []uint64
-	// due is the earliest readyAt among the queue heads (noEvent when the
-	// mesh is empty): Tick recomputes it over the heads it visits, and a
-	// push that makes a new head folds that head in.
+	// wheel is mask+1 slots of words bitmap words. Bit posOf(tile, dir) of
+	// slot d&mask marks that queue's head as moving at cycle d; a nonempty
+	// queue has one mark in the wheel, an empty one none. A mark lies at most
+	// linkLat+routerLat <= mask cycles ahead, so no two share a slot.
+	wheel []uint64
+	words int
+	mask  uint64
+	// marks counts the marks in each slot.
+	marks []int
+	// due is the earliest marked cycle (noEvent when the mesh is empty).
 	due uint64
-	// queueVisits counts the live bits Tick has visited.
+	// queueVisits counts the queues Tick has visited.
 	queueVisits uint64
 	handler     Handler[P]
 	// arrived is the payload a Handler is lent. It lives here, not in a
@@ -152,18 +152,24 @@ type Stats struct {
 
 type coord struct{ x, y int32 }
 
-// New builds a w x h mesh. handler receives every delivered message.
+// New builds a w x h mesh. handler receives every delivered message. A router
+// takes a cycle or more, so no message moves in the tick that placed it.
 func New[P any](w, h, linkLat, routerLat int, handler Handler[P]) *Mesh[P] {
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("noc: invalid mesh %dx%d", w, h))
+	if w <= 0 || h <= 0 || linkLat < 0 || routerLat < 1 {
+		panic(fmt.Sprintf("noc: invalid mesh %dx%d, link %d + router %d cycles", w, h, linkLat, routerLat))
 	}
+	slots := 1 << bits.Len(uint(linkLat+routerLat)) // > linkLat+routerLat
+	words := (w*h<<posShift + 63) / 64
 	m := &Mesh[P]{
 		w: w, h: h,
 		linkLat:   uint64(linkLat),
 		routerLat: uint64(routerLat),
 		routers:   make([]router[P], w*h),
 		xy:        make([]coord, w*h),
-		live:      make([]uint64, (w*h<<posShift+63)/64),
+		wheel:     make([]uint64, slots*words),
+		words:     words,
+		mask:      uint64(slots - 1),
+		marks:     make([]int, slots),
 		due:       noEvent,
 		handler:   handler,
 	}
@@ -209,17 +215,24 @@ func (m *Mesh[P]) Send(cycle uint64, src, dst int, port Port, payload P) {
 	}
 }
 
-// route places a message in the proper output queue of tile's router and
-// marks the queue live. A message that lands in an empty queue is its new
-// head.
+// route places a message in the proper output queue of tile's router. A
+// message that lands in an empty queue is its new head, and marks the queue
+// at its readyAt.
 func (m *Mesh[P]) route(tile int, mg *msg[P]) {
 	dir := m.dirToward(tile, int(mg.dst))
 	q := &m.routers[tile].out[dir]
 	if q.n == 0 {
-		m.due = min(m.due, mg.readyAt)
+		m.mark(posOf(tile, dir), mg.readyAt)
 	}
 	q.push(mg)
-	m.setLive(posOf(tile, dir), true)
+}
+
+// mark records in the wheel that the queue at pos moves its head at cycle d.
+func (m *Mesh[P]) mark(pos int, d uint64) {
+	s := d & m.mask
+	m.wheel[int(s)*m.words+pos>>6] |= 1 << (pos & 63)
+	m.marks[s]++
+	m.due = min(m.due, d)
 }
 
 // dirToward returns the XY-routing output direction at tile for a message
@@ -239,23 +252,14 @@ func (m *Mesh[P]) dirToward(tile, dst int) int {
 	return dirLocal
 }
 
-// posOf is a queue's position in the live bitmap and within a tick: Tick
+// posOf is a queue's position in a wheel slot and within a tick: Tick
 // processes routers in index order and each router's output queues in
 // direction order, so events of the same cycle are ordered by (tile, dir). A
-// tile spans 1<<posShift positions (numDirs of them used) so that the
-// live-bit walk splits a position with a shift and a mask.
+// tile spans 1<<posShift positions (numDirs of them used) so that the slot
+// walk splits a position with a shift and a mask.
 func posOf(tile, dir int) int { return tile<<posShift | dir }
 
 const posShift = 3
-
-// setLive sets or clears the live bit at pos.
-func (m *Mesh[P]) setLive(pos int, on bool) {
-	if on {
-		m.live[pos>>6] |= 1 << (pos & 63)
-	} else {
-		m.live[pos>>6] &^= 1 << (pos & 63)
-	}
-}
 
 // neighbor returns the tile index one hop in dir from tile.
 func (m *Mesh[P]) neighbor(tile, dir int) int {
@@ -273,52 +277,58 @@ func (m *Mesh[P]) neighbor(tile, dir int) int {
 }
 
 // Tick advances every router by one cycle: each output port forwards at
-// most one ready message (link bandwidth), and each local port delivers at
-// most one ready message to its endpoint (ejection bandwidth). Only live
-// queues are visited, in ascending posOf order — the order a walk over every
-// router and port would take — and the head each one is left with is folded
-// into due. It reports whether any message remains buffered (the mesh sleeps
-// otherwise).
+// most one message (link bandwidth), and each local port delivers at most
+// one message to its endpoint (ejection bandwidth). It walks and clears this
+// cycle's wheel slot in ascending posOf order, the order a walk over every
+// router and port would take; every queue marked there is due, so each visit
+// moves a head, and every mark the walk makes is at cycle+1 or later. It
+// reports whether any message remains buffered (the mesh sleeps otherwise).
 func (m *Mesh[P]) Tick(cycle uint64) bool {
-	m.due = noEvent
-	for w := range m.live {
-		for word := m.live[w]; word != 0; {
-			b := bits.TrailingZeros64(word)
-			pos := w<<6 | b
+	if cycle > m.due {
+		panic(fmt.Sprintf("noc: Tick at cycle %d skipped the queues due at cycle %d", cycle, m.due))
+	}
+	s := cycle & m.mask
+	slot := m.wheel[int(s)*m.words:][:m.words]
+	n := m.marks[s]
+	m.marks[s] = 0
+	for w := 0; n > 0; w++ {
+		word := slot[w]
+		slot[w] = 0
+		n -= bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			pos := w<<6 | bits.TrailingZeros64(word)
 			tile, dir := pos>>posShift, pos&(1<<posShift-1)
 			m.queueVisits++
 			q := &m.routers[tile].out[dir]
-			if q.ready(cycle) {
-				mg := q.pop()
-				// The live bit is cleared before the message moves on, so
-				// a push the move triggers into this same queue sets it
-				// again.
-				if q.n == 0 {
-					m.setLive(pos, false)
-				}
-				if dir != dirLocal {
-					// Copied from the slot it just left into a neighbour's
-					// queue, never this one.
-					mg.hops++
-					mg.readyAt = cycle + m.linkLat + m.routerLat
-					m.route(m.neighbor(tile, dir), mg)
-				} else {
-					m.Stats.Messages++
-					m.Stats.Hops += uint64(mg.hops)
-					m.Stats.InFlight--
-					// The handler may send into this queue and reuse
-					// the slot, so it is lent a copy.
-					m.arrived = mg.payload
-					m.handler(cycle, tile, mg.port, &m.arrived)
-				}
-			}
+			mg := q.pop()
+			// The new head is marked before the message moves on: if the
+			// pop emptied the queue, a send the move triggers into it marks
+			// it itself, once.
 			if q.n > 0 {
-				m.due = min(m.due, q.buf[q.head].readyAt)
+				m.mark(pos, max(q.buf[q.head].readyAt, cycle+1))
 			}
-			// Re-read the word: a queue that went live mid-walk above
-			// this position (a hop into a later router, a handler's send)
-			// is visited this tick, as a full walk would.
-			word = m.live[w] &^ (uint64(2)<<b - 1)
+			if dir != dirLocal {
+				// Copied from the slot it just left into a neighbour's
+				// queue, never this one.
+				mg.hops++
+				mg.readyAt = cycle + m.linkLat + m.routerLat
+				m.route(m.neighbor(tile, dir), mg)
+			} else {
+				m.Stats.Messages++
+				m.Stats.Hops += uint64(mg.hops)
+				m.Stats.InFlight--
+				// The handler may send into this queue and reuse the
+				// slot, so it is lent a copy.
+				m.arrived = mg.payload
+				m.handler(cycle, tile, mg.port, &m.arrived)
+			}
+		}
+	}
+	m.due = noEvent
+	for d := cycle + 1; m.Stats.InFlight > 0 && d <= cycle+m.mask; d++ {
+		if m.marks[d&m.mask] > 0 {
+			m.due = d
+			break
 		}
 	}
 	return m.Stats.InFlight > 0
@@ -332,8 +342,8 @@ func (m *Mesh[P]) Quiesced() bool { return m.Stats.InFlight == 0 }
 const noEvent = ^uint64(0)
 
 // NextEvent implements the engine's NextEventer: the earliest cycle after now
-// at which any router can move a message — the earliest queue head (a message
-// behind a head cannot move before it), kept in due.
+// at which any router can move a message — the wheel's earliest mark (a
+// message behind a head cannot move before it), kept in due.
 func (m *Mesh[P]) NextEvent(now uint64) uint64 {
 	if m.due <= now {
 		return now + 1

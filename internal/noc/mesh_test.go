@@ -2,6 +2,8 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -30,32 +32,57 @@ func runCycles[P any](m *Mesh[P], from, n uint64) {
 	}
 }
 
-// liveBitsErr checks the invariants Tick and NextEvent rest on: a live bit is
-// set iff its output queue holds a message — no stale bit and no missing one
-// (a queue Tick never visits again) — and due is exactly the earliest head's
-// readyAt, so NextEvent is neither late nor needlessly early.
-func liveBitsErr[P any](m *Mesh[P]) error {
+// wheelErr checks the invariants Tick and NextEvent rest on, for a mesh whose
+// last Tick or Send was at cycle now: every nonempty queue is marked in
+// exactly one slot, at a cycle no earlier than its head's readyAt and at most
+// linkLat+routerLat ahead (so no two pending cycles share a slot); empty
+// queues and unused positions are unmarked (a stale mark would pop an empty
+// queue, a missing one would strand a message); each slot's count matches its
+// bits; and due is the earliest marked cycle, so NextEvent is neither late nor
+// needlessly early.
+func wheelErr[P any](m *Mesh[P], now uint64) error {
+	markedAt := map[int]uint64{} // pos -> the cycle its mark stands for
 	due := noEvent
-	for tile := range m.routers {
-		for dir := 0; dir < numDirs; dir++ {
-			pos := posOf(tile, dir)
-			live := m.live[pos>>6]>>(pos&63)&1 != 0
-			q := &m.routers[tile].out[dir]
-			if live != (q.n > 0) {
-				return fmt.Errorf("queue (%d,%d): live bit %v, %d buffered", tile, dir, live, q.n)
-			}
-			if q.n > 0 {
-				due = min(due, q.buf[q.head].readyAt)
+	for s := range m.marks {
+		// The one cycle in (now, now+slots] that slot s stands for.
+		d := now + 1 + (uint64(s)-now-1)&m.mask
+		n := 0
+		for w, word := range m.wheel[s*m.words : (s+1)*m.words] {
+			for ; word != 0; word &= word - 1 {
+				pos := w<<6 | bits.TrailingZeros64(word)
+				tile, dir := pos>>posShift, pos&(1<<posShift-1)
+				if tile >= len(m.routers) || dir >= numDirs {
+					return fmt.Errorf("slot %d marks unused position (%d,%d)", s, tile, dir)
+				}
+				if prev, ok := markedAt[pos]; ok {
+					return fmt.Errorf("queue (%d,%d) marked at cycles %d and %d", tile, dir, prev, d)
+				}
+				markedAt[pos] = d
+				due = min(due, d)
+				n++
 			}
 		}
-		for dir := numDirs; dir < 1<<posShift; dir++ {
-			if pos := posOf(tile, dir); m.live[pos>>6]>>(pos&63)&1 != 0 {
-				return fmt.Errorf("live bit set at unused position (%d,%d)", tile, dir)
+		if n != m.marks[s] {
+			return fmt.Errorf("slot %d holds %d marks, counted %d", s, n, m.marks[s])
+		}
+	}
+	for tile := range m.routers {
+		for dir := 0; dir < numDirs; dir++ {
+			q := &m.routers[tile].out[dir]
+			d, marked := markedAt[posOf(tile, dir)]
+			switch {
+			case marked != (q.n > 0):
+				return fmt.Errorf("queue (%d,%d): marked %v, %d buffered", tile, dir, marked, q.n)
+			case !marked:
+			case d < q.buf[q.head].readyAt:
+				return fmt.Errorf("queue (%d,%d) marked at %d, before its head's readyAt %d", tile, dir, d, q.buf[q.head].readyAt)
+			case d > now+m.linkLat+m.routerLat:
+				return fmt.Errorf("queue (%d,%d) marked at %d, more than %d+%d cycles after %d", tile, dir, d, m.linkLat, m.routerLat, now)
 			}
 		}
 	}
 	if m.due != due {
-		return fmt.Errorf("due = %d, earliest head %d", m.due, due)
+		return fmt.Errorf("due = %d, earliest mark %d", m.due, due)
 	}
 	return nil
 }
@@ -192,12 +219,12 @@ func replay(t *testing.T, linkLat, routerLat int, sched []sendEv, every bool) ([
 	for c := uint64(0); ; {
 		m.Tick(c)
 		ticks++
-		if err := liveBitsErr(m); err != nil {
+		if err := wheelErr(m, c); err != nil {
 			t.Fatalf("after Tick %d: %v", c, err)
 		}
 		for ; i < len(sched) && sched[i].cycle == c; i++ {
 			m.Send(c, sched[i].src, sched[i].dst, sched[i].port, i)
-			if err := liveBitsErr(m); err != nil {
+			if err := wheelErr(m, c); err != nil {
 				t.Fatalf("after Send %d at cycle %d: %v", i, c, err)
 			}
 		}
@@ -250,19 +277,31 @@ func checkNeverLate(t *testing.T, label string, linkLat, routerLat int, sched []
 // TestMeshNextEventNeverLate is the NextEvent contract itself: ticking a
 // mesh only at the cycles it names must change nothing observable — the
 // (cycle, tile, port, payload) delivery sequence and the traffic stats —
-// for randomized schedules of bursts and quiet gaps.
+// for randomized schedules of bursts and quiet gaps. The latency pairs sit
+// on every wheel-size boundary: a link+router of one below a power of two
+// fills its wheel ({0,1}, {2,1}: marks up to slots-1 cycles ahead plus the
+// slot being walked), one at a power of two starts the next size ({1,1},
+// {1,3}, {4,4}), and {3,2} lands between.
 func TestMeshNextEventNeverLate(t *testing.T) {
+	lats := []struct{ link, router, slots int }{
+		{0, 1, 2}, {1, 1, 4}, {2, 1, 4}, {1, 3, 8}, {3, 2, 8}, {4, 4, 16},
+	}
+	for _, l := range lats {
+		if got := len(New(1, 1, l.link, l.router, func(uint64, int, Port, *int) {}).marks); got != l.slots {
+			t.Fatalf("link %d + router %d: %d wheel slots, want %d", l.link, l.router, got, l.slots)
+		}
+	}
 	var dense, sparse int
-	for seed := 1; seed <= 40; seed++ {
+	for seed := 1; seed <= 48; seed++ {
 		rng := xorshift(uint64(seed) * 0x9E3779B97F4A7C15)
-		lat := [][2]int{{1, 1}, {2, 1}, {3, 2}}[seed%3]
+		lat := lats[seed%len(lats)]
 		var sched []sendEv
 		for c := uint64(0); len(sched) < 150; c += 1 + rng.next(25) {
 			for n := rng.next(6); n > 0; n-- {
 				sched = append(sched, sendEv{c, int(rng.next(16)), int(rng.next(16)), Port(rng.next(2))})
 			}
 		}
-		d, s := checkNeverLate(t, fmt.Sprintf("seed %d", seed), lat[0], lat[1], sched)
+		d, s := checkNeverLate(t, fmt.Sprintf("seed %d (link %d, router %d)", seed, lat.link, lat.router), lat.link, lat.router, sched)
 		dense, sparse = dense+d, sparse+s
 	}
 	// Vacuous unless the event-driven mesh actually slept.
@@ -334,8 +373,8 @@ func TestOutQueueRing(t *testing.T) {
 	pop := func(n int) {
 		t.Helper()
 		for ; n > 0; n-- {
-			if !q.ready(0) {
-				t.Fatalf("pop %d: queue not ready", popped)
+			if q.n == 0 {
+				t.Fatalf("pop %d: queue empty", popped)
 			}
 			if m := q.pop(); m.payload != popped || m.hops != int32(popped) {
 				t.Fatalf("pop %d = %+v", popped, *m)
@@ -368,19 +407,12 @@ func TestOutQueueRing(t *testing.T) {
 	check(16)
 	pop(13)
 	check(16)
-	if q.ready(0) {
-		t.Fatal("an empty ring is ready")
-	}
-	q.push(&msg[int]{readyAt: 5})
-	if q.ready(4) || !q.ready(5) {
-		t.Fatal("a message is ready from its readyAt on, not before")
-	}
 }
 
 // TestMeshTickCostIndependentOfSize: the same four messages, on the same
 // routes in the top-left corner, cost a 64x64 mesh exactly the queue visits
-// they cost a 4x4 one — Tick walks what is occupied, not what exists — and
-// arrive on the same cycles.
+// they cost a 4x4 one — Tick visits what moves, not what exists or waits —
+// and arrive on the same cycles.
 func TestMeshTickCostIndependentOfSize(t *testing.T) {
 	type result struct {
 		visits uint64
@@ -405,18 +437,16 @@ func TestMeshTickCostIndependentOfSize(t *testing.T) {
 		if !m.Quiesced() {
 			t.Fatalf("%dx%d mesh did not quiesce", side, side)
 		}
+		// Every visit moves a message one hop or delivers it.
+		if moved := m.Stats.Hops + m.Stats.Messages; m.queueVisits != moved {
+			t.Errorf("%dx%d: Tick visited %d queues to make %d moves", side, side, m.queueVisits, moved)
+		}
 		r.visits = m.queueVisits
 		return r
 	}
 	small, large := run(4), run(64)
 	if small.visits == 0 || small.visits != large.visits {
 		t.Errorf("Tick visited %d queues on 4x4 and %d on 64x64 for the same traffic", small.visits, large.visits)
-	}
-	// Four messages, at most 7 queues each, each queue visited on every
-	// tick its message waits there (two per hop): nowhere near the
-	// 80 x 40 positions a full walk of even the small mesh takes.
-	if small.visits > 4*7*2 {
-		t.Errorf("%d queue visits for four messages", small.visits)
 	}
 	if len(small.log) != 4 || len(large.log) != 4 {
 		t.Fatalf("delivered %d and %d of 4", len(small.log), len(large.log))
@@ -484,6 +514,64 @@ func TestMeshSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMeshTickVisitsOnlyWhatMoves: under saturatedMesh's steady traffic, with
+// queues several deep and deliveries answered from the handler, every queue a
+// tick visits moves a message one hop or delivers it. The visits therefore
+// equal the hops and deliveries made, the hops of messages still in flight
+// included.
+func TestMeshTickVisitsOnlyWhatMoves(t *testing.T) {
+	m, step := saturatedMesh()
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	var inFlightHops uint64
+	for tile := range m.routers {
+		for dir := range m.routers[tile].out {
+			q := &m.routers[tile].out[dir]
+			for i := 0; i < q.n; i++ {
+				inFlightHops += uint64(q.buf[(q.head+i)&(len(q.buf)-1)].hops)
+			}
+		}
+	}
+	moved := m.Stats.Hops + inFlightHops + m.Stats.Messages
+	if m.Stats.Messages == 0 || m.queueVisits != moved {
+		t.Fatalf("Tick visited %d queues to make %d moves (%d delivered with %d hops, %d hops in flight)",
+			m.queueVisits, moved, m.Stats.Messages, m.Stats.Hops, inFlightHops)
+	}
+}
+
+// TestMeshRejectsLatencies: a negative link latency, or a router that takes
+// no cycle, is a mesh the wheel cannot order (a message could move in the
+// tick that placed it), so New panics on it as it does on a bad size.
+func TestMeshRejectsLatencies(t *testing.T) {
+	for _, l := range [][2]int{{-1, 1}, {1, -1}, {1, 0}, {0, 0}} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "noc: invalid mesh") {
+					t.Errorf("New with link %d, router %d: recovered %v, want an invalid-mesh panic", l[0], l[1], r)
+				}
+			}()
+			New(2, 2, l[0], l[1], func(uint64, int, Port, *int) {})
+		}()
+	}
+}
+
+// TestMeshTickPastDuePanics: a tick later than the mesh's NextEvent would
+// pass over the wheel slot of the cycle it skipped and strand the queues
+// marked there. The NextEvent contract rules that out, so it panics, naming
+// both cycles.
+func TestMeshTickPastDuePanics(t *testing.T) {
+	m, _ := testMesh[int](2, 2)
+	m.Send(0, 0, 3, PortL2, 1) // its first hop is due at cycle 1
+	defer func() {
+		r := fmt.Sprint(recover())
+		if !strings.Contains(r, "cycle 2") || !strings.Contains(r, "cycle 1") {
+			t.Fatalf("Tick past due recovered %q, want a panic naming cycles 2 and 1", r)
+		}
+	}()
+	m.Tick(2)
+}
+
 // TestMeshAllDelivered: every injected message is eventually delivered to
 // its destination exactly once, for arbitrary traffic patterns.
 func TestMeshAllDelivered(t *testing.T) {
@@ -534,8 +622,9 @@ func BenchmarkMeshSaturated(b *testing.B) {
 }
 
 // BenchmarkMeshSparse: four messages in flight on a 64x64 mesh (a delivered
-// one is replaced at once), one op is one cycle. The cost is the occupied
-// queues', not the 4096 routers', and a hop allocates nothing.
+// one is replaced at once), one op is one cycle. The cost is the moving
+// queues', not the 4096 routers' or the waiting queues', and a hop allocates
+// nothing.
 func BenchmarkMeshSparse(b *testing.B) {
 	m := New(64, 64, 1, 1, func(uint64, int, Port, *wide) {})
 	rng := xorshift(1)

@@ -67,8 +67,9 @@ type Config struct {
 	// --- Interconnect ---
 
 	// MeshWidth x MeshHeight tiles, each hosting one core's L1 and one
-	// L2 bank. LinkLat is the per-hop link traversal latency and
-	// RouterLat the per-router pipeline latency.
+	// L2 bank. LinkLat is the per-hop link traversal latency (>= 0) and
+	// RouterLat the per-router pipeline latency (>= 1: a message never
+	// moves in the cycle it reaches a router).
 	MeshWidth  int
 	MeshHeight int
 	LinkLat    int
@@ -183,6 +184,8 @@ func (c Config) Validate() error {
 		{c.StoreBufEntries > 0, "StoreBufEntries must be positive"},
 		{c.ScratchSize > 0 && c.ScratchBanks > 0, "scratchpad geometry must be positive"},
 		{c.NumSMs+1 <= tiles, "mesh must have a tile per core (SMs + 1 CPU)"},
+		{c.LinkLat >= 0, "LinkLat must be >= 0"},
+		{c.RouterLat >= 1, "RouterLat must be >= 1"},
 		{c.MaxCycles > 0, "MaxCycles must be positive"},
 		{c.Engine <= EngineDense, "Engine must be EngineSkip, EngineQuiescent or EngineDense"},
 	}

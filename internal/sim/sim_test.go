@@ -262,6 +262,12 @@ func TestConfigValidation(t *testing.T) {
 		{"zero scratch", func(c *Config) { c.ScratchSize = 0 }},
 		{"too many cores for mesh", func(c *Config) { c.NumSMs = 16 }},
 		{"zero max cycles", func(c *Config) { c.MaxCycles = 0 }},
+		// A negative latency used to wrap to 2^64-1 and the sum to a
+		// zero-latency mesh; a zero router latency lets a message move in
+		// the tick that placed it.
+		{"negative link latency", func(c *Config) { c.LinkLat = -1 }},
+		{"negative router latency", func(c *Config) { c.RouterLat = -1 }},
+		{"zero router latency", func(c *Config) { c.RouterLat = 0 }},
 		// 3 was the deleted parallel engine's value: a stale caller gets
 		// an error, not a different engine.
 		{"unknown engine", func(c *Config) { c.Engine = EngineDense + 1 }},
