@@ -279,25 +279,12 @@ func main() {
 // printEngineStats prints one run's scheduling counters to stderr in a
 // uniform shape for all three engine modes — the dense loop simply reports
 // jumps=0 and naps=0 — so scripted consumers (including the CI
-// event-density gate) parse one format everywhere. The jump-width detail
-// line appears only when the run jumped.
+// event-density gate) parse one format everywhere. Each jump's width is on
+// the engine track of a -trace export.
 func printEngineStats(label string, st gsi.EngineStats) {
 	fmt.Fprintf(os.Stderr,
 		"engine stats [%s]: steps=%d visits=%d jumps=%d skipped=%d naps=%d napped-sm-cycles=%d\n",
 		label, st.Steps, st.Visits, st.Jumps, st.SkippedCycles, st.Naps, st.NappedSMCycles)
-	if st.Jumps > 0 {
-		var sb strings.Builder
-		for b, n := range st.JumpHist {
-			if n == 0 {
-				continue
-			}
-			if sb.Len() > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "2^%d:%d", b, n)
-		}
-		fmt.Fprintf(os.Stderr, "  jump widths [%s]: %s\n", label, sb.String())
-	}
 }
 
 // exportTrace writes one trace artifact, failing loudly on any I/O error:

@@ -309,14 +309,6 @@ type Trace = trace.Collector
 // it first.
 func NewTrace() *Trace { return trace.New() }
 
-// TimelineSnapshot re-exports the structured per-SM stall timeline
-// captured when Options.Timeline is set (bucketed per-kind cycle counts,
-// the data behind Report.Timeline's ASCII rendering).
-type TimelineSnapshot = core.TimelineSnapshot
-
-// TimelineColumn re-exports one time bucket of a TimelineSnapshot.
-type TimelineColumn = core.TimelineColumn
-
 // withDefaults fills in the zero value, preserving an engine-mode
 // selection made on an otherwise-zero System.
 func (o Options) withDefaults() Options {

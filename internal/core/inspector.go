@@ -70,20 +70,18 @@ type Inspector struct {
 	// charges stalls immediately to main memory instead of deferring;
 	// see DESIGN.md ablation 1.
 	EagerAttribution bool
-	// Timeline, when set, records a per-SM stall timeline alongside the
-	// counters (see NewTimeline).
-	Timeline *Timeline
-	// Trace, when set, receives the full classification stream (every
-	// recorded span with its sub-cause payload) plus load completions for
-	// deferred-attribution resolution. Nil by default; the hot path pays
-	// one pointer test.
-	Trace TraceSink
+	// Sinks receive the classification stream: every recorded span with
+	// its sub-cause payload, plus load completions for deferred-attribution
+	// resolution. Empty by default; the hot path pays one length test.
+	Sinks []TraceSink
 }
 
-// TraceSink receives the Inspector's classification stream for structured
-// trace export (implemented by trace.Collector; defined here so core stays
-// free of trace dependencies). Calls for one SM are always serialized by
-// the engine, matching the Inspector's own per-SM sharding contract.
+// TraceSink receives the Inspector's classification stream. The stall views
+// beyond the counters are sinks: the per-SM Timeline here and the
+// structured trace export (trace.Collector; the interface lives here so
+// core stays free of trace dependencies). Calls for one SM are always
+// serialized by the engine, matching the Inspector's own per-SM sharding
+// contract.
 type TraceSink interface {
 	// StallSpan reports n consecutive cycles of one classification on sm.
 	// Spans arrive in per-SM cycle order with no gaps, so a sink can
@@ -138,22 +136,20 @@ func (in *Inspector) Observe(sm int, warps []WarpObs) CycleClass {
 func (in *Inspector) RecordCycle(sm int, cc CycleClass) { in.RecordCycleSpan(sm, cc, 1) }
 
 // RecordCycleSpan records n consecutive cycles of one classification for an
-// SM in one call — exactly the counts, deferred-attribution accruals, and
-// timeline a dense loop would accumulate by recording the same CycleClass n
-// times in a row. It is the bulk-advance path for SM naps: when an SM
-// sleeps through a window in which its classification provably cannot
-// change, the whole window is credited here at once when the nap ends.
+// SM in one call — exactly the counts and deferred-attribution accruals a
+// dense loop would accumulate by recording the same CycleClass n times in a
+// row, passed to every sink as one span of n cycles. It is the bulk-advance
+// path for SM naps: when an SM sleeps through a window in which its
+// classification provably cannot change, the whole window is credited here
+// at once when the nap ends.
 func (in *Inspector) RecordCycleSpan(sm int, cc CycleClass, n uint64) {
 	if n == 0 {
 		return
 	}
 	c := &in.perSM[sm]
 	c.Cycles[cc.Kind] += n
-	if in.Timeline != nil {
-		in.Timeline.RecordSpan(sm, cc.Kind, n)
-	}
-	if in.Trace != nil {
-		in.Trace.StallSpan(sm, cc, n)
+	for _, s := range in.Sinks {
+		s.StallSpan(sm, cc, n)
 	}
 	switch cc.Kind {
 	case MemData:
@@ -213,10 +209,13 @@ func (in *Inspector) recordMemData(sm int, id LoadID, n uint64) {
 // is retired, not removed, so stalls charged to the load in the completion
 // cycle itself still resolve correctly; a later load reclaims its slot.
 func (in *Inspector) LoadCompleted(sm int, id LoadID, where DataWhere) {
-	if in.Trace != nil && id != 0 {
-		in.Trace.LoadResolved(sm, id, where)
+	if id == 0 {
+		return
 	}
-	if in.EagerAttribution || id == 0 {
+	for _, s := range in.Sinks {
+		s.LoadResolved(sm, id, where)
+	}
+	if in.EagerAttribution {
 		return
 	}
 	p, live := in.pending[sm].Find(id)

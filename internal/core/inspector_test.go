@@ -154,7 +154,8 @@ func TestCountsAdd(t *testing.T) {
 // though the bulk path records whole spans out of interleaving order.
 func TestIdleSpanMatchesPerCycle(t *testing.T) {
 	perCycle, bulk := NewInspector(2), NewInspector(2)
-	perCycle.Timeline, bulk.Timeline = NewTimeline(2, 8), NewTimeline(2, 8)
+	perCycleTL, bulkTL := NewTimeline(2, 8), NewTimeline(2, 8)
+	perCycle.Sinks, bulk.Sinks = []TraceSink{perCycleTL}, []TraceSink{bulkTL}
 
 	for i := 0; i < 3; i++ {
 		perCycle.Observe(0, []WarpObs{{Kind: NoStall}})
@@ -175,7 +176,7 @@ func TestIdleSpanMatchesPerCycle(t *testing.T) {
 			t.Errorf("SM%d counts diverge:\n%+v\nvs\n%+v", sm, *perCycle.SM(sm), *bulk.SM(sm))
 		}
 	}
-	if p, b := perCycle.Timeline.Render(), bulk.Timeline.Render(); p != b {
+	if p, b := perCycleTL.Render(), bulkTL.Render(); p != b {
 		t.Errorf("timelines diverge:\n--- per-cycle ---\n%s\n--- bulk ---\n%s", p, b)
 	}
 }

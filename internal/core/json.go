@@ -55,28 +55,6 @@ func (c *Counts) UnmarshalJSON(data []byte) error {
 	return unlabelMap(c.CompStruct[:], w.CompStruct, "compute unit", func(i int) string { return CompUnit(i).String() })
 }
 
-// MarshalJSON encodes the column as a labeled stall-kind map. An all-idle
-// or empty column encodes as {} rather than null, so decoded snapshots
-// compare deeply equal to the originals.
-func (tc TimelineColumn) MarshalJSON() ([]byte, error) {
-	m := labelMap(tc.Counts[:], func(i int) string { return StallKind(i).String() })
-	if m == nil {
-		m = map[string]uint64{}
-	}
-	return json.Marshal(m)
-}
-
-// UnmarshalJSON decodes a labeled stall-kind map back into the positional
-// array, rejecting unknown labels.
-func (tc *TimelineColumn) UnmarshalJSON(data []byte) error {
-	var m map[string]uint64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	*tc = TimelineColumn{}
-	return unlabelMap(tc.Counts[:], m, "stall kind", func(i int) string { return StallKind(i).String() })
-}
-
 // labelMap turns a positional bucket array into a label-keyed map of its
 // nonzero entries (nil if all zero, which omitempty then drops).
 func labelMap(vals []uint64, label func(i int) string) map[string]uint64 {

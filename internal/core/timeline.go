@@ -7,10 +7,11 @@ import (
 
 // Timeline records how each SM's cycle classification evolves over a run
 // and renders it as one character column per time bucket — the
-// "visualizing the causes of GPU stalls" half of GSI. It keeps a bounded
-// number of buckets by doubling the bucket width whenever a run outgrows
-// the current resolution (streaming downsample), so memory use is constant
-// regardless of run length.
+// "visualizing the causes of GPU stalls" half of GSI. It is a TraceSink:
+// append it to Inspector.Sinks and it folds the span stream into buckets.
+// It keeps a bounded number of buckets by doubling the bucket width
+// whenever a run outgrows the current resolution (streaming downsample), so
+// memory use is constant regardless of run length.
 type Timeline struct {
 	maxBuckets  int
 	bucketWidth uint64
@@ -39,18 +40,14 @@ func NewTimeline(numSMs, maxBuckets int) *Timeline {
 	}
 }
 
-// Record appends one classified cycle for an SM. Each SM's cycles must
-// arrive in per-SM order (one per simulation cycle), which is how the
-// Inspector drives it; SMs may progress at different rates, so a drained
-// SM's remaining idle cycles can be appended in bulk via RecordSpan without
-// changing the result.
-func (tl *Timeline) Record(sm int, kind StallKind) { tl.RecordSpan(sm, kind, 1) }
-
-// RecordSpan appends n consecutive cycles of one classification for an SM.
-// Buckets are aligned to absolute per-SM cycle index (bucket b covers
-// cycles [b*width, (b+1)*width)), so the final timeline depends only on
-// each SM's cycle sequence, not on how recording interleaves across SMs.
-func (tl *Timeline) RecordSpan(sm int, kind StallKind, n uint64) {
+// StallSpan implements TraceSink: it appends n consecutive cycles of cc's
+// kind for an SM. Each SM's spans arrive in per-SM cycle order, which is how
+// the Inspector drives its sinks. Buckets are aligned to absolute per-SM
+// cycle index (bucket b covers cycles [b*width, (b+1)*width)), so the final
+// timeline depends only on each SM's cycle sequence — not on how recording
+// interleaves across SMs, nor on whether a window arrived one cycle at a
+// time or as one span.
+func (tl *Timeline) StallSpan(sm int, cc CycleClass, n uint64) {
 	if n == 0 {
 		return
 	}
@@ -69,7 +66,7 @@ func (tl *Timeline) RecordSpan(sm int, kind StallKind, n uint64) {
 		if end > last {
 			end = last
 		}
-		s.buckets[b].counts[kind] += end - s.pos + 1
+		s.buckets[b].counts[cc.Kind] += end - s.pos + 1
 		s.pos = end + 1
 	}
 }
@@ -95,43 +92,9 @@ func (tl *Timeline) rescale() {
 	tl.bucketWidth *= 2
 }
 
-// BucketWidth returns the current cycles-per-column resolution.
-func (tl *Timeline) BucketWidth() uint64 { return tl.bucketWidth }
-
-// TimelineSnapshot is the structured form of a Timeline: the per-SM bucket
-// matrix with its resolution, suitable for JSON interchange (serve clients
-// plot it without the ASCII renderer). Columns marshal as labeled
-// stall-kind maps like Counts, so documents survive taxonomy reordering.
-type TimelineSnapshot struct {
-	// BucketWidth is the cycles-per-column resolution.
-	BucketWidth uint64 `json:"bucketWidth"`
-	// SMs holds one column list per SM; column b covers cycles
-	// [b*BucketWidth, (b+1)*BucketWidth).
-	SMs [][]TimelineColumn `json:"sms"`
-}
-
-// TimelineColumn is one time bucket of one SM: classified cycles by kind.
-type TimelineColumn struct {
-	// Counts is the bucket's cycle count per stall kind.
-	Counts [NumStallKinds]uint64
-}
-
-// Snapshot returns the timeline's current bucket matrix. The snapshot is a
-// deep copy; recording may continue afterwards.
-func (tl *Timeline) Snapshot() *TimelineSnapshot {
-	s := &TimelineSnapshot{
-		BucketWidth: tl.bucketWidth,
-		SMs:         make([][]TimelineColumn, len(tl.sms)),
-	}
-	for i := range tl.sms {
-		cols := make([]TimelineColumn, len(tl.sms[i].buckets))
-		for j, b := range tl.sms[i].buckets {
-			cols[j] = TimelineColumn{Counts: b.counts}
-		}
-		s.SMs[i] = cols
-	}
-	return s
-}
+// LoadResolved implements TraceSink. The timeline draws each span by its
+// top-level kind, which deferred attribution never changes.
+func (tl *Timeline) LoadResolved(int, LoadID, DataWhere) {}
 
 // timelineGlyphs maps each stall kind to its timeline character; idle
 // renders as blank so busy phases stand out.

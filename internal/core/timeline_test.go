@@ -8,8 +8,8 @@ import (
 func TestTimelineRecordsAndRenders(t *testing.T) {
 	tl := NewTimeline(2, 8)
 	for i := 0; i < 4; i++ {
-		tl.Record(0, NoStall)
-		tl.Record(1, Sync)
+		tl.StallSpan(0, CycleClass{Kind: NoStall}, 1)
+		tl.StallSpan(1, CycleClass{Kind: Sync}, 1)
 	}
 	out := tl.Render()
 	if !strings.Contains(out, "SM0") || !strings.Contains(out, "SM1") {
@@ -36,13 +36,13 @@ func TestTimelineRescales(t *testing.T) {
 		if i >= cycles/2 {
 			k = MemData
 		}
-		tl.Record(0, k)
+		tl.StallSpan(0, CycleClass{Kind: k}, 1)
 	}
 	if got := len(tl.sms[0].buckets); got > 8 {
 		t.Fatalf("buckets = %d, want <= 8", got)
 	}
-	if tl.BucketWidth() < cycles/8 {
-		t.Fatalf("bucket width %d too small for %d cycles", tl.BucketWidth(), cycles)
+	if tl.bucketWidth < cycles/8 {
+		t.Fatalf("bucket width %d too small for %d cycles", tl.bucketWidth, cycles)
 	}
 	// Total recorded cycles are conserved across rescales.
 	var total uint64
@@ -76,12 +76,18 @@ func TestTimelineDominant(t *testing.T) {
 	}
 }
 
+// TestInspectorDrivesTimeline: a timeline appended to the Inspector's sinks
+// draws what the Inspector records, including memory-data spans whose load
+// resolves later.
 func TestInspectorDrivesTimeline(t *testing.T) {
 	in := NewInspector(1)
-	in.Timeline = NewTimeline(1, 8)
+	tl := NewTimeline(1, 8)
+	in.Sinks = append(in.Sinks, tl)
 	in.Observe(0, []WarpObs{{Kind: Sync}})
+	in.Observe(0, []WarpObs{{Kind: MemData, PendingLoad: 3}})
+	in.LoadCompleted(0, 3, WhereL2)
 	in.Observe(0, nil)
-	if !strings.Contains(in.Timeline.Render(), ":") {
-		t.Fatal("inspector did not feed the timeline")
+	if out := tl.Render(); !strings.Contains(out, "|:o |") {
+		t.Fatalf("inspector did not feed the timeline:\n%s", out)
 	}
 }

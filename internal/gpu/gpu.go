@@ -7,7 +7,6 @@ import (
 	"gsi/internal/core"
 	"gsi/internal/mem"
 	"gsi/internal/sim"
-	"gsi/internal/trace"
 )
 
 // GPU is the full simulated device: the memory system, the SMs, and the
@@ -23,10 +22,10 @@ type GPU struct {
 	// not part of the Report: every engine mode produces identical Reports.
 	EngineStats sim.EngineStats
 
-	// Trace, when set before Run, observes the engine's clock jumps. The
-	// Inspector's classification stream is wired separately (set
-	// Insp.Trace). Tracing never changes results.
-	Trace *trace.Collector
+	// Observer, when set before Run, observes the engine's clock jumps. The
+	// Inspector's classification stream is wired separately (append to
+	// Insp.Sinks). Observation never changes results.
+	Observer sim.Observer
 
 	kernel     *Kernel
 	nextBlock  int
@@ -177,9 +176,7 @@ func (g *GPU) RunContext(ctx context.Context) (uint64, error) {
 	}
 	eng := sim.NewEngine()
 	eng.SetMode(g.Cfg.Engine)
-	if g.Trace != nil {
-		eng.SetObserver(g.Trace)
-	}
+	eng.SetObserver(g.Observer)
 	g.Sys.Attach(eng)
 	for i, sm := range g.SMs {
 		var c sim.Component = sm

@@ -47,7 +47,7 @@ func TestLSUTracksMatchMapModel(t *testing.T) {
 	sm := g.SMs[2]
 	l := sm.lsu
 	log := &resolveLog{}
-	g.Insp.Trace = log
+	g.Insp.Sinks = []core.TraceSink{log}
 
 	rng := rand.New(rand.NewSource(7))
 	warps := make([]*Warp, 8)

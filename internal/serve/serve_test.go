@@ -44,9 +44,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// assertBooksBalance is the serve layer's accounting invariant (ROADMAP
-// item 0), checked at the end of every test that boots a server: once all
-// accepted jobs have finished, each is claimed by exactly one outcome —
+// assertBooksBalance is the serve layer's accounting invariant, checked at
+// the end of every test that boots a server: once all accepted jobs have
+// finished, each is claimed by exactly one outcome —
 // served from the cache, shared from another job's in-flight run, simulated,
 // or failed (the failed counter includes canceled jobs, which /metrics also
 // counts on their own).

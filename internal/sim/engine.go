@@ -193,10 +193,6 @@ type EngineStats struct {
 	// SM naps whether or not the global clock jumps.
 	Naps           uint64 `json:"naps"`
 	NappedSMCycles uint64 `json:"nappedSMCycles"`
-	// JumpHist is the skip-jump size histogram: bucket i counts jumps of
-	// width [2^i, 2^(i+1)) cycles, with the last bucket absorbing
-	// anything wider. The bucket sum always equals Jumps.
-	JumpHist [JumpHistBuckets]uint64 `json:"jumpHist"`
 
 	// Deprecated: ExpressDeliveries counted express-routed mesh deliveries.
 	// Express routing is deleted; nothing writes or reads the field, it is
@@ -209,20 +205,6 @@ type EngineStats struct {
 	// routing. Always zero; same status and same follow-up as
 	// ExpressDeliveries.
 	ExpressDemotions uint64 `json:"-"`
-}
-
-// JumpHistBuckets is the number of power-of-two jump-width buckets in
-// EngineStats.JumpHist.
-const JumpHistBuckets = 16
-
-// jumpBucket returns the JumpHist bucket for a jump of the given width
-// (width >= 1: bucket floor(log2 width), capped at the last bucket).
-func jumpBucket(width uint64) int {
-	b := bits.Len64(width) - 1
-	if b >= JumpHistBuckets {
-		b = JumpHistBuckets - 1
-	}
-	return b
 }
 
 // Observer receives engine scheduling events for structured tracing
@@ -479,10 +461,8 @@ func (e *Engine) Step() {
 	// the watchdog or the stall detector ends there on the dense loop's cycle.
 	if e.mode == EngineSkip && e.activeCount == 0 && e.parkDue != NoEvent {
 		if target := min(e.parkDue, e.skipLimit); target > e.cycle {
-			width := target - e.cycle
 			e.stats.Jumps++
-			e.stats.SkippedCycles += width
-			e.stats.JumpHist[jumpBucket(width)]++
+			e.stats.SkippedCycles += target - e.cycle
 			if e.obs != nil {
 				e.obs.Jump(e.cycle, target)
 			}

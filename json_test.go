@@ -2,7 +2,6 @@ package gsi
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -101,55 +100,6 @@ func TestEngineStatsJSONOptIn(t *testing.T) {
 	}
 	if bare.EngineStats != (EngineStats{}) {
 		t.Errorf("plain document decoded non-zero EngineStats: %+v", bare.EngineStats)
-	}
-}
-
-// TestTimelineJSONOptIn pins the structured-timeline encoding decision,
-// mirroring the EngineStats opt-in: the default document carries only the
-// rendered ASCII timeline, IncludeTimeline mirrors the bucketed counts in
-// under the explicit "timelineData" field, and DecodeReport folds them
-// back so the opt-in round-trips exactly.
-func TestTimelineJSONOptIn(t *testing.T) {
-	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo, Timeline: true},
-		NewImplicit(Scratchpad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TimelineData == nil || len(rep.TimelineData.SMs) == 0 {
-		t.Fatal("timeline run captured no structured timeline; the opt-in test would be vacuous")
-	}
-	plain, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(plain), "timelineData") {
-		t.Error("default encoding leaks the structured timeline")
-	}
-	if !strings.Contains(string(plain), `"timeline"`) {
-		t.Error("default encoding lost the rendered timeline")
-	}
-	opted, err := rep.IncludeTimeline().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(opted), `"timelineData"`) {
-		t.Error("opted-in encoding missing the timelineData field")
-	}
-	back, err := DecodeReport(opted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.TimelineData == nil || !reflect.DeepEqual(back.TimelineData, rep.TimelineData) {
-		t.Errorf("TimelineData changed across the opt-in round trip:\n%+v\nvs\n%+v",
-			back.TimelineData, rep.TimelineData)
-	}
-	// A plain document must decode to a nil snapshot, not a stale one.
-	bare, err := DecodeReport(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.TimelineData != nil {
-		t.Errorf("plain document decoded a structured timeline: %+v", bare.TimelineData)
 	}
 }
 

@@ -34,19 +34,6 @@ type Report struct {
 	// Options.Timeline was set).
 	Timeline string `json:"timeline,omitempty"`
 
-	// TimelineData is the structured form of Timeline: the bucketed
-	// per-SM, per-kind cycle counts behind the ASCII rendering (nil unless
-	// Options.Timeline was set). Excluded from JSON by default so the
-	// default encoding stays exactly as before; opt in explicitly with
-	// IncludeTimeline, which mirrors it into TimelineJSON.
-	TimelineData *core.TimelineSnapshot `json:"-"`
-
-	// TimelineJSON is the explicit opt-in JSON carrier for TimelineData:
-	// nil (and therefore absent) by default, set by IncludeTimeline.
-	// DecodeReport folds a present block back into TimelineData, so the
-	// opt-in round-trips exactly.
-	TimelineJSON *core.TimelineSnapshot `json:"timelineData,omitempty"`
-
 	// EngineStats counts the scheduling work of the run (tick passes,
 	// component visits, skip-ahead jumps, skipped cycles, SM naps).
 	// Excluded from JSON by default: every engine mode
@@ -123,10 +110,6 @@ func newReport(workload string, opt Options, g *gpu.GPU, cycles uint64) *Report 
 		r.InstrsIssued += sm.InstrsIssued
 	}
 	r.EngineStats = g.EngineStats
-	if g.Insp.Timeline != nil {
-		r.Timeline = g.Insp.Timeline.Render()
-		r.TimelineData = g.Insp.Timeline.Snapshot()
-	}
 	return r
 }
 
@@ -237,22 +220,9 @@ func (r *Report) IncludeEngineStats() *Report {
 	return r
 }
 
-// IncludeTimeline opts this report's structured timeline data into its
-// JSON encoding by mirroring TimelineData into the TimelineJSON carrier;
-// it returns r for chaining. A no-op when the run did not record a
-// timeline (Options.Timeline unset).
-func (r *Report) IncludeTimeline() *Report {
-	if r.TimelineData != nil {
-		snap := *r.TimelineData
-		r.TimelineJSON = &snap
-	}
-	return r
-}
-
 // DecodeReport parses a document produced by Report.JSON, folding an
 // opted-in scheduling block (see IncludeEngineStats) back into
-// EngineStats — and an opted-in timeline block (see IncludeTimeline)
-// back into TimelineData — so the opt-ins round-trip exactly.
+// EngineStats, so the opt-in round-trips exactly.
 func DecodeReport(data []byte) (*Report, error) {
 	r := new(Report)
 	if err := json.Unmarshal(data, r); err != nil {
@@ -260,9 +230,6 @@ func DecodeReport(data []byte) (*Report, error) {
 	}
 	if r.Scheduling != nil {
 		r.EngineStats = *r.Scheduling
-	}
-	if r.TimelineJSON != nil {
-		r.TimelineData = r.TimelineJSON
 	}
 	return r, nil
 }

@@ -116,13 +116,15 @@ func RunContext(ctx context.Context, opt Options, w Workload) (*Report, error) {
 	}
 	g.Insp.StrongCycle = opt.StrongCycle
 	g.Insp.EagerAttribution = opt.EagerAttribution
+	var tl *core.Timeline
 	if opt.Timeline {
-		g.Insp.Timeline = core.NewTimeline(opt.System.NumSMs, 96)
+		tl = core.NewTimeline(opt.System.NumSMs, 96)
+		g.Insp.Sinks = append(g.Insp.Sinks, tl)
 	}
 	if opt.Trace != nil {
 		opt.Trace.Begin(opt.System.NumSMs)
-		g.Insp.Trace = opt.Trace
-		g.Trace = opt.Trace
+		g.Insp.Sinks = append(g.Insp.Sinks, opt.Trace)
+		g.Observer = opt.Trace
 	}
 	for _, cm := range g.Sys.Cores {
 		cm.SFIFO = opt.SFIFO
@@ -151,5 +153,9 @@ func RunContext(ctx context.Context, opt Options, w Workload) (*Report, error) {
 			return nil, fmt.Errorf("gsi: %s under %s failed verification: %w", w.Name(), opt.Protocol, err)
 		}
 	}
-	return newReport(w.Name(), opt, g, cycles), nil
+	r := newReport(w.Name(), opt, g, cycles)
+	if tl != nil {
+		r.Timeline = tl.Render()
+	}
+	return r, nil
 }
