@@ -19,11 +19,10 @@ func BenchmarkThroughput(b *testing.B) {
 		sys  SystemConfig
 		w    Workload
 	}{
-		{"utsd", DefaultConfig(), NewUTSDWith(UTSD{Seed: 0xC0FFEE, Nodes: 400, FrontierMin: 120,
-			Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})},
-		{"implicit", implicitSystem(32), NewImplicit(Scratchpad)},
-		{"bfs", DefaultConfig(), NewBFSWith(BFS{Seed: 0xB4B4, Vertices: 1200, AvgDeg: 4, Blocks: 15, WarpsPerBlock: 4})},
-		{"spmv", DefaultConfig(), NewSpMVWith(SpMV{Seed: 0x59A7, Rows: 1024, NnzPerRow: 8, Blocks: 15, WarpsPerBlock: 8})},
+		{"utsd", DefaultConfig(), mustBuild(b, "utsd", WorkloadValues{"nodes": "400", "work": "8"})},
+		{"implicit", implicitSystem(32), mustBuild(b, "implicit", nil)},
+		{"bfs", DefaultConfig(), mustBuild(b, "bfs", WorkloadValues{"vertices": "1200"})},
+		{"spmv", DefaultConfig(), mustBuild(b, "spmv", WorkloadValues{"rows": "1024"})},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var cycles uint64

@@ -123,74 +123,33 @@ func main() {
 		locals = parseLocals(*local)
 	}
 
-	// values merges the CLI overrides for one grid point (the local-memory
-	// axis feeds the implicit workload's "local" parameter).
-	values := func(ax gsi.Axes) gsi.WorkloadValues {
-		v := gsi.WorkloadValues{}
-		for k, val := range overrides {
-			v[k] = val
-		}
-		if ax.Workload == "implicit" && len(locals) > 0 {
-			v["local"] = localParam(ax.LocalMem)
-		}
-		return v
-	}
-	// Validate every workload × local-memory combination up front so a
-	// bad parameter fails before any simulation starts (the factory
-	// below runs on pool workers).
-	for _, n := range names {
-		e, _ := reg.Lookup(n)
-		points := []gsi.Axes{{Workload: n}}
-		if n == "implicit" && len(locals) > 0 {
-			points = points[:0]
-			for _, lm := range locals {
-				points = append(points, gsi.Axes{Workload: n, LocalMem: lm})
-			}
-		}
-		for _, ax := range points {
-			if _, err := e.Build(values(ax)); err != nil {
-				fail("%v", err)
-			}
-		}
-	}
-
 	grid := gsi.Grid{
 		Name:      "sweep",
 		Workloads: names,
 		Protocols: parseProtocols(*protocol),
 		MSHRSizes: parseInts(*mshr),
 		LocalMems: locals,
-		Workload: func(ax gsi.Axes) gsi.Workload {
-			e, _ := reg.Lookup(ax.Workload)
-			w, err := e.Build(values(ax))
-			if err != nil {
-				// Unreachable: every combination was validated above.
-				// Panic rather than exit — the sweep pool recovers a
-				// job panic into that job's error, preserving the
-				// partial-results path below.
-				panic(err)
-			}
-			return w
-		},
-		Options: func(ax gsi.Axes) gsi.Options {
-			e, _ := reg.Lookup(ax.Workload)
-			sys := gsi.DefaultConfig()
-			if cfg, err := e.TuneSystem(false, values(ax), sys); err == nil {
-				sys = cfg
-			}
-			if ax.MSHR > 0 {
-				sys.MSHREntries = ax.MSHR
-				sys.StoreBufEntries = ax.MSHR
-			}
-			if *sms > 0 {
-				sys.NumSMs = *sms
-			}
-			sys.Engine = mode
-			return gsi.Options{System: sys, Protocol: ax.Protocol,
-				SFIFO: *sfifo, OwnedAtomics: *owned, Timeline: *timeline}
-		},
+		Params:    overrides,
 	}
 	sweep := grid.Sweep()
+	for i := range sweep.Jobs {
+		j := &sweep.Jobs[i]
+		// Validate every point up front so a bad parameter fails before
+		// any simulation starts (the factories run on pool workers).
+		e, _ := reg.Lookup(j.Axes.Workload)
+		if _, err := e.Build(grid.PointParams(j.Axes)); err != nil {
+			fail("%v", err)
+		}
+		// The run-wide switches are not grid axes: set them on every
+		// job after expansion, keeping the labels to the axes above.
+		if *sms > 0 {
+			j.Options.System.NumSMs = *sms
+		}
+		j.Options.System.Engine = mode
+		j.Options.SFIFO = *sfifo
+		j.Options.OwnedAtomics = *owned
+		j.Options.Timeline = *timeline
+	}
 
 	// Tracing instruments exactly one simulation: a single collector
 	// shared across grid points would reset itself per run and race the
@@ -367,16 +326,6 @@ func parseParams(s string) map[string]string {
 		out[strings.ToLower(name)] = value
 	}
 	return out
-}
-
-func localParam(lm gsi.LocalMem) string {
-	switch lm {
-	case gsi.ScratchpadDMA:
-		return "dma"
-	case gsi.Stash:
-		return "stash"
-	}
-	return "scratchpad"
 }
 
 func parseProtocols(s string) []gsi.Protocol {

@@ -89,8 +89,7 @@ func diffLine(a, b []byte) (string, string) {
 // windows and idle tails were credited as one span per SM nap (the other
 // two engines), with or without global jumps on top.
 func TestEnginesIdenticalWithTimeline(t *testing.T) {
-	w := NewUTSDWith(UTSD{Seed: 0xC0FFEE, Nodes: 120, FrontierMin: 40,
-		Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
+	w := mustBuild(t, "utsd", WorkloadValues{"nodes": "120", "frontier": "40", "work": "8"})
 	run := func(mode EngineMode) *Report {
 		opt := Options{Protocol: DeNovo, Timeline: true}
 		opt.System = DefaultConfig()
@@ -126,8 +125,7 @@ func TestEnginesIdenticalWithTimeline(t *testing.T) {
 // sinks on the span stream at once: the rendered timeline in the report
 // must match the untraced dense one, and the collector must still fill.
 func TestEnginesByteIdenticalWithTrace(t *testing.T) {
-	w := NewUTSDWith(UTSD{Seed: 0xC0FFEE, Nodes: 120, FrontierMin: 40,
-		Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
+	w := mustBuild(t, "utsd", WorkloadValues{"nodes": "120", "frontier": "40", "work": "8"})
 	run := func(mode EngineMode, timeline bool, tr *Trace) []byte {
 		opt := Options{Protocol: DeNovo, Timeline: timeline, Trace: tr}
 		opt.System = DefaultConfig()
@@ -275,8 +273,8 @@ func latencyBoundSystem() SystemConfig {
 	return sys
 }
 
-func latencyBoundWorkload() Workload {
-	return NewImplicitWith(Implicit{Seed: 0xD17A, Warps: 1, DataBytes: 256 << 10, FMAs: 4, Rounds: 1}, Scratchpad)
+func latencyBoundWorkload(t testing.TB) Workload {
+	return mustBuild(t, "implicit", WorkloadValues{"warps": "1", "databytes": "262144", "rounds": "1"})
 }
 
 // TestSkipAheadActuallyJumps guards the point of the skip-ahead engine: on
@@ -285,7 +283,7 @@ func latencyBoundWorkload() Workload {
 // skip a substantial share of the simulated cycles — while producing the
 // exact same report the dense loop does (covered by the diff tests above).
 func TestSkipAheadActuallyJumps(t *testing.T) {
-	rep, err := Run(Options{System: latencyBoundSystem(), Protocol: DeNovo}, latencyBoundWorkload())
+	rep, err := Run(Options{System: latencyBoundSystem(), Protocol: DeNovo}, latencyBoundWorkload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +303,7 @@ func TestSkipAheadActuallyJumps(t *testing.T) {
 	// the dense loop produces the identical report.
 	sys := latencyBoundSystem()
 	sys.Engine = EngineDense
-	dense, err := Run(Options{System: sys, Protocol: DeNovo}, latencyBoundWorkload())
+	dense, err := Run(Options{System: sys, Protocol: DeNovo}, latencyBoundWorkload(t))
 	if err != nil {
 		t.Fatal(err)
 	}

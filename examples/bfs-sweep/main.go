@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
 
 	"gsi"
 	"gsi/internal/stats"
@@ -18,20 +19,19 @@ import (
 func main() {
 	degrees := []int{2, 4, 8}
 
-	var sweep gsi.Sweep
-	sweep.Name = "bfs density sweep"
+	// One registry grid per density: bfs at its default seed, 15 blocks
+	// and 4 warps per block, with the graph overridden. The jobs are
+	// relabeled by density and batched into one sweep.
+	sweep := gsi.Sweep{Name: "bfs density sweep"}
 	for _, deg := range degrees {
-		for _, proto := range []gsi.Protocol{gsi.GPUCoherence, gsi.DeNovo} {
-			deg, proto := deg, proto
-			sweep.Add(
-				fmt.Sprintf("deg=%d %s", deg, proto),
-				gsi.Options{Protocol: proto},
-				func() gsi.Workload {
-					p := gsi.BFS{Seed: 0xB4B4, Vertices: 1500, AvgDeg: deg,
-						Blocks: 15, WarpsPerBlock: 4}
-					return gsi.NewBFSWith(p)
-				},
-			)
+		grid := gsi.Grid{
+			Workloads: []string{"bfs"},
+			Protocols: []gsi.Protocol{gsi.GPUCoherence, gsi.DeNovo},
+			Params:    gsi.WorkloadValues{"vertices": "1500", "avgdeg": strconv.Itoa(deg)},
+		}
+		for _, job := range grid.Sweep().Jobs {
+			job.Label = fmt.Sprintf("deg=%d %s", deg, job.Options.Protocol)
+			sweep.Jobs = append(sweep.Jobs, job)
 		}
 	}
 
@@ -53,8 +53,8 @@ func main() {
 			pct(r.Counts.Cycles[gsi.Idle]))
 	}
 
-	// The registry drives the same workload by name — this is what both
-	// CLIs and the sweep Grid's Workloads axis use.
+	// The registry also builds one run directly by name — the entry a
+	// Grid's Workloads axis and both CLIs look up.
 	entry, _ := gsi.Workloads().Lookup("bfs")
 	w, err := entry.Build(gsi.WorkloadValues{"vertices": "1500", "avgdeg": "8"})
 	if err != nil {

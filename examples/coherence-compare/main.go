@@ -20,18 +20,19 @@ func main() {
 
 	sc := gsi.Scale{UTSNodes: *nodes, UTSDNodes: *nodes, FrontierMin: 120}
 
-	fmt.Println("--- UTS: one global task queue, one lock ---")
-	f61, err := gsi.Figure61(sc)
+	// Both figures run as one batch through the worker pool (Parallel 0
+	// = all cores); results are identical for any worker count.
+	sets, err := gsi.RunFigureSpecs(
+		[]gsi.FigureSpec{gsi.Figure61Spec(sc), gsi.Figure62Spec(sc)}, gsi.SweepConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	f61, f62 := sets[0], sets[1]
+
+	fmt.Println("--- UTS: one global task queue, one lock ---")
 	fmt.Print(f61.Render(64))
 
 	fmt.Println("--- UTSD: per-SM local queues + global overflow queue ---")
-	f62, err := gsi.Figure62(sc)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Print(f62.Render(64))
 
 	for i, p := range []gsi.Protocol{gsi.GPUCoherence, gsi.DeNovo} {

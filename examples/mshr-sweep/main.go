@@ -15,13 +15,15 @@ import (
 
 func main() {
 	sc := gsi.DefaultScale() // MSHR sizes 32 to 512
-	// Batch all twelve runs through the worker pool (Parallel 0 = all
-	// cores); results are identical to the serial gsi.Figure64.
-	sets, err := gsi.RunFigureSpecs(gsi.Figure64Specs(sc), gsi.SweepConfig{})
+	// Batch every run through the worker pool (Parallel 0 = all cores);
+	// results are identical for any worker count.
+	specs := gsi.Figure64Specs(sc)
+	sets, err := gsi.RunFigureSpecs(specs, gsi.SweepConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := gsi.Figure64Baseline(sets)
+	// Every size normalizes to baseline scratchpad at the first size.
+	base := gsi.RenderBases(specs, sets)[0]
 
 	fmt.Printf("%-8s %-16s %10s %10s %10s %12s\n",
 		"MSHR", "config", "exec", "MSHR-full", "pend. DMA", "mem data")

@@ -12,15 +12,21 @@ import (
 )
 
 func main() {
-	// ImplicitSystem is the Table 5.1 machine narrowed to case study
-	// 2's shape: one SM, a 32-warp block, 32-entry MSHR and store
-	// buffer.
-	cfg := gsi.ImplicitSystem(32)
+	// The registry names and sizes every workload. The implicit entry
+	// defaults to the baseline scratchpad, and its tuning hook narrows
+	// the Table 5.1 machine to case study 2's shape: one SM holding a
+	// 32-warp block.
+	entry, _ := gsi.Workloads().Lookup("implicit")
+	w, err := entry.Build(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg, err := entry.TuneSystem(false, nil, gsi.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	rep, err := gsi.Run(
-		gsi.Options{System: cfg, Protocol: gsi.DeNovo, Timeline: true},
-		gsi.NewImplicit(gsi.Scratchpad),
-	)
+	rep, err := gsi.Run(gsi.Options{System: cfg, Protocol: gsi.DeNovo, Timeline: true}, w)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	fs, err := gsi.Figure63()
+	fs, err := gsi.Figure63Spec().Run(gsi.SweepConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package gsi
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"gsi/internal/stats"
@@ -13,29 +14,32 @@ import (
 // stall sub-classification, (c) memory structural sub-classification),
 // with one bar per configuration.
 type FigureSet struct {
-	ID       string       `json:"id"`
-	Title    string       `json:"title"`
-	Baseline string       `json:"baseline"` // bar the paper normalizes to
-	Exec     *stats.Group `json:"exec"`
-	Data     *stats.Group `json:"data"`
-	Struct   *stats.Group `json:"struct"`
-	Reports  []*Report    `json:"reports"`
+	ID       string `json:"id"`
+	Title    string `json:"title"`
+	Baseline string `json:"baseline"` // bar the paper normalizes to
+	// BarBy says what names each report's bar: "" for its local-memory
+	// kind or protocol (the case studies), "workload" for its workload
+	// (the gallery). The decoder reads it, so bar names survive JSON.
+	BarBy   string       `json:"barBy,omitempty"`
+	Exec    *stats.Group `json:"exec"`
+	Data    *stats.Group `json:"data"`
+	Struct  *stats.Group `json:"struct"`
+	Reports []*Report    `json:"reports"`
 }
 
-// add folds one run into the three groups.
-func (fs *FigureSet) add(r *Report) { fs.addNamed(r, "") }
+// barByWorkload is the BarBy value that names bars by workload.
+const barByWorkload = "workload"
 
-// addNamed folds one run in with an explicit bar name ("" keeps the
-// report's default: local-memory kind or protocol).
-func (fs *FigureSet) addNamed(r *Report, bar string) {
+// add folds one run into the three groups, naming its bar as BarBy says.
+func (fs *FigureSet) add(r *Report) {
 	if fs.Exec == nil {
 		fs.Exec = stats.NewGroup(fs.ID+"a: execution time breakdown", r.ExecBreakdown().Labels)
 		fs.Data = stats.NewGroup(fs.ID+"b: memory data stall breakdown", r.MemDataBreakdown().Labels)
 		fs.Struct = stats.NewGroup(fs.ID+"c: memory structural stall breakdown", r.MemStructBreakdown().Labels)
 	}
 	rename := func(b stats.Breakdown) stats.Breakdown {
-		if bar != "" {
-			b.Name = bar
+		if fs.BarBy == barByWorkload {
+			b.Name = r.Workload
 		}
 		return b
 	}
@@ -133,8 +137,7 @@ func SmallScale() Scale {
 
 // FigureSpec is one reproduced figure declared as a sweep: run the jobs,
 // fold each report into a FigureSet. The specs let the CLI batch every
-// requested figure through one worker pool; the FigureXX wrappers keep the
-// original serial API.
+// requested figure through one worker pool; Run executes one spec alone.
 type FigureSpec struct {
 	ID       string
 	Title    string
@@ -144,11 +147,9 @@ type FigureSpec struct {
 	// the group's first set (figure 6.4 normalizes all MSHR sizes to the
 	// smallest size's scratchpad bar). Empty means self-normalized.
 	BaselineGroup string
-	// BarName, when non-nil, names the bar each job's report contributes
-	// (the workload gallery names bars by workload; the default is the
-	// report's local-memory kind or protocol).
-	BarName func(r *Report) string
-	Sweep   Sweep
+	// BarBy is copied to the FigureSet: what names each job's bar.
+	BarBy string
+	Sweep Sweep
 }
 
 // RenderBases returns the normalization denominator for each set produced
@@ -217,13 +218,9 @@ func RunFigureSpecsContext(ctx context.Context, specs []FigureSpec, cfg SweepCon
 	out := make([]*FigureSet, len(specs))
 	i := 0
 	for si, sp := range specs {
-		fs := &FigureSet{ID: sp.ID, Title: sp.Title, Baseline: sp.Baseline}
+		fs := &FigureSet{ID: sp.ID, Title: sp.Title, Baseline: sp.Baseline, BarBy: sp.BarBy}
 		for range sp.Sweep.Jobs {
-			bar := ""
-			if sp.BarName != nil {
-				bar = sp.BarName(results[i].Report)
-			}
-			fs.addNamed(results[i].Report, bar)
+			fs.add(results[i].Report)
 			i++
 		}
 		out[si] = fs
@@ -231,92 +228,50 @@ func RunFigureSpecsContext(ctx context.Context, specs []FigureSpec, cfg SweepCon
 	return out, nil
 }
 
-// Figure61Spec declares figure 6.1: UTS under GPU coherence vs DeNovo.
+// treeGrid is case study 1's grid: one tree search under both protocols,
+// hashing 8 times per node (the registry default is 16).
+func treeGrid(name, workload string, nodes, frontier int) Grid {
+	return Grid{
+		Name:      name,
+		Workloads: []string{workload},
+		Protocols: []Protocol{GPUCoherence, DeNovo},
+		Params: WorkloadValues{"nodes": strconv.Itoa(nodes),
+			"frontier": strconv.Itoa(frontier), "work": "8"},
+	}
+}
+
+// Figure61Spec declares figure 6.1: UTS under GPU coherence vs DeNovo
+// (execution dominated by synchronization stalls; remote-L1 data stalls
+// and pending-release structural stalls appear under DeNovo).
 func Figure61Spec(sc Scale) FigureSpec {
 	return FigureSpec{
 		ID: "6.1", Title: "UTS, GPU coherence vs DeNovo", Baseline: GPUCoherence.String(),
-		Sweep: Grid{
-			Name:      "figure 6.1",
-			Protocols: []Protocol{GPUCoherence, DeNovo},
-			Workload: func(ax Axes) Workload {
-				return NewUTSWith(UTS{Seed: 0xC0FFEE, Nodes: sc.UTSNodes, FrontierMin: sc.FrontierMin,
-					Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4})
-			},
-		}.Sweep(),
+		Sweep: treeGrid("figure 6.1", "uts", sc.UTSNodes, sc.FrontierMin).Sweep(),
 	}
 }
 
-// Figure61 reproduces figure 6.1: UTS under GPU coherence vs DeNovo
-// (execution dominated by synchronization stalls; remote-L1 data stalls and
-// pending-release structural stalls appear under DeNovo).
-func Figure61(sc Scale) (*FigureSet, error) {
-	return Figure61Spec(sc).Run(SweepConfig{Parallel: 1})
-}
-
-// Figure62Spec declares figure 6.2: UTSD under both protocols.
+// Figure62Spec declares figure 6.2: UTSD under both protocols (DeNovo
+// cuts memory data stalls via the L2 component and memory structural
+// stalls via pending release).
 func Figure62Spec(sc Scale) FigureSpec {
 	return FigureSpec{
 		ID: "6.2", Title: "UTSD, GPU coherence vs DeNovo", Baseline: GPUCoherence.String(),
-		Sweep: Grid{
-			Name:      "figure 6.2",
-			Protocols: []Protocol{GPUCoherence, DeNovo},
-			Workload: func(ax Axes) Workload {
-				return NewUTSDWith(UTSD{Seed: 0xC0FFEE, Nodes: sc.UTSDNodes, FrontierMin: sc.FrontierMin,
-					Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
-			},
-		}.Sweep(),
+		Sweep: treeGrid("figure 6.2", "utsd", sc.UTSDNodes, sc.FrontierMin).Sweep(),
 	}
 }
 
-// Figure62 reproduces figure 6.2: UTSD under both protocols (DeNovo cuts
-// memory data stalls via the L2 component and memory structural stalls via
-// pending release).
-func Figure62(sc Scale) (*FigureSet, error) {
-	return Figure62Spec(sc).Run(SweepConfig{Parallel: 1})
-}
-
-// ImplicitSystem returns the case-study-2 system: one SM with a 32-warp
-// thread block (the paper's microbenchmark uses a single GPU core) and the
-// given MSHR size; the store buffer scales with the MSHR as in the figure
-// 6.4 sweep.
-func ImplicitSystem(mshr int) SystemConfig { return implicitSystem(mshr) }
-
-// implicitSystem is the case-study-2 system: one SM (the paper's
-// microbenchmark uses a single GPU core).
-func implicitSystem(mshr int) SystemConfig {
-	cfg := DefaultConfig()
-	cfg.NumSMs = 1
-	cfg.WarpsPerSM = 32
-	cfg.MSHREntries = mshr
-	// The sweep scales the store buffer with the MSHR "to prevent store
-	// buffer stalls from becoming the new bottleneck" (section 6.2.4).
-	cfg.StoreBufEntries = mshr
-	return cfg
-}
+// caseStudy2Locals is case study 2's local-memory axis, in bar order.
+var caseStudy2Locals = []LocalMem{Scratchpad, ScratchpadDMA, Stash}
 
 // Figure63Spec declares figure 6.3: the implicit microbenchmark on baseline
-// scratchpad, scratchpad+DMA, and stash (all under DeNovo, 32-entry MSHR).
+// scratchpad, scratchpad+DMA, and stash (all under DeNovo, 32-entry MSHR,
+// on the registry entry's one-SM, 32-warp machine).
 func Figure63Spec() FigureSpec {
 	return FigureSpec{
 		ID: "6.3", Title: "implicit microbenchmark, local-memory organizations",
 		Baseline: Scratchpad.String(),
-		Sweep:    implicitGrid("figure 6.3", 32).Sweep(),
-	}
-}
-
-// Figure63 reproduces figure 6.3 serially through its spec.
-func Figure63() (*FigureSet, error) {
-	return Figure63Spec().Run(SweepConfig{Parallel: 1})
-}
-
-// implicitGrid is the case-study-2 grid at one MSHR size: all three
-// local-memory organizations under DeNovo on the single-SM system.
-func implicitGrid(name string, mshr int) Grid {
-	return Grid{
-		Name:      name,
-		LocalMems: []LocalMem{Scratchpad, ScratchpadDMA, Stash},
-		System:    implicitSystem(mshr),
-		Workload:  func(ax Axes) Workload { return NewImplicit(ax.LocalMem) },
+		Sweep: Grid{Name: "figure 6.3", Workloads: []string{"implicit"},
+			LocalMems: caseStudy2Locals}.Sweep(),
 	}
 }
 
@@ -326,67 +281,43 @@ func implicitGrid(name string, mshr int) Grid {
 // not a paper figure — it is the cross-application comparison GSI's
 // methodology exists for, extended to the stall sources the original
 // suite does not reach (frontier atomics, indirect gathers, bursty idle
-// phases, MSHR/coalescer pressure). Worker populations shrink with the
-// scale so the SmallScale gallery stays cheap for the test suites.
+// phases, MSHR/coalescer pressure). Each workload takes its size from
+// the Scale; a small Scale (under 1000 BFS vertices) also takes each
+// entry's small-scale worker populations, so the SmallScale gallery stays
+// cheap for the test suites.
 func WorkloadGallerySpec(sc Scale) FigureSpec {
 	small := sc.BFSVertices < 1000
-	bfs := BFS{Seed: 0xB4B4, Vertices: sc.BFSVertices, AvgDeg: 4, Blocks: 15, WarpsPerBlock: 4}
-	spmv := SpMV{Seed: 0x59A7, Rows: sc.SpMVRows, NnzPerRow: 8, Blocks: 15, WarpsPerBlock: 8}
-	pipe := Pipeline{Seed: 0x9199, Rounds: sc.PipelineRounds, Chase: 64, Work: 24,
-		Producers: 1, Consumers: 1, PermWords: 4096}
-	gups := GUPS{Seed: 0x6095, Updates: sc.GUPSUpdates, WindowsPerWarp: 32,
-		Blocks: 15, WarpsPerBlock: 4}
-	if small {
-		bfs.Blocks, bfs.WarpsPerBlock = 4, 2
-		spmv.Blocks, spmv.WarpsPerBlock = 8, 4
-		pipe.Chase, pipe.Work, pipe.PermWords = 24, 12, 1024
-		gups.WindowsPerWarp, gups.Blocks = 8, 4
+	sweep := Sweep{Name: "workload gallery"}
+	for _, w := range []struct {
+		name, param string
+		size        int
+	}{
+		{"bfs", "vertices", sc.BFSVertices},
+		{"spmv", "rows", sc.SpMVRows},
+		{"pipeline", "rounds", sc.PipelineRounds},
+		{"gups", "updates", sc.GUPSUpdates},
+	} {
+		params := WorkloadValues{}
+		if small {
+			e, _ := Workloads().Lookup(w.name)
+			for k, v := range e.Small {
+				params[k] = v
+			}
+		}
+		params[w.param] = strconv.Itoa(w.size)
+		grid := Grid{Workloads: []string{w.name}, Params: params}
+		sweep.Jobs = append(sweep.Jobs, grid.Sweep().Jobs...)
 	}
 	return FigureSpec{
 		ID: "W", Title: "sparse/bursty workload gallery", Baseline: "BFS",
-		BarName: func(r *Report) string { return r.Workload },
-		Sweep: Grid{
-			Name:      "workload gallery",
-			Workloads: []string{"bfs", "spmv", "pipeline", "gups"},
-			Workload: func(ax Axes) Workload {
-				switch ax.Workload {
-				case "bfs":
-					return NewBFSWith(bfs)
-				case "spmv":
-					return NewSpMVWith(spmv)
-				case "pipeline":
-					return NewPipelineWith(pipe)
-				default:
-					return NewGUPSWith(gups)
-				}
-			},
-			// No Options func: the default grid mapping applies each
-			// registry entry's system-shaping hook, which is what puts
-			// the pipeline point on its single-SM machine.
-		}.Sweep(),
+		BarBy: barByWorkload, Sweep: sweep,
 	}
-}
-
-// WorkloadGallery runs the gallery serially through its spec.
-func WorkloadGallery(sc Scale) (*FigureSet, error) {
-	return WorkloadGallerySpec(sc).Run(SweepConfig{Parallel: 1})
-}
-
-// PipelineSystem returns the pipeline workload's machine: the default
-// system narrowed to one SM, so the idle stage's warps are the only other
-// residents and the bursty phases are pure waits. It matches the registry
-// entry's tuning for pipelines of up to WarpsPerSM total warps; larger
-// stage populations should go through the registry's TuneSystem, which
-// also widens WarpsPerSM to fit producers+consumers.
-func PipelineSystem() SystemConfig {
-	cfg := DefaultConfig()
-	cfg.NumSMs = 1
-	return cfg
 }
 
 // Figure64Specs declares figure 6.4 (the MSHR sensitivity sweep) as one
 // spec per MSHR size: each FigureSet groups the three local-memory bars at
-// that size, the paper's presentation.
+// that size, the paper's presentation. Every set normalizes to baseline
+// scratchpad at the first size (see RenderBases).
 func Figure64Specs(sc Scale) []FigureSpec {
 	specs := make([]FigureSpec, len(sc.MSHRSizes))
 	for i, mshr := range sc.MSHRSizes {
@@ -395,29 +326,10 @@ func Figure64Specs(sc Scale) []FigureSpec {
 			Title:         fmt.Sprintf("implicit, %d-entry MSHR", mshr),
 			Baseline:      Scratchpad.String(),
 			BaselineGroup: "6.4",
-			Sweep:         implicitGrid(fmt.Sprintf("figure 6.4 (mshr=%d)", mshr), mshr).Sweep(),
+			Sweep: Grid{Name: fmt.Sprintf("figure 6.4 (mshr=%d)", mshr),
+				Workloads: []string{"implicit"}, MSHRSizes: []int{mshr},
+				LocalMems: caseStudy2Locals}.Sweep(),
 		}
 	}
 	return specs
-}
-
-// Figure64 reproduces figure 6.4: the MSHR sensitivity sweep. One FigureSet
-// per MSHR size; normalize every set with Figure64Baseline (baseline
-// scratchpad at the smallest MSHR), the paper's convention.
-func Figure64(sc Scale) ([]*FigureSet, error) {
-	return RunFigureSpecs(Figure64Specs(sc), SweepConfig{Parallel: 1})
-}
-
-// Figure64Baseline returns the common denominator (baseline scratchpad,
-// first MSHR size) for normalizing a Figure64 sweep.
-func Figure64Baseline(sets []*FigureSet) float64 {
-	if len(sets) == 0 {
-		return 0
-	}
-	for _, b := range sets[0].Exec.Bars {
-		if b.Name == Scratchpad.String() {
-			return b.Total()
-		}
-	}
-	return 0
 }

@@ -25,7 +25,7 @@ func frac(r *Report, k core.StallKind) float64 {
 // ownership signatures (remote-L1 data stalls, pending-release structural
 // stalls) appear in the sub-breakdowns.
 func TestFigure61Shape(t *testing.T) {
-	fs, err := Figure61(testScale())
+	fs, err := Figure61Spec(testScale()).Run(SweepConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFigure61Shape(t *testing.T) {
 // memory structural stalls (driven by pending release); the main-memory
 // data component does not improve.
 func TestFigure62Shape(t *testing.T) {
-	fs, err := Figure62(testScale())
+	fs, err := Figure62Spec(testScale()).Run(SweepConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,11 @@ func TestFigure62Shape(t *testing.T) {
 // 6.1.4 (paper: 91% GPU coherence, 94% DeNovo).
 func TestUTSDReducesExecutionVsUTS(t *testing.T) {
 	sc := testScale()
-	f61, err := Figure61(sc)
+	sets, err := RunFigureSpecs([]FigureSpec{Figure61Spec(sc), Figure62Spec(sc)}, SweepConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f62, err := Figure62(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f61, f62 := sets[0], sets[1]
 	for i, p := range []Protocol{GPUCoherence, DeNovo} {
 		uts := f61.Reports[i].Cycles
 		utsd := f62.Reports[i].Cycles
@@ -130,7 +127,7 @@ func TestUTSDReducesExecutionVsUTS(t *testing.T) {
 // reduce "no stall" cycles (fewer data-movement instructions) and increase
 // memory structural stalls; pending-DMA stalls appear only under DMA.
 func TestFigure63Shape(t *testing.T) {
-	fs, err := Figure63()
+	fs, err := Figure63Spec().Run(SweepConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,7 @@ func TestFigure63Shape(t *testing.T) {
 // stores), grows pending-DMA stalls for scratchpad+DMA, and improves
 // execution time for every configuration.
 func TestFigure64Shape(t *testing.T) {
-	sets, err := Figure64(testScale())
+	sets, err := RunFigureSpecs(Figure64Specs(testScale()), SweepConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +241,13 @@ func TestCalibrationWithinPaperBands(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	opts := Options{Protocol: DeNovo}
-	w := UTSD{Seed: 1, Nodes: 120, FrontierMin: 40, Blocks: 15, WarpsPerBlock: 4,
-		Work: 4, FMAs: 2, LQCap: 128}
-	r1, err := Run(opts, NewUTSDWith(w))
+	w := WorkloadValues{"seed": "1", "nodes": "120", "frontier": "40", "warps": "4",
+		"work": "4", "fmas": "2"}
+	r1, err := Run(opts, mustBuild(t, "utsd", w))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(opts, NewUTSDWith(w))
+	r2, err := Run(opts, mustBuild(t, "utsd", w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +259,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestAblationSFIFO(t *testing.T) {
 	// The paper's section 6.1.4 suggestion: an S-FIFO keeps memory
 	// requests issuing during releases, removing pending-release stalls.
-	w := NewUTSDWith(UTSD{Seed: 1, Nodes: 200, FrontierMin: 60, Blocks: 15,
-		WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
+	w := mustBuild(t, "utsd", WorkloadValues{"seed": "1", "nodes": "200", "frontier": "60", "work": "8"})
 	baseRep, err := Run(Options{Protocol: GPUCoherence}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +276,7 @@ func TestAblationSFIFO(t *testing.T) {
 }
 
 func TestAblationStrongCycle(t *testing.T) {
-	w := NewImplicit(Scratchpad)
+	w := mustBuild(t, "implicit", nil)
 	sys := implicitSystem(32)
 	weak, err := Run(Options{System: sys, Protocol: DeNovo}, w)
 	if err != nil {
@@ -305,8 +301,7 @@ func TestAblationEagerAttribution(t *testing.T) {
 	// UTSD exercises every service level (L1 reuse, L2 queue lines,
 	// cold metadata from memory), which is exactly what the deferred
 	// scheme can distinguish and the eager one cannot.
-	w := NewUTSDWith(UTSD{Seed: 1, Nodes: 200, FrontierMin: 60, Blocks: 15,
-		WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
+	w := mustBuild(t, "utsd", WorkloadValues{"seed": "1", "nodes": "200", "frontier": "60", "work": "8"})
 	deferred, err := Run(Options{Protocol: GPUCoherence}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +331,7 @@ func TestAblationEagerAttribution(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	bad := DefaultConfig()
 	bad.MSHREntries = 0
-	if _, err := Run(Options{System: bad}, NewImplicit(Scratchpad)); err == nil {
+	if _, err := Run(Options{System: bad}, mustBuild(t, "implicit", nil)); err == nil {
 		t.Error("invalid system config accepted")
 	}
 }
@@ -345,16 +340,15 @@ func TestOptionsValidation(t *testing.T) {
 // 16 KB scratchpad is a configuration error returned by Run, under every
 // local-memory organization, not a panic on the first access past the end.
 func TestRunRejectsLocalWindowOutsideScratchpad(t *testing.T) {
-	p := DefaultImplicit()
-	p.DataBytes = 32 << 10
 	for _, kind := range []LocalMem{Scratchpad, ScratchpadDMA, Stash} {
+		w := mustBuild(t, "implicit", WorkloadValues{"local": kind.Param(), "databytes": "32768"})
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Errorf("%s: Run panicked: %v", kind, r)
 				}
 			}()
-			_, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, NewImplicitWith(p, kind))
+			_, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, w)
 			if err == nil || !strings.Contains(err.Error(), "outside the 16384-byte scratchpad") {
 				t.Errorf("%s: err = %v, want the local window rejected at launch", kind, err)
 			}
@@ -387,7 +381,7 @@ func TestRunRejectsMeshLatencies(t *testing.T) {
 			}()
 			cfg := DefaultConfig()
 			cfg.LinkLat, cfg.RouterLat = l.link, l.router
-			w := &unbuilt{Workload: NewUTS(100)}
+			w := &unbuilt{Workload: mustBuild(t, "uts", WorkloadValues{"nodes": "100", "frontier": "64"})}
 			rep, err := Run(Options{System: cfg}, w)
 			if err == nil || !strings.Contains(err.Error(), "sim: invalid config") || rep != nil {
 				t.Errorf("link %d, router %d: Run = %v, %v; want a config error and no report", l.link, l.router, rep, err)
@@ -400,7 +394,8 @@ func TestRunRejectsMeshLatencies(t *testing.T) {
 }
 
 func TestReportBreakdownConsistency(t *testing.T) {
-	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, NewImplicit(Stash))
+	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo},
+		mustBuild(t, "implicit", WorkloadValues{"local": "stash"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +418,7 @@ func TestReportBreakdownConsistency(t *testing.T) {
 // suggestion: owned atomics make repeat synchronization to the same line
 // local, cutting sync stalls in the lock-bound UTSD.
 func TestAblationOwnedAtomics(t *testing.T) {
-	w := NewUTSDWith(UTSD{Seed: 1, Nodes: 200, FrontierMin: 60, Blocks: 15,
-		WarpsPerBlock: 8, Work: 8, FMAs: 4, LQCap: 128})
+	w := mustBuild(t, "utsd", WorkloadValues{"seed": "1", "nodes": "200", "frontier": "60", "work": "8"})
 	base, err := Run(Options{Protocol: DeNovo}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +442,7 @@ func TestAblationOwnedAtomics(t *testing.T) {
 
 func TestTimelineOption(t *testing.T) {
 	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo, Timeline: true},
-		NewImplicit(ScratchpadDMA))
+		mustBuild(t, "implicit", WorkloadValues{"local": "dma"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,8 +457,8 @@ func TestTimelineOption(t *testing.T) {
 
 func TestReportPerSMAndComputeBreakdowns(t *testing.T) {
 	rep, err := Run(Options{Protocol: DeNovo},
-		NewUTSDWith(UTSD{Seed: 2, Nodes: 150, FrontierMin: 40, Blocks: 15,
-			WarpsPerBlock: 4, Work: 8, FMAs: 2, LQCap: 128}))
+		mustBuild(t, "utsd", WorkloadValues{"seed": "2", "nodes": "150", "frontier": "40",
+			"warps": "4", "work": "8", "fmas": "2"}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,17 @@
 // data stall sub-classification (by service location), and the memory
 // structural sub-classification (by blocking resource).
 //
-//	rep, err := gsi.Run(gsi.Options{Protocol: gsi.DeNovo}, gsi.NewUTSD(2000))
+//	e, _ := gsi.Workloads().Lookup("utsd")
+//	w, err := e.Build(gsi.WorkloadValues{"nodes": "2000"})
+//	...
+//	rep, err := gsi.Run(gsi.Options{Protocol: gsi.DeNovo}, w)
 //	fmt.Print(rep.Summary())
 //
 // Batches of configurations run through the sweep layer: a Grid declares a
-// cartesian product of axes (protocol, MSHR size, local-memory kind,
-// ablations), expands to a Sweep, and Sweep.Run fans the jobs out across a
-// worker pool. Results return in job order and are byte-identical to a
+// cartesian product of axes (registry workload, protocol, MSHR size,
+// local-memory kind, ablations) plus registry parameter overrides,
+// expands to a Sweep, and Sweep.Run fans the jobs out across a worker
+// pool. Results return in job order and are byte-identical to a
 // serial run for any worker count. The paper's figures are declared as
 // FigureSpec sweeps; Report and FigureSet serialize to labeled JSON.
 package gsi
@@ -150,15 +154,11 @@ const (
 // the serve layer accept it: "scratchpad" (also "scratch"), "dma" (also
 // "scratchpad+dma"), or "stash", case-insensitively.
 func ParseLocalMem(s string) (LocalMem, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "scratchpad", "scratch":
-		return Scratchpad, nil
-	case "dma", "scratchpad+dma":
-		return ScratchpadDMA, nil
-	case "stash":
-		return Stash, nil
+	lm, err := gpu.ParseLocalKind(s)
+	if err != nil {
+		return Scratchpad, fmt.Errorf("gsi: %w", err)
 	}
-	return Scratchpad, fmt.Errorf("gsi: unknown local memory %q (want scratchpad, dma, or stash)", s)
+	return lm, nil
 }
 
 // SystemConfig re-exports the architectural parameter block; the zero
@@ -216,37 +216,9 @@ var (
 // kernels.
 type Mapping = scratchpad.Mapping
 
-// Workload parameter blocks, re-exported from internal/workloads.
-type (
-	// UTS parameterizes unbalanced tree search on one global queue.
-	UTS = workloads.UTS
-	// UTSD parameterizes the decentralized variant.
-	UTSD = workloads.UTSD
-	// Implicit parameterizes the streaming microbenchmark.
-	Implicit = workloads.Implicit
-	// BFS parameterizes level-synchronized breadth-first search over a
-	// CSR graph (irregular gathers, frontier atomics, global barriers).
-	BFS = workloads.BFS
-	// SpMV parameterizes the CSR sparse matrix-vector product
-	// (streaming rows with indirect column gathers).
-	SpMV = workloads.SpMV
-	// Pipeline parameterizes the producer-consumer pipeline with long
-	// idle phases between stages (the skip-ahead engine's bursty case).
-	Pipeline = workloads.Pipeline
-	// GUPS parameterizes the random-access update benchmark
-	// (MSHR/coalescer pressure through line-strided vector windows).
-	GUPS = workloads.GUPS
-	// Stencil parameterizes the 2D halo-exchange stencil with
-	// DMA-staged band windows (bulk-transfer/latency-overlap pressure).
-	Stencil = workloads.Stencil
-	// Steal parameterizes the work-stealing deque benchmark with a
-	// steal-half policy (contended atomics, irregular quiescence).
-	Steal = workloads.Steal
-)
-
 // Workload registry types, re-exported from internal/workloads. The
-// registry is the single table both CLIs and the sweep Grid's workload
-// axis drive: every entry carries a constructor, a parameter schema with
+// registry is the only place a workload is named and sized — the single
+// table both CLIs, the figures and the sweep Grid's workload axis drive: every entry carries a constructor, a parameter schema with
 // default-scale values, SmallScale overrides, and an optional
 // system-shaping hook. See Workloads.
 type (

@@ -136,12 +136,24 @@ func TestWrapNoneReturnsUnderlying(t *testing.T) {
 	}
 }
 
+// implicitWorkload builds the registry's implicit microbenchmark at its
+// defaults (baseline scratchpad).
+func implicitWorkload(t *testing.T) gsi.Workload {
+	t.Helper()
+	e, _ := gsi.Workloads().Lookup("implicit")
+	w, err := e.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // TestStallHitsWatchdog runs a stall-injected workload under the real
 // engine and asserts the in-sim MaxCycles watchdog converts it into a
 // typed, diagnosable error instead of a hang.
 func TestStallHitsWatchdog(t *testing.T) {
 	in, _ := faultinject.Parse("implicit:stall")
-	w := in.Wrap("implicit/scratch", gsi.NewImplicit(gsi.Scratchpad)).(gsi.Workload)
+	w := in.Wrap("implicit/scratch", implicitWorkload(t)).(gsi.Workload)
 	opt := gsi.Options{System: gsi.DefaultConfig()}
 	opt.System.MaxCycles = 20_000
 	_, err := gsi.Run(opt, w)
@@ -158,7 +170,7 @@ func TestStallHitsWatchdog(t *testing.T) {
 // that the deadline error carries the engine diagnosis.
 func TestStallHitsDeadline(t *testing.T) {
 	in, _ := faultinject.Parse("implicit:stall")
-	w := in.Wrap("implicit/scratch", gsi.NewImplicit(gsi.Scratchpad)).(gsi.Workload)
+	w := in.Wrap("implicit/scratch", implicitWorkload(t)).(gsi.Workload)
 	opt := gsi.Options{System: gsi.DefaultConfig()}
 	opt.System.MaxCycles = 1 << 62
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)

@@ -9,6 +9,7 @@ package gpu
 
 import (
 	"fmt"
+	"strings"
 
 	"gsi/internal/isa"
 	"gsi/internal/scratchpad"
@@ -45,6 +46,37 @@ func (k LocalKind) String() string {
 		return "stash"
 	}
 	return fmt.Sprintf("LocalKind(%d)", uint8(k))
+}
+
+// Param names the organization in the workload registry's "local"
+// parameter vocabulary: "scratchpad", "dma" (rather than the figures'
+// "scratchpad+DMA") or "stash". Any other kind names the registry's
+// default, "scratchpad". Cache keys hash these names verbatim, so they
+// never change.
+func (k LocalKind) Param() string {
+	switch k {
+	case LocalScratchDMA:
+		return "dma"
+	case LocalStash:
+		return "stash"
+	}
+	return "scratchpad"
+}
+
+// ParseLocalKind parses an organization name, case-insensitively:
+// "scratchpad" (also "scratch"), "dma" (also "scratchpad+dma"), or
+// "stash". It accepts every Param and String name of the three
+// organizations.
+func ParseLocalKind(s string) (LocalKind, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "scratchpad", "scratch":
+		return LocalScratch, nil
+	case "dma", "scratchpad+dma":
+		return LocalScratchDMA, nil
+	case "stash":
+		return LocalStash, nil
+	}
+	return LocalNone, fmt.Errorf("unknown local memory %q (want scratchpad, dma, or stash)", s)
 }
 
 // Kernel describes one GPU kernel launch.

@@ -112,9 +112,13 @@ func runTraced(t *testing.T) *gsi.Trace {
 	tracedRun.once.Do(func() {
 		tracedRun.tr = gsi.NewTrace()
 		opt := gsi.Options{Protocol: gsi.DeNovo, Trace: tracedRun.tr}
-		_, tracedRun.err = gsi.Run(opt, gsi.NewUTSWith(gsi.UTS{
-			Seed: 0xC0FFEE, Nodes: 120, FrontierMin: 40,
-			Blocks: 15, WarpsPerBlock: 8, Work: 8, FMAs: 4}))
+		e, _ := gsi.Workloads().Lookup("uts")
+		w, err := e.Build(gsi.WorkloadValues{"nodes": "120", "frontier": "40", "work": "8"})
+		if err != nil {
+			tracedRun.err = err
+			return
+		}
+		_, tracedRun.err = gsi.Run(opt, w)
 	})
 	if tracedRun.err != nil {
 		t.Fatal(tracedRun.err)

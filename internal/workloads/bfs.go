@@ -33,11 +33,6 @@ type BFS struct {
 	WarpsPerBlock int
 }
 
-// DefaultBFS sizes the workload for the 15-SM system.
-func DefaultBFS(vertices int) BFS {
-	return BFS{Seed: 0xB4B4, Vertices: vertices, AvgDeg: 4, Blocks: 15, WarpsPerBlock: 4}
-}
-
 // Graph is a CSR adjacency structure: vertex v's neighbors are
 // Col[RowPtr[v]:RowPtr[v+1]].
 type Graph struct {

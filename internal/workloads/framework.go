@@ -8,8 +8,7 @@ import (
 
 // Instance is a runnable workload: it initializes host memory, supplies
 // the kernel, and returns the functional post-check that validates the
-// run. The method set deliberately mirrors the public gsi.Workload
-// interface, so every Instance is usable as a gsi Workload directly.
+// run. The public gsi.Workload is an alias of this interface.
 type Instance interface {
 	// Name identifies the workload in reports.
 	Name() string

@@ -43,13 +43,6 @@ type GUPS struct {
 	WarpsPerBlock int
 }
 
-// DefaultGUPS sizes the workload for the 15-SM system: 60 warps each
-// owning a 64 KB partition under MSHR pressure (four warps per SM, so
-// there is always a warp observing the full MSHR while others drain).
-func DefaultGUPS(updates int) GUPS {
-	return GUPS{Seed: 0x6095, Updates: updates, WindowsPerWarp: 32, Blocks: 15, WarpsPerBlock: 4}
-}
-
 // GUPS kernel registers (rZero/rOne shared, see framework.go).
 const (
 	rGuPartB isa.Reg = 2

@@ -35,12 +35,6 @@ type Implicit struct {
 	Rounds int
 }
 
-// DefaultImplicit sizes the microbenchmark to fill the 16 KB scratchpad
-// with one thread block of 16 warps (the paper's SM holds up to 48).
-func DefaultImplicit() Implicit {
-	return Implicit{Seed: 0xD17A, Warps: 32, DataBytes: 16 << 10, FMAs: 4, Rounds: 2}
-}
-
 // Implicit kernel registers.
 const (
 	riGBase   isa.Reg = 2

@@ -36,17 +36,6 @@ type Pipeline struct {
 	PermWords int
 }
 
-// DefaultPipeline sizes the pipeline for one SM: a single producer warp
-// chasing a 32 KB pointer permutation (4096 words — larger than its L1
-// share, so hops regularly leave the core) and a single consumer warp, so
-// each phase is one long dependent-latency chain.
-func DefaultPipeline(rounds int) Pipeline {
-	return Pipeline{
-		Seed: 0x9199, Rounds: rounds, Chase: 64, Work: 24,
-		Producers: 1, Consumers: 1, PermWords: 1 << 12,
-	}
-}
-
 // Warps returns the block size: every producer plus every consumer.
 func (w Pipeline) Warps() int { return w.Producers + w.Consumers }
 

@@ -322,15 +322,11 @@ func parseLocalKind(v Values) (gpu.LocalKind, error) {
 	if err != nil {
 		return gpu.LocalNone, err
 	}
-	switch strings.ToLower(s) {
-	case "scratchpad", "scratch":
-		return gpu.LocalScratch, nil
-	case "dma", "scratchpad+dma":
-		return gpu.LocalScratchDMA, nil
-	case "stash":
-		return gpu.LocalStash, nil
+	kind, err := gpu.ParseLocalKind(s)
+	if err != nil {
+		return gpu.LocalNone, fmt.Errorf("workloads: %w", err)
 	}
-	return gpu.LocalNone, fmt.Errorf("workloads: unknown local memory %q (want scratchpad, dma, or stash)", s)
+	return kind, nil
 }
 
 func bfsEntry() *Entry {

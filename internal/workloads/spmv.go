@@ -29,11 +29,6 @@ type SpMV struct {
 	WarpsPerBlock int
 }
 
-// DefaultSpMV sizes the workload for the 15-SM system.
-func DefaultSpMV(rows int) SpMV {
-	return SpMV{Seed: 0x59A7, Rows: rows, NnzPerRow: 8, Blocks: 15, WarpsPerBlock: 8}
-}
-
 // Matrix is a CSR sparse matrix with 64-bit integer values (arithmetic is
 // wrap-around, matching the GPU's ALU).
 type Matrix struct {

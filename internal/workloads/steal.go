@@ -45,21 +45,6 @@ type Steal struct {
 	Skew int
 }
 
-// DefaultSteal sizes the workload for the 15-SM system.
-func DefaultSteal(tasks int) Steal {
-	return Steal{Tasks: tasks, Cap: ceilPow2(tasks), Blocks: 15,
-		WarpsPerBlock: 4, Work: 12, FMAs: 4, Skew: 100}
-}
-
-// ceilPow2 returns the smallest power of two >= n (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // Steal kernel registers (rZero/rOne shared, see framework.go).
 const (
 	rSlMyQ    isa.Reg = 2

@@ -43,13 +43,6 @@ type Stencil struct {
 	Work int
 }
 
-// DefaultStencil sizes the workload for the 15-SM system: 15 bands of 4
-// rows fill under half the 16 KB scratchpad per block.
-func DefaultStencil() Stencil {
-	return Stencil{Seed: 0x57E9, Width: 64, Rows: 4, Steps: 8,
-		Blocks: 15, WarpsPerBlock: 2, Work: 2}
-}
-
 // Derived layout: a block's window holds two (Rows+2)-row planes
 // back-to-back; halo slots are one row plus a line of padding apart so
 // consecutive slots spread across the L2 banks.

@@ -32,19 +32,6 @@ type UTS struct {
 	FMAs int
 }
 
-// DefaultUTS sizes the workload for the 15-SM system of case study 1.
-func DefaultUTS(nodes int) UTS {
-	return UTS{
-		Seed:          0xC0FFEE,
-		Nodes:         nodes,
-		FrontierMin:   64,
-		Blocks:        15,
-		WarpsPerBlock: 8,
-		Work:          16,
-		FMAs:          4,
-	}
-}
-
 // Registers used by the UTS/UTSD kernels (r0 and r1 hold the constants 0
 // and 1 and are never written).
 const (

@@ -25,20 +25,6 @@ type UTSD struct {
 	LQCap int
 }
 
-// DefaultUTSD mirrors DefaultUTS with per-SM queues.
-func DefaultUTSD(nodes int) UTSD {
-	return UTSD{
-		Seed:          0xC0FFEE,
-		Nodes:         nodes,
-		FrontierMin:   64,
-		Blocks:        15,
-		WarpsPerBlock: 8,
-		Work:          16,
-		FMAs:          4,
-		LQCap:         128,
-	}
-}
-
 // utsdProgram assembles the local-queue worker loop.
 func utsdProgram(work, fmas int) *isa.Program {
 	b := isa.NewBuilder("utsd")

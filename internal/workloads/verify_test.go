@@ -127,8 +127,8 @@ func TestVerifyImplicitDetectsCorruption(t *testing.T) {
 
 func TestUTSDBuildSeedsLocalQueues(t *testing.T) {
 	h := cpu.NewHost(mem.NewBacking())
-	u := DefaultUTSD(300)
-	u.FrontierMin = 45
+	u := UTSD{Seed: 0xC0FFEE, Nodes: 300, FrontierMin: 45, Blocks: 15,
+		WarpsPerBlock: 8, Work: 16, FMAs: 4, LQCap: 128}
 	_, _, seed, err := u.Build(h)
 	if err != nil {
 		t.Fatal(err)

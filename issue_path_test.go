@@ -16,26 +16,15 @@ import (
 // sat at 0.30, 1.73, 1.05 and 2.32, and one object per miss or per atomic
 // puts any of the last three back over.
 func TestIssuePathAllocationBudget(t *testing.T) {
-	registry := func(name string, params WorkloadValues) Workload {
-		e, ok := Workloads().Lookup(name)
-		if !ok {
-			t.Fatalf("no registry workload %q", name)
-		}
-		w, err := e.Build(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
 	for _, tc := range []struct {
 		name     string
 		w        Workload
 		protocol Protocol
 	}{
-		{"stencil", NewStencilWith(Stencil{Seed: 0x57E9, Width: 64, Rows: 4, Steps: 6, Blocks: 15, WarpsPerBlock: 2, Work: 2}), DeNovo},
-		{"bfs", NewBFSWith(BFS{Seed: 0xB4B4, Vertices: 600, AvgDeg: 4, Blocks: 15, WarpsPerBlock: 4}), DeNovo},
-		{"uts nodes=500", registry("uts", WorkloadValues{"nodes": "500"}), DeNovo},
-		{"gups updates=32", registry("gups", WorkloadValues{"updates": "32"}), GPUCoherence},
+		{"stencil", mustBuild(t, "stencil", WorkloadValues{"steps": "6"}), DeNovo},
+		{"bfs", mustBuild(t, "bfs", WorkloadValues{"vertices": "600"}), DeNovo},
+		{"uts nodes=500", mustBuild(t, "uts", WorkloadValues{"nodes": "500"}), DeNovo},
+		{"gups updates=32", mustBuild(t, "gups", WorkloadValues{"updates": "32"}), GPUCoherence},
 	} {
 		const budget = 0.3
 		var before, after runtime.MemStats

@@ -11,7 +11,8 @@ import (
 // TestReportJSONRoundTrip: marshal -> unmarshal must reproduce the stall
 // profile and every derived breakdown exactly.
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, NewImplicit(ScratchpadDMA))
+	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo},
+		mustBuild(t, "implicit", WorkloadValues{"local": "dma"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // explicit "engineStats" field, and DecodeReport folds them back so the
 // opt-in round-trips exactly.
 func TestEngineStatsJSONOptIn(t *testing.T) {
-	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, NewImplicit(Scratchpad))
+	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, mustBuild(t, "implicit", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,31 +117,46 @@ func TestCacheKeyIgnoresTrace(t *testing.T) {
 	}
 }
 
-// TestFigureSetJSONRoundTrip: a decoded figure renders byte-identically to
-// the original, so JSON documents are a faithful interchange format for
-// whole figures.
+// TestFigureSetJSONRoundTrip: every SmallScale figure — 6.1, 6.2, 6.3,
+// each 6.4 size and the workload gallery — decodes to a figure that
+// renders byte-identically to the original, with the same bar names and
+// baseline total, so JSON documents are a faithful interchange format for
+// whole figures. The gallery names its bars by workload, which only the
+// document's barBy field tells the decoder.
 func TestFigureSetJSONRoundTrip(t *testing.T) {
-	fs, err := Figure63()
+	sc := SmallScale()
+	specs := []FigureSpec{Figure61Spec(sc), Figure62Spec(sc), Figure63Spec()}
+	specs = append(specs, Figure64Specs(sc)...)
+	specs = append(specs, WorkloadGallerySpec(sc))
+	sets, err := RunFigureSpecs(specs, SweepConfig{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := fs.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeFigureSet(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := fs.Render(64), back.Render(64); a != b {
-		t.Fatalf("decoded figure renders differently:\n--- original ---\n%s\n--- decoded ---\n%s", a, b)
-	}
-	if len(back.Reports) != len(fs.Reports) {
-		t.Fatalf("%d reports, want %d", len(back.Reports), len(fs.Reports))
-	}
-	for i := range fs.Reports {
-		if back.Reports[i].Counts != fs.Reports[i].Counts {
-			t.Errorf("report %d Counts changed across the round trip", i)
+	for _, fs := range sets {
+		doc, err := fs.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeFigureSet(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", fs.ID, err)
+		}
+		if a, b := fs.Render(64), back.Render(64); a != b {
+			t.Errorf("%s: decoded figure renders differently:\n--- original ---\n%s\n--- decoded ---\n%s", fs.ID, a, b)
+		}
+		if got, want := back.BaselineTotal(), fs.BaselineTotal(); got != want || want == 0 {
+			t.Errorf("%s: baseline total %v after the round trip, want %v (nonzero)", fs.ID, got, want)
+		}
+		if len(back.Reports) != len(fs.Reports) {
+			t.Fatalf("%s: %d reports, want %d", fs.ID, len(back.Reports), len(fs.Reports))
+		}
+		for i := range fs.Reports {
+			if got, want := back.Exec.Bars[i].Name, fs.Exec.Bars[i].Name; got != want {
+				t.Errorf("%s: bar %d named %q after the round trip, want %q", fs.ID, i, got, want)
+			}
+			if back.Reports[i].Counts != fs.Reports[i].Counts {
+				t.Errorf("%s: report %d Counts changed across the round trip", fs.ID, i)
+			}
 		}
 	}
 }
@@ -149,7 +165,7 @@ func TestFigureSetJSONRoundTrip(t *testing.T) {
 // groups from the reports, so a document whose serialized groups were
 // tampered with (or stripped) still decodes to a consistent figure.
 func TestFigureSetDecodeRebuildsGroups(t *testing.T) {
-	fs, err := Figure63()
+	fs, err := Figure63Spec().Run(SweepConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

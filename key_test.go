@@ -1,6 +1,9 @@
 package gsi
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestCacheKeyEquivalentConfigsHashEqual: CacheKey must collapse every
 // spelling of the same simulation onto one content address — defaulted vs
@@ -97,6 +100,51 @@ func TestCacheKeyGridAxisOrdering(t *testing.T) {
 	for key := range forward {
 		if !reversed[key] {
 			t.Errorf("key %s missing from the reordered grid", key)
+		}
+	}
+}
+
+// TestLocalMemNamesRoundTrip: one name table serves the CLIs, the serve
+// layer, the grid and the registry. Every organization round-trips
+// through its parameter name, ParseLocalMem and the registry's "local"
+// parameter. The keys of a local-memory grid are pinned: CacheKey hashes
+// parameter values verbatim, so renaming "dma" (say, to the figures'
+// "scratchpad+DMA") would orphan every result persisted under a serve
+// cache directory.
+func TestLocalMemNamesRoundTrip(t *testing.T) {
+	for _, lm := range []LocalMem{Scratchpad, ScratchpadDMA, Stash} {
+		for _, name := range []string{lm.Param(), lm.String()} {
+			if got, err := ParseLocalMem(name); err != nil || got != lm {
+				t.Errorf("ParseLocalMem(%q) = %v, %v; want %v", name, got, err, lm)
+			}
+		}
+		w := mustBuild(t, "implicit", WorkloadValues{"local": lm.Param()})
+		if got, want := w.Name(), "implicit ("+lm.String()+")"; got != want {
+			t.Errorf("local=%s built %q, want %q", lm.Param(), got, want)
+		}
+	}
+	if _, err := ParseLocalMem("dram"); err == nil || !strings.HasPrefix(err.Error(), "gsi: unknown local memory") {
+		t.Errorf("ParseLocalMem(\"dram\") error = %v", err)
+	}
+
+	g := Grid{
+		Workloads: []string{"implicit"},
+		Protocols: []Protocol{GPUCoherence, DeNovo},
+		LocalMems: []LocalMem{Scratchpad, ScratchpadDMA},
+	}
+	want := []string{
+		"3df107dfcfe682bc462d92864677b3c92aa7c664701519d285bc221228a7c6fc",
+		"c38a319f11e2414654750ce58924b1ed51ad01656c1d3c27b63874137701e422",
+		"ad92ecc2e2aef7af3329d2565e33251cc598c08ee1f418ca966ae26fdc715259",
+		"d0f55460a5d3a6354efa43da5d708c29ad6640cb69b039f9bf8530ca6aa5f5e4",
+	}
+	jobs := g.Sweep().Jobs
+	if len(jobs) != len(want) {
+		t.Fatalf("%d jobs, want %d", len(jobs), len(want))
+	}
+	for i, job := range jobs {
+		if got := CacheKey(job.Options, job.Axes.Workload, g.PointParams(job.Axes)); got != want[i] {
+			t.Errorf("%s: key %s, want %s", job.Label, got, want[i])
 		}
 	}
 }

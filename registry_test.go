@@ -99,3 +99,27 @@ func TestGridWorkloadAxis(t *testing.T) {
 		t.Fatalf("job error does not name the workload: %v", results[0].Err)
 	}
 }
+
+// mustBuild builds a registered workload at default scale with the given
+// parameter overrides, failing the test on an unknown name or a bad
+// override.
+func mustBuild(t testing.TB, name string, params WorkloadValues) Workload {
+	t.Helper()
+	e, ok := Workloads().Lookup(name)
+	if !ok {
+		t.Fatalf("no registry workload %q", name)
+	}
+	w, err := e.Build(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// implicitSystem is the machine a grid point of the implicit workload
+// runs on at the given MSHR size: the registry entry's one-SM, 32-warp
+// tuning of Table 5.1, store buffer scaled with the MSHR.
+func implicitSystem(mshr int) SystemConfig {
+	g := Grid{Workloads: []string{"implicit"}, MSHRSizes: []int{mshr}}
+	return g.Sweep().Jobs[0].Options.System
+}

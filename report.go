@@ -251,6 +251,7 @@ func (fs *FigureSet) UnmarshalJSON(data []byte) error {
 		ID       string    `json:"id"`
 		Title    string    `json:"title"`
 		Baseline string    `json:"baseline"`
+		BarBy    string    `json:"barBy"`
 		Reports  []*Report `json:"reports"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -266,7 +267,7 @@ func (fs *FigureSet) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("figure set %q: report %d is null", doc.ID, i)
 		}
 	}
-	*fs = FigureSet{ID: doc.ID, Title: doc.Title, Baseline: doc.Baseline}
+	*fs = FigureSet{ID: doc.ID, Title: doc.Title, Baseline: doc.Baseline, BarBy: doc.BarBy}
 	for _, r := range doc.Reports {
 		fs.add(r)
 	}

@@ -22,8 +22,10 @@ type Job struct {
 	Options  Options
 	Workload func() Workload
 	// Axes records the grid point that produced this job (the zero value
-	// for hand-built jobs). Content-addressing layers combine it with
-	// Grid.PointParams to recover the registry inputs behind the factory.
+	// for hand-built jobs). Every grid job is fully determined by its
+	// Options, Axes.Workload and Grid.PointParams(Axes): the factory
+	// builds exactly that registry entry with exactly those parameters,
+	// so content-addressing layers (CacheKey) need nothing else.
 	Axes Axes
 }
 
@@ -159,11 +161,10 @@ func (s Sweep) RunContext(ctx context.Context, cfg SweepConfig) ([]SweepResult, 
 }
 
 // Axes is one point of a Grid's cartesian product. Fields for axes the
-// Grid leaves empty hold that axis's default (no workload name, DeNovo,
-// MSHR 0 = "keep the system's size", Scratchpad, false).
+// Grid leaves empty hold that axis's default (DeNovo, MSHR 0 = "keep the
+// system's size", Scratchpad, false).
 type Axes struct {
-	// Workload is the registry name of the point's workload ("" when
-	// the grid has no workload axis).
+	// Workload is the registry name of the point's workload.
 	Workload     string
 	Protocol     Protocol
 	MSHR         int
@@ -175,23 +176,20 @@ type Axes struct {
 
 // Grid declares a cartesian product of configuration axes — the
 // workload × protocol × MSHR × local-memory × ablation grids the paper's
-// case studies sweep. Expand it with Sweep; jobs are emitted in row-major
-// order with the rightmost declared axis varying fastest (Workloads
-// outermost, then Protocols, StrongCycle innermost), so the order is
-// deterministic and matches the figures' bar order.
+// case studies sweep. It is pure data: every point is a registry workload
+// built with the grid's Params, on the system the entry's tuning hook
+// shapes. Expand it with Sweep; jobs are emitted in row-major order with
+// the rightmost declared axis varying fastest (Workloads outermost, then
+// Protocols, StrongCycle innermost), so the order is deterministic and
+// matches the figures' bar order.
 type Grid struct {
 	// Name labels the resulting sweep.
 	Name string
-	// Axis values; an empty axis contributes a single default point and
-	// stays out of generated labels.
-	//
 	// Workloads is the workload axis: registry names (see Workloads),
-	// varied outermost. When it is set Grid.Workload may be nil — each
-	// point then constructs its workload from the registry at default
-	// scale, and a registry entry's system-shaping hook (e.g. the
-	// implicit microbenchmark's single-SM machine) is applied to points
-	// whose Grid leaves System zero.
-	Workloads    []string
+	// varied outermost. It is required.
+	Workloads []string
+	// The remaining axes; an empty axis contributes a single default
+	// point and stays out of generated labels.
 	Protocols    []Protocol
 	MSHRSizes    []int
 	LocalMems    []LocalMem
@@ -199,34 +197,24 @@ type Grid struct {
 	OwnedAtomics []bool
 	StrongCycle  []bool
 	// System is the base configuration for every point (zero value means
-	// DefaultConfig). A non-zero Axes.MSHR overrides both MSHREntries and
-	// StoreBufEntries, the convention of the paper's figure 6.4 sweep.
+	// DefaultConfig, shaped per point by the registry entry's tuning
+	// hook, e.g. the implicit microbenchmark's single-SM machine). A
+	// non-zero Axes.MSHR overrides both MSHREntries and StoreBufEntries,
+	// the convention of the paper's figure 6.4 sweep.
 	System SystemConfig
-	// Params holds registry parameter overrides applied to every
-	// registry-built point (grids with a Workloads axis and no Workload
-	// builder). An override naming no parameter of a point's schema
-	// surfaces as that job's error. Ignored when Workload is set.
+	// Params holds registry parameter overrides applied to every point.
+	// An override naming no parameter of a point's schema surfaces as
+	// that job's error.
 	Params WorkloadValues
-	// Workload builds the workload for one point; required unless the
-	// Workloads axis is set.
-	Workload func(Axes) Workload
-	// Options, when non-nil, replaces the default mapping from a point to
-	// simulation options (use it to wire custom ablations).
-	Options func(Axes) Options
-	// Label, when non-nil, replaces the generated per-point label.
-	Label func(Axes) string
 }
 
-// Sweep expands the grid into a concrete job list.
+// Sweep expands the grid into a concrete job list. It panics when the
+// Workloads axis is empty.
 func (g Grid) Sweep() Sweep {
-	if g.Workload == nil && len(g.Workloads) == 0 {
-		panic("gsi: Grid.Workload (or the Workloads axis) is required")
+	if len(g.Workloads) == 0 {
+		panic("gsi: Grid.Workloads is required")
 	}
 	s := Sweep{Name: g.Name}
-	names := g.Workloads
-	if len(names) == 0 {
-		names = []string{""}
-	}
 	protocols := g.Protocols
 	if len(protocols) == 0 {
 		protocols = []Protocol{DeNovo}
@@ -245,7 +233,7 @@ func (g Grid) Sweep() Sweep {
 		}
 		return vs
 	}
-	for _, wn := range names {
+	for _, wn := range g.Workloads {
 		for _, p := range protocols {
 			for _, m := range mshrs {
 				for _, lm := range locals {
@@ -282,12 +270,13 @@ func (g Grid) point(ax Axes) Job {
 	return job
 }
 
-// PointParams returns the registry parameter overrides a registry-built
-// grid point is constructed (and tuned) with: the grid's Params plus,
-// when the LocalMems axis is declared, the point's local-memory
-// organization as the "local" parameter. Layers that content-address grid
-// points (the serve cache) must hash exactly these values alongside the
-// point's Options. Returns nil when the point carries no overrides.
+// PointParams returns the registry parameter overrides a grid point is
+// constructed (and tuned) with: the grid's Params plus, when the
+// LocalMems axis is declared, the point's local-memory organization as
+// the "local" parameter. Together with the job's Options and
+// Axes.Workload these are everything the point's simulation depends on;
+// layers that content-address grid points (the serve cache) hash exactly
+// these values. Returns nil when the point carries no overrides.
 func (g Grid) PointParams(ax Axes) WorkloadValues {
 	if len(g.Params) == 0 && len(g.LocalMems) == 0 {
 		return nil
@@ -301,34 +290,16 @@ func (g Grid) PointParams(ax Axes) WorkloadValues {
 		// one: thread it into the build so distinct axis values produce
 		// distinct simulations. A workload without a "local" parameter
 		// rejects the combination as that job's error.
-		v["local"] = localMemParam(ax.LocalMem)
+		v["local"] = ax.LocalMem.Param()
 	}
 	return v
 }
 
-// localMemParam names a local-memory organization in the registry's
-// "local" parameter vocabulary (see the implicit workload's schema).
-func localMemParam(lm LocalMem) string {
-	switch lm {
-	case ScratchpadDMA:
-		return "dma"
-	case Stash:
-		return "stash"
-	}
-	return "scratchpad"
-}
-
-// workloadThunk binds one grid point to its factory without capturing the
-// loop variables by reference. A grid with a workload axis but no builder
-// constructs the point's workload from the registry at default scale with
-// the point's parameter overrides applied; an unknown name or bad
-// override surfaces as the job's error rather than a panic, so one bad
-// axis value cannot sink a whole batch.
+// workloadThunk binds one grid point to its factory: the point's registry
+// entry at default scale with the point's parameter overrides applied. An
+// unknown name or bad override surfaces as the job's error rather than a
+// panic, so one bad axis value cannot sink a whole batch.
 func (g Grid) workloadThunk(ax Axes) func() Workload {
-	if g.Workload != nil {
-		build := g.Workload
-		return func() Workload { return build(ax) }
-	}
 	name := ax.Workload
 	params := g.PointParams(ax)
 	return func() Workload {
@@ -363,17 +334,13 @@ func (b brokenWorkload) Build(*cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, er
 }
 
 func (g Grid) options(ax Axes) (Options, error) {
-	if g.Options != nil {
-		return g.Options(ax), nil
-	}
 	opt := Options{System: g.System, Protocol: ax.Protocol,
 		SFIFO: ax.SFIFO, OwnedAtomics: ax.OwnedAtomics, StrongCycle: ax.StrongCycle}
-	tune := ax.Workload != "" && g.System.NumSMs == 0
 	opt = opt.withDefaults()
-	if tune {
-		// The point's workload came off the registry and the grid did
-		// not pin a system: let the entry shape the default machine
-		// (e.g. implicit's and pipeline's single-SM configurations).
+	if g.System.NumSMs == 0 {
+		// The grid did not pin a system: let the entry shape the default
+		// machine (e.g. implicit's and pipeline's single-SM
+		// configurations).
 		if e, ok := Workloads().Lookup(ax.Workload); ok {
 			cfg, err := e.TuneSystem(false, g.PointParams(ax), opt.System)
 			if err != nil {
@@ -382,9 +349,7 @@ func (g Grid) options(ax Axes) (Options, error) {
 				// than asked for. The caller defers this into the job.
 				return opt, fmt.Errorf("gsi: tuning system for workload %q: %w", ax.Workload, err)
 			}
-			mode := opt.System.Engine
 			opt.System = cfg
-			opt.System.Engine = mode
 		}
 	}
 	if ax.MSHR > 0 {
@@ -394,15 +359,10 @@ func (g Grid) options(ax Axes) (Options, error) {
 	return opt, nil
 }
 
-// label names a point from the axes that actually vary in this grid.
+// label names a point by its workload and the other axes the grid
+// declares.
 func (g Grid) label(ax Axes) string {
-	if g.Label != nil {
-		return g.Label(ax)
-	}
-	var parts []string
-	if len(g.Workloads) > 0 {
-		parts = append(parts, ax.Workload)
-	}
+	parts := []string{ax.Workload}
 	if len(g.Protocols) > 0 {
 		parts = append(parts, ax.Protocol.String())
 	}
@@ -420,8 +380,5 @@ func (g Grid) label(ax Axes) string {
 	flag("sfifo", g.SFIFO, ax.SFIFO)
 	flag("owned-atomics", g.OwnedAtomics, ax.OwnedAtomics)
 	flag("strong-cycle", g.StrongCycle, ax.StrongCycle)
-	if len(parts) == 0 {
-		return "default"
-	}
 	return strings.Join(parts, " ")
 }

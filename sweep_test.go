@@ -12,11 +12,10 @@ import (
 func determinismGrid() Grid {
 	return Grid{
 		Name:        "determinism",
+		Workloads:   []string{"implicit"},
 		MSHRSizes:   []int{16, 32},
 		LocalMems:   []LocalMem{Scratchpad, Stash},
 		StrongCycle: []bool{false, true},
-		System:      implicitSystem(32),
-		Workload:    func(ax Axes) Workload { return NewImplicit(ax.LocalMem) },
 	}
 }
 
@@ -65,12 +64,11 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestFigureSpecsMatchSerialFigures pins the refactor: running the figure
-// specs through the batched pool reproduces exactly what the serial
-// FigureXX wrappers produce.
+// TestFigureSpecsMatchSerialFigures: running the figure specs through
+// the batched pool reproduces exactly what one serial worker produces.
 func TestFigureSpecsMatchSerialFigures(t *testing.T) {
 	sc := testScale()
-	serial, err := Figure63()
+	serial, err := Figure63Spec().Run(SweepConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +85,16 @@ func TestFigureSpecsMatchSerialFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Figure64(sc)
+	ref, err := RunFigureSpecs(specs, SweepConfig{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sets) != len(ref) {
 		t.Fatalf("%d sets, want %d", len(sets), len(ref))
 	}
-	base := Figure64Baseline(ref)
+	refBases, bases := RenderBases(specs, ref), RenderBases(specs, sets)
 	for i := range sets {
-		if a, b := ref[i].RenderTo(64, base), sets[i].RenderTo(64, Figure64Baseline(sets)); a != b {
+		if a, b := ref[i].RenderTo(64, refBases[i]), sets[i].RenderTo(64, bases[i]); a != b {
 			t.Errorf("figure %s differs between serial and pooled runs", ref[i].ID)
 		}
 	}
@@ -105,16 +103,16 @@ func TestFigureSpecsMatchSerialFigures(t *testing.T) {
 func TestGridExpansionOrderAndLabels(t *testing.T) {
 	g := Grid{
 		Name:      "order",
+		Workloads: []string{"implicit"},
 		Protocols: []Protocol{GPUCoherence, DeNovo},
 		MSHRSizes: []int{32, 64},
-		Workload:  func(Axes) Workload { return NewImplicit(Scratchpad) },
 	}
 	s := g.Sweep()
 	want := []string{
-		"GPU coherence mshr=32",
-		"GPU coherence mshr=64",
-		"DeNovo mshr=32",
-		"DeNovo mshr=64",
+		"implicit GPU coherence mshr=32",
+		"implicit GPU coherence mshr=64",
+		"implicit DeNovo mshr=32",
+		"implicit DeNovo mshr=64",
 	}
 	if len(s.Jobs) != len(want) {
 		t.Fatalf("%d jobs, want %d", len(s.Jobs), len(want))
@@ -138,21 +136,29 @@ func TestGridExpansionOrderAndLabels(t *testing.T) {
 }
 
 func TestGridDefaultsAndEmptyAxes(t *testing.T) {
-	g := Grid{Workload: func(Axes) Workload { return NewImplicit(Scratchpad) }}
+	g := Grid{Workloads: []string{"uts"}}
 	s := g.Sweep()
 	if len(s.Jobs) != 1 {
-		t.Fatalf("empty grid expanded to %d jobs, want 1", len(s.Jobs))
+		t.Fatalf("one-workload grid expanded to %d jobs, want 1", len(s.Jobs))
 	}
 	j := s.Jobs[0]
-	if j.Label != "default" {
-		t.Errorf("label %q, want \"default\"", j.Label)
+	if j.Label != "uts" {
+		t.Errorf("label %q, want \"uts\"", j.Label)
 	}
 	if j.Options.Protocol != DeNovo {
 		t.Error("default protocol not DeNovo")
 	}
-	if j.Options.System.NumSMs == 0 {
+	if j.Options.System != DefaultConfig() {
 		t.Error("zero System not defaulted")
 	}
+	// The workload axis is required: there is no other way to name what
+	// a point runs.
+	defer func() {
+		if recover() == nil {
+			t.Error("a grid without a Workloads axis expanded")
+		}
+	}()
+	Grid{Protocols: []Protocol{DeNovo}}.Sweep()
 }
 
 // TestGridLocalMemAxisDistinctReports is the regression test for the
@@ -263,11 +269,13 @@ func TestSweepErrorPolicy(t *testing.T) {
 	s.Name = "errors"
 	bad := DefaultConfig()
 	bad.MSHREntries = 0 // fails validation
+	scratch := mustBuild(t, "implicit", nil)
+	stash := mustBuild(t, "implicit", WorkloadValues{"local": "stash"})
 	s.Add("ok-a", Options{System: implicitSystem(32), Protocol: DeNovo},
-		func() Workload { return NewImplicit(Scratchpad) })
-	s.Add("bad", Options{System: bad}, func() Workload { return NewImplicit(Scratchpad) })
+		func() Workload { return scratch })
+	s.Add("bad", Options{System: bad}, func() Workload { return scratch })
 	s.Add("ok-b", Options{System: implicitSystem(32), Protocol: DeNovo},
-		func() Workload { return NewImplicit(Stash) })
+		func() Workload { return stash })
 
 	for _, par := range []int{1, 4} {
 		results, err := s.Run(SweepConfig{Parallel: par})
@@ -308,8 +316,9 @@ func TestRunFigureSpecsProgressNamesFigure(t *testing.T) {
 func TestSweepPanicNamesJob(t *testing.T) {
 	var s Sweep
 	s.Name = "panics"
+	w := mustBuild(t, "implicit", nil)
 	s.Add("ok", Options{System: implicitSystem(32), Protocol: DeNovo},
-		func() Workload { return NewImplicit(Scratchpad) })
+		func() Workload { return w })
 	s.Add("exploder", Options{System: implicitSystem(32), Protocol: DeNovo},
 		func() Workload { panic("kaboom") })
 	results, err := s.Run(SweepConfig{Parallel: 2})
