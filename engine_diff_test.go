@@ -418,12 +418,7 @@ func smallParam(e *WorkloadEntry, name string) string {
 	if v, ok := e.Small[name]; ok {
 		return v
 	}
-	for _, p := range e.Params {
-		if p.Name == name {
-			return p.Default
-		}
-	}
-	return ""
+	return e.Defaults()[name]
 }
 
 // drawAgrees runs one draw under the three engines and reports whether the
@@ -433,9 +428,6 @@ func drawAgrees(t *testing.T, e *WorkloadEntry, d configDraw) bool {
 	cfg, err := e.TuneSystem(true, d.Params, DefaultConfig())
 	if err != nil {
 		return false
-	}
-	if n, err := strconv.Atoi(d.Params["warps"]); err == nil && cfg.WarpsPerSM < n {
-		cfg.WarpsPerSM = n
 	}
 	cfg.MSHREntries, cfg.StoreBufEntries = d.MSHR, d.MSHR
 	var ref []byte

@@ -27,7 +27,7 @@ func registryParamTable(name string) (string, error) {
 	fmt.Fprintf(&sb, "`%s` — %s\n\n", e.Name, e.Summary)
 	sb.WriteString("| parameter | description | default | small scale |\n")
 	sb.WriteString("|---|---|---|---|\n")
-	for _, p := range e.Params {
+	for _, p := range e.Params() {
 		small := "—"
 		if v, ok := e.Small[p.Name]; ok {
 			small = "`" + v + "`"

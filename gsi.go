@@ -218,9 +218,10 @@ type Mapping = scratchpad.Mapping
 
 // Workload registry types, re-exported from internal/workloads. The
 // registry is the only place a workload is named and sized — the single
-// table both CLIs, the figures and the sweep Grid's workload axis drive: every entry carries a constructor, a parameter schema with
-// default-scale values, SmallScale overrides, and an optional
-// system-shaping hook. See Workloads.
+// table both CLIs, the figures and the sweep Grid's workload axis drive:
+// every entry names a parameter struct that is itself the Workload and
+// declares its schema (default-scale values) in struct tags, plus
+// SmallScale overrides. See Workloads.
 type (
 	// WorkloadEntry is one registered workload.
 	WorkloadEntry = workloads.Entry

@@ -35,19 +35,8 @@ import (
 	"gsi/internal/cpu"
 	"gsi/internal/gpu"
 	"gsi/internal/isa"
+	"gsi/internal/workloads"
 )
-
-// Workload is the structural mirror of gsi.Workload (name + Build), so the
-// injector wraps public-API workloads without importing the public
-// package: any gsi.Workload satisfies it, and a wrapped Workload satisfies
-// gsi.Workload.
-type Workload interface {
-	// Name identifies the workload in reports.
-	Name() string
-	// Build writes initial memory through the host and returns the kernel
-	// plus a post-run functional check.
-	Build(h *cpu.Host) (*gpu.Kernel, func(h *cpu.Host) error, error)
-}
 
 // Fault is one injectable failure mode.
 type Fault uint8
@@ -220,7 +209,7 @@ func (in *Injector) Injected(f Fault) uint64 { return in.injected[f].Load() }
 
 // Wrap returns w, sabotaged according to the injector's decision for
 // label. FaultNone returns w unchanged.
-func (in *Injector) Wrap(label string, w Workload) Workload {
+func (in *Injector) Wrap(label string, w workloads.Instance) workloads.Instance {
 	switch in.Decide(label) {
 	case FaultPanic:
 		return &faulty{w: w, fault: FaultPanic, in: in}
@@ -234,7 +223,7 @@ func (in *Injector) Wrap(label string, w Workload) Workload {
 
 // faulty is the sabotaged workload wrapper.
 type faulty struct {
-	w     Workload
+	w     workloads.Instance
 	fault Fault
 	in    *Injector
 }

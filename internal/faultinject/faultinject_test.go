@@ -131,7 +131,7 @@ func TestWrapSlowDelegates(t *testing.T) {
 func TestWrapNoneReturnsUnderlying(t *testing.T) {
 	in, _ := faultinject.Parse("other:panic")
 	s := &stub{}
-	if w := in.Wrap("stub/point", s); w != faultinject.Workload(s) {
+	if w := in.Wrap("stub/point", s); w != gsi.Workload(s) {
 		t.Errorf("unfaulted Wrap returned a wrapper, want the underlying workload")
 	}
 }
@@ -153,7 +153,7 @@ func implicitWorkload(t *testing.T) gsi.Workload {
 // typed, diagnosable error instead of a hang.
 func TestStallHitsWatchdog(t *testing.T) {
 	in, _ := faultinject.Parse("implicit:stall")
-	w := in.Wrap("implicit/scratch", implicitWorkload(t)).(gsi.Workload)
+	w := in.Wrap("implicit/scratch", implicitWorkload(t))
 	opt := gsi.Options{System: gsi.DefaultConfig()}
 	opt.System.MaxCycles = 20_000
 	_, err := gsi.Run(opt, w)
@@ -170,7 +170,7 @@ func TestStallHitsWatchdog(t *testing.T) {
 // that the deadline error carries the engine diagnosis.
 func TestStallHitsDeadline(t *testing.T) {
 	in, _ := faultinject.Parse("implicit:stall")
-	w := in.Wrap("implicit/scratch", implicitWorkload(t)).(gsi.Workload)
+	w := in.Wrap("implicit/scratch", implicitWorkload(t))
 	opt := gsi.Options{System: gsi.DefaultConfig()}
 	opt.System.MaxCycles = 1 << 62
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)

@@ -79,6 +79,17 @@ func ParseLocalKind(s string) (LocalKind, error) {
 	return LocalNone, fmt.Errorf("unknown local memory %q (want scratchpad, dma, or stash)", s)
 }
 
+// UnmarshalText implements encoding.TextUnmarshaler through ParseLocalKind,
+// so the workload registry decodes a "local" parameter like any other.
+func (k *LocalKind) UnmarshalText(text []byte) error {
+	kind, err := ParseLocalKind(string(text))
+	if err != nil {
+		return err
+	}
+	*k = kind
+	return nil
+}
+
 // Kernel describes one GPU kernel launch.
 type Kernel struct {
 	Name    string

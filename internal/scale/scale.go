@@ -127,12 +127,8 @@ type point struct {
 
 // hasParam reports whether the entry's schema includes the parameter.
 func hasParam(e *gsi.WorkloadEntry, name string) bool {
-	for _, p := range e.Params {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
+	_, ok := e.Defaults()[name]
+	return ok
 }
 
 // paramBase returns the SmallScale base value of an integer parameter
@@ -140,12 +136,7 @@ func hasParam(e *gsi.WorkloadEntry, name string) bool {
 func paramBase(e *gsi.WorkloadEntry, name string) (int, error) {
 	s, ok := e.Small[name]
 	if !ok {
-		for _, p := range e.Params {
-			if p.Name == name {
-				s = p.Default
-				ok = true
-			}
-		}
+		s, ok = e.Defaults()[name]
 	}
 	if !ok {
 		return 0, fmt.Errorf("scale: %s has no parameter %q", e.Name, name)
@@ -218,13 +209,8 @@ func planRung(e *gsi.WorkloadEntry, axis Axis, rung int) (int, []point, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	switch axis {
-	case AxisMesh:
+	if axis == AxisMesh {
 		sys.MeshWidth, sys.MeshHeight = value, value
-	case AxisWarps:
-		if sys.WarpsPerSM < value {
-			sys.WarpsPerSM = value
-		}
 	}
 
 	if axis == AxisGrid {

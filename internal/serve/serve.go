@@ -635,7 +635,7 @@ func (s *Server) simulate(fctx context.Context, job *simJob) (fresh *freshRun, e
 	}()
 	wl := job.thunk()
 	if s.cfg.Chaos != nil {
-		wl = s.cfg.Chaos.Wrap(job.label, wl).(gsi.Workload)
+		wl = s.cfg.Chaos.Wrap(job.label, wl)
 	}
 	// Tracing rides on a copy of the job's options, so the stored options
 	// stay trace-free and the cache key derivation they fed remains

@@ -19,19 +19,24 @@ import (
 // gathers that miss the L1, frontier atomics that serialize at the L2
 // banks, and synchronization waits at the level barrier.
 type BFS struct {
-	// Seed drives deterministic graph generation.
-	Seed uint64
 	// Vertices is the exact vertex count; Root is always vertex 0.
-	Vertices int
+	Vertices int `param:"vertices" help:"graph size" default:"4000"`
 	// AvgDeg is the mean out-degree (degrees are drawn uniformly from
 	// [0, 2*AvgDeg]).
-	AvgDeg int
+	AvgDeg int `param:"avgdeg" help:"mean out-degree" default:"4"`
 	// Blocks and WarpsPerBlock size the worker population. Every block
 	// must be co-resident for the global barrier, so Blocks may not
 	// exceed the SM count of the system the kernel runs on.
-	Blocks        int
-	WarpsPerBlock int
+	Blocks        int `param:"blocks" help:"thread blocks (must all be co-resident)" default:"15"`
+	WarpsPerBlock int `param:"warps" help:"warps per block" default:"4"`
+	// Seed drives deterministic graph generation.
+	Seed uint64 `param:"seed" help:"graph generation seed" default:"0xB4B4"`
 }
+
+// Name identifies the workload in reports.
+func (w BFS) Name() string { return "BFS" }
+
+func (w BFS) blockWarps() int { return w.WarpsPerBlock }
 
 // Graph is a CSR adjacency structure: vertex v's neighbors are
 // Col[RowPtr[v]:RowPtr[v+1]].
@@ -205,8 +210,8 @@ func bfsProgram() *isa.Program {
 }
 
 // Build writes the graph and frontier state into host memory and returns
-// the kernel plus the generated graph (for verification).
-func (w BFS) Build(h *cpu.Host) (*gpu.Kernel, *Graph, error) {
+// the kernel plus the verifier of a traversal of that graph.
+func (w BFS) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if w.Vertices < 1 || w.Blocks < 1 || w.WarpsPerBlock < 1 || w.AvgDeg < 1 {
 		return nil, nil, fmt.Errorf("workloads: invalid BFS %+v", w)
 	}
@@ -251,28 +256,15 @@ func (w BFS) Build(h *cpu.Host) (*gpu.Kernel, *Graph, error) {
 			regs[rBfLen] = 1   // queue A starts with the root
 		},
 	}
-	return k, g, nil
+	return k, func(h *cpu.Host) error { return w.verify(h, g) }, nil
 }
 
-// Instance wraps the parameter block as a runnable workload with its
-// functional verification hook attached.
-func (w BFS) Instance() Instance {
-	return NewInstance("BFS", func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-		k, g, err := w.Build(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		verify := func(h *cpu.Host) error { return VerifyBFS(h, g, w) }
-		return k, verify, nil
-	})
-}
-
-// VerifyBFS checks the post-run state against the reference CPU traversal:
+// verify checks the post-run state against the reference CPU traversal:
 // the distance array must match exactly (level-synchronization makes BFS
 // levels deterministic even though claim order is not), and the barrier
 // words must record exactly one generation per nonempty frontier with
 // every warp arriving at each one.
-func VerifyBFS(h *cpu.Host, g *Graph, w BFS) error {
+func (w BFS) verify(h *cpu.Host, g *Graph) error {
 	want, levels := g.Levels()
 	for v := range want {
 		if got := h.Read64(addrBfsDist + uint64(v)*8); got != want[v] {

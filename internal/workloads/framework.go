@@ -8,33 +8,14 @@ import (
 
 // Instance is a runnable workload: it initializes host memory, supplies
 // the kernel, and returns the functional post-check that validates the
-// run. The public gsi.Workload is an alias of this interface.
+// run. Every registry workload's parameter struct implements it, and the
+// public gsi.Workload is an alias of this interface.
 type Instance interface {
 	// Name identifies the workload in reports.
 	Name() string
 	// Build writes initial memory through the host and returns the
 	// kernel plus a post-run functional verification hook.
 	Build(h *cpu.Host) (*gpu.Kernel, func(h *cpu.Host) error, error)
-}
-
-// instance adapts a name and a build closure to Instance — the shared
-// wrapper every workload's Instance constructor uses, so the verification
-// hook lives next to the kernel it checks instead of in per-workload
-// wrapper types at the API layer.
-type instance struct {
-	name  string
-	build func(h *cpu.Host) (*gpu.Kernel, func(h *cpu.Host) error, error)
-}
-
-// NewInstance wraps a build closure as an Instance.
-func NewInstance(name string, build func(h *cpu.Host) (*gpu.Kernel, func(h *cpu.Host) error, error)) Instance {
-	return instance{name: name, build: build}
-}
-
-func (i instance) Name() string { return i.name }
-
-func (i instance) Build(h *cpu.Host) (*gpu.Kernel, func(h *cpu.Host) error, error) {
-	return i.build(h)
 }
 
 // WarpChunk splits total work items among parts workers and returns the

@@ -31,17 +31,22 @@ const (
 // load phase). Partitions are private per warp, so read-modify-write
 // updates never race across warps and the CPU replay is exact.
 type GUPS struct {
-	// Seed drives the per-warp update streams and initial table fill.
-	Seed uint64
 	// Updates is the update count per warp.
-	Updates int
+	Updates int `param:"updates" help:"updates per warp" default:"96"`
 	// WindowsPerWarp is each warp's partition size in update windows
 	// (must be a power of two; a window is gupsWindowBytes).
-	WindowsPerWarp int
+	WindowsPerWarp int `param:"windows" help:"partition size per warp in 2 KB windows (power of two)" default:"32"`
 	// Blocks and WarpsPerBlock size the worker population.
-	Blocks        int
-	WarpsPerBlock int
+	Blocks        int `param:"blocks" help:"thread blocks" default:"15"`
+	WarpsPerBlock int `param:"warps" help:"warps per block" default:"4"`
+	// Seed drives the per-warp update streams and initial table fill.
+	Seed uint64 `param:"seed" help:"update stream seed" default:"0x6095"`
 }
+
+// Name identifies the workload in reports.
+func (w GUPS) Name() string { return "GUPS" }
+
+func (w GUPS) blockWarps() int { return w.WarpsPerBlock }
 
 // GUPS kernel registers (rZero/rOne shared, see framework.go).
 const (
@@ -127,13 +132,13 @@ func (w GUPS) Reference() []uint64 {
 	return tab
 }
 
-// Build initializes the table and returns the kernel.
-func (w GUPS) Build(h *cpu.Host) (*gpu.Kernel, error) {
+// Build initializes the table and returns the kernel plus its verifier.
+func (w GUPS) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if w.Updates < 1 || w.Blocks < 1 || w.WarpsPerBlock < 1 {
-		return nil, fmt.Errorf("workloads: invalid GUPS %+v", w)
+		return nil, nil, fmt.Errorf("workloads: invalid GUPS %+v", w)
 	}
 	if w.WindowsPerWarp < 1 || w.WindowsPerWarp&(w.WindowsPerWarp-1) != 0 {
-		return nil, fmt.Errorf("workloads: GUPS WindowsPerWarp %d must be a power of two", w.WindowsPerWarp)
+		return nil, nil, fmt.Errorf("workloads: GUPS WindowsPerWarp %d must be a power of two", w.WindowsPerWarp)
 	}
 	for j := 0; j < w.tableWords(); j++ {
 		h.Write64(addrGupsTable+uint64(j)*8, w.initWord(j))
@@ -152,24 +157,11 @@ func (w GUPS) Build(h *cpu.Host) (*gpu.Kernel, error) {
 			regs[rGuUpd] = uint64(w.Updates)
 		},
 	}
-	return k, nil
+	return k, w.verify, nil
 }
 
-// Instance wraps the parameter block as a runnable workload with its
-// functional verification hook attached.
-func (w GUPS) Instance() Instance {
-	return NewInstance("GUPS", func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-		k, err := w.Build(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		verify := func(h *cpu.Host) error { return VerifyGUPS(h, w) }
-		return k, verify, nil
-	})
-}
-
-// VerifyGUPS checks the final table contents against the CPU replay.
-func VerifyGUPS(h *cpu.Host, w GUPS) error {
+// verify checks the final table contents against the CPU replay.
+func (w GUPS) verify(h *cpu.Host) error {
 	want := w.Reference()
 	for j, wv := range want {
 		if got := h.Read64(addrGupsTable + uint64(j)*8); got != wv {

@@ -7,6 +7,7 @@ import (
 	"gsi/internal/gpu"
 	"gsi/internal/isa"
 	"gsi/internal/scratchpad"
+	"gsi/internal/sim"
 )
 
 // Implicit is the synthetic microbenchmark of case study 2: an array is
@@ -26,14 +27,32 @@ import (
 //     warp-granularity blocking) and dirty lines register lazily through
 //     the store buffer.
 type Implicit struct {
-	Seed uint64
+	// Local is the local-memory organization the kernel targets.
+	Local gpu.LocalKind `param:"local" help:"local-memory organization: scratchpad | dma | stash" default:"scratchpad"`
 	// Warps work on DataBytes/Warps-byte chunks (one block, one SM).
-	Warps     int
-	DataBytes int
+	Warps     int `param:"warps" help:"warp count (memory-level parallelism)" default:"32"`
+	DataBytes int `param:"databytes" help:"array size in bytes" default:"16384"`
 	// FMAs per element group per round, and Rounds compute passes.
-	FMAs   int
-	Rounds int
+	FMAs   int    `param:"fmas" help:"FMA chain per element group" default:"4"`
+	Rounds int    `param:"rounds" help:"compute passes over the array" default:"2"`
+	Seed   uint64 `param:"seed" help:"data fill seed" default:"0xD17A"`
 }
+
+// Name identifies the workload in reports; Report.LocalMem parses the
+// organization back out of it.
+func (im Implicit) Name() string { return "implicit (" + im.Local.String() + ")" }
+
+// Tune shapes case study 2's machine: one SM holding the whole block.
+func (im Implicit) Tune(cfg sim.Config) sim.Config {
+	cfg.NumSMs = 1
+	cfg.WarpsPerSM = 32
+	if im.Warps > 0 && im.Warps < cfg.WarpsPerSM {
+		cfg.WarpsPerSM = im.Warps
+	}
+	return cfg
+}
+
+func (im Implicit) blockWarps() int { return im.Warps }
 
 // Implicit kernel registers.
 const (
@@ -153,22 +172,22 @@ func implicitLocalProgram(name string, fmas int) *isa.Program {
 	return b.MustBuild()
 }
 
-// Build initializes the data array and returns the kernel for the given
-// local-memory organization.
-func (im Implicit) Build(kind gpu.LocalKind, h *cpu.Host) (*gpu.Kernel, error) {
+// Build initializes the data array and returns the kernel for the
+// workload's local-memory organization plus its verifier.
+func (im Implicit) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if im.Warps < 1 || im.DataBytes < 1 {
-		return nil, fmt.Errorf("workloads: invalid implicit %+v", im)
+		return nil, nil, fmt.Errorf("workloads: invalid implicit %+v", im)
 	}
 	chunk := im.DataBytes / im.Warps
 	if chunk%loadIterB != 0 {
-		return nil, fmt.Errorf("workloads: chunk %d not a multiple of %d", chunk, loadIterB)
+		return nil, nil, fmt.Errorf("workloads: chunk %d not a multiple of %d", chunk, loadIterB)
 	}
 	for j := 0; j < im.DataBytes/8; j++ {
 		h.Write64(addrData+uint64(j)*8, isa.Mix64(im.Seed^uint64(j)))
 	}
 
 	var prog *isa.Program
-	switch kind {
+	switch im.Local {
 	case gpu.LocalScratch:
 		prog = implicitScratchProgram(im.FMAs)
 	case gpu.LocalScratchDMA:
@@ -176,15 +195,15 @@ func (im Implicit) Build(kind gpu.LocalKind, h *cpu.Host) (*gpu.Kernel, error) {
 	case gpu.LocalStash:
 		prog = implicitLocalProgram("implicit-stash", im.FMAs)
 	default:
-		return nil, fmt.Errorf("workloads: implicit needs a local-memory kind, got %s", kind)
+		return nil, nil, fmt.Errorf("workloads: implicit needs a local-memory kind, got %s", im.Local)
 	}
 
 	k := &gpu.Kernel{
-		Name:          "implicit-" + kind.String(),
+		Name:          "implicit-" + im.Local.String(),
 		Program:       prog,
 		Blocks:        1,
 		WarpsPerBlock: im.Warps,
-		Local:         kind,
+		Local:         im.Local,
 		InitRegs: func(block, warp int, regs *[isa.NumRegs]uint64) {
 			base := uint64(warp * chunk)
 			regs[riGBase] = addrData + base
@@ -201,20 +220,7 @@ func (im Implicit) Build(kind gpu.LocalKind, h *cpu.Host) (*gpu.Kernel, error) {
 	k.LocalMap = func(block int) scratchpad.Mapping {
 		return scratchpad.Mapping{GlobalBase: addrData, LocalBase: 0, Bytes: uint64(im.DataBytes)}
 	}
-	return k, nil
-}
-
-// Instance wraps the parameter block (in the given local-memory
-// organization) as a runnable workload with its verification hook.
-func (im Implicit) Instance(kind gpu.LocalKind) Instance {
-	return NewInstance("implicit ("+kind.String()+")",
-		func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-			k, err := im.Build(kind, h)
-			if err != nil {
-				return nil, nil, err
-			}
-			return k, func(h *cpu.Host) error { return im.VerifyImplicit(h) }, nil
-		})
+	return k, im.verify, nil
 }
 
 // applyFMA iterates v = v*v + v.
@@ -225,12 +231,12 @@ func applyFMA(v uint64, n int) uint64 {
 	return v
 }
 
-// VerifyImplicit checks the post-run array contents. Vector stores write
+// verify checks the post-run array contents. Vector stores write
 // the warp-scalar register to every lane, so after the kernel every word of
 // a 256-byte group holds the FMA chain applied to the group's original
 // first word (consistently across all three configurations — this is the
 // cross-configuration functional check).
-func (im Implicit) VerifyImplicit(h *cpu.Host) error {
+func (im Implicit) verify(h *cpu.Host) error {
 	words := im.DataBytes / 8
 	perGroup := groupBytes / 8
 	for g := 0; g < words/perGroup; g++ {

@@ -6,6 +6,7 @@ import (
 	"gsi/internal/cpu"
 	"gsi/internal/gpu"
 	"gsi/internal/isa"
+	"gsi/internal/sim"
 )
 
 // Pipeline is a producer-consumer pipeline with long idle phases between
@@ -20,24 +21,34 @@ import (
 // most of the round waiting on a single known future event — exactly the
 // windows the engine jumps.
 type Pipeline struct {
-	// Seed drives the permutation and chase starting points.
-	Seed uint64
 	// Rounds is the number of produce/consume handoffs.
-	Rounds int
+	Rounds int `param:"rounds" help:"produce/consume handoffs" default:"12"`
 	// Chase is the pointer-chase length per producer per round.
-	Chase int
+	Chase int `param:"chase" help:"pointer-chase length per producer per round" default:"64"`
 	// Work is the dependent hash-chain length a consumer runs per token.
-	Work int
+	Work int `param:"work" help:"hash-chain length per token" default:"24"`
 	// Producers and Consumers partition the block's warps: warps
 	// [0,Producers) produce, [Producers, Producers+Consumers) consume.
-	Producers int
-	Consumers int
+	Producers int `param:"producers" help:"producer warps" default:"1"`
+	Consumers int `param:"consumers" help:"consumer warps" default:"1"`
 	// PermWords is the pointer-chase permutation size in words.
-	PermWords int
+	PermWords int `param:"permwords" help:"pointer-chase permutation words (>= 2)" default:"4096"`
+	// Seed drives the permutation and chase starting points.
+	Seed uint64 `param:"seed" help:"permutation seed" default:"0x9199"`
 }
 
-// Warps returns the block size: every producer plus every consumer.
-func (w Pipeline) Warps() int { return w.Producers + w.Consumers }
+// Name identifies the workload in reports.
+func (w Pipeline) Name() string { return "pipeline" }
+
+// Tune runs the block on one SM: the idle stage's warps are the only
+// other residents, so the bursty phases are pure waits.
+func (w Pipeline) Tune(cfg sim.Config) sim.Config {
+	cfg.NumSMs = 1
+	return cfg
+}
+
+// blockWarps is the block size: every producer plus every consumer.
+func (w Pipeline) blockWarps() int { return w.Producers + w.Consumers }
 
 // GenPerm builds the seeded pointer-chase permutation: a Fisher-Yates
 // shuffle of [0,n) driven by splitmix64, giving one big cycle-free random
@@ -160,8 +171,8 @@ func (w Pipeline) Reference(perm []uint64) (toks, results []uint64) {
 }
 
 // Build writes the permutation into host memory and returns the kernel
-// plus the permutation (for verification).
-func (w Pipeline) Build(h *cpu.Host) (*gpu.Kernel, []uint64, error) {
+// plus the verifier of the chase over that permutation.
+func (w Pipeline) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if w.Rounds < 1 || w.Chase < 1 || w.Work < 1 || w.Producers < 1 ||
 		w.Consumers < 1 || w.PermWords < 2 {
 		return nil, nil, fmt.Errorf("workloads: invalid pipeline %+v", w)
@@ -177,7 +188,7 @@ func (w Pipeline) Build(h *cpu.Host) (*gpu.Kernel, []uint64, error) {
 		Name:          "pipeline",
 		Program:       pipelineProgram(w.Work),
 		Blocks:        1,
-		WarpsPerBlock: w.Warps(),
+		WarpsPerBlock: w.blockWarps(),
 		InitRegs: func(block, warp int, regs *[isa.NumRegs]uint64) {
 			InitConsts(regs)
 			regs[rPlPermB] = addrPipePerm
@@ -193,25 +204,12 @@ func (w Pipeline) Build(h *cpu.Host) (*gpu.Kernel, []uint64, error) {
 			}
 		},
 	}
-	return k, perm, nil
+	return k, func(h *cpu.Host) error { return w.verify(h, perm) }, nil
 }
 
-// Instance wraps the parameter block as a runnable workload with its
-// functional verification hook attached.
-func (w Pipeline) Instance() Instance {
-	return NewInstance("pipeline", func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-		k, perm, err := w.Build(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		verify := func(h *cpu.Host) error { return VerifyPipeline(h, perm, w) }
-		return k, verify, nil
-	})
-}
-
-// VerifyPipeline checks every token and result word against the CPU
+// verify checks every token and result word against the CPU
 // replay of the chase and hash chains.
-func VerifyPipeline(h *cpu.Host, perm []uint64, w Pipeline) error {
+func (w Pipeline) verify(h *cpu.Host, perm []uint64) error {
 	toks, results := w.Reference(perm)
 	for i := range toks {
 		if got := h.Read64(addrPipeTok + uint64(i)*8); got != toks[i] {

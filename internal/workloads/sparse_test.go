@@ -64,27 +64,28 @@ func TestGenGraphDeterministicCSR(t *testing.T) {
 	}
 }
 
-// forgeBFS builds BFS memory and writes the state a correct run leaves.
-func forgeBFS(t *testing.T) (*cpu.Host, *Graph, BFS) {
+// forgeBFS builds BFS memory and writes the state a correct run leaves,
+// from the reference traversal of the same seeded graph.
+func forgeBFS(t *testing.T) (*cpu.Host, func(*cpu.Host) error) {
 	t.Helper()
 	h := cpu.NewHost(mem.NewBacking())
 	w := BFS{Seed: 11, Vertices: 120, AvgDeg: 3, Blocks: 2, WarpsPerBlock: 2}
-	_, g, err := w.Build(h)
+	_, verify, err := w.Build(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, levels := g.Levels()
+	dist, levels := GenGraph(w.Seed, w.Vertices, w.AvgDeg).Levels()
 	for v, d := range dist {
 		h.Write64(addrBfsDist+uint64(v)*8, d)
 	}
 	h.Write64(addrBfsBarGen, uint64(levels))
 	h.Write64(addrBfsBarCnt, uint64(levels*w.Blocks*w.WarpsPerBlock))
-	return h, g, w
+	return h, verify
 }
 
 func TestVerifyBFSDetectsFaults(t *testing.T) {
-	h, g, w := forgeBFS(t)
-	if err := VerifyBFS(h, g, w); err != nil {
+	h, verify := forgeBFS(t)
+	if err := verify(h); err != nil {
 		t.Fatalf("perfect run rejected: %v", err)
 	}
 	faults := []struct {
@@ -104,9 +105,9 @@ func TestVerifyBFSDetectsFaults(t *testing.T) {
 	}
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {
-			h, g, w := forgeBFS(t)
+			h, verify := forgeBFS(t)
 			f.inject(h)
-			err := VerifyBFS(h, g, w)
+			err := verify(h)
 			if err == nil {
 				t.Fatal("fault not detected")
 			}
@@ -120,18 +121,23 @@ func TestVerifyBFSDetectsFaults(t *testing.T) {
 func TestVerifySpMVDetectsCorruption(t *testing.T) {
 	h := cpu.NewHost(mem.NewBacking())
 	w := SpMV{Seed: 13, Rows: 64, NnzPerRow: 4, Blocks: 2, WarpsPerBlock: 2}
-	_, m, x, err := w.Build(h)
+	_, verify, err := w.Build(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, v := range m.Multiply(x) {
+	// The input vector is read back from host memory.
+	x := make([]uint64, w.Rows)
+	for i := range x {
+		x[i] = h.Read64(addrSpmX + uint64(i)*8)
+	}
+	for r, v := range GenMatrix(w.Seed, w.Rows, w.NnzPerRow).Multiply(x) {
 		h.Write64(addrSpmY+uint64(r)*8, v)
 	}
-	if err := VerifySpMV(h, m, x); err != nil {
+	if err := verify(h); err != nil {
 		t.Fatalf("perfect run rejected: %v", err)
 	}
 	h.Write64(addrSpmY+8*31, h.Read64(addrSpmY+8*31)^1)
-	if err := VerifySpMV(h, m, x); err == nil || !strings.Contains(err.Error(), "y[31]") {
+	if err := verify(h); err == nil || !strings.Contains(err.Error(), "y[31]") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 }
@@ -139,25 +145,26 @@ func TestVerifySpMVDetectsCorruption(t *testing.T) {
 func TestVerifyPipelineDetectsCorruption(t *testing.T) {
 	h := cpu.NewHost(mem.NewBacking())
 	w := Pipeline{Seed: 17, Rounds: 3, Chase: 8, Work: 4, Producers: 2, Consumers: 1, PermWords: 64}
-	_, perm, err := w.Build(h)
+	_, verify, err := w.Build(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	toks, results := w.Reference(perm)
+	toks, results := w.Reference(GenPerm(w.Seed, w.PermWords))
 	for i := range toks {
 		h.Write64(addrPipeTok+uint64(i)*8, toks[i])
 		h.Write64(addrPipeRes+uint64(i)*8, results[i])
 	}
-	if err := VerifyPipeline(h, perm, w); err != nil {
+	if err := verify(h); err != nil {
 		t.Fatalf("perfect run rejected: %v", err)
 	}
 	h.Write64(addrPipeRes+8*2, h.Read64(addrPipeRes+8*2)+1)
-	if err := VerifyPipeline(h, perm, w); err == nil || !strings.Contains(err.Error(), "result[2]") {
+	if err := verify(h); err == nil || !strings.Contains(err.Error(), "result[2]") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 	// Token corruption is a distinct failure (the handoff itself broke).
 	h2 := cpu.NewHost(mem.NewBacking())
-	if _, _, err := w.Build(h2); err != nil {
+	_, verify2, err := w.Build(h2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range toks {
@@ -165,7 +172,7 @@ func TestVerifyPipelineDetectsCorruption(t *testing.T) {
 		h2.Write64(addrPipeRes+uint64(i)*8, results[i])
 	}
 	h2.Write64(addrPipeTok+0, toks[0]+1)
-	if err := VerifyPipeline(h2, perm, w); err == nil || !strings.Contains(err.Error(), "token[0]") {
+	if err := verify2(h2); err == nil || !strings.Contains(err.Error(), "token[0]") {
 		t.Fatalf("token corruption not detected: %v", err)
 	}
 }
@@ -173,17 +180,18 @@ func TestVerifyPipelineDetectsCorruption(t *testing.T) {
 func TestVerifyGUPSDetectsCorruption(t *testing.T) {
 	h := cpu.NewHost(mem.NewBacking())
 	w := GUPS{Seed: 19, Updates: 6, WindowsPerWarp: 4, Blocks: 2, WarpsPerBlock: 1}
-	if _, err := w.Build(h); err != nil {
+	_, verify, err := w.Build(h)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for j, v := range w.Reference() {
 		h.Write64(addrGupsTable+uint64(j)*8, v)
 	}
-	if err := VerifyGUPS(h, w); err != nil {
+	if err := verify(h); err != nil {
 		t.Fatalf("perfect run rejected: %v", err)
 	}
 	h.Write64(addrGupsTable+8*100, h.Read64(addrGupsTable+8*100)^2)
-	if err := VerifyGUPS(h, w); err == nil || !strings.Contains(err.Error(), "table[100]") {
+	if err := verify(h); err == nil || !strings.Contains(err.Error(), "table[100]") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 }
@@ -193,13 +201,13 @@ func TestSparseWorkloadValidation(t *testing.T) {
 	if _, _, err := (BFS{Vertices: 0, AvgDeg: 1, Blocks: 1, WarpsPerBlock: 1}).Build(h); err == nil {
 		t.Error("BFS accepted zero vertices")
 	}
-	if _, _, _, err := (SpMV{Rows: 10, NnzPerRow: 0, Blocks: 1, WarpsPerBlock: 1}).Build(h); err == nil {
+	if _, _, err := (SpMV{Rows: 10, NnzPerRow: 0, Blocks: 1, WarpsPerBlock: 1}).Build(h); err == nil {
 		t.Error("SpMV accepted zero nnz")
 	}
 	if _, _, err := (Pipeline{Rounds: 1, Chase: 1, Work: 1, Producers: 1, Consumers: 0, PermWords: 4}).Build(h); err == nil {
 		t.Error("pipeline accepted zero consumers")
 	}
-	if _, err := (GUPS{Updates: 1, WindowsPerWarp: 3, Blocks: 1, WarpsPerBlock: 1}).Build(h); err == nil {
+	if _, _, err := (GUPS{Updates: 1, WindowsPerWarp: 3, Blocks: 1, WarpsPerBlock: 1}).Build(h); err == nil {
 		t.Error("GUPS accepted non-power-of-two partition")
 	}
 }
@@ -250,20 +258,22 @@ func TestRegistryProgramsAreDecoded(t *testing.T) {
 	}
 }
 
-// TestValuesUint64ParsesHex pins the seed-parameter encoding: the schema
-// defaults are written with 0x prefixes, and a hex-prefixed value must
-// parse as hex (a regression here silently runs registry workloads on
-// different seeds than the same-named programmatic constructors).
+// TestValuesUint64ParsesHex pins the decoder's seed-parameter encoding:
+// the schema defaults are written with 0x prefixes, and a hex-prefixed
+// value must parse as hex (a regression here silently runs registry
+// workloads on different seeds than the same-named struct literals),
+// while a decimal one parses as decimal.
 func TestValuesUint64ParsesHex(t *testing.T) {
+	e, _ := Builtins().Lookup("uts")
 	for in, want := range map[string]uint64{
 		"0x9199": 0x9199, "0xC0FFEE": 0xC0FFEE, "123": 123,
 	} {
-		got, err := Values{"seed": in}.Uint64("seed")
-		if err != nil || got != want {
-			t.Errorf("Uint64(%q) = %#x, %v; want %#x", in, got, err, want)
+		w, err := e.Build(Values{"seed": in})
+		if err != nil || w.(UTS).Seed != want {
+			t.Errorf("seed=%q decoded to %+v, %v; want seed %#x", in, w, err, want)
 		}
 	}
-	if _, err := (Values{"seed": "xyz"}).Uint64("seed"); err == nil {
-		t.Error("non-numeric seed accepted")
+	if _, err := e.Build(Values{"seed": "xyz"}); err == nil || !strings.Contains(err.Error(), "is not a uint64") {
+		t.Errorf("non-numeric seed: err = %v", err)
 	}
 }

@@ -16,18 +16,23 @@ import (
 // by memory data stalls split between the L2 and main memory — the classic
 // streaming-with-indirection signature, with no synchronization at all.
 type SpMV struct {
-	// Seed drives deterministic matrix and vector generation.
-	Seed uint64
 	// Rows is the matrix dimension (square: columns = rows).
-	Rows int
+	Rows int `param:"rows" help:"matrix dimension" default:"2048"`
 	// NnzPerRow is the mean nonzeros per row (drawn uniformly from
 	// [1, 2*NnzPerRow+1]).
-	NnzPerRow int
+	NnzPerRow int `param:"nnz" help:"mean nonzeros per row" default:"8"`
 	// Blocks and WarpsPerBlock size the worker population; rows are
 	// chunked over Blocks*WarpsPerBlock warps.
-	Blocks        int
-	WarpsPerBlock int
+	Blocks        int `param:"blocks" help:"thread blocks" default:"15"`
+	WarpsPerBlock int `param:"warps" help:"warps per block" default:"8"`
+	// Seed drives deterministic matrix and vector generation.
+	Seed uint64 `param:"seed" help:"matrix generation seed" default:"0x59A7"`
 }
+
+// Name identifies the workload in reports.
+func (w SpMV) Name() string { return "SpMV" }
+
+func (w SpMV) blockWarps() int { return w.WarpsPerBlock }
 
 // Matrix is a CSR sparse matrix with 64-bit integer values (arithmetic is
 // wrap-around, matching the GPU's ALU).
@@ -127,10 +132,10 @@ func spmvProgram() *isa.Program {
 }
 
 // Build writes the matrix and vectors into host memory and returns the
-// kernel plus the generated inputs (for verification).
-func (w SpMV) Build(h *cpu.Host) (*gpu.Kernel, *Matrix, []uint64, error) {
+// kernel plus the verifier of their product.
+func (w SpMV) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if w.Rows < 1 || w.Blocks < 1 || w.WarpsPerBlock < 1 || w.NnzPerRow < 1 {
-		return nil, nil, nil, fmt.Errorf("workloads: invalid SpMV %+v", w)
+		return nil, nil, fmt.Errorf("workloads: invalid SpMV %+v", w)
 	}
 	m := GenMatrix(w.Seed, w.Rows, w.NnzPerRow)
 	x := make([]uint64, w.Rows)
@@ -163,24 +168,11 @@ func (w SpMV) Build(h *cpu.Host) (*gpu.Kernel, *Matrix, []uint64, error) {
 			regs[rSpRowEnd] = uint64(end)
 		},
 	}
-	return k, m, x, nil
+	return k, func(h *cpu.Host) error { return verifySpMV(h, m, x) }, nil
 }
 
-// Instance wraps the parameter block as a runnable workload with its
-// functional verification hook attached.
-func (w SpMV) Instance() Instance {
-	return NewInstance("SpMV", func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-		k, m, x, err := w.Build(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		verify := func(h *cpu.Host) error { return VerifySpMV(h, m, x) }
-		return k, verify, nil
-	})
-}
-
-// VerifySpMV checks every output word against the reference product.
-func VerifySpMV(h *cpu.Host, m *Matrix, x []uint64) error {
+// verifySpMV checks every output word against the reference product.
+func verifySpMV(h *cpu.Host, m *Matrix, x []uint64) error {
 	want := m.Multiply(x)
 	for r, wv := range want {
 		if got := h.Read64(addrSpmY + uint64(r)*8); got != wv {

@@ -27,23 +27,28 @@ import (
 // by an atomic read of the processed counter.
 type Steal struct {
 	// Tasks is the total task count; ids are 0..Tasks-1.
-	Tasks int
+	Tasks int `param:"tasks" help:"total task count" default:"2000"`
 	// Cap is the per-deque ring capacity (a power of two >= Tasks, since
 	// the skewed seeding can put every task in one deque).
-	Cap int
+	Cap int `param:"cap" help:"per-deque ring capacity (power of two >= tasks)" default:"2048"`
 	// Blocks is the deque count (one deque per thread block) and
 	// WarpsPerBlock the workers sharing each deque.
-	Blocks        int
-	WarpsPerBlock int
+	Blocks        int `param:"blocks" help:"thread blocks (one deque each)" default:"15"`
+	WarpsPerBlock int `param:"warps" help:"warps per block" default:"4"`
 	// Work is the dependent hash-chain length per task and FMAs the FMA
 	// chain extending it, as in the UTS node processing.
-	Work int
-	FMAs int
+	Work int `param:"work" help:"hash chain length per task" default:"12"`
+	FMAs int `param:"fmas" help:"FMA chain length per task" default:"4"`
 	// Skew is the percentage of tasks seeded into block 0's deque; the
 	// remainder round-robin across the other deques. 100 means total
 	// imbalance (every steal chain starts at deque 0).
-	Skew int
+	Skew int `param:"skew" help:"percent of tasks seeded into deque 0" default:"100"`
 }
+
+// Name identifies the workload in reports.
+func (w Steal) Name() string { return "steal" }
+
+func (w Steal) blockWarps() int { return w.WarpsPerBlock }
 
 // Steal kernel registers (rZero/rOne shared, see framework.go).
 const (
@@ -212,20 +217,20 @@ func (w Steal) seedDeques() [][]uint64 {
 }
 
 // Build writes the deques and task rings into host memory and returns the
-// kernel.
-func (w Steal) Build(h *cpu.Host) (*gpu.Kernel, error) {
+// kernel plus its verifier.
+func (w Steal) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if w.Tasks < 1 || w.Blocks < 1 || w.WarpsPerBlock < 1 {
-		return nil, fmt.Errorf("workloads: invalid steal %+v", w)
+		return nil, nil, fmt.Errorf("workloads: invalid steal %+v", w)
 	}
 	if w.Cap < w.Tasks || w.Cap&(w.Cap-1) != 0 {
-		return nil, fmt.Errorf("workloads: steal ring cap %d must be a power of two >= %d tasks", w.Cap, w.Tasks)
+		return nil, nil, fmt.Errorf("workloads: steal ring cap %d must be a power of two >= %d tasks", w.Cap, w.Tasks)
 	}
 	if w.Skew < 0 || w.Skew > 100 {
-		return nil, fmt.Errorf("workloads: steal skew %d%% out of range", w.Skew)
+		return nil, nil, fmt.Errorf("workloads: steal skew %d%% out of range", w.Skew)
 	}
 	if sqMetaStride*uint64(w.Blocks) > addrSqTasks-addrSqMeta ||
 		sqTaskStride*uint64(w.Blocks) > addrStealRes-addrSqTasks {
-		return nil, fmt.Errorf("workloads: steal blocks %d overflow the deque regions", w.Blocks)
+		return nil, nil, fmt.Errorf("workloads: steal blocks %d overflow the deque regions", w.Blocks)
 	}
 	for q, tasks := range w.seedDeques() {
 		h.Write64(sqLockAddr(q), 0)
@@ -257,19 +262,7 @@ func (w Steal) Build(h *cpu.Host) (*gpu.Kernel, error) {
 			regs[rSlResB] = addrStealRes
 		},
 	}
-	return k, nil
-}
-
-// Instance wraps the parameter block as a runnable workload with its
-// functional verification hook attached.
-func (w Steal) Instance() Instance {
-	return NewInstance("steal", func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-		k, err := w.Build(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		return k, func(h *cpu.Host) error { return VerifySteal(h, w) }, nil
-	})
+	return k, w.verify, nil
 }
 
 // StealResult is the reference per-task result: the hash chain extended by
@@ -282,11 +275,11 @@ func StealResult(id uint64, work, fmas int) uint64 {
 	return applyFMA(HashChain(id, work), fmas)
 }
 
-// VerifySteal checks the post-run invariants: every task processed exactly
+// verify checks the post-run invariants: every task processed exactly
 // once (the done counter equals the task count and every result word holds
 // the exact chain value), every deque drained (head == tail), and every
 // lock free.
-func VerifySteal(h *cpu.Host, w Steal) error {
+func (w Steal) verify(h *cpu.Host) error {
 	if done := h.Read64(addrStealDone); done != uint64(w.Tasks) {
 		return fmt.Errorf("workloads: steal done=%d, want %d", done, w.Tasks)
 	}

@@ -25,23 +25,28 @@ import (
 // barrier synchronization — the structured-grid pattern none of the
 // irregular workloads produce.
 type Stencil struct {
-	// Seed drives the deterministic initial grid fill.
-	Seed uint64
 	// Width is the column count including the two fixed edge columns; it
 	// must be a multiple of 8 so rows are whole cache lines.
-	Width int
+	Width int `param:"width" help:"grid columns including fixed edges (multiple of 8)" default:"64"`
 	// Rows is the interior row count per block; the logical grid has
 	// Blocks*Rows interior rows plus the two fixed boundary rows.
-	Rows int
+	Rows int `param:"rows" help:"interior rows per block band" default:"4"`
 	// Steps is the Jacobi time-step count.
-	Steps int
+	Steps int `param:"steps" help:"Jacobi time steps" default:"8"`
 	// Blocks bands the grid (one block per SM — the global barrier needs
 	// every block co-resident); WarpsPerBlock splits each band's rows.
-	Blocks        int
-	WarpsPerBlock int
+	Blocks        int `param:"blocks" help:"thread blocks (must all be co-resident)" default:"15"`
+	WarpsPerBlock int `param:"warps" help:"warps per block" default:"2"`
 	// Work is the hash-chain length applied to each 5-point sum.
-	Work int
+	Work int `param:"work" help:"hash chain length per cell update" default:"2"`
+	// Seed drives the deterministic initial grid fill.
+	Seed uint64 `param:"seed" help:"initial grid fill seed" default:"0x57E9"`
 }
+
+// Name identifies the workload in reports.
+func (w Stencil) Name() string { return "stencil" }
+
+func (w Stencil) blockWarps() int { return w.WarpsPerBlock }
 
 // Derived layout: a block's window holds two (Rows+2)-row planes
 // back-to-back; halo slots are one row plus a line of padding apart so
@@ -280,10 +285,10 @@ func (w Stencil) validate() error {
 }
 
 // Build writes the band windows and halo slots into host memory and
-// returns the kernel.
-func (w Stencil) Build(h *cpu.Host) (*gpu.Kernel, error) {
+// returns the kernel plus its verifier.
+func (w Stencil) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if err := w.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Band windows: both planes start as the initial grid (the plane
 	// written first still exposes its untouched edge columns and ghost
@@ -347,7 +352,7 @@ func (w Stencil) Build(h *cpu.Host) (*gpu.Kernel, error) {
 			regs[rStWTot] = total
 		},
 	}
-	return k, nil
+	return k, w.verify, nil
 }
 
 // stencilState is the CPU replay's mirror of the workload's memory: one
@@ -428,23 +433,11 @@ func (w Stencil) Reference() *stencilState {
 	return s
 }
 
-// Instance wraps the parameter block as a runnable workload with its
-// functional verification hook attached.
-func (w Stencil) Instance() Instance {
-	return NewInstance("stencil", func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-		k, err := w.Build(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		return k, func(h *cpu.Host) error { return VerifyStencil(h, w) }, nil
-	})
-}
-
-// VerifyStencil compares the post-run memory against the CPU replay: every
+// verify compares the post-run memory against the CPU replay: every
 // word of every band window (the DMA write-back image, both planes, ghost
 // rows and edge columns included), every halo slot, and the barrier words
 // (Steps generations with every warp arriving at each).
-func VerifyStencil(h *cpu.Host, w Stencil) error {
+func (w Stencil) verify(h *cpu.Host) error {
 	ref := w.Reference()
 	planeWords := (w.Rows + 2) * w.Width
 	for b := 0; b < w.Blocks; b++ {

@@ -15,11 +15,12 @@ import (
 
 // forgeStencilRun builds stencil memory and overwrites it with the CPU
 // replay's final image plus the barrier words a complete run leaves.
-func forgeStencilRun(t *testing.T) (*cpu.Host, Stencil) {
+func forgeStencilRun(t *testing.T) (*cpu.Host, Stencil, func(*cpu.Host) error) {
 	t.Helper()
 	h := cpu.NewHost(mem.NewBacking())
 	w := Stencil{Seed: 7, Width: 16, Rows: 2, Steps: 3, Blocks: 3, WarpsPerBlock: 2, Work: 1}
-	if _, err := w.Build(h); err != nil {
+	_, verify, err := w.Build(h)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ref := w.Reference()
@@ -42,12 +43,12 @@ func forgeStencilRun(t *testing.T) (*cpu.Host, Stencil) {
 	}
 	h.Write64(addrStenBarGen, uint64(w.Steps))
 	h.Write64(addrStenBarCnt, uint64(w.Steps*w.Blocks*w.WarpsPerBlock))
-	return h, w
+	return h, w, verify
 }
 
 func TestVerifyStencilAcceptsPerfectRun(t *testing.T) {
-	h, w := forgeStencilRun(t)
-	if err := VerifyStencil(h, w); err != nil {
+	h, _, verify := forgeStencilRun(t)
+	if err := verify(h); err != nil {
 		t.Fatalf("perfect run rejected: %v", err)
 	}
 }
@@ -79,9 +80,9 @@ func TestVerifyStencilDetectsFaults(t *testing.T) {
 	}
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {
-			h, w := forgeStencilRun(t)
+			h, w, verify := forgeStencilRun(t)
 			f.inject(h, w)
-			err := VerifyStencil(h, w)
+			err := verify(h)
 			if err == nil {
 				t.Fatal("fault not detected")
 			}
@@ -94,11 +95,12 @@ func TestVerifyStencilDetectsFaults(t *testing.T) {
 
 // forgeStealRun builds steal memory and forges the state a correct run
 // leaves: every deque drained, every result word exact, done == Tasks.
-func forgeStealRun(t *testing.T) (*cpu.Host, Steal) {
+func forgeStealRun(t *testing.T) (*cpu.Host, Steal, func(*cpu.Host) error) {
 	t.Helper()
 	h := cpu.NewHost(mem.NewBacking())
 	w := Steal{Tasks: 40, Cap: 64, Blocks: 3, WarpsPerBlock: 2, Work: 2, FMAs: 1, Skew: 100}
-	if _, err := w.Build(h); err != nil {
+	_, verify, err := w.Build(h)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q < w.Blocks; q++ {
@@ -108,12 +110,12 @@ func forgeStealRun(t *testing.T) (*cpu.Host, Steal) {
 	for id := 0; id < w.Tasks; id++ {
 		h.Write64(addrStealRes+uint64(id)*8, StealResult(uint64(id), w.Work, w.FMAs))
 	}
-	return h, w
+	return h, w, verify
 }
 
 func TestVerifyStealAcceptsPerfectRun(t *testing.T) {
-	h, w := forgeStealRun(t)
-	if err := VerifySteal(h, w); err != nil {
+	h, _, verify := forgeStealRun(t)
+	if err := verify(h); err != nil {
 		t.Fatalf("perfect run rejected: %v", err)
 	}
 }
@@ -140,9 +142,9 @@ func TestVerifyStealDetectsFaults(t *testing.T) {
 	}
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {
-			h, w := forgeStealRun(t)
+			h, w, verify := forgeStealRun(t)
 			f.inject(h, w)
-			err := VerifySteal(h, w)
+			err := verify(h)
 			if err == nil {
 				t.Fatal("fault not detected")
 			}

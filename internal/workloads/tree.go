@@ -12,11 +12,13 @@
 //
 // Every workload is deterministic: inputs are synthesized from a seed
 // (splitmix64 via isa.Mix64) and each run ends with a CPU-side functional
-// verifier that recomputes the expected memory image. The Registry maps
-// workload names to constructors, parameter schemas with default and
-// SmallScale values, and optional system-shaping hooks; both CLIs and the
-// sweep Grid's workload axis drive that one table, and registering an
-// entry enrolls the workload in the engine diff tests automatically.
+// verifier that recomputes the expected memory image. Each workload is a
+// parameter struct that implements Instance and declares its parameter
+// schema (names, help, default-scale values) in struct tags; the Registry
+// maps workload names to those structs and their SmallScale values, and
+// decodes parameter overrides into them. Both CLIs and the sweep Grid's
+// workload axis drive that one table, and registering an entry enrolls
+// the workload in the engine diff tests automatically.
 // framework.go holds the shared kernel-authoring helpers (WarpChunk,
 // InitConsts, spin-lock and hash-chain emitters); see the README's
 // "Authoring a workload" guide and docs/ARCHITECTURE.md for the component

@@ -139,16 +139,16 @@ func TestProgramsBuild(t *testing.T) {
 }
 
 func TestWorkloadValidation(t *testing.T) {
-	if _, _, _, err := (UTS{}).Build(nil); err == nil {
+	if _, _, err := (UTS{}).Build(nil); err == nil {
 		t.Error("zero UTS accepted")
 	}
-	if _, _, _, err := (UTSD{Nodes: 10, Blocks: 1, WarpsPerBlock: 1, LQCap: 3}).Build(nil); err == nil {
+	if _, _, err := (UTSD{Nodes: 10, Blocks: 1, WarpsPerBlock: 1, LQCap: 3}).Build(nil); err == nil {
 		t.Error("non-power-of-two LQCap accepted")
 	}
-	if _, err := (Implicit{}).Build(0, nil); err == nil {
+	if _, _, err := (Implicit{}).Build(nil); err == nil {
 		t.Error("zero implicit accepted")
 	}
-	if _, err := (Implicit{Warps: 3, DataBytes: 16 << 10}).Build(0, nil); err == nil {
+	if _, _, err := (Implicit{Warps: 3, DataBytes: 16 << 10}).Build(nil); err == nil {
 		t.Error("non-divisible chunk accepted")
 	}
 }

@@ -14,23 +14,28 @@ import (
 // lock is the benchmark's defining property: all workers serialize on it,
 // so synchronization stalls dominate (figure 6.1a).
 type UTS struct {
-	// Seed drives deterministic tree generation.
-	Seed uint64
 	// Nodes is the exact tree size.
-	Nodes int
+	Nodes int `param:"nodes" help:"tree size" default:"6000"`
 	// FrontierMin is the host pre-expansion width before launch.
-	FrontierMin int
+	FrontierMin int `param:"frontier" help:"host pre-expansion width" default:"120"`
 	// Blocks and WarpsPerBlock size the worker population (the paper
 	// uses all 15 SMs).
-	Blocks        int
-	WarpsPerBlock int
+	Blocks        int `param:"blocks" help:"thread blocks (one per SM)" default:"15"`
+	WarpsPerBlock int `param:"warps" help:"warps per block" default:"8"`
 	// Work is the dependent special-function (hash) chain length per
 	// node: real UTS hashes a descriptor per node (SHA-1), so processing
 	// is compute-heavy relative to the queue operations.
-	Work int
+	Work int `param:"work" help:"hash chain length per node" default:"16"`
 	// FMAs extends the per-node compute with an FMA chain.
-	FMAs int
+	FMAs int `param:"fmas" help:"FMA chain length per node" default:"4"`
+	// Seed drives deterministic tree generation.
+	Seed uint64 `param:"seed" help:"tree generation seed" default:"0xC0FFEE"`
 }
+
+// Name identifies the workload in reports.
+func (u UTS) Name() string { return "UTS" }
+
+func (u UTS) blockWarps() int { return u.WarpsPerBlock }
 
 // Registers used by the UTS/UTSD kernels (r0 and r1 hold the constants 0
 // and 1 and are never written).
@@ -162,10 +167,10 @@ func utsProgram(work, fmas int) *isa.Program {
 }
 
 // Build writes the tree and queue into host memory and returns the kernel
-// plus the generated tree (for verification).
-func (u UTS) Build(h *cpu.Host) (*gpu.Kernel, *Tree, Seeding, error) {
+// plus the verifier of a global-queue run over that tree.
+func (u UTS) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if u.Nodes < 1 || u.Blocks < 1 || u.WarpsPerBlock < 1 {
-		return nil, nil, Seeding{}, fmt.Errorf("workloads: invalid UTS %+v", u)
+		return nil, nil, fmt.Errorf("workloads: invalid UTS %+v", u)
 	}
 	tree := GenTree(u.Seed, u.Nodes)
 	seed := tree.SeedFrontier(u.FrontierMin)
@@ -197,22 +202,7 @@ func (u UTS) Build(h *cpu.Host) (*gpu.Kernel, *Tree, Seeding, error) {
 			regs[rTotal] = total
 		},
 	}
-	return k, tree, seed, nil
-}
-
-// Instance wraps the parameter block as a runnable workload with its
-// functional verification hook attached.
-func (u UTS) Instance() Instance {
-	return NewInstance("UTS", func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-		k, tree, seed, err := u.Build(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		verify := func(h *cpu.Host) error {
-			return VerifyQueueRun(h, tree, seed, u.Work, u.FMAs)
-		}
-		return k, verify, nil
-	})
+	return k, func(h *cpu.Host) error { return verifyQueueRun(h, tree, seed, u.Work, u.FMAs) }, nil
 }
 
 // initTreeMemory writes the tree's metadata arrays.
@@ -221,10 +211,10 @@ func initTreeMemory(h *cpu.Host, tree *Tree) {
 	h.WriteSlice(addrChildBase, tree.ChildBase)
 }
 
-// VerifyQueueRun checks the post-run invariants of a global-queue
+// verifyQueueRun checks the post-run invariants of a global-queue
 // execution: every node processed exactly once, the queue drained, and
 // every node's result word holding the exact hash+FMA chain.
-func VerifyQueueRun(h *cpu.Host, tree *Tree, seed Seeding, work, fmas int) error {
+func verifyQueueRun(h *cpu.Host, tree *Tree, seed Seeding, work, fmas int) error {
 	total := uint64(tree.Nodes())
 	if done := h.Read64(addrDone); done != total {
 		return fmt.Errorf("workloads: done=%d, want %d", done, total)
@@ -237,14 +227,14 @@ func VerifyQueueRun(h *cpu.Host, tree *Tree, seed Seeding, work, fmas int) error
 	if tail != wantPushed {
 		return fmt.Errorf("workloads: pushed %d tasks, want %d", tail, wantPushed)
 	}
-	return VerifyResults(h, tree, seed, work, fmas)
+	return verifyResults(h, tree, seed, work, fmas)
 }
 
-// VerifyResults checks every GPU-processed node's result word: the kernel
+// verifyResults checks every GPU-processed node's result word: the kernel
 // computes result[n] = FMA^fmas(Mix64^work(n)). Host pre-expansion pops
 // nodes in BFS (= id) order, so nodes 0 through HostProcessed-1 were
 // handled by the host and have no GPU result.
-func VerifyResults(h *cpu.Host, tree *Tree, seed Seeding, work, fmas int) error {
+func verifyResults(h *cpu.Host, tree *Tree, seed Seeding, work, fmas int) error {
 	if work < 1 {
 		work = 1
 	}

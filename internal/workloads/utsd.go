@@ -14,16 +14,21 @@ import (
 // (pop). Locality makes producers and consumers meet on the same SM, which
 // is what lets DeNovo's ownership pay off (figure 6.2).
 type UTSD struct {
-	Seed          uint64
-	Nodes         int
-	FrontierMin   int
-	Blocks        int
-	WarpsPerBlock int
-	Work          int
-	FMAs          int
+	Nodes         int `param:"nodes" help:"tree size" default:"6000"`
+	FrontierMin   int `param:"frontier" help:"host pre-expansion width" default:"120"`
+	Blocks        int `param:"blocks" help:"thread blocks (one per SM)" default:"15"`
+	WarpsPerBlock int `param:"warps" help:"warps per block" default:"8"`
+	Work          int `param:"work" help:"hash chain length per node" default:"16"`
+	FMAs          int `param:"fmas" help:"FMA chain length per node" default:"4"`
 	// LQCap is the per-SM ring capacity (power of two).
-	LQCap int
+	LQCap int    `param:"lqcap" help:"per-SM ring capacity (power of two)" default:"128"`
+	Seed  uint64 `param:"seed" help:"tree generation seed" default:"0xC0FFEE"`
 }
+
+// Name identifies the workload in reports.
+func (u UTSD) Name() string { return "UTSD" }
+
+func (u UTSD) blockWarps() int { return u.WarpsPerBlock }
 
 // utsdProgram assembles the local-queue worker loop.
 func utsdProgram(work, fmas int) *isa.Program {
@@ -123,13 +128,13 @@ func utsdProgram(work, fmas int) *isa.Program {
 }
 
 // Build initializes memory (frontier spread round-robin over the local
-// queues) and returns the kernel.
-func (u UTSD) Build(h *cpu.Host) (*gpu.Kernel, *Tree, Seeding, error) {
+// queues) and returns the kernel plus its run verifier.
+func (u UTSD) Build(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
 	if u.Nodes < 1 || u.Blocks < 1 || u.WarpsPerBlock < 1 {
-		return nil, nil, Seeding{}, fmt.Errorf("workloads: invalid UTSD %+v", u)
+		return nil, nil, fmt.Errorf("workloads: invalid UTSD %+v", u)
 	}
 	if u.LQCap < 2 || u.LQCap&(u.LQCap-1) != 0 {
-		return nil, nil, Seeding{}, fmt.Errorf("workloads: UTSD LQCap %d must be a power of two", u.LQCap)
+		return nil, nil, fmt.Errorf("workloads: UTSD LQCap %d must be a power of two", u.LQCap)
 	}
 	tree := GenTree(u.Seed, u.Nodes)
 	seed := tree.SeedFrontier(u.FrontierMin)
@@ -177,27 +182,12 @@ func (u UTSD) Build(h *cpu.Host) (*gpu.Kernel, *Tree, Seeding, error) {
 			regs[rLQCap] = uint64(u.LQCap)
 		},
 	}
-	return k, tree, seed, nil
+	return k, func(h *cpu.Host) error { return u.verify(h, tree, seed) }, nil
 }
 
-// Instance wraps the parameter block as a runnable workload with its
-// functional verification hook attached.
-func (u UTSD) Instance() Instance {
-	return NewInstance("UTSD", func(h *cpu.Host) (*gpu.Kernel, func(*cpu.Host) error, error) {
-		k, tree, seed, err := u.Build(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		verify := func(h *cpu.Host) error {
-			return VerifyUTSDRun(h, tree, seed, u)
-		}
-		return k, verify, nil
-	})
-}
-
-// VerifyUTSDRun checks post-run invariants: every node processed, every
-// queue (global and local) drained, and every result word exact.
-func VerifyUTSDRun(h *cpu.Host, tree *Tree, seed Seeding, u UTSD) error {
+// verify checks post-run invariants: every node processed, every queue
+// (global and local) drained, and every result word exact.
+func (u UTSD) verify(h *cpu.Host, tree *Tree, seed Seeding) error {
 	total := uint64(tree.Nodes())
 	if done := h.Read64(addrDone); done != total {
 		return fmt.Errorf("workloads: done=%d, want %d", done, total)
@@ -211,5 +201,5 @@ func VerifyUTSDRun(h *cpu.Host, tree *Tree, seed Seeding, u UTSD) error {
 			return fmt.Errorf("workloads: local queue %d not drained: head=%d tail=%d", q, head, tail)
 		}
 	}
-	return VerifyResults(h, tree, seed, u.Work, u.FMAs)
+	return verifyResults(h, tree, seed, u.Work, u.FMAs)
 }

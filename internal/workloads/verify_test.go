@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gsi/internal/cpu"
+	"gsi/internal/gpu"
 	"gsi/internal/isa"
 	"gsi/internal/mem"
 )
@@ -14,15 +15,18 @@ import (
 // fires when its invariant is broken.
 
 // buildAndSimulateUTS builds UTS memory and forges a "perfect run" by
-// writing the state a correct execution would leave.
-func buildAndSimulateUTS(t *testing.T) (*cpu.Host, *Tree, Seeding, UTS) {
+// writing the state a correct execution would leave. The tree and its
+// seeding are regenerated from the same seed the build used.
+func buildAndSimulateUTS(t *testing.T) (*cpu.Host, *Tree, Seeding, func(*cpu.Host) error) {
 	t.Helper()
 	h := cpu.NewHost(mem.NewBacking())
 	u := UTS{Seed: 5, Nodes: 50, FrontierMin: 8, Blocks: 2, WarpsPerBlock: 2, Work: 2, FMAs: 1}
-	_, tree, seed, err := u.Build(h)
+	_, verify, err := u.Build(h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree := GenTree(u.Seed, u.Nodes)
+	seed := tree.SeedFrontier(u.FrontierMin)
 	total := uint64(tree.Nodes())
 	h.Write64(addrDone, total)
 	pushed := total - seed.HostProcessed
@@ -38,12 +42,12 @@ func buildAndSimulateUTS(t *testing.T) (*cpu.Host, *Tree, Seeding, UTS) {
 		}
 		h.Write64(addrResult+uint64(n)*8, v)
 	}
-	return h, tree, seed, u
+	return h, tree, seed, verify
 }
 
 func TestVerifyQueueRunAcceptsPerfectRun(t *testing.T) {
-	h, tree, seed, u := buildAndSimulateUTS(t)
-	if err := VerifyQueueRun(h, tree, seed, u.Work, u.FMAs); err != nil {
+	h, _, _, verify := buildAndSimulateUTS(t)
+	if err := verify(h); err != nil {
 		t.Fatalf("perfect run rejected: %v", err)
 	}
 }
@@ -71,9 +75,9 @@ func TestVerifyQueueRunDetectsFaults(t *testing.T) {
 	}
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {
-			h, tree, seed, u := buildAndSimulateUTS(t)
+			h, tree, seed, verify := buildAndSimulateUTS(t)
 			f.inject(h, tree, seed)
-			err := VerifyQueueRun(h, tree, seed, u.Work, u.FMAs)
+			err := verify(h)
 			if err == nil {
 				t.Fatal("fault not detected")
 			}
@@ -88,15 +92,15 @@ func TestVerifyUTSDRunDetectsLocalQueueFault(t *testing.T) {
 	h := cpu.NewHost(mem.NewBacking())
 	u := UTSD{Seed: 5, Nodes: 50, FrontierMin: 8, Blocks: 2, WarpsPerBlock: 2,
 		Work: 2, FMAs: 1, LQCap: 16}
-	_, tree, seed, err := u.Build(h)
+	_, verify, err := u.Build(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Forge completion except local queue 1 still holds a task.
-	h.Write64(addrDone, uint64(tree.Nodes()))
+	h.Write64(addrDone, uint64(u.Nodes))
 	h.Write64(lqHeadAddr(0), h.Read64(lqTailAddr(0)))
 	h.Write64(lqHeadAddr(1), h.Read64(lqTailAddr(1))-1)
-	err = VerifyUTSDRun(h, tree, seed, u)
+	err = verify(h)
 	if err == nil || !strings.Contains(err.Error(), "local queue 1") {
 		t.Fatalf("err = %v, want local queue fault", err)
 	}
@@ -104,8 +108,9 @@ func TestVerifyUTSDRunDetectsLocalQueueFault(t *testing.T) {
 
 func TestVerifyImplicitDetectsCorruption(t *testing.T) {
 	h := cpu.NewHost(mem.NewBacking())
-	im := Implicit{Seed: 9, Warps: 4, DataBytes: 4096, FMAs: 2, Rounds: 1}
-	if _, err := im.Build(1 /* LocalScratch */, h); err != nil {
+	im := Implicit{Local: gpu.LocalScratch, Seed: 9, Warps: 4, DataBytes: 4096, FMAs: 2, Rounds: 1}
+	_, verify, err := im.Build(h)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Forge the expected output, then corrupt one word.
@@ -116,11 +121,11 @@ func TestVerifyImplicitDetectsCorruption(t *testing.T) {
 			h.Write64(addrData+uint64(g*perGroup+w)*8, want)
 		}
 	}
-	if err := im.VerifyImplicit(h); err != nil {
+	if err := verify(h); err != nil {
 		t.Fatalf("perfect output rejected: %v", err)
 	}
 	h.Write64(addrData+8*37, h.Read64(addrData+8*37)+1)
-	if err := im.VerifyImplicit(h); err == nil {
+	if err := verify(h); err == nil {
 		t.Fatal("corruption not detected")
 	}
 }
@@ -129,10 +134,10 @@ func TestUTSDBuildSeedsLocalQueues(t *testing.T) {
 	h := cpu.NewHost(mem.NewBacking())
 	u := UTSD{Seed: 0xC0FFEE, Nodes: 300, FrontierMin: 45, Blocks: 15,
 		WarpsPerBlock: 8, Work: 16, FMAs: 4, LQCap: 128}
-	_, _, seed, err := u.Build(h)
-	if err != nil {
+	if _, _, err := u.Build(h); err != nil {
 		t.Fatal(err)
 	}
+	seed := GenTree(u.Seed, u.Nodes).SeedFrontier(u.FrontierMin)
 	var queued uint64
 	for q := 0; q < u.Blocks; q++ {
 		if h.Read64(lqHeadAddr(q)) != 0 {

@@ -104,6 +104,39 @@ func TestCacheKeyGridAxisOrdering(t *testing.T) {
 	}
 }
 
+// TestCacheKeyRegistryPins pins every registry entry's content address at
+// its default and SmallScale parameters. CacheKey hashes the schema's
+// default strings, so a reworded default ("0xC0FFEE" as "12648430") or a
+// renamed parameter would orphan every result persisted under a serve
+// cache directory.
+func TestCacheKeyRegistryPins(t *testing.T) {
+	want := map[string][2]string{
+		"uts":      {"35ad1c26623b46e232bd7e0736e74bf829d83b97086d91e44c8b4d654ba04f78", "3d7470cbd90ec763ed0139fac0bd4ce72c23e017cc09c9697701ca8d5407f70a"},
+		"utsd":     {"c8023543a4b769fc0ac58cf7204aac1c1bdbd21289462418e33c19f962feaf34", "3396aad4513253ad4c4c0e6a051c780f1adcba6fd30cae6aea25ea884f928200"},
+		"implicit": {"041d744b23f2b4305a35a1d9a109e47a1ba95fc81c69c2f89da6ebefd8bdb0d7", "041d744b23f2b4305a35a1d9a109e47a1ba95fc81c69c2f89da6ebefd8bdb0d7"},
+		"bfs":      {"a5fad09a11ca247c878060dc763a74c6a0efddcb17a83b97c8a4a9edddf14892", "efaf1211afbc4df58b55473c84617aaa0819fcb5ceaacbee6c2319362222a643"},
+		"spmv":     {"6aefbe01259337ce61df26928b794451bc6f7396edd932075e5cc21550b0c072", "99b20bb128c6223e258e99dcc391bc81d17a5a53ff0c43b84675a36e9dd49f61"},
+		"pipeline": {"28eca815082e5412efe960da43567e6ed08c08d9927405027baf3fb6a0a57a32", "49c155057b81d0d66e278aa65de9ebcd7fdb2037a914cfcc4565c1235f5f2bdc"},
+		"gups":     {"0703bc70914f9b3ab7a94914677d30a7462bf4fa80d8de83cc81801dcfd8c1a9", "dca38969850a66a36521dcafbd246df371c0c54e652983f63a9e6d3498b0e644"},
+		"stencil":  {"88784260ab3698f5e4c9b7576ddbab5aaa4f2494f3a0ddee0171a4514078a5c9", "9f03ef707169537214228a252a703092694427b5973d45fe0c9dd2b5aeb41588"},
+		"steal":    {"7623057ea6855f863121a16ebec3441c3893549d8d831dbaf54692e77d4b9ea3", "71689849d40cc2deb679bfd36bbbadbfd1d435f3551b12c16d35ffe87755af4d"},
+	}
+	reg := Workloads()
+	if len(want) != len(reg.Names()) {
+		t.Fatalf("%d pinned entries, registry has %d", len(want), len(reg.Names()))
+	}
+	for _, name := range reg.Names() {
+		e, _ := reg.Lookup(name)
+		opt := Options{Protocol: DeNovo}
+		if got := CacheKey(opt, name, e.Defaults()); got != want[name][0] {
+			t.Errorf("%s at defaults: key %s, want %s", name, got, want[name][0])
+		}
+		if got := CacheKey(opt, name, e.Small); got != want[name][1] {
+			t.Errorf("%s at small scale: key %s, want %s", name, got, want[name][1])
+		}
+	}
+}
+
 // TestLocalMemNamesRoundTrip: one name table serves the CLIs, the serve
 // layer, the grid and the registry. Every organization round-trips
 // through its parameter name, ParseLocalMem and the registry's "local"

@@ -1,8 +1,15 @@
 package gsi
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"gsi/internal/coherence"
+	"gsi/internal/cpu"
+	"gsi/internal/gpu"
 )
 
 // TestRegistryRoundTrip is the registry contract: every registered name
@@ -21,7 +28,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("Lookup(%q) failed for a listed name", name)
 			}
-			if e.Summary == "" || len(e.Params) == 0 {
+			if e.Summary == "" || len(e.Params()) == 0 {
 				t.Fatalf("%s: entry missing summary or parameter schema", name)
 			}
 			w, err := e.BuildSmall(nil)
@@ -97,6 +104,65 @@ func TestGridWorkloadAxis(t *testing.T) {
 	}
 	if !strings.Contains(results[0].Err.Error(), "no-such-workload") {
 		t.Fatalf("job error does not name the workload: %v", results[0].Err)
+	}
+}
+
+// TestWorkloadListingGolden pins the registry's user-facing schema: the
+// -list-workloads text (names, summaries, parameter help, defaults and
+// SmallScale overrides) is the registry's documentation, so any change to
+// it is deliberate. Regenerate with
+//
+//	go test -run TestWorkloadListingGolden -update
+func TestWorkloadListingGolden(t *testing.T) {
+	var got bytes.Buffer
+	Workloads().Describe(&got)
+	path := filepath.Join("testdata", "workloads.golden")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-list-workloads drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, got.Bytes(), want)
+	}
+}
+
+// TestTunedSystemHoldsTheBlock: the tuned system holds the kernel's block
+// for every workload, so each entry with a warps parameter builds, tunes
+// and launches at 16 warps per block — twice the 8 warp slots of the
+// Table 5.1 SM.
+func TestTunedSystemHoldsTheBlock(t *testing.T) {
+	reg := Workloads()
+	params := WorkloadValues{"warps": "16"}
+	for _, name := range reg.Names() {
+		e, _ := reg.Lookup(name)
+		if _, ok := e.Defaults()["warps"]; !ok {
+			continue
+		}
+		w, err := e.BuildSmall(params)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg, err := e.TuneSystem(true, params, DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		g, err := gpu.New(cfg, coherence.PoliciesFor(cfg.NumSMs, DeNovo.policy()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		k, _, err := w.Build(cpu.NewHost(g.Sys.Backing))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := g.Launch(k); err != nil {
+			t.Errorf("%s at warps=16: %v", name, err)
+		}
 	}
 }
 

@@ -177,7 +177,7 @@ type Axes struct {
 // Grid declares a cartesian product of configuration axes — the
 // workload × protocol × MSHR × local-memory × ablation grids the paper's
 // case studies sweep. It is pure data: every point is a registry workload
-// built with the grid's Params, on the system the entry's tuning hook
+// built with the grid's Params, on the system the entry's TuneSystem
 // shapes. Expand it with Sweep; jobs are emitted in row-major order with
 // the rightmost declared axis varying fastest (Workloads outermost, then
 // Protocols, StrongCycle innermost), so the order is deterministic and
@@ -197,8 +197,8 @@ type Grid struct {
 	OwnedAtomics []bool
 	StrongCycle  []bool
 	// System is the base configuration for every point (zero value means
-	// DefaultConfig, shaped per point by the registry entry's tuning
-	// hook, e.g. the implicit microbenchmark's single-SM machine). A
+	// DefaultConfig, shaped per point by the registry entry's
+	// TuneSystem, e.g. the implicit microbenchmark's single-SM machine). A
 	// non-zero Axes.MSHR overrides both MSHREntries and StoreBufEntries,
 	// the convention of the paper's figure 6.4 sweep.
 	System SystemConfig
