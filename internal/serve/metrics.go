@@ -54,9 +54,13 @@ func newMetrics() *metrics {
 	return &metrics{hist: make([]uint64, len(nsPerCycleBounds)+1)}
 }
 
-func (m *metrics) enqueue(n int) {
+// accept counts a submission's n jobs, of which hits were answered from
+// the cache at submission and are already done.
+func (m *metrics) accept(n, hits int) {
 	m.mu.Lock()
 	m.submitted += uint64(n)
+	m.cacheHits += uint64(hits)
+	m.done += uint64(hits)
 	m.mu.Unlock()
 }
 

@@ -293,9 +293,10 @@ type jobState struct {
 	index int
 	label string
 	key   string
-	// run is what simulating the point takes. complete drops it, so a
-	// finished sweep keeps only what its status document shows, not the
-	// options and workload thunk (and the parameter maps it captures).
+	// run is what simulating the point takes; nil for a point the cache
+	// answered at submission. complete drops it, so a finished sweep
+	// keeps only what its status document shows, not the options and
+	// workload thunk (and the parameter maps it captures).
 	run *simJob
 
 	status string // "queued", "running", "done", "failed"
@@ -370,17 +371,16 @@ func (sw *sweepRun) unsubscribe(ch chan progressEvent) {
 	sw.mu.Unlock()
 }
 
-// setRunning marks a job as actively processing.
-func (sw *sweepRun) setRunning(i int) {
-	sw.mu.Lock()
-	sw.jobs[i].status = "running"
-	sw.mu.Unlock()
-}
-
 // complete records one job's outcome, emits its progress event, and on
 // the last job closes finished and the subscriber channels.
 func (sw *sweepRun) complete(i int, errMsg string, cached bool) {
 	sw.mu.Lock()
+	sw.completeLocked(i, errMsg, cached)
+	sw.mu.Unlock()
+}
+
+// completeLocked is complete with sw.mu held.
+func (sw *sweepRun) completeLocked(i int, errMsg string, cached bool) {
 	job := &sw.jobs[i]
 	job.errMsg = errMsg
 	job.cached = cached
@@ -407,7 +407,6 @@ func (sw *sweepRun) complete(i int, errMsg string, cached bool) {
 		// Every job has read ctx; the submit goroutine cancels it.
 		sw.ctx, sw.cancel = nil, nil
 	}
-	sw.mu.Unlock()
 }
 
 // sweepDoc is the JSON view of a sweep's status.
@@ -470,8 +469,10 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 }
 
 // submit expands a Submission into jobs, registers the sweep, and kicks
-// every job onto the shared pool. Jobs whose key is already cached (or
-// already in flight) complete without a fresh simulation.
+// every job that needs work onto the shared pool. Jobs whose key is
+// already cached complete here, before the reply is written: a cache hit
+// costs a key and a lookup, and a fully cached sweep is finished in its
+// own 202 document.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxSubmissionBytes)
 	var sub Submission
@@ -499,32 +500,42 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	batch := grid.Sweep()
-	ctx, cancel := context.WithCancel(s.rootCtx)
 	sw := &sweepRun{
 		name:     grid.Name,
-		ctx:      ctx,
-		cancel:   cancel,
 		jobs:     make([]jobState, len(batch.Jobs)),
 		subs:     map[chan progressEvent]bool{},
 		finished: make(chan struct{}),
 	}
 	timeout := s.cfg.jobTimeout(override)
+	hits := 0
+	// The hits complete before the sweep is published, under one lock, so
+	// no reader sees them queued and no subscriber misses their events.
+	sw.mu.Lock()
 	for i, job := range batch.Jobs {
 		key := gsi.CacheKey(job.Options, job.Axes.Workload, grid.PointParams(job.Axes))
-		sw.jobs[i] = jobState{
-			index: i,
-			label: job.Label,
-			key:   key,
-			run: &simJob{label: job.Label, key: key, options: job.Options,
-				thunk: job.Workload, timeout: timeout, trace: sub.Trace},
-			status: "queued",
+		sw.jobs[i] = jobState{index: i, label: job.Label, key: key, status: "queued"}
+		if _, ok := s.cache.get(key); ok {
+			hits++
+			sw.completeLocked(i, "", true)
+			continue
 		}
+		sw.jobs[i].run = &simJob{label: job.Label, key: key, options: job.Options,
+			thunk: job.Workload, timeout: timeout, trace: sub.Trace}
+	}
+	sw.mu.Unlock()
+	misses := len(sw.jobs) - hits
+	var cancel context.CancelFunc
+	if misses > 0 {
+		sw.ctx, cancel = context.WithCancel(s.rootCtx)
+		sw.cancel = cancel
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		cancel()
+		if cancel != nil {
+			cancel()
+		}
 		http.Error(w, "draining: not accepting new sweeps", http.StatusServiceUnavailable)
 		return
 	}
@@ -535,17 +546,21 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	// Register the jobs with the drain group while still holding the
 	// lock: BeginDrain flips draining under the same lock, so every
 	// accepted job is Added before WaitJobs can observe the group.
-	s.jobs.Add(len(sw.jobs))
+	s.jobs.Add(misses)
 	s.mu.Unlock()
 
-	s.metrics.enqueue(len(sw.jobs))
-	go func() {
-		// Release the sweep's context once every job has completed.
-		<-sw.finished
-		cancel()
-	}()
-	for i := range sw.jobs {
-		go s.runJob(sw, i)
+	s.metrics.accept(len(sw.jobs), hits)
+	if misses > 0 {
+		go func() {
+			// Release the sweep's context once every job has completed.
+			<-sw.finished
+			cancel()
+		}()
+		for i := range sw.jobs {
+			if sw.jobs[i].run != nil {
+				go s.runJob(sw, i)
+			}
+		}
 	}
 	writeJSON(w, http.StatusAccepted, sw.doc(true))
 }
@@ -559,24 +574,21 @@ type freshRun struct {
 	nanos uint64
 }
 
-// runJob resolves one job: cache hit, shared in-flight run, or a fresh
-// simulation on the bounded pool. Any failure — panic, deadline,
-// cancellation, simulation error — lands in this job's error slot and
-// nowhere else: siblings keep running and nothing failed is cached.
+// runJob resolves one job that missed the cache at submission: a shared
+// in-flight run, a late cache hit, or a fresh simulation on the bounded
+// pool. Any failure — panic, deadline, cancellation, simulation error —
+// lands in this job's error slot and nowhere else: siblings keep running
+// and nothing failed is cached.
 func (s *Server) runJob(sw *sweepRun, i int) {
 	defer s.jobs.Done()
-	job := &sw.jobs[i]
-	if _, ok := s.cache.get(job.key); ok {
-		s.metrics.cacheHit()
-		s.metrics.jobDone(false)
-		sw.complete(i, "", true)
-		return
-	}
-	sw.setRunning(i)
 	// The flight gets its own pointer to what it simulates: complete drops
 	// job.run, and a detached leader's flight can still be running then.
-	run := job.run
-	fresh, err, claim := s.flight.Do(sw.ctx, run.key, func(fctx context.Context) (*freshRun, error) {
+	sw.mu.Lock()
+	run := sw.jobs[i].run
+	sw.jobs[i].status = "running"
+	ctx := sw.ctx
+	sw.mu.Unlock()
+	fresh, err, claim := s.flight.Do(ctx, run.key, func(fctx context.Context) (*freshRun, error) {
 		// The slot gates the simulation itself; singleflight followers
 		// wait without occupying the pool, and a flight nobody wants any
 		// more gives up the wait.
@@ -587,9 +599,9 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 		}
 		defer func() { <-s.sem }()
 		if _, ok := s.cache.get(run.key); ok {
-			// A previous flight finished between our cache check and
-			// flight entry: this one simulates nothing, and the job that
-			// claims it is a cache hit, only a late one.
+			// A previous flight finished between the submission's cache
+			// check and this flight's start: this one simulates nothing,
+			// and the job that claims it is a cache hit, only a late one.
 			return nil, nil
 		}
 		return s.simulate(fctx, run)
@@ -810,7 +822,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics serves GET /metrics as an indented JSON document, or in
+// handleMetrics serves GET /metrics as a compact JSON document, or in
 // the Prometheus text exposition format with ?format=prometheus.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.snapshot(s.cache.stats())
@@ -851,11 +863,9 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeJSON writes v as an indented JSON response.
+// writeJSON writes v as a compact JSON response, encoded in one pass.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }

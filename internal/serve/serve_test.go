@@ -328,7 +328,30 @@ func TestServeDrain(t *testing.T) {
 func TestServeEventsStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	doc := submit(t, ts, smallSweep("events"))
-	resp, err := http.Get(ts.URL + "/sweeps/" + doc.ID + "/events")
+	events, sawDone := readEvents(t, ts, doc.ID)
+	if len(events) != doc.Total {
+		t.Fatalf("%d progress events, want %d", len(events), doc.Total)
+	}
+	if !sawDone {
+		t.Error("stream ended without a done event")
+	}
+	seen := map[int]bool{}
+	for _, ev := range events {
+		if ev.Total != doc.Total || ev.Err != "" {
+			t.Errorf("unexpected event %+v", ev)
+		}
+		seen[ev.Index] = true
+	}
+	if len(seen) != doc.Total {
+		t.Errorf("events covered %d distinct jobs, want %d", len(seen), doc.Total)
+	}
+}
+
+// readEvents reads a sweep's SSE stream until the server closes it,
+// returning the progress events and whether the done event came.
+func readEvents(t *testing.T, ts *httptest.Server, id string) (events []progressEvent, sawDone bool) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/sweeps/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +359,6 @@ func TestServeEventsStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-	var events []progressEvent
-	sawDone := false
 	scanner := bufio.NewScanner(resp.Body)
 	event := ""
 	for scanner.Scan() {
@@ -360,21 +381,81 @@ func TestServeEventsStream(t *testing.T) {
 	if err := scanner.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != doc.Total {
-		t.Fatalf("%d progress events, want %d", len(events), doc.Total)
+	return events, sawDone
+}
+
+// TestServeCachedResubmissionAnsweredAtSubmit: a sweep whose every point
+// is cached is finished in its own POST reply — every job done and
+// cached, nothing simulated, the hits counted once each — and an SSE
+// subscriber attaching afterwards gets every event replayed and a closed
+// stream. A grid that is half cached simulates only its misses.
+func TestServeCachedResubmissionAnsweredAtSubmit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	half := smallSweep("half")
+	half.MSHRSizes = []int{16}
+	first := submit(t, ts, half)
+	if done := wait(t, ts, first.ID); done.Failed != 0 {
+		t.Fatalf("first pass failed: %+v", done.Jobs)
 	}
-	if !sawDone {
-		t.Error("stream ended without a done event")
+	before := getMetrics(t, ts)
+
+	again := submit(t, ts, half)
+	if !again.Finished || again.Done != again.Total || again.Failed != 0 {
+		t.Fatalf("fully cached resubmission not finished in its reply: %+v", again)
 	}
-	seen := map[int]bool{}
-	for _, ev := range events {
-		if ev.Total != doc.Total || ev.Err != "" {
-			t.Errorf("unexpected event %+v", ev)
+	for i, job := range again.Jobs {
+		if job.Status != "done" || !job.Cached || job.Key != first.Jobs[i].Key {
+			t.Errorf("reply job %+v, want done and cached under key %s", job, first.Jobs[i].Key)
 		}
-		seen[ev.Index] = true
 	}
-	if len(seen) != doc.Total {
-		t.Errorf("events covered %d distinct jobs, want %d", len(seen), doc.Total)
+	m := getMetrics(t, ts)
+	if m.Simulations != before.Simulations {
+		t.Errorf("cached resubmission simulated: %d -> %d", before.Simulations, m.Simulations)
+	}
+	if got := m.Cache.Hits - before.Cache.Hits; got != uint64(again.Total) {
+		t.Errorf("cache hits grew by %d, want %d", got, again.Total)
+	}
+	events, sawDone := readEvents(t, ts, again.ID)
+	if len(events) != again.Total || !sawDone {
+		t.Fatalf("late subscriber got %d events (done %t), want %d and done", len(events), sawDone, again.Total)
+	}
+	for i, ev := range events {
+		if ev.Done != i+1 || ev.Total != again.Total || !ev.Cached || ev.Err != "" {
+			t.Errorf("replayed event %+v", ev)
+		}
+	}
+
+	full := smallSweep("full") // scratchpad and stash at MSHR 16 are cached
+	mixed := submit(t, ts, full)
+	for _, job := range mixed.Jobs {
+		hit := false
+		for _, c := range first.Jobs {
+			hit = hit || c.Key == job.Key
+		}
+		if hit && (job.Status != "done" || !job.Cached) {
+			t.Errorf("cached point %+v not answered in the reply", job)
+		}
+	}
+	done := wait(t, ts, mixed.ID)
+	if done.Failed != 0 {
+		t.Fatalf("mixed grid failed: %+v", done.Jobs)
+	}
+	after := getMetrics(t, ts)
+	misses := uint64(done.Total - first.Total)
+	if got := after.Simulations - m.Simulations; got != misses {
+		t.Errorf("mixed grid ran %d simulations, want %d (its misses)", got, misses)
+	}
+	if got := after.Cache.Hits - m.Cache.Hits; got != uint64(first.Total) {
+		t.Errorf("mixed grid counted %d cache hits, want %d", got, first.Total)
+	}
+	cached := 0
+	for _, job := range done.Jobs {
+		if job.Cached {
+			cached++
+		}
+	}
+	if cached != first.Total {
+		t.Errorf("mixed grid marked %d jobs cached, want %d", cached, first.Total)
 	}
 }
 

@@ -21,8 +21,50 @@ type Param struct {
 }
 
 // Values holds parameter overrides by name (string forms, as parsed from
-// a CLI or config file).
+// a CLI or config file). Names are matched folded (see FoldName).
 type Values map[string]string
+
+// Setting is one resolved parameter: a schema name and its value.
+type Setting struct {
+	Name, Value string
+}
+
+// FoldName is the one spelling rule for workload and parameter names:
+// surrounding space trimmed, lower case. The registry looks names up
+// folded and gsi.CacheKey hashes them folded, so spellings that fold alike
+// build, and hash, as one.
+func FoldName(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
+
+// Fold returns v keyed by folded names: v itself when every name is
+// already folded, so the common spelling costs no copy. Two names that
+// fold alike make the set ambiguous and are an error.
+func (v Values) Fold() (Values, error) {
+	for name := range v {
+		if FoldName(name) != name {
+			return v.fold()
+		}
+	}
+	return v, nil
+}
+
+func (v Values) fold() (Values, error) {
+	raw := make([]string, 0, len(v))
+	for name := range v {
+		raw = append(raw, name)
+	}
+	sort.Strings(raw) // the error names the same pair on every call
+	out := make(Values, len(v))
+	spelled := make(map[string]string, len(v))
+	for _, name := range raw {
+		key := FoldName(name)
+		if prev, dup := spelled[key]; dup {
+			return nil, fmt.Errorf("parameter %q is given twice (%q and %q)", key, prev, name)
+		}
+		spelled[key] = name
+		out[key] = v[name]
+	}
+	return out, nil
+}
 
 // Entry describes one registered workload: its parameter struct, the
 // SmallScale overrides the test suites run at, and its listing text.
@@ -46,8 +88,9 @@ type Entry struct {
 	// tests, golden figures, engine diffs).
 	Small Values
 
-	params []Param // derived from Workload's tags by NewRegistry
-	fields []int   // the struct field index of each params entry
+	params []Param   // derived from Workload's tags by NewRegistry
+	fields []int     // the struct field index of each params entry
+	byName []Setting // the schema defaults in name order
 }
 
 // Registry maps workload names to entries, preserving registration order
@@ -75,7 +118,11 @@ func NewRegistry(entries ...*Entry) *Registry {
 				e.fields = append(e.fields, i)
 			}
 		}
-		if _, err := e.decode(e.Defaults()); err != nil {
+		for _, p := range e.params {
+			e.byName = append(e.byName, Setting{p.Name, p.Default})
+		}
+		sort.Slice(e.byName, func(i, j int) bool { return e.byName[i].Name < e.byName[j].Name })
+		if _, err := e.decode(e.byName); err != nil {
 			panic(fmt.Sprintf("workloads: %s schema: %v", name, err))
 		}
 		r.byName[name] = e
@@ -104,9 +151,9 @@ func (r *Registry) Describe(w io.Writer) {
 	}
 }
 
-// Lookup finds an entry by name (case-insensitive).
+// Lookup finds an entry by folded name (see FoldName).
 func (r *Registry) Lookup(name string) (*Entry, bool) {
-	e, ok := r.byName[strings.ToLower(strings.TrimSpace(name))]
+	e, ok := r.byName[FoldName(name)]
 	return e, ok
 }
 
@@ -152,54 +199,93 @@ func (e *Entry) TuneSystem(small bool, overrides Values, cfg sim.Config) (sim.Co
 	return cfg, nil
 }
 
+// Resolve appends every schema parameter to dst in name order, each with
+// its override from v or else its default, values trimmed as decode
+// parses them. v's names must already be folded (Values.Fold). ok is
+// false, and dst returned as given, when v names a parameter the schema
+// lacks.
+func (e *Entry) Resolve(dst []Setting, v Values) (_ []Setting, ok bool) {
+	n := len(dst)
+	dst = append(dst, e.byName...)
+	if _, ok := e.set(dst[n:], v); !ok {
+		return dst[:n], false
+	}
+	for i := n; i < len(dst); i++ {
+		dst[i].Value = strings.TrimSpace(dst[i].Value)
+	}
+	return dst, true
+}
+
+// set overwrites s (a copy of byName) with v's values; ok is false at
+// the first name the schema lacks.
+func (e *Entry) set(s []Setting, v Values) (unknown string, ok bool) {
+	for name, value := range v {
+		i := e.index(name)
+		if i < 0 {
+			return name, false
+		}
+		s[i].Value = value
+	}
+	return "", true
+}
+
+// index finds a parameter's position in byName, or -1.
+func (e *Entry) index(name string) int {
+	i := sort.Search(len(e.byName), func(i int) bool { return e.byName[i].Name >= name })
+	if i < len(e.byName) && e.byName[i].Name == name {
+		return i
+	}
+	return -1
+}
+
 // build resolves the override layers for the scale and decodes them.
 func (e *Entry) build(small bool, overrides Values) (Instance, error) {
-	v := e.Defaults()
+	overrides, err := overrides.Fold()
+	if err != nil {
+		return nil, fmt.Errorf("workloads: %s: %w", e.Name, err)
+	}
+	s := append([]Setting(nil), e.byName...)
 	layers := []Values{overrides}
 	if small {
 		layers = []Values{e.Small, overrides}
 	}
 	for _, layer := range layers {
-		for name, val := range layer {
-			if _, ok := v[name]; !ok {
-				known := make([]string, 0, len(e.params))
-				for _, p := range e.params {
-					known = append(known, p.Name)
-				}
-				sort.Strings(known)
-				return nil, fmt.Errorf("workloads: %s has no parameter %q (have %s)",
-					e.Name, name, strings.Join(known, ", "))
+		if name, ok := e.set(s, layer); !ok {
+			known := make([]string, len(e.byName))
+			for i, p := range e.byName {
+				known[i] = p.Name
 			}
-			v[name] = val
+			return nil, fmt.Errorf("workloads: %s has no parameter %q (have %s)",
+				e.Name, name, strings.Join(known, ", "))
 		}
 	}
-	return e.decode(v)
+	return e.decode(s)
 }
 
-// decode fills a fresh parameter struct from fully resolved values, in
-// schema order.
-func (e *Entry) decode(v Values) (Instance, error) {
+// decode fills a fresh parameter struct from fully resolved settings (in
+// name order), field by field in schema order.
+func (e *Entry) decode(s []Setting) (Instance, error) {
 	w := reflect.New(reflect.TypeOf(e.Workload)).Elem()
 	for i, p := range e.params {
-		s := v[p.Name]
+		v := s[e.index(p.Name)].Value
 		f := w.Field(e.fields[i])
 		if u, ok := f.Addr().Interface().(encoding.TextUnmarshaler); ok {
-			if err := u.UnmarshalText([]byte(strings.TrimSpace(s))); err != nil {
+			if err := u.UnmarshalText([]byte(strings.TrimSpace(v))); err != nil {
 				return nil, fmt.Errorf("workloads: %w", err)
 			}
 			continue
 		}
 		switch f.Kind() {
 		case reflect.Int:
-			n, err := strconv.Atoi(strings.TrimSpace(s))
+			n, err := strconv.Atoi(strings.TrimSpace(v))
 			if err != nil {
-				return nil, fmt.Errorf("workloads: parameter %s=%q is not an integer", p.Name, s)
+				return nil, fmt.Errorf("workloads: parameter %s=%q is not an integer", p.Name, v)
 			}
 			f.SetInt(int64(n))
 		case reflect.Uint64:
-			n, err := strconv.ParseUint(strings.TrimSpace(s), 0, 64)
+			n, err := strconv.ParseUint(strings.TrimSpace(v), 0, 64)
 			if err != nil {
-				return nil, fmt.Errorf("workloads: parameter %s=%q is not a uint64", p.Name, s)
+				return nil, fmt.Errorf("workloads: parameter %s=%q is not a uint64", p.Name, v)
 			}
 			f.SetUint(n)
 		default:

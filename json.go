@@ -11,12 +11,16 @@ package gsi
 // docs/ARCHITECTURE.md, "Sweep serving and the result cache").
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+
+	"gsi/internal/workloads"
 )
 
 // CanonicalOptions normalizes an Options value so that two configurations
@@ -56,62 +60,87 @@ func CanonicalOptions(opt Options) Options {
 // keyed by this string may serve one run's serialized Report for the
 // other — the serve layer's core invariant.
 //
-// Parameters are canonicalized through the workload's registry schema
-// when the name resolves: overrides are layered over the schema defaults,
-// so an explicit default-valued parameter hashes like an absent one, and
-// map ordering never matters (names are sorted). Names are lower-cased
-// and values trimmed, matching how the registry parses them. An unknown
-// workload name or an override naming no schema parameter still produces
-// a stable key — such jobs fail at Run time and failures are never
-// cached, so their keys are inert.
+// Workload and parameter names are folded (trimmed, lower-cased) and
+// values trimmed, exactly as the registry looks them up and parses them.
+// When the workload and every override resolve in its schema, the
+// parameters hashed are the whole schema in name order, overrides layered
+// over the defaults, so an explicit default-valued parameter hashes like
+// an absent one and map ordering never matters. Otherwise the folded
+// overrides are hashed as given, and when two override names fold to one
+// the raw spellings are: the registry rejects all of these at build time,
+// and failures are never cached, so their keys are stable but inert.
 func CacheKey(opt Options, workload string, params WorkloadValues) string {
-	type pair struct {
-		Name, Value string
+	st := keyStates.Get().(*keyState)
+	defer keyStates.Put(st)
+	st.doc.Options = CanonicalOptions(opt)
+	st.doc.Workload = workloads.FoldName(workload)
+	st.params = keyParams(st.params[:0], st.doc.Workload, params)
+	st.doc.Params = nil // an empty list hashes as null, never []
+	if len(st.params) > 0 {
+		st.doc.Params = st.params
 	}
-	workload = strings.ToLower(strings.TrimSpace(workload))
-	doc := struct {
-		Options  Options
-		Workload string
-		Params   []pair
-	}{Options: CanonicalOptions(opt), Workload: workload}
-	resolved := canonicalParams(workload, params)
-	names := make([]string, 0, len(resolved))
-	for name := range resolved {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		doc.Params = append(doc.Params, pair{name, resolved[name]})
-	}
-	raw, err := json.Marshal(doc)
-	if err != nil {
+	st.buf.Reset()
+	if err := st.enc.Encode(&st.doc); err != nil {
 		// Unreachable: the document is built from fixed value types
 		// (ints, bools, strings) that always marshal.
 		panic(fmt.Sprintf("gsi: encoding cache key: %v", err))
 	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	// Encode ends the document with a newline; the key hashes the
+	// document alone, the bytes json.Marshal would return.
+	raw := st.buf.Bytes()
+	sum := sha256.Sum256(raw[:len(raw)-1])
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
-// canonicalParams resolves overrides against the workload's schema
-// defaults so equivalent override sets collapse to one value map. When
-// the name or an override does not resolve, the trimmed overrides are
-// used as given (the job itself will fail with the real error).
-func canonicalParams(workload string, params WorkloadValues) WorkloadValues {
-	trimmed := make(WorkloadValues, len(params))
-	for name, value := range params {
-		trimmed[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
+// keyDoc is the document CacheKey hashes. Its JSON encoding is the
+// content address of every persisted serve result: a renamed or
+// reordered field orphans them all (TestCacheKeyRegistryPins).
+type keyDoc struct {
+	Options  Options
+	Workload string
+	Params   []workloads.Setting
+}
+
+// keyState is CacheKey's scratch — the document, its parameter list, the
+// buffer it is encoded into and the encoder writing there — reused across
+// calls, so a key costs no garbage beyond its string.
+type keyState struct {
+	doc    keyDoc
+	params []workloads.Setting
+	buf    bytes.Buffer
+	enc    *json.Encoder
+}
+
+var keyStates = sync.Pool{New: func() any {
+	st := new(keyState)
+	st.enc = json.NewEncoder(&st.buf)
+	return st
+}}
+
+// keyParams appends the hashed parameter list to dst (see CacheKey).
+func keyParams(dst []workloads.Setting, workload string, params WorkloadValues) []workloads.Setting {
+	folded, err := params.Fold()
+	if err != nil {
+		return appendSorted(dst, params, func(s string) string { return s })
 	}
-	e, ok := Workloads().Lookup(workload)
-	if !ok {
-		return trimmed
-	}
-	resolved := e.Defaults()
-	for name, value := range trimmed {
-		if _, known := resolved[name]; !known {
-			return trimmed
+	if e, ok := Workloads().Lookup(workload); ok {
+		if resolved, ok := e.Resolve(dst, folded); ok {
+			return resolved
 		}
-		resolved[name] = value
 	}
-	return resolved
+	return appendSorted(dst, folded, strings.TrimSpace)
+}
+
+// appendSorted appends v's entries to dst in name order, each value
+// passed through clean.
+func appendSorted(dst []workloads.Setting, v WorkloadValues, clean func(string) string) []workloads.Setting {
+	n := len(dst)
+	for name, value := range v {
+		dst = append(dst, workloads.Setting{Name: name, Value: clean(value)})
+	}
+	added := dst[n:]
+	sort.Slice(added, func(i, j int) bool { return added[i].Name < added[j].Name })
+	return dst
 }

@@ -1,6 +1,7 @@
 package gsi
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -179,5 +180,111 @@ func TestLocalMemNamesRoundTrip(t *testing.T) {
 		if got := CacheKey(job.Options, job.Axes.Workload, g.PointParams(job.Axes)); got != want[i] {
 			t.Errorf("%s: key %s, want %s", job.Label, got, want[i])
 		}
+	}
+}
+
+// TestCacheKeyUnresolvedPins pins keys whose parameters do not resolve in
+// a schema — an unknown workload, with and without overrides, and an
+// override naming no parameter. Such jobs fail, so their keys cache
+// nothing, but they must stay stable, and an empty override list hashes
+// as null on every call, not only on the first.
+func TestCacheKeyUnresolvedPins(t *testing.T) {
+	cases := []struct {
+		workload string
+		params   WorkloadValues
+		want     string
+	}{
+		{"no-such-workload", nil, "f8aca63446e0f7edac25010ad616e4000fb6344789415e74a5c20ab0de8a9711"},
+		{"no-such-workload", WorkloadValues{"Zeta": " 1 ", "alpha": "2"}, "1d6db896b761865c8b2ec04b3fecbd9aed0038b7f3b99fac159d929f472cee28"},
+		{"uts", WorkloadValues{"bogus": "1"}, "4714d56b4eebe8193367960f948f7e5a65f14d0479cd55ed9d1493fb0debb9e0"},
+	}
+	for _, c := range cases {
+		opt := Options{}
+		if c.workload == "uts" {
+			opt.Protocol = DeNovo
+		}
+		for call := 0; call < 3; call++ {
+			if got := CacheKey(opt, c.workload, c.params); got != c.want {
+				t.Errorf("%s %v, call %d: key %s, want %s", c.workload, c.params, call, got, c.want)
+			}
+		}
+	}
+}
+
+// TestParamSpellingsRunAsTheyHash: CacheKey folds parameter names, so the
+// registry must too — otherwise the serve cache (or a shared flight)
+// answers a spelling with a result it would never produce when run. The
+// folded spellings of uts's parameters run through a grid to the same
+// Report bytes as the canonical spelling. Two overrides that fold to one
+// name are an error, under a key of their own that no run shares.
+func TestParamSpellingsRunAsTheyHash(t *testing.T) {
+	run := func(params WorkloadValues) ([]byte, string, error) {
+		t.Helper()
+		g := Grid{Workloads: []string{"uts"}, Params: params}
+		job := g.Sweep().Jobs[0]
+		key := CacheKey(job.Options, job.Axes.Workload, g.PointParams(job.Axes))
+		rep, err := Run(job.Options, job.Workload())
+		if err != nil {
+			return nil, key, err
+		}
+		doc, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc, key, nil
+	}
+	want, wantKey, err := run(WorkloadValues{"nodes": "100", "frontier": "60"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, params := range []WorkloadValues{
+		{"Nodes": "100", "FRONTIER": "60"},
+		{" nodes ": " 100 ", "frontier\t": "60"},
+	} {
+		got, key, err := run(params)
+		if err != nil {
+			t.Errorf("%q: %v", params, err)
+			continue
+		}
+		if key != wantKey {
+			t.Errorf("%q: key %s, want %s", params, key, wantKey)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%q: Report differs from the canonical spelling's", params)
+		}
+	}
+
+	colliding := WorkloadValues{"Nodes": "5", "nodes": "6", "frontier": "60"}
+	_, key, err := run(colliding)
+	if err == nil || !strings.Contains(err.Error(), `parameter "nodes" is given twice ("Nodes" and "nodes")`) {
+		t.Errorf("colliding spellings: error %v", err)
+	}
+	e, _ := Workloads().Lookup("uts")
+	if _, err := e.Build(colliding); err == nil {
+		t.Error("Build accepted colliding spellings")
+	}
+	for _, v := range []string{"5", "6"} {
+		_, other, _ := run(WorkloadValues{"nodes": v, "frontier": "60"})
+		if key == other {
+			t.Errorf("colliding spellings share the key of nodes=%s", v)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestCacheKeyAllocations: a cache hit in gsi-serve costs a key and a
+// lookup, so CacheKey encodes into reused scratch and allocates little
+// more than the string it returns.
+func TestCacheKeyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	opt := Options{Protocol: GPUCoherence}
+	params := WorkloadValues{"vertices": "300", "blocks": "4", "warps": "2"}
+	allocs := testing.AllocsPerRun(200, func() { CacheKey(opt, "bfs", params) })
+	if allocs > 5 {
+		t.Errorf("CacheKey allocates %.1f times per call, want at most 5", allocs)
 	}
 }
