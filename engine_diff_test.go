@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"gsi/internal/workloads"
 )
 
 // figureSpecsEngine returns every figure spec at small scale with the given
@@ -82,6 +84,20 @@ func diffLine(a, b []byte) (string, string) {
 	return "<prefix>", "<prefix>"
 }
 
+// workedTree builds a UTSD tree sized so that the host pre-expansion leaves
+// the GPU a frontier to work through: a smaller tree (120 nodes at frontier
+// 40) is consumed whole on the host, and its kernel only polls an empty
+// queue.
+func workedTree(t *testing.T) Workload {
+	t.Helper()
+	w := mustBuild(t, "utsd", WorkloadValues{"nodes": "250", "frontier": "60", "work": "8"})
+	u := w.(workloads.UTSD)
+	if n := len(workloads.GenTree(u.Seed, u.Nodes).SeedFrontier(u.FrontierMin).Frontier); n == 0 {
+		t.Fatalf("utsd nodes=%d frontier=%d: the host pre-expansion leaves the GPU no work", u.Nodes, u.FrontierMin)
+	}
+	return w
+}
+
 // TestEnginesIdenticalWithTimeline pins the bulk span-crediting path: with
 // the per-SM timeline enabled (the collector most sensitive to when cycles
 // are recorded), a 15-SM run whose SMs drain at different times must render
@@ -89,7 +105,7 @@ func diffLine(a, b []byte) (string, string) {
 // windows and idle tails were credited as one span per SM nap (the other
 // two engines), with or without global jumps on top.
 func TestEnginesIdenticalWithTimeline(t *testing.T) {
-	w := mustBuild(t, "utsd", WorkloadValues{"nodes": "120", "frontier": "40", "work": "8"})
+	w := workedTree(t)
 	run := func(mode EngineMode) *Report {
 		opt := Options{Protocol: DeNovo, Timeline: true}
 		opt.System = DefaultConfig()
@@ -125,7 +141,7 @@ func TestEnginesIdenticalWithTimeline(t *testing.T) {
 // sinks on the span stream at once: the rendered timeline in the report
 // must match the untraced dense one, and the collector must still fill.
 func TestEnginesByteIdenticalWithTrace(t *testing.T) {
-	w := mustBuild(t, "utsd", WorkloadValues{"nodes": "120", "frontier": "40", "work": "8"})
+	w := workedTree(t)
 	run := func(mode EngineMode, timeline bool, tr *Trace) []byte {
 		opt := Options{Protocol: DeNovo, Timeline: timeline, Trace: tr}
 		opt.System = DefaultConfig()

@@ -21,16 +21,20 @@ type Way struct {
 // construction: the L2's 65,536 ways were 29 of the 38 MB a small-scale
 // figure pass allocated, most of them for sets its short simulations never
 // reach. A nil set reads as empty, so only Install knows the difference.
+//
+// An acquire's sweep visits only the sets that may hold a line it drops.
 type Array struct {
 	lineSize uint64
 	assoc    int
 	sets     [][]Way
-	// occupied has one bit per set, set when a line is installed there and
-	// cleared when an InvalidateWhere sweep leaves the set empty.
-	// Invalidate(line) may leave a bit stale, which costs that sweep one
-	// empty-set visit and nothing else.
-	occupied []uint64
-	valid    int // valid lines across all sets (keeps Count O(1))
+	// droppable has one bit per set that may hold a way an acquire drops
+	// (see dropUnkept). A bit is set wherever a way can enter that state —
+	// Install of a new line, and markDroppable when CoreMem retires a
+	// line's flush — and cleared only by the sweep, which leaves no
+	// droppable way behind. A way that leaves the state (dirtied, owned,
+	// invalidated) may leave its bit stale, which costs one visit.
+	droppable []uint64
+	valid     int // valid lines across all sets (keeps Count O(1))
 }
 
 // NewArray builds an array of the given total size in bytes.
@@ -40,10 +44,10 @@ func NewArray(size, assoc, lineSize int) *Array {
 		panic(fmt.Sprintf("mem: array size %d too small for assoc %d line %d", size, assoc, lineSize))
 	}
 	return &Array{
-		lineSize: uint64(lineSize),
-		assoc:    assoc,
-		sets:     make([][]Way, nsets),
-		occupied: make([]uint64, (nsets+63)/64),
+		lineSize:  uint64(lineSize),
+		assoc:     assoc,
+		sets:      make([][]Way, nsets),
+		droppable: make([]uint64, (nsets+63)/64),
 	}
 }
 
@@ -118,36 +122,33 @@ func (a *Array) Install(line uint64, cycle uint64) (w *Way, victim Way, evicted 
 		target = lru
 	} else {
 		a.valid++
-		a.occupied[s>>6] |= 1 << uint(s&63)
 	}
 	*target = Way{Line: line, State: LineValid, lastUse: cycle}
+	a.droppable[s>>6] |= 1 << uint(s&63)
 	return target, victim, evicted
 }
 
-// InvalidateWhere clears every way for which keep returns false. Only sets
-// marked occupied are visited, so an acquire self-invalidation costs O(sets
-// holding lines), not O(capacity): nothing on a cold or fully-invalidated
-// L1 (the common case under GPU coherence, which keeps nothing across
-// acquires) and a few sets when a handful of owned lines survive.
-func (a *Array) InvalidateWhere(keep func(w *Way) bool) {
-	for wi, word := range a.occupied {
+// markDroppable flags line's set for the next dropUnkept sweep.
+func (a *Array) markDroppable(line uint64) {
+	s := a.setIndex(line)
+	a.droppable[s>>6] |= 1 << uint(s&63)
+}
+
+// dropUnkept is an acquire self-invalidation: it clears every valid way
+// that is neither pinned nor in a state keep holds a bit for (1<<State),
+// visiting only the sets flagged droppable, and clears their flags. So an
+// acquire costs O(sets holding a line it drops): the lines a DeNovo L1
+// owns survive every acquire without being revisited.
+func (a *Array) dropUnkept(keep uint8) {
+	for wi, word := range a.droppable {
+		a.droppable[wi] = 0
 		for ; word != 0; word &= word - 1 {
-			b := bits.TrailingZeros64(word)
-			set := a.sets[wi<<6|b]
-			kept := false
+			set := a.sets[wi<<6|bits.TrailingZeros64(word)]
 			for i := range set {
-				if set[i].State == LineInvalid {
-					continue
-				}
-				if keep(&set[i]) {
-					kept = true
-				} else {
-					set[i] = Way{}
+				if w := &set[i]; w.State != LineInvalid && !w.Pinned && keep&(1<<w.State) == 0 {
+					*w = Way{}
 					a.valid--
 				}
-			}
-			if !kept {
-				a.occupied[wi] &^= 1 << uint(b)
 			}
 		}
 	}

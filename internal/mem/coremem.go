@@ -103,6 +103,9 @@ type CoreMem struct {
 	policy   Policy
 	array    *Array
 	backing  *Backing
+	// keep has bit 1<<state set for each state whose clean lines the
+	// policy keeps across an acquire; see SelfInvalidate.
+	keep uint8
 
 	mshr    LineTable[mshrEntry]
 	mshrCap int
@@ -182,7 +185,14 @@ type CoreMemConfig struct {
 
 // NewCoreMem builds the unit.
 func NewCoreMem(cfg CoreMemConfig) *CoreMem {
+	var keep uint8
+	for _, st := range []LineState{LineValid, LineOwned} {
+		if cfg.Policy.KeepOnAcquire(st, false) {
+			keep |= 1 << st
+		}
+	}
 	return &CoreMem{
+		keep:     keep,
 		coreID:   cfg.CoreID,
 		tile:     cfg.Tile,
 		lineSize: uint64(cfg.LineSize),
@@ -418,13 +428,13 @@ func (c *CoreMem) sendAtomic(op AtomicOp) {
 	c.toBank(Msg{Kind: AtomicReq, Addr: op.Addr, Op: op, Own: ownedMode})
 }
 
-// SelfInvalidate applies acquire semantics: every line the policy does not
-// keep is dropped. Called on acquire-atomic completion and at kernel
-// launch.
+// SelfInvalidate applies acquire semantics: every line that is neither
+// pinned by a pending flush nor in a state the policy keeps (owned, under
+// DeNovo) is dropped. Only sets flagged droppable are visited: Install and
+// completeFlush, the two places a way can become droppable, flag its set.
+// Called on acquire-atomic completion and at kernel launch.
 func (c *CoreMem) SelfInvalidate() {
-	c.array.InvalidateWhere(func(w *Way) bool {
-		return w.Pinned || c.policy.KeepOnAcquire(w.State, w.Dirty)
-	})
+	c.array.dropUnkept(c.keep)
 }
 
 // FlushAll starts a kernel-end flush (release semantics, no atomic).
@@ -528,6 +538,9 @@ func (c *CoreMem) completeFlush(line uint64) {
 	if w := c.array.Peek(line); w != nil {
 		w.Dirty = false
 		w.Pinned = false
+		if c.keep&(1<<w.State) == 0 {
+			c.array.markDroppable(line)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"gsi"
 	"gsi/internal/core"
 	"gsi/internal/trace"
+	"gsi/internal/workloads"
 )
 
 // TestSpanCoalescing pins the recording granularity contract: the span
@@ -104,18 +106,24 @@ var tracedRun struct {
 	err  error
 }
 
-// runTraced executes a small UTS run with a collector attached (once —
+// runTraced executes a small UTSD run with a collector attached (once —
 // both exporter tests read the same collected events) and returns it
-// populated.
+// populated. The tree is sized so that the host pre-expansion leaves the
+// GPU a frontier to work through.
 func runTraced(t *testing.T) *gsi.Trace {
 	t.Helper()
 	tracedRun.once.Do(func() {
 		tracedRun.tr = gsi.NewTrace()
 		opt := gsi.Options{Protocol: gsi.DeNovo, Trace: tracedRun.tr}
-		e, _ := gsi.Workloads().Lookup("uts")
-		w, err := e.Build(gsi.WorkloadValues{"nodes": "120", "frontier": "40", "work": "8"})
+		e, _ := gsi.Workloads().Lookup("utsd")
+		w, err := e.Build(gsi.WorkloadValues{"nodes": "250", "frontier": "60", "work": "8"})
 		if err != nil {
 			tracedRun.err = err
+			return
+		}
+		u := w.(workloads.UTSD)
+		if len(workloads.GenTree(u.Seed, u.Nodes).SeedFrontier(u.FrontierMin).Frontier) == 0 {
+			tracedRun.err = fmt.Errorf("utsd nodes=%d frontier=%d: the host pre-expansion leaves the GPU no work", u.Nodes, u.FrontierMin)
 			return
 		}
 		_, tracedRun.err = gsi.Run(opt, w)
