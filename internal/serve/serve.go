@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -131,9 +132,11 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	sweeps   map[string]*sweepRun
-	order    []string
-	nextID   int
+	// sweeps holds every accepted sweep in submission order; sweep "s<n>"
+	// is sweeps[n-1]. labels holds one copy of each distinct job label
+	// the sweeps carry, so resubmitted grids share their label strings.
+	sweeps []*sweepRun
+	labels map[string]string
 
 	jobs sync.WaitGroup
 }
@@ -154,7 +157,7 @@ func New(cfg Config) (*Server, error) {
 		metrics:    newMetrics(),
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
-		sweeps:     map[string]*sweepRun{},
+		labels:     map[string]string{},
 	}
 	s.flight.root = rootCtx
 	s.flight.gauge = s.metrics
@@ -287,10 +290,27 @@ func (sub Submission) grid() (gsi.Grid, error) {
 	return g, nil
 }
 
-// jobState is one grid point of a submitted sweep. Immutable fields are
-// set at submission; status/errMsg/run are guarded by the sweepRun mutex.
+// jobStatus is a job's place in its lifecycle, spelled out only when a
+// status document is encoded.
+type jobStatus uint8
+
+const (
+	statusQueued jobStatus = iota
+	statusRunning
+	statusDone
+	statusFailed
+)
+
+var statusNames = [...]string{"queued", "running", "done", "failed"}
+
+func (st jobStatus) String() string { return statusNames[st] }
+
+// jobState is one grid point of a submitted sweep; its index is its
+// position in sweepRun.jobs. Immutable fields are set at submission;
+// status/errMsg/cached/run are guarded by the sweepRun mutex. label is
+// the server's shared copy, and key is the cache entry's own string for a
+// point the cache answered at submission.
 type jobState struct {
-	index int
 	label string
 	key   string
 	// run is what simulating the point takes; nil for a point the cache
@@ -299,8 +319,8 @@ type jobState struct {
 	// workload thunk (and the parameter maps it captures).
 	run *simJob
 
-	status string // "queued", "running", "done", "failed"
 	errMsg string
+	status jobStatus
 	cached bool
 }
 
@@ -318,7 +338,8 @@ type simJob struct {
 
 // progressEvent is one job-completion event, the serve counterpart of
 // gsi.SweepProgress (plus the cache disposition), streamed on
-// /sweeps/{id}/events and replayed to late subscribers.
+// /sweeps/{id}/events and replayed to late subscribers. It is not stored:
+// sweepRun.event rebuilds it from the completion order and the job.
 type progressEvent struct {
 	Done   int    `json:"done"`
 	Total  int    `json:"total"`
@@ -332,21 +353,46 @@ type progressEvent struct {
 // job's work; cancel (DELETE /sweeps/{id}) detaches the sweep's jobs
 // from their simulations — a simulation shared with another sweep keeps
 // running for that sweep, an unshared one stops at its next cooperative
-// check. Both are dropped (under mu) when the last job completes.
+// check. Both are dropped (under mu) when the last job completes, and so
+// is the subscriber map, so a finished sweep keeps its jobs, its
+// completion order and its counters.
 type sweepRun struct {
-	id     string
+	seq    int // the sweep's number: its id is "s<seq>"
 	name   string
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// jobs holds every grid point; done[k] is the index of the (k+1)-th
+	// job to complete, so len(done) is the completed count.
 	jobs     []jobState
-	done     int
+	done     []int32
 	failed   int
 	canceled bool
-	events   []progressEvent
-	subs     map[chan progressEvent]bool
+	subs     map[chan progressEvent]bool // made on first subscribe
+	// finished is closed when the last job completes. A sweep the cache
+	// answered whole at submission shares finishedAtSubmit.
 	finished chan struct{}
+}
+
+// finishedAtSubmit is the finished channel of every sweep with no misses:
+// such a sweep completes before it is published, so nobody waits on it.
+var finishedAtSubmit = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// id is the sweep's public name.
+func (sw *sweepRun) id() string { return "s" + strconv.Itoa(sw.seq) }
+
+// event rebuilds the progress event of the (k+1)-th completion. Caller
+// holds mu.
+func (sw *sweepRun) event(k int) progressEvent {
+	i := int(sw.done[k])
+	job := &sw.jobs[i]
+	return progressEvent{Done: k + 1, Total: len(sw.jobs), Index: i,
+		Label: job.label, Err: job.errMsg, Cached: job.cached}
 }
 
 // subscribe registers an events channel, returning the events already
@@ -355,11 +401,17 @@ type sweepRun struct {
 func (sw *sweepRun) subscribe() (replay []progressEvent, ch chan progressEvent, finished bool) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	replay = append(replay, sw.events...)
-	if sw.done == len(sw.jobs) {
+	replay = make([]progressEvent, len(sw.done))
+	for k := range replay {
+		replay[k] = sw.event(k)
+	}
+	if len(sw.done) == len(sw.jobs) {
 		return replay, nil, true
 	}
-	ch = make(chan progressEvent, len(sw.jobs)-sw.done)
+	ch = make(chan progressEvent, len(sw.jobs)-len(sw.done))
+	if sw.subs == nil {
+		sw.subs = map[chan progressEvent]bool{}
+	}
 	sw.subs[ch] = true
 	return replay, ch, false
 }
@@ -385,25 +437,29 @@ func (sw *sweepRun) completeLocked(i int, errMsg string, cached bool) {
 	job.errMsg = errMsg
 	job.cached = cached
 	job.run = nil
-	job.status = "done"
+	job.status = statusDone
 	if errMsg != "" {
-		job.status = "failed"
+		job.status = statusFailed
 		sw.failed++
 	}
-	sw.done++
-	ev := progressEvent{Done: sw.done, Total: len(sw.jobs), Index: i,
-		Label: job.label, Err: errMsg, Cached: cached}
-	sw.events = append(sw.events, ev)
-	last := sw.done == len(sw.jobs)
-	for ch := range sw.subs {
-		ch <- ev // buffered for every remaining event; never blocks
-		if last {
-			close(ch)
+	sw.done = append(sw.done, int32(i))
+	last := len(sw.done) == len(sw.jobs)
+	if len(sw.subs) > 0 {
+		ev := sw.event(len(sw.done) - 1)
+		for ch := range sw.subs {
+			ch <- ev // buffered for every remaining event; never blocks
+			if last {
+				close(ch)
+			}
 		}
 	}
 	if last {
 		sw.subs = nil
-		close(sw.finished)
+		if sw.finished == nil {
+			sw.finished = finishedAtSubmit
+		} else {
+			close(sw.finished)
+		}
 		// Every job has read ctx; the submit goroutine cancels it.
 		sw.ctx, sw.cancel = nil, nil
 	}
@@ -436,16 +492,16 @@ type jobDoc struct {
 func (sw *sweepRun) doc(jobs bool) sweepDoc {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	d := sweepDoc{ID: sw.id, Name: sw.name, Total: len(sw.jobs),
-		Done: sw.done, Failed: sw.failed, Finished: sw.done == len(sw.jobs),
+	d := sweepDoc{ID: sw.id(), Name: sw.name, Total: len(sw.jobs),
+		Done: len(sw.done), Failed: sw.failed, Finished: len(sw.done) == len(sw.jobs),
 		Canceled: sw.canceled}
 	if !jobs {
 		return d
 	}
 	d.Jobs = make([]jobDoc, len(sw.jobs))
 	for i, j := range sw.jobs {
-		d.Jobs[i] = jobDoc{Index: j.index, Label: j.label, Key: j.key,
-			Status: j.status, Err: j.errMsg, Cached: j.cached}
+		d.Jobs[i] = jobDoc{Index: i, Label: j.label, Key: j.key,
+			Status: j.status.String(), Err: j.errMsg, Cached: j.cached}
 	}
 	return d
 }
@@ -457,9 +513,9 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		s.submit(w, r)
 	case http.MethodGet:
 		s.mu.Lock()
-		docs := make([]sweepDoc, 0, len(s.order))
-		for _, id := range s.order {
-			docs = append(docs, s.sweeps[id].doc(false))
+		docs := make([]sweepDoc, len(s.sweeps))
+		for i, sw := range s.sweeps {
+			docs[i] = sw.doc(false)
 		}
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, docs)
@@ -501,10 +557,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	batch := grid.Sweep()
 	sw := &sweepRun{
-		name:     grid.Name,
-		jobs:     make([]jobState, len(batch.Jobs)),
-		subs:     map[chan progressEvent]bool{},
-		finished: make(chan struct{}),
+		name: grid.Name,
+		jobs: make([]jobState, len(batch.Jobs)),
+		done: make([]int32, 0, len(batch.Jobs)),
 	}
 	timeout := s.cfg.jobTimeout(override)
 	hits := 0
@@ -513,17 +568,21 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	sw.mu.Lock()
 	for i, job := range batch.Jobs {
 		key := gsi.CacheKey(job.Options, job.Axes.Workload, grid.PointParams(job.Axes))
-		sw.jobs[i] = jobState{index: i, label: job.Label, key: key, status: "queued"}
-		if _, ok := s.cache.get(key); ok {
+		if cachedKey, ok := s.cache.lookup(key); ok {
+			// Keep the entry's key string, not the copy just built.
+			sw.jobs[i] = jobState{label: job.Label, key: cachedKey}
 			hits++
 			sw.completeLocked(i, "", true)
 			continue
 		}
-		sw.jobs[i].run = &simJob{label: job.Label, key: key, options: job.Options,
-			thunk: job.Workload, timeout: timeout, trace: sub.Trace}
+		sw.jobs[i] = jobState{label: job.Label, key: key, run: &simJob{label: job.Label,
+			key: key, options: job.Options, thunk: job.Workload, timeout: timeout, trace: sub.Trace}}
+	}
+	misses := len(sw.jobs) - hits
+	if misses > 0 {
+		sw.finished = make(chan struct{})
 	}
 	sw.mu.Unlock()
-	misses := len(sw.jobs) - hits
 	var cancel context.CancelFunc
 	if misses > 0 {
 		sw.ctx, cancel = context.WithCancel(s.rootCtx)
@@ -539,10 +598,13 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining: not accepting new sweeps", http.StatusServiceUnavailable)
 		return
 	}
-	s.nextID++
-	sw.id = fmt.Sprintf("s%d", s.nextID)
-	s.sweeps[sw.id] = sw
-	s.order = append(s.order, sw.id)
+	// Nothing else sees sw until it is appended, so its labels can be
+	// swapped for the shared copies without its lock.
+	for i := range sw.jobs {
+		sw.jobs[i].label = s.internLocked(sw.jobs[i].label)
+	}
+	sw.seq = len(s.sweeps) + 1
+	s.sweeps = append(s.sweeps, sw)
 	// Register the jobs with the drain group while still holding the
 	// lock: BeginDrain flips draining under the same lock, so every
 	// accepted job is Added before WaitJobs can observe the group.
@@ -565,6 +627,37 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, sw.doc(true))
 }
 
+// internLocked returns the server's copy of label, adopting label as that
+// copy if it is new. Caller holds s.mu; only accepted sweeps' labels are
+// adopted, so the table never holds a label no sweep holds.
+func (s *Server) internLocked(label string) string {
+	if shared, ok := s.labels[label]; ok {
+		return shared
+	}
+	s.labels[label] = label
+	return label
+}
+
+// lookup resolves a sweep id. Only the canonical spelling "s<n>", for
+// 1 <= n <= the sweeps accepted, names a sweep: "s01", "s+1" and "S1" do
+// not.
+func (s *Server) lookup(id string) (*sweepRun, bool) {
+	digits, ok := strings.CutPrefix(id, "s")
+	if !ok || digits == "" || digits[0] < '1' || digits[0] > '9' {
+		return nil, false
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n > len(s.sweeps) {
+		return nil, false
+	}
+	return s.sweeps[n-1], true
+}
+
 // freshRun is what a flight that simulated hands the job claiming it: the
 // run's Report and wall-clock cost, which /metrics folds in once per
 // claimed simulation. A flight that found its key already cached hands
@@ -585,7 +678,7 @@ func (s *Server) runJob(sw *sweepRun, i int) {
 	// job.run, and a detached leader's flight can still be running then.
 	sw.mu.Lock()
 	run := sw.jobs[i].run
-	sw.jobs[i].status = "running"
+	sw.jobs[i].status = statusRunning
 	ctx := sw.ctx
 	sw.mu.Unlock()
 	fresh, err, claim := s.flight.Do(ctx, run.key, func(fctx context.Context) (*freshRun, error) {
@@ -690,9 +783,7 @@ func isCancelClass(err error) bool {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/sweeps/")
 	id, sub, _ := strings.Cut(rest, "/")
-	s.mu.Lock()
-	sw, ok := s.sweeps[id]
-	s.mu.Unlock()
+	sw, ok := s.lookup(id)
 	if !ok {
 		http.Error(w, fmt.Sprintf("no sweep %q", id), http.StatusNotFound)
 		return

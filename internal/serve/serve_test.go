@@ -16,6 +16,7 @@ import (
 
 	"gsi"
 	"gsi/internal/core"
+	"gsi/internal/faultinject"
 )
 
 // smallSweep is a fast 4-point submission (implicit microbenchmark, two
@@ -203,9 +204,11 @@ func TestServeCachedSweepByteIdentical(t *testing.T) {
 // TestServeFinishedSweepsRetainLittle: gsi-serve keeps every sweep it was
 // sent, so what one finished sweep retains is what a long-running server
 // grows by. After a run of cache-hit resubmissions of an 8-point grid and a
-// GC, each finished sweep holds under 3 KB — its status document's fields,
-// not its jobs' options or workload thunks — and its status document still
-// names every point.
+// GC, each finished sweep holds under 1,000 B — per job a status byte, an
+// error slot, a cached flag and its place in the completion order, with
+// the label and key strings shared (with other sweeps and with the cache
+// entry), not its options, workload thunk or stored progress events — and
+// its status document still names every point.
 func TestServeFinishedSweepsRetainLittle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	grid := func(name string) Submission {
@@ -232,8 +235,8 @@ func TestServeFinishedSweepsRetainLittle(t *testing.T) {
 	}
 	per := (int64(heap()) - int64(before)) / sweeps
 	t.Logf("%d B of heap retained per finished sweep", per)
-	if per > 3<<10 {
-		t.Errorf("each finished sweep retains %d B of heap, want under 3 KB", per)
+	if per > 1000 {
+		t.Errorf("each finished sweep retains %d B of heap, want under 1,000 B", per)
 	}
 	for i, job := range last.Jobs {
 		if want := fill.Jobs[i]; job.Label != want.Label || job.Key != want.Key || job.Status != "done" || !job.Cached {
@@ -344,6 +347,120 @@ func TestServeEventsStream(t *testing.T) {
 	}
 	if len(seen) != doc.Total {
 		t.Errorf("events covered %d distinct jobs, want %d", len(seen), doc.Total)
+	}
+}
+
+// TestServeEventsReplayMatchesLive: a sweep stores no progress events, only
+// its completion order, so a subscriber that watched the sweep live and
+// one that attaches after it finished must read the same stream. The
+// sweep mixes a point the cache answers at submission (the last index, so
+// it completes first), a slow fresh point at the first index (completing
+// last), and a point whose simulation panics.
+func TestServeEventsReplayMatchesLive(t *testing.T) {
+	inj, err := faultinject.Parse("mshr=16 scratchpad:slow,mshr=32 scratchpad:panic,slowms=200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, Chaos: inj})
+	warm := smallSweep("warm")
+	warm.MSHRSizes, warm.LocalMems = []int{32}, []string{"stash"}
+	if done := wait(t, ts, submit(t, ts, warm).ID); done.Failed != 0 {
+		t.Fatalf("warm-up failed: %+v", done.Jobs)
+	}
+
+	doc := submit(t, ts, smallSweep("mixed"))
+	liveCh := make(chan []progressEvent, 1)
+	go func() {
+		events, _ := readEvents(t, ts, doc.ID)
+		liveCh <- events
+	}()
+	final := wait(t, ts, doc.ID)
+	live := <-liveCh
+	replay, sawDone := readEvents(t, ts, doc.ID)
+	if !sawDone {
+		t.Error("replayed stream ended without a done event")
+	}
+	if fmt.Sprint(live) != fmt.Sprint(replay) {
+		t.Fatalf("live stream %+v\nreplayed stream %+v", live, replay)
+	}
+
+	if len(replay) != final.Total {
+		t.Fatalf("%d events for %d jobs", len(replay), final.Total)
+	}
+	seen := map[int]bool{}
+	for k, ev := range replay {
+		job := final.Jobs[ev.Index]
+		if ev.Done != k+1 || ev.Total != final.Total || seen[ev.Index] ||
+			ev.Label != job.Label || ev.Err != job.Err || ev.Cached != job.Cached {
+			t.Errorf("event %d: %+v, for job %+v", k, ev, job)
+		}
+		seen[ev.Index] = true
+	}
+	if first, last := replay[0], replay[len(replay)-1]; first.Index != 3 || !first.Cached || last.Index != 0 {
+		t.Errorf("completion order %+v: want the cached index 3 first and the slow index 0 last", replay)
+	}
+	if final.Failed != 1 || final.Jobs[2].Status != "failed" || !strings.Contains(final.Jobs[2].Err, "panicked") {
+		t.Errorf("want only job 2 failed by the injected panic: %+v", final.Jobs)
+	}
+}
+
+// TestServeSweepIDs: sweep ids are "s<n>" for the n-th accepted sweep, and
+// only that canonical spelling resolves — on the status, long-poll, cancel
+// and event endpoints alike. Every other spelling is a 404 naming the id.
+func TestServeSweepIDs(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	const n = 3
+	sub := smallSweep("ids")
+	sub.MSHRSizes, sub.LocalMems = []int{16}, []string{"scratchpad"}
+	for i := 1; i <= n; i++ {
+		if doc := submit(t, ts, sub); doc.ID != fmt.Sprintf("s%d", i) {
+			t.Fatalf("sweep %d has id %q", i, doc.ID)
+		}
+	}
+	call := func(method, path string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body.String()
+	}
+	for i := 1; i <= n; i++ {
+		id := fmt.Sprintf("s%d", i)
+		if doc := wait(t, ts, id); doc.ID != id || doc.Total != 1 {
+			t.Errorf("GET /sweeps/%s?wait=1: %+v", id, doc)
+		}
+		if status, body := call(http.MethodGet, "/sweeps/"+id); status != http.StatusOK || !strings.Contains(body, `"id":"`+id+`"`) {
+			t.Errorf("GET /sweeps/%s: %d %s", id, status, body)
+		}
+		if events, sawDone := readEvents(t, ts, id); len(events) != 1 || !sawDone {
+			t.Errorf("GET /sweeps/%s/events: %d events, done %t", id, len(events), sawDone)
+		}
+		if status, body := call(http.MethodDelete, "/sweeps/"+id); status != http.StatusOK || !strings.Contains(body, `"id":"`+id+`"`) {
+			t.Errorf("DELETE /sweeps/%s: %d %s", id, status, body)
+		}
+	}
+	for _, id := range []string{"s0", "s01", "s+1", "s-1", "1", "S1", fmt.Sprintf("s%d", n+1)} {
+		want := fmt.Sprintf("no sweep %q\n", id)
+		for _, c := range []struct{ method, path string }{
+			{http.MethodGet, "/sweeps/" + id},
+			{http.MethodGet, "/sweeps/" + id + "?wait=1"},
+			{http.MethodDelete, "/sweeps/" + id},
+			{http.MethodGet, "/sweeps/" + id + "/events"},
+		} {
+			if status, body := call(c.method, c.path); status != http.StatusNotFound || body != want {
+				t.Errorf("%s %s: %d %q, want 404 %q", c.method, c.path, status, body, want)
+			}
+		}
 	}
 }
 
