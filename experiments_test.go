@@ -143,10 +143,11 @@ func TestFigure63Shape(t *testing.T) {
 				r.Workload, r.InstrsIssued, base.InstrsIssued)
 		}
 		// The paper reports +67% (DMA) and +34% (stash) structural
-		// stalls over the baseline; our substrate reproduces the
-		// direction for DMA and near-parity for stash (see
-		// EXPERIMENTS.md), so assert the structural share of execution
-		// grows rather than exact factors.
+		// stalls over the baseline. The model does not reproduce that
+		// growth: normalized to scratchpad's total, DMA and stash show
+		// 0.464 and 0.490 structural against scratchpad's 0.517, i.e.
+		// -10% and -5% (ROADMAP item 16(c)). Only the structural share
+		// of execution rises, so that share is what is asserted.
 		rShare := float64(r.Counts.Cycles[core.MemStructural]) / float64(r.Counts.Total())
 		bShare := float64(base.Counts.Cycles[core.MemStructural]) / float64(base.Counts.Total())
 		if rShare <= bShare {
