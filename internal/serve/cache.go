@@ -126,18 +126,15 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).data, true
 }
 
-// lookup reports whether key is cached, refreshing its recency, and
-// returns the entry's own copy of the key: a holder that keeps it shares
-// the entry's string instead of keeping a second one.
-func (c *resultCache) lookup(key string) (string, bool) {
+// has reports whether key is cached, refreshing its recency.
+func (c *resultCache) has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
-	if !ok {
-		return "", false
+	if ok {
+		c.lru.MoveToFront(el)
 	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).key, true
+	return ok
 }
 
 // put stores the bytes for key; a pre-existing entry wins (it is

@@ -38,9 +38,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -133,10 +135,13 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	// sweeps holds every accepted sweep in submission order; sweep "s<n>"
-	// is sweeps[n-1]. labels holds one copy of each distinct job label
-	// the sweeps carry, so resubmitted grids share their label strings.
-	sweeps []*sweepRun
-	labels map[string]string
+	// is sweeps[n-1]. tables maps the SHA-256 of every accepted submission
+	// body to its job table, which all the sweeps of that body share.
+	// interned holds one copy of each distinct label and key the tables
+	// carry, so tables of the same grid points share their strings.
+	sweeps   []*sweepRun
+	tables   map[[sha256.Size]byte]*jobTable
+	interned map[string]string
 
 	jobs sync.WaitGroup
 }
@@ -157,7 +162,8 @@ func New(cfg Config) (*Server, error) {
 		metrics:    newMetrics(),
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
-		labels:     map[string]string{},
+		tables:     map[[sha256.Size]byte]*jobTable{},
+		interned:   map[string]string{},
 	}
 	s.flight.root = rootCtx
 	s.flight.gauge = s.metrics
@@ -290,6 +296,65 @@ func (sub Submission) grid() (gsi.Grid, error) {
 	return g, nil
 }
 
+// expansion is a decoded, validated submission body and the jobs its grid
+// expands to.
+type expansion struct {
+	sub      Submission
+	grid     gsi.Grid
+	jobs     []gsi.Job
+	override time.Duration // the submission's timeout; 0 = the server's default
+}
+
+// expand decodes a submission body, validates it and expands its grid.
+// The error is the text of the 400 answer.
+func expand(body []byte) (*expansion, error) {
+	var ex expansion
+	// A decoder, not json.Unmarshal: bytes after the first JSON value are
+	// ignored, as they were when the body was decoded as it streamed in.
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&ex.sub); err != nil {
+		return nil, fmt.Errorf("bad submission: %v", err)
+	}
+	if ex.sub.Timeout != "" {
+		d, err := time.ParseDuration(ex.sub.Timeout)
+		if err != nil || d < 0 {
+			return nil, fmt.Errorf("bad submission timeout %q", ex.sub.Timeout)
+		}
+		ex.override = d
+	}
+	var err error
+	if ex.grid, err = ex.sub.grid(); err != nil {
+		return nil, err
+	}
+	ex.jobs = ex.grid.Sweep().Jobs
+	return &ex, nil
+}
+
+// table derives the expansion's job table: every point's label and
+// content address.
+func (ex *expansion) table() *jobTable {
+	tab := &jobTable{name: ex.grid.Name, points: make([]point, len(ex.jobs))}
+	for i, job := range ex.jobs {
+		tab.points[i] = point{label: job.Label,
+			key: gsi.CacheKey(job.Options, job.Axes.Workload, ex.grid.PointParams(job.Axes))}
+	}
+	return tab
+}
+
+// jobTable is what one accepted submission body expands to, kept once per
+// distinct body and shared by every sweep of that body: the sweep name and,
+// in job order, each point's label and content address. It is immutable
+// once published in Server.tables.
+type jobTable struct {
+	name   string
+	points []point
+}
+
+// point is one grid point of a jobTable.
+type point struct {
+	label string
+	key   string
+}
+
 // jobStatus is a job's place in its lifecycle, spelled out only when a
 // status document is encoded.
 type jobStatus uint8
@@ -305,28 +370,21 @@ var statusNames = [...]string{"queued", "running", "done", "failed"}
 
 func (st jobStatus) String() string { return statusNames[st] }
 
-// jobState is one grid point of a submitted sweep; its index is its
-// position in sweepRun.jobs. Immutable fields are set at submission;
-// status/errMsg/cached/run are guarded by the sweepRun mutex. label is
-// the server's shared copy, and key is the cache entry's own string for a
-// point the cache answered at submission.
+// jobState is what a sweep owns of one grid point, guarded by the
+// sweepRun mutex; its index is the point's index in the sweep's job
+// table, which holds the label and key. A failed job's error is in
+// sweepRun.errs.
 type jobState struct {
-	label string
-	key   string
-	// run is what simulating the point takes; nil for a point the cache
-	// answered at submission. complete drops it, so a finished sweep
-	// keeps only what its status document shows, not the options and
-	// workload thunk (and the parameter maps it captures).
-	run *simJob
-
-	errMsg string
 	status jobStatus
 	cached bool
 }
 
-// simJob is what one simulation of a grid point needs. runJob hands the
-// flight this pointer rather than the job: a detached leader's flight can
-// outlive its job, so the flight never reads the job's state.
+// simJob is what one simulation of a grid point needs, built at submission
+// for a point the cache does not hold. Its runJob goroutine holds it until
+// the job completes, so a finished sweep keeps none of its options or
+// workload thunk (nor the parameter maps the thunk captures). runJob hands
+// the flight this pointer rather than the job: a detached leader's flight
+// can outlive its job, so the flight never reads the job's state.
 type simJob struct {
 	label   string
 	key     string
@@ -354,19 +412,20 @@ type progressEvent struct {
 // from their simulations — a simulation shared with another sweep keeps
 // running for that sweep, an unshared one stops at its next cooperative
 // check. Both are dropped (under mu) when the last job completes, and so
-// is the subscriber map, so a finished sweep keeps its jobs, its
-// completion order and its counters.
+// is the subscriber map, so a finished sweep keeps its job states, its
+// completion order and its counters, and points at its shared job table.
 type sweepRun struct {
 	seq    int // the sweep's number: its id is "s<seq>"
-	name   string
+	tab    *jobTable
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu sync.Mutex
-	// jobs holds every grid point; done[k] is the index of the (k+1)-th
-	// job to complete, so len(done) is the completed count.
+	// jobs holds every grid point's state; done[k] is the index of the
+	// (k+1)-th job to complete, so len(done) is the completed count.
 	jobs     []jobState
 	done     []int32
+	errs     []string // job i's error, made on the first failure
 	failed   int
 	canceled bool
 	subs     map[chan progressEvent]bool // made on first subscribe
@@ -390,9 +449,16 @@ func (sw *sweepRun) id() string { return "s" + strconv.Itoa(sw.seq) }
 // holds mu.
 func (sw *sweepRun) event(k int) progressEvent {
 	i := int(sw.done[k])
-	job := &sw.jobs[i]
 	return progressEvent{Done: k + 1, Total: len(sw.jobs), Index: i,
-		Label: job.label, Err: job.errMsg, Cached: job.cached}
+		Label: sw.tab.points[i].label, Err: sw.errMsg(i), Cached: sw.jobs[i].cached}
+}
+
+// errMsg is job i's error, "" unless it failed. Caller holds mu.
+func (sw *sweepRun) errMsg(i int) string {
+	if sw.errs == nil {
+		return ""
+	}
+	return sw.errs[i]
 }
 
 // subscribe registers an events channel, returning the events already
@@ -434,11 +500,13 @@ func (sw *sweepRun) complete(i int, errMsg string, cached bool) {
 // completeLocked is complete with sw.mu held.
 func (sw *sweepRun) completeLocked(i int, errMsg string, cached bool) {
 	job := &sw.jobs[i]
-	job.errMsg = errMsg
 	job.cached = cached
-	job.run = nil
 	job.status = statusDone
 	if errMsg != "" {
+		if sw.errs == nil {
+			sw.errs = make([]string, len(sw.jobs))
+		}
+		sw.errs[i] = errMsg
 		job.status = statusFailed
 		sw.failed++
 	}
@@ -492,7 +560,7 @@ type jobDoc struct {
 func (sw *sweepRun) doc(jobs bool) sweepDoc {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	d := sweepDoc{ID: sw.id(), Name: sw.name, Total: len(sw.jobs),
+	d := sweepDoc{ID: sw.id(), Name: sw.tab.name, Total: len(sw.jobs),
 		Done: len(sw.done), Failed: sw.failed, Finished: len(sw.done) == len(sw.jobs),
 		Canceled: sw.canceled}
 	if !jobs {
@@ -500,8 +568,9 @@ func (sw *sweepRun) doc(jobs bool) sweepDoc {
 	}
 	d.Jobs = make([]jobDoc, len(sw.jobs))
 	for i, j := range sw.jobs {
-		d.Jobs[i] = jobDoc{Index: i, Label: j.label, Key: j.key,
-			Status: j.status.String(), Err: j.errMsg, Cached: j.cached}
+		p := sw.tab.points[i]
+		d.Jobs[i] = jobDoc{Index: i, Label: p.label, Key: p.key,
+			Status: j.status.String(), Err: sw.errMsg(i), Cached: j.cached}
 	}
 	return d
 }
@@ -524,15 +593,20 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// submit expands a Submission into jobs, registers the sweep, and kicks
-// every job that needs work onto the shared pool. Jobs whose key is
-// already cached complete here, before the reply is written: a cache hit
-// costs a key and a lookup, and a fully cached sweep is finished in its
-// own 202 document.
+// submit registers a sweep of a submission body and kicks every job that
+// needs work onto the shared pool. A body seen for the first time is
+// decoded, validated and expanded, and its job table (labels and keys)
+// derived; once the sweep is accepted, the table is kept under the body's
+// SHA-256, so the same body again skips all of that and starts from the
+// stored keys. Jobs whose key is already cached complete here, before the
+// reply is written: a cache hit costs a lookup, and a fully cached sweep is
+// finished in its own 202 document. A job the cache does not hold, because
+// the body is new or its entry was evicted since, is given to runJob.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxSubmissionBytes)
-	var sub Submission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
+	// The body is read whole so its hash names it; the cap bounds it all,
+	// including bytes after the submission's JSON value.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmissionBytes))
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -541,44 +615,49 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad submission: %v", err), status)
 		return
 	}
-	var override time.Duration
-	if sub.Timeout != "" {
-		d, err := time.ParseDuration(sub.Timeout)
-		if err != nil || d < 0 {
-			http.Error(w, fmt.Sprintf("bad submission timeout %q", sub.Timeout), http.StatusBadRequest)
+	sum := sha256.Sum256(body)
+	s.mu.Lock()
+	tab := s.tables[sum]
+	s.mu.Unlock()
+	adopt := tab == nil
+	// ex is the decoded body: needed for a new body, and for an accepted
+	// one only when the cache has evicted one of its points.
+	var ex *expansion
+	if adopt {
+		if ex, err = expand(body); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		override = d
+		tab = ex.table()
 	}
-	grid, err := sub.grid()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	batch := grid.Sweep()
-	sw := &sweepRun{
-		name: grid.Name,
-		jobs: make([]jobState, len(batch.Jobs)),
-		done: make([]int32, 0, len(batch.Jobs)),
-	}
-	timeout := s.cfg.jobTimeout(override)
-	hits := 0
+	n := len(tab.points)
+	sw := &sweepRun{tab: tab, jobs: make([]jobState, n), done: make([]int32, 0, n)}
+	var runs []*simJob // indexed like the jobs; nil for a hit
 	// The hits complete before the sweep is published, under one lock, so
 	// no reader sees them queued and no subscriber misses their events.
 	sw.mu.Lock()
-	for i, job := range batch.Jobs {
-		key := gsi.CacheKey(job.Options, job.Axes.Workload, grid.PointParams(job.Axes))
-		if cachedKey, ok := s.cache.lookup(key); ok {
-			// Keep the entry's key string, not the copy just built.
-			sw.jobs[i] = jobState{label: job.Label, key: cachedKey}
-			hits++
+	for i, p := range tab.points {
+		if s.cache.has(p.key) {
 			sw.completeLocked(i, "", true)
 			continue
 		}
-		sw.jobs[i] = jobState{label: job.Label, key: key, run: &simJob{label: job.Label,
-			key: key, options: job.Options, thunk: job.Workload, timeout: timeout, trace: sub.Trace}}
+		if ex == nil {
+			// Expanding a body that was accepted before cannot fail.
+			if ex, err = expand(body); err != nil {
+				sw.mu.Unlock()
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+		}
+		if runs == nil {
+			runs = make([]*simJob, n)
+		}
+		job := ex.jobs[i]
+		runs[i] = &simJob{label: p.label, key: p.key, options: job.Options, thunk: job.Workload,
+			timeout: s.cfg.jobTimeout(ex.override), trace: ex.sub.Trace}
 	}
-	misses := len(sw.jobs) - hits
+	hits := len(sw.done)
+	misses := n - hits
 	if misses > 0 {
 		sw.finished = make(chan struct{})
 	}
@@ -598,10 +677,19 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining: not accepting new sweeps", http.StatusServiceUnavailable)
 		return
 	}
-	// Nothing else sees sw until it is appended, so its labels can be
-	// swapped for the shared copies without its lock.
-	for i := range sw.jobs {
-		sw.jobs[i].label = s.internLocked(sw.jobs[i].label)
+	// Nothing else sees sw until it is appended, so its table can be
+	// swapped without its lock.
+	if adopt {
+		if published := s.tables[sum]; published != nil {
+			// A concurrent first sighting of the same body was accepted first.
+			sw.tab = published
+		} else {
+			for i := range tab.points {
+				p := &tab.points[i]
+				p.label, p.key = s.internLocked(p.label), s.internLocked(p.key)
+			}
+			s.tables[sum] = tab
+		}
 	}
 	sw.seq = len(s.sweeps) + 1
 	s.sweeps = append(s.sweeps, sw)
@@ -611,31 +699,31 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	s.jobs.Add(misses)
 	s.mu.Unlock()
 
-	s.metrics.accept(len(sw.jobs), hits)
+	s.metrics.accept(n, hits)
 	if misses > 0 {
 		go func() {
 			// Release the sweep's context once every job has completed.
 			<-sw.finished
 			cancel()
 		}()
-		for i := range sw.jobs {
-			if sw.jobs[i].run != nil {
-				go s.runJob(sw, i)
+		for i, run := range runs {
+			if run != nil {
+				go s.runJob(sw, i, run)
 			}
 		}
 	}
 	writeJSON(w, http.StatusAccepted, sw.doc(true))
 }
 
-// internLocked returns the server's copy of label, adopting label as that
-// copy if it is new. Caller holds s.mu; only accepted sweeps' labels are
-// adopted, so the table never holds a label no sweep holds.
-func (s *Server) internLocked(label string) string {
-	if shared, ok := s.labels[label]; ok {
+// internLocked returns the server's copy of str, adopting str as that copy
+// if it is new. Caller holds s.mu; only accepted sweeps' tables are
+// interned, so the map never holds a string no sweep holds.
+func (s *Server) internLocked(str string) string {
+	if shared, ok := s.interned[str]; ok {
 		return shared
 	}
-	s.labels[label] = label
-	return label
+	s.interned[str] = str
+	return str
 }
 
 // lookup resolves a sweep id. Only the canonical spelling "s<n>", for
@@ -672,12 +760,9 @@ type freshRun struct {
 // pool. Any failure — panic, deadline, cancellation, simulation error —
 // lands in this job's error slot and nowhere else: siblings keep running
 // and nothing failed is cached.
-func (s *Server) runJob(sw *sweepRun, i int) {
+func (s *Server) runJob(sw *sweepRun, i int, run *simJob) {
 	defer s.jobs.Done()
-	// The flight gets its own pointer to what it simulates: complete drops
-	// job.run, and a detached leader's flight can still be running then.
 	sw.mu.Lock()
-	run := sw.jobs[i].run
 	sw.jobs[i].status = statusRunning
 	ctx := sw.ctx
 	sw.mu.Unlock()
@@ -789,14 +874,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method == http.MethodDelete && sub == "" {
-		sw.mu.Lock()
-		sw.canceled = true
-		cancel := sw.cancel
-		sw.mu.Unlock()
 		// Unfinished jobs observe the cancellation at their next
 		// cooperative check and complete with a canceled error; the
 		// sweep still reaches finished, so waiters and SSE streams end
-		// normally. A finished sweep has nothing left to cancel.
+		// normally. A finished sweep has nothing left to cancel, so it
+		// is not marked canceled and answers its unchanged document.
+		sw.mu.Lock()
+		cancel := sw.cancel
+		if len(sw.done) < len(sw.jobs) {
+			sw.canceled = true
+		}
+		sw.mu.Unlock()
 		if cancel != nil {
 			cancel()
 		}

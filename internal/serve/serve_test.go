@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -203,12 +204,13 @@ func TestServeCachedSweepByteIdentical(t *testing.T) {
 
 // TestServeFinishedSweepsRetainLittle: gsi-serve keeps every sweep it was
 // sent, so what one finished sweep retains is what a long-running server
-// grows by. After a run of cache-hit resubmissions of an 8-point grid and a
-// GC, each finished sweep holds under 1,000 B — per job a status byte, an
-// error slot, a cached flag and its place in the completion order, with
-// the label and key strings shared (with other sweeps and with the cache
-// entry), not its options, workload thunk or stored progress events — and
-// its status document still names every point.
+// grows by. After a run of cache-hit submissions of an 8-point grid under
+// distinct names and a GC, each finished sweep holds under 1,000 B. Each
+// name is a distinct body, so each sweep brings its own job table, whose
+// label and key strings are shared with every other table of the same
+// points; per job the sweep adds a status byte, a cached flag and its place
+// in the completion order, not its options, workload thunk or stored
+// progress events. Its status document still names every point.
 func TestServeFinishedSweepsRetainLittle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	grid := func(name string) Submission {
@@ -220,20 +222,13 @@ func TestServeFinishedSweepsRetainLittle(t *testing.T) {
 	if fill.Total != 8 || fill.Failed != 0 {
 		t.Fatalf("fill sweep: %d points, %d failed", fill.Total, fill.Failed)
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	const sweeps = 500
-	before := heap()
+	before := retainedHeap()
 	var last sweepDoc
 	for i := 0; i < sweeps; i++ {
 		last = wait(t, ts, submit(t, ts, grid(fmt.Sprintf("hit-%d", i))).ID)
 	}
-	per := (int64(heap()) - int64(before)) / sweeps
+	per := (int64(retainedHeap()) - int64(before)) / sweeps
 	t.Logf("%d B of heap retained per finished sweep", per)
 	if per > 1000 {
 		t.Errorf("each finished sweep retains %d B of heap, want under 1,000 B", per)
@@ -242,6 +237,226 @@ func TestServeFinishedSweepsRetainLittle(t *testing.T) {
 		if want := fill.Jobs[i]; job.Label != want.Label || job.Key != want.Key || job.Status != "done" || !job.Cached {
 			t.Errorf("finished job %d: %+v, want %+v served from the cache", i, job, want)
 		}
+	}
+}
+
+// tableCount is how many job tables the server has adopted.
+func tableCount(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.tables)
+}
+
+// retainedHeap is the live heap after two collections, for measuring what
+// finished sweeps keep.
+func retainedHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestServeResubmittedSweepsShareTheirTable: resubmitting one body reuses
+// the job table its first acceptance stored, so each repeated finished
+// sweep keeps only its header, its job states and its completion order —
+// at most 300 B for an 8-point grid — and still serves the same status
+// document (apart from its id) and the same event replay as the first
+// cached sweep of that body.
+func TestServeResubmittedSweepsShareTheirTable(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	sub := smallSweep("repeat")
+	sub.Protocols = []string{"gpu", "denovo"}
+	fill := wait(t, ts, submit(t, ts, sub).ID)
+	if fill.Total != 8 || fill.Failed != 0 {
+		t.Fatalf("fill sweep: %d points, %d failed", fill.Total, fill.Failed)
+	}
+	first := wait(t, ts, submit(t, ts, sub).ID)
+	const sweeps = 500
+	before := retainedHeap()
+	ids := make([]string, sweeps)
+	for i := range ids {
+		ids[i] = wait(t, ts, submit(t, ts, sub).ID).ID
+	}
+	per := (int64(retainedHeap()) - int64(before)) / sweeps
+	t.Logf("%d B of heap retained per finished sweep of a repeated body", per)
+	if per > 300 {
+		t.Errorf("each finished sweep of a repeated body retains %d B of heap, want at most 300 B", per)
+	}
+	if n := tableCount(s); n != 1 {
+		t.Errorf("%d job tables for one body, want 1", n)
+	}
+	for i, job := range first.Jobs {
+		if want := fill.Jobs[i]; job.Label != want.Label || job.Key != want.Key || job.Status != "done" || !job.Cached {
+			t.Errorf("cached job %d: %+v, want %+v served from the cache", i, job, want)
+		}
+	}
+	firstEvents, _ := readEvents(t, ts, first.ID)
+	for _, id := range ids {
+		doc := wait(t, ts, id)
+		doc.ID = first.ID
+		if !reflect.DeepEqual(doc, first) {
+			t.Fatalf("sweep %s: %+v, want %+v but for its id", id, doc, first)
+		}
+		if events, sawDone := readEvents(t, ts, id); !sawDone || !reflect.DeepEqual(events, firstEvents) {
+			t.Fatalf("sweep %s replays %+v (done %t), want %+v", id, events, sawDone, firstEvents)
+		}
+	}
+}
+
+// TestServeResubmissionAfterEviction: a body whose table is stored but
+// some of whose points the cache has since evicted simulates exactly those
+// points again, to the same bytes, and answers the rest from the cache.
+// The cache directory keeps every result, so both passes' bytes can be
+// compared after the in-memory copies are gone.
+func TestServeResubmissionAfterEviction(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 2, CacheDir: dir, CacheMaxEntries: 2})
+	sub := smallSweep("evict")
+	sub.Protocols = []string{"gpu", "denovo"}
+	first := wait(t, ts, submit(t, ts, sub).ID)
+	if first.Total != 8 || first.Failed != 0 {
+		t.Fatalf("first pass: %d points, %d failed", first.Total, first.Failed)
+	}
+	stored := func(key string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, key+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	firstBytes := map[string][]byte{}
+	held := map[string]bool{}
+	for _, job := range first.Jobs {
+		firstBytes[job.Key] = stored(job.Key)
+		resp, err := http.Get(ts.URL + "/results/" + job.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		held[job.Key] = resp.StatusCode == http.StatusOK
+	}
+	evicted := 0
+	for _, h := range held {
+		if !h {
+			evicted++
+		}
+	}
+	if evicted != 6 {
+		t.Fatalf("%d of 8 points evicted after the first pass, want 6", evicted)
+	}
+	before := getMetrics(t, ts)
+	again := wait(t, ts, submit(t, ts, sub).ID)
+	after := getMetrics(t, ts)
+	if got := after.Simulations - before.Simulations; got != uint64(evicted) {
+		t.Errorf("resubmission ran %d simulations, want %d (the evicted points)", got, evicted)
+	}
+	if again.Failed != 0 {
+		t.Fatalf("resubmission failed: %+v", again.Jobs)
+	}
+	for i, job := range again.Jobs {
+		if want := first.Jobs[i]; job.Label != want.Label || job.Key != want.Key || job.Status != "done" || job.Cached != held[job.Key] {
+			t.Errorf("resubmitted job %d: %+v, want %+v cached=%t", i, job, want, held[job.Key])
+		}
+		if got := stored(job.Key); !bytes.Equal(got, firstBytes[job.Key]) {
+			t.Errorf("job %q: resimulated bytes differ from the first pass", job.Label)
+		}
+	}
+	for _, job := range again.Jobs {
+		resp, err := http.Get(ts.URL + "/results/" + job.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, err = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK && !bytes.Equal(body.Bytes(), firstBytes[job.Key]) {
+			t.Errorf("job %q: served bytes differ from the first pass", job.Label)
+		}
+	}
+}
+
+// TestServeTablePerAcceptedBody: a job table belongs to one accepted body.
+// A body that differs only in name, timeout or trace gets its own, and
+// concurrent first sightings of one body settle on one table; a body
+// answered 400, 413 or 503 adopts none.
+func TestServeTablePerAcceptedBody(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	base := smallSweep("base")
+	wait(t, ts, submit(t, ts, base).ID)
+	submit(t, ts, base)
+	if n := tableCount(s); n != 1 {
+		t.Fatalf("one body submitted twice: %d tables, want 1", n)
+	}
+	named, timed, traced := base, base, base
+	named.Name = "renamed"
+	timed.Timeout = "90s"
+	traced.Trace = true
+	for i, sub := range []Submission{named, timed, traced} {
+		doc := submit(t, ts, sub)
+		if doc.Name != sub.Name || !doc.Finished {
+			t.Errorf("%+v: reply %+v, want finished under its own name", sub, doc)
+		}
+		if n := tableCount(s); n != i+2 {
+			t.Errorf("after %+v: %d tables, want %d", sub, n, i+2)
+		}
+	}
+	racing := base
+	racing.Name = "racing"
+	body, err := json.Marshal(racing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Errorf("concurrent submission: status %d", resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := tableCount(s); n != 5 {
+		t.Errorf("six concurrent submissions of one new body: %d tables, want 5", n)
+	}
+
+	unknown, badTimeout := base, base
+	unknown.Workloads = []string{"nosuch"}
+	badTimeout.Timeout = "soon"
+	for _, sub := range []Submission{unknown, badTimeout} {
+		if _, status := trySubmit(t, ts, sub); status != http.StatusBadRequest {
+			t.Errorf("%+v: status %d, want 400", sub, status)
+		}
+	}
+	big := fmt.Sprintf(`{"name":%q,"workloads":["implicit"]}`, strings.Repeat("x", maxSubmissionBytes))
+	resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	s.BeginDrain()
+	late := base
+	late.Name = "late"
+	if _, status := trySubmit(t, ts, late); status != http.StatusServiceUnavailable {
+		t.Errorf("submission while draining: status %d, want 503", status)
+	}
+	if n := tableCount(s); n != 5 {
+		t.Errorf("refused bodies adopted tables: %d, want 5", n)
 	}
 }
 
@@ -573,6 +788,47 @@ func TestServeCachedResubmissionAnsweredAtSubmit(t *testing.T) {
 	}
 	if cached != first.Total {
 		t.Errorf("mixed grid marked %d jobs cached, want %d", cached, first.Total)
+	}
+}
+
+// TestServeDeleteFinishedSweep: a DELETE of a sweep that has already
+// finished cancels nothing, so it leaves the sweep unmarked: the reply and
+// every later read show it finished, not canceled, with nothing failed,
+// and /metrics counts no cancellation.
+func TestServeDeleteFinishedSweep(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	sub := smallSweep("finished")
+	wait(t, ts, submit(t, ts, sub).ID)
+	cached := submit(t, ts, sub)
+	before := getMetrics(t, ts)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/sweeps/"+cached.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply sweepDoc
+	err = json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cached.Finished || cached.Canceled || cached.Failed != 0 {
+		t.Fatalf("fully cached resubmission: %+v, want finished with nothing failed", cached)
+	}
+	cached.Jobs = nil
+	if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(reply, cached) {
+		t.Errorf("DELETE of a finished sweep: %d %+v, want 200 %+v", resp.StatusCode, reply, cached)
+	}
+	after := wait(t, ts, cached.ID)
+	after.Jobs = nil
+	if !reflect.DeepEqual(after, cached) {
+		t.Errorf("after DELETE the sweep reads %+v, want %+v unchanged", after, cached)
+	}
+	if m := getMetrics(t, ts); m.Canceled != before.Canceled {
+		t.Errorf("canceled counter moved %d -> %d", before.Canceled, m.Canceled)
 	}
 }
 
