@@ -51,7 +51,7 @@ var (
 	jsonOut  = flag.Bool("json", false, "emit one JSON array (of labeled reports, or of figures) instead of text")
 	parallel = flag.Int("parallel", 0, "simulation workers (0 = all cores, 1 = serial)")
 	quiet    = flag.Bool("quiet", false, "suppress per-job progress on stderr")
-	engine   = flag.String("engine", "skip", "scheduling engine: dense | quiescent | skip (all byte-identical)")
+	engine   = flag.String("engine", "skip", "scheduling engine: dense | skip (byte-identical)")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	runLimit = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation; on expiry running jobs are canceled and a grid still prints its completed results (0 = none)")

@@ -4,8 +4,8 @@
 // ceiling, error, or engine identity break — recording per-rung
 // ns-per-cycle, scheduling counters, RSS, and allocations into
 // BENCH_scale.json, and optionally a markdown ceiling report. Every rung
-// times the skip engine and re-runs the workload under the dense and
-// quiescent engines, asserting byte-identical reports.
+// times the skip engine and re-runs the workload under the dense oracle,
+// asserting byte-identical reports.
 //
 // Examples:
 //

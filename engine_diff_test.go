@@ -27,10 +27,9 @@ func figureSpecsEngine(mode EngineMode) []FigureSpec {
 }
 
 // TestEnginesByteIdentical is the cross-engine determinism contract: for
-// every figure spec, the dense reference loop, the quiescence-aware loop
-// and the event-driven skip-ahead engine must produce byte-identical
-// reports — same cycles, same stall counts, same memory statistics, same
-// JSON.
+// every figure spec, the dense reference loop and the event-driven
+// skip-ahead engine must produce byte-identical reports — same cycles, same
+// stall counts, same memory statistics, same JSON.
 func TestEnginesByteIdentical(t *testing.T) {
 	type engineRun struct {
 		mode EngineMode
@@ -39,7 +38,6 @@ func TestEnginesByteIdentical(t *testing.T) {
 	}
 	runs := []*engineRun{
 		{mode: EngineDense},
-		{mode: EngineQuiescent},
 		{mode: EngineSkip},
 	}
 	for _, r := range runs {
@@ -98,48 +96,18 @@ func workedTree(t *testing.T) Workload {
 	return w
 }
 
-// TestEnginesIdenticalWithTimeline pins the bulk span-crediting path: with
-// the per-SM timeline enabled (the collector most sensitive to when cycles
-// are recorded), a 15-SM run whose SMs drain at different times must render
-// identically whether cycles were observed one at a time (dense) or stall
-// windows and idle tails were credited as one span per SM nap (the other
-// two engines), with or without global jumps on top.
-func TestEnginesIdenticalWithTimeline(t *testing.T) {
-	w := workedTree(t)
-	run := func(mode EngineMode) *Report {
-		opt := Options{Protocol: DeNovo, Timeline: true}
-		opt.System = DefaultConfig()
-		opt.System.Engine = mode
-		rep, err := Run(opt, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	d := run(EngineDense)
-	for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
-		q := run(mode)
-		if q.Timeline != d.Timeline {
-			t.Errorf("%s: timelines diverge:\n--- %s ---\n%s\n--- dense ---\n%s",
-				mode, mode, q.Timeline, d.Timeline)
-		}
-		if q.Cycles != d.Cycles {
-			t.Errorf("%s: cycles diverge: %d vs %d", mode, q.Cycles, d.Cycles)
-		}
-		if q.Counts != d.Counts {
-			t.Errorf("%s: counts diverge:\n%+v\nvs\n%+v", mode, q.Counts, d.Counts)
-		}
-	}
-}
-
 // TestEnginesByteIdenticalWithTrace extends the cross-engine contract to
-// the observability layer: with a trace collector attached — every
-// Inspector classification and engine jump flowing into it — each of the
-// three engine modes must still produce the byte-identical JSON report an
-// untraced dense run does. Tracing is observation only; any hook that
-// perturbs simulation state diverges here. The timeline leg puts both
-// sinks on the span stream at once: the rendered timeline in the report
-// must match the untraced dense one, and the collector must still fill.
+// the two observers of the span stream. Every run — dense or skip, per-SM
+// timeline off or on, with or without a trace collector (every Inspector
+// classification and engine jump flowing into it) — must produce the
+// byte-identical JSON report the untraced dense run with the same timeline
+// setting does. With the timeline on, that JSON carries the rendered
+// timeline, the collector most sensitive to when cycles are recorded: a
+// 15-SM run whose SMs drain at different times must render identically
+// whether cycles were observed one at a time (dense) or stall windows and
+// idle tails were credited as one span per SM nap, with global jumps on top
+// (skip). Tracing is observation only; any hook that perturbs simulation
+// state diverges here. Every run with a collector must still fill it.
 func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 	w := workedTree(t)
 	run := func(mode EngineMode, timeline bool, tr *Trace) []byte {
@@ -161,23 +129,31 @@ func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 	}
 	for _, timeline := range []bool{false, true} {
 		dj := run(EngineDense, timeline, nil)
-		for _, mode := range []EngineMode{EngineDense, EngineQuiescent, EngineSkip} {
-			tr := NewTrace()
-			if rj := run(mode, timeline, tr); !bytes.Equal(rj, dj) {
-				a, b := diffLine(rj, dj)
-				t.Errorf("traced %s (timeline=%v) diverges from untraced dense:\n %s: %s\n dense: %s",
-					mode, timeline, mode, a, b)
-			}
-			if tr.NumSMs() == 0 || tr.EndCycle() == 0 {
-				t.Errorf("traced %s (timeline=%v) collected nothing (sms=%d end=%d)",
-					mode, timeline, tr.NumSMs(), tr.EndCycle())
-			}
-			var spans int
-			for sm := 0; sm < tr.NumSMs(); sm++ {
-				spans += len(tr.Spans(sm))
-			}
-			if spans == 0 {
-				t.Errorf("traced %s (timeline=%v) recorded no stall spans", mode, timeline)
+		for _, mode := range []EngineMode{EngineDense, EngineSkip} {
+			for _, tr := range []*Trace{nil, NewTrace()} {
+				if mode == EngineDense && tr == nil {
+					continue // the reference itself
+				}
+				traced := tr != nil
+				if rj := run(mode, timeline, tr); !bytes.Equal(rj, dj) {
+					a, b := diffLine(rj, dj)
+					t.Errorf("%s (timeline=%v, traced=%v) diverges from untraced dense:\n %s: %s\n dense: %s",
+						mode, timeline, traced, mode, a, b)
+				}
+				if !traced {
+					continue
+				}
+				if tr.NumSMs() == 0 || tr.EndCycle() == 0 {
+					t.Errorf("traced %s (timeline=%v) collected nothing (sms=%d end=%d)",
+						mode, timeline, tr.NumSMs(), tr.EndCycle())
+				}
+				var spans int
+				for sm := 0; sm < tr.NumSMs(); sm++ {
+					spans += len(tr.Spans(sm))
+				}
+				if spans == 0 {
+					t.Errorf("traced %s (timeline=%v) recorded no stall spans", mode, timeline)
+				}
 			}
 		}
 	}
@@ -207,10 +183,9 @@ func smallRegistryRun(t *testing.T, e *WorkloadEntry, set func(*SystemConfig)) *
 // NextEvent property test: every workload in the registry — the pool
 // includes BFS's global barriers, SpMV's gathers, the pipeline's bursty
 // idle phases, and GUPS's MSHR saturation — runs at SmallScale under the
-// quiescent and skip-ahead engines and must produce the byte-identical JSON
-// report the dense reference loop does. Any component under-promising on
-// any of these access patterns diverges here; quiescent diverging too
-// blames the active set, parking or the naps, skip alone the jump.
+// skip-ahead engine and must produce the byte-identical JSON report the
+// dense reference loop does. Any component under-promising on any of these
+// access patterns diverges here.
 func TestNextEventWorkloadPool(t *testing.T) {
 	reg := Workloads()
 	for _, name := range reg.Names() {
@@ -224,20 +199,18 @@ func TestNextEventWorkloadPool(t *testing.T) {
 				}
 				return doc
 			}
-			dj := run(EngineDense)
-			for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
-				if rj := run(mode); !bytes.Equal(rj, dj) {
-					a, b := diffLine(rj, dj)
-					t.Errorf("%s diverges from dense:\n %s: %s\n dense: %s", mode, mode, a, b)
-				}
+			if rj, dj := run(EngineSkip), run(EngineDense); !bytes.Equal(rj, dj) {
+				a, b := diffLine(rj, dj)
+				t.Errorf("skip diverges from dense:\n skip: %s\n dense: %s", a, b)
 			}
 		})
 	}
 }
 
-// TestInertSchedulingFields: SystemConfig.Parallel and SystemConfig.Express
-// survive only so bench/ keeps compiling. Setting them changes nothing — not
-// the Report bytes, not the scheduling counters — and CacheKey ignores them.
+// TestInertSchedulingFields: SystemConfig.Parallel, SystemConfig.Express and
+// the EngineQuiescent alias survive only so bench/ keeps compiling. Setting
+// them changes nothing — not the Report bytes, not the scheduling counters —
+// and CacheKey ignores them.
 func TestInertSchedulingFields(t *testing.T) {
 	reg := Workloads()
 	for _, name := range []string{"uts", "gups"} {
@@ -248,10 +221,12 @@ func TestInertSchedulingFields(t *testing.T) {
 			t.Fatal(err)
 		}
 		for label, set := range map[string]func(*SystemConfig){
-			"Parallel=2":               func(c *SystemConfig) { c.Parallel = 2 },
-			"Express=false":            func(c *SystemConfig) { c.Express = false },
-			"Express=true":             func(c *SystemConfig) { c.Express = true },
-			"Parallel=2,Express=false": func(c *SystemConfig) { c.Parallel, c.Express = 2, false },
+			"Parallel=2":    func(c *SystemConfig) { c.Parallel = 2 },
+			"Express=false": func(c *SystemConfig) { c.Express = false },
+			"Express=true":  func(c *SystemConfig) { c.Express = true },
+			"Parallel=2,Express=false,Engine=EngineQuiescent": func(c *SystemConfig) {
+				c.Parallel, c.Express, c.Engine = 2, false, EngineQuiescent
+			},
 		} {
 			got := smallRegistryRun(t, e, set)
 			gj, err := got.JSON()
@@ -377,9 +352,9 @@ var drawnSizeParam = map[string]string{
 // configurations nobody wrote by hand: seeded draws over every registry
 // workload at SmallScale, each with its size parameter halved, kept or
 // doubled, either protocol, MSHR = store buffer in {4, 8, 32, 512}, a warp
-// count halved, kept or doubled, and each ablation switch on or off. Dense,
-// quiescent and skip must produce byte-identical JSON, and every SM's profile
-// must account every cycle. A draw the model rejects before it runs (a
+// count halved, kept or doubled, and each ablation switch on or off. Dense
+// and skip must produce byte-identical JSON, and every SM's profile must
+// account every cycle. A draw the model rejects before it runs (a
 // doubled array past the scratchpad, a warp count that does not divide the
 // work) is skipped, and the draws a workload keeps are counted.
 //
@@ -437,8 +412,8 @@ func smallParam(e *WorkloadEntry, name string) string {
 	return e.Defaults()[name]
 }
 
-// drawAgrees runs one draw under the three engines and reports whether the
-// model accepted it.
+// drawAgrees runs one draw under both engines and reports whether the model
+// accepted it.
 func drawAgrees(t *testing.T, e *WorkloadEntry, d configDraw) bool {
 	t.Helper()
 	cfg, err := e.TuneSystem(true, d.Params, DefaultConfig())
@@ -447,7 +422,7 @@ func drawAgrees(t *testing.T, e *WorkloadEntry, d configDraw) bool {
 	}
 	cfg.MSHREntries, cfg.StoreBufEntries = d.MSHR, d.MSHR
 	var ref []byte
-	for _, mode := range []EngineMode{EngineDense, EngineQuiescent, EngineSkip} {
+	for _, mode := range []EngineMode{EngineDense, EngineSkip} {
 		w, err := e.BuildSmall(d.Params)
 		if err != nil {
 			return false

@@ -44,7 +44,7 @@ func FuzzCacheKey(f *testing.F) {
 	f.Add("", "", "", uint8(0), uint8(0), false, false, false, true, uint16(0))
 	f.Add("gups", "updates", "0x10", uint8(1), uint8(3), false, false, true, false, uint16(8))
 	f.Fuzz(func(t *testing.T, wl, pname, pval string, engineSel, parallel uint8, timeline, skipVerify, sfifo, express bool, mshr uint16) {
-		modes := []EngineMode{EngineSkip, EngineQuiescent, EngineDense}
+		modes := []EngineMode{EngineSkip, EngineDense}
 		sys := DefaultConfig()
 		sys.Engine = modes[int(engineSel)%len(modes)]
 		sys.Parallel = int(parallel % 8)

@@ -169,21 +169,26 @@ type SystemConfig = sim.Config
 func DefaultConfig() SystemConfig { return sim.Default() }
 
 // EngineMode re-exports the scheduling-loop selector
-// (SystemConfig.Engine). All modes produce byte-identical Reports; they
+// (SystemConfig.Engine). Both modes produce byte-identical Reports; they
 // differ only in wall-clock cost.
 type EngineMode = sim.EngineMode
 
-// Engine modes: skip-ahead (the default and the product), quiescent
-// (the same loop without the jump), and the dense reference loop (the
-// oracle).
+// Engine modes: skip-ahead (the default and the product) and the dense
+// reference loop (the oracle).
 const (
-	EngineSkip      = sim.EngineSkip
-	EngineQuiescent = sim.EngineQuiescent
-	EngineDense     = sim.EngineDense
+	EngineSkip  = sim.EngineSkip
+	EngineDense = sim.EngineDense
 )
 
-// ParseEngineMode parses a -engine flag value ("dense", "quiescent",
-// "skip").
+// Deprecated: EngineQuiescent named the deleted scheduling mode that was
+// skip-ahead without the jump. It is EngineSkip under another name, exactly
+// as inert as SystemConfig.Parallel and Express: it survives only because
+// bench/layers.go compiles against it (the quiescent ladder row, which now
+// re-runs the product engine), and the benchmark PR that retires that row
+// removes it.
+const EngineQuiescent = EngineSkip
+
+// ParseEngineMode parses a -engine flag value ("dense" or "skip").
 func ParseEngineMode(s string) (EngineMode, error) { return sim.ParseEngineMode(s) }
 
 // EngineStats re-exports the engine's scheduling counters (tick passes,
@@ -259,8 +264,10 @@ type Options struct {
 	// Timeline records and renders a per-SM stall timeline in the
 	// report (one character column per time bucket).
 	Timeline bool
-	// SkipVerify skips the workload's functional post-check (used by
-	// fault-injection tests).
+	// SkipVerify skips the workload's functional post-check, so a run
+	// whose final memory image is wrong still returns its Report. Nothing
+	// in the product sets it; the CacheKey tests set it only to check that
+	// it separates keys (it changes which runs error).
 	SkipVerify bool
 	// Trace, when non-nil, collects a structured event trace of the run
 	// (per-SM stall spans, clock jumps) for export via

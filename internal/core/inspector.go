@@ -68,7 +68,7 @@ type Inspector struct {
 	StrongCycle bool
 	// EagerAttribution selects the ablation data-stall attribution that
 	// charges stalls immediately to main memory instead of deferring;
-	// see DESIGN.md ablation 1.
+	// see gsi.Options.EagerAttribution and TestAblationEagerAttribution.
 	EagerAttribution bool
 	// Sinks receive the classification stream: every recorded span with
 	// its sub-cause payload, plus load completions for deferred-attribution

@@ -179,17 +179,15 @@ func TestNapMemDataAttributionMatchesDense(t *testing.T) {
 	if want.Cycles[core.MemData] == 0 || want.MemData[core.WhereMemory] == 0 {
 		t.Fatalf("dense run has no memory-serviced data stalls to attribute: %+v", want)
 	}
-	for _, mode := range []sim.EngineMode{sim.EngineQuiescent, sim.EngineSkip} {
-		g, cycles := runMode(mode)
-		if cycles != denseCycles {
-			t.Errorf("%s: %d cycles, dense %d", mode, cycles, denseCycles)
-		}
-		if got := *g.Insp.SM(0); got != want {
-			t.Errorf("%s: counts diverge from dense:\n%+v\nvs\n%+v", mode, got, want)
-		}
-		if st := g.EngineStats; st.NappedSMCycles < want.Cycles[core.MemData]/2 {
-			t.Errorf("%s: only %d SM-cycles napped of %d memory-data stall cycles", mode, st.NappedSMCycles, want.Cycles[core.MemData])
-		}
+	g, cycles := runMode(sim.EngineSkip)
+	if cycles != denseCycles {
+		t.Errorf("skip: %d cycles, dense %d", cycles, denseCycles)
+	}
+	if got := *g.Insp.SM(0); got != want {
+		t.Errorf("skip: counts diverge from dense:\n%+v\nvs\n%+v", got, want)
+	}
+	if st := g.EngineStats; st.NappedSMCycles < want.Cycles[core.MemData]/2 {
+		t.Errorf("skip: only %d SM-cycles napped of %d memory-data stall cycles", st.NappedSMCycles, want.Cycles[core.MemData])
 	}
 }
 
@@ -206,14 +204,12 @@ func TestNapCreditsMSHRFullEvents(t *testing.T) {
 		if want == 0 {
 			t.Fatalf("%s: dense GUPS with mshr=4 recorded no MSHR-full events", p.Name())
 		}
-		for _, mode := range []sim.EngineMode{sim.EngineQuiescent, sim.EngineSkip} {
-			g := runEntry(t, e, p, mode, small, nil)
-			if got := mshrFullEvents(g); got != want {
-				t.Errorf("%s %s: MSHRFullEvents = %d, dense %d", p.Name(), mode, got, want)
-			}
-			if agg, denseAgg := g.Insp.Aggregate(), dense.Insp.Aggregate(); agg != denseAgg {
-				t.Errorf("%s %s: counts diverge from dense:\n%+v\nvs\n%+v", p.Name(), mode, agg, denseAgg)
-			}
+		g := runEntry(t, e, p, sim.EngineSkip, small, nil)
+		if got := mshrFullEvents(g); got != want {
+			t.Errorf("%s skip: MSHRFullEvents = %d, dense %d", p.Name(), got, want)
+		}
+		if agg, denseAgg := g.Insp.Aggregate(), dense.Insp.Aggregate(); agg != denseAgg {
+			t.Errorf("%s skip: counts diverge from dense:\n%+v\nvs\n%+v", p.Name(), agg, denseAgg)
 		}
 	}
 }
@@ -231,34 +227,32 @@ func TestNapDiagnosisAndConservationOnWatchdog(t *testing.T) {
 	b.Ld(2, 1, 0)
 	b.Add(3, 2, 2)
 	b.Exit()
-	for _, mode := range []sim.EngineMode{sim.EngineQuiescent, sim.EngineSkip} {
-		cfg := smallCfg(2)
-		cfg.Engine = mode
-		cfg.MaxCycles = 40 // well inside the miss latency
-		g, err := gpu.New(cfg, coherence.PoliciesFor(2, coherence.DeNovo{}))
-		if err != nil {
-			t.Fatal(err)
+	cfg := smallCfg(2)
+	cfg.Engine = sim.EngineSkip
+	cfg.MaxCycles = 40 // well inside the miss latency
+	g, err := gpu.New(cfg, coherence.PoliciesFor(2, coherence.DeNovo{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Launch(&gpu.Kernel{Name: "loaduse", Program: b.MustBuild(), Blocks: 1, WarpsPerBlock: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cycles, err := g.Run()
+	if !errors.Is(err, sim.ErrMaxCycles) {
+		t.Fatalf("skip: err = %v, want ErrMaxCycles", err)
+	}
+	var line string
+	for _, l := range strings.Split(err.Error(), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(l), "sm0 ") {
+			line = l
 		}
-		if err := g.Launch(&gpu.Kernel{Name: "loaduse", Program: b.MustBuild(), Blocks: 1, WarpsPerBlock: 1}); err != nil {
-			t.Fatal(err)
+	}
+	for _, want := range []string{"parked until woken", "credited through ", "class=memory data", "kernel=loaduse"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("skip: sm0's diagnosis line %q missing %q:\n%v", line, want, err)
 		}
-		cycles, err := g.Run()
-		if !errors.Is(err, sim.ErrMaxCycles) {
-			t.Fatalf("%s: err = %v, want ErrMaxCycles", mode, err)
-		}
-		var line string
-		for _, l := range strings.Split(err.Error(), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(l), "sm0 ") {
-				line = l
-			}
-		}
-		for _, want := range []string{"parked until woken", "credited through ", "class=memory data", "kernel=loaduse"} {
-			if !strings.Contains(line, want) {
-				t.Errorf("%s: sm0's diagnosis line %q missing %q:\n%v", mode, line, want, err)
-			}
-		}
-		if got := g.Insp.Aggregate().Total(); got != cycles*2 {
-			t.Errorf("%s: classified %d SM-cycles, want %d (2 SMs x %d cycles)", mode, got, cycles*2, cycles)
-		}
+	}
+	if got := g.Insp.Aggregate().Total(); got != cycles*2 {
+		t.Errorf("skip: classified %d SM-cycles, want %d (2 SMs x %d cycles)", got, cycles*2, cycles)
 	}
 }

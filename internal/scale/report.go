@@ -12,8 +12,8 @@ func (d *Doc) Markdown() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# Scale ceilings\n\n")
 	fmt.Fprintf(&sb, "Generated by gsi-scale (%s). Each series grows one axis from the\n", d.Date)
-	fmt.Fprintf(&sb, "SmallScale base until a wall; every rung asserts dense, quiescent and\n")
-	fmt.Fprintf(&sb, "skip engine byte-identity. Machine-readable form: BENCH_scale.json.\n\n")
+	fmt.Fprintf(&sb, "SmallScale base until a wall; every rung asserts dense and skip engine\n")
+	fmt.Fprintf(&sb, "byte-identity. Machine-readable form: BENCH_scale.json.\n\n")
 	fmt.Fprintf(&sb, "Host: %s\n\n", d.Host)
 	if d.Note != "" {
 		fmt.Fprintf(&sb, "Note: %s\n\n", d.Note)

@@ -4,8 +4,8 @@
 // wall-clock budget, RSS ceiling, an error, or an engine identity break),
 // recording per-rung throughput (ns per simulated cycle), scheduling
 // counters, and memory footprint into a BENCH_scale.json document. Every
-// rung times the skip engine and re-runs the workload under the dense and
-// quiescent engines, asserting byte-identical reports, which turns the
+// rung times the skip engine and re-runs the workload under the dense
+// oracle, asserting byte-identical reports, which turns the
 // repo's engine diff lattice into a scaled correctness gate; the smoke
 // comparator (Compare) then gates CI against a committed baseline.
 package scale
@@ -283,8 +283,8 @@ func runPoints(ctx context.Context, e *gsi.WorkloadEntry, pts []point, mode gsi.
 }
 
 // runRung executes one rung: the timed skip-engine run first — repeated,
-// with the minimum wall recorded — then the dense oracle and the quiescent
-// engine once each for the byte-identity assertion.
+// with the minimum wall recorded — then the dense oracle once for the
+// byte-identity assertion.
 func runRung(ctx context.Context, e *gsi.WorkloadEntry, rung, value int, pts []point, repeats int) (Rung, error) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -302,18 +302,14 @@ func runRung(ctx context.Context, e *gsi.WorkloadEntry, rung, value int, pts []p
 			wall = again
 		}
 	}
+	denseDocs, _, _, _, err := runPoints(ctx, e, pts, gsi.EngineDense)
+	if err != nil {
+		return Rung{}, err
+	}
 	identity := "ok"
-	for _, mode := range []gsi.EngineMode{gsi.EngineDense, gsi.EngineQuiescent} {
-		docs, _, _, _, err := runPoints(ctx, e, pts, mode)
-		if err != nil {
-			return Rung{}, err
-		}
-		for j := range docs {
-			if !bytes.Equal(docs[j], skipDocs[j]) {
-				identity = fmt.Sprintf("%s report differs from skip at point %d", mode, j)
-			}
-		}
-		if identity != "ok" {
+	for j := range denseDocs {
+		if !bytes.Equal(denseDocs[j], skipDocs[j]) {
+			identity = fmt.Sprintf("dense report differs from skip at point %d", j)
 			break
 		}
 	}
@@ -358,7 +354,7 @@ func Run(cfg Config) (*Doc, error) {
 		axes = AllAxes()
 	}
 	start := time.Now()
-	doc := &Doc{Name: "scale ceilings: one-axis growth to the wall, dense/quiescent/skip engine identity per rung"}
+	doc := &Doc{Name: "scale ceilings: one-axis growth to the wall, dense/skip engine identity per rung"}
 	for _, name := range names {
 		e, ok := reg.Lookup(name)
 		if !ok {

@@ -188,9 +188,6 @@ func (s *Server) BeginDrain() {
 	s.mu.Unlock()
 }
 
-// WaitJobs blocks until every submitted job has finished.
-func (s *Server) WaitJobs() { s.jobs.Wait() }
-
 // Drain is the graceful-shutdown sequence: stop accepting and let running
 // jobs finish. The caller then shuts the http.Server down so streaming
 // responses complete. The error is the first result that failed to reach
@@ -695,7 +692,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	s.sweeps = append(s.sweeps, sw)
 	// Register the jobs with the drain group while still holding the
 	// lock: BeginDrain flips draining under the same lock, so every
-	// accepted job is Added before WaitJobs can observe the group.
+	// accepted job is Added before DrainContext can wait on the group.
 	s.jobs.Add(misses)
 	s.mu.Unlock()
 

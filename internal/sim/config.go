@@ -94,9 +94,8 @@ type Config struct {
 	// --- Engine ---
 
 	// Engine selects the scheduling loop. The zero value (EngineSkip)
-	// is the event-driven skip-ahead engine; EngineQuiescent keeps the
-	// active set but ticks every cycle; EngineDense is the reference
-	// loop that ticks every component every cycle. All three produce
+	// is the event-driven skip-ahead engine; EngineDense is the reference
+	// loop that ticks every component every cycle. Both produce
 	// byte-identical results.
 	Engine EngineMode
 
@@ -187,7 +186,7 @@ func (c Config) Validate() error {
 		{c.LinkLat >= 0, "LinkLat must be >= 0"},
 		{c.RouterLat >= 1, "RouterLat must be >= 1"},
 		{c.MaxCycles > 0, "MaxCycles must be positive"},
-		{c.Engine <= EngineDense, "Engine must be EngineSkip, EngineQuiescent or EngineDense"},
+		{c.Engine <= EngineDense, "Engine must be EngineSkip or EngineDense"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {

@@ -10,24 +10,22 @@
 // change anything). The engine asks NextEvent once, right after a busy tick,
 // and parks the component until the cycle it names or the first Wake.
 //
-// The engine runs in one of three modes that all produce byte-identical
-// results and differ only in per-cycle cost:
+// The engine runs in one of two modes that produce byte-identical results
+// and differ only in per-cycle cost:
 //
 //   - EngineDense ticks every component every cycle — the reference loop
-//     (the oracle the other two are tested against).
-//   - EngineQuiescent keeps a deterministic active set: an idle component
-//     leaves it until something re-arms it through its registration Handle,
-//     and a busy one whose next event lies beyond the next cycle is parked
-//     until then. Because an idle component's Tick is required to be a pure
-//     no-op, and a parked one's until its NextEvent, skipping them cannot
-//     change the simulation.
-//   - EngineSkip (the default) is the same loop with one more condition:
-//     when a pass leaves nothing active, the clock jumps straight to the
-//     earliest park instead of ticking through the gap. A component learns
-//     of a jump only from the gap between its consecutive Tick cycles; one
-//     that must account skipped cycles keeps its own local time (the GPU's
-//     SMs credit the cycles they were parked through, see
-//     docs/ARCHITECTURE.md).
+//     (the oracle the product is tested against).
+//   - EngineSkip (the default and the product) keeps a deterministic active
+//     set: an idle component leaves it until something re-arms it through
+//     its registration Handle, and a busy one whose next event lies beyond
+//     the next cycle is parked until then. Because an idle component's Tick
+//     is required to be a pure no-op, and a parked one's until its
+//     NextEvent, skipping them cannot change the simulation. When a pass
+//     leaves nothing active, the clock jumps straight to the earliest park
+//     instead of ticking through the gap. A component learns of a jump only
+//     from the gap between its consecutive Tick cycles; one that must
+//     account skipped cycles keeps its own local time (the GPU's SMs credit
+//     the cycles they were parked through, see docs/ARCHITECTURE.md).
 //
 // One goroutine owns an engine and everything registered with it from
 // construction to the end of the run; nothing in a simulation is shared
@@ -100,18 +98,14 @@ type Diagnoser interface {
 }
 
 // EngineMode selects the scheduling loop. The zero value is EngineSkip, the
-// fastest mode; all modes produce byte-identical results.
+// product; both modes produce byte-identical results.
 type EngineMode uint8
 
 const (
-	// EngineSkip is the quiescence-aware loop plus event-driven
-	// skip-ahead over windows in which every pending component is parked on
-	// a timer.
+	// EngineSkip is the active-set loop with parking on NextEvent and
+	// event-driven skip-ahead over windows in which every pending
+	// component is parked on a timer.
 	EngineSkip EngineMode = iota
-	// EngineQuiescent is the quiescence-aware loop without skip-ahead:
-	// idle components cost nothing, but the clock still advances one
-	// cycle at a time.
-	EngineQuiescent
 	// EngineDense ticks every component every cycle — the reference loop
 	// for cross-engine diff tests and scheduler-bug isolation.
 	EngineDense
@@ -122,8 +116,6 @@ func (m EngineMode) String() string {
 	switch m {
 	case EngineSkip:
 		return "skip"
-	case EngineQuiescent:
-		return "quiescent"
 	case EngineDense:
 		return "dense"
 	}
@@ -133,14 +125,12 @@ func (m EngineMode) String() string {
 // ParseEngineMode parses a -engine flag value.
 func ParseEngineMode(s string) (EngineMode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "skip", "skip-ahead", "skipahead":
+	case "skip":
 		return EngineSkip, nil
-	case "quiescent", "quiesce":
-		return EngineQuiescent, nil
 	case "dense":
 		return EngineDense, nil
 	}
-	return EngineSkip, fmt.Errorf("sim: unknown engine mode %q (want dense, quiescent, or skip)", s)
+	return EngineSkip, fmt.Errorf("sim: unknown engine mode %q (want dense or skip)", s)
 }
 
 // Handle re-arms a registered component. Waking is idempotent and may happen
@@ -259,9 +249,6 @@ func NewEngine() *Engine { return &Engine{skipLimit: NoEvent, parkDue: NoEvent} 
 
 // SetMode selects the scheduling loop.
 func (e *Engine) SetMode(m EngineMode) { e.mode = m }
-
-// Mode returns the current scheduling loop.
-func (e *Engine) Mode() EngineMode { return e.mode }
 
 // Stats returns scheduling counters accumulated since construction.
 func (e *Engine) Stats() EngineStats { return e.stats }
@@ -404,8 +391,8 @@ func (e *Engine) contextError(ctx context.Context) error {
 //
 // Outside dense mode a component whose Tick returns busy, and which no Wake
 // reached during that tick, is asked its NextEvent once; an answer beyond the
-// next cycle parks it until then. In skip mode, a completed cycle that leaves
-// nothing active advances the clock straight to the earliest park.
+// next cycle parks it until then, and a completed cycle that leaves nothing
+// active advances the clock straight to the earliest park.
 func (e *Engine) Step() {
 	if e.parkDue <= e.cycle {
 		e.rearmDue()
@@ -459,7 +446,7 @@ func (e *Engine) Step() {
 	// A park until NoEvent waits for a Wake that only an active component
 	// could send: it never licenses a jump, so a run that can end only at
 	// the watchdog or the stall detector ends there on the dense loop's cycle.
-	if e.mode == EngineSkip && e.activeCount == 0 && e.parkDue != NoEvent {
+	if e.mode != EngineDense && e.activeCount == 0 && e.parkDue != NoEvent {
 		if target := min(e.parkDue, e.skipLimit); target > e.cycle {
 			e.stats.Jumps++
 			e.stats.SkippedCycles += target - e.cycle

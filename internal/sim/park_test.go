@@ -15,6 +15,9 @@ type timedOutcome struct {
 	cycles uint64
 	err    error
 	stats  EngineStats
+	// active counts the components left owing a tick when the run stopped
+	// (woken after their slot in the last cycle).
+	active int
 }
 
 // runTimedNet runs n timedComps in a ring — each sends to the next, so the
@@ -46,23 +49,31 @@ func runTimedNet(seed uint64, mode EngineMode, n int, finish bool, maxCycles uin
 		return true
 	}
 	cycles, err := eng.Run(done, maxCycles)
-	return timedOutcome{log: log, cycles: cycles, err: err, stats: eng.Stats()}
+	return timedOutcome{log: log, cycles: cycles, err: err, stats: eng.Stats(), active: eng.ActiveCount()}
 }
 
 // TestParkIndistinguishableFromTickingThrough is the property behind parking
-// on NextEvent: on randomized timedComp ring networks, the quiescent and skip
-// engines — which park every busy component until the cycle its NextEvent
-// names or the first Wake — fire every event on the cycle the dense loop,
-// which ticks everything through, fires it; and a run that cannot finish
-// stops on the same cycle with the same error, whether that is the watchdog
-// or the stall detector. The rings wake parked components from earlier and
-// from later registration slots, cut long promises short, and re-arm
-// themselves in their own tick. Quiescent takes exactly the dense loop's
-// steps; only skip may take fewer, and both must visit less.
+// on NextEvent: on randomized timedComp ring networks, the skip engine —
+// which parks every busy component until the cycle its NextEvent names or
+// the first Wake, and jumps the clock when everything pending is parked —
+// fires every event on the cycle the dense loop, which ticks everything
+// through, fires it; and a run that cannot finish stops on the same cycle
+// with the same error, whether that is the watchdog or the stall detector.
+// The rings wake parked components from earlier and from later
+// registration slots, cut long promises short, and re-arm themselves in
+// their own tick. Skip's steps and jumped cycles add up to the dense loop's
+// steps, and it must visit less.
+//
+// The dense loop has no stall detector: where skip stops at the stall it
+// runs on to the watchdog. Once every event has fired only the components
+// a Wake reached after their slot still owe a tick, each a no-op, so the
+// stall falls where the dense run to completion ended, or one cycle later
+// when that run left a component woken.
 func TestParkIndistinguishableFromTickingThrough(t *testing.T) {
-	var visitsDense, visitsQuiescent, jumps uint64
+	var visitsDense, visitsSkip, jumps uint64
 	for seed := uint64(0); seed < 150; seed++ {
 		n := 2 + int(seed%3)
+		var stallAt uint64
 		for _, tc := range []struct {
 			name      string
 			finish    bool
@@ -72,62 +83,54 @@ func TestParkIndistinguishableFromTickingThrough(t *testing.T) {
 			{"to the stall", false, 20_000},
 			{"to the watchdog", false, 40 + seed%60},
 		} {
+			label := fmt.Sprintf("seed %d n %d %s", seed, n, tc.name)
 			dense := runTimedNet(seed, EngineDense, n, tc.finish, tc.maxCycles)
-			if tc.finish && dense.err != nil {
-				t.Fatalf("seed %d n %d %s: dense: %v", seed, n, tc.name, dense.err)
-			}
-			var quiescent timedOutcome
-			for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
-				label := fmt.Sprintf("%s seed %d n %d %s", mode, seed, n, tc.name)
-				got := runTimedNet(seed, mode, n, tc.finish, tc.maxCycles)
-				if fmt.Sprint(got.log) != fmt.Sprint(dense.log) {
-					t.Fatalf("%s: log diverges from dense:\n%v\nvs\n%v", label, got.log, dense.log)
+			if tc.finish {
+				if dense.err != nil {
+					t.Fatalf("%s: dense: %v", label, dense.err)
 				}
-				for _, e := range got.log {
-					if !strings.HasSuffix(e, ":ok") {
-						t.Fatalf("%s: late event %q", label, e)
-					}
-				}
-				// The dense loop has no stall detector: where the other two
-				// stop at the stall it runs on to the watchdog, and skip must
-				// stop where quiescent did. Everywhere else all three agree.
-				stalled := errors.Is(got.err, ErrStalled)
-				if tc.name == "to the stall" && !stalled {
-					t.Fatalf("%s: %v, want ErrStalled once every event has fired", label, errKind(got.err))
-				}
-				want := dense
-				if stalled {
-					want = quiescent
-				}
-				if mode == EngineQuiescent {
-					quiescent = got
-				}
-				if (mode == EngineSkip || !stalled) && (got.cycles != want.cycles || !sameErrorKind(got.err, want.err)) {
-					t.Fatalf("%s: stopped after %d cycles with %v, want %d with %v",
-						label, got.cycles, errKind(got.err), want.cycles, errKind(want.err))
-				}
-				g, d := got.stats, dense.stats
-				if !stalled && (g.Steps+g.SkippedCycles != d.Steps || (mode == EngineQuiescent && g.Jumps != 0)) {
-					t.Fatalf("%s: %d steps + %d skipped cycles (%d jumps), dense took %d steps",
-						label, g.Steps, g.SkippedCycles, g.Jumps, d.Steps)
-				}
-				if g.Visits > d.Visits {
-					t.Fatalf("%s: parking cost visits: %d, dense %d", label, g.Visits, d.Visits)
-				}
-				if mode == EngineQuiescent {
-					visitsDense, visitsQuiescent = visitsDense+d.Visits, visitsQuiescent+g.Visits
-				} else {
-					jumps += g.Jumps
+				stallAt = dense.cycles
+				if dense.active > 0 {
+					stallAt++
 				}
 			}
+			got := runTimedNet(seed, EngineSkip, n, tc.finish, tc.maxCycles)
+			if fmt.Sprint(got.log) != fmt.Sprint(dense.log) {
+				t.Fatalf("%s: log diverges from dense:\n%v\nvs\n%v", label, got.log, dense.log)
+			}
+			for _, e := range got.log {
+				if !strings.HasSuffix(e, ":ok") {
+					t.Fatalf("%s: late event %q", label, e)
+				}
+			}
+			want := dense
+			if !tc.finish && stallAt < tc.maxCycles {
+				want = timedOutcome{cycles: stallAt, err: ErrStalled}
+			}
+			if tc.name == "to the stall" && !errors.Is(want.err, ErrStalled) {
+				t.Fatalf("%s: the network runs past the watchdog; want it to stall once every event has fired", label)
+			}
+			if got.cycles != want.cycles || !sameErrorKind(got.err, want.err) {
+				t.Fatalf("%s: stopped after %d cycles with %v, want %d with %v",
+					label, got.cycles, errKind(got.err), want.cycles, errKind(want.err))
+			}
+			g, d := got.stats, dense.stats
+			if g.Steps+g.SkippedCycles != want.cycles {
+				t.Fatalf("%s: %d steps + %d skipped cycles (%d jumps), want %d cycles",
+					label, g.Steps, g.SkippedCycles, g.Jumps, want.cycles)
+			}
+			if g.Visits > d.Visits {
+				t.Fatalf("%s: parking cost visits: %d, dense %d", label, g.Visits, d.Visits)
+			}
+			visitsDense, visitsSkip, jumps = visitsDense+d.Visits, visitsSkip+g.Visits, jumps+g.Jumps
 		}
 	}
-	// Vacuous unless the engines actually parked and jumped.
-	if visitsQuiescent*2 > visitsDense {
-		t.Errorf("quiescent: parked networks still made %d of the dense loop's %d visits", visitsQuiescent, visitsDense)
+	// Vacuous unless the engine actually parked and jumped.
+	if visitsSkip*2 > visitsDense {
+		t.Errorf("parked networks still made %d of the dense loop's %d visits", visitsSkip, visitsDense)
 	}
 	if jumps == 0 {
-		t.Error("skip: no network ever jumped")
+		t.Error("no network ever jumped")
 	}
 }
 
@@ -163,54 +166,46 @@ func (p *parker) NextEvent(now uint64) uint64 {
 
 // TestParkUntilDueOrWake pins the mechanics one by one: the engine asks a
 // busy component its NextEvent once per tick, a parked component is not
-// visited before its due cycle and is visited on it, the skip engine jumps to
+// visited before its due cycle and is visited on it, the engine jumps to
 // that cycle and no further, and a Wake ends the park early — in the same
 // cycle from an earlier slot, in the next from a later one.
 func TestParkUntilDueOrWake(t *testing.T) {
-	for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
+	eng := NewEngine()
+	p := &parker{until: func(now uint64) uint64 { return now + 10 }}
+	p.h = eng.Register("parker", p)
+	eng.Step()
+	if st := eng.Stats(); eng.Cycle() != 10 || st.Jumps != 1 || st.SkippedCycles != 9 {
+		t.Fatalf("at cycle %d after %+v, want one jump of 9 cycles to the parked due time", eng.Cycle(), st)
+	}
+	eng.Step()
+	if fmt.Sprint(p.ticks) != "[0 10]" || p.asked != 2 || eng.ActiveCount() != 0 {
+		t.Fatalf("parker ticked at %v, asked %d times, %d active; want [0 10], 2 and parked",
+			p.ticks, p.asked, eng.ActiveCount())
+	}
+
+	for _, wakerFirst := range []bool{true, false} {
 		eng := NewEngine()
-		eng.SetMode(mode)
-		p := &parker{until: func(now uint64) uint64 { return now + 10 }}
-		p.h = eng.Register("parker", p)
-		eng.Step()
-		if mode == EngineSkip {
-			if st := eng.Stats(); eng.Cycle() != 10 || st.Jumps != 1 || st.SkippedCycles != 9 {
-				t.Fatalf("skip: at cycle %d after %+v, want one jump of 9 cycles to the parked due time", eng.Cycle(), st)
+		p := &parker{until: func(now uint64) uint64 { return now + 100 }}
+		waker := TickFunc(func(c uint64) bool {
+			if c == 4 {
+				p.h.Wake()
 			}
+			return true // keeps the clock at one cycle per step
+		})
+		want := "[0 5]"
+		if wakerFirst {
+			eng.Register("waker", waker)
+			want = "[0 4]"
 		}
-		for eng.Cycle() <= 10 {
+		p.h = eng.Register("parker", p)
+		if !wakerFirst {
+			eng.Register("waker", waker)
+		}
+		for i := 0; i < 8; i++ {
 			eng.Step()
 		}
-		if fmt.Sprint(p.ticks) != "[0 10]" || p.asked != 2 || eng.ActiveCount() != 0 {
-			t.Fatalf("%s: parker ticked at %v, asked %d times, %d active; want [0 10], 2 and parked",
-				mode, p.ticks, p.asked, eng.ActiveCount())
-		}
-
-		for _, wakerFirst := range []bool{true, false} {
-			eng := NewEngine()
-			eng.SetMode(mode)
-			p := &parker{until: func(now uint64) uint64 { return now + 100 }}
-			waker := TickFunc(func(c uint64) bool {
-				if c == 4 {
-					p.h.Wake()
-				}
-				return true // keeps the clock at one cycle per step
-			})
-			want := "[0 5]"
-			if wakerFirst {
-				eng.Register("waker", waker)
-				want = "[0 4]"
-			}
-			p.h = eng.Register("parker", p)
-			if !wakerFirst {
-				eng.Register("waker", waker)
-			}
-			for i := 0; i < 8; i++ {
-				eng.Step()
-			}
-			if fmt.Sprint(p.ticks) != want {
-				t.Fatalf("%s, waker first %v: parker ticked at %v, want %s", mode, wakerFirst, p.ticks, want)
-			}
+		if fmt.Sprint(p.ticks) != want {
+			t.Fatalf("waker first %v: parker ticked at %v, want %s", wakerFirst, p.ticks, want)
 		}
 	}
 }
@@ -228,26 +223,23 @@ func TestParkDeclined(t *testing.T) {
 	if fmt.Sprint(p.ticks) != "[0 1]" || p.asked != 0 {
 		t.Errorf("dense: parker ticked at %v and was asked %d times; want [0 1] and never", p.ticks, p.asked)
 	}
-	for _, mode := range []EngineMode{EngineQuiescent, EngineSkip} {
-		eng = NewEngine()
-		eng.SetMode(mode)
-		p := &parker{until: func(now uint64) uint64 { return now + 100 }}
-		self := &nextEventFunc{next: p.NextEvent}
-		var h Handle
-		self.tick = func(c uint64) bool {
-			p.ticks = append(p.ticks, c)
-			if c == 0 {
-				h.Wake()
-			}
-			return true
+	eng = NewEngine()
+	p = &parker{until: func(now uint64) uint64 { return now + 100 }}
+	self := &nextEventFunc{next: p.NextEvent}
+	var h Handle
+	self.tick = func(c uint64) bool {
+		p.ticks = append(p.ticks, c)
+		if c == 0 {
+			h.Wake()
 		}
-		h = eng.Register("self", self)
-		eng.Step()
-		eng.Step()
-		if fmt.Sprint(p.ticks) != "[0 1]" || p.asked != 1 {
-			t.Errorf("%s: self-woken component ticked at %v and was asked %d times; want [0 1] and once, after the second tick",
-				mode, p.ticks, p.asked)
-		}
+		return true
+	}
+	h = eng.Register("self", self)
+	eng.Step()
+	eng.Step()
+	if fmt.Sprint(p.ticks) != "[0 1]" || p.asked != 1 {
+		t.Errorf("skip: self-woken component ticked at %v and was asked %d times; want [0 1] and once, after the second tick",
+			p.ticks, p.asked)
 	}
 }
 
@@ -257,7 +249,7 @@ func TestParkDeclined(t *testing.T) {
 // the cycle the dense loop reports, and the deadlock dump says which
 // component is parked and until when.
 func TestParkNoEventIsPendingNotIdle(t *testing.T) {
-	for _, mode := range []EngineMode{EngineDense, EngineQuiescent, EngineSkip} {
+	for _, mode := range []EngineMode{EngineDense, EngineSkip} {
 		eng := NewEngine()
 		eng.SetMode(mode)
 		forever := &parker{until: func(uint64) uint64 { return NoEvent }}
@@ -306,7 +298,6 @@ func TestParkNoEventIsPendingNotIdle(t *testing.T) {
 // components are kept ahead of idle ones.
 func TestDiagnosisListsParkedBeforeIdle(t *testing.T) {
 	eng := NewEngine()
-	eng.SetMode(EngineQuiescent)
 	for i := 0; i < diagnosisMaxComponents+8; i++ {
 		eng.Register(fmt.Sprintf("idle%d", i), TickFunc(func(uint64) bool { return false }))
 	}
@@ -322,7 +313,6 @@ func TestDiagnosisListsParkedBeforeIdle(t *testing.T) {
 // rest are parked far in the future, so a step costs the three visits.
 func BenchmarkEngineStepMostlyParked(b *testing.B) {
 	eng := NewEngine()
-	eng.SetMode(EngineQuiescent)
 	for i := 0; i < 48; i++ {
 		if i%16 == 0 {
 			eng.Register("awake", TickFunc(func(uint64) bool { return true }))

@@ -286,16 +286,21 @@ func TestConfigValidation(t *testing.T) {
 // TestParseEngineMode: every mode's name parses back to it, and a mode that
 // no longer exists is an error naming the ones that do.
 func TestParseEngineMode(t *testing.T) {
-	for _, m := range []EngineMode{EngineSkip, EngineQuiescent, EngineDense} {
+	for _, m := range []EngineMode{EngineSkip, EngineDense} {
 		if got, err := ParseEngineMode(m.String()); err != nil || got != m {
 			t.Errorf("ParseEngineMode(%q) = %v, %v", m, got, err)
+		}
+	}
+	for _, gone := range []string{"quiesce", "skip-ahead", "skipahead"} {
+		if m, err := ParseEngineMode(gone); err == nil {
+			t.Errorf("ParseEngineMode(%q) = %v, want an error", gone, m)
 		}
 	}
 	_, err := ParseEngineMode("parallel")
 	if err == nil {
 		t.Fatal(`ParseEngineMode("parallel") succeeded`)
 	}
-	for _, want := range []string{"dense", "quiescent", "skip"} {
+	for _, want := range []string{"dense", "skip"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name mode %q", err, want)
 		}

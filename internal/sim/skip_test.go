@@ -143,18 +143,13 @@ func runTimed(t *testing.T, seed uint64, mode EngineMode) ([]string, *Engine) {
 
 // TestSkipAheadNeverUnderPromises is the property test for the NextEvent
 // contract: across many randomized timed-event exchanges, the skip-ahead
-// engine must fire every event at exactly the cycle the dense and
-// quiescent loops fire it (jumping to the reported cycle and stepping from
-// there is indistinguishable from dense execution), and no event may ever
-// fire late.
+// engine must fire every event at exactly the cycle the dense loop fires it
+// (jumping to the reported cycle and stepping from there is
+// indistinguishable from dense execution), and no event may ever fire late.
 func TestSkipAheadNeverUnderPromises(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		dense, _ := runTimed(t, seed, EngineDense)
-		quiescent, _ := runTimed(t, seed, EngineQuiescent)
 		skip, eng := runTimed(t, seed, EngineSkip)
-		if fmt.Sprint(dense) != fmt.Sprint(quiescent) {
-			t.Fatalf("seed %d: quiescent log diverges from dense:\n%v\nvs\n%v", seed, quiescent, dense)
-		}
 		if fmt.Sprint(dense) != fmt.Sprint(skip) {
 			t.Fatalf("seed %d: skip log diverges from dense:\n%v\nvs\n%v", seed, skip, dense)
 		}
@@ -299,7 +294,7 @@ func TestSkipExternalOnlyWaitersDoNotJump(t *testing.T) {
 // TestSkipRespectsWatchdogLimit: a jump may not leap past Run's maxCycles,
 // so the watchdog fires at exactly the cycle count the dense loop reports.
 func TestSkipRespectsWatchdogLimit(t *testing.T) {
-	for _, mode := range []EngineMode{EngineDense, EngineQuiescent, EngineSkip} {
+	for _, mode := range []EngineMode{EngineDense, EngineSkip} {
 		eng := NewEngine()
 		eng.SetMode(mode)
 		far := &nextEventFunc{

@@ -18,9 +18,6 @@ func TestCacheKeyEquivalentConfigsHashEqual(t *testing.T) {
 		"engine dense": CacheKey(Options{
 			System:   func() SystemConfig { c := DefaultConfig(); c.Engine = EngineDense; return c }(),
 			Protocol: DeNovo}, "uts", nil),
-		"engine quiescent": CacheKey(Options{
-			System:   func() SystemConfig { c := DefaultConfig(); c.Engine = EngineQuiescent; return c }(),
-			Protocol: DeNovo}, "uts", nil),
 		"inert express": CacheKey(Options{
 			System:   func() SystemConfig { c := DefaultConfig(); c.Express = true; return c }(),
 			Protocol: DeNovo}, "uts", nil),
