@@ -96,18 +96,44 @@ func workedTree(t *testing.T) Workload {
 	return w
 }
 
+// TestEnginesIdenticalWithTimeline pins the bulk span-crediting path: with
+// the per-SM timeline enabled (the collector most sensitive to when cycles
+// are recorded), a 15-SM run whose SMs drain at different times must render
+// identically whether cycles were observed one at a time (dense) or stall
+// windows and idle tails were credited as one span per SM nap, with global
+// jumps on top (skip).
+func TestEnginesIdenticalWithTimeline(t *testing.T) {
+	w := workedTree(t)
+	run := func(mode EngineMode) *Report {
+		opt := Options{Protocol: DeNovo, Timeline: true}
+		opt.System = DefaultConfig()
+		opt.System.Engine = mode
+		rep, err := Run(opt, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	d, s := run(EngineDense), run(EngineSkip)
+	if s.Timeline != d.Timeline {
+		t.Errorf("timelines diverge:\n--- skip ---\n%s\n--- dense ---\n%s", s.Timeline, d.Timeline)
+	}
+	if s.Cycles != d.Cycles {
+		t.Errorf("cycles diverge: %d vs %d", s.Cycles, d.Cycles)
+	}
+	if s.Counts != d.Counts {
+		t.Errorf("counts diverge:\n%+v\nvs\n%+v", s.Counts, d.Counts)
+	}
+}
+
 // TestEnginesByteIdenticalWithTrace extends the cross-engine contract to
-// the two observers of the span stream. Every run — dense or skip, per-SM
-// timeline off or on, with or without a trace collector (every Inspector
-// classification and engine jump flowing into it) — must produce the
-// byte-identical JSON report the untraced dense run with the same timeline
-// setting does. With the timeline on, that JSON carries the rendered
-// timeline, the collector most sensitive to when cycles are recorded: a
-// 15-SM run whose SMs drain at different times must render identically
-// whether cycles were observed one at a time (dense) or stall windows and
-// idle tails were credited as one span per SM nap, with global jumps on top
-// (skip). Tracing is observation only; any hook that perturbs simulation
-// state diverges here. Every run with a collector must still fill it.
+// the observability layer: with a trace collector attached — every
+// Inspector classification and engine jump flowing into it — dense and skip
+// must still produce the byte-identical JSON report an untraced dense run
+// does. Tracing is observation only; any hook that perturbs simulation
+// state diverges here. The timeline leg puts both sinks on the span stream
+// at once: the rendered timeline in the report must match the untraced
+// dense one, and the collector must still fill.
 func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 	w := workedTree(t)
 	run := func(mode EngineMode, timeline bool, tr *Trace) []byte {
@@ -130,30 +156,22 @@ func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 	for _, timeline := range []bool{false, true} {
 		dj := run(EngineDense, timeline, nil)
 		for _, mode := range []EngineMode{EngineDense, EngineSkip} {
-			for _, tr := range []*Trace{nil, NewTrace()} {
-				if mode == EngineDense && tr == nil {
-					continue // the reference itself
-				}
-				traced := tr != nil
-				if rj := run(mode, timeline, tr); !bytes.Equal(rj, dj) {
-					a, b := diffLine(rj, dj)
-					t.Errorf("%s (timeline=%v, traced=%v) diverges from untraced dense:\n %s: %s\n dense: %s",
-						mode, timeline, traced, mode, a, b)
-				}
-				if !traced {
-					continue
-				}
-				if tr.NumSMs() == 0 || tr.EndCycle() == 0 {
-					t.Errorf("traced %s (timeline=%v) collected nothing (sms=%d end=%d)",
-						mode, timeline, tr.NumSMs(), tr.EndCycle())
-				}
-				var spans int
-				for sm := 0; sm < tr.NumSMs(); sm++ {
-					spans += len(tr.Spans(sm))
-				}
-				if spans == 0 {
-					t.Errorf("traced %s (timeline=%v) recorded no stall spans", mode, timeline)
-				}
+			tr := NewTrace()
+			if rj := run(mode, timeline, tr); !bytes.Equal(rj, dj) {
+				a, b := diffLine(rj, dj)
+				t.Errorf("traced %s (timeline=%v) diverges from untraced dense:\n %s: %s\n dense: %s",
+					mode, timeline, mode, a, b)
+			}
+			if tr.NumSMs() == 0 || tr.EndCycle() == 0 {
+				t.Errorf("traced %s (timeline=%v) collected nothing (sms=%d end=%d)",
+					mode, timeline, tr.NumSMs(), tr.EndCycle())
+			}
+			var spans int
+			for sm := 0; sm < tr.NumSMs(); sm++ {
+				spans += len(tr.Spans(sm))
+			}
+			if spans == 0 {
+				t.Errorf("traced %s (timeline=%v) recorded no stall spans", mode, timeline)
 			}
 		}
 	}
