@@ -59,7 +59,7 @@ func main() {
 		jobTimeMax = flag.Duration("job-timeout-max", 30*time.Minute, "cap on the per-job deadline, including per-submission overrides (0 = no cap)")
 		drainGrace = flag.Duration("drain-grace", 2*time.Minute, "how long a drain lets running jobs finish before canceling them cooperatively (0 = wait forever)")
 		timeout    = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for the HTTP listener to close after jobs drain")
-		chaos      = flag.String("chaos", "", "fault-injection spec for testing, e.g. 'seed=1,panic=0.1' or 'uts:stall' (do not use in production)")
+		chaos      = flag.String("chaos", "", "fault-injection spec for testing, substr:fault rules and slowms=n, e.g. 'uts:stall' or 'stash:slow,slowms=100' (do not use in production)")
 	)
 	flag.Parse()
 	var injector *faultinject.Injector

@@ -2,71 +2,29 @@ package gsi
 
 import (
 	"bytes"
-	"errors"
 	"math/bits"
 	"math/rand"
 	"strconv"
 	"testing"
+	"time"
 
 	"gsi/internal/workloads"
 )
 
-// figureSpecsEngine returns every figure spec at small scale with the given
-// scheduling engine forced on each job (withDefaults keeps the selection on
-// a job whose System is otherwise zero).
-func figureSpecsEngine(mode EngineMode) []FigureSpec {
-	sc := SmallScale()
-	specs := []FigureSpec{Figure61Spec(sc), Figure62Spec(sc), Figure63Spec(), WorkloadGallerySpec(sc)}
-	specs = append(specs, Figure64Specs(sc)...)
-	for si := range specs {
-		for ji := range specs[si].Sweep.Jobs {
-			specs[si].Sweep.Jobs[ji].Options.System.Engine = mode
-		}
-	}
-	return specs
-}
-
 // TestEnginesByteIdentical is the cross-engine determinism contract: for
 // every figure spec, the dense reference loop and the event-driven
 // skip-ahead engine must produce byte-identical reports — same cycles, same
-// stall counts, same memory statistics, same JSON.
+// stall counts, same memory statistics, same JSON. Both legs come from the
+// memo; the skip leg is the set TestGoldenFigures renders.
 func TestEnginesByteIdentical(t *testing.T) {
-	type engineRun struct {
-		mode EngineMode
-		sets []*FigureSet
-		json [][]byte
+	dense, skip := sharedFigures(t, SmallScale(), EngineDense), sharedFigures(t, SmallScale(), EngineSkip)
+	if len(skip) != len(dense) {
+		t.Fatalf("skip vs dense: set counts differ: %d vs %d", len(skip), len(dense))
 	}
-	runs := []*engineRun{
-		{mode: EngineDense},
-		{mode: EngineSkip},
-	}
-	for _, r := range runs {
-		sets, err := RunFigureSpecs(figureSpecsEngine(r.mode), SweepConfig{})
-		if err != nil {
-			t.Fatalf("%s engine: %v", r.mode, err)
-		}
-		r.sets = sets
-		r.json = make([][]byte, len(sets))
-		for i, fs := range sets {
-			doc, err := fs.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.json[i] = doc
-		}
-	}
-	ref := runs[0]
-	for _, r := range runs[1:] {
-		if len(r.sets) != len(ref.sets) {
-			t.Fatalf("%s vs %s: set counts differ: %d vs %d",
-				r.mode, ref.mode, len(r.sets), len(ref.sets))
-		}
-		for i := range ref.sets {
-			if !bytes.Equal(r.json[i], ref.json[i]) {
-				rd, dd := diffLine(r.json[i], ref.json[i])
-				t.Errorf("figure %s diverges between %s and %s engines:\n %s: %s\n %s: %s",
-					ref.sets[i].ID, r.mode, ref.mode, r.mode, rd, ref.mode, dd)
-			}
+	for i := range dense {
+		if sj, dj := reportJSON(t, skip[i]), reportJSON(t, dense[i]); !bytes.Equal(sj, dj) {
+			a, b := diffLine(sj, dj)
+			t.Errorf("figure %s diverges between skip and dense engines:\n skip: %s\n dense: %s", dense[i].ID, a, b)
 		}
 	}
 }
@@ -96,6 +54,22 @@ func workedTree(t *testing.T) Workload {
 	return w
 }
 
+// workedTreeRun runs workedTree under mode with the timeline and trace as
+// given. It runs fresh: the tests that call it observe the run itself.
+func workedTreeRun(t *testing.T, mode EngineMode, timeline bool, tr *Trace) *Report {
+	t.Helper()
+	opt := Options{System: DefaultConfig(), Protocol: DeNovo, Timeline: timeline, Trace: tr}
+	opt.System.Engine = mode
+	rep, err := Run(opt, workedTree(t))
+	if err != nil {
+		t.Fatalf("%s engine: %v", mode, err)
+	}
+	if timeline && rep.Timeline == "" {
+		t.Fatalf("%s engine: timeline run rendered no timeline", mode)
+	}
+	return rep
+}
+
 // TestEnginesIdenticalWithTimeline pins the bulk span-crediting path: with
 // the per-SM timeline enabled (the collector most sensitive to when cycles
 // are recorded), a 15-SM run whose SMs drain at different times must render
@@ -103,18 +77,7 @@ func workedTree(t *testing.T) Workload {
 // windows and idle tails were credited as one span per SM nap, with global
 // jumps on top (skip).
 func TestEnginesIdenticalWithTimeline(t *testing.T) {
-	w := workedTree(t)
-	run := func(mode EngineMode) *Report {
-		opt := Options{Protocol: DeNovo, Timeline: true}
-		opt.System = DefaultConfig()
-		opt.System.Engine = mode
-		rep, err := Run(opt, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	d, s := run(EngineDense), run(EngineSkip)
+	d, s := workedTreeRun(t, EngineDense, true, nil), workedTreeRun(t, EngineSkip, true, nil)
 	if s.Timeline != d.Timeline {
 		t.Errorf("timelines diverge:\n--- skip ---\n%s\n--- dense ---\n%s", s.Timeline, d.Timeline)
 	}
@@ -135,29 +98,11 @@ func TestEnginesIdenticalWithTimeline(t *testing.T) {
 // at once: the rendered timeline in the report must match the untraced
 // dense one, and the collector must still fill.
 func TestEnginesByteIdenticalWithTrace(t *testing.T) {
-	w := workedTree(t)
-	run := func(mode EngineMode, timeline bool, tr *Trace) []byte {
-		opt := Options{Protocol: DeNovo, Timeline: timeline, Trace: tr}
-		opt.System = DefaultConfig()
-		opt.System.Engine = mode
-		rep, err := Run(opt, w)
-		if err != nil {
-			t.Fatalf("%s engine: %v", mode, err)
-		}
-		if timeline && rep.Timeline == "" {
-			t.Fatalf("%s engine: timeline run rendered no timeline", mode)
-		}
-		doc, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return doc
-	}
 	for _, timeline := range []bool{false, true} {
-		dj := run(EngineDense, timeline, nil)
+		dj := reportJSON(t, workedTreeRun(t, EngineDense, timeline, nil))
 		for _, mode := range []EngineMode{EngineDense, EngineSkip} {
 			tr := NewTrace()
-			if rj := run(mode, timeline, tr); !bytes.Equal(rj, dj) {
+			if rj := reportJSON(t, workedTreeRun(t, mode, timeline, tr)); !bytes.Equal(rj, dj) {
 				a, b := diffLine(rj, dj)
 				t.Errorf("traced %s (timeline=%v) diverges from untraced dense:\n %s: %s\n dense: %s",
 					mode, timeline, mode, a, b)
@@ -177,48 +122,31 @@ func TestEnginesByteIdenticalWithTrace(t *testing.T) {
 	}
 }
 
-// smallRegistryRun runs one registry workload at SmallScale on its tuned
-// system under DeNovo, with set applied to the system last.
-func smallRegistryRun(t *testing.T, e *WorkloadEntry, set func(*SystemConfig)) *Report {
-	t.Helper()
-	w, err := e.BuildSmall(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := e.TuneSystem(true, nil, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	set(&cfg)
-	rep, err := Run(Options{System: cfg, Protocol: DeNovo}, w)
-	if err != nil {
-		t.Fatalf("%s engine: %v", cfg.Engine, err)
-	}
-	return rep
-}
-
 // TestNextEventWorkloadPool is the full-system analog of the sim package's
 // NextEvent property test: every workload in the registry — the pool
 // includes BFS's global barriers, SpMV's gathers, the pipeline's bursty
 // idle phases, and GUPS's MSHR saturation — runs at SmallScale under the
-// skip-ahead engine and must produce the byte-identical JSON report the
-// dense reference loop does. Any component under-promising on any of these
-// access patterns diverges here.
+// dense reference loop and must produce the byte-identical JSON report of
+// the skip-ahead run the fingerprint golden pins (shared, not rerun). Any
+// component under-promising on any of these access patterns diverges here.
 func TestNextEventWorkloadPool(t *testing.T) {
 	reg := Workloads()
+	var jobs []Job
 	for _, name := range reg.Names() {
-		name := name
+		e, _ := reg.Lookup(name)
+		opt, w := registryPoint(t, e, DeNovo, false)
+		dense := opt
+		dense.System.Engine = EngineDense
+		thunk := func() Workload { return w }
+		jobs = append(jobs, Job{Label: name + " skip", Options: opt, Workload: thunk},
+			Job{Label: name + " dense", Options: dense, Workload: thunk})
+	}
+	reps := sharedRuns(t, jobs)
+	for i, name := range reg.Names() {
+		skip, dense := reps[2*i], reps[2*i+1]
 		t.Run(name, func(t *testing.T) {
-			e, _ := reg.Lookup(name)
-			run := func(mode EngineMode) []byte {
-				doc, err := smallRegistryRun(t, e, func(c *SystemConfig) { c.Engine = mode }).JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return doc
-			}
-			if rj, dj := run(EngineSkip), run(EngineDense); !bytes.Equal(rj, dj) {
-				a, b := diffLine(rj, dj)
+			if sj, dj := reportJSON(t, skip), reportJSON(t, dense); !bytes.Equal(sj, dj) {
+				a, b := diffLine(sj, dj)
 				t.Errorf("skip diverges from dense:\n skip: %s\n dense: %s", a, b)
 			}
 		})
@@ -228,30 +156,29 @@ func TestNextEventWorkloadPool(t *testing.T) {
 // TestInertSchedulingFields: SystemConfig.Parallel, SystemConfig.Express and
 // the EngineQuiescent alias survive only so bench/ keeps compiling. Setting
 // them changes nothing — not the Report bytes, not the scheduling counters —
-// and CacheKey ignores them.
+// and CacheKey ignores them. The reference is the memo's default run; each
+// setting runs fresh, since what is under test is a run that carries it.
 func TestInertSchedulingFields(t *testing.T) {
 	reg := Workloads()
 	for _, name := range []string{"uts", "gups"} {
 		e, _ := reg.Lookup(name)
-		want := smallRegistryRun(t, e, func(*SystemConfig) {})
-		wj, err := want.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
+		opt, w := registryPoint(t, e, DeNovo, false)
+		want := sharedRun(t, opt, w)
+		wj := reportJSON(t, want)
 		for label, set := range map[string]func(*SystemConfig){
-			"Parallel=2":    func(c *SystemConfig) { c.Parallel = 2 },
-			"Express=false": func(c *SystemConfig) { c.Express = false },
-			"Express=true":  func(c *SystemConfig) { c.Express = true },
-			"Parallel=2,Express=false,Engine=EngineQuiescent": func(c *SystemConfig) {
-				c.Parallel, c.Express, c.Engine = 2, false, EngineQuiescent
+			"Parallel=2":   func(c *SystemConfig) { c.Parallel = 2 },
+			"Express=true": func(c *SystemConfig) { c.Express = true },
+			"Parallel=2,Express=true,Engine=EngineQuiescent": func(c *SystemConfig) {
+				c.Parallel, c.Express, c.Engine = 2, true, EngineQuiescent
 			},
 		} {
-			got := smallRegistryRun(t, e, set)
-			gj, err := got.JSON()
+			o := opt
+			set(&o.System)
+			got, err := Run(o, w)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s %s: %v", name, label, err)
 			}
-			if !bytes.Equal(gj, wj) {
+			if gj := reportJSON(t, got); !bytes.Equal(gj, wj) {
 				a, b := diffLine(gj, wj)
 				t.Errorf("%s %s: report differs from the default run's:\n %s\n %s", name, label, a, b)
 			}
@@ -292,10 +219,7 @@ func latencyBoundWorkload(t testing.TB) Workload {
 // skip a substantial share of the simulated cycles — while producing the
 // exact same report the dense loop does (covered by the diff tests above).
 func TestSkipAheadActuallyJumps(t *testing.T) {
-	rep, err := Run(Options{System: latencyBoundSystem(), Protocol: DeNovo}, latencyBoundWorkload(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := sharedRun(t, Options{System: latencyBoundSystem(), Protocol: DeNovo}, latencyBoundWorkload(t))
 	st := rep.EngineStats
 	if st.Jumps == 0 {
 		t.Fatalf("skip-ahead engine took no jumps on a latency-dominated run (%d cycles)", rep.Cycles)
@@ -312,13 +236,8 @@ func TestSkipAheadActuallyJumps(t *testing.T) {
 	// the dense loop produces the identical report.
 	sys := latencyBoundSystem()
 	sys.Engine = EngineDense
-	dense, err := Run(Options{System: sys, Protocol: DeNovo}, latencyBoundWorkload(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, _ := rep.JSON()
-	dj, _ := dense.JSON()
-	if !bytes.Equal(sj, dj) {
+	dense := sharedRun(t, Options{System: sys, Protocol: DeNovo}, latencyBoundWorkload(t))
+	if sj, dj := reportJSON(t, rep), reportJSON(t, dense); !bytes.Equal(sj, dj) {
 		a, b := diffLine(sj, dj)
 		t.Errorf("latency-bound config diverges between skip and dense:\n skip:  %s\n dense: %s", a, b)
 	}
@@ -335,7 +254,8 @@ func TestNapsActuallyNap(t *testing.T) {
 	reg := Workloads()
 	for _, name := range []string{"uts", "gups"} {
 		e, _ := reg.Lookup(name)
-		rep := smallRegistryRun(t, e, func(*SystemConfig) {})
+		opt, w := registryPoint(t, e, DeNovo, false)
+		rep := sharedRun(t, opt, w)
 		st := rep.EngineStats
 		smCycles := rep.Cycles * uint64(len(rep.PerSM))
 		if st.Naps == 0 || float64(st.NappedSMCycles) < 0.7*float64(smCycles) {
@@ -372,9 +292,10 @@ var drawnSizeParam = map[string]string{
 // doubled, either protocol, MSHR = store buffer in {4, 8, 32, 512}, a warp
 // count halved, kept or doubled, and each ablation switch on or off. Dense
 // and skip must produce byte-identical JSON, and every SM's profile must
-// account every cycle. A draw the model rejects before it runs (a
+// account every cycle. A draw TuneSystem, Build or Launch refuses (a
 // doubled array past the scratchpad, a warp count that does not divide the
-// work) is skipped, and the draws a workload keeps are counted.
+// work) is skipped with its reason logged; once a draw launches, any error
+// fails it. Draws run fresh; kept ones are counted, slow ones logged.
 //
 // Owned atomics stay off for uts, utsd and steal: their spin locks livelock
 // under them at modest sizes on the dense loop too (ROADMAP item 3).
@@ -410,8 +331,12 @@ func TestEnginesAgreeOnDrawnConfigs(t *testing.T) {
 			if owned := rng.Intn(2) == 1; owned && name != "uts" && name != "utsd" && name != "steal" {
 				d.OwnedAtomics = true
 			}
+			start := time.Now()
 			if drawAgrees(t, e, d) {
 				kept++
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Logf("slow draw, %v: %+v", took.Round(time.Millisecond), d)
 			}
 		}
 		t.Logf("%s: %d of %d draws accepted", name, kept, drawsPerWorkload)
@@ -430,29 +355,29 @@ func smallParam(e *WorkloadEntry, name string) string {
 	return e.Defaults()[name]
 }
 
-// drawAgrees runs one draw under both engines and reports whether the model
-// accepted it.
+// drawAgrees reports whether the model accepts the draw (see launch) and,
+// if it does, runs it under both engines.
 func drawAgrees(t *testing.T, e *WorkloadEntry, d configDraw) bool {
 	t.Helper()
 	cfg, err := e.TuneSystem(true, d.Params, DefaultConfig())
+	var w Workload
+	if err == nil {
+		cfg.MSHREntries, cfg.StoreBufEntries = d.MSHR, d.MSHR
+		if w, err = e.BuildSmall(d.Params); err == nil {
+			err = launch(cfg, d.Protocol, w)
+		}
+	}
 	if err != nil {
+		t.Logf("%+v: rejected before it ran: %v", d, err)
 		return false
 	}
-	cfg.MSHREntries, cfg.StoreBufEntries = d.MSHR, d.MSHR
 	var ref []byte
 	for _, mode := range []EngineMode{EngineDense, EngineSkip} {
-		w, err := e.BuildSmall(d.Params)
-		if err != nil {
-			return false
-		}
 		opt := Options{System: cfg, Protocol: d.Protocol, SFIFO: d.SFIFO, OwnedAtomics: d.OwnedAtomics,
 			StrongCycle: d.StrongCycle, EagerAttribution: d.EagerAttrib}
 		opt.System.Engine = mode
 		rep, err := Run(opt, w)
 		if err != nil {
-			if mode == EngineDense && !errors.Is(err, ErrMaxCycles) && !errors.Is(err, ErrStalled) {
-				return false // rejected before it ran
-			}
 			t.Errorf("%+v: %s: %v", d, mode, err)
 			return true
 		}
@@ -461,10 +386,7 @@ func drawAgrees(t *testing.T, e *WorkloadEntry, d configDraw) bool {
 				t.Errorf("%+v: %s: sm%d classified %d of %d cycles", d, mode, sm, c.Total(), rep.Cycles)
 			}
 		}
-		doc, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := reportJSON(t, rep)
 		if ref == nil {
 			ref = doc
 		} else if !bytes.Equal(doc, ref) {

@@ -22,17 +22,12 @@ const goldenWidth = 64
 
 // goldenFigures renders every figure at SmallScale exactly as the CLI
 // does: each figure normalized to its own baseline, the 6.4 sweep to the
-// shared small-MSHR scratchpad baseline.
+// shared small-MSHR scratchpad baseline. The sets come from the memo.
 func goldenFigures(t *testing.T) map[string]string {
 	t.Helper()
 	sc := SmallScale()
-	specs := []FigureSpec{Figure61Spec(sc), Figure62Spec(sc), Figure63Spec(), WorkloadGallerySpec(sc)}
-	specs = append(specs, Figure64Specs(sc)...)
-	sets, err := RunFigureSpecs(specs, SweepConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bases := RenderBases(specs, sets)
+	sets := sharedFigures(t, sc, EngineSkip)
+	bases := RenderBases(figureSpecs(sc), sets)
 	out := make(map[string]string)
 	for i, fs := range sets {
 		name := strings.NewReplacer("[", "_", "]", "", "=", "").Replace("figure" + fs.ID)

@@ -11,9 +11,12 @@ import (
 )
 
 // testScale keeps experiment tests fast while preserving the contention
-// and locality patterns the figures depend on.
+// and locality patterns the figures depend on. Its workload gallery is
+// SmallScale's, so the shape tests share those runs with the golden.
 func testScale() Scale {
-	return Scale{UTSNodes: 300, UTSDNodes: 300, FrontierMin: 60, MSHRSizes: []int{32, 256}}
+	sc := SmallScale()
+	sc.UTSNodes, sc.UTSDNodes, sc.MSHRSizes = 300, 300, []int{32, 256}
+	return sc
 }
 
 func frac(r *Report, k core.StallKind) float64 {
@@ -25,10 +28,11 @@ func frac(r *Report, k core.StallKind) float64 {
 // ownership signatures (remote-L1 data stalls, pending-release structural
 // stalls) appear in the sub-breakdowns.
 func TestFigure61Shape(t *testing.T) {
-	fs, err := Figure61Spec(testScale()).Run(SweepConfig{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertFigure61Shape(t, sharedFigure(t, testScale(), "6.1"))
+}
+
+func assertFigure61Shape(t *testing.T, fs *FigureSet) {
+	t.Helper()
 	gpuRep, dnvRep := fs.Reports[0], fs.Reports[1]
 
 	for _, r := range fs.Reports {
@@ -62,10 +66,11 @@ func TestFigure61Shape(t *testing.T) {
 // memory structural stalls (driven by pending release); the main-memory
 // data component does not improve.
 func TestFigure62Shape(t *testing.T) {
-	fs, err := Figure62Spec(testScale()).Run(SweepConfig{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertFigure62Shape(t, sharedFigure(t, testScale(), "6.2"))
+}
+
+func assertFigure62Shape(t *testing.T, fs *FigureSet) {
+	t.Helper()
 	gpuRep, dnvRep := fs.Reports[0], fs.Reports[1]
 
 	if dnvRep.Counts.Total() >= gpuRep.Counts.Total() {
@@ -107,12 +112,7 @@ func TestFigure62Shape(t *testing.T) {
 // TestUTSDReducesExecutionVsUTS asserts the ~90% reduction of section
 // 6.1.4 (paper: 91% GPU coherence, 94% DeNovo).
 func TestUTSDReducesExecutionVsUTS(t *testing.T) {
-	sc := testScale()
-	sets, err := RunFigureSpecs([]FigureSpec{Figure61Spec(sc), Figure62Spec(sc)}, SweepConfig{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f61, f62 := sets[0], sets[1]
+	f61, f62 := sharedFigure(t, testScale(), "6.1"), sharedFigure(t, testScale(), "6.2")
 	for i, p := range []Protocol{GPUCoherence, DeNovo} {
 		uts := f61.Reports[i].Cycles
 		utsd := f62.Reports[i].Cycles
@@ -127,10 +127,7 @@ func TestUTSDReducesExecutionVsUTS(t *testing.T) {
 // reduce "no stall" cycles (fewer data-movement instructions) and increase
 // memory structural stalls; pending-DMA stalls appear only under DMA.
 func TestFigure63Shape(t *testing.T) {
-	fs, err := Figure63Spec().Run(SweepConfig{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := sharedFigure(t, testScale(), "6.3")
 	base, dma, stash := fs.Reports[0], fs.Reports[1], fs.Reports[2]
 
 	for _, r := range []*Report{dma, stash} {
@@ -177,14 +174,7 @@ func TestFigure63Shape(t *testing.T) {
 // stores), grows pending-DMA stalls for scratchpad+DMA, and improves
 // execution time for every configuration.
 func TestFigure64Shape(t *testing.T) {
-	sets, err := RunFigureSpecs(Figure64Specs(testScale()), SweepConfig{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != 2 {
-		t.Fatalf("sets = %d", len(sets))
-	}
-	small, big := sets[0], sets[1]
+	small, big := sharedFigure(t, testScale(), "6.4[mshr=32]"), sharedFigure(t, testScale(), "6.4[mshr=256]")
 	for i := range small.Reports {
 		s, b := small.Reports[i], big.Reports[i]
 		if b.Counts.Total() > s.Counts.Total() {
@@ -240,6 +230,7 @@ func TestCalibrationWithinPaperBands(t *testing.T) {
 	}
 }
 
+// TestRunDeterminism runs one configuration twice, fresh, and compares.
 func TestRunDeterminism(t *testing.T) {
 	opts := Options{Protocol: DeNovo}
 	w := WorkloadValues{"seed": "1", "nodes": "120", "frontier": "40", "warps": "4",
@@ -261,14 +252,8 @@ func TestAblationSFIFO(t *testing.T) {
 	// The paper's section 6.1.4 suggestion: an S-FIFO keeps memory
 	// requests issuing during releases, removing pending-release stalls.
 	w := mustBuild(t, "utsd", WorkloadValues{"seed": "1", "nodes": "200", "frontier": "60", "work": "8"})
-	baseRep, err := Run(Options{Protocol: GPUCoherence}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfifoRep, err := Run(Options{Protocol: GPUCoherence, SFIFO: true}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseRep := sharedRun(t, Options{Protocol: GPUCoherence}, w)
+	sfifoRep := sharedRun(t, Options{Protocol: GPUCoherence, SFIFO: true}, w)
 	baseRel := baseRep.Counts.MemStruct[core.StructPendingRelease]
 	sfifoRel := sfifoRep.Counts.MemStruct[core.StructPendingRelease]
 	if sfifoRel >= baseRel {
@@ -279,14 +264,8 @@ func TestAblationSFIFO(t *testing.T) {
 func TestAblationStrongCycle(t *testing.T) {
 	w := mustBuild(t, "implicit", nil)
 	sys := implicitSystem(32)
-	weak, err := Run(Options{System: sys, Protocol: DeNovo}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strong, err := Run(Options{System: sys, Protocol: DeNovo, StrongCycle: true}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	weak := sharedRun(t, Options{System: sys, Protocol: DeNovo}, w)
+	strong := sharedRun(t, Options{System: sys, Protocol: DeNovo, StrongCycle: true}, w)
 	if weak.Cycles != strong.Cycles {
 		t.Fatalf("classification changed timing: %d vs %d", weak.Cycles, strong.Cycles)
 	}
@@ -303,14 +282,8 @@ func TestAblationEagerAttribution(t *testing.T) {
 	// cold metadata from memory), which is exactly what the deferred
 	// scheme can distinguish and the eager one cannot.
 	w := mustBuild(t, "utsd", WorkloadValues{"seed": "1", "nodes": "200", "frontier": "60", "work": "8"})
-	deferred, err := Run(Options{Protocol: GPUCoherence}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := Run(Options{Protocol: GPUCoherence, EagerAttribution: true}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	deferred := sharedRun(t, Options{Protocol: GPUCoherence}, w)
+	eager := sharedRun(t, Options{Protocol: GPUCoherence, EagerAttribution: true}, w)
 	// Eager attribution dumps everything on main memory; the deferred
 	// scheme distinguishes levels.
 	var eagerOther uint64
@@ -395,11 +368,8 @@ func TestRunRejectsMeshLatencies(t *testing.T) {
 }
 
 func TestReportBreakdownConsistency(t *testing.T) {
-	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo},
+	rep := sharedRun(t, Options{System: implicitSystem(32), Protocol: DeNovo},
 		mustBuild(t, "implicit", WorkloadValues{"local": "stash"}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	exec := rep.ExecBreakdown()
 	if got, want := exec.Total(), float64(rep.Counts.Total()); math.Abs(got-want) > 0.5 {
 		t.Errorf("exec breakdown total %v != counts total %v", got, want)
@@ -420,14 +390,8 @@ func TestReportBreakdownConsistency(t *testing.T) {
 // local, cutting sync stalls in the lock-bound UTSD.
 func TestAblationOwnedAtomics(t *testing.T) {
 	w := mustBuild(t, "utsd", WorkloadValues{"seed": "1", "nodes": "200", "frontier": "60", "work": "8"})
-	base, err := Run(Options{Protocol: DeNovo}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owned, err := Run(Options{Protocol: DeNovo, OwnedAtomics: true}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := sharedRun(t, Options{Protocol: DeNovo}, w)
+	owned := sharedRun(t, Options{Protocol: DeNovo, OwnedAtomics: true}, w)
 	if owned.Mem.LocalAtomics == 0 {
 		t.Fatal("owned atomics never served locally")
 	}
@@ -441,6 +405,7 @@ func TestAblationOwnedAtomics(t *testing.T) {
 	}
 }
 
+// TestTimelineOption runs fresh: the timeline collector is under test.
 func TestTimelineOption(t *testing.T) {
 	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo, Timeline: true},
 		mustBuild(t, "implicit", WorkloadValues{"local": "dma"}))
@@ -457,12 +422,9 @@ func TestTimelineOption(t *testing.T) {
 }
 
 func TestReportPerSMAndComputeBreakdowns(t *testing.T) {
-	rep, err := Run(Options{Protocol: DeNovo},
+	rep := sharedRun(t, Options{Protocol: DeNovo},
 		mustBuild(t, "utsd", WorkloadValues{"seed": "2", "nodes": "150", "frontier": "40",
 			"warps": "4", "work": "8", "fmas": "2"}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Per-SM profiles sum to the aggregate.
 	var sum Counts
 	for i := range rep.PerSM {

@@ -12,52 +12,33 @@ import (
 
 // fingerprints runs every registry entry at its Small size under GPU
 // coherence, DeNovo, and DeNovo with owned atomics, on the default (skip)
-// engine, and returns one line per point: the report columns (SHA-256 of Report.JSON, cycles, instructions
-// issued), a "|", then the scheduling columns (the engine's steps, jumps,
-// visits, naps and napped SM-cycles).
+// engine, and returns one line per point: the report columns (SHA-256 of
+// Report.JSON, cycles, instructions issued), a "|", then the scheduling
+// columns (the engine's steps, jumps, visits, naps and napped SM-cycles).
+// The runs come from the memo, so the DeNovo points are also the skip leg
+// of TestNextEventWorkloadPool.
 func fingerprints(t *testing.T) []string {
 	t.Helper()
 	reg := Workloads()
-	var s Sweep
+	var jobs []Job
 	for _, name := range reg.Names() {
-		name := name
 		e, _ := reg.Lookup(name)
-		cfg, err := e.TuneSystem(true, nil, DefaultConfig())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		for _, p := range []struct {
 			label string
 			proto Protocol
 			owned bool
 		}{{"gpu", GPUCoherence, false}, {"denovo", DeNovo, false}, {"denovo+owned", DeNovo, true}} {
-			s.Jobs = append(s.Jobs, Job{
-				Label:   fmt.Sprintf("%-9s %-12s", name, p.label),
-				Options: Options{System: cfg, Protocol: p.proto, OwnedAtomics: p.owned},
-				Workload: func() Workload {
-					w, err := e.BuildSmall(nil)
-					if err != nil {
-						return brokenWorkload{name: name, err: err}
-					}
-					return w
-				},
-			})
+			opt, w := registryPoint(t, e, p.proto, p.owned)
+			jobs = append(jobs, Job{Label: fmt.Sprintf("%-9s %-12s", name, p.label), Options: opt,
+				Workload: func() Workload { return w }})
 		}
 	}
-	results, err := s.Run(SweepConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]string, len(results))
-	for i, r := range results {
-		doc, err := r.Report.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(doc)
-		st := r.Report.EngineStats
+	lines := make([]string, len(jobs))
+	for i, rep := range sharedRuns(t, jobs) {
+		sum := sha256.Sum256(reportJSON(t, rep))
+		st := rep.EngineStats
 		lines[i] = fmt.Sprintf("%s report=%s cycles=%d instrs=%d | steps=%d jumps=%d visits=%d naps=%d napped=%d",
-			r.Job.Label, hex.EncodeToString(sum[:]), r.Report.Cycles, r.Report.InstrsIssued,
+			jobs[i].Label, hex.EncodeToString(sum[:]), rep.Cycles, rep.InstrsIssued,
 			st.Steps, st.Jumps, st.Visits, st.Naps, st.NappedSMCycles)
 	}
 	return lines

@@ -5,12 +5,12 @@
 // points failing individually (typed per-point errors, panic counters
 // moving) while their siblings succeed and the process stays up.
 //
-// An Injector decides per job label, so a given spec + seed always faults
-// the same points: tests and the CI chaos gate can assert exact outcomes.
-// Two clause forms compose in one spec string (see Parse):
+// An Injector decides per job label, so a given spec always faults the
+// same points: tests and the CI chaos gate can assert exact outcomes. Two
+// clause forms compose in one spec string (see Parse):
 //
 //	substr:fault     rule — any label containing substr gets fault
-//	fault=p          probability — labels draw from a seeded hash
+//	slowms=n         how long a slow fault sleeps, in milliseconds
 //
 // Faults:
 //
@@ -26,7 +26,6 @@ package faultinject
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -83,27 +82,21 @@ type rule struct {
 }
 
 // Injector decides, per job label, whether and how to sabotage a workload.
-// The decision is a pure function of (spec, seed, label): rules win over
-// probability draws, first matching rule first.
+// The decision is a pure function of (spec, label): the first matching
+// rule wins.
 type Injector struct {
-	// Seed perturbs the per-label probability draw.
-	Seed uint64
 	// SlowFor is how long a FaultSlow build sleeps (default 250ms).
 	SlowFor time.Duration
 
 	rules []rule
-	// cumulative probability thresholds for the draw, in fault order
-	// panic, stall, slow; zero when the spec has no probability clauses.
-	pPanic, pStall, pSlow float64
 
 	// Injected counts faults actually injected, by kind, for assertions.
 	injected [4]atomic.Uint64
 }
 
 // Parse builds an Injector from a spec string: comma-separated clauses of
-// the forms "substr:fault" (rule), "fault=p" (probability, p in [0,1]),
-// "seed=n", and "slowms=n". An empty spec yields an injector that never
-// faults.
+// the forms "substr:fault" (rule) and "slowms=n". An empty spec yields an
+// injector that never faults.
 func Parse(spec string) (*Injector, error) {
 	in := &Injector{SlowFor: 250 * time.Millisecond}
 	for _, clause := range strings.Split(spec, ",") {
@@ -121,44 +114,16 @@ func Parse(spec string) (*Injector, error) {
 		}
 		key, val, ok := strings.Cut(clause, "=")
 		if !ok {
-			return nil, fmt.Errorf("faultinject: bad clause %q (want substr:fault or key=value)", clause)
+			return nil, fmt.Errorf("faultinject: bad clause %q (want substr:fault or slowms=n)", clause)
 		}
-		switch strings.ToLower(strings.TrimSpace(key)) {
-		case "seed":
-			n, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: bad seed %q: %v", val, err)
-			}
-			in.Seed = n
-		case "slowms":
-			n, err := strconv.Atoi(strings.TrimSpace(val))
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("faultinject: bad slowms %q", val)
-			}
-			in.SlowFor = time.Duration(n) * time.Millisecond
-		case "panic", "stall", "slow":
-			p, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-			// The NaN check matters: ParseFloat accepts "NaN", and NaN
-			// fails neither range comparison, so it would slip through as
-			// a probability that never fires.
-			if err != nil || math.IsNaN(p) || p < 0 || p > 1 {
-				return nil, fmt.Errorf("faultinject: bad probability %q", clause)
-			}
-			f, _ := parseFault(key)
-			switch f {
-			case FaultPanic:
-				in.pPanic = p
-			case FaultStall:
-				in.pStall = p
-			case FaultSlow:
-				in.pSlow = p
-			}
-		default:
+		if !strings.EqualFold(strings.TrimSpace(key), "slowms") {
 			return nil, fmt.Errorf("faultinject: unknown clause %q", clause)
 		}
-	}
-	if in.pPanic+in.pStall+in.pSlow > 1 {
-		return nil, fmt.Errorf("faultinject: probabilities sum past 1")
+		n, err := strconv.Atoi(strings.TrimSpace(val))
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("faultinject: bad slowms %q", val)
+		}
+		in.SlowFor = time.Duration(n) * time.Millisecond
 	}
 	return in, nil
 }
@@ -170,37 +135,7 @@ func (in *Injector) Decide(label string) Fault {
 			return r.fault
 		}
 	}
-	total := in.pPanic + in.pStall + in.pSlow
-	if total == 0 {
-		return FaultNone
-	}
-	u := draw(in.Seed, label)
-	switch {
-	case u < in.pPanic:
-		return FaultPanic
-	case u < in.pPanic+in.pStall:
-		return FaultStall
-	case u < total:
-		return FaultSlow
-	}
 	return FaultNone
-}
-
-// draw maps (seed, label) to a uniform value in [0, 1) via FNV-1a — no
-// global randomness, so a spec's outcome is reproducible run to run.
-func draw(seed uint64, label string) float64 {
-	h := uint64(14695981039346656037)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	for i := 0; i < 8; i++ {
-		mix(byte(seed >> (8 * i)))
-	}
-	for i := 0; i < len(label); i++ {
-		mix(label[i])
-	}
-	return float64(h>>11) / float64(1<<53)
 }
 
 // Injected returns how many times the given fault has actually been
@@ -210,13 +145,8 @@ func (in *Injector) Injected(f Fault) uint64 { return in.injected[f].Load() }
 // Wrap returns w, sabotaged according to the injector's decision for
 // label. FaultNone returns w unchanged.
 func (in *Injector) Wrap(label string, w workloads.Instance) workloads.Instance {
-	switch in.Decide(label) {
-	case FaultPanic:
-		return &faulty{w: w, fault: FaultPanic, in: in}
-	case FaultStall:
-		return &faulty{w: w, fault: FaultStall, in: in}
-	case FaultSlow:
-		return &faulty{w: w, fault: FaultSlow, in: in}
+	if f := in.Decide(label); f != FaultNone {
+		return &faulty{w: w, fault: f, in: in}
 	}
 	return w
 }

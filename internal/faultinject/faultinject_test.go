@@ -25,12 +25,9 @@ func (s *stub) Build(h *cpu.Host) (*gpu.Kernel, func(h *cpu.Host) error, error) 
 }
 
 func TestParseSpec(t *testing.T) {
-	in, err := faultinject.Parse("seed=7, uts:panic, implicit:stall, slow=0.25, slowms=10")
+	in, err := faultinject.Parse("uts:panic, implicit:stall, slowms=10")
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
-	}
-	if in.Seed != 7 {
-		t.Errorf("Seed = %d, want 7", in.Seed)
 	}
 	if in.SlowFor != 10*time.Millisecond {
 		t.Errorf("SlowFor = %v, want 10ms", in.SlowFor)
@@ -43,12 +40,12 @@ func TestParseSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"uts:explode",         // unknown fault
-		"panic=1.5",           // probability out of range
-		"panic=0.7,slow=6",    // bad probability
-		"frobnicate",          // not a clause
-		"seed=x",              // bad seed
-		"panic=0.8,stall=0.8", // sums past 1
+		"uts:explode", // unknown fault
+		"frobnicate",  // not a clause
+		"panic=0.1",   // probability clauses are not a spec form
+		"seed=7",      // nor is a seed
+		"slowms=x",    // bad duration
+		"slowms=-1",   // negative duration
 	} {
 		if _, err := faultinject.Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
@@ -61,38 +58,6 @@ func TestParseSpec(t *testing.T) {
 	}
 	if got := none.Decide("anything"); got != faultinject.FaultNone {
 		t.Errorf("empty spec Decide = %v, want none", got)
-	}
-}
-
-func TestDecideIsDeterministic(t *testing.T) {
-	a, _ := faultinject.Parse("seed=42,panic=0.3,stall=0.3,slow=0.3")
-	b, _ := faultinject.Parse("seed=42,panic=0.3,stall=0.3,slow=0.3")
-	counts := map[faultinject.Fault]int{}
-	labels := []string{"uts/a", "uts/b", "implicit/1", "implicit/2", "bfs", "spmv", "gups", "pipeline"}
-	for _, l := range labels {
-		fa, fb := a.Decide(l), b.Decide(l)
-		if fa != fb {
-			t.Fatalf("Decide(%q) differs between identical injectors: %v vs %v", l, fa, fb)
-		}
-		counts[fa]++
-	}
-	// With p(fault)=0.9 over 8 labels, at least one label must draw a fault;
-	// the draw is a fixed hash, so this cannot flake.
-	if counts[faultinject.FaultNone] == len(labels) {
-		t.Errorf("no label drew a fault under panic+stall+slow=0.9")
-	}
-
-	// A different seed must change at least one decision across the labels.
-	c, _ := faultinject.Parse("seed=43,panic=0.3,stall=0.3,slow=0.3")
-	same := true
-	for _, l := range labels {
-		if a.Decide(l) != c.Decide(l) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Errorf("seed change did not alter any decision")
 	}
 }
 

@@ -34,7 +34,7 @@ func mustInjector(t *testing.T, spec string) *faultinject.Injector {
 // with the contained-panic error, the scratchpad siblings complete and
 // cache normally, the panic counter moves, and the process (trivially)
 // survives. Each poisoned point is simulated exactly once: the injector
-// decides from (seed, label) alone, so a rerun would only panic again.
+// decides from the label alone, so a rerun would only panic again.
 func TestServeChaosPanicIsolated(t *testing.T) {
 	inj := mustInjector(t, "stash:panic")
 	_, ts := newTestServer(t, Config{Workers: 2, Chaos: inj})

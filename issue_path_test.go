@@ -14,7 +14,8 @@ import (
 // cycle: stencil sits at 0.04, bfs at 0.10, spin-heavy UTS at 0.01 and GUPS
 // under MSHR pressure at 0.02; with boxed messages and per-miss records they
 // sat at 0.30, 1.73, 1.05 and 2.32, and one object per miss or per atomic
-// puts any of the last three back over.
+// puts any of the last three back over. The runs are fresh: their
+// allocations are what is measured.
 func TestIssuePathAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

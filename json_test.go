@@ -11,15 +11,9 @@ import (
 // TestReportJSONRoundTrip: marshal -> unmarshal must reproduce the stall
 // profile and every derived breakdown exactly.
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo},
+	rep := sharedRun(t, Options{System: implicitSystem(32), Protocol: DeNovo},
 		mustBuild(t, "implicit", WorkloadValues{"local": "dma"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := reportJSON(t, rep)
 	// The profile must be labeled, not positional.
 	for _, label := range []string{`"memory structural"`, `"pending DMA"`, `"cycles"`} {
 		if !strings.Contains(string(doc), label) {
@@ -65,24 +59,15 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // explicit "engineStats" field, and DecodeReport folds them back so the
 // opt-in round-trips exactly.
 func TestEngineStatsJSONOptIn(t *testing.T) {
-	rep, err := Run(Options{System: implicitSystem(32), Protocol: DeNovo}, mustBuild(t, "implicit", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := sharedRun(t, Options{System: implicitSystem(32), Protocol: DeNovo}, mustBuild(t, "implicit", nil))
 	if rep.EngineStats.Steps == 0 {
 		t.Fatal("run recorded no engine steps; the opt-in test would be vacuous")
 	}
-	plain, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := reportJSON(t, rep)
 	if strings.Contains(string(plain), "engineStats") {
 		t.Error("default encoding leaks the scheduling counters")
 	}
-	opted, err := rep.IncludeEngineStats().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	opted := reportJSON(t, rep.IncludeEngineStats())
 	if !strings.Contains(string(opted), `"engineStats"`) {
 		t.Error("opted-in encoding missing the engineStats field")
 	}
@@ -122,21 +107,11 @@ func TestCacheKeyIgnoresTrace(t *testing.T) {
 // renders byte-identically to the original, with the same bar names and
 // baseline total, so JSON documents are a faithful interchange format for
 // whole figures. The gallery names its bars by workload, which only the
-// document's barBy field tells the decoder.
+// document's barBy field tells the decoder. The sets are the memo's, and
+// each decoded document is compared with the set it was encoded from.
 func TestFigureSetJSONRoundTrip(t *testing.T) {
-	sc := SmallScale()
-	specs := []FigureSpec{Figure61Spec(sc), Figure62Spec(sc), Figure63Spec()}
-	specs = append(specs, Figure64Specs(sc)...)
-	specs = append(specs, WorkloadGallerySpec(sc))
-	sets, err := RunFigureSpecs(specs, SweepConfig{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fs := range sets {
-		doc, err := fs.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, fs := range sharedFigures(t, SmallScale(), EngineSkip) {
+		doc := reportJSON(t, fs)
 		back, err := DecodeFigureSet(doc)
 		if err != nil {
 			t.Fatalf("%s: %v", fs.ID, err)
@@ -165,14 +140,8 @@ func TestFigureSetJSONRoundTrip(t *testing.T) {
 // groups from the reports, so a document whose serialized groups were
 // tampered with (or stripped) still decodes to a consistent figure.
 func TestFigureSetDecodeRebuildsGroups(t *testing.T) {
-	fs, err := Figure63Spec().Run(SweepConfig{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := fs.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := sharedFigure(t, SmallScale(), "6.3")
+	doc := reportJSON(t, fs)
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(doc, &raw); err != nil {
 		t.Fatal(err)

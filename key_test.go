@@ -213,7 +213,8 @@ func TestCacheKeyUnresolvedPins(t *testing.T) {
 // answers a spelling with a result it would never produce when run. The
 // folded spellings of uts's parameters run through a grid to the same
 // Report bytes as the canonical spelling. Two overrides that fold to one
-// name are an error, under a key of their own that no run shares.
+// name are an error, under a key of their own that no run shares. The
+// spellings run fresh: they are the paths compared.
 func TestParamSpellingsRunAsTheyHash(t *testing.T) {
 	run := func(params WorkloadValues) ([]byte, string, error) {
 		t.Helper()

@@ -14,7 +14,8 @@ import (
 
 // TestRegistryRoundTrip is the registry contract: every registered name
 // constructs at SmallScale, runs to completion on its tuned system, and
-// passes its own functional verification (Run fails loudly otherwise).
+// passes its own functional verification (Run fails loudly otherwise). The
+// run is the fingerprint golden's DeNovo point, shared through the memo.
 func TestRegistryRoundTrip(t *testing.T) {
 	reg := Workloads()
 	names := reg.Names()
@@ -31,21 +32,8 @@ func TestRegistryRoundTrip(t *testing.T) {
 			if e.Summary == "" || len(e.Params()) == 0 {
 				t.Fatalf("%s: entry missing summary or parameter schema", name)
 			}
-			w, err := e.BuildSmall(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := Options{Protocol: DeNovo}
-			opt.System = DefaultConfig()
-			cfg, err := e.TuneSystem(true, nil, opt.System)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.System = cfg
-			rep, err := Run(opt, w)
-			if err != nil {
-				t.Fatal(err)
-			}
+			opt, w := registryPoint(t, e, DeNovo, false)
+			rep := sharedRun(t, opt, w)
 			if rep.Cycles == 0 || rep.Counts.Total() == 0 {
 				t.Fatalf("%s: empty report: %d cycles", name, rep.Cycles)
 			}
@@ -152,18 +140,28 @@ func TestTunedSystemHoldsTheBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		g, err := gpu.New(cfg, coherence.PoliciesFor(cfg.NumSMs, DeNovo.policy()))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		k, _, err := w.Build(cpu.NewHost(g.Sys.Backing))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := g.Launch(k); err != nil {
+		if err := launch(cfg, DeNovo, w); err != nil {
 			t.Errorf("%s at warps=16: %v", name, err)
 		}
 	}
+}
+
+// launch checks what Run checks before the first cycle: the system
+// validates, the workload builds on a scratch host, and its kernel
+// launches.
+func launch(cfg SystemConfig, p Protocol, w Workload) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	g, err := gpu.New(cfg, coherence.PoliciesFor(cfg.NumSMs, p.policy()))
+	if err != nil {
+		return err
+	}
+	k, _, err := w.Build(cpu.NewHost(g.Sys.Backing))
+	if err != nil {
+		return err
+	}
+	return g.Launch(k)
 }
 
 // mustBuild builds a registered workload at default scale with the given

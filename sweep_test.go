@@ -35,7 +35,8 @@ func renderAll(results []SweepResult) string {
 // TestSweepDeterminism is the engine's core guarantee: a parallel run is
 // byte-identical to the serial run — same Counts, same rendered reports —
 // because simulations share nothing and results are returned in job order.
-// Under -race this is also the concurrency-safety test for the pool.
+// Under -race this is also the concurrency-safety test for the pool. Both
+// paths run fresh: they are what is compared.
 func TestSweepDeterminism(t *testing.T) {
 	s := determinismGrid().Sweep()
 	if len(s.Jobs) != 8 {
@@ -65,7 +66,8 @@ func TestSweepDeterminism(t *testing.T) {
 }
 
 // TestFigureSpecsMatchSerialFigures: running the figure specs through
-// the batched pool reproduces exactly what one serial worker produces.
+// the batched pool reproduces exactly what one serial worker produces. Both
+// paths run fresh: they are what is compared.
 func TestFigureSpecsMatchSerialFigures(t *testing.T) {
 	sc := testScale()
 	serial, err := Figure63Spec().Run(SweepConfig{Parallel: 1})
@@ -263,7 +265,8 @@ func TestProgressPrinterFailureCause(t *testing.T) {
 }
 
 // TestSweepErrorPolicy: a failing job yields the lowest-index error while
-// the healthy jobs still return reports, serial or parallel alike.
+// the healthy jobs still return reports, serial or parallel alike. The
+// sweeps run fresh: their error paths are under test.
 func TestSweepErrorPolicy(t *testing.T) {
 	var s Sweep
 	s.Name = "errors"
@@ -296,7 +299,8 @@ func TestSweepErrorPolicy(t *testing.T) {
 
 // TestRunFigureSpecsProgressNamesFigure: batched figures repeat bar labels
 // ("stash" appears in 6.3 and every 6.4 size), so progress events and job
-// errors must carry the figure name.
+// errors must carry the figure name. Fresh: the progress events are under
+// test.
 func TestRunFigureSpecsProgressNamesFigure(t *testing.T) {
 	var labels []string
 	_, err := RunFigureSpecs([]FigureSpec{Figure63Spec()},
@@ -312,7 +316,8 @@ func TestRunFigureSpecsProgressNamesFigure(t *testing.T) {
 }
 
 // TestSweepPanicNamesJob: a panicking job surfaces as an error carrying
-// the sweep name and job label, not just a batch index.
+// the sweep name and job label, not just a batch index. Fresh: the panic
+// is under test.
 func TestSweepPanicNamesJob(t *testing.T) {
 	var s Sweep
 	s.Name = "panics"
@@ -335,6 +340,7 @@ func TestSweepPanicNamesJob(t *testing.T) {
 	}
 }
 
+// TestSweepProgressEvents runs fresh: the progress events are under test.
 func TestSweepProgressEvents(t *testing.T) {
 	s := determinismGrid().Sweep()
 	var events []SweepProgress
