@@ -52,11 +52,11 @@ func Calibrate(cfg SystemConfig) (*Calibration, error) {
 		return nil, err
 	}
 	// The probes poke the core memory unit directly between engine runs,
-	// so there is no wake wiring; drive the system densely as one
-	// component (calibration runs are tiny).
+	// so drive the system densely: every unit ticks every cycle whether or
+	// not a wake reached it (calibration runs are tiny).
 	eng := sim.NewEngine()
 	eng.SetMode(sim.EngineDense)
-	eng.Register("mem", sim.TickFunc(sys.Tick))
+	sys.Attach(eng)
 	last := eng.LastTick
 
 	cm0 := sys.Cores[0]

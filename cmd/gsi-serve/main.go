@@ -30,7 +30,7 @@
 // running jobs get -drain-grace to finish before being canceled
 // cooperatively, and only then does the listener shut down. Jobs run the
 // default scheduling engine: every engine gives the same bytes, and the
-// cache key erases the choice.
+// cache key never hashes the choice.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package gsi
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -382,6 +383,37 @@ func TestReportBreakdownConsistency(t *testing.T) {
 	}
 	if rep.Summary() == "" {
 		t.Error("empty summary")
+	}
+}
+
+// TestCheckBooksNamesSMAndBucket: a balanced profile passes, and each of the
+// five conservation laws RunContext checks fails on its own with an
+// ErrAccounting naming the SM and the bucket.
+func TestCheckBooksNamesSMAndBucket(t *testing.T) {
+	var c core.Counts
+	c.Cycles[core.NoStall] = 2
+	c.Cycles[core.MemData], c.MemData[core.WhereL2] = 2, 2
+	c.Cycles[core.MemStructural], c.MemStruct[core.StructMSHRFull] = 2, 2
+	c.Cycles[core.CompData], c.CompData[core.UnitALU] = 2, 2
+	c.Cycles[core.CompStructural], c.CompStruct[core.UnitSFU] = 2, 2
+	balanced := Report{Cycles: 10, PerSM: []core.Counts{c, c}}
+	if err := balanced.checkBooks(); err != nil {
+		t.Fatalf("balanced books: %v", err)
+	}
+	for bucket, unbalance := range map[string]func(*core.Counts){
+		"classified cycles":        func(c *core.Counts) { c.Cycles[core.Idle]++ },
+		"memory data locations":    func(c *core.Counts) { c.MemData[core.WhereL2]-- },
+		"memory structural causes": func(c *core.Counts) { c.MemStruct[core.StructMSHRFull]-- },
+		"compute data units":       func(c *core.Counts) { c.CompData[core.UnitALU]-- },
+		"compute structural units": func(c *core.Counts) { c.CompStruct[core.UnitSFU]-- },
+	} {
+		r := balanced
+		r.PerSM = []core.Counts{c, c}
+		unbalance(&r.PerSM[1])
+		err := r.checkBooks()
+		if !errors.Is(err, ErrAccounting) || !strings.Contains(err.Error(), "sm1 "+bucket) {
+			t.Errorf("%s unbalanced on sm1: error %v", bucket, err)
+		}
 	}
 }
 

@@ -83,3 +83,30 @@ func TestReportFingerprints(t *testing.T) {
 		t.Errorf("%s columns drifted:\n got  %s\n want %s", cols, got[i], want[i])
 	}
 }
+
+// TestModelRevisionTracksFingerprints: CacheKey hashes modelRevision so a
+// result cached under an older model never answers for this one. The
+// revision must move whenever a Report byte does, so the report columns of
+// testdata/fingerprints.golden (the text before " | " on every line) are
+// pinned next to it as modelFingerprint: regenerating the golden with a
+// report drift fails here until both are bumped. Scheduling-only drift
+// moves no Report byte and passes.
+func TestModelRevisionTracksFingerprints(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fingerprints.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		report, _, ok := strings.Cut(line, " | ")
+		if !ok {
+			t.Fatalf("fingerprint line without report columns: %q", line)
+		}
+		fmt.Fprintln(h, report)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != modelFingerprint {
+		t.Errorf("the golden's report columns hash to %s, but modelRevision %q pins %s: "+
+			"a change that moves Report bytes bumps modelRevision and sets modelFingerprint to the new hash (json.go)",
+			got, modelRevision, modelFingerprint)
+	}
+}

@@ -27,23 +27,22 @@ func isASCII(s string) bool {
 //
 //   - the key is a stable 64-hex content address,
 //   - engine mode, trace presence and the two inert scheduling fields
-//     (Parallel, Express) are erased (none can change a Report),
+//     (Parallel, Express) never reach the hash (none can change a Report),
 //   - cosmetic spellings — name case and surrounding whitespace — collapse,
 //   - an explicitly default-valued parameter hashes like an absent one
 //     when the workload resolves in the registry,
-//   - engine-relevant differences (protocol, Timeline, SkipVerify,
-//     ablations, architectural parameters, the workload itself) all
-//     separate keys.
+//   - engine-relevant differences (protocol, Timeline, ablations,
+//     architectural parameters, the workload itself) all separate keys.
 func FuzzCacheKey(f *testing.F) {
-	f.Add("uts", "nodes", "6000", uint8(0), uint8(0), false, false, false, true, uint16(0))
-	f.Add(" UTS ", "NODES", " 6000 ", uint8(1), uint8(4), true, false, false, false, uint16(64))
-	f.Add("stencil", "steps", "3", uint8(2), uint8(2), false, true, true, true, uint16(16))
-	f.Add("steal", "tasks", "40", uint8(3), uint8(7), true, true, false, true, uint16(32))
-	f.Add("implicit", "databytes", "", uint8(0), uint8(0), false, false, false, true, uint16(1))
-	f.Add("no-such-workload", "whatever", "value", uint8(0), uint8(0), false, false, false, false, uint16(0))
-	f.Add("", "", "", uint8(0), uint8(0), false, false, false, true, uint16(0))
-	f.Add("gups", "updates", "0x10", uint8(1), uint8(3), false, false, true, false, uint16(8))
-	f.Fuzz(func(t *testing.T, wl, pname, pval string, engineSel, parallel uint8, timeline, skipVerify, sfifo, express bool, mshr uint16) {
+	f.Add("uts", "nodes", "6000", uint8(0), uint8(0), false, false, true, uint16(0))
+	f.Add(" UTS ", "NODES", " 6000 ", uint8(1), uint8(4), true, false, false, uint16(64))
+	f.Add("stencil", "steps", "3", uint8(2), uint8(2), false, true, true, uint16(16))
+	f.Add("steal", "tasks", "40", uint8(3), uint8(7), true, false, true, uint16(32))
+	f.Add("implicit", "databytes", "", uint8(0), uint8(0), false, false, true, uint16(1))
+	f.Add("no-such-workload", "whatever", "value", uint8(0), uint8(0), false, false, false, uint16(0))
+	f.Add("", "", "", uint8(0), uint8(0), false, false, true, uint16(0))
+	f.Add("gups", "updates", "0x10", uint8(1), uint8(3), false, true, false, uint16(8))
+	f.Fuzz(func(t *testing.T, wl, pname, pval string, engineSel, parallel uint8, timeline, sfifo, express bool, mshr uint16) {
 		modes := []EngineMode{EngineSkip, EngineDense}
 		sys := DefaultConfig()
 		sys.Engine = modes[int(engineSel)%len(modes)]
@@ -52,7 +51,7 @@ func FuzzCacheKey(f *testing.F) {
 		if mshr > 0 {
 			sys.MSHREntries = int(mshr)
 		}
-		opt := Options{System: sys, Protocol: DeNovo, Timeline: timeline, SkipVerify: skipVerify, SFIFO: sfifo}
+		opt := Options{System: sys, Protocol: DeNovo, Timeline: timeline, SFIFO: sfifo}
 		params := WorkloadValues{}
 		if pname != "" {
 			params[pname] = pval
@@ -127,11 +126,10 @@ func FuzzCacheKey(f *testing.F) {
 		moreMSHR.System.MSHREntries = sys.MSHREntries + 1
 		variants := map[string]string{
 			"base":         key,
-			"protocol":     CacheKey(Options{System: sys, Protocol: GPUCoherence, Timeline: timeline, SkipVerify: skipVerify, SFIFO: sfifo}, wl, params),
-			"timeline":     CacheKey(Options{System: sys, Protocol: DeNovo, Timeline: !timeline, SkipVerify: skipVerify, SFIFO: sfifo}, wl, params),
-			"skip-verify":  CacheKey(Options{System: sys, Protocol: DeNovo, Timeline: timeline, SkipVerify: !skipVerify, SFIFO: sfifo}, wl, params),
-			"sfifo":        CacheKey(Options{System: sys, Protocol: DeNovo, Timeline: timeline, SkipVerify: skipVerify, SFIFO: !sfifo}, wl, params),
-			"strong-cycle": CacheKey(Options{System: sys, Protocol: DeNovo, Timeline: timeline, SkipVerify: skipVerify, SFIFO: sfifo, StrongCycle: true}, wl, params),
+			"protocol":     CacheKey(Options{System: sys, Protocol: GPUCoherence, Timeline: timeline, SFIFO: sfifo}, wl, params),
+			"timeline":     CacheKey(Options{System: sys, Protocol: DeNovo, Timeline: !timeline, SFIFO: sfifo}, wl, params),
+			"sfifo":        CacheKey(Options{System: sys, Protocol: DeNovo, Timeline: timeline, SFIFO: !sfifo}, wl, params),
+			"strong-cycle": CacheKey(Options{System: sys, Protocol: DeNovo, Timeline: timeline, SFIFO: sfifo, StrongCycle: true}, wl, params),
 			"max-cycles":   CacheKey(moreCycles, wl, params),
 			"mshr":         CacheKey(moreMSHR, wl, params),
 			"workload":     CacheKey(opt, wl+" -other", params),

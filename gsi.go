@@ -184,8 +184,8 @@ const (
 // skip-ahead without the jump. It is EngineSkip under another name, exactly
 // as inert as SystemConfig.Parallel and Express: it survives only because
 // bench/layers.go compiles against it (the quiescent ladder row, which now
-// re-runs the product engine), and the benchmark PR that retires that row
-// removes it.
+// re-runs the product engine). The benchmark change that retires that row
+// removes it; no cache key moves, since the engine is never hashed.
 const EngineQuiescent = EngineSkip
 
 // ParseEngineMode parses a -engine flag value ("dense" or "skip").
@@ -264,11 +264,6 @@ type Options struct {
 	// Timeline records and renders a per-SM stall timeline in the
 	// report (one character column per time bucket).
 	Timeline bool
-	// SkipVerify skips the workload's functional post-check, so a run
-	// whose final memory image is wrong still returns its Report. Nothing
-	// in the product sets it; the CacheKey tests set it only to check that
-	// it separates keys (it changes which runs error).
-	SkipVerify bool
 	// Trace, when non-nil, collects a structured event trace of the run
 	// (per-SM stall spans, clock jumps) for export via
 	// Trace.WriteChromeTrace or Trace.WriteHTML. Tracing never changes

@@ -167,14 +167,6 @@ func ClassifyCycle(warps []WarpObs) CycleClass {
 	return classifyCycle(newFold(&cyclePriority), warps)
 }
 
-// ClassifyCycleStrong is the ablation variant discussed in section 4.2: it
-// applies the *strong* (Algorithm 1) priority at cycle level instead of the
-// weak one. It exists so the ablation benchmark can quantify how the choice
-// of cycle-level priority shifts the breakdown.
-func ClassifyCycleStrong(warps []WarpObs) CycleClass {
-	return classifyCycle(newFold(&strongPriority), warps)
-}
-
 // classifyCycle folds a whole slice into f.
 func classifyCycle(f CycleFold, warps []WarpObs) CycleClass {
 	for _, w := range warps {

@@ -124,18 +124,24 @@ func TestClassifyCycleAttributionOrder(t *testing.T) {
 	}
 }
 
+// classifyCycleStrong classifies a cycle as an Inspector with StrongCycle
+// set does: the strong (Algorithm 1) priority at cycle level.
+func classifyCycleStrong(warps []WarpObs) CycleClass {
+	return classifyCycle(newFold(&strongPriority), warps)
+}
+
 func TestClassifyCycleStrongAblation(t *testing.T) {
 	obs := []WarpObs{{Kind: Control}, {Kind: MemStructural, StructCause: StructMSHRFull}}
 	if got := ClassifyCycle(obs); got.Kind != MemStructural {
 		t.Errorf("weak order = %v, want MemStructural", got.Kind)
 	}
-	if got := ClassifyCycleStrong(obs); got.Kind != Control {
+	if got := classifyCycleStrong(obs); got.Kind != Control {
 		t.Errorf("strong order = %v, want Control", got.Kind)
 	}
-	if got := ClassifyCycleStrong(nil); got.Kind != Idle {
+	if got := classifyCycleStrong(nil); got.Kind != Idle {
 		t.Errorf("strong order on empty = %v, want Idle", got.Kind)
 	}
-	if got := ClassifyCycleStrong([]WarpObs{{Kind: NoStall}, {Kind: Sync}}); got.Kind != NoStall {
+	if got := classifyCycleStrong([]WarpObs{{Kind: NoStall}, {Kind: Sync}}); got.Kind != NoStall {
 		t.Errorf("strong order with issue = %v, want NoStall", got.Kind)
 	}
 }
@@ -149,7 +155,7 @@ func TestClassifyCycleProperty(t *testing.T) {
 		for i, k := range kinds {
 			obs[i] = WarpObs{Kind: StallKind(k % uint8(NumStallKinds))}
 		}
-		for _, cc := range []CycleClass{ClassifyCycle(obs), ClassifyCycleStrong(obs)} {
+		for _, cc := range []CycleClass{ClassifyCycle(obs), classifyCycleStrong(obs)} {
 			if len(obs) == 0 {
 				if cc.Kind != Idle {
 					return false
@@ -294,7 +300,7 @@ func TestClassifyCycleMatchesNestedLoops(t *testing.T) {
 		if got, want := ClassifyCycle(obs), classifyNested(obs, weakOrder); got != want {
 			t.Fatalf("weak %v: got %+v, want %+v", kinds, got, want)
 		}
-		if got, want := ClassifyCycleStrong(obs), classifyNested(obs, strongOrder); got != want {
+		if got, want := classifyCycleStrong(obs), classifyNested(obs, strongOrder); got != want {
 			t.Fatalf("strong %v: got %+v, want %+v", kinds, got, want)
 		}
 	}

@@ -63,8 +63,8 @@ type Inspector struct {
 	// completion for a load comes from the same SM.
 	pending []*LoadTable[pendingLoad]
 
-	// StrongCycle selects the ablation classifier (strong priority at
-	// cycle level); see ClassifyCycleStrong.
+	// StrongCycle selects the ablation classifier of section 4.2: the
+	// strong (Algorithm 1) priority at cycle level instead of the weak one.
 	StrongCycle bool
 	// EagerAttribution selects the ablation data-stall attribution that
 	// charges stalls immediately to main memory instead of deferring;

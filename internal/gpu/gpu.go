@@ -162,9 +162,9 @@ func (g *GPU) Run() (uint64, error) { return g.RunContext(context.Background()) 
 // RunContext drives the launched kernel to completion and returns the
 // cycle count. Every component — mesh, memory controller, L2 banks,
 // per-core memory units, SMs — registers individually with the engine
-// selected by Cfg.Engine (skip-ahead by default), in the same order
-// the dense compound Tick evaluates them, so all modes produce
-// byte-identical results. It resolves GSI's deferred attribution before
+// selected by Cfg.Engine (skip-ahead by default), in one fixed order that
+// every mode evaluates a cycle in, so all modes produce byte-identical
+// results. It resolves GSI's deferred attribution before
 // returning and records the engine's scheduling counters in EngineStats.
 //
 // ctx cancellation is cooperative and checked only between cycles (see

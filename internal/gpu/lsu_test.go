@@ -160,8 +160,8 @@ func TestLSUTracksMatchMapModel(t *testing.T) {
 
 // issueLoop launches a resident ALU+load loop on a one-SM GPU — four warps,
 // each loading its own word of one L1-resident line, adding it up and
-// branching back — and runs it past its cold misses. tick advances the memory
-// system and the SM one cycle.
+// branching back — and runs it past its cold misses. tick is one dense engine
+// step: the memory system, then the SM.
 func issueLoop(tb testing.TB) (sm *SM, tick func()) {
 	cfg := sim.Default()
 	cfg.NumSMs = 1
@@ -183,16 +183,14 @@ func issueLoop(tb testing.TB) (sm *SM, tick func()) {
 		tb.Fatal(err)
 	}
 	sm = g.SMs[0]
-	cycle := uint64(0)
-	tick = func() {
-		cycle++
-		g.Sys.Tick(cycle)
-		sm.Tick(cycle)
+	eng := sim.NewEngine()
+	eng.SetMode(sim.EngineDense)
+	g.Sys.Attach(eng)
+	eng.Register("sm0", sm)
+	for eng.Cycle() < 5000 {
+		eng.Step()
 	}
-	for cycle < 5000 {
-		tick()
-	}
-	return sm, tick
+	return sm, eng.Step
 }
 
 // TestIssueStageDoesNotAllocate: once warm, a cycle of the issue path —

@@ -117,13 +117,16 @@ func TestFillCallbackMayStartMiss(t *testing.T) {
 	cm := sys.Cores[0]
 	lineSize := uint64(cfg.LineSize)
 
+	eng := sim.NewEngine()
+	eng.SetMode(sim.EngineDense)
+	sys.Attach(eng)
+
 	const first = uint64(0x4_0000)
-	var cycle uint64
-	if out := cm.Load(first, Target{Load: 1}, cycle); out != LoadMiss {
+	if out := cm.Load(first, Target{Load: 1}, eng.Cycle()); out != LoadMiss {
 		t.Fatalf("first load: %v", out)
 	}
 	for id := core.LoadID(2); id <= 3; id++ {
-		if out := cm.Load(first+8*uint64(id), Target{Load: id}, cycle); out != LoadMerged {
+		if out := cm.Load(first+8*uint64(id), Target{Load: id}, eng.Cycle()); out != LoadMerged {
 			t.Fatalf("load %d: %v, want merged", id, out)
 		}
 	}
@@ -143,18 +146,17 @@ func TestFillCallbackMayStartMiss(t *testing.T) {
 		if tg.Load != 1 {
 			return
 		}
-		if out := cm.Load(second, Target{Load: 10}, cycle); out != LoadMiss {
+		if out := cm.Load(second, Target{Load: 10}, eng.Cycle()); out != LoadMiss {
 			t.Errorf("load started from the callback: %v, want a miss in the slot being completed", out)
 		}
-		if out := cm.Load(second+8, Target{Load: 11}, cycle); out != LoadMerged {
+		if out := cm.Load(second+8, Target{Load: 11}, eng.Cycle()); out != LoadMerged {
 			t.Errorf("second load started from the callback: %v, want merged", out)
 		}
 	}
-	for ; !sys.Quiesced(); cycle++ {
-		if cycle > 10_000 {
+	for ; !sys.Quiesced(); eng.Step() {
+		if eng.Cycle() > 10_000 {
 			t.Fatal("memory system did not quiesce")
 		}
-		sys.Tick(cycle)
 	}
 	want := []done{
 		{1, core.WhereMemory}, {2, core.WhereL1Coalescing}, {3, core.WhereL1Coalescing},

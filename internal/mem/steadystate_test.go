@@ -10,12 +10,12 @@ import (
 	"gsi/internal/sim"
 )
 
-// driver owns a memory system ticked densely by hand, with completion
-// callbacks that only count: whatever a transaction allocates is the memory
-// system's own.
+// driver owns a memory system on a dense engine, with completion callbacks
+// that only count: whatever a transaction allocates is the memory system's
+// own.
 type driver struct {
 	sys    *mem.System
-	cycle  uint64
+	eng    *sim.Engine
 	loads  int
 	atoms  int
 	acks   int
@@ -38,7 +38,9 @@ func newDriver(tb testing.TB, policy mem.Policy) *driver {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	d := &driver{sys: sys, lineSz: uint64(cfg.LineSize), fresh: coldBase}
+	d := &driver{sys: sys, eng: sim.NewEngine(), lineSz: uint64(cfg.LineSize), fresh: coldBase}
+	d.eng.SetMode(sim.EngineDense)
+	sys.Attach(d.eng)
 	for _, cm := range sys.Cores {
 		cm.OnLoadDone = func(mem.Target, core.DataWhere) { d.loads++ }
 		cm.OnAtomicDone = func(mem.AtomicOp, uint64) { d.atoms++ }
@@ -58,11 +60,10 @@ func (d *driver) coldLine() uint64 {
 }
 
 func (d *driver) quiesce(tb testing.TB) {
-	for limit := d.cycle + 100_000; !d.sys.Quiesced(); d.cycle++ {
-		if d.cycle > limit {
+	for limit := d.eng.Cycle() + 100_000; !d.sys.Quiesced(); d.eng.Step() {
+		if d.eng.Cycle() > limit {
 			tb.Fatal("memory system did not quiesce")
 		}
-		d.sys.Tick(d.cycle)
 	}
 }
 
@@ -70,7 +71,7 @@ func (d *driver) quiesce(tb testing.TB) {
 // from the L1 by an acquire and is fetched back.
 func (d *driver) missRoundTrip(tb testing.TB, cm *mem.CoreMem, line uint64) {
 	cm.SelfInvalidate()
-	if out := cm.Load(line, mem.Target{Load: 1}, d.cycle); out != mem.LoadMiss {
+	if out := cm.Load(line, mem.Target{Load: 1}, d.eng.Cycle()); out != mem.LoadMiss {
 		tb.Fatalf("warm-line load: %v, want a miss", out)
 	}
 	d.quiesce(tb)
@@ -78,7 +79,7 @@ func (d *driver) missRoundTrip(tb testing.TB, cm *mem.CoreMem, line uint64) {
 
 // atomicRoundTrip is one atomic executed at the home bank on an L2 hit.
 func (d *driver) atomicRoundTrip(tb testing.TB, cm *mem.CoreMem, addr uint64) {
-	cm.Atomic(mem.AtomicOp{Addr: addr, AOp: isa.OpAtomAdd, B: 1}, d.cycle)
+	cm.Atomic(mem.AtomicOp{Addr: addr, AOp: isa.OpAtomAdd, B: 1}, d.eng.Cycle())
 	d.quiesce(tb)
 }
 
@@ -93,19 +94,19 @@ func (d *driver) everyTransaction(tb testing.TB, warm uint64) {
 	d.missRoundTrip(tb, c0, warm)
 
 	cold := d.coldLine()
-	if out := c0.Load(cold, mem.Target{Load: 2}, d.cycle); out != mem.LoadMiss {
+	if out := c0.Load(cold, mem.Target{Load: 2}, d.eng.Cycle()); out != mem.LoadMiss {
 		tb.Fatalf("cold-line load: %v, want a miss", out)
 	}
-	if out := c0.Load(cold+8, mem.Target{Load: 3}, d.cycle); out != mem.LoadMerged {
+	if out := c0.Load(cold+8, mem.Target{Load: 3}, d.eng.Cycle()); out != mem.LoadMerged {
 		tb.Fatalf("second cold-line load: %v, want merged", out)
 	}
-	if out := c1.Load(cold, mem.Target{Load: 4}, d.cycle); out != mem.LoadMiss {
+	if out := c1.Load(cold, mem.Target{Load: 4}, d.eng.Cycle()); out != mem.LoadMiss {
 		tb.Fatalf("cold-line load from a second core: %v, want a miss", out)
 	}
 	d.quiesce(tb)
 
 	for _, cm := range []*mem.CoreMem{c0, c1} {
-		if out := cm.Store(warm+d.lineSz, d.cycle); out != mem.StoreOK {
+		if out := cm.Store(warm+d.lineSz, d.eng.Cycle()); out != mem.StoreOK {
 			tb.Fatalf("store: %v", out)
 		}
 		cm.FlushAll()

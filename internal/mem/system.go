@@ -106,10 +106,11 @@ func (s *System) BankTile(line uint64) int {
 // CoreTile maps a core id to its tile.
 func (s *System) CoreTile(core int) int { return s.coreTiles[core] }
 
-// Attach registers every memory-side unit with the scheduling engine, in
-// the same order a dense System.Tick evaluates them (mesh, controller,
-// banks, cores), and wires each unit's wake callback to its engine handle
-// so idle units stop ticking until a message, fill, or flush re-arms them.
+// Attach registers every memory-side unit with the scheduling engine in
+// fixed order (mesh, controller, banks, cores), and wires each unit's wake
+// callback to its engine handle so idle units stop ticking until a message,
+// fill, or flush re-arms them. Calibration probes and tests drive the system
+// alone on a dense engine, which ticks every unit every cycle in that order.
 func (s *System) Attach(eng *sim.Engine) {
 	s.Mesh.SetWaker(eng.Register("mesh", s.Mesh).Wake)
 	s.Ctrl.SetWaker(eng.Register("memctrl", s.Ctrl).Wake)
@@ -119,29 +120,6 @@ func (s *System) Attach(eng *sim.Engine) {
 	for i, c := range s.Cores {
 		c.SetWaker(eng.Register(fmt.Sprintf("core%d", i), c).Wake)
 	}
-}
-
-// Tick advances the whole memory side one cycle: mesh delivery first, then
-// the memory controller, the banks, and the per-core units, in fixed order.
-// It is the dense compound form of Attach's per-unit registration, kept for
-// calibration probes and tests that drive the system as a single component;
-// it reports whether any unit still has tick work.
-func (s *System) Tick(cycle uint64) bool {
-	busy := s.Mesh.Tick(cycle)
-	if s.Ctrl.Tick(cycle) {
-		busy = true
-	}
-	for _, b := range s.Banks {
-		if b.Tick(cycle) {
-			busy = true
-		}
-	}
-	for _, c := range s.Cores {
-		if c.Tick(cycle) {
-			busy = true
-		}
-	}
-	return busy
 }
 
 // Quiesced reports that no request, response, flush, or fill is in flight

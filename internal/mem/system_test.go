@@ -45,10 +45,10 @@ func newHarness(t *testing.T, gpuPolicy mem.Policy) *harness {
 		t.Fatal(err)
 	}
 	h := &harness{t: t, sys: sys, eng: sim.NewEngine()}
-	// The tests poke CoreMems directly between steps with no wake wiring,
-	// so drive the system densely as one compound component.
+	// The tests poke CoreMems directly between steps, so drive the system
+	// densely: every unit ticks every cycle whether or not a wake reached it.
 	h.eng.SetMode(sim.EngineDense)
-	h.eng.Register("mem", sim.TickFunc(sys.Tick))
+	sys.Attach(h.eng)
 	for i, cm := range sys.Cores {
 		i := i
 		cm.OnLoadDone = func(tg mem.Target, w core.DataWhere) {

@@ -30,10 +30,10 @@ func newDMAHarness(t *testing.T) *dmaHarness {
 	h.pad = New(cfg.ScratchSize, cfg.ScratchBanks)
 	h.dma = NewDMAEngine(h.pad, sys.Cores[0], sys.Backing, sys.Mesh,
 		sys.CoreTile(0), 0, sys.BankTile, cfg.LineSize)
-	// The harness starts transfers between steps with no wake wiring, so
-	// drive both components densely.
+	// The harness starts transfers between steps with no wake wiring for
+	// the DMA engine, so drive every unit densely.
 	h.eng.SetMode(sim.EngineDense)
-	h.eng.Register("mem", sim.TickFunc(sys.Tick))
+	sys.Attach(h.eng)
 	h.eng.Register("dma", sim.TickFunc(h.dma.Tick))
 	return h
 }

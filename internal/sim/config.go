@@ -92,26 +92,29 @@ type Config struct {
 	MaxCycles uint64
 
 	// --- Engine ---
+	//
+	// These decide how a run is scheduled, never what it reports, so they
+	// are tagged out of JSON, which is what the cache key hashes.
 
 	// Engine selects the scheduling loop. The zero value (EngineSkip)
 	// is the event-driven skip-ahead engine; EngineDense is the reference
 	// loop that ticks every component every cycle. Both produce
 	// byte-identical results.
-	Engine EngineMode
+	Engine EngineMode `json:"-"`
 
 	// Deprecated: Parallel was the intra-simulation tick worker count of
-	// the deleted parallel tick engine. It is inert: any value is accepted,
-	// nothing reads it, and CanonicalOptions erases it so it cannot split a
-	// cache key. It survives only because bench/layers.go compiles against
-	// it (the parallel2 ladder row, which now re-runs the product engine);
-	// the benchmark PR that retires that row removes the field.
-	Parallel int
+	// the deleted parallel tick engine. It is inert: any value is accepted
+	// and nothing reads it. It survives only because bench/layers.go
+	// compiles against it (the parallel2 ladder row, which now re-runs the
+	// product engine); the benchmark change that retires that row removes
+	// the field, and removing it moves no cache key.
+	Parallel int `json:"-"`
 
 	// Deprecated: Express was the switch for the deleted mesh express
 	// routing; the mesh always routes per hop. It is inert in the same way
-	// as Parallel and waits on the same benchmark PR (the express_off
+	// as Parallel and waits on the same benchmark change (the express_off
 	// ladder row).
-	Express bool
+	Express bool `json:"-"`
 }
 
 // Default returns the Table 5.1 configuration: 1 CPU + 15 SMs on a 4x4 mesh

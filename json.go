@@ -2,13 +2,14 @@ package gsi
 
 // Canonical hashing for content-addressed results.
 //
-// A simulation is fully determined by (Options, workload name, workload
-// parameters): runs are single-threaded and deterministic, and the engine
-// modes are byte-identical by contract (engine_diff_test.go), so two
-// requests that canonicalize to the same inputs must produce the same
-// Report bytes. CacheKey turns that determinism into a content address —
-// the soundness argument behind the serve layer's result cache (see
-// docs/ARCHITECTURE.md, "Sweep serving and the result cache").
+// Under one model revision, a simulation is fully determined by (Options,
+// workload name, workload parameters): runs are single-threaded and
+// deterministic, and the engine modes are byte-identical by contract
+// (engine_diff_test.go), so two requests that canonicalize to the same
+// inputs must produce the same Report bytes. CacheKey turns that
+// determinism into a content address — the soundness argument behind the
+// serve layer's result cache (see docs/ARCHITECTURE.md, "Sweep serving and
+// the result cache").
 
 import (
 	"bytes"
@@ -23,42 +24,27 @@ import (
 	"gsi/internal/workloads"
 )
 
-// CanonicalOptions normalizes an Options value so that two configurations
-// demanding byte-identical Reports compare (and hash) equal:
-//
-//   - defaults are materialized (a zero System hashes like an explicit
-//     DefaultConfig),
-//   - Engine is reset to its default, because every engine mode produces
-//     byte-identical results (the cross-engine contract enforced by
-//     engine_diff_test.go); it changes wall-clock cost, never the Report,
-//   - the two inert scheduling fields, Parallel and Express, are zeroed:
-//     nothing reads them (see their Deprecated notes on SystemConfig), but
-//     the hash document serializes the whole SystemConfig, so a caller
-//     that still sets one must not split a cache key,
-//   - Trace is cleared: tracing observes a run without perturbing it, so
-//     a traced and an untraced run share one cache identity. (The field
-//     is also tagged out of JSON, so it never reaches the hash document
-//     either way.)
-//
-// Every other field stays significant. In particular MaxCycles (a tighter
-// watchdog can fail a run that a looser one completes), Timeline (it adds
-// a rendered block to the Report), and SkipVerify (it changes which runs
-// error) all separate cache entries.
-func CanonicalOptions(opt Options) Options {
-	opt = opt.withDefaults()
-	opt.System.Engine = EngineSkip
-	opt.System.Parallel = 0
-	opt.System.Express = false
-	opt.Trace = nil
-	return opt
-}
+// modelRevision names the timing model CacheKey addresses Reports of; a
+// change that moves any Report byte bumps it, so a persisted result of an
+// older model never answers for this one. modelFingerprint is the SHA-256
+// of testdata/fingerprints.golden's report columns at this revision
+// (TestModelRevisionTracksFingerprints). The golden runs only Small sizes:
+// drift seen only at other sizes needs a bump by hand.
+const (
+	modelRevision    = "1"
+	modelFingerprint = "267cdd72d8232f869a8d485ae345b35c73716b489c171b9b3585a2e6626b3527"
+)
 
 // CacheKey returns the content address of one simulation: a SHA-256 hash
-// (hex) over a stable JSON encoding of the canonicalized Options, the
-// workload's registry name, and its parameter overrides. Two invocations
-// hash equal exactly when they demand byte-identical Reports, so a cache
-// keyed by this string may serve one run's serialized Report for the
-// other — the serve layer's core invariant.
+// (hex) over a stable JSON encoding of the model revision, the Options with
+// defaults resolved, the workload's registry name, and its parameter
+// overrides. Two invocations hash equal exactly when they demand
+// byte-identical Reports, so a cache keyed by this string may serve one
+// run's serialized Report for the other — the serve layer's core invariant.
+//
+// What cannot change a Report (the engine, the inert scheduling fields,
+// Options.Trace) is tagged out of JSON where it is declared. Every other
+// field separates keys, MaxCycles and Timeline included.
 //
 // Workload and parameter names are folded (trimmed, lower-cased) and
 // values trimmed, exactly as the registry looks them up and parses them.
@@ -72,7 +58,8 @@ func CanonicalOptions(opt Options) Options {
 func CacheKey(opt Options, workload string, params WorkloadValues) string {
 	st := keyStates.Get().(*keyState)
 	defer keyStates.Put(st)
-	st.doc.Options = CanonicalOptions(opt)
+	st.doc.Revision = modelRevision
+	st.doc.Options = opt.withDefaults()
 	st.doc.Workload = workloads.FoldName(workload)
 	st.params = keyParams(st.params[:0], st.doc.Workload, params)
 	st.doc.Params = nil // an empty list hashes as null, never []
@@ -98,6 +85,7 @@ func CacheKey(opt Options, workload string, params WorkloadValues) string {
 // content address of every persisted serve result: a renamed or
 // reordered field orphans them all (TestCacheKeyRegistryPins).
 type keyDoc struct {
+	Revision string
 	Options  Options
 	Workload string
 	Params   []workloads.Setting

@@ -9,8 +9,9 @@ import (
 // TestCacheKeyEquivalentConfigsHashEqual: CacheKey must collapse every
 // spelling of the same simulation onto one content address — defaulted vs
 // explicit configuration, engine-mode selections (results are
-// byte-identical by contract), the two inert scheduling fields,
-// default-valued vs absent parameters, and cosmetic name/value spellings.
+// byte-identical by contract) and the two inert scheduling fields (all
+// three held out of the hash by their json:"-" tags), default-valued vs
+// absent parameters, and cosmetic name/value spellings.
 func TestCacheKeyEquivalentConfigsHashEqual(t *testing.T) {
 	base := CacheKey(Options{Protocol: DeNovo}, "uts", nil)
 	equivalent := map[string]string{
@@ -50,9 +51,8 @@ func TestCacheKeyEngineRelevantDifferencesHashUnequal(t *testing.T) {
 		"max cycles": CacheKey(Options{
 			System:   func() SystemConfig { c := DefaultConfig(); c.MaxCycles = 1000; return c }(),
 			Protocol: DeNovo}, "uts", nil),
-		"timeline":    CacheKey(Options{Protocol: DeNovo, Timeline: true}, "uts", nil),
-		"skip verify": CacheKey(Options{Protocol: DeNovo, SkipVerify: true}, "uts", nil),
-		"ablation":    CacheKey(Options{Protocol: DeNovo, SFIFO: true}, "uts", nil),
+		"timeline": CacheKey(Options{Protocol: DeNovo, Timeline: true}, "uts", nil),
+		"ablation": CacheKey(Options{Protocol: DeNovo, SFIFO: true}, "uts", nil),
 	}
 	seen := map[string]string{base: "base"}
 	for name, key := range variants {
@@ -109,15 +109,15 @@ func TestCacheKeyGridAxisOrdering(t *testing.T) {
 // cache directory.
 func TestCacheKeyRegistryPins(t *testing.T) {
 	want := map[string][2]string{
-		"uts":      {"35ad1c26623b46e232bd7e0736e74bf829d83b97086d91e44c8b4d654ba04f78", "3d7470cbd90ec763ed0139fac0bd4ce72c23e017cc09c9697701ca8d5407f70a"},
-		"utsd":     {"c8023543a4b769fc0ac58cf7204aac1c1bdbd21289462418e33c19f962feaf34", "3396aad4513253ad4c4c0e6a051c780f1adcba6fd30cae6aea25ea884f928200"},
-		"implicit": {"041d744b23f2b4305a35a1d9a109e47a1ba95fc81c69c2f89da6ebefd8bdb0d7", "041d744b23f2b4305a35a1d9a109e47a1ba95fc81c69c2f89da6ebefd8bdb0d7"},
-		"bfs":      {"a5fad09a11ca247c878060dc763a74c6a0efddcb17a83b97c8a4a9edddf14892", "efaf1211afbc4df58b55473c84617aaa0819fcb5ceaacbee6c2319362222a643"},
-		"spmv":     {"6aefbe01259337ce61df26928b794451bc6f7396edd932075e5cc21550b0c072", "99b20bb128c6223e258e99dcc391bc81d17a5a53ff0c43b84675a36e9dd49f61"},
-		"pipeline": {"28eca815082e5412efe960da43567e6ed08c08d9927405027baf3fb6a0a57a32", "49c155057b81d0d66e278aa65de9ebcd7fdb2037a914cfcc4565c1235f5f2bdc"},
-		"gups":     {"0703bc70914f9b3ab7a94914677d30a7462bf4fa80d8de83cc81801dcfd8c1a9", "dca38969850a66a36521dcafbd246df371c0c54e652983f63a9e6d3498b0e644"},
-		"stencil":  {"88784260ab3698f5e4c9b7576ddbab5aaa4f2494f3a0ddee0171a4514078a5c9", "9f03ef707169537214228a252a703092694427b5973d45fe0c9dd2b5aeb41588"},
-		"steal":    {"7623057ea6855f863121a16ebec3441c3893549d8d831dbaf54692e77d4b9ea3", "71689849d40cc2deb679bfd36bbbadbfd1d435f3551b12c16d35ffe87755af4d"},
+		"uts":      {"cb0133511852b4e3014c676701f942277b298ddfafc8125c1e0a91463881c7c4", "d15251557a06ccf52c05b9a0ff416f7c846bc0b237cf69502b4ee3d26a580c1e"},
+		"utsd":     {"c9e312ca06f27b73fa2375bec14e4bdfb076af95baa27a3f74bdd48a88faae5c", "a6fcf476d7dc744f7c8dcc49cfa657270da8e68a81cd68b0ccf749aa387bad1a"},
+		"implicit": {"f8daa01e8a416347fa225b8bcac7cd187a86aac3d096f4c86c834ea7683d8b28", "f8daa01e8a416347fa225b8bcac7cd187a86aac3d096f4c86c834ea7683d8b28"},
+		"bfs":      {"c97ae2cf13897abb593d987eff54f506866fdcd13d260c4505041eae0ce58984", "d48a2a2b8775fa1842101cda88e90ca22643421f1e76b83305265217656fca7b"},
+		"spmv":     {"266225596674e14d176673932395e8e20194aa4a0191ef7fea3f7dca216ffe53", "fd8321fdeb448ae3ad39b68440d17ffd46042660f7df63fcf085a7c2f69dbb8d"},
+		"pipeline": {"d814b4826f7368d81ac34b388d4ea70eb7bb2acf201d002acf2c8506aa288fa8", "43ca1a5ac7f7ae222fcf55f4bd3b0bb390a870111506ea12ad10f5695590e01e"},
+		"gups":     {"eebcc3adfc7d9c1db519e1ff258fc507b4cd83f33a31f6739c37d9d6af83b618", "c134a8b0dc3e6140c9f586fad1a3c6f9238da3e5d459bfad0f315762d49954ba"},
+		"stencil":  {"e8938d29ffb3e20e8ceb6bc87e842df9de6be9694c34aacd5f81d2318e1d85da", "661e6ff39c2f64b2c3443e54b144cda988aedd7df1c192dc26ec5b901ad9d0a5"},
+		"steal":    {"4818aeb146792614f87232fb73e347982052b9aa10ea111866e6be227b9be630", "1da91b3c3fc1d4d9a4503c1c2a94c62b5bf4363a52650dc2847b63de7ef161c7"},
 	}
 	reg := Workloads()
 	if len(want) != len(reg.Names()) {
@@ -164,10 +164,10 @@ func TestLocalMemNamesRoundTrip(t *testing.T) {
 		LocalMems: []LocalMem{Scratchpad, ScratchpadDMA},
 	}
 	want := []string{
-		"3df107dfcfe682bc462d92864677b3c92aa7c664701519d285bc221228a7c6fc",
-		"c38a319f11e2414654750ce58924b1ed51ad01656c1d3c27b63874137701e422",
-		"ad92ecc2e2aef7af3329d2565e33251cc598c08ee1f418ca966ae26fdc715259",
-		"d0f55460a5d3a6354efa43da5d708c29ad6640cb69b039f9bf8530ca6aa5f5e4",
+		"56a1e865d0fdc7fce6b90ad16a814cad8bf2686e833621c4ba1b1f235817bd68",
+		"fc9ca8491d7846fca1faacf783ad6b8e99337d22aeb0ff78232ae389c7422898",
+		"1da1c078d94f878ab409222ab49449c92d3d2271603df7b198bdd9344bb62995",
+		"ad9fde93f722b75f01db7ac0c4b93bcca4214de9d9b638360a8cfcca0ec3eb15",
 	}
 	jobs := g.Sweep().Jobs
 	if len(jobs) != len(want) {
@@ -191,9 +191,9 @@ func TestCacheKeyUnresolvedPins(t *testing.T) {
 		params   WorkloadValues
 		want     string
 	}{
-		{"no-such-workload", nil, "f8aca63446e0f7edac25010ad616e4000fb6344789415e74a5c20ab0de8a9711"},
-		{"no-such-workload", WorkloadValues{"Zeta": " 1 ", "alpha": "2"}, "1d6db896b761865c8b2ec04b3fecbd9aed0038b7f3b99fac159d929f472cee28"},
-		{"uts", WorkloadValues{"bogus": "1"}, "4714d56b4eebe8193367960f948f7e5a65f14d0479cd55ed9d1493fb0debb9e0"},
+		{"no-such-workload", nil, "45f2e70c3bb5266fe4c495ccb5be9f359d9c166011a5df784c19a92757e7c420"},
+		{"no-such-workload", WorkloadValues{"Zeta": " 1 ", "alpha": "2"}, "c242a443f3bf219129c415a194b7c3e883ee89b1567e42c9efb44eab368016dd"},
+		{"uts", WorkloadValues{"bogus": "1"}, "f25589ace118751758e95fced5b0840a68ef33f83ccf5f3ec58957adbf8bc9ae"},
 	}
 	for _, c := range cases {
 		opt := Options{}

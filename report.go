@@ -2,6 +2,7 @@ package gsi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -111,6 +112,41 @@ func newReport(workload string, opt Options, g *gpu.GPU, cycles uint64) *Report 
 	}
 	r.EngineStats = g.EngineStats
 	return r
+}
+
+// ErrAccounting marks a run whose stall books do not balance (see
+// checkBooks): a simulator bug, never a property of the workload.
+var ErrAccounting = errors.New("gsi: stall accounting does not balance")
+
+// checkBooks holds every SM's profile to GSI's conservation laws: its
+// classified cycles sum to the run's, and each stall kind's sub-causes
+// (service locations, structural causes, compute units) to the kind.
+func (r *Report) checkBooks() error {
+	for sm := range r.PerSM {
+		c := &r.PerSM[sm]
+		for _, b := range [...]struct {
+			bucket    string
+			got, want uint64
+		}{
+			{"classified cycles", c.Total(), r.Cycles},
+			{"memory data locations", sum(c.MemData[:]), c.Cycles[core.MemData]},
+			{"memory structural causes", sum(c.MemStruct[:]), c.Cycles[core.MemStructural]},
+			{"compute data units", sum(c.CompData[:]), c.Cycles[core.CompData]},
+			{"compute structural units", sum(c.CompStruct[:]), c.Cycles[core.CompStructural]},
+		} {
+			if b.got != b.want {
+				return fmt.Errorf("%w: sm%d %s sum to %d, want %d", ErrAccounting, sm, b.bucket, b.got, b.want)
+			}
+		}
+	}
+	return nil
+}
+
+func sum(v []uint64) (t uint64) {
+	for _, x := range v {
+		t += x
+	}
+	return t
 }
 
 // ExecBreakdown returns the execution-time breakdown (figure "a" of each

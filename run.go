@@ -19,8 +19,9 @@ type Workload = workloads.Instance
 
 // Run executes one workload under the given options and returns its GSI
 // report. The workload's functional post-check runs before the report is
-// returned: a timing bug that corrupts results fails loudly rather than
-// producing a plausible breakdown.
+// returned, and so does a check that every SM's stall books balance
+// (ErrAccounting): a timing bug that corrupts results or loses a cycle fails
+// loudly rather than producing a plausible breakdown.
 func Run(opt Options, w Workload) (*Report, error) {
 	return RunContext(context.Background(), opt, w)
 }
@@ -75,12 +76,13 @@ func RunContext(ctx context.Context, opt Options, w Workload) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gsi: running %s under %s: %w", w.Name(), opt.Protocol, err)
 	}
-	if !opt.SkipVerify {
-		if err := verify(h); err != nil {
-			return nil, fmt.Errorf("gsi: %s under %s failed verification: %w", w.Name(), opt.Protocol, err)
-		}
+	if err := verify(h); err != nil {
+		return nil, fmt.Errorf("gsi: %s under %s failed verification: %w", w.Name(), opt.Protocol, err)
 	}
 	r := newReport(w.Name(), opt, g, cycles)
+	if err := r.checkBooks(); err != nil {
+		return nil, fmt.Errorf("gsi: %s under %s: %w", w.Name(), opt.Protocol, err)
+	}
 	if tl != nil {
 		r.Timeline = tl.Render()
 	}
